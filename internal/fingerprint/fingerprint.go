@@ -246,4 +246,38 @@ func faultFingerprints(b *strings.Builder) {
 			fmt.Fprintf(b, "F V ham128 killv=%d kille=%d seed=%d res=%+v\n", kill.v, kill.e, seed, res)
 		}
 	}
+
+	// V-CONGEST reroute pass: edge kills on Q6 heavy enough to stall
+	// floods, so messages are rerouted and, at the heaviest, given up.
+	q := decomp.Hypercube(6)
+	qp, err := decomp.PackDominatingTrees(q, decomp.WithSeed(1))
+	if err != nil {
+		panic(err)
+	}
+	qs, err := decomp.NewBroadcastScheduler(q, qp)
+	if err != nil {
+		panic(err)
+	}
+	qsrcs := decomp.UniformSources(q.N(), 2*q.N(), 5)
+	for _, kills := range []int{24, 48, 96} {
+		plan := decomp.FaultPlan{Round: 1, RandomEdges: kills, Seed: 80, MaxRetries: 2}
+		res := runBoth(qs, qsrcs, 0, plan)
+		fmt.Fprintf(b, "F V Q6 kille=%d res=%+v\n", kills, res)
+	}
+
+	// E-CONGEST with dead vertices: every spanning tree loses a member,
+	// so no tree survives and retries fall back to the damaged trees.
+	for _, round := range []int{0, 1} {
+		for killv := 1; killv <= 2; killv++ {
+			plan := decomp.FaultPlan{Round: round, RandomVertices: killv, RandomEdges: 4, Seed: uint64(90 + killv), MaxRetries: 2}
+			res := runBoth(es, ksrcs, 0, plan)
+			fmt.Fprintf(b, "F E K16 round=%d killv=%d kille=4 res=%+v\n", round, killv, res)
+		}
+	}
+
+	// Retries disabled, and an explicit kill set (no random draws).
+	res := runBoth(qs, qsrcs, 1, decomp.FaultPlan{Round: 1, RandomEdges: 48, Seed: 81, MaxRetries: -1})
+	fmt.Fprintf(b, "F V Q6 kille=48 noretry res=%+v\n", res)
+	res = runBoth(es, ksrcs, 1, decomp.FaultPlan{Round: 2, Edges: []int{0, 7, 19, 50}, Vertices: []int{5, 11}})
+	fmt.Fprintf(b, "F E K16 explicit res=%+v\n", res)
 }
