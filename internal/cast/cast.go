@@ -30,7 +30,6 @@
 package cast
 
 import (
-	"fmt"
 	"math/rand/v2"
 
 	"repro/internal/graph"
@@ -87,35 +86,6 @@ func UniformDemand(n, nMsgs int, rng *rand.Rand) Demand {
 	return Demand{Sources: src}
 }
 
-// assignTrees routes each message to a tree with probability
-// proportional to tree weight (the paper's "broadcast each message along
-// a random tree"). Scheduler.assignDemand draws the identical stream
-// over reused buffers; this standalone form documents the distribution.
-func assignTrees(trees []WeightedTree, nMsgs int, rng *rand.Rand) []int {
-	// cum[i] = total weight of trees[0..i]; drawing r in [0, total] and
-	// taking the first i with r <= cum[i] is the original accumulation
-	// scan with the prefix sums hoisted out of the message loop.
-	cum := make([]float64, len(trees))
-	total := 0.0
-	for i, t := range trees {
-		total += t.Weight
-		cum[i] = total
-	}
-	out := make([]int, nMsgs)
-	for i := range out {
-		r := rng.Float64() * total
-		ti := len(trees) - 1
-		for j, c := range cum {
-			if r <= c {
-				ti = j
-				break
-			}
-		}
-		out[i] = ti
-	}
-	return out
-}
-
 // Broadcast disseminates the demand's messages to every node of g by
 // routing each along a randomly chosen tree of the decomposition, and
 // returns the realized rounds, throughput, and congestion. It is the
@@ -125,12 +95,6 @@ func assignTrees(trees []WeightedTree, nMsgs int, rng *rand.Rand) []int {
 // In sim.VCongest mode the trees must be dominating trees; in
 // sim.ECongest mode they must be spanning trees.
 func Broadcast(g *graph.Graph, trees []WeightedTree, demand Demand, model sim.Model, seed uint64) (Result, error) {
-	if len(trees) == 0 {
-		return Result{}, fmt.Errorf("cast: no trees")
-	}
-	if len(demand.Sources) == 0 {
-		return Result{}, fmt.Errorf("cast: empty demand")
-	}
 	s, err := NewScheduler(g, trees, model)
 	if err != nil {
 		return Result{}, err
@@ -153,21 +117,4 @@ func maxOf32(xs []int32) int32 {
 		}
 	}
 	return m
-}
-
-func maxOf(xs []int) int {
-	m := 0
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -160,15 +160,20 @@ func TestUniformDemandSources(t *testing.T) {
 }
 
 func TestAssignTreesProportional(t *testing.T) {
-	tr := graph.TreeFromBFS(graph.Complete(3), 0)
+	g := graph.Complete(3)
+	tr := graph.TreeFromBFS(g, 0)
 	trees := []WeightedTree{
 		{Tree: tr, Weight: 0.9},
 		{Tree: tr, Weight: 0.1},
 	}
-	rng := ds.NewRand(2)
-	assign := assignTrees(trees, 10000, rng)
+	s, err := NewScheduler(g, trees, sim.VCongest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds.Reseed(s.pcg, 2)
+	s.assignDemand(10000)
 	count := 0
-	for _, a := range assign {
+	for _, a := range s.assign {
 		if a == 0 {
 			count++
 		}

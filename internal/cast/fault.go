@@ -3,13 +3,15 @@
 // tree packing means broadcast traffic survives edge and vertex
 // failures up to the connectivity bound — and this file is where that
 // claim is exercised. A FaultPlan kills a deterministic (seeded) set of
-// edges and/or vertices at a chosen round; RunFaulted replays the exact
-// healthy schedule until the failure round, stops dead elements from
-// carrying messages after it, and reroutes undelivered messages over
-// the surviving trees with a bounded per-message retry budget. The
-// result reports delivered fraction, per-tree survival, and the round
-// overhead paid for rerouting — a faulted run never errors because of
-// delivery shortfalls; partial delivery is a structured result.
+// edges and/or vertices at a chosen round; RunFaulted runs the same
+// round loop as Run (runVertex, runEdge) with the resulting fault state,
+// so it replays the exact healthy schedule until the failure round,
+// stops dead elements from carrying messages after it, and reroutes
+// undelivered messages over the surviving trees with a bounded
+// per-message retry budget. The result reports delivered fraction,
+// per-tree survival, and the round overhead paid for rerouting — a
+// faulted run never errors because of delivery shortfalls; partial
+// delivery is a structured result.
 //
 // Everything is deterministic: the demand's tree assignment draws the
 // same PCG stream as Run, the fault set is derived from the plan's own
@@ -25,7 +27,6 @@ import (
 	"math/bits"
 
 	"repro/internal/ds"
-	"repro/internal/sim"
 )
 
 // FaultPlan describes one deterministic failure scenario.
@@ -46,13 +47,17 @@ type FaultPlan struct {
 	Seed           uint64 `json:"seed,omitempty"`
 	// MaxRetries bounds how many times one undelivered message may be
 	// rerouted over a surviving tree before it is given up as lost.
-	// Zero means the default (2); negative disables retries.
+	// Zero means the default (2); negative disables retries; at most 16.
 	MaxRetries int `json:"max_retries,omitempty"`
 }
 
 // defaultFaultRetries is the reroute budget when the plan leaves
-// MaxRetries at zero.
-const defaultFaultRetries = 2
+// MaxRetries at zero; maxFaultRetries caps an explicit budget, since a
+// faulted run's length grows linearly with it.
+const (
+	defaultFaultRetries = 2
+	maxFaultRetries     = 16
+)
 
 func (p FaultPlan) retries() int {
 	switch {
@@ -63,11 +68,6 @@ func (p FaultPlan) retries() int {
 	default:
 		return defaultFaultRetries
 	}
-}
-
-// active reports whether the plan kills anything at all.
-func (p FaultPlan) active() bool {
-	return len(p.Edges)+len(p.Vertices)+p.RandomEdges+p.RandomVertices > 0
 }
 
 // FaultResult is a faulted run's outcome: the usual scheduling Result
@@ -103,30 +103,28 @@ type FaultResult struct {
 	RetryRounds int
 }
 
-// faultBuffers is the per-handle scratch of the faulted scheduler,
-// grown once and reused across RunFaulted calls (clones allocate their
-// own lazily, so faulted runs stay concurrent-safe across clones).
-type faultBuffers struct {
+// faultState is the fault set of one faulted run plus its reroute
+// bookkeeping, grown once per handle and reused across RunFaulted calls
+// (clones allocate their own lazily, so faulted runs stay
+// concurrent-safe across clones). The round loops read it; a healthy
+// run passes none.
+type faultState struct {
+	round      int // failure round
+	maxRetries int
+
 	deadV     []bool
 	deadE     []bool
 	deadVIDs  []int32
 	deadEIDs  []int32
 	liveTrees []int32
 	liveMask  []uint64 // live-vertex bitmask, one stride row
-	has       []uint64 // nMsgs × stride delivery grid
-	queued    []uint64 // vertex model: nMsgs × stride ever-queued grid
-	queues    [][]int32
-	qhead     []int32
-	attempts  []int32
-	vcong     []int32
-	econg     []int32
-	sends     []vtx
-	esends    []esend
-}
+	liveNbr   []uint64 // V-CONGEST: nbrMask rows restricted to live neighbors over live edges
+	deadArcs  []uint64 // E-CONGEST: arcs on dead edges or incident to a dead vertex
 
-type esend struct {
-	dir int32
-	msg int32
+	attempts        []int32 // reroutes so far, per message
+	rerouted        []int32 // messages moved to a new tree by the last reroute pass
+	retries         int
+	firstRetryRound int // Rounds at the first reroute, -1 before it
 }
 
 // RunFaulted runs the demand under the fault plan; see RunFaultedContext.
@@ -144,85 +142,152 @@ func (s *Scheduler) RunFaulted(demand Demand, seed uint64, plan FaultPlan) (Faul
 // never an error — errors are reserved for empty demands, invalid
 // plans, and context cancellation.
 func (s *Scheduler) RunFaultedContext(ctx context.Context, demand Demand, seed uint64, plan FaultPlan) (FaultResult, error) {
-	if len(demand.Sources) == 0 {
-		return FaultResult{}, fmt.Errorf("cast: empty demand")
-	}
-	fb, err := s.prepareFaults(plan)
+	f, err := s.prepareFaults(plan, len(demand.Sources))
 	if err != nil {
 		return FaultResult{}, err
 	}
-	ds.Reseed(s.pcg, seed)
-	s.assignDemand(len(demand.Sources))
-	if s.core.model == sim.VCongest {
-		return s.runVertexFaulted(ctx, fb, demand, plan)
+	r, err := s.run(ctx, demand, seed, f)
+	res := FaultResult{
+		Result:         r,
+		FailedEdges:    len(f.deadEIDs),
+		FailedVertices: len(f.deadVIDs),
+		TreesSurviving: len(f.liveTrees),
+		PairsExpected:  len(demand.Sources) * (s.core.g.N() - len(f.deadVIDs)),
+		Retries:        f.retries,
 	}
-	return s.runEdgeFaulted(ctx, fb, demand, plan)
+	if err != nil {
+		return res, err
+	}
+	var has []uint64
+	if s.vb != nil {
+		has = s.vb.hasM
+	} else {
+		has = s.eb.hasM
+	}
+	stride := len(f.liveMask)
+	for msg := range demand.Sources {
+		missing := false
+		for j, live := range f.liveMask {
+			res.PairsDelivered += bits.OnesCount64(live & has[msg*stride+j])
+			missing = missing || live&^has[msg*stride+j] != 0
+		}
+		if missing {
+			res.MessagesLost++
+		}
+	}
+	res.MessagesDelivered = len(demand.Sources) - res.MessagesLost
+	if res.PairsExpected > 0 {
+		res.DeliveredFraction = float64(res.PairsDelivered) / float64(res.PairsExpected)
+	}
+	if f.firstRetryRound >= 0 {
+		res.RetryRounds = res.Rounds - f.firstRetryRound
+	}
+	return res, nil
 }
 
 // prepareFaults validates the plan and materializes the fault set:
 // explicit kills, then seeded random draws (vertices before edges, so
-// either count alone replays the same stream prefix), then the list of
-// trees that survive untouched.
-func (s *Scheduler) prepareFaults(plan FaultPlan) (*faultBuffers, error) {
+// either count alone replays the same stream prefix), then the trees
+// that survive untouched and the masks the round loop reads.
+func (s *Scheduler) prepareFaults(plan FaultPlan, nMsgs int) (*faultState, error) {
 	g := s.core.g
 	n, m := g.N(), g.M()
-	if plan.Round < 0 {
+	switch {
+	case plan.Round < 0:
 		return nil, fmt.Errorf("cast: fault round %d < 0", plan.Round)
-	}
-	if plan.RandomEdges < 0 || plan.RandomVertices < 0 {
+	case plan.RandomEdges < 0 || plan.RandomVertices < 0:
 		return nil, fmt.Errorf("cast: negative random fault counts (%d edges, %d vertices)", plan.RandomEdges, plan.RandomVertices)
+	case plan.MaxRetries > maxFaultRetries:
+		return nil, fmt.Errorf("cast: fault max_retries %d above the cap of %d", plan.MaxRetries, maxFaultRetries)
 	}
-	if s.fbuf == nil {
-		s.fbuf = &faultBuffers{}
+	if s.faults == nil {
+		s.faults = &faultState{}
 	}
-	fb := s.fbuf
-	fb.deadV = growClear(fb.deadV, n)
-	fb.deadE = growClear(fb.deadE, m)
-	fb.deadVIDs, fb.deadEIDs = fb.deadVIDs[:0], fb.deadEIDs[:0]
+	f := s.faults
+	f.round, f.maxRetries = plan.Round, plan.retries()
+	f.retries, f.firstRetryRound = 0, -1
+	f.deadV = growClear(f.deadV, n)
+	f.deadE = growClear(f.deadE, m)
+	f.deadVIDs, f.deadEIDs = f.deadVIDs[:0], f.deadEIDs[:0]
 	for _, v := range plan.Vertices {
 		if v < 0 || v >= n {
 			return nil, fmt.Errorf("cast: fault vertex %d out of range [0,%d)", v, n)
 		}
-		if !fb.deadV[v] {
-			fb.deadV[v] = true
-			fb.deadVIDs = append(fb.deadVIDs, int32(v))
-		}
+		f.killVertex(v)
 	}
 	for _, e := range plan.Edges {
 		if e < 0 || e >= m {
 			return nil, fmt.Errorf("cast: fault edge %d out of range [0,%d)", e, m)
 		}
-		if !fb.deadE[e] {
-			fb.deadE[e] = true
-			fb.deadEIDs = append(fb.deadEIDs, int32(e))
-		}
+		f.killEdge(e)
 	}
 	if plan.RandomVertices > 0 || plan.RandomEdges > 0 {
-		rng := ds.NewRand(plan.Seed)
-		for k := 0; k < plan.RandomVertices && len(fb.deadVIDs) < n; {
-			v := rng.IntN(n)
-			if !fb.deadV[v] {
-				fb.deadV[v] = true
-				fb.deadVIDs = append(fb.deadVIDs, int32(v))
+		ds.Reseed(s.pcg, plan.Seed)
+		for k := 0; k < plan.RandomVertices && len(f.deadVIDs) < n; {
+			if f.killVertex(s.rng.IntN(n)) {
 				k++
 			}
 		}
-		for k := 0; k < plan.RandomEdges && len(fb.deadEIDs) < m; {
-			e := rng.IntN(m)
-			if !fb.deadE[e] {
-				fb.deadE[e] = true
-				fb.deadEIDs = append(fb.deadEIDs, int32(e))
+		for k := 0; k < plan.RandomEdges && len(f.deadEIDs) < m; {
+			if f.killEdge(s.rng.IntN(m)) {
 				k++
 			}
 		}
 	}
-	fb.liveTrees = fb.liveTrees[:0]
+	f.liveTrees = f.liveTrees[:0]
 	for ti := range s.core.trees {
-		if s.treeSurvives(ti, fb) {
-			fb.liveTrees = append(fb.liveTrees, int32(ti))
+		if s.treeSurvives(ti, f) {
+			f.liveTrees = append(f.liveTrees, int32(ti))
 		}
 	}
-	return fb, nil
+	stride := (n + 63) / 64
+	f.liveMask = growClear(f.liveMask, stride)
+	for v, dead := range f.deadV {
+		if !dead {
+			f.liveMask[v>>6] |= 1 << (uint(v) & 63)
+		}
+	}
+	if vs := s.core.vs; vs != nil {
+		f.liveNbr = append(f.liveNbr[:0], vs.nbrMask...)
+		for i := range f.liveNbr {
+			f.liveNbr[i] &= f.liveMask[i%stride]
+		}
+		for _, e := range f.deadEIDs {
+			u, w := g.Endpoints(int(e))
+			f.liveNbr[u*stride+w>>6] &^= 1 << (uint(w) & 63)
+			f.liveNbr[w*stride+u>>6] &^= 1 << (uint(u) & 63)
+		}
+	} else {
+		// Both arcs of edge e (2e and 2e+1) share one word.
+		f.deadArcs = growClear(f.deadArcs, s.core.es.awords)
+		for e, ed := range g.Edges() {
+			if f.deadE[e] || f.deadV[ed.U] || f.deadV[ed.V] {
+				f.deadArcs[e>>5] |= 3 << (uint(2*e) & 63)
+			}
+		}
+	}
+	f.attempts = growClear(f.attempts, nMsgs)
+	return f, nil
+}
+
+// killVertex and killEdge add one element to the fault set, reporting
+// whether it was alive before.
+func (f *faultState) killVertex(v int) bool {
+	if f.deadV[v] {
+		return false
+	}
+	f.deadV[v] = true
+	f.deadVIDs = append(f.deadVIDs, int32(v))
+	return true
+}
+
+func (f *faultState) killEdge(e int) bool {
+	if f.deadE[e] {
+		return false
+	}
+	f.deadE[e] = true
+	f.deadEIDs = append(f.deadEIDs, int32(e))
+	return true
 }
 
 // treeSurvives reports whether tree ti is untouched by the fault set:
@@ -231,15 +296,15 @@ func (s *Scheduler) prepareFaults(plan FaultPlan) (*faultBuffers, error) {
 // member's transmission crosses every edge between members, so any dead
 // member-member edge disqualifies (a conservative test — the flood may
 // still succeed around it).
-func (s *Scheduler) treeSurvives(ti int, fb *faultBuffers) bool {
+func (s *Scheduler) treeSurvives(ti int, f *faultState) bool {
 	if s.core.es != nil {
 		// Spanning trees contain every vertex, so any dead vertex kills
 		// every tree.
-		if len(fb.deadVIDs) > 0 {
+		if len(f.deadVIDs) > 0 {
 			return false
 		}
 		erow := s.core.es.treeEdges[ti*s.core.es.ewords : (ti+1)*s.core.es.ewords]
-		for _, e := range fb.deadEIDs {
+		for _, e := range f.deadEIDs {
 			if erow[e>>6]&(1<<(uint(e)&63)) != 0 {
 				return false
 			}
@@ -247,12 +312,12 @@ func (s *Scheduler) treeSurvives(ti int, fb *faultBuffers) bool {
 		return true
 	}
 	member := s.core.vs.member[ti]
-	for _, v := range fb.deadVIDs {
+	for _, v := range f.deadVIDs {
 		if member.Has(int(v)) {
 			return false
 		}
 	}
-	for _, e := range fb.deadEIDs {
+	for _, e := range f.deadEIDs {
 		u, w := s.core.g.Endpoints(int(e))
 		if member.Has(u) && member.Has(w) {
 			return false
@@ -261,346 +326,68 @@ func (s *Scheduler) treeSurvives(ti int, fb *faultBuffers) bool {
 	return true
 }
 
-// runVertexFaulted is the fault-aware V-CONGEST flood. It mirrors
-// runVertex round for round (two-phase: collect one transmission per
-// queued vertex in ascending order, then process them in order) with
-// three differences: dead vertices stop transmitting and receiving from
-// the failure round, transmissions stop crossing dead edges, and a
-// stalled flood triggers the reroute pass instead of an error.
-func (s *Scheduler) runVertexFaulted(ctx context.Context, fb *faultBuffers, demand Demand, plan FaultPlan) (FaultResult, error) {
-	vs := s.core.vs
-	g := s.core.g
-	n, nMsgs, stride := g.N(), len(demand.Sources), vs.stride
-	res := FaultResult{Result: Result{TreeLoad: int(maxOf32(s.msgsPerTree)), SetupRounds: 1}}
-	res.FailedVertices, res.FailedEdges = len(fb.deadVIDs), len(fb.deadEIDs)
-	res.TreesSurviving = len(fb.liveTrees)
-
-	fb.liveMask = growClear(fb.liveMask, stride)
-	nLive := 0
-	for v := 0; v < n; v++ {
-		if !fb.deadV[v] {
-			fb.liveMask[v>>6] |= 1 << (uint(v) & 63)
-			nLive++
+// pickReroutes is the reroute pass both round loops run once every live
+// queue is empty: each message some live vertex still lacks, with retry
+// budget left and a live holder, moves to its next retry tree and is
+// listed in f.rerouted, in ascending order, for the loop to re-queue at
+// its live holders. A message no live vertex holds (e.g. its source died
+// at round 0) is lost outright. It reports whether anything moved.
+func (s *Scheduler) pickReroutes(f *faultState, has []uint64, nMsgs, rounds int) bool {
+	stride := len(f.liveMask)
+	f.rerouted = f.rerouted[:0]
+	for msg := 0; msg < nMsgs; msg++ {
+		hrow := has[msg*stride : (msg+1)*stride]
+		missing, holders := false, false
+		for j, live := range f.liveMask {
+			missing = missing || live&^hrow[j] != 0
+			holders = holders || live&hrow[j] != 0
 		}
-	}
-	expected := nMsgs * nLive
-	res.PairsExpected = expected
-
-	fb.has = growClear(fb.has, nMsgs*stride)
-	fb.queued = growClear(fb.queued, nMsgs*stride)
-	fb.queues = growQueues(fb.queues, n)
-	fb.qhead = growClear(fb.qhead, n)
-	fb.attempts = growClear(fb.attempts, nMsgs)
-	fb.vcong = growClear(fb.vcong, n)
-
-	// Injection, exactly as the healthy scheduler: each source holds its
-	// message and queues one transmission of it.
-	delivered := 0
-	for msg, src := range demand.Sources {
-		bit := uint64(1) << (uint(src) & 63)
-		fb.has[msg*stride+src>>6] |= bit
-		if !fb.deadV[src] {
-			delivered++
-		}
-		if fb.queued[msg*stride+src>>6]&bit == 0 {
-			fb.queued[msg*stride+src>>6] |= bit
-			fb.queues[src] = append(fb.queues[src], int32(msg))
-		}
-	}
-
-	maxRetries := plan.retries()
-	// reroute reseeds one undelivered message onto a (preferably
-	// surviving) tree: all live holders re-queue it and the queued grid
-	// resets to exactly that holder set, so the new tree's members
-	// forward it as a fresh multi-source flood.
-	firstRetryRounds := -1
-	reroute := func() bool {
-		did := false
-		for msg := 0; msg < nMsgs; msg++ {
-			hrow := fb.has[msg*stride : (msg+1)*stride]
-			missing, holders := false, false
-			for j, live := range fb.liveMask {
-				if live&^hrow[j] != 0 {
-					missing = true
-				}
-				if live&hrow[j] != 0 {
-					holders = true
-				}
-			}
-			if !missing || int(fb.attempts[msg]) >= maxRetries {
-				continue
-			}
-			if !holders {
-				// No surviving copy exists (e.g. the source died at round
-				// 0): nothing to reroute, the message is lost outright.
-				fb.attempts[msg] = int32(maxRetries)
-				continue
-			}
-			s.assign[msg] = s.retryTree(msg, int(fb.attempts[msg]), fb)
-			fb.attempts[msg]++
-			res.Retries++
-			qrow := fb.queued[msg*stride : (msg+1)*stride]
-			for j := range qrow {
-				hold := hrow[j] & fb.liveMask[j]
-				qrow[j] = hold
-				for ; hold != 0; hold &= hold - 1 {
-					v := j<<6 + bits.TrailingZeros64(hold)
-					fb.queues[v] = append(fb.queues[v], int32(msg))
-				}
-			}
-			did = true
-		}
-		if did && firstRetryRounds < 0 {
-			firstRetryRounds = res.Rounds
-		}
-		return did
-	}
-
-	done := ctx.Done()
-	maxRounds := 4 * (nMsgs + n) * (len(s.core.trees) + 2) * (maxRetries + 2)
-	sends := fb.sends[:0]
-	for round := 0; delivered < expected; {
-		if done != nil {
-			select {
-			case <-done:
-				fb.sends = sends
-				return res, ctx.Err()
-			default:
-			}
-		}
-		faulty := round >= plan.Round
-		sends = sends[:0]
-		for v := 0; v < n; v++ {
-			if faulty && fb.deadV[v] {
-				continue
-			}
-			if int(fb.qhead[v]) == len(fb.queues[v]) {
-				continue
-			}
-			m := fb.queues[v][fb.qhead[v]]
-			fb.qhead[v]++
-			sends = append(sends, vtx{v, m})
-		}
-		if len(sends) == 0 {
-			if !reroute() {
-				break
-			}
+		if !missing || int(f.attempts[msg]) >= f.maxRetries {
 			continue
 		}
-		if round >= maxRounds {
-			break
+		if !holders {
+			f.attempts[msg] = int32(f.maxRetries)
+			continue
 		}
-		res.Rounds++
-		round++
-		for _, t := range sends {
-			fb.vcong[t.v]++
-			msg := int(t.m)
-			hrow := fb.has[msg*stride : (msg+1)*stride]
-			qrow := fb.queued[msg*stride : (msg+1)*stride]
-			member := vs.member[s.assign[msg]].Words()
-			nbrs := g.Neighbors(t.v)
-			eids := g.IncidentEdges(t.v)
-			for i, w32 := range nbrs {
-				w := int(w32)
-				if faulty && (fb.deadE[eids[i]] || fb.deadV[w]) {
-					continue
-				}
-				wi, bit := w>>6, uint64(1)<<(uint(w)&63)
-				if hrow[wi]&bit == 0 {
-					hrow[wi] |= bit
-					if fb.liveMask[wi]&bit != 0 {
-						delivered++
-					}
-				}
-				if member[wi]&bit != 0 && qrow[wi]&bit == 0 {
-					qrow[wi] |= bit
-					fb.queues[w] = append(fb.queues[w], t.m)
-				}
-			}
-		}
+		s.assign[msg] = s.retryTree(msg, int(f.attempts[msg]), f)
+		f.attempts[msg]++
+		f.rerouted = append(f.rerouted, int32(msg))
 	}
-	fb.sends = sends
-
-	s.finishFaulted(&res, fb, nMsgs, stride, delivered, expected, firstRetryRounds)
-	res.MaxVertexCongestion = int(maxOf32(fb.vcong))
-	// Same derivation as the healthy scheduler: every transmission by a
-	// node crosses each incident edge once (for dead edges this is the
-	// healthy-equivalent upper bound, kept so a never-triggering plan
-	// reproduces Run's meters exactly).
-	maxEdge := int32(0)
-	for _, e := range g.Edges() {
-		if c := fb.vcong[e.U] + fb.vcong[e.V]; c > maxEdge {
-			maxEdge = c
-		}
+	if len(f.rerouted) == 0 {
+		return false
 	}
-	res.MaxEdgeCongestion = int(maxEdge)
-	return res, nil
+	if f.firstRetryRound < 0 {
+		f.firstRetryRound = rounds
+	}
+	f.retries += len(f.rerouted)
+	return true
 }
 
-// runEdgeFaulted is the fault-aware E-CONGEST pipeline. It mirrors
-// runEdge round for round (pop the FIFO head of every arc live at round
-// start in ascending directed-edge order, then relay in that order),
-// except that arcs on dead edges or incident to dead vertices stop
-// transmitting from the failure round, deliveries are deduplicated per
-// (message, vertex) — reroutes may revisit — and a stalled pipeline
-// triggers the reroute pass instead of an error.
-func (s *Scheduler) runEdgeFaulted(ctx context.Context, fb *faultBuffers, demand Demand, plan FaultPlan) (FaultResult, error) {
-	es := s.core.es
-	g := s.core.g
-	n, m, nMsgs := g.N(), g.M(), len(demand.Sources)
-	nArcs := 2 * m
-	stride := (n + 63) / 64
-	res := FaultResult{Result: Result{TreeLoad: int(maxOf32(s.msgsPerTree))}}
-	res.FailedVertices, res.FailedEdges = len(fb.deadVIDs), len(fb.deadEIDs)
-	res.TreesSurviving = len(fb.liveTrees)
-
-	fb.liveMask = growClear(fb.liveMask, stride)
-	nLive := 0
-	for v := 0; v < n; v++ {
-		if !fb.deadV[v] {
-			fb.liveMask[v>>6] |= 1 << (uint(v) & 63)
-			nLive++
+// rerouteEdge is the E-CONGEST reroute: every live FIFO is empty, so
+// once the pops so far are metered the FIFOs are laid out again for
+// just the rerouted messages (msgsPerTree, whose TreeLoad is already
+// taken, now counts them per new tree), and every live holder queues
+// its message on all of the new tree's arcs there.
+func (s *Scheduler) rerouteEdge(f *faultState, nMsgs, rounds int) bool {
+	eb := s.eb
+	if !s.pickReroutes(f, eb.hasM, nMsgs, rounds) {
+		return false
+	}
+	s.countPops()
+	clear(s.msgsPerTree)
+	for _, m := range f.rerouted {
+		s.msgsPerTree[s.assign[m]]++
+	}
+	s.layoutFIFOs(s.msgsPerTree)
+	stride := len(f.liveMask)
+	for _, m := range f.rerouted {
+		for j, live := range f.liveMask {
+			for hold := eb.hasM[int(m)*stride+j] & live; hold != 0; hold &= hold - 1 {
+				s.enqueueTree(m, j<<6+bits.TrailingZeros64(hold), -1)
+			}
 		}
 	}
-	expected := nMsgs * nLive
-	res.PairsExpected = expected
-
-	fb.has = growClear(fb.has, nMsgs*stride)
-	fb.queues = growQueues(fb.queues, nArcs)
-	fb.qhead = growClear(fb.qhead, nArcs)
-	fb.attempts = growClear(fb.attempts, nMsgs)
-	fb.vcong = growClear(fb.vcong, n)
-	fb.econg = growClear(fb.econg, m)
-
-	// Injection: the source holds its message and queues it on every arc
-	// of its tree, as in the healthy scheduler.
-	delivered := 0
-	enqueueAt := func(msg int, v int, skipEdge int32) {
-		ti := int(s.assign[msg])
-		off := es.offBack[ti*(n+1):]
-		base := es.abase[ti]
-		for _, adir := range es.arcBack[base+off[v] : base+off[v+1]] {
-			if adir>>1 == skipEdge {
-				continue
-			}
-			fb.queues[adir] = append(fb.queues[adir], int32(msg))
-		}
-	}
-	for msg, src := range demand.Sources {
-		bit := uint64(1) << (uint(src) & 63)
-		fb.has[msg*stride+src>>6] |= bit
-		if !fb.deadV[src] {
-			delivered++
-		}
-		enqueueAt(msg, src, -1)
-	}
-
-	maxRetries := plan.retries()
-	firstRetryRounds := -1
-	// reroute reseeds one undelivered message onto a (preferably
-	// surviving) tree: every live holder re-queues it on all of the new
-	// tree's arcs at that holder; receivers that already hold the
-	// message absorb it without relaying, so the re-flood terminates.
-	reroute := func() bool {
-		did := false
-		for msg := 0; msg < nMsgs; msg++ {
-			hrow := fb.has[msg*stride : (msg+1)*stride]
-			missing, holders := false, false
-			for j, live := range fb.liveMask {
-				if live&^hrow[j] != 0 {
-					missing = true
-				}
-				if live&hrow[j] != 0 {
-					holders = true
-				}
-			}
-			if !missing || int(fb.attempts[msg]) >= maxRetries {
-				continue
-			}
-			if !holders {
-				fb.attempts[msg] = int32(maxRetries)
-				continue
-			}
-			s.assign[msg] = s.retryTree(msg, int(fb.attempts[msg]), fb)
-			fb.attempts[msg]++
-			res.Retries++
-			for j, live := range fb.liveMask {
-				for hold := hrow[j] & live; hold != 0; hold &= hold - 1 {
-					v := j<<6 + bits.TrailingZeros64(hold)
-					enqueueAt(msg, v, -1)
-				}
-			}
-			did = true
-		}
-		if did && firstRetryRounds < 0 {
-			firstRetryRounds = res.Rounds
-		}
-		return did
-	}
-
-	done := ctx.Done()
-	maxRounds := 4 * (nMsgs + n) * (len(s.core.trees) + 2) * (maxRetries + 2)
-	esends := fb.esends[:0]
-	for round := 0; delivered < expected; {
-		if done != nil {
-			select {
-			case <-done:
-				fb.esends = esends
-				return res, ctx.Err()
-			default:
-			}
-		}
-		faulty := round >= plan.Round
-		esends = esends[:0]
-		for dir := 0; dir < nArcs; dir++ {
-			if int(fb.qhead[dir]) == len(fb.queues[dir]) {
-				continue
-			}
-			if faulty {
-				if fb.deadE[dir>>1] || fb.deadV[es.headOf[dir]] || fb.deadV[es.headOf[dir^1]] {
-					continue
-				}
-			}
-			msg := fb.queues[dir][fb.qhead[dir]]
-			fb.qhead[dir]++
-			esends = append(esends, esend{int32(dir), msg})
-		}
-		if len(esends) == 0 {
-			if !reroute() {
-				break
-			}
-			continue
-		}
-		if round >= maxRounds {
-			break
-		}
-		res.Rounds++
-		round++
-		for _, t := range esends {
-			dir := int(t.dir)
-			msg := int(t.msg)
-			eid := int32(dir) >> 1
-			fb.vcong[es.headOf[dir^1]]++
-			fb.econg[eid]++
-			v := int(es.headOf[dir])
-			wi, bit := v>>6, uint64(1)<<(uint(v)&63)
-			hrow := fb.has[msg*stride : (msg+1)*stride]
-			if hrow[wi]&bit != 0 {
-				continue // already held (reroute overlap): absorb, no relay
-			}
-			hrow[wi] |= bit
-			if fb.liveMask[wi]&bit != 0 {
-				delivered++
-			}
-			enqueueAt(msg, v, eid)
-		}
-	}
-	fb.esends = esends
-
-	s.finishFaulted(&res, fb, nMsgs, stride, delivered, expected, firstRetryRounds)
-	res.MaxVertexCongestion = int(maxOf32(fb.vcong))
-	res.MaxEdgeCongestion = int(maxOf32(fb.econg))
-	return res, nil
+	return true
 }
 
 // retryTree picks the tree for a message's attempt-th reroute: round-
@@ -608,12 +395,12 @@ func (s *Scheduler) runEdgeFaulted(ctx context.Context, fb *faultBuffers, demand
 // piling onto one tree), skipping the current assignment when another
 // choice exists, falling back to the full tree list when nothing
 // survives untouched — a damaged tree still reaches its fragment.
-func (s *Scheduler) retryTree(msg, attempt int, fb *faultBuffers) int32 {
-	if len(fb.liveTrees) > 0 {
-		idx := (msg + attempt) % len(fb.liveTrees)
-		ti := fb.liveTrees[idx]
-		if ti == s.assign[msg] && len(fb.liveTrees) > 1 {
-			ti = fb.liveTrees[(idx+1)%len(fb.liveTrees)]
+func (s *Scheduler) retryTree(msg, attempt int, f *faultState) int32 {
+	if len(f.liveTrees) > 0 {
+		idx := (msg + attempt) % len(f.liveTrees)
+		ti := f.liveTrees[idx]
+		if ti == s.assign[msg] && len(f.liveTrees) > 1 {
+			ti = f.liveTrees[(idx+1)%len(f.liveTrees)]
 		}
 		return ti
 	}
@@ -625,30 +412,6 @@ func (s *Scheduler) retryTree(msg, attempt int, fb *faultBuffers) int32 {
 	return int32(idx)
 }
 
-// finishFaulted fills the delivery accounting shared by both models.
-func (s *Scheduler) finishFaulted(res *FaultResult, fb *faultBuffers, nMsgs, stride, delivered, expected, firstRetryRounds int) {
-	lost := 0
-	for msg := 0; msg < nMsgs; msg++ {
-		hrow := fb.has[msg*stride : (msg+1)*stride]
-		for j, live := range fb.liveMask {
-			if live&^hrow[j] != 0 {
-				lost++
-				break
-			}
-		}
-	}
-	res.MessagesLost = lost
-	res.MessagesDelivered = nMsgs - lost
-	res.PairsDelivered = delivered
-	if expected > 0 {
-		res.DeliveredFraction = float64(delivered) / float64(expected)
-	}
-	if firstRetryRounds >= 0 {
-		res.RetryRounds = res.Rounds - firstRetryRounds
-	}
-	res.Throughput = float64(nMsgs) / float64(max(res.Rounds, 1))
-}
-
 // growClear returns s with length n and every element zeroed, reusing
 // capacity when possible.
 func growClear[T bool | int32 | uint64](s []T, n int) []T {
@@ -658,17 +421,4 @@ func growClear[T bool | int32 | uint64](s []T, n int) []T {
 	s = s[:n]
 	clear(s)
 	return s
-}
-
-// growQueues returns q with length n and every queue emptied, keeping
-// each queue's capacity.
-func growQueues(q [][]int32, n int) [][]int32 {
-	for len(q) < n {
-		q = append(q, nil)
-	}
-	q = q[:n]
-	for i := range q {
-		q[i] = q[i][:0]
-	}
-	return q
 }

@@ -210,6 +210,7 @@ func TestFaultPlanValidation(t *testing.T) {
 		{Vertices: []int{-2}},
 		{RandomEdges: -1},
 		{RandomVertices: -3},
+		{MaxRetries: maxFaultRetries + 1},
 	}
 	for i, plan := range bad {
 		if _, err := s.RunFaulted(d, 1, plan); err == nil {
@@ -218,6 +219,9 @@ func TestFaultPlanValidation(t *testing.T) {
 	}
 	if _, err := s.RunFaulted(Demand{}, 1, FaultPlan{}); err == nil {
 		t.Fatal("empty demand accepted")
+	}
+	if _, err := s.RunFaulted(d, 1, FaultPlan{MaxRetries: maxFaultRetries}); err != nil {
+		t.Fatalf("retry budget at the cap rejected: %v", err)
 	}
 }
 

@@ -1,11 +1,12 @@
 // The reusable broadcast Scheduler handle: construction builds every
-// demand-independent artifact of the two congestion-model schedulers
-// once (per-tree CSR adjacency, membership and neighbor bitmasks,
-// per-arc FIFO layout, congestion tables), and Run serves an arbitrary
-// sequence of demands with engine-style buffer reuse — zero allocations
-// per Run once the buffers have grown to the demand size — while
-// producing results identical, transmission for transmission, to a
-// fresh Broadcast call with the same seed.
+// demand-independent artifact of the congestion-model round loops once
+// (per-tree CSR adjacency, membership and neighbor bitmasks, per-tree
+// edge bitmasks), and Run serves an arbitrary sequence of demands with
+// engine-style buffer reuse — zero allocations per Run once the buffers
+// have grown to the demand size — while producing results identical,
+// transmission for transmission, to a fresh Broadcast call with the same
+// seed. Each model has exactly one round loop (runVertex, runEdge): Run
+// drives it with no fault state, RunFaulted (fault.go) with one.
 //
 // The handle is split into a shared immutable core and per-handle
 // mutable buffers: Clone returns a sibling handle over the same core
@@ -39,9 +40,10 @@ import (
 type Scheduler struct {
 	core *schedCore
 
-	// Tree-choice sampling state: pcg is reseeded in place per Run so the
-	// draw stream is identical to a fresh ds.NewRand(seed) — hence
-	// identical across clones for the same (demand, seed).
+	// Sampling state: pcg is reseeded in place per Run so the draw stream
+	// is identical to a fresh ds.NewRand(seed) — hence identical across
+	// clones for the same (demand, seed). RunFaulted draws its random
+	// kills from it too, before reseeding it for the demand.
 	pcg *rand.PCG
 	rng *rand.Rand
 
@@ -52,7 +54,7 @@ type Scheduler struct {
 	vb *vertexBuffers // V-CONGEST run buffers, nil in E-CONGEST
 	eb *edgeBuffers   // E-CONGEST run buffers, nil in V-CONGEST
 
-	fbuf *faultBuffers // fault-injection scratch, allocated on first RunFaulted
+	faults *faultState // fault set of a faulted run, allocated on first RunFaulted
 }
 
 // schedCore is the demand-independent, read-only half of a Scheduler:
@@ -88,8 +90,8 @@ type vertexBuffers struct {
 	queuedM []uint64  // queuedM[m*stride:...] = nodes that queued m
 	queues  [][]int32 // per-node FIFO storage, reused across runs
 	qhead   []int32   // per-node FIFO head index into queues[v]
-	vcong   []int     // transmissions per node
-	sends   []vtx
+	vcong   []int32   // transmissions per node
+	sends   []vtx     // one round's transmissions, capacity n
 }
 
 type vtx struct {
@@ -119,13 +121,14 @@ type edgeCore struct {
 // layout, cursors, activity masks, and congestion tables recomputed per
 // demand over grown-once storage.
 type edgeBuffers struct {
-	vcong       []int32  // transmissions per node (derived, not counted)
-	econg       []int32  // messages per edge (derived, not counted)
+	vcong       []int32  // transmissions per node, counted from FIFO pops
+	econg       []int32  // messages per edge, counted from FIFO pops
 	qoff        []int32  // per-arc FIFO segment offsets into qbuf
 	qht         []uint64 // packed (tail<<32)|head cursor per arc
 	activeWords []uint64 // live-arc bitmask
 	snapWords   []uint64 // per-round snapshot of activeWords
 	qbuf        []int32  // flat FIFO storage, grown to the demand size
+	hasM        []uint64 // (message, node) delivery grid, faulted runs only
 }
 
 // NewScheduler validates the decomposition against the model and builds
@@ -179,7 +182,8 @@ func newHandle(core *schedCore) *Scheduler {
 		s.vb = &vertexBuffers{
 			queues: make([][]int32, n),
 			qhead:  make([]int32, n),
-			vcong:  make([]int, n),
+			vcong:  make([]int32, n),
+			sends:  make([]vtx, 0, n),
 		}
 	}
 	if core.es != nil {
@@ -224,21 +228,27 @@ func (s *Scheduler) Run(demand Demand, seed uint64) (Result, error) {
 // entry). With context.Background() the check compiles to nothing —
 // a nil done channel is never selected on.
 func (s *Scheduler) RunContext(ctx context.Context, demand Demand, seed uint64) (Result, error) {
+	return s.run(ctx, demand, seed, nil)
+}
+
+// run assigns the demand's messages to trees and runs the model's round
+// loop; f is the fault set of a faulted run and nil for a healthy one.
+func (s *Scheduler) run(ctx context.Context, demand Demand, seed uint64, f *faultState) (Result, error) {
 	if len(demand.Sources) == 0 {
 		return Result{}, fmt.Errorf("cast: empty demand")
 	}
 	ds.Reseed(s.pcg, seed)
 	s.assignDemand(len(demand.Sources))
 	if s.core.model == sim.VCongest {
-		return s.runVertex(ctx, demand)
+		return s.runVertex(ctx, demand, f)
 	}
-	return s.runEdge(ctx, demand)
+	return s.runEdge(ctx, demand, f)
 }
 
 // assignDemand routes each message to a tree with probability
 // proportional to tree weight (the paper's "broadcast each message along
-// a random tree"), drawing the same stream as assignTrees: r in
-// [0, total] maps to the first tree whose cumulative weight covers it.
+// a random tree"): r in [0, total] maps to the first tree whose
+// cumulative weight covers it.
 func (s *Scheduler) assignDemand(nMsgs int) {
 	if cap(s.assign) < nMsgs {
 		s.assign = make([]int32, nMsgs)
@@ -288,11 +298,18 @@ func newVertexCore(g *graph.Graph, trees []WeightedTree) *vertexCore {
 //
 // Delivery state is kept message-major as node bitmasks so one
 // transmission updates 64 neighbors per word operation: a send (v, m)
-// ORs v's precomputed neighbor mask into message m's has-row, counts
-// fresh deliveries by popcount, and derives the forwarding set as
+// ORs v's neighbor mask into message m's has-row, counts fresh
+// deliveries by popcount, and derives the forwarding set as
 // neighbors ∧ members ∧ ¬queued — identical, transmission for
-// transmission, to the scalar per-neighbor loop it replaces.
-func (s *Scheduler) runVertex(ctx context.Context, demand Demand) (Result, error) {
+// transmission, to a scalar per-neighbor loop.
+//
+// Under a fault set f, dead vertices are marked as holders of every
+// message up front, so they never count as fresh deliveries; from the
+// failure round their queues are dropped and senders use f.liveNbr (live
+// neighbors over live edges) instead of nbrMask. When every queue is
+// empty but messages are missing, the reroute pass re-queues them at
+// their live holders.
+func (s *Scheduler) runVertex(ctx context.Context, demand Demand, f *faultState) (Result, error) {
 	vs := s.core.vs
 	vb := s.vb
 	n := s.core.g.N()
@@ -300,24 +317,22 @@ func (s *Scheduler) runVertex(ctx context.Context, demand Demand) (Result, error
 	stride := vs.stride
 	res := Result{TreeLoad: int(maxOf32(s.msgsPerTree))}
 
-	need := nMsgs * stride
-	if cap(vb.hasM) < need {
-		vb.hasM = make([]uint64, need)
-	} else {
-		vb.hasM = vb.hasM[:need]
-		clear(vb.hasM)
-	}
-	if cap(vb.queuedM) < need {
-		vb.queuedM = make([]uint64, need)
-	} else {
-		vb.queuedM = vb.queuedM[:need]
-		clear(vb.queuedM)
-	}
+	vb.hasM = growClear(vb.hasM, nMsgs*stride)
+	vb.queuedM = growClear(vb.queuedM, nMsgs*stride)
 	for v := range vb.queues {
 		vb.queues[v] = vb.queues[v][:0]
 	}
 	clear(vb.qhead)
 	clear(vb.vcong)
+	remaining := n * nMsgs
+	maxRounds := 4 * (nMsgs + n) * (len(s.core.trees) + 2)
+	if f != nil {
+		remaining = (n - len(f.deadVIDs)) * nMsgs
+		maxRounds *= f.maxRetries + 2
+		for i := range vb.hasM {
+			vb.hasM[i] = ^f.liveMask[i%stride]
+		}
+	}
 
 	// Injection: each source holds its message and transmits it once;
 	// member neighbors of the assigned tree pick it up and flood it
@@ -326,48 +341,72 @@ func (s *Scheduler) runVertex(ctx context.Context, demand Demand) (Result, error
 	// memberships are announced once, charged as a setup round.
 	res.SetupRounds = 1
 	for m, src := range demand.Sources {
-		bit := uint64(1) << (uint(src) & 63)
-		vb.hasM[m*stride+src>>6] |= bit
-		if vb.queuedM[m*stride+src>>6]&bit == 0 {
-			vb.queuedM[m*stride+src>>6] |= bit
-			vb.queues[src] = append(vb.queues[src], int32(m))
+		i, bit := m*stride+src>>6, uint64(1)<<(uint(src)&63)
+		if vb.hasM[i]&bit == 0 {
+			remaining--
 		}
+		vb.hasM[i] |= bit
+		vb.queuedM[i] |= bit
+		vb.queues[src] = append(vb.queues[src], int32(m))
 	}
-	// Each message occupies exactly its own (source, message) cell here.
-	remaining := n*nMsgs - nMsgs
 
-	sends := vb.sends[:0]
+	nbrMask := vs.nbrMask
 	done := ctx.Done()
-	maxRounds := 4 * (nMsgs + n) * (len(s.core.trees) + 2)
-	for round := 0; remaining > 0; round++ {
+	for remaining > 0 {
 		if done != nil {
 			select {
 			case <-done:
-				vb.sends = sends
 				return res, ctx.Err()
 			default:
 			}
 		}
-		if round >= maxRounds {
-			vb.sends = sends
-			return res, fmt.Errorf("cast: vertex scheduler stalled after %d rounds (%d deliveries missing)", round, remaining)
+		if f != nil && res.Rounds >= f.round {
+			nbrMask = f.liveNbr
+			for _, v := range f.deadVIDs {
+				vb.qhead[v] = int32(len(vb.queues[v]))
+			}
 		}
-		res.Rounds++
-		sends = sends[:0]
+		sends := vb.sends[:0]
 		for v := 0; v < n; v++ {
 			if int(vb.qhead[v]) == len(vb.queues[v]) {
 				continue
 			}
-			m := vb.queues[v][vb.qhead[v]]
+			sends = append(sends, vtx{v, vb.queues[v][vb.qhead[v]]})
 			vb.qhead[v]++
-			sends = append(sends, vtx{v, m})
 		}
+		if len(sends) == 0 && f != nil {
+			if !s.pickReroutes(f, vb.hasM, nMsgs, res.Rounds) {
+				break
+			}
+			// All live holders re-queue the message and its queued row
+			// resets to exactly that holder set, so the new tree's members
+			// forward it as a fresh multi-source flood.
+			for _, m := range f.rerouted {
+				hrow := vb.hasM[int(m)*stride : int(m+1)*stride]
+				qrow := vb.queuedM[int(m)*stride : int(m+1)*stride]
+				for j := range qrow {
+					qrow[j] = hrow[j] & f.liveMask[j]
+					for hold := qrow[j]; hold != 0; hold &= hold - 1 {
+						v := j<<6 + bits.TrailingZeros64(hold)
+						vb.queues[v] = append(vb.queues[v], m)
+					}
+				}
+			}
+			continue
+		}
+		if res.Rounds >= maxRounds {
+			if f != nil {
+				break
+			}
+			return res, fmt.Errorf("cast: vertex scheduler stalled after %d rounds (%d deliveries missing)", res.Rounds, remaining)
+		}
+		res.Rounds++
 		for _, t := range sends {
 			vb.vcong[t.v]++
 			m := int(t.m)
 			hrow := vb.hasM[m*stride : (m+1)*stride]
 			qrow := vb.queuedM[m*stride : (m+1)*stride]
-			nrow := vs.nbrMask[t.v*stride : (t.v+1)*stride]
+			nrow := nbrMask[t.v*stride : (t.v+1)*stride]
 			mwords := vs.member[s.assign[m]].Words()
 			for j, nb := range nrow {
 				if nb == 0 {
@@ -378,7 +417,7 @@ func (s *Scheduler) runVertex(ctx context.Context, demand Demand) (Result, error
 					remaining -= bits.OnesCount64(fresh)
 				}
 				// Members of the message's tree forward it (once each),
-				// queued in ascending node order like the scalar loop.
+				// queued in ascending node order.
 				for enq := nb & mwords[j] &^ qrow[j]; enq != 0; enq &= enq - 1 {
 					w := j<<6 + bits.TrailingZeros64(enq)
 					vb.queues[w] = append(vb.queues[w], t.m)
@@ -387,19 +426,17 @@ func (s *Scheduler) runVertex(ctx context.Context, demand Demand) (Result, error
 			}
 		}
 	}
-	vb.sends = sends
 	res.Throughput = float64(nMsgs) / float64(max(res.Rounds, 1))
-	res.MaxVertexCongestion = maxOf(vb.vcong)
+	res.MaxVertexCongestion = int(maxOf32(vb.vcong))
 	// Every transmission by a node crosses each of its incident edges
 	// exactly once, so an edge's load is the sum of its endpoints'
-	// transmission counts — no per-delivery counter needed.
-	maxEdge := 0
+	// transmission counts — no per-delivery counter needed. (Under faults
+	// this is the healthy-equivalent upper bound for dead edges.)
+	maxEdge := int32(0)
 	for _, e := range s.core.g.Edges() {
-		if c := vb.vcong[e.U] + vb.vcong[e.V]; c > maxEdge {
-			maxEdge = c
-		}
+		maxEdge = max(maxEdge, vb.vcong[e.U]+vb.vcong[e.V])
 	}
-	res.MaxEdgeCongestion = maxEdge
+	res.MaxEdgeCongestion = int(maxEdge)
 	return res, nil
 }
 
@@ -466,96 +503,55 @@ func newEdgeCore(g *graph.Graph, trees []WeightedTree) *edgeCore {
 // vertex scheduler's treatment: a 64-arcs-per-word activity mask records
 // which directed edges have queued messages, so a round visits only live
 // arcs (word-skip + trailing-zeros iteration) instead of scanning all 2m
-// FIFOs. Congestion meters are not counted per transmission either: a
-// message assigned to tree t crosses every edge of t exactly once and is
-// forwarded by a member v on deg_t(v)-1 arcs (deg_t(v) at its source),
-// so per-edge loads are derived from per-tree edge bitmasks (one
-// popcount-style bit sweep per used tree) and per-vertex loads from the
-// CSR arc offsets — identical, transmission for transmission, to the
-// scalar counters they replace.
-func (s *Scheduler) runEdge(ctx context.Context, demand Demand) (Result, error) {
+// FIFOs. Congestion is not counted per transmission either: every pop is
+// one transmission by the arc's tail, so countPops reads both meters off
+// the FIFO cursors once the run ends.
+//
+// Under a fault set f, dead arcs are masked out of each round's
+// snapshot from the failure round, and deliveries go through a
+// (message, node) grid: a reroute may send a message to a node that
+// already holds it, which absorbs the copy without relaying, and dead
+// nodes are no delivery targets. When every live FIFO is empty but
+// messages are missing, the reroute pass lays the FIFOs out again for
+// just the rerouted messages and re-queues them at their live holders.
+func (s *Scheduler) runEdge(ctx context.Context, demand Demand, f *faultState) (Result, error) {
 	es := s.core.es
 	eb := s.eb
 	n := s.core.g.N()
 	nMsgs := len(demand.Sources)
+	stride := (n + 63) / 64
 	res := Result{TreeLoad: int(maxOf32(s.msgsPerTree))}
 
-	// Congestion, derived up front: every message crosses each edge of
-	// its tree exactly once, and each member v of tree t transmits it
-	// deg_t(v)-1 times (deg_t(v) for the source, which also injects it).
-	// Beyond metering, econg bounds every directed-edge FIFO's total
-	// traffic, which sizes the flat queue buffer below. Trees with no
-	// assigned messages are never routed through and are skipped.
 	clear(eb.vcong)
 	clear(eb.econg)
-	for ti := range s.core.trees {
-		c := s.msgsPerTree[ti]
-		if c == 0 {
-			continue
-		}
-		off := es.offBack[ti*(n+1) : (ti+1)*(n+1)]
-		for v := 0; v < n; v++ {
-			eb.vcong[v] += c * (off[v+1] - off[v] - 1)
-		}
-		for wi, w := range es.treeEdges[ti*es.ewords : (ti+1)*es.ewords] {
-			for ; w != 0; w &= w - 1 {
-				eb.econg[wi<<6+bits.TrailingZeros64(w)] += c
-			}
-		}
-	}
-	for _, src := range demand.Sources {
-		eb.vcong[src]++
-	}
-
-	// Per directed edge FIFO of messages; directed index = 2*eid + side.
-	// Each message traverses an edge in at most one direction, so a
-	// segment of econg[eid] entries per direction always suffices. qht
-	// packs each FIFO's (tail<<32)|head cursor pair into one word, with
-	// cursors absolute into qbuf and seeded at the segment base, so the
-	// transmission loops never reload the segment offsets; a FIFO is
-	// empty iff head == tail.
-	for eid, c := range eb.econg {
-		eb.qoff[2*eid+1] = eb.qoff[2*eid] + c
-		eb.qoff[2*eid+2] = eb.qoff[2*eid+1] + c
-	}
-	// Each message contributes n-1 queue slots per direction pair: total
-	// FIFO capacity is known before any load is computed.
-	qcap := nMsgs * 2 * max(n-1, 0)
-	if cap(eb.qbuf) < qcap {
-		eb.qbuf = make([]int32, qcap)
-	} else {
-		eb.qbuf = eb.qbuf[:qcap]
-	}
-	for dir := range eb.qht {
-		eb.qht[dir] = uint64(eb.qoff[dir]) * (1<<32 + 1)
-	}
-	clear(eb.activeWords)
-
-	// Injection delivers each message at its source and forwards it on
-	// every arc of its tree (the relay below with no arrival edge to
-	// skip). A tree flood visits each vertex exactly once (arcs of a tree
-	// cannot revisit, and the arrival arc is skipped), so every relay is
-	// a fresh delivery and remaining can decrement unconditionally — no
-	// per-(vertex,message) delivered grid needed.
+	s.layoutFIFOs(s.msgsPerTree)
 	remaining := n * nMsgs
+	maxRounds := 4 * (nMsgs + n) * (len(s.core.trees) + 2)
+	if f != nil {
+		remaining = (n - len(f.deadVIDs)) * nMsgs
+		maxRounds *= f.maxRetries + 2
+		eb.hasM = growClear(eb.hasM, nMsgs*stride)
+	}
+
+	// Injection delivers each message at its source and queues it on
+	// every arc of its tree there. A tree flood visits each vertex exactly
+	// once (arcs of a tree cannot revisit, and the arrival arc is
+	// skipped), so in a healthy run every relay is a fresh delivery and
+	// remaining can decrement unconditionally — no delivery grid needed.
 	for msg, src := range demand.Sources {
-		remaining--
-		ti := int(s.assign[msg])
-		off := es.offBack[ti*(n+1):]
-		base := es.abase[ti]
-		for _, dir := range es.arcBack[base+off[src] : base+off[src+1]] {
-			ht := eb.qht[dir]
-			if uint32(ht) == uint32(ht>>32) {
-				eb.activeWords[dir>>6] |= 1 << (uint(dir) & 63)
+		if f != nil {
+			bit := uint64(1) << (uint(src) & 63)
+			eb.hasM[msg*stride+src>>6] |= bit
+			if f.liveMask[src>>6]&bit == 0 {
+				remaining++ // a dead source is no delivery target
 			}
-			eb.qbuf[ht>>32] = int32(msg)
-			eb.qht[dir] = ht + 1<<32
 		}
+		remaining--
+		s.enqueueTree(int32(msg), src, -1)
 	}
 
 	done := ctx.Done()
-	maxRounds := 4 * (nMsgs + n) * (len(s.core.trees) + 2)
-	for round := 0; remaining > 0; round++ {
+	for remaining > 0 {
 		if done != nil {
 			select {
 			case <-done:
@@ -563,17 +559,34 @@ func (s *Scheduler) runEdge(ctx context.Context, demand Demand) (Result, error) 
 			default:
 			}
 		}
-		if round >= maxRounds {
-			return res, fmt.Errorf("cast: edge scheduler stalled after %d rounds (%d deliveries missing)", round, remaining)
+		if f != nil && res.Rounds >= f.round {
+			var live uint64
+			for i, w := range eb.activeWords {
+				eb.snapWords[i] = w &^ f.deadArcs[i]
+				live |= eb.snapWords[i]
+			}
+			if live == 0 {
+				if !s.rerouteEdge(f, nMsgs, res.Rounds) {
+					break
+				}
+				continue
+			}
+		} else {
+			copy(eb.snapWords, eb.activeWords)
+		}
+		if res.Rounds >= maxRounds {
+			if f != nil {
+				break
+			}
+			return res, fmt.Errorf("cast: edge scheduler stalled after %d rounds (%d deliveries missing)", res.Rounds, remaining)
 		}
 		res.Rounds++
 		// Every arc live at round start transmits its FIFO head, in
-		// ascending directed-edge order like the scalar scan. Popping
-		// from a snapshot of the live mask makes the immediate relay
-		// equivalent to the scalar two-phase loop: a relay only appends
-		// at queue tails and revives bits outside the snapshot, neither
-		// of which a snapshot pop ever re-reads within the round.
-		copy(eb.snapWords, eb.activeWords)
+		// ascending directed-edge order. Popping from a snapshot of the
+		// live mask makes the immediate relay equivalent to a two-phase
+		// (pop all, then relay) round: a relay only appends at queue tails
+		// and revives bits outside the snapshot, neither of which a
+		// snapshot pop ever re-reads within the round.
 		for wi, w := range eb.snapWords {
 			for ; w != 0; w &= w - 1 {
 				dir := wi<<6 + bits.TrailingZeros64(w)
@@ -583,31 +596,98 @@ func (s *Scheduler) runEdge(ctx context.Context, demand Demand) (Result, error) 
 				if uint32(ht) == uint32(ht>>32) {
 					eb.activeWords[wi] &^= 1 << (uint(dir) & 63)
 				}
-				// The relay, open-coded: the Go inliner rejects a
-				// closure, and this loop carries every transmission of
-				// the run.
-				fromEdge := int32(dir) >> 1
 				v := int(es.headOf[dir])
-				remaining--
-				ti := int(s.assign[msg])
-				off := es.offBack[ti*(n+1):]
-				base := es.abase[ti]
-				for _, adir := range es.arcBack[base+off[v] : base+off[v+1]] {
-					if adir>>1 == fromEdge {
-						continue
+				if f != nil {
+					i, bit := int(msg)*stride+v>>6, uint64(1)<<(uint(v)&63)
+					if eb.hasM[i]&bit != 0 {
+						continue // already held (reroute overlap): absorb, no relay
 					}
-					aht := eb.qht[adir]
-					if uint32(aht) == uint32(aht>>32) {
-						eb.activeWords[adir>>6] |= 1 << (uint(adir) & 63)
+					eb.hasM[i] |= bit
+					if f.liveMask[v>>6]&bit == 0 {
+						remaining++ // dead from the failure round: relays, but is no target
 					}
-					eb.qbuf[aht>>32] = msg
-					eb.qht[adir] = aht + 1<<32
 				}
+				remaining--
+				s.enqueueTree(msg, v, int32(dir)>>1)
 			}
 		}
 	}
+	s.countPops()
 	res.Throughput = float64(nMsgs) / float64(max(res.Rounds, 1))
 	res.MaxVertexCongestion = int(maxOf32(eb.vcong))
 	res.MaxEdgeCongestion = int(maxOf32(eb.econg))
 	return res, nil
+}
+
+// layoutFIFOs lays the flat FIFO storage out for the messages counted
+// per tree in perTree. A message crosses each edge of its tree at most
+// once per direction, so each direction of edge e gets
+// Σ_{t∋e} perTree[t] slots: the counts accumulate in qoff[2e+1] and
+// become segment offsets in place. qht packs each FIFO's (tail<<32)|head
+// cursor pair into one word, with cursors absolute into qbuf and seeded
+// at the segment base, so the transmission loops never reload the
+// segment offsets; a FIFO is empty iff head == tail.
+func (s *Scheduler) layoutFIFOs(perTree []int32) {
+	es, eb := s.core.es, s.eb
+	clear(eb.qoff)
+	for ti, c := range perTree {
+		if c == 0 {
+			continue
+		}
+		for wi, w := range es.treeEdges[ti*es.ewords : (ti+1)*es.ewords] {
+			for ; w != 0; w &= w - 1 {
+				eb.qoff[2*(wi<<6+bits.TrailingZeros64(w))+1] += c
+			}
+		}
+	}
+	for i := 1; i < len(eb.qoff); i += 2 {
+		c := eb.qoff[i]
+		eb.qoff[i] = eb.qoff[i-1] + c
+		eb.qoff[i+1] = eb.qoff[i] + c
+	}
+	need := int(eb.qoff[len(eb.qoff)-1])
+	if cap(eb.qbuf) < need {
+		eb.qbuf = make([]int32, need)
+	}
+	eb.qbuf = eb.qbuf[:need]
+	for dir := range eb.qht {
+		eb.qht[dir] = uint64(eb.qoff[dir]) * (1<<32 + 1)
+	}
+	clear(eb.activeWords)
+}
+
+// enqueueTree queues message msg on every arc of its tree at v, except
+// the arcs of edge skip (the arrival edge; -1 queues on all of them).
+func (s *Scheduler) enqueueTree(msg int32, v int, skip int32) {
+	es, eb := s.core.es, s.eb
+	ti := int(s.assign[msg])
+	off := es.offBack[ti*(s.core.g.N()+1):]
+	base := es.abase[ti]
+	for _, dir := range es.arcBack[base+off[v] : base+off[v+1]] {
+		if dir>>1 == skip {
+			continue
+		}
+		ht := eb.qht[dir]
+		if uint32(ht) == uint32(ht>>32) {
+			eb.activeWords[dir>>6] |= 1 << (uint(dir) & 63)
+		}
+		eb.qbuf[ht>>32] = msg
+		eb.qht[dir] = ht + 1<<32
+	}
+}
+
+// countPops adds every arc's pops since the last layout to the
+// congestion meters: a pop is one transmission by the arc's tail over
+// its edge. In a healthy run every queued copy is popped by the end, so
+// this equals the per-tree derivation (each message crosses each edge
+// of its tree once; each member v sends it deg_t(v)-1 times, deg_t(v)
+// at its source).
+func (s *Scheduler) countPops() {
+	es, eb := s.core.es, s.eb
+	for dir, ht := range eb.qht {
+		if pops := int32(uint32(ht)) - eb.qoff[dir]; pops != 0 {
+			eb.vcong[es.headOf[dir^1]] += pops
+			eb.econg[dir>>1] += pops
+		}
+	}
 }

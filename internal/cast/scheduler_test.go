@@ -105,7 +105,9 @@ func TestSchedulerValidation(t *testing.T) {
 
 // TestSchedulerRunZeroSteadyStateAllocs is the steady-state allocation
 // gate: once a handle has served a demand of a given size, re-serving
-// demands of that size must not allocate at all, in either model.
+// demands of that size must not allocate at all, in either model — for
+// healthy runs and for faulted runs whose random edge kills force
+// reroutes.
 func TestSchedulerRunZeroSteadyStateAllocs(t *testing.T) {
 	for _, model := range []sim.Model{sim.VCongest, sim.ECongest} {
 		g, trees := schedulerFixture(t, model)
@@ -114,21 +116,36 @@ func TestSchedulerRunZeroSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		d := AllToAll(g.N())
-		const seeds = 4
-		for i := 0; i < seeds; i++ {
-			if _, err := s.Run(d, uint64(i)); err != nil {
-				t.Fatal(err)
-			}
+		plan := FaultPlan{Round: 1, RandomEdges: 6, Seed: 5}
+		if model == sim.VCongest {
+			plan.RandomEdges = 24 // fewer kills never stall a Q5 flood
 		}
-		var i int
-		allocs := testing.AllocsPerRun(2*seeds, func() {
-			i++
-			if _, err := s.Run(d, uint64(i%seeds)); err != nil {
-				t.Fatal(err)
+		if res, err := s.RunFaulted(d, 0, plan); err != nil || res.Retries == 0 {
+			t.Fatalf("model %v: faulted fixture run never rerouted: %+v, %v", model, res, err)
+		}
+		for _, tc := range []struct {
+			name string
+			run  func(seed uint64) error
+		}{
+			{"Run", func(seed uint64) error { _, err := s.Run(d, seed); return err }},
+			{"RunFaulted", func(seed uint64) error { _, err := s.RunFaulted(d, seed, plan); return err }},
+		} {
+			const seeds = 4
+			for i := 0; i < seeds; i++ {
+				if err := tc.run(uint64(i)); err != nil {
+					t.Fatal(err)
+				}
 			}
-		})
-		if allocs != 0 {
-			t.Fatalf("model %v: warm Scheduler.Run made %.1f allocations per run, want 0", model, allocs)
+			var i int
+			allocs := testing.AllocsPerRun(2*seeds, func() {
+				i++
+				if err := tc.run(uint64(i % seeds)); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("model %v: warm Scheduler.%s made %.1f allocations per run, want 0", model, tc.name, allocs)
+			}
 		}
 	}
 }

@@ -320,6 +320,7 @@ func TestHandlerErrorPaths(t *testing.T) {
 		{"oversized demand", bURL, `{"kind":"spanning","sources":[0,1,2,3,4,5],"seed":1}`, http.StatusBadRequest},
 		{"source out of range", bURL, `{"kind":"spanning","sources":[99],"seed":1}`, http.StatusBadRequest},
 		{"bad fault plan", bURL, `{"kind":"spanning","sources":[0],"seed":1,"fault":{"round":-1}}`, http.StatusBadRequest},
+		{"retry budget above cap", bURL, `{"kind":"spanning","sources":[0],"seed":1,"fault":{"round":1,"max_retries":100000}}`, http.StatusBadRequest},
 		{"unknown graph decompose", srv.URL + "/v1/graphs/gdeadbeef/decomposition", `{"kind":"spanning"}`, http.StatusNotFound},
 		{"unknown kind decompose", srv.URL + "/v1/graphs/" + info.ID + "/decomposition", `{"kind":"steiner"}`, http.StatusBadRequest},
 		{"bad register", srv.URL + "/v1/graphs", `{"n":-3}`, http.StatusBadRequest},
