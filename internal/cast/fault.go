@@ -158,13 +158,7 @@ func (s *Scheduler) RunFaultedContext(ctx context.Context, demand Demand, seed u
 	if err != nil {
 		return res, err
 	}
-	var has []uint64
-	if s.vb != nil {
-		has = s.vb.hasM
-	} else {
-		has = s.eb.hasM
-	}
-	stride := len(f.liveMask)
+	has, stride := s.hasM, len(f.liveMask)
 	for msg := range demand.Sources {
 		missing := false
 		for j, live := range f.liveMask {
@@ -213,23 +207,23 @@ func (s *Scheduler) prepareFaults(plan FaultPlan, nMsgs int) (*faultState, error
 		if v < 0 || v >= n {
 			return nil, fmt.Errorf("cast: fault vertex %d out of range [0,%d)", v, n)
 		}
-		f.killVertex(v)
+		kill(f.deadV, &f.deadVIDs, v)
 	}
 	for _, e := range plan.Edges {
 		if e < 0 || e >= m {
 			return nil, fmt.Errorf("cast: fault edge %d out of range [0,%d)", e, m)
 		}
-		f.killEdge(e)
+		kill(f.deadE, &f.deadEIDs, e)
 	}
 	if plan.RandomVertices > 0 || plan.RandomEdges > 0 {
 		ds.Reseed(s.pcg, plan.Seed)
 		for k := 0; k < plan.RandomVertices && len(f.deadVIDs) < n; {
-			if f.killVertex(s.rng.IntN(n)) {
+			if kill(f.deadV, &f.deadVIDs, s.rng.IntN(n)) {
 				k++
 			}
 		}
 		for k := 0; k < plan.RandomEdges && len(f.deadEIDs) < m; {
-			if f.killEdge(s.rng.IntN(m)) {
+			if kill(f.deadE, &f.deadEIDs, s.rng.IntN(m)) {
 				k++
 			}
 		}
@@ -270,23 +264,14 @@ func (s *Scheduler) prepareFaults(plan FaultPlan, nMsgs int) (*faultState, error
 	return f, nil
 }
 
-// killVertex and killEdge add one element to the fault set, reporting
-// whether it was alive before.
-func (f *faultState) killVertex(v int) bool {
-	if f.deadV[v] {
+// kill adds element x to a fault set (dead flags plus id list),
+// reporting whether it was alive before.
+func kill(dead []bool, ids *[]int32, x int) bool {
+	if dead[x] {
 		return false
 	}
-	f.deadV[v] = true
-	f.deadVIDs = append(f.deadVIDs, int32(v))
-	return true
-}
-
-func (f *faultState) killEdge(e int) bool {
-	if f.deadE[e] {
-		return false
-	}
-	f.deadE[e] = true
-	f.deadEIDs = append(f.deadEIDs, int32(e))
+	dead[x] = true
+	*ids = append(*ids, int32(x))
 	return true
 }
 
@@ -332,8 +317,8 @@ func (s *Scheduler) treeSurvives(ti int, f *faultState) bool {
 // listed in f.rerouted, in ascending order, for the loop to re-queue at
 // its live holders. A message no live vertex holds (e.g. its source died
 // at round 0) is lost outright. It reports whether anything moved.
-func (s *Scheduler) pickReroutes(f *faultState, has []uint64, nMsgs, rounds int) bool {
-	stride := len(f.liveMask)
+func (s *Scheduler) pickReroutes(f *faultState, nMsgs, rounds int) bool {
+	has, stride := s.hasM, len(f.liveMask)
 	f.rerouted = f.rerouted[:0]
 	for msg := 0; msg < nMsgs; msg++ {
 		hrow := has[msg*stride : (msg+1)*stride]
@@ -363,14 +348,35 @@ func (s *Scheduler) pickReroutes(f *faultState, has []uint64, nMsgs, rounds int)
 	return true
 }
 
+// rerouteVertex is the V-CONGEST reroute: all live holders re-queue each
+// rerouted message and its queued row resets to exactly that holder set,
+// so the new tree's members forward it as a fresh multi-source flood.
+func (s *Scheduler) rerouteVertex(f *faultState, nMsgs, rounds int) bool {
+	vb, stride := s.vb, s.core.vs.stride
+	if !s.pickReroutes(f, nMsgs, rounds) {
+		return false
+	}
+	for _, m := range f.rerouted {
+		hrow := s.hasM[int(m)*stride : int(m+1)*stride]
+		qrow := vb.queuedM[int(m)*stride : int(m+1)*stride]
+		for j := range qrow {
+			qrow[j] = hrow[j] & f.liveMask[j]
+			for hold := qrow[j]; hold != 0; hold &= hold - 1 {
+				v := j<<6 + bits.TrailingZeros64(hold)
+				vb.queues[v] = append(vb.queues[v], m)
+			}
+		}
+	}
+	return true
+}
+
 // rerouteEdge is the E-CONGEST reroute: every live FIFO is empty, so
 // once the pops so far are metered the FIFOs are laid out again for
 // just the rerouted messages (msgsPerTree, whose TreeLoad is already
 // taken, now counts them per new tree), and every live holder queues
 // its message on all of the new tree's arcs there.
 func (s *Scheduler) rerouteEdge(f *faultState, nMsgs, rounds int) bool {
-	eb := s.eb
-	if !s.pickReroutes(f, eb.hasM, nMsgs, rounds) {
+	if !s.pickReroutes(f, nMsgs, rounds) {
 		return false
 	}
 	s.countPops()
@@ -382,7 +388,7 @@ func (s *Scheduler) rerouteEdge(f *faultState, nMsgs, rounds int) bool {
 	stride := len(f.liveMask)
 	for _, m := range f.rerouted {
 		for j, live := range f.liveMask {
-			for hold := eb.hasM[int(m)*stride+j] & live; hold != 0; hold &= hold - 1 {
+			for hold := s.hasM[int(m)*stride+j] & live; hold != 0; hold &= hold - 1 {
 				s.enqueueTree(m, j<<6+bits.TrailingZeros64(hold), -1)
 			}
 		}

@@ -47,9 +47,12 @@ type Scheduler struct {
 	pcg *rand.PCG
 	rng *rand.Rand
 
-	// Per-run demand state, grown once and reused.
+	// Per-run demand state, grown once and reused. hasM[m*stride:...] is
+	// the set of nodes holding message m (V-CONGEST always, E-CONGEST only
+	// under faults).
 	assign      []int32 // assign[m] = tree routing message m
 	msgsPerTree []int32
+	hasM        []uint64
 
 	vb *vertexBuffers // V-CONGEST run buffers, nil in E-CONGEST
 	eb *edgeBuffers   // E-CONGEST run buffers, nil in V-CONGEST
@@ -83,15 +86,18 @@ type vertexCore struct {
 }
 
 // vertexBuffers is the V-CONGEST scheduler's per-handle run state: the
-// message-major delivery grids and per-node FIFOs grow to the largest
+// message-major queued grid and per-node FIFOs grow to the largest
 // demand served and are cleared per run.
 type vertexBuffers struct {
-	hasM    []uint64  // hasM[m*stride:...] = nodes holding message m
 	queuedM []uint64  // queuedM[m*stride:...] = nodes that queued m
 	queues  [][]int32 // per-node FIFO storage, reused across runs
 	qhead   []int32   // per-node FIFO head index into queues[v]
 	vcong   []int32   // transmissions per node
 	sends   []vtx     // one round's transmissions, capacity n
+	// nbr is the sender rows in force: nbrMask, or liveNbr once faults
+	// strike. It is a field, not a local of runVertex, because a
+	// loop-carried local slowed the healthy round loop by ~15%.
+	nbr []uint64
 }
 
 type vtx struct {
@@ -128,7 +134,6 @@ type edgeBuffers struct {
 	activeWords []uint64 // live-arc bitmask
 	snapWords   []uint64 // per-round snapshot of activeWords
 	qbuf        []int32  // flat FIFO storage, grown to the demand size
-	hasM        []uint64 // (message, node) delivery grid, faulted runs only
 }
 
 // NewScheduler validates the decomposition against the model and builds
@@ -201,9 +206,9 @@ func newHandle(core *schedCore) *Scheduler {
 }
 
 // Clone returns an independent handle over the same immutable core:
-// setup artifacts (per-tree CSR arc lists, bitmasks, congestion tables)
-// are shared, run buffers are fresh. The clone serves Run concurrently
-// with the original and with other clones, keeps the zero-steady-state-
+// setup artifacts (per-tree CSR arc lists and bitmasks) are shared, run
+// buffers are fresh. The clone serves Run concurrently with the
+// original and with other clones, keeps the zero-steady-state-
 // allocation property once warm, and produces results byte-identical to
 // the original handle for the same (demand, seed). Cloning a clone is
 // equivalent to cloning the original.
@@ -317,7 +322,7 @@ func (s *Scheduler) runVertex(ctx context.Context, demand Demand, f *faultState)
 	stride := vs.stride
 	res := Result{TreeLoad: int(maxOf32(s.msgsPerTree))}
 
-	vb.hasM = growClear(vb.hasM, nMsgs*stride)
+	s.hasM = growClear(s.hasM, nMsgs*stride)
 	vb.queuedM = growClear(vb.queuedM, nMsgs*stride)
 	for v := range vb.queues {
 		vb.queues[v] = vb.queues[v][:0]
@@ -329,8 +334,8 @@ func (s *Scheduler) runVertex(ctx context.Context, demand Demand, f *faultState)
 	if f != nil {
 		remaining = (n - len(f.deadVIDs)) * nMsgs
 		maxRounds *= f.maxRetries + 2
-		for i := range vb.hasM {
-			vb.hasM[i] = ^f.liveMask[i%stride]
+		for i := range s.hasM {
+			s.hasM[i] = ^f.liveMask[i%stride]
 		}
 	}
 
@@ -342,15 +347,15 @@ func (s *Scheduler) runVertex(ctx context.Context, demand Demand, f *faultState)
 	res.SetupRounds = 1
 	for m, src := range demand.Sources {
 		i, bit := m*stride+src>>6, uint64(1)<<(uint(src)&63)
-		if vb.hasM[i]&bit == 0 {
+		if s.hasM[i]&bit == 0 {
 			remaining--
 		}
-		vb.hasM[i] |= bit
+		s.hasM[i] |= bit
 		vb.queuedM[i] |= bit
 		vb.queues[src] = append(vb.queues[src], int32(m))
 	}
 
-	nbrMask := vs.nbrMask
+	vb.nbr = vs.nbrMask
 	done := ctx.Done()
 	for remaining > 0 {
 		if done != nil {
@@ -361,7 +366,7 @@ func (s *Scheduler) runVertex(ctx context.Context, demand Demand, f *faultState)
 			}
 		}
 		if f != nil && res.Rounds >= f.round {
-			nbrMask = f.liveNbr
+			vb.nbr = f.liveNbr
 			for _, v := range f.deadVIDs {
 				vb.qhead[v] = int32(len(vb.queues[v]))
 			}
@@ -375,22 +380,8 @@ func (s *Scheduler) runVertex(ctx context.Context, demand Demand, f *faultState)
 			vb.qhead[v]++
 		}
 		if len(sends) == 0 && f != nil {
-			if !s.pickReroutes(f, vb.hasM, nMsgs, res.Rounds) {
+			if !s.rerouteVertex(f, nMsgs, res.Rounds) {
 				break
-			}
-			// All live holders re-queue the message and its queued row
-			// resets to exactly that holder set, so the new tree's members
-			// forward it as a fresh multi-source flood.
-			for _, m := range f.rerouted {
-				hrow := vb.hasM[int(m)*stride : int(m+1)*stride]
-				qrow := vb.queuedM[int(m)*stride : int(m+1)*stride]
-				for j := range qrow {
-					qrow[j] = hrow[j] & f.liveMask[j]
-					for hold := qrow[j]; hold != 0; hold &= hold - 1 {
-						v := j<<6 + bits.TrailingZeros64(hold)
-						vb.queues[v] = append(vb.queues[v], m)
-					}
-				}
 			}
 			continue
 		}
@@ -404,9 +395,9 @@ func (s *Scheduler) runVertex(ctx context.Context, demand Demand, f *faultState)
 		for _, t := range sends {
 			vb.vcong[t.v]++
 			m := int(t.m)
-			hrow := vb.hasM[m*stride : (m+1)*stride]
+			hrow := s.hasM[m*stride : (m+1)*stride]
 			qrow := vb.queuedM[m*stride : (m+1)*stride]
-			nrow := nbrMask[t.v*stride : (t.v+1)*stride]
+			nrow := vb.nbr[t.v*stride : (t.v+1)*stride]
 			mwords := vs.member[s.assign[m]].Words()
 			for j, nb := range nrow {
 				if nb == 0 {
@@ -530,7 +521,7 @@ func (s *Scheduler) runEdge(ctx context.Context, demand Demand, f *faultState) (
 	if f != nil {
 		remaining = (n - len(f.deadVIDs)) * nMsgs
 		maxRounds *= f.maxRetries + 2
-		eb.hasM = growClear(eb.hasM, nMsgs*stride)
+		s.hasM = growClear(s.hasM, nMsgs*stride)
 	}
 
 	// Injection delivers each message at its source and queues it on
@@ -541,7 +532,7 @@ func (s *Scheduler) runEdge(ctx context.Context, demand Demand, f *faultState) (
 	for msg, src := range demand.Sources {
 		if f != nil {
 			bit := uint64(1) << (uint(src) & 63)
-			eb.hasM[msg*stride+src>>6] |= bit
+			s.hasM[msg*stride+src>>6] |= bit
 			if f.liveMask[src>>6]&bit == 0 {
 				remaining++ // a dead source is no delivery target
 			}
@@ -596,19 +587,35 @@ func (s *Scheduler) runEdge(ctx context.Context, demand Demand, f *faultState) (
 				if uint32(ht) == uint32(ht>>32) {
 					eb.activeWords[wi] &^= 1 << (uint(dir) & 63)
 				}
+				// The relay, open-coded: enqueueTree is not inlined, and
+				// this loop carries every transmission of the run.
+				fromEdge := int32(dir) >> 1
 				v := int(es.headOf[dir])
 				if f != nil {
 					i, bit := int(msg)*stride+v>>6, uint64(1)<<(uint(v)&63)
-					if eb.hasM[i]&bit != 0 {
+					if s.hasM[i]&bit != 0 {
 						continue // already held (reroute overlap): absorb, no relay
 					}
-					eb.hasM[i] |= bit
+					s.hasM[i] |= bit
 					if f.liveMask[v>>6]&bit == 0 {
-						remaining++ // dead from the failure round: relays, but is no target
+						remaining++ // doomed vertex: relays until the failure round, but is no target
 					}
 				}
 				remaining--
-				s.enqueueTree(msg, v, int32(dir)>>1)
+				ti := int(s.assign[msg])
+				off := es.offBack[ti*(n+1):]
+				base := es.abase[ti]
+				for _, adir := range es.arcBack[base+off[v] : base+off[v+1]] {
+					if adir>>1 == fromEdge {
+						continue
+					}
+					aht := eb.qht[adir]
+					if uint32(aht) == uint32(aht>>32) {
+						eb.activeWords[adir>>6] |= 1 << (uint(adir) & 63)
+					}
+					eb.qbuf[aht>>32] = msg
+					eb.qht[adir] = aht + 1<<32
+				}
 			}
 		}
 	}

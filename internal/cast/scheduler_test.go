@@ -116,10 +116,7 @@ func TestSchedulerRunZeroSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		d := AllToAll(g.N())
-		plan := FaultPlan{Round: 1, RandomEdges: 6, Seed: 5}
-		if model == sim.VCongest {
-			plan.RandomEdges = 24 // fewer kills never stall a Q5 flood
-		}
+		plan := reroutingPlan(model)
 		if res, err := s.RunFaulted(d, 0, plan); err != nil || res.Retries == 0 {
 			t.Fatalf("model %v: faulted fixture run never rerouted: %+v, %v", model, res, err)
 		}
@@ -150,31 +147,58 @@ func TestSchedulerRunZeroSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// reroutingPlan returns a fault plan whose random edge kills stall
+// floods on the model's schedulerFixture graph, forcing reroutes.
+func reroutingPlan(model sim.Model) FaultPlan {
+	if model == sim.VCongest {
+		return FaultPlan{Round: 1, RandomEdges: 24, Seed: 5} // fewer kills never stall a Q5 flood
+	}
+	return FaultPlan{Round: 1, RandomEdges: 6, Seed: 5}
+}
+
 // benchmarkSchedulerSteady measures a warm handle serving one demand per
-// iteration; with ReportAllocs it doubles as the steady-state zero-alloc
-// witness in bench output.
-func benchmarkSchedulerSteady(b *testing.B, model sim.Model) {
+// iteration, under the plan when one is given; with ReportAllocs it
+// doubles as the steady-state zero-alloc witness in bench output.
+func benchmarkSchedulerSteady(b *testing.B, model sim.Model, plan *FaultPlan) {
 	g, trees := schedulerFixture(b, model)
 	s, err := NewScheduler(g, trees, model)
 	if err != nil {
 		b.Fatal(err)
 	}
 	d := AllToAll(g.N())
+	run := func(seed uint64) (err error) {
+		if plan == nil {
+			_, err = s.Run(d, seed)
+		} else {
+			_, err = s.RunFaulted(d, seed, *plan)
+		}
+		return err
+	}
 	const seeds = 8
 	for i := 0; i < seeds; i++ {
-		if _, err := s.Run(d, uint64(i)); err != nil {
+		if err := run(uint64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Run(d, uint64(i%seeds)); err != nil {
+		if err := run(uint64(i % seeds)); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkSchedulerSteadyVertex(b *testing.B) { benchmarkSchedulerSteady(b, sim.VCongest) }
+func BenchmarkSchedulerSteadyVertex(b *testing.B) { benchmarkSchedulerSteady(b, sim.VCongest, nil) }
 
-func BenchmarkSchedulerSteadyEdge(b *testing.B) { benchmarkSchedulerSteady(b, sim.ECongest) }
+func BenchmarkSchedulerSteadyEdge(b *testing.B) { benchmarkSchedulerSteady(b, sim.ECongest, nil) }
+
+func BenchmarkSchedulerFaultedVertex(b *testing.B) {
+	plan := reroutingPlan(sim.VCongest)
+	benchmarkSchedulerSteady(b, sim.VCongest, &plan)
+}
+
+func BenchmarkSchedulerFaultedEdge(b *testing.B) {
+	plan := reroutingPlan(sim.ECongest)
+	benchmarkSchedulerSteady(b, sim.ECongest, &plan)
+}
