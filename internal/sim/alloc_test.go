@@ -23,14 +23,14 @@ func (p *chatterProc) Round(ctx *Context, inbox []Delivery) Status {
 	return Active
 }
 
-func chatterEngine(t testing.TB, g *graph.Graph, model Model, limit int) (*Engine, []Process, []*chatterProc) {
+func chatterEngine(t testing.TB, g *graph.Graph, model Model, limit int, opts ...Option) (*Engine, []Process, []*chatterProc) {
 	nodes := make([]*chatterProc, g.N())
 	procs := make([]Process, g.N())
 	for i := range procs {
 		nodes[i] = &chatterProc{limit: limit}
 		procs[i] = nodes[i]
 	}
-	eng, err := NewEngine(g, model, procs, 1)
+	eng, err := NewEngine(g, model, procs, 1, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,28 +39,32 @@ func chatterEngine(t testing.TB, g *graph.Graph, model Model, limit int) (*Engin
 
 // TestSteadyStateStepAllocations pins the zero-churn contract: after a
 // warm-up phase has grown every buffer, a full Reset+RunPhase cycle on
-// the same engine performs no per-round allocation at all.
+// the same engine performs no per-round allocation at all. Workers are
+// pinned to 1 and 2 so the serial and the parallel (pool) path are both
+// checked whatever the machine's core count.
 func TestSteadyStateStepAllocations(t *testing.T) {
-	for _, model := range []Model{VCongest, ECongest} {
-		g := graph.Hypercube(6)
-		const limit = 16
-		eng, procs, nodes := chatterEngine(t, g, model, limit)
-		if err := eng.RunPhase(limit + 4); err != nil { // warm-up growth
-			t.Fatal(err)
-		}
-		allocs := testing.AllocsPerRun(10, func() {
-			for _, nd := range nodes {
-				nd.rounds = 0
-			}
-			if err := eng.Reset(procs, 1); err != nil {
+	for _, workers := range []int{1, 2} {
+		for _, model := range []Model{VCongest, ECongest} {
+			g := graph.Hypercube(6)
+			const limit = 16
+			eng, procs, nodes := chatterEngine(t, g, model, limit, WithWorkers(workers))
+			if err := eng.RunPhase(limit + 4); err != nil { // warm-up growth
 				t.Fatal(err)
 			}
-			if err := eng.RunPhase(limit + 4); err != nil {
-				t.Fatal(err)
+			allocs := testing.AllocsPerRun(10, func() {
+				for _, nd := range nodes {
+					nd.rounds = 0
+				}
+				if err := eng.Reset(procs, 1, WithWorkers(workers)); err != nil {
+					t.Fatal(err)
+				}
+				if err := eng.RunPhase(limit + 4); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 0 {
+				t.Fatalf("%v, %d workers: warm Reset+RunPhase (%d rounds) allocated %.0f times, want 0", model, workers, limit, allocs)
 			}
-		})
-		if allocs > 0 {
-			t.Fatalf("%v: warm Reset+RunPhase (%d rounds) allocated %.0f times, want 0", model, limit, allocs)
 		}
 	}
 }

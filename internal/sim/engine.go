@@ -85,6 +85,11 @@ type Engine struct {
 	// maxima), combined deterministically after each round.
 	parts []stepPartial
 
+	// tasks are the per-worker chunk descriptors runParallel sends to the
+	// pool, and barrier the fork-join that waits for them.
+	tasks   []chunkTask
+	barrier sync.WaitGroup
+
 	// edgeSlots + dirtyDirs serve only the legacy observer routing path:
 	// per-directed-edge send counts with a dirty list so clearing is
 	// proportional to the directions actually used, not O(m) per round.
@@ -325,7 +330,7 @@ func (e *Engine) step() (allDone bool, err error) {
 	if w == 1 {
 		e.roundRange(0, n)
 	} else {
-		runParallel(w, n, func(_, lo, hi int) { e.roundRange(lo, hi) })
+		e.runParallel(w, n, false)
 	}
 
 	for v := range e.contexts {
@@ -353,9 +358,7 @@ func (e *Engine) step() (allDone bool, err error) {
 		for i := 0; i < w; i++ {
 			e.parts[i] = stepPartial{}
 		}
-		runParallel(w, n, func(i, lo, hi int) {
-			e.routeRange(lo, hi, &e.parts[i])
-		})
+		e.runParallel(w, n, true)
 		for i := 0; i < w; i++ {
 			e.meter.Messages += e.parts[i].messages
 			e.meter.Bits += e.parts[i].bits
@@ -543,47 +546,64 @@ func (e *Engine) dirIndex(tail, edgeID int) int {
 // --- persistent worker pool ----------------------------------------------
 
 // The pool is process-wide and lives for the lifetime of the program:
-// engines dispatch chunk closures to parked workers instead of spawning
-// goroutines every round (the parlaylib idiom of persistent workers).
+// engines hand parked workers preallocated chunk descriptors by pointer
+// instead of spawning goroutines every round (the parlaylib idiom of
+// persistent workers), so a parallel round allocates nothing.
 var pool struct {
 	once sync.Once
-	jobs chan func()
+	jobs chan *chunkTask
+}
+
+// chunkTask is one contiguous node range [lo, hi) of a parallel
+// half-round: node Round calls, or routing into parts[chunk] when route
+// is set. Each engine owns one per worker, reused every round.
+type chunkTask struct {
+	e             *Engine
+	chunk, lo, hi int
+	route         bool
 }
 
 func startPool() {
-	pool.jobs = make(chan func(), 4*runtime.GOMAXPROCS(0))
+	pool.jobs = make(chan *chunkTask, 4*runtime.GOMAXPROCS(0))
 	for i := 0; i < runtime.GOMAXPROCS(0); i++ {
 		go func() {
-			for f := range pool.jobs {
-				f()
+			for t := range pool.jobs {
+				t.run()
+				t.e.barrier.Done()
 			}
 		}()
 	}
 }
 
-// runParallel splits [0, n) into w contiguous chunks and runs fn on the
-// shared pool, blocking until all chunks finish. Chunk boundaries depend
-// only on (w, n), never on scheduling, so any fn that combines partial
-// results associatively is deterministic.
-func runParallel(w, n int, fn func(chunk, lo, hi int)) {
+func (t *chunkTask) run() {
+	if t.route {
+		t.e.routeRange(t.lo, t.hi, &t.e.parts[t.chunk])
+	} else {
+		t.e.roundRange(t.lo, t.hi)
+	}
+}
+
+// runParallel splits [0, n) into w contiguous chunks and runs one
+// half-round over them: the pool takes all but the last chunk, the
+// caller works the last one itself (fork-join, which keeps one chunk on
+// the core that just dispatched), then blocks on the engine's barrier
+// until every chunk finishes. Chunk boundaries depend only on (w, n),
+// never on scheduling, so partial results combined in chunk order are
+// deterministic.
+func (e *Engine) runParallel(w, n int, route bool) {
 	pool.once.Do(startPool)
+	if len(e.tasks) < w {
+		e.tasks = make([]chunkTask, w)
+	}
 	chunk := (n + w - 1) / w
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		lo := i * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		i, lo, hi := i, lo, hi
-		pool.jobs <- func() {
-			defer wg.Done()
-			fn(i, lo, hi)
+	last := (n - 1) / chunk // chunks past it are empty
+	for i := 0; i <= last; i++ {
+		e.tasks[i] = chunkTask{e: e, chunk: i, lo: i * chunk, hi: min((i+1)*chunk, n), route: route}
+		if i < last {
+			e.barrier.Add(1)
+			pool.jobs <- &e.tasks[i]
 		}
 	}
-	wg.Wait()
+	e.tasks[last].run()
+	e.barrier.Wait()
 }
