@@ -61,6 +61,7 @@ func scrapeMetrics(t *testing.T, client *http.Client, base string) (map[string]f
 // holds in the scraped text itself.
 func TestMetricsEndpoint(t *testing.T) {
 	s := New(Config{PackSeed: 1, StoreDir: t.TempDir()})
+	t.Cleanup(s.FlushStore) // runs before TempDir's removal: no write-behind save lands in a removed dir
 	srv := httptest.NewServer(NewHandler(s))
 	defer srv.Close()
 	id := mustRegister(t, s, testGraph())
