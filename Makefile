@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci verify vet build test fmt-check lint cover race fuzz-smoke serve-smoke fingerprint-check bench-short bench bench-check fingerprint clean
+.PHONY: ci verify vet build test fmt-check lint cover race fuzz-smoke serve-smoke fingerprint-check perfbench-check bench-short bench bench-check fingerprint clean
 
-ci: fmt-check lint verify race fuzz-smoke serve-smoke fingerprint-check bench-short
+ci: fmt-check lint verify race fuzz-smoke serve-smoke fingerprint-check perfbench-check bench-short
 
 verify: vet build test
 
@@ -80,6 +80,12 @@ fuzz-smoke:
 # change with: go test -run TestFingerprintGolden -update .
 fingerprint-check:
 	$(GO) run ./cmd/fingerprint | diff FINGERPRINT.txt -
+
+# perfbench (the BENCHMARK.json runner) is its own Go module, so the
+# root `go test ./...` never builds it; vet and test it here so a change
+# to the cast/serve API it calls cannot break the benchmark unnoticed.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Short-mode benches: one iteration each, so CI catches benchmark rot
 # without paying for full measurements.
