@@ -61,18 +61,21 @@ cover:
 race:
 	$(GO) test -race ./internal/sim ./internal/check ./internal/stp ./internal/stpdist ./internal/cast ./internal/serve ./internal/cdsdist ./internal/dist ./internal/obs
 
-# Serving smoke: cmd/serve -selftest drives the full loop in-process
-# over a real HTTP listener — register, concurrent decompositions
-# (singleflight asserted), concurrent broadcasts replayed byte-identical,
-# a closed-loop load run, and a stats audit.
+# Serving smoke: cmd/serve -selftest drives the binary's own handler
+# (request logging included) over a real HTTP listener — register,
+# decompose, broadcast, one streamed batch, and a stats audit. The same
+# smoke runs in tier-1 as cmd/serve's TestSmoke.
 serve-smoke:
 	$(GO) run ./cmd/serve -selftest
 
-# 10-second fuzz smoke of the CSR builder: random edge streams with
-# duplicates and self-loops must finalize to sorted, deduped, symmetric
-# adjacency with consistent edge ids.
+# 10-second fuzz smokes of the two parsers of untrusted input. The CSR
+# builder: random edge streams with duplicates and self-loops must
+# finalize to sorted, deduped, symmetric adjacency with consistent edge
+# ids. The snapshot decoder: any file body must decode to an error or to
+# a snapshot that re-encodes and decodes again, never panic.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBuilder$$' -fuzztime 10s ./internal/graph
+	$(GO) test -run '^$$' -fuzz '^FuzzSnapDecode$$' -fuzztime 10s ./internal/snap
 
 # Determinism gate: the current build's content-level fingerprint must
 # match the committed golden byte for byte (TestFingerprintGolden is the
@@ -116,4 +119,3 @@ fingerprint:
 
 clean:
 	rm -f repro.test *.test *.prof *.out cover.out cover.lint.out BENCH_local.json
-	rm -rf selftest.store

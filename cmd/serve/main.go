@@ -25,18 +25,11 @@
 // side listener kept off the API address so profiling endpoints are
 // never exposed to API clients.
 //
-// With -selftest the command instead drives the full loop in-process
-// against a real HTTP listener — register, concurrent decomposition
-// requests (asserting the singleflight packed exactly once), concurrent
-// broadcasts checked byte-identical against a serial replay, a batch
-// round-trip (one pack checkout for N demands) plus its streaming
-// NDJSON twin, closed- and open-loop load runs, a persist → restart →
-// warm-serve phase (asserting zero repacks and survival of a corrupted
-// snapshot file), an observability phase (metrics scrape with the
-// pack-accounting invariant checked in the exposition text, plus a
-// trace round trip from X-Request-Id to /v1/traces), and a stats audit
-// — exiting nonzero on any failure. `make ci` runs it as the serving
-// smoke test.
+// With -selftest the command instead runs a smoke test of its own
+// handler over a real listener — register, decompose, broadcast, one
+// streamed batch, and a stats audit — exiting nonzero on any failure.
+// `make ci` runs it as serve-smoke, and `go test ./cmd/serve` runs the
+// same smoke.
 package main
 
 import (
@@ -54,16 +47,10 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
-	"sync"
 	"syscall"
 	"time"
 
-	"repro/internal/cast"
-	"repro/internal/ds"
 	"repro/internal/graph"
-	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/snap"
 )
@@ -75,7 +62,7 @@ func main() {
 	storeDir := flag.String("store", "", "snapshot store directory (empty disables persistence)")
 	maxResident := flag.Int("max-resident", 0, "resident decompositions per registry segment (0 = unlimited)")
 	pprofAddr := flag.String("pprof", "", "net/http/pprof side-listener address (empty disables)")
-	selftest := flag.Bool("selftest", false, "drive the full serving loop in-process and exit")
+	selftest := flag.Bool("selftest", false, "run a smoke test of the serving loop in-process and exit")
 	var ingest []string
 	flag.Func("ingest", "snapshot `file` to pre-load before serving (repeatable)", func(path string) error {
 		ingest = append(ingest, path)
@@ -89,8 +76,9 @@ func main() {
 		StoreDir:      *storeDir,
 		MaxResident:   *maxResident,
 	})
+	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	if *selftest {
-		if err := runSelftest(svc); err != nil {
+		if err := smoke(newHandler(logger, svc)); err != nil {
 			fmt.Fprintf(os.Stderr, "selftest: FAIL: %v\n", err)
 			os.Exit(1)
 		}
@@ -112,7 +100,7 @@ func main() {
 		go servePprof(*pprofAddr)
 	}
 	log.Printf("serving on %s (max-concurrent=%d store=%q pprof=%q)", *addr, *maxConcurrent, *storeDir, *pprofAddr)
-	if err := run(*addr, svc); err != nil {
+	if err := run(*addr, svc, logger); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -149,14 +137,13 @@ func readSnapshot(path string) (*snap.Snapshot, error) {
 // http.Server.Shutdown. Broadcast handlers observe the client's request
 // context, so even long demand runs cancel promptly when their client
 // goes away and cannot hold the drain open.
-func run(addr string, svc *serve.Service) error {
+func run(addr string, svc *serve.Service, logger *slog.Logger) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	srv := &http.Server{
 		Addr:              addr,
-		Handler:           logRequests(logger, serve.NewHandler(svc)),
+		Handler:           newHandler(logger, svc),
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       30 * time.Second,
 		WriteTimeout:      60 * time.Second,
@@ -182,6 +169,12 @@ func run(addr string, svc *serve.Service) error {
 	svc.FlushStore() // let write-behind snapshot saves land before exit
 	log.Printf("bye")
 	return nil
+}
+
+// newHandler is the binary's HTTP handler: the serving API behind
+// per-request logging. run serves it and -selftest drives it.
+func newHandler(logger *slog.Logger, svc *serve.Service) http.Handler {
+	return logRequests(logger, serve.NewHandler(svc))
 }
 
 // logRequests emits one structured log line per request: method, path,
@@ -212,6 +205,8 @@ type statusWriter struct {
 	status int
 }
 
+var _ http.Flusher = (*statusWriter)(nil)
+
 func (w *statusWriter) WriteHeader(code int) {
 	w.status = code
 	w.ResponseWriter.WriteHeader(code)
@@ -223,583 +218,81 @@ func (w *statusWriter) Flush() {
 	}
 }
 
-// runSelftest exercises the full serving loop over a real HTTP listener.
-func runSelftest(svc *serve.Service) error {
-	srv := httptest.NewServer(serve.NewHandler(svc))
+// smoke drives a handler over a real listener through the serving loop
+// once: register a graph, decompose it, broadcast over it, stream one
+// batch as NDJSON, and audit /v1/stats. internal/serve's tests pin the
+// serving contracts in depth; this checks the binary's own wiring.
+func smoke(h http.Handler) error {
+	srv := httptest.NewServer(h)
 	defer srv.Close()
-	client := srv.Client()
-
-	// Register a 6-connected expander over HTTP.
-	g := graph.RandomHamCycles(64, 3, ds.NewRand(1))
-	var edges [][2]int
+	g := graph.Hypercube(4)
+	reg := serve.RegisterRequest{N: g.N()}
 	for _, e := range g.Edges() {
-		edges = append(edges, [2]int{int(e.U), int(e.V)})
+		reg.Edges = append(reg.Edges, [2]int{int(e.U), int(e.V)})
 	}
 	var info serve.GraphInfo
-	if err := post(client, srv.URL+"/v1/graphs", serve.RegisterRequest{N: g.N(), Edges: edges}, &info); err != nil {
-		return fmt.Errorf("register: %w", err)
+	if err := call(srv, "/v1/graphs", reg, &info); err != nil {
+		return err
 	}
-	if info.N != g.N() || info.M != g.M() {
-		return fmt.Errorf("register echoed n=%d m=%d, want n=%d m=%d", info.N, info.M, g.N(), g.M())
+	base := "/v1/graphs/" + info.ID
+	var dec serve.DecompInfo
+	if err := call(srv, base+"/decomposition", serve.DecomposeRequest{Kind: serve.Spanning}, &dec); err != nil {
+		return err
 	}
-	fmt.Printf("registered %s (n=%d m=%d)\n", info.ID, info.N, info.M)
-
-	// Concurrent decomposition requests: the singleflight cache must
-	// pack exactly once per kind.
-	const decompCallers = 8
-	for _, kind := range []serve.Kind{serve.Dominating, serve.Spanning} {
-		var wg sync.WaitGroup
-		errs := make([]error, decompCallers)
-		infos := make([]serve.DecompInfo, decompCallers)
-		for i := 0; i < decompCallers; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				errs[i] = post(client, srv.URL+"/v1/graphs/"+info.ID+"/decomposition",
-					serve.DecomposeRequest{Kind: kind}, &infos[i])
-			}(i)
-		}
-		wg.Wait()
-		for i, err := range errs {
-			if err != nil {
-				return fmt.Errorf("decompose %s caller %d: %w", kind, i, err)
-			}
-			if infos[i].Trees != infos[0].Trees || infos[i].Size != infos[0].Size {
-				return fmt.Errorf("decompose %s: caller %d saw %+v, caller 0 saw %+v", kind, i, infos[i], infos[0])
-			}
-		}
-		fmt.Printf("decomposition %-10s trees=%d size=%.3f (%d concurrent callers)\n",
-			kind, infos[0].Trees, infos[0].Size, decompCallers)
+	var res serve.BroadcastResponse
+	if err := call(srv, base+"/broadcast", serve.BroadcastRequest{Kind: serve.Spanning, Sources: []int{0, 5}, Seed: 1}, &res); err != nil {
+		return err
 	}
-	if st := stats(client, srv.URL); st.PackComputes != 2 {
-		return fmt.Errorf("singleflight violated: %d packings computed for 2 kinds", st.PackComputes)
+	batch := serve.BatchRequest{Kind: serve.Spanning, Demands: []serve.BatchDemand{{Sources: []int{1, 2}, Seed: 2}, {Sources: []int{3}, Seed: 3}}}
+	var events []serve.BatchEvent
+	if err := call(srv, base+"/broadcast/batch?stream=1", batch, &events); err != nil {
+		return err
 	}
-
-	// Concurrent broadcasts over both kinds, checked byte-identical
-	// against a second pass of the same (demand, seed) pairs (the
-	// schedulers are deterministic, so replaying through the service
-	// must reproduce every result exactly).
-	const workers, demandsPer = 4, 6
-	type key struct {
-		kind serve.Kind
-		w, d int
+	if n := len(events); n != len(batch.Demands)+1 || events[n-1].Type != serve.EventSummary || events[n-1].Seq != uint64(n) {
+		return fmt.Errorf("stream of %d demands: %+v", len(batch.Demands), events)
 	}
-	results := make(map[key]cast.Result)
-	var mu sync.Mutex
-	for pass := 0; pass < 2; pass++ {
-		var wg sync.WaitGroup
-		errs := make([]error, workers*2)
-		for ki, kind := range []serve.Kind{serve.Dominating, serve.Spanning} {
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(ki int, kind serve.Kind, w int) {
-					defer wg.Done()
-					rng := ds.NewRand(uint64(100*ki + w))
-					for d := 0; d < demandsPer; d++ {
-						dem := cast.UniformDemand(g.N(), g.N()/2+d, rng)
-						var resp serve.BroadcastResponse
-						if err := post(client, srv.URL+"/v1/graphs/"+info.ID+"/broadcast",
-							serve.BroadcastRequest{Kind: kind, Sources: dem.Sources, Seed: uint64(w*demandsPer + d)}, &resp); err != nil {
-							errs[ki*workers+w] = err
-							return
-						}
-						mu.Lock()
-						k := key{kind, w, d}
-						if prev, ok := results[k]; ok && prev != resp.Result {
-							errs[ki*workers+w] = fmt.Errorf("%s (%d,%d): replay diverged: %+v vs %+v", kind, w, d, prev, resp.Result)
-							mu.Unlock()
-							return
-						}
-						results[k] = resp.Result
-						mu.Unlock()
-					}
-				}(ki, kind, w)
-			}
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
+	var st serve.Stats
+	if err := call(srv, "/v1/stats", nil, &st); err != nil {
+		return err
 	}
-	fmt.Printf("broadcast: %d concurrent demands per pass, replay byte-identical\n", 2*workers*demandsPer)
-
-	// Chaos smoke: a faulted broadcast over HTTP must degrade gracefully
-	// (structured fault accounting, 200 OK) and replay byte-identically.
-	faultReq := serve.BroadcastRequest{
-		Kind: serve.Spanning, Sources: []int{0, 1, 2, 3}, Seed: 11,
-		Fault: &cast.FaultPlan{Round: 1, RandomEdges: 3, Seed: 13},
+	if st.Requests != 3 || st.Messages != 5 || st.PackRequests != st.PackComputes+st.CacheHits+st.Coalesced+st.StoreHits {
+		return fmt.Errorf("stats after one broadcast and a 2-demand batch: %+v", st)
 	}
-	var fresp, freplay serve.BroadcastResponse
-	if err := post(client, srv.URL+"/v1/graphs/"+info.ID+"/broadcast", faultReq, &fresp); err != nil {
-		return fmt.Errorf("faulted broadcast: %w", err)
-	}
-	if fresp.Fault == nil {
-		return fmt.Errorf("faulted broadcast returned no fault accounting: %+v", fresp)
-	}
-	if f := fresp.Fault.DeliveredFraction; f <= 0 || f > 1 {
-		return fmt.Errorf("faulted broadcast delivered fraction %v out of (0,1]", f)
-	}
-	if err := post(client, srv.URL+"/v1/graphs/"+info.ID+"/broadcast", faultReq, &freplay); err != nil {
-		return fmt.Errorf("faulted replay: %w", err)
-	}
-	if freplay.Result != fresp.Result || *freplay.Fault != *fresp.Fault {
-		return fmt.Errorf("faulted replay diverged: %+v vs %+v", freplay, fresp)
-	}
-	fmt.Printf("chaos: %d edges killed, %d trees surviving, delivered=%.3f retries=%d, replay byte-identical\n",
-		fresp.Fault.FailedEdges, fresp.Fault.TreesSurviving,
-		fresp.Fault.DeliveredFraction, fresp.Fault.Retries)
-
-	// Batch round-trip: one request, N demands (one invalid on purpose),
-	// exactly one additional pack-cache checkout.
-	preBatch := stats(client, srv.URL)
-	batchReq := serve.BatchRequest{Kind: serve.Spanning, Demands: []serve.BatchDemand{
-		{Sources: []int{0, 1, 2}, Seed: 31},
-		{Sources: []int{5, 9}, Seed: 32},
-		{Sources: []int{g.N() + 1}, Seed: 33}, // error entry, not a request error
-		{Sources: []int{7}, Seed: 34},
-	}}
-	var bresp serve.BatchResponse
-	if err := post(client, srv.URL+"/v1/graphs/"+info.ID+"/broadcast/batch", batchReq, &bresp); err != nil {
-		return fmt.Errorf("batch: %w", err)
-	}
-	if len(bresp.Entries) != len(batchReq.Demands) || bresp.Summary.Succeeded != 3 || bresp.Summary.Failed != 1 {
-		return fmt.Errorf("batch entries wrong: %+v", bresp)
-	}
-	if st := stats(client, srv.URL); st.PackRequests != preBatch.PackRequests+1 {
-		return fmt.Errorf("batch of %d demands made %d pack checkouts, want 1",
-			len(batchReq.Demands), st.PackRequests-preBatch.PackRequests)
-	}
-	fmt.Printf("batch: %d demands in one request, %d succeeded, 1 pack checkout\n",
-		bresp.Summary.Demands, bresp.Summary.Succeeded)
-
-	// Streaming round-trip: the same batch as NDJSON events — one per
-	// demand in completion order, then the terminal summary.
-	events, err := streamBatchEvents(client, srv.URL+"/v1/graphs/"+info.ID+"/broadcast/batch?stream=1", batchReq)
-	if err != nil {
-		return fmt.Errorf("streaming batch: %w", err)
-	}
-	if len(events) != len(batchReq.Demands)+1 {
-		return fmt.Errorf("streamed %d events for %d demands", len(events), len(batchReq.Demands))
-	}
-	last := events[len(events)-1]
-	if last.Type != serve.EventSummary || last.Summary == nil || *last.Summary != bresp.Summary {
-		return fmt.Errorf("streamed summary %+v diverges from batch summary %+v", last.Summary, bresp.Summary)
-	}
-	fmt.Printf("stream: %d events, terminal summary matches the batch response\n", len(events))
-
-	// Closed-loop load run through the same (already warm) cache.
-	rep, err := serve.GenerateLoad(svc, serve.LoadConfig{
-		GraphID: info.ID, Kind: serve.Spanning, Workers: 4, Demands: 8, Seed: 5,
-	})
-	if err != nil {
-		return fmt.Errorf("load: %w", err)
-	}
-	fmt.Printf("load: %d demands, %d workers, %.0f demands/s, %.2f msgs/round\n",
-		rep.Demands, rep.Workers, rep.DemandsPerSec, rep.MsgsPerRound)
-
-	// Open-loop load run: deterministic exponential arrivals, per-demand
-	// latency percentiles.
-	orep, err := serve.GenerateLoad(svc, serve.LoadConfig{
-		GraphID: info.ID, Kind: serve.Spanning, Seed: 8,
-		ArrivalRate: 2000, Arrivals: 16,
-	})
-	if err != nil {
-		return fmt.Errorf("open load: %w", err)
-	}
-	if orep.Completed != orep.Demands || orep.LatencyP50 <= 0 || orep.LatencyP99 < orep.LatencyP50 {
-		return fmt.Errorf("open load degenerate: %+v", orep)
-	}
-	fmt.Printf("open load: %d arrivals at %.0f/s, p50=%s p95=%s p99=%s peak-pending=%d\n",
-		orep.Completed, orep.ArrivalRate, orep.LatencyP50, orep.LatencyP95, orep.LatencyP99, orep.MaxPendingSeen)
-	for _, ph := range orep.Phases {
-		if ph.Count == 0 {
-			continue
-		}
-		fmt.Printf("  phase %-10s count=%d p50=%s p95=%s max=%s\n",
-			ph.Phase, ph.Count, time.Duration(ph.P50), time.Duration(ph.P95), time.Duration(ph.Max))
-	}
-
-	// Chaos load run: every demand faulted, service keeps serving.
-	crep, err := serve.GenerateLoad(svc, serve.LoadConfig{
-		GraphID: info.ID, Kind: serve.Spanning, Workers: 4, Demands: 4, Seed: 6,
-		FaultRate: 1, FaultSeed: 21, FaultEdges: 2,
-	})
-	if err != nil {
-		return fmt.Errorf("chaos load: %w", err)
-	}
-	if crep.FaultedDemands != crep.Demands {
-		return fmt.Errorf("chaos load faulted %d of %d demands, want all", crep.FaultedDemands, crep.Demands)
-	}
-	if crep.DeliveredFraction <= 0 || crep.DeliveredFraction > 1 {
-		return fmt.Errorf("chaos load delivered fraction %v out of (0,1]", crep.DeliveredFraction)
-	}
-	fmt.Printf("chaos load: %d faulted demands, delivered=%.3f retries=%d lost=%d\n",
-		crep.FaultedDemands, crep.DeliveredFraction, crep.Retries, crep.MessagesLost)
-
-	// Persistence: persist → restart → warm-serve, then survive a
-	// corrupted snapshot file by recomputing.
-	if err := runPersistSelftest(); err != nil {
-		return fmt.Errorf("persist: %w", err)
-	}
-
-	// Observability: metrics scrape and trace round trip on a fresh
-	// service, so the exposition values are exactly predictable.
-	if err := runObsSelftest(); err != nil {
-		return fmt.Errorf("obs: %w", err)
-	}
-
-	// Final stats audit.
-	st := stats(client, srv.URL)
-	// Two passes × two kinds of concurrent broadcasts, two chaos smokes,
-	// two batches (streamed and not) of three valid demands each, and the
-	// three load runs.
-	wantReqs := uint64(2*2*workers*demandsPer + 2 + 2*3 + rep.Demands + crep.Demands + orep.Completed)
-	if st.Requests != wantReqs {
-		return fmt.Errorf("stats count %d requests, want %d", st.Requests, wantReqs)
-	}
-	wantFaulted := uint64(2 + crep.Demands)
-	if st.FaultedRequests != wantFaulted {
-		return fmt.Errorf("stats count %d faulted requests, want %d", st.FaultedRequests, wantFaulted)
-	}
-	if st.DeliveredFraction <= 0 || st.DeliveredFraction > 1 {
-		return fmt.Errorf("stats delivered fraction %v out of (0,1]", st.DeliveredFraction)
-	}
-	if st.PackComputes != 2 {
-		return fmt.Errorf("stats count %d packings, want 2", st.PackComputes)
-	}
-	// Every pack request is exactly one of: the computing leader, a true
-	// cache hit, coalesced behind an in-flight leader, or restored from
-	// the snapshot store.
-	if st.PackRequests != st.PackComputes+st.CacheHits+st.Coalesced+st.StoreHits {
-		return fmt.Errorf("pack accounting leaks: %d requests != %d computes + %d hits + %d coalesced + %d store hits",
-			st.PackRequests, st.PackComputes, st.CacheHits, st.Coalesced, st.StoreHits)
-	}
-	if st.EventsDropped != 0 {
-		return fmt.Errorf("selftest stream dropped %d events", st.EventsDropped)
-	}
-	if st.Graphs != 1 || len(st.PerGraph) != 1 || st.PerGraph[0].Requests != wantReqs {
-		return fmt.Errorf("per-graph stats wrong: %+v", st)
-	}
-	if st.PerGraph[0].FaultedRequests != wantFaulted {
-		return fmt.Errorf("per-graph faulted count %d, want %d", st.PerGraph[0].FaultedRequests, wantFaulted)
-	}
-	fmt.Printf("stats: %d requests (%d faulted), %d rounds, %d/%d pack computes/requests, max congestion v=%d e=%d, delivered=%.3f\n",
-		st.Requests, st.FaultedRequests, st.Rounds, st.PackComputes, st.PackRequests,
-		st.MaxVertexCongestion, st.MaxEdgeCongestion, st.DeliveredFraction)
+	fmt.Printf("selftest: %d trees, %d demands served in %d rounds\n", dec.Trees, st.Requests, st.Rounds)
 	return nil
 }
 
-// runPersistSelftest drives the durable-store loop in-process: a cold
-// service packs and persists, a second service over the same directory
-// serves warm with zero repacks and byte-identical broadcasts, and a
-// third survives a deliberately corrupted snapshot file by recomputing.
-func runPersistSelftest() error {
-	const dir = "selftest.store"
-	if err := os.RemoveAll(dir); err != nil {
-		return err
+// call POSTs body as JSON (or GETs when body is nil) and decodes the
+// reply into out: one JSON value, or the NDJSON events of a stream into
+// a *[]serve.BatchEvent.
+func call(srv *httptest.Server, path string, body, out any) error {
+	var resp *http.Response
+	var err error
+	if body == nil {
+		resp, err = srv.Client().Get(srv.URL + path)
+	} else {
+		raw, _ := json.Marshal(body) // the API request types always marshal
+		resp, err = srv.Client().Post(srv.URL+path, "application/json", bytes.NewReader(raw))
 	}
-	defer os.RemoveAll(dir)
-	cfg := serve.Config{MaxConcurrent: 4, PackSeed: 1, StoreDir: dir}
-	g := graph.RandomHamCycles(64, 3, ds.NewRand(1))
-	sources := []int{0, 7, 13}
-
-	cold := serve.New(cfg)
-	id, err := cold.RegisterGraph(g)
 	if err != nil {
 		return err
-	}
-	for _, kind := range []serve.Kind{serve.Dominating, serve.Spanning} {
-		if _, err := cold.Decompose(id, kind); err != nil {
-			return fmt.Errorf("cold decompose %s: %w", kind, err)
-		}
-	}
-	ref := make(map[serve.Kind]cast.Result)
-	for _, kind := range []serve.Kind{serve.Dominating, serve.Spanning} {
-		res, err := cold.Broadcast(id, kind, sources, 42)
-		if err != nil {
-			return fmt.Errorf("cold broadcast %s: %w", kind, err)
-		}
-		ref[kind] = res
-	}
-	cold.FlushStore()
-	if cst := cold.Stats(); cst.PackComputes != 2 || cst.StoreMisses != 2 {
-		return fmt.Errorf("cold service: computes=%d misses=%d, want 2/2", cst.PackComputes, cst.StoreMisses)
-	}
-
-	warm := serve.New(cfg)
-	if _, err := warm.RegisterGraph(g); err != nil {
-		return err
-	}
-	for _, kind := range []serve.Kind{serve.Dominating, serve.Spanning} {
-		info, err := warm.Decompose(id, kind)
-		if err != nil {
-			return fmt.Errorf("warm decompose %s: %w", kind, err)
-		}
-		if !info.Cached {
-			return fmt.Errorf("warm %s decomposition was repacked", kind)
-		}
-		res, err := warm.Broadcast(id, kind, sources, 42)
-		if err != nil {
-			return fmt.Errorf("warm broadcast %s: %w", kind, err)
-		}
-		if res != ref[kind] {
-			return fmt.Errorf("warm %s broadcast diverged: %+v vs %+v", kind, res, ref[kind])
-		}
-	}
-	wst := warm.Stats()
-	if wst.PackComputes != 0 || wst.StoreHits != 2 {
-		return fmt.Errorf("warm restart: computes=%d store hits=%d, want 0/2", wst.PackComputes, wst.StoreHits)
-	}
-	if wst.PackRequests != wst.PackComputes+wst.CacheHits+wst.Coalesced+wst.StoreHits {
-		return fmt.Errorf("warm pack accounting leaks: %+v", wst)
-	}
-
-	// Corrupt one snapshot: the next restart must recompute that kind
-	// (and count the damage) instead of erroring to the client.
-	victim := snap.NewStore(dir).Path(id, string(serve.Dominating), snap.OptionsDigest(cfg.PackSeed, cfg.Epsilon))
-	data, err := os.ReadFile(victim)
-	if err != nil {
-		return fmt.Errorf("reading snapshot to corrupt: %w", err)
-	}
-	if err := os.WriteFile(victim, data[:len(data)/2], 0o644); err != nil {
-		return err
-	}
-	hurt := serve.New(cfg)
-	if _, err := hurt.RegisterGraph(g); err != nil {
-		return err
-	}
-	for _, kind := range []serve.Kind{serve.Dominating, serve.Spanning} {
-		if _, err := hurt.Decompose(id, kind); err != nil {
-			return fmt.Errorf("post-corruption decompose %s: %w", kind, err)
-		}
-	}
-	hurt.FlushStore() // the repaired save must land before the deferred RemoveAll
-	hst := hurt.Stats()
-	if hst.PackComputes != 1 || hst.StoreErrors == 0 || hst.StoreHits != 1 {
-		return fmt.Errorf("corruption handling: computes=%d errors=%d hits=%d, want 1/≥1/1",
-			hst.PackComputes, hst.StoreErrors, hst.StoreHits)
-	}
-	fmt.Printf("persist: warm restart served 2 kinds with 0 repacks, byte-identical broadcasts; corrupted snapshot recomputed\n")
-	return nil
-}
-
-// runObsSelftest drives the observability surface over HTTP against a
-// fresh service: a traced decomposition and a traced broadcast, each
-// resolved from its echoed X-Request-Id through GET /v1/traces to the
-// recorded phase spans (and the pack profile attachment), then a
-// /metrics scrape whose exposition text must satisfy the
-// pack-accounting invariant and expose the phase histograms.
-func runObsSelftest() error {
-	svc := serve.New(serve.Config{MaxConcurrent: 4, PackSeed: 1})
-	srv := httptest.NewServer(serve.NewHandler(svc))
-	defer srv.Close()
-	client := srv.Client()
-
-	g := graph.RandomHamCycles(48, 3, ds.NewRand(2))
-	var edges [][2]int
-	for _, e := range g.Edges() {
-		edges = append(edges, [2]int{int(e.U), int(e.V)})
-	}
-	var info serve.GraphInfo
-	if err := post(client, srv.URL+"/v1/graphs", serve.RegisterRequest{N: g.N(), Edges: edges}, &info); err != nil {
-		return fmt.Errorf("register: %w", err)
-	}
-
-	decompID, err := postCaptureID(client, srv.URL+"/v1/graphs/"+info.ID+"/decomposition",
-		serve.DecomposeRequest{Kind: serve.Spanning}, new(serve.DecompInfo))
-	if err != nil {
-		return fmt.Errorf("decompose: %w", err)
-	}
-	castID, err := postCaptureID(client, srv.URL+"/v1/graphs/"+info.ID+"/broadcast",
-		serve.BroadcastRequest{Kind: serve.Spanning, Sources: []int{0, 5}, Seed: 3},
-		new(serve.BroadcastResponse))
-	if err != nil {
-		return fmt.Errorf("broadcast: %w", err)
-	}
-	if decompID == "" || castID == "" || decompID == castID {
-		return fmt.Errorf("request ids degenerate: decompose %q broadcast %q", decompID, castID)
-	}
-
-	var traces serve.TracesResponse
-	if err := getJSON(client, srv.URL+"/v1/traces", &traces); err != nil {
-		return fmt.Errorf("traces: %w", err)
-	}
-	dtr, err := findTrace(traces, decompID)
-	if err != nil {
-		return err
-	}
-	for _, name := range []string{"registry", "pack"} {
-		if !hasSpan(dtr, name) {
-			return fmt.Errorf("decompose trace %s missing %q span: %+v", decompID, name, dtr.Spans)
-		}
-	}
-	if dtr.Attached["pack_profile"] == nil {
-		return fmt.Errorf("decompose trace %s carries no pack profile", decompID)
-	}
-	btr, err := findTrace(traces, castID)
-	if err != nil {
-		return err
-	}
-	for _, name := range []string{"registry", "clone", "run"} {
-		if !hasSpan(btr, name) {
-			return fmt.Errorf("broadcast trace %s missing %q span: %+v", castID, name, btr.Spans)
-		}
-	}
-
-	resp, err := client.Get(srv.URL + "/metrics")
-	if err != nil {
-		return fmt.Errorf("metrics: %w", err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		return fmt.Errorf("metrics content type %q", ct)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return fmt.Errorf("metrics read: %w", err)
-	}
-	text := string(body)
-	val := func(name string) float64 {
-		v, verr := metricValue(text, name)
-		if verr != nil && err == nil {
-			err = verr
-		}
-		return v
-	}
-	pr := val("repro_serve_pack_requests_total")
-	pc := val("repro_serve_pack_computes_total")
-	ch := val("repro_serve_cache_hits_total")
-	co := val("repro_serve_coalesced_total")
-	sh := val("repro_serve_store_hits_total")
-	if err != nil {
-		return fmt.Errorf("metrics scrape: %w", err)
-	}
-	if pr != pc+ch+co+sh {
-		return fmt.Errorf("exposed pack accounting leaks: %v requests != %v computes + %v hits + %v coalesced + %v store hits",
-			pr, pc, ch, co, sh)
-	}
-	if v := val("repro_serve_requests_total"); v != 1 {
-		return fmt.Errorf("exposed %v served requests, want 1", v)
-	}
-	if n := strings.Count(text, " histogram\n"); n < 3 {
-		return fmt.Errorf("exposition declares %d histograms, want >= 3", n)
-	}
-	fmt.Printf("obs: traces %s/%s carry phase spans + pack profile; /metrics invariant holds (%v pack requests)\n",
-		decompID, castID, pr)
-	return nil
-}
-
-// findTrace locates one trace by id in a /v1/traces response.
-func findTrace(traces serve.TracesResponse, id string) (obs.TraceData, error) {
-	for _, tr := range traces.Traces {
-		if tr.ID == id {
-			return tr, nil
-		}
-	}
-	return obs.TraceData{}, fmt.Errorf("request %s not in the trace ring (%d resident)", id, len(traces.Traces))
-}
-
-// hasSpan reports whether the trace recorded a span under name.
-func hasSpan(tr obs.TraceData, name string) bool {
-	for _, sp := range tr.Spans {
-		if sp.Name == name {
-			return true
-		}
-	}
-	return false
-}
-
-// metricValue extracts one un-labelled sample value from Prometheus
-// exposition text.
-func metricValue(text, name string) (float64, error) {
-	for _, line := range strings.Split(text, "\n") {
-		if rest, ok := strings.CutPrefix(line, name+" "); ok {
-			return strconv.ParseFloat(strings.TrimSpace(rest), 64)
-		}
-	}
-	return 0, fmt.Errorf("metric %s not in exposition", name)
-}
-
-// streamBatchEvents posts a batch to the streaming endpoint and decodes
-// the NDJSON event stream through the terminal summary.
-func streamBatchEvents(client *http.Client, url string, req serve.BatchRequest) ([]serve.BatchEvent, error) {
-	raw, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := client.Post(url, "application/json", bytes.NewReader(raw))
-	if err != nil {
-		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s: %s", url, resp.Status)
+		msg, _ := io.ReadAll(resp.Body)
+		return fmt.Errorf("%s: %s: %s", path, resp.Status, bytes.TrimSpace(msg))
 	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		return nil, fmt.Errorf("stream content type %q", ct)
-	}
-	var events []serve.BatchEvent
 	dec := json.NewDecoder(resp.Body)
-	for {
+	events, ok := out.(*[]serve.BatchEvent)
+	if !ok {
+		return dec.Decode(out)
+	}
+	for dec.More() {
 		var ev serve.BatchEvent
 		if err := dec.Decode(&ev); err != nil {
-			return events, fmt.Errorf("stream decode after %d events: %w", len(events), err)
+			return err
 		}
-		events = append(events, ev)
-		if ev.Type == serve.EventSummary {
-			return events, nil
-		}
+		*events = append(*events, ev)
 	}
-}
-
-func post(client *http.Client, url string, body, out any) error {
-	_, err := postCaptureID(client, url, body, out)
-	return err
-}
-
-// postCaptureID posts like post and also returns the X-Request-Id the
-// serving layer echoed on the response.
-func postCaptureID(client *http.Client, url string, body, out any) (string, error) {
-	raw, err := json.Marshal(body)
-	if err != nil {
-		return "", err
-	}
-	resp, err := client.Post(url, "application/json", bytes.NewReader(raw))
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var buf bytes.Buffer
-		buf.ReadFrom(resp.Body)
-		return "", fmt.Errorf("%s: %s: %s", url, resp.Status, bytes.TrimSpace(buf.Bytes()))
-	}
-	return resp.Header.Get("X-Request-Id"), json.NewDecoder(resp.Body).Decode(out)
-}
-
-func getJSON(client *http.Client, url string, out any) error {
-	resp, err := client.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s: %s", url, resp.Status)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-func stats(client *http.Client, base string) serve.Stats {
-	var st serve.Stats
-	resp, err := client.Get(base + "/v1/stats")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		log.Fatal(err)
-	}
-	return st
+	return nil
 }

@@ -410,8 +410,9 @@ func spanToWeighted(p *SpanningTreePacking) []cast.WeightedTree {
 // bounded-concurrency demand execution with per-graph and global stats.
 type Service = serve.Service
 
-// ServiceConfig tunes a Service; the zero value uses calibrated
-// defaults.
+// ServiceConfig tunes a Service (concurrency, packing seed and ε,
+// demand and batch limits, snapshot store, residency bound); the zero
+// value uses calibrated defaults.
 type ServiceConfig = serve.Config
 
 // ServiceStats is a snapshot of the service counters (requests, cache
@@ -447,7 +448,9 @@ type PackProfile = serve.PackProfile
 // LoadConfig describes one load run: closed loop (K workers × M
 // demands, the default) or open loop (ArrivalRate > 0, demands arriving
 // on a deterministic exponential schedule regardless of completion
-// speed).
+// speed). The two shapes differ under load: with MaxPending = K, an
+// open-loop arrival that finds K demands in flight is rejected where a
+// closed-loop worker would simply wait.
 type LoadConfig = serve.LoadConfig
 
 // LoadReport aggregates a load run's throughput and, open-loop, its
@@ -474,8 +477,9 @@ type BatchSummary = serve.BatchSummary
 // demand order plus the summary.
 type BatchResult = serve.BatchResult
 
-// BatchEvent is one event on a service's streaming bus: a completed (or
-// rejected) batch entry, or the terminal batch summary.
+// BatchEvent is one event of a streamed service batch: a completed (or
+// rejected) batch entry, or the terminal batch summary. Seq is the
+// event's 1-based position in its batch's stream.
 type BatchEvent = serve.BatchEvent
 
 // NewService builds an empty decomposition service.

@@ -1,14 +1,12 @@
 // The batched demand path: N demands against one graph resolved with a
 // single registry lookup and a single packing-cache checkout, executed
 // concurrently under the service's existing semaphore with one pooled
-// Scheduler clone per in-flight demand, and folded into the stats with
-// one amortized update per batch instead of one per demand. A demand
-// that fails validation or is cancelled becomes a structured entry in
-// the result array — only request-level problems (unknown graph or
-// kind, empty or oversized batch, a cached packing error) fail the
-// batch as a whole. Every batch also publishes per-demand completion
-// events and a terminal summary on the service event bus, which is what
-// the streaming HTTP mode consumes.
+// Scheduler clone per in-flight demand. A demand that fails validation
+// or is cancelled becomes a structured entry in the result array — only
+// request-level problems (unknown graph or kind, empty or oversized
+// batch, a cached packing error) fail the batch as a whole. The
+// streaming HTTP mode hands the batch a channel that receives one event
+// per completed demand and then the terminal summary.
 package serve
 
 import (
@@ -20,6 +18,30 @@ import (
 	"repro/internal/cast"
 	"repro/internal/obs"
 )
+
+// Batch event types.
+const (
+	// EventDemand is one completed (or rejected) batch entry.
+	EventDemand = "demand"
+	// EventSummary terminates a batch's event stream.
+	EventSummary = "summary"
+)
+
+// BatchEvent is one event of a streamed batch. Demand events carry the
+// entry's index and its result or error; the summary event carries the
+// batch totals and is always the last event of its stream.
+type BatchEvent struct {
+	// Seq is the event's 1-based position in its stream.
+	Seq     uint64 `json:"seq"`
+	BatchID uint64 `json:"batch_id"`
+	Type    string `json:"type"`
+	// Index is the demand's position in the batch (demand events only).
+	Index    int           `json:"index"`
+	Messages int           `json:"messages,omitempty"`
+	Result   *cast.Result  `json:"result,omitempty"`
+	Error    string        `json:"error,omitempty"`
+	Summary  *BatchSummary `json:"summary,omitempty"`
+}
 
 // BatchDemand is one demand of a batch: a source list and the seed its
 // tree assignment draws from (so a batch is replayable entry for entry).
@@ -64,7 +86,7 @@ func (s *Service) BroadcastBatch(ctx context.Context, id string, kind Kind, dema
 	if err != nil {
 		return BatchResult{}, err
 	}
-	return s.runBatch(ctx, e, pe, demands, s.batchSeq.Add(1)), nil
+	return s.runBatch(ctx, e, pe, demands, s.batchSeq.Add(1), nil), nil
 }
 
 // prepareBatch performs the request-level half of a batch: registry
@@ -99,26 +121,26 @@ func (s *Service) prepareBatch(ctx context.Context, id string, kind Kind, demand
 }
 
 // runBatch executes a prepared batch: every valid entry runs under the
-// service semaphore on a pooled clone, completion events are published
-// as demands finish, stats are folded once at the end, and the terminal
-// summary event closes the batch's stream.
-func (s *Service) runBatch(ctx context.Context, e *graphEntry, pe *packEntry, demands []BatchDemand, batchID uint64) BatchResult {
-	entries := make([]BatchEntry, len(demands))
-	var (
-		wg  sync.WaitGroup
-		mu  sync.Mutex // guards the aggregate below
-		agg struct {
-			succeeded, messages int
-			rounds              uint64
-			maxV, maxE          int64
+// service semaphore on a pooled clone and is recorded like a single
+// broadcast, and the summary is computed from the entries. A non-nil
+// events channel must have room for len(demands)+1 events: it receives
+// one event per entry as the entry completes and then the summary, so
+// no send ever blocks.
+func (s *Service) runBatch(ctx context.Context, e *graphEntry, pe *packEntry, demands []BatchDemand, batchID uint64, events chan<- BatchEvent) BatchResult {
+	emit := func(ev BatchEvent) {
+		if events != nil {
+			ev.BatchID = batchID
+			events <- ev
 		}
-	)
+	}
+	entries := make([]BatchEntry, len(demands))
+	var wg sync.WaitGroup
 	for i := range demands {
 		entries[i].Index = i
 		d := demands[i]
 		if err := s.validateSources(e, d.Sources); err != nil {
 			entries[i].Error = err.Error()
-			s.bus.publish(BatchEvent{BatchID: batchID, Type: EventDemand, Index: i, Error: entries[i].Error})
+			emit(BatchEvent{Type: EventDemand, Index: i, Error: entries[i].Error})
 			continue
 		}
 		wg.Add(1)
@@ -129,41 +151,25 @@ func (s *Service) runBatch(ctx context.Context, e *graphEntry, pe *packEntry, de
 			})
 			if err != nil {
 				entries[i].Error = err.Error()
-				s.bus.publish(BatchEvent{BatchID: batchID, Type: EventDemand, Index: i, Error: entries[i].Error})
+				emit(BatchEvent{Type: EventDemand, Index: i, Error: entries[i].Error})
 				return
 			}
 			entries[i].Result = &res
-			mu.Lock()
-			agg.succeeded++
-			agg.messages += len(d.Sources)
-			agg.rounds += uint64(res.Rounds)
-			agg.maxV = max(agg.maxV, int64(res.MaxVertexCongestion))
-			agg.maxE = max(agg.maxE, int64(res.MaxEdgeCongestion))
-			mu.Unlock()
-			s.bus.publish(BatchEvent{BatchID: batchID, Type: EventDemand, Index: i, Messages: len(d.Sources), Result: &res})
+			s.recordDemand(e, len(d.Sources), res)
+			emit(BatchEvent{Type: EventDemand, Index: i, Messages: len(d.Sources), Result: &res})
 		}(i, d)
 	}
 	wg.Wait()
 
-	// Amortized stats: one update per counter for the whole batch.
-	if agg.succeeded > 0 {
-		s.requests.Add(uint64(agg.succeeded))
-		e.requests.Add(uint64(agg.succeeded))
-		s.messages.Add(uint64(agg.messages))
-		s.rounds.Add(agg.rounds)
-		e.rounds.Add(agg.rounds)
-		maxInt64(&s.maxVCong, agg.maxV)
-		maxInt64(&e.maxVCong, agg.maxV)
-		maxInt64(&s.maxECong, agg.maxE)
-		maxInt64(&e.maxECong, agg.maxE)
+	summary := BatchSummary{Demands: len(demands)}
+	for i, en := range entries {
+		if en.Result != nil {
+			summary.Succeeded++
+			summary.Messages += len(demands[i].Sources)
+			summary.Rounds += uint64(en.Result.Rounds)
+		}
 	}
-	summary := BatchSummary{
-		Demands:   len(demands),
-		Succeeded: agg.succeeded,
-		Failed:    len(demands) - agg.succeeded,
-		Messages:  agg.messages,
-		Rounds:    agg.rounds,
-	}
-	s.bus.publish(BatchEvent{BatchID: batchID, Type: EventSummary, Summary: &summary})
+	summary.Failed = summary.Demands - summary.Succeeded
+	emit(BatchEvent{Type: EventSummary, Summary: &summary})
 	return BatchResult{BatchID: batchID, Entries: entries, Summary: summary}
 }

@@ -162,10 +162,10 @@ func TestBroadcastBatchRequestErrors(t *testing.T) {
 	}
 }
 
-// TestBroadcastBatchEvents subscribes to the bus directly and pins the
-// event protocol the streaming handler relies on: one demand event per
-// entry (valid or not), then exactly one terminal summary matching the
-// returned batch result.
+// TestBroadcastBatchEvents pins the event protocol the streaming handler
+// relies on: with no reader, a channel of len(demands)+1 takes one
+// demand event per entry (valid or not) and then exactly one terminal
+// summary matching the returned batch result.
 func TestBroadcastBatchEvents(t *testing.T) {
 	s := New(Config{PackSeed: 1, MaxConcurrent: 2})
 	id := mustRegister(t, s, testGraph())
@@ -174,52 +174,29 @@ func TestBroadcastBatchEvents(t *testing.T) {
 		{Sources: nil, Seed: 0}, // error entry, still an event
 		{Sources: []int{3, 4}, Seed: 6},
 	}
-
-	// Wildcard subscription (the batch id is allocated inside the call).
-	sub := s.bus.subscribe(0, 16)
-	defer s.bus.unsubscribe(sub)
-	res, err := s.BroadcastBatch(context.Background(), id, Dominating, demands)
+	ctx := context.Background()
+	e, pe, err := s.prepareBatch(ctx, id, Dominating, demands)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	seen := make(map[int]BatchEvent)
-	var summary *BatchEvent
-	for summary == nil {
-		select {
-		case ev := <-sub.Events():
-			if ev.BatchID != res.BatchID {
-				t.Fatalf("event for foreign batch: %+v", ev)
-			}
-			switch ev.Type {
-			case EventDemand:
-				if _, dup := seen[ev.Index]; dup {
-					t.Fatalf("duplicate event for demand %d", ev.Index)
-				}
-				seen[ev.Index] = ev
-			case EventSummary:
-				summary = &ev
-			}
-		default:
-			t.Fatalf("bus drained early: %d demand events, no summary", len(seen))
+	events := make(chan BatchEvent, len(demands)+1)
+	res := s.runBatch(ctx, e, pe, demands, 7, events)
+	if len(events) != len(demands)+1 {
+		t.Fatalf("%d events for %d demands", len(events), len(demands))
+	}
+	seen := make(map[int]bool)
+	for range demands {
+		ev := <-events
+		if ev.BatchID != 7 || ev.Type != EventDemand || seen[ev.Index] {
+			t.Fatalf("wrong or duplicate demand event: %+v", ev)
+		}
+		seen[ev.Index] = true
+		en := res.Entries[ev.Index]
+		if ev.Error != en.Error || (ev.Result == nil) != (en.Result == nil) || (ev.Result != nil && *ev.Result != *en.Result) {
+			t.Fatalf("event %+v does not match entry %+v", ev, en)
 		}
 	}
-	if len(seen) != len(demands) {
-		t.Fatalf("%d demand events for %d demands", len(seen), len(demands))
-	}
-	for i, e := range res.Entries {
-		ev := seen[i]
-		if ev.Error != e.Error {
-			t.Fatalf("event %d error %q != entry error %q", i, ev.Error, e.Error)
-		}
-		if (ev.Result == nil) != (e.Result == nil) || (ev.Result != nil && *ev.Result != *e.Result) {
-			t.Fatalf("event %d result mismatch: %+v vs %+v", i, ev.Result, e.Result)
-		}
-	}
-	if *summary.Summary != res.Summary {
-		t.Fatalf("summary event %+v != batch summary %+v", *summary.Summary, res.Summary)
-	}
-	if len(sub.Events()) != 0 {
-		t.Fatal("events published after the terminal summary")
+	if ev := <-events; ev.Type != EventSummary || *ev.Summary != res.Summary {
+		t.Fatalf("terminal event %+v, want summary %+v", ev, res.Summary)
 	}
 }

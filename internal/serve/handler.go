@@ -1,5 +1,5 @@
 // The HTTP front end over the Service: a small JSON API served by
-// cmd/serve and driven in-process by its -selftest mode.
+// cmd/serve.
 //
 //	POST /v1/graphs                      {"n":..,"edges":[[u,v],..]}  -> {"id":..,"n":..,"m":..}
 //	GET  /v1/graphs/{id}                                              -> {"id":..,"n":..,"m":..}
@@ -20,9 +20,8 @@
 // BatchEvents — one per completed demand, in completion order, then a
 // terminal summary event — as they happen. With an Accept header of
 // text/event-stream the same events are framed as SSE data lines. The
-// events come off the service's in-process bus; a client that reads too
-// slowly loses oldest-first (counted in stats.events_dropped) but always
-// receives the terminal summary.
+// batch writes into a channel with room for all of its events, so a
+// slow client is buffered, never dropped, and never stalls the demands.
 package serve
 
 import (
@@ -270,15 +269,16 @@ func streamBatch(s *Service, w http.ResponseWriter, r *http.Request, id string, 
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 
-	batchID := s.batchSeq.Add(1)
-	sub := s.bus.subscribe(batchID, s.cfg.StreamBuffer)
-	defer s.bus.unsubscribe(sub)
-	go s.runBatch(r.Context(), e, pe, req.Demands, batchID)
+	// Room for every event the batch sends: the demands never wait on
+	// this client, and nothing is dropped however slowly it reads.
+	events := make(chan BatchEvent, len(req.Demands)+1)
+	go s.runBatch(r.Context(), e, pe, req.Demands, s.batchSeq.Add(1), events)
 
 	enc := json.NewEncoder(w)
-	for {
+	for seq := uint64(1); ; seq++ {
 		select {
-		case ev := <-sub.Events():
+		case ev := <-events:
+			ev.Seq = seq
 			if sse {
 				fmt.Fprintf(w, "data: ")
 			}

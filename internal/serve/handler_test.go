@@ -150,8 +150,7 @@ func TestHTTPRoundTrip(t *testing.T) {
 }
 
 // TestHTTPLoadThroughService exercises the load generator against a
-// service that is simultaneously serving HTTP traffic, mimicking the
-// mixed workload cmd/serve -selftest drives.
+// service that is simultaneously serving HTTP traffic.
 func TestHTTPLoadThroughService(t *testing.T) {
 	svc := New(Config{PackSeed: 1, MaxConcurrent: 4})
 	srv := httptest.NewServer(NewHandler(svc))
@@ -288,8 +287,9 @@ func TestHTTPBatch(t *testing.T) {
 
 // TestHTTPBatchStreaming pins the streaming mode in both framings: the
 // NDJSON stream carries one demand event per entry and ends with the
-// terminal summary, events arrive in increasing Seq order scoped to this
-// batch, and the SSE framing wraps the same payloads in data: lines.
+// terminal summary, each event's Seq is its 1-based position in this
+// batch's stream, and the SSE framing wraps the same payloads in data:
+// lines.
 func TestHTTPBatchStreaming(t *testing.T) {
 	svc := New(Config{PackSeed: 1, MaxConcurrent: 2})
 	srv := httptest.NewServer(NewHandler(svc))
@@ -345,8 +345,8 @@ func TestHTTPBatchStreaming(t *testing.T) {
 		if ev.BatchID != events[0].BatchID {
 			t.Fatalf("stream mixed batches: %+v", ev)
 		}
-		if i > 0 && ev.Seq <= events[i-1].Seq {
-			t.Fatalf("stream Seq not increasing: %d after %d", ev.Seq, events[i-1].Seq)
+		if ev.Seq != uint64(i+1) {
+			t.Fatalf("event %d carries Seq %d", i, ev.Seq)
 		}
 		if i < len(demands) {
 			if ev.Type != EventDemand || seenIdx[ev.Index] {
@@ -405,8 +405,5 @@ func TestHTTPBatchStreaming(t *testing.T) {
 	}
 	if st.Requests != 6 { // 3 successes per streamed batch
 		t.Fatalf("requests=%d, want 6", st.Requests)
-	}
-	if st.EventsDropped != 0 {
-		t.Fatalf("fast consumer dropped events: %+v", st)
 	}
 }

@@ -25,16 +25,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand/v2"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/cast"
 	"repro/internal/ds"
-	"repro/internal/graph"
 	"repro/internal/obs"
 )
 
@@ -141,7 +138,8 @@ type LoadReport struct {
 	// from the scheduled arrival to completion — so dispatcher lag and
 	// semaphore queueing count alongside service time, and a saturated
 	// run cannot hide its queueing delay behind a slow dispatcher
-	// (coordinated omission).
+	// (coordinated omission). P50/P95/P99 are obs.Histogram estimates
+	// (within 12.5%); the max is exact.
 	ArrivalRate float64       `json:"arrival_rate,omitempty"`
 	LatencyP50  time.Duration `json:"latency_p50,omitempty"`
 	LatencyP95  time.Duration `json:"latency_p95,omitempty"`
@@ -204,26 +202,13 @@ func (p *loadPhases) summaries() []PhaseSummary {
 	return out
 }
 
-// loadCounts is the per-worker (or per-demand) accounting folded into
-// the report under one mutex.
-type loadCounts struct {
-	completed int
-	rounds    uint64
-	faulted   int
-	lost      int
-	retries   int
-	pairsD    int
-	pairsE    int
-}
-
-func (c *loadCounts) fold(o loadCounts) {
-	c.completed += o.completed
-	c.rounds += o.rounds
-	c.faulted += o.faulted
-	c.lost += o.lost
-	c.retries += o.retries
-	c.pairsD += o.pairsD
-	c.pairsE += o.pairsE
+// loadJob is one precomputed demand of a load run. at is its scheduled
+// arrival offset (open loop only).
+type loadJob struct {
+	dem  cast.Demand
+	seed uint64
+	plan *cast.FaultPlan
+	at   time.Duration
 }
 
 // GenerateLoad runs the configured load shape against the service and
@@ -250,10 +235,86 @@ func GenerateLoad(s *Service, cfg LoadConfig) (LoadReport, error) {
 	if _, err := s.Decompose(cfg.GraphID, cfg.Kind); err != nil {
 		return LoadReport{}, err
 	}
-	if cfg.ArrivalRate > 0 {
-		return generateOpenLoad(s, cfg, g)
+	// Closed loop draws from one demand stream per worker, open loop
+	// from a single stream; either way the jobs are derived before the
+	// clock starts, so the run itself is pure serving.
+	open := cfg.ArrivalRate > 0
+	r := &loadRun{s: s, cfg: &cfg, rep: LoadReport{Mode: "closed", Workers: cfg.Workers, Demands: cfg.Workers * cfg.Demands}}
+	streams := cfg.Workers
+	if open {
+		r.rep = LoadReport{Mode: "open", Demands: r.rep.Demands, ArrivalRate: cfg.ArrivalRate}
+		if cfg.Arrivals > 0 {
+			r.rep.Demands = cfg.Arrivals
+		}
+		streams = 1
 	}
-	return generateClosedLoad(s, cfg, g)
+	jobs := loadJobs(&cfg, g.N(), streams, r.rep.Demands)
+
+	var ctx context.Context
+	ctx, r.cancel = context.WithCancel(context.Background())
+	defer r.cancel()
+	start := time.Now()
+	rejected, peak := 0, 0
+	if open {
+		rejected, peak = r.openLoop(ctx, jobs, start)
+	} else {
+		r.closedLoop(ctx, jobs, cfg.Workers)
+	}
+	elapsed := time.Since(start)
+
+	r.mu.Lock()
+	rep, first := r.rep, r.first
+	rep.DeliveredFraction = deliveredFraction(r.pairsD, r.pairsE)
+	r.mu.Unlock()
+	rep.Elapsed = elapsed
+	rep.Messages = rep.Completed * cfg.MsgsPerDemand
+	if secs := elapsed.Seconds(); secs > 0 {
+		rep.DemandsPerSec = float64(rep.Completed) / secs
+	}
+	if rep.Rounds > 0 {
+		rep.MsgsPerRound = float64(rep.Messages) / float64(rep.Rounds)
+	}
+	if open {
+		rep.Rejected, rep.MaxPendingSeen = rejected, peak
+		rep.LatencyP50 = time.Duration(r.latency.Quantile(0.50))
+		rep.LatencyP95 = time.Duration(r.latency.Quantile(0.95))
+		rep.LatencyP99 = time.Duration(r.latency.Quantile(0.99))
+		rep.LatencyMax = time.Duration(r.latency.Max())
+	}
+	rep.Phases = r.phases.summaries()
+	return rep, first
+}
+
+// loadJobs derives a run's jobs: job k*(total/streams)+d is demand d of
+// stream k, with its own run seed and, in chaos mode, fault plan.
+func loadJobs(cfg *LoadConfig, n, streams, total int) []loadJob {
+	jobs := make([]loadJob, total)
+	per := total / streams
+	for k := 0; k < streams; k++ {
+		rng := loadRand(cfg.Seed, loadDomainDemands, uint64(k))
+		var pick *rand.Rand
+		if cfg.FaultRate > 0 {
+			pick = loadRand(cfg.FaultSeed, loadDomainFaultPick, uint64(k))
+		}
+		for i := k * per; i < (k+1)*per; i++ {
+			jobs[i] = loadJob{
+				dem:  cast.UniformDemand(n, cfg.MsgsPerDemand, rng),
+				seed: loadSeed(cfg.Seed, loadDomainRuns, uint64(i)),
+				plan: faultPlanFor(cfg, pick, uint64(i)),
+			}
+		}
+	}
+	if cfg.ArrivalRate > 0 {
+		// Exponential gaps from the seeded PCG: two runs of one config
+		// arrive identically.
+		arng := loadRand(cfg.Seed, loadDomainArrivals, 0)
+		var cum float64
+		for i := range jobs {
+			cum += arng.ExpFloat64() / cfg.ArrivalRate
+			jobs[i].at = time.Duration(cum * float64(time.Second))
+		}
+	}
+	return jobs
 }
 
 // faultPlanFor builds demand flat-index i's fault plan when the pick
@@ -279,177 +340,92 @@ func faultPlanFor(cfg *LoadConfig, pick *rand.Rand, i uint64) *cast.FaultPlan {
 	}
 }
 
-// runLoadDemand issues one demand (faulted or healthy) under a fresh
-// trace, folds its outcome into c and its phase spans into ph.
-func runLoadDemand(ctx context.Context, s *Service, cfg *LoadConfig, dem cast.Demand, seed uint64, plan *cast.FaultPlan, c *loadCounts, ph *loadPhases) error {
-	return ph.observe(ctx, func(ctx context.Context) error {
-		if plan != nil {
-			fres, err := s.BroadcastFaulted(ctx, cfg.GraphID, cfg.Kind, dem.Sources, seed, *plan)
-			if err != nil {
-				return err
-			}
-			c.faulted++
-			c.lost += fres.MessagesLost
-			c.retries += fres.Retries
-			c.pairsD += fres.PairsDelivered
-			c.pairsE += fres.PairsExpected
-			c.completed++
-			c.rounds += uint64(fres.Rounds)
-			return nil
-		}
-		res, err := s.BroadcastContext(ctx, cfg.GraphID, cfg.Kind, dem.Sources, seed)
-		if err != nil {
-			return err
-		}
-		c.completed++
-		c.rounds += uint64(res.Rounds)
-		return nil
-	})
+// loadRun is the state both loop shapes share: the report's counts,
+// the first error (which cancels the run), and the latency and phase
+// histograms.
+type loadRun struct {
+	s      *Service
+	cfg    *LoadConfig
+	cancel context.CancelFunc
+
+	mu             sync.Mutex // guards rep, pairsD, pairsE, first
+	rep            LoadReport
+	pairsD, pairsE uint64
+	first          error
+
+	latency obs.Histogram // open loop: nanoseconds from arrival to completion
+	phases  loadPhases
 }
 
-// generateClosedLoad is the K-workers × M-demands closed loop. The
-// first demand error cancels the shared context: in-flight demands
-// abort, no worker starts another, and every worker's counters are
-// folded into the report on the way out (error or not).
-func generateClosedLoad(s *Service, cfg LoadConfig, g *graph.Graph) (LoadReport, error) {
-	// Worker demand streams and fault plans, derived before the clock
-	// starts so the run itself is pure serving.
-	demands := make([][]cast.Demand, cfg.Workers)
-	var plans [][]*cast.FaultPlan
-	if cfg.FaultRate > 0 {
-		plans = make([][]*cast.FaultPlan, cfg.Workers)
-	}
-	for w := range demands {
-		rng := loadRand(cfg.Seed, loadDomainDemands, uint64(w))
-		demands[w] = make([]cast.Demand, cfg.Demands)
-		var pick *rand.Rand
-		if cfg.FaultRate > 0 {
-			plans[w] = make([]*cast.FaultPlan, cfg.Demands)
-			pick = loadRand(cfg.FaultSeed, loadDomainFaultPick, uint64(w))
+// do runs one job under a fresh trace and folds its outcome and its phase
+// spans into the run. The first error cancels the run; a
+// context.Canceled after it is just the stop signal echoing back through
+// another demand, not a new error.
+func (r *loadRun) do(ctx context.Context, j *loadJob) bool {
+	var res cast.FaultResult
+	err := r.phases.observe(ctx, func(ctx context.Context) (err error) {
+		if j.plan != nil {
+			res, err = r.s.BroadcastFaulted(ctx, r.cfg.GraphID, r.cfg.Kind, j.dem.Sources, j.seed, *j.plan)
+		} else {
+			res.Result, err = r.s.BroadcastContext(ctx, r.cfg.GraphID, r.cfg.Kind, j.dem.Sources, j.seed)
 		}
-		for d := range demands[w] {
-			demands[w][d] = cast.UniformDemand(g.N(), cfg.MsgsPerDemand, rng)
-			if pick != nil {
-				plans[w][d] = faultPlanFor(&cfg, pick, uint64(w)*uint64(cfg.Demands)+uint64(d))
-			}
+		return err
+	})
+	if err != nil {
+		r.mu.Lock()
+		if r.first == nil && !errors.Is(err, context.Canceled) {
+			r.first = err
 		}
+		r.mu.Unlock()
+		r.cancel()
+		return false
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.rep.Completed++
+	r.rep.Rounds += uint64(res.Rounds)
+	if j.plan != nil {
+		r.rep.FaultedDemands++
+		r.rep.MessagesLost += res.MessagesLost
+		r.rep.Retries += res.Retries
+		r.pairsD += uint64(res.PairsDelivered)
+		r.pairsE += uint64(res.PairsExpected)
+	}
+	return true
+}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var (
-		wg     sync.WaitGroup
-		mu     sync.Mutex
-		total  loadCounts
-		phases loadPhases
-		first  error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		// A context.Canceled after the first failure is just the stop
-		// signal echoing back through another worker, not a new error.
-		if first == nil && !errors.Is(err, context.Canceled) {
-			first = err
-		}
-		mu.Unlock()
-		cancel()
-	}
-	start := time.Now()
-	for w := 0; w < cfg.Workers; w++ {
+// closedLoop runs K workers, each issuing its own stream's jobs
+// back-to-back until the jobs run out or the run is cancelled.
+func (r *loadRun) closedLoop(ctx context.Context, jobs []loadJob, workers int) {
+	per := len(jobs) / workers
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func(mine []loadJob) {
 			defer wg.Done()
-			var local loadCounts
-			defer func() {
-				mu.Lock()
-				total.fold(local)
-				mu.Unlock()
-			}()
-			for d, dem := range demands[w] {
-				if ctx.Err() != nil {
-					return
-				}
-				var plan *cast.FaultPlan
-				if plans != nil {
-					plan = plans[w][d]
-				}
-				seed := loadSeed(cfg.Seed, loadDomainRuns, uint64(w)*uint64(cfg.Demands)+uint64(d))
-				if err := runLoadDemand(ctx, s, &cfg, dem, seed, plan, &local, &phases); err != nil {
-					fail(err)
+			for i := range mine {
+				if ctx.Err() != nil || !r.do(ctx, &mine[i]) {
 					return
 				}
 			}
-		}(w)
+		}(jobs[w*per : (w+1)*per])
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
-
-	rep := buildLoadReport("closed", &cfg, cfg.Workers*cfg.Demands, total, elapsed)
-	rep.Workers = cfg.Workers
-	rep.Phases = phases.summaries()
-	if first != nil {
-		return rep, first
-	}
-	return rep, nil
 }
 
-// generateOpenLoad is the open-loop arrival process: a dispatcher
-// releases demands on the precomputed schedule, each runs in its own
-// goroutine (the service's MaxConcurrent bound turns excess arrivals
-// into queueing delay), and per-demand latency is captured from
-// scheduled arrival to completion.
-func generateOpenLoad(s *Service, cfg LoadConfig, g *graph.Graph) (LoadReport, error) {
-	arrivals := cfg.Arrivals
-	if arrivals <= 0 {
-		arrivals = cfg.Workers * cfg.Demands
-	}
-
-	// Demand stream, run seeds, fault plans, and the arrival schedule,
-	// all precomputed: the schedule's exponential gaps come from the
-	// seeded PCG, so two runs of one config arrive identically.
-	demands := make([]cast.Demand, arrivals)
-	plans := make([]*cast.FaultPlan, arrivals)
-	rng := loadRand(cfg.Seed, loadDomainDemands, 0)
-	var pick *rand.Rand
-	if cfg.FaultRate > 0 {
-		pick = loadRand(cfg.FaultSeed, loadDomainFaultPick, 0)
-	}
-	for i := range demands {
-		demands[i] = cast.UniformDemand(g.N(), cfg.MsgsPerDemand, rng)
-		plans[i] = faultPlanFor(&cfg, pick, uint64(i))
-	}
-	offsets := make([]time.Duration, arrivals)
-	arng := loadRand(cfg.Seed, loadDomainArrivals, 0)
-	var cum float64
-	for i := range offsets {
-		cum += arng.ExpFloat64() / cfg.ArrivalRate
-		offsets[i] = time.Duration(cum * float64(time.Second))
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+// openLoop is the arrival process: a dispatcher releases each job at its
+// scheduled offset from start into its own goroutine (the service's
+// MaxConcurrent bound turns excess arrivals into queueing delay), and an
+// arrival that finds MaxPending jobs in flight is rejected. Latency is
+// measured from the scheduled arrival, so dispatcher lag counts too.
+func (r *loadRun) openLoop(ctx context.Context, jobs []loadJob, start time.Time) (rejected, maxPending int) {
 	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		total    loadCounts
-		phases   loadPhases
-		lats     []time.Duration
-		first    error
-		pending  atomic.Int64
-		maxPend  atomic.Int64
-		rejected int
+		wg            sync.WaitGroup
+		pending, peak atomic.Int64
 	)
-	fail := func(err error) {
-		mu.Lock()
-		if first == nil && !errors.Is(err, context.Canceled) {
-			first = err
-		}
-		mu.Unlock()
-		cancel()
-	}
-	start := time.Now()
-	for i := 0; i < arrivals; i++ {
-		if wait := offsets[i] - time.Since(start); wait > 0 {
+	for i := range jobs {
+		j := &jobs[i]
+		if wait := j.at - time.Since(start); wait > 0 {
 			select {
 			case <-time.After(wait):
 			case <-ctx.Done():
@@ -458,84 +434,20 @@ func generateOpenLoad(s *Service, cfg LoadConfig, g *graph.Graph) (LoadReport, e
 		if ctx.Err() != nil {
 			break
 		}
-		if cfg.MaxPending > 0 && int(pending.Load()) >= cfg.MaxPending {
+		if r.cfg.MaxPending > 0 && int(pending.Load()) >= r.cfg.MaxPending {
 			rejected++
 			continue
 		}
-		maxInt64(&maxPend, pending.Add(1))
-		arrived := start.Add(offsets[i])
+		maxInt64(&peak, pending.Add(1))
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			defer pending.Add(-1)
-			var local loadCounts
-			err := runLoadDemand(ctx, s, &cfg, demands[i], loadSeed(cfg.Seed, loadDomainRuns, uint64(i)), plans[i], &local, &phases)
-			lat := time.Since(arrived)
-			if err != nil {
-				fail(err)
-				return
+			if r.do(ctx, j) {
+				r.latency.Observe(time.Since(start.Add(j.at)).Nanoseconds())
 			}
-			mu.Lock()
-			total.fold(local)
-			lats = append(lats, lat)
-			mu.Unlock()
-		}(i)
+		}()
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
-
-	rep := buildLoadReport("open", &cfg, arrivals, total, elapsed)
-	rep.Phases = phases.summaries()
-	rep.Rejected = rejected
-	rep.ArrivalRate = cfg.ArrivalRate
-	rep.MaxPendingSeen = int(maxPend.Load())
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	rep.LatencyP50 = percentile(lats, 0.50)
-	rep.LatencyP95 = percentile(lats, 0.95)
-	rep.LatencyP99 = percentile(lats, 0.99)
-	if n := len(lats); n > 0 {
-		rep.LatencyMax = lats[n-1]
-	}
-	if first != nil {
-		return rep, first
-	}
-	return rep, nil
-}
-
-// buildLoadReport assembles the fields shared by both loop shapes.
-func buildLoadReport(mode string, cfg *LoadConfig, target int, c loadCounts, elapsed time.Duration) LoadReport {
-	rep := LoadReport{
-		Mode:              mode,
-		Demands:           target,
-		Completed:         c.completed,
-		Messages:          c.completed * cfg.MsgsPerDemand,
-		Rounds:            c.rounds,
-		Elapsed:           elapsed,
-		FaultedDemands:    c.faulted,
-		MessagesLost:      c.lost,
-		Retries:           c.retries,
-		DeliveredFraction: deliveredFraction(uint64(c.pairsD), uint64(c.pairsE)),
-	}
-	if secs := elapsed.Seconds(); secs > 0 {
-		rep.DemandsPerSec = float64(c.completed) / secs
-	}
-	if c.rounds > 0 {
-		rep.MsgsPerRound = float64(rep.Messages) / float64(c.rounds)
-	}
-	return rep
-}
-
-// percentile returns the nearest-rank q-quantile of an ascending slice.
-func percentile(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
+	return rejected, int(peak.Load())
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -55,32 +54,20 @@ type PackProfile struct {
 	Unmatched    int `json:"unmatched,omitempty"`
 }
 
+// traceRing bounds how many recent request traces stay resident for
+// the traces endpoint.
+const traceRing = 64
+
 // initObs builds the service's metric registry and trace ring. Called
 // once from New before the service is published, so the registrations
 // need no locking.
 func (s *Service) initObs() {
-	s.traces = obs.NewRing(s.cfg.TraceRing)
+	s.traces = obs.NewRing(traceRing)
 	r := obs.NewRegistry()
 	s.metrics = r
-
-	counter := func(name, help string, v *atomic.Uint64) {
-		r.Counter(name, help, v.Load)
+	for _, c := range s.counters(new(Stats)) {
+		r.Counter(c.name, c.help, c.v.Load)
 	}
-	counter("repro_serve_requests_total", "Broadcast demands served.", &s.requests)
-	counter("repro_serve_messages_total", "Messages disseminated.", &s.messages)
-	counter("repro_serve_rounds_total", "Scheduler rounds across all demands.", &s.rounds)
-	counter("repro_serve_pack_requests_total", "Decomposition requests, including cached.", &s.packRequests)
-	counter("repro_serve_pack_computes_total", "Packings actually computed.", &s.packComputes)
-	counter("repro_serve_cache_hits_total", "Decomposition requests served from a completed cache entry.", &s.cacheHits)
-	counter("repro_serve_coalesced_total", "Decomposition requests that waited on an in-flight packing.", &s.coalesced)
-	counter("repro_serve_store_hits_total", "Cache misses restored from the snapshot store.", &s.storeHits)
-	counter("repro_serve_store_misses_total", "Store lookups that found no snapshot.", &s.storeMisses)
-	counter("repro_serve_store_errors_total", "Corrupt or unreadable snapshots and failed saves.", &s.storeErrors)
-	counter("repro_serve_evictions_total", "Decompositions evicted by the residency bound.", &s.evictions)
-	counter("repro_serve_faulted_requests_total", "Faulted (chaos) demands served.", &s.faultedRequests)
-	counter("repro_serve_messages_lost_total", "Messages given up after fault retries.", &s.messagesLost)
-	counter("repro_serve_retries_total", "Surviving-tree reroutes performed.", &s.retries)
-	counter("repro_serve_events_dropped_total", "Streaming events lost to the slow-subscriber policy.", &s.eventsDropped)
 	r.Counter("repro_serve_traces_total", "Request traces recorded.", s.traces.Total)
 
 	r.Gauge("repro_serve_graphs", "Registered graphs.", func() float64 {

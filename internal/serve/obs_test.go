@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -75,6 +76,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	if _, err := s.Broadcast(id, Spanning, []int{0, 1, 2}, 7); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := s.BroadcastBatch(context.Background(), id, Spanning, []BatchDemand{{Sources: []int{0, 1}}, {Sources: []int{2, 3, 4, 5}}}); err != nil {
+		t.Fatal(err)
+	}
 
 	vals, text := scrapeMetrics(t, srv.Client(), srv.URL)
 
@@ -86,7 +90,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"repro_serve_store_hits_total", "repro_serve_store_misses_total", "repro_serve_store_errors_total",
 		"repro_serve_evictions_total", "repro_serve_faulted_requests_total",
 		"repro_serve_messages_lost_total", "repro_serve_retries_total",
-		"repro_serve_events_dropped_total", "repro_serve_traces_total",
+		"repro_serve_traces_total",
 		"repro_serve_graphs", "repro_serve_resident",
 		"repro_serve_max_vertex_congestion", "repro_serve_max_edge_congestion",
 		"repro_serve_delivered_fraction",
@@ -107,11 +111,13 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("pack accounting broken in /metrics: requests=%v computes+hits+coalesced+store=%v", got, want)
 	}
 
-	// Sanity: the served demand showed up in counters and histograms.
-	if vals["repro_serve_requests_total"] != 1 || vals["repro_serve_messages_total"] != 3 {
+	// Sanity: the single and the batch demands showed up in counters and
+	// histograms alike.
+	if vals["repro_serve_requests_total"] != 3 || vals["repro_serve_messages_total"] != 9 {
 		t.Fatalf("request counters wrong: %+v", vals)
 	}
-	if vals["repro_serve_demand_messages_count"] != 1 || vals["repro_serve_demand_messages_sum"] != 3 {
+	if vals["repro_serve_demand_messages_count"] != vals["repro_serve_requests_total"] ||
+		vals["repro_serve_demand_messages_sum"] != vals["repro_serve_messages_total"] {
 		t.Fatalf("demand-size histogram wrong: count=%v sum=%v",
 			vals["repro_serve_demand_messages_count"], vals["repro_serve_demand_messages_sum"])
 	}
@@ -165,29 +171,40 @@ func TestMetricsScrapeWhileServing(t *testing.T) {
 	}
 }
 
-// TestTracesEndpoint pins the trace round trip: a broadcast served over
-// HTTP gets an X-Request-Id, its trace lands in the ring with the
-// serving phases as spans, and GET /v1/traces returns it newest-first.
-// Lookup-only requests must not pollute the ring.
+// TestTracesEndpoint pins the trace round trip: a decomposition and a
+// broadcast served over HTTP get distinct X-Request-Ids, their traces
+// land in the ring with the phases each executed as spans, and GET
+// /v1/traces returns them newest-first. Each request packs its own kind,
+// so both traces carry a pack span and the pack profile. Lookup-only
+// requests must not pollute the ring.
 func TestTracesEndpoint(t *testing.T) {
 	s := New(Config{PackSeed: 1})
 	srv := httptest.NewServer(NewHandler(s))
 	defer srv.Close()
 	id := mustRegister(t, s, testGraph())
 
-	body, _ := json.Marshal(BroadcastRequest{Kind: Spanning, Sources: []int{0, 1}, Seed: 3})
-	resp, err := srv.Client().Post(srv.URL+"/v1/graphs/"+id+"/broadcast", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	var reqIDs []string
+	for _, call := range []struct {
+		path string
+		body any
+	}{
+		{"/decomposition", DecomposeRequest{Kind: Spanning}},
+		{"/broadcast", BroadcastRequest{Kind: Dominating, Sources: []int{0, 1}, Seed: 3}},
+	} {
+		body, _ := json.Marshal(call.body)
+		resp, err := srv.Client().Post(srv.URL+"/v1/graphs/"+id+call.path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d", call.path, resp.StatusCode)
+		}
+		reqIDs = append(reqIDs, resp.Header.Get("X-Request-Id"))
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("broadcast: %d", resp.StatusCode)
-	}
-	reqID := resp.Header.Get("X-Request-Id")
-	if reqID == "" {
-		t.Fatal("no X-Request-Id on broadcast response")
+	if reqIDs[0] == "" || reqIDs[0] == reqIDs[1] {
+		t.Fatalf("request ids degenerate: %q", reqIDs)
 	}
 
 	// Stats and traces lookups are span-free and must stay out of the ring.
@@ -209,28 +226,29 @@ func TestTracesEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Body.Close()
-	if tr.Total != 1 || len(tr.Traces) != 1 {
-		t.Fatalf("ring holds %d traces (total %d), want exactly the broadcast", len(tr.Traces), tr.Total)
+	if tr.Total != 2 || len(tr.Traces) != 2 {
+		t.Fatalf("ring holds %d traces (total %d), want exactly the two requests", len(tr.Traces), tr.Total)
 	}
-	got := tr.Traces[0]
-	if got.ID != reqID {
-		t.Fatalf("trace id %q != X-Request-Id %q", got.ID, reqID)
-	}
-	names := make(map[string]bool)
-	for _, sp := range got.Spans {
-		names[sp.Name] = true
-		if sp.DurationNs < 0 || sp.StartNs+sp.DurationNs > got.DurationNs {
-			t.Fatalf("span %+v inconsistent with trace duration %d", sp, got.DurationNs)
+	for i, want := range [][]string{{"registry", "pack", "clone", "run"}, {"registry", "pack"}} {
+		got := tr.Traces[i]
+		if got.ID != reqIDs[1-i] {
+			t.Fatalf("trace %d id %q, want X-Request-Id %q (newest first)", i, got.ID, reqIDs[1-i])
 		}
-	}
-	for _, want := range []string{"registry", "pack", "clone", "run"} {
-		if !names[want] {
-			t.Fatalf("trace missing %q span, has %v", want, got.Spans)
+		names := make(map[string]bool)
+		for _, sp := range got.Spans {
+			names[sp.Name] = true
+			if sp.DurationNs < 0 || sp.StartNs+sp.DurationNs > got.DurationNs {
+				t.Fatalf("span %+v inconsistent with trace duration %d", sp, got.DurationNs)
+			}
 		}
-	}
-	// This broadcast computed the packing, so its trace carries the profile.
-	if got.Attached["pack_profile"] == nil {
-		t.Fatalf("trace missing pack_profile attachment: %+v", got.Attached)
+		for _, name := range want {
+			if !names[name] {
+				t.Fatalf("trace %s missing %q span, has %v", got.ID, name, got.Spans)
+			}
+		}
+		if got.Attached["pack_profile"] == nil {
+			t.Fatalf("trace %s missing pack_profile attachment: %+v", got.ID, got.Attached)
+		}
 	}
 
 	if r, err = srv.Client().Get(srv.URL + "/v1/traces?n=bogus"); err != nil {

@@ -100,10 +100,6 @@ type Config struct {
 	// MaxBatch bounds how many demands one BroadcastBatch call may
 	// carry; oversized batches are rejected whole. Default 1024.
 	MaxBatch int
-	// StreamBuffer is the event-bus buffer per streaming subscriber;
-	// a subscriber that falls further behind loses its oldest events
-	// (drop-oldest, counted in stats). Default 256.
-	StreamBuffer int
 	// StoreDir, when non-empty, enables the durable snapshot store:
 	// computed decompositions are persisted there write-behind, and a
 	// packing-cache miss consults the store before running a packer, so
@@ -114,9 +110,6 @@ type Config struct {
 	// recently used completed decomposition is evicted; it reloads from
 	// the store (or repacks) on its next request.
 	MaxResident int
-	// TraceRing bounds how many recent request traces stay resident for
-	// the traces endpoint. Default 64.
-	TraceRing int
 }
 
 // Service is the concurrent decomposition service. All methods are safe
@@ -132,34 +125,19 @@ type Service struct {
 
 	saves sync.WaitGroup // in-flight write-behind snapshot saves
 
-	// Global counters.
-	requests     atomic.Uint64 // broadcast demands served
-	messages     atomic.Uint64 // messages disseminated
-	rounds       atomic.Uint64 // scheduler rounds across all demands
-	packRequests atomic.Uint64 // decomposition requests (incl. cached)
-	packComputes atomic.Uint64 // packings actually computed
-	cacheHits    atomic.Uint64 // requests served from a completed cache entry
-	coalesced    atomic.Uint64 // requests that waited on an in-flight packing
-	storeHits    atomic.Uint64 // cache misses served from the snapshot store
-	storeMisses  atomic.Uint64 // store lookups that found no snapshot
-	storeErrors  atomic.Uint64 // corrupt/unreadable snapshots and failed saves
-	evictions    atomic.Uint64 // decompositions evicted by the residency bound
-	maxVCong     atomic.Int64  // max per-demand vertex congestion seen
-	maxECong     atomic.Int64  // max per-demand edge congestion seen
+	// Global counters, each described once in counters.
+	requests, messages, rounds                       atomic.Uint64
+	packRequests, packComputes, cacheHits, coalesced atomic.Uint64
+	storeHits, storeMisses, storeErrors, evictions   atomic.Uint64
+	faultedRequests, messagesLost, retries           atomic.Uint64
+	maxVCong, maxECong                               atomic.Int64 // per-demand congestion maxima seen
+	// pairs is the chaos delivered/expected pair. It lives behind one
+	// mutex so a Stats snapshot can never observe expected bumped
+	// without its delivered half (a torn read would report a
+	// transiently wrong delivered fraction).
+	pairs pairCount
 
-	// Chaos-mode counters (faulted broadcasts only). The delivered/
-	// expected pair lives behind one mutex so a Stats snapshot can never
-	// observe expected bumped without its delivered half (a torn read
-	// would report a transiently wrong delivered fraction).
-	faultedRequests atomic.Uint64 // faulted demands served
-	messagesLost    atomic.Uint64 // messages given up after retries
-	retries         atomic.Uint64 // surviving-tree reroutes performed
-	pairs           pairCount     // (message, live vertex) delivery targets vs achieved
-
-	// Streaming path.
-	bus           *eventBus
-	batchSeq      atomic.Uint64 // batch-id allocator (ids start at 1)
-	eventsDropped atomic.Uint64 // events lost to the slow-subscriber policy
+	batchSeq atomic.Uint64 // batch-id allocator (ids start at 1)
 
 	// Observability (see obs.go): the metric registry pulling from the
 	// counters above at scrape time, per-phase latency histograms, size
@@ -169,6 +147,35 @@ type Service struct {
 	msgsHist  *obs.Histogram // messages per served demand
 	batchHist *obs.Histogram // demands per accepted batch
 	traces    *obs.Ring
+}
+
+// counter is one global Service counter: its atomic, the Stats field it
+// snapshots into, and its /metrics name and help.
+type counter struct {
+	v          *atomic.Uint64
+	field      *uint64
+	name, help string
+}
+
+// counters declares every global counter once: Stats copies each into
+// its field of st, and initObs exposes each under its metric name.
+func (s *Service) counters(st *Stats) []counter {
+	return []counter{
+		{&s.requests, &st.Requests, "repro_serve_requests_total", "Broadcast demands served."},
+		{&s.messages, &st.Messages, "repro_serve_messages_total", "Messages disseminated."},
+		{&s.rounds, &st.Rounds, "repro_serve_rounds_total", "Scheduler rounds across all demands."},
+		{&s.packRequests, &st.PackRequests, "repro_serve_pack_requests_total", "Decomposition requests, including cached."},
+		{&s.packComputes, &st.PackComputes, "repro_serve_pack_computes_total", "Packings actually computed."},
+		{&s.cacheHits, &st.CacheHits, "repro_serve_cache_hits_total", "Decomposition requests served from a completed cache entry."},
+		{&s.coalesced, &st.Coalesced, "repro_serve_coalesced_total", "Decomposition requests that waited on an in-flight packing."},
+		{&s.storeHits, &st.StoreHits, "repro_serve_store_hits_total", "Cache misses restored from the snapshot store."},
+		{&s.storeMisses, &st.StoreMisses, "repro_serve_store_misses_total", "Store lookups that found no snapshot."},
+		{&s.storeErrors, &st.StoreErrors, "repro_serve_store_errors_total", "Corrupt or unreadable snapshots and failed saves."},
+		{&s.evictions, &st.Evictions, "repro_serve_evictions_total", "Decompositions evicted by the residency bound."},
+		{&s.faultedRequests, &st.FaultedRequests, "repro_serve_faulted_requests_total", "Faulted (chaos) demands served."},
+		{&s.messagesLost, &st.MessagesLost, "repro_serve_messages_lost_total", "Messages given up after fault retries."},
+		{&s.retries, &st.Retries, "repro_serve_retries_total", "Surviving-tree reroutes performed."},
+	}
 }
 
 // registryShard is one goroutine-safe segment of the graph registry:
@@ -270,12 +277,6 @@ func New(cfg Config) *Service {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 1024
 	}
-	if cfg.StreamBuffer <= 0 {
-		cfg.StreamBuffer = 256
-	}
-	if cfg.TraceRing <= 0 {
-		cfg.TraceRing = 64
-	}
 	s := &Service{
 		cfg:    cfg,
 		sem:    make(chan struct{}, cfg.MaxConcurrent),
@@ -288,7 +289,6 @@ func New(cfg Config) *Service {
 		s.shards[i].graphs = make(map[string]*graphEntry) //repro:allow guardedfield constructor: service not yet published
 		s.shards[i].lru = list.New()                      //repro:allow guardedfield constructor: service not yet published
 	}
-	s.bus = newEventBus(&s.eventsDropped)
 	s.initObs()
 	return s
 }
@@ -640,25 +640,23 @@ func (s *Service) Ingest(sn *snap.Snapshot) (string, error) {
 		return "", err
 	}
 	e, _ := s.lookup(id)
+	// Verify before installing: a rejected snapshot must leave no cache
+	// entry behind, so the graph's next request packs it afresh.
+	pe := &packEntry{done: make(chan struct{})}
+	if err := s.adopt(e, kind, pe, sn); err != nil {
+		return "", fmt.Errorf("serve: ingested snapshot rejected: %w", err)
+	}
+	close(pe.done)
 	sh := e.shard
 	sh.mu.Lock()
 	if _, ok := e.packs[kind]; ok {
 		sh.mu.Unlock()
 		return id, nil // already resident; the cached entry wins
 	}
-	pe := &packEntry{done: make(chan struct{})}
 	e.packs[kind] = pe
 	pe.elem = sh.lru.PushFront(&residentEntry{e: e, kind: kind, pe: pe})
 	s.evictExcessLocked(sh)
 	sh.mu.Unlock()
-	aerr := s.adopt(e, kind, pe, sn)
-	if aerr != nil {
-		pe.err = fmt.Errorf("serve: ingested snapshot rejected: %w", aerr)
-	}
-	close(pe.done)
-	if aerr != nil {
-		return "", pe.err
-	}
 	if s.store != nil {
 		s.saveAsync(nil, e, kind, pe)
 	}
@@ -956,9 +954,6 @@ type Stats struct {
 	MessagesLost      uint64  `json:"messages_lost"`
 	Retries           uint64  `json:"retries"`
 	DeliveredFraction float64 `json:"delivered_fraction"`
-	// EventsDropped counts streaming events lost to the slow-subscriber
-	// drop-oldest policy across all subscribers.
-	EventsDropped uint64 `json:"events_dropped"`
 	// PerGraph lists the per-graph counters in registration order.
 	PerGraph []GraphStats `json:"per_graph"`
 }
@@ -981,25 +976,13 @@ func (s *Service) Stats() Stats {
 	delivered, expected := s.pairs.load()
 	st := Stats{
 		Graphs:              len(entries),
-		Requests:            s.requests.Load(),
-		Messages:            s.messages.Load(),
-		Rounds:              s.rounds.Load(),
-		PackRequests:        s.packRequests.Load(),
-		PackComputes:        s.packComputes.Load(),
-		CacheHits:           s.cacheHits.Load(),
-		Coalesced:           s.coalesced.Load(),
-		StoreHits:           s.storeHits.Load(),
-		StoreMisses:         s.storeMisses.Load(),
-		StoreErrors:         s.storeErrors.Load(),
 		Resident:            resident,
-		Evictions:           s.evictions.Load(),
 		MaxVertexCongestion: s.maxVCong.Load(),
 		MaxEdgeCongestion:   s.maxECong.Load(),
-		FaultedRequests:     s.faultedRequests.Load(),
-		MessagesLost:        s.messagesLost.Load(),
-		Retries:             s.retries.Load(),
 		DeliveredFraction:   deliveredFraction(delivered, expected),
-		EventsDropped:       s.eventsDropped.Load(),
+	}
+	for _, c := range s.counters(&st) {
+		*c.field = c.v.Load()
 	}
 	for _, e := range entries {
 		gd, ge := e.pairs.load()

@@ -3,11 +3,11 @@ package serve
 import (
 	"errors"
 	"os"
-	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
 
+	"repro/internal/check"
 	"repro/internal/graph"
 	"repro/internal/snap"
 )
@@ -94,10 +94,10 @@ func TestWarmRestartServesFromStore(t *testing.T) {
 	}
 }
 
-// TestCorruptSnapshotsDegradeToRecompute damages every on-disk
-// snapshot in a different way and asserts a restarted service still
-// serves correct decompositions — by repacking, never by returning an
-// error to the client.
+// TestCorruptSnapshotsDegradeToRecompute damages one kind's on-disk
+// snapshot in a different way per case and asserts a restarted service
+// still serves it — by repacking, never by returning an error to the
+// client — while the undamaged kind still loads from the store.
 func TestCorruptSnapshotsDegradeToRecompute(t *testing.T) {
 	corruptions := []struct {
 		name    string
@@ -140,13 +140,9 @@ func TestCorruptSnapshotsDegradeToRecompute(t *testing.T) {
 			s1 := New(storeConfig(dir))
 			id := mustRegister(t, s1, g)
 			mustDecompose(t, s1, id, Dominating)
+			mustDecompose(t, s1, id, Spanning)
 			s1.FlushStore()
-
-			files, err := filepath.Glob(filepath.Join(dir, "*.snap"))
-			if err != nil || len(files) != 1 {
-				t.Fatalf("expected one snapshot file, got %v (%v)", files, err)
-			}
-			tc.corrupt(t, files[0])
+			tc.corrupt(t, snap.NewStore(dir).Path(id, string(Dominating), snap.OptionsDigest(11, 0)))
 
 			s2 := New(storeConfig(dir))
 			if _, err := s2.RegisterGraph(g); err != nil {
@@ -157,12 +153,15 @@ func TestCorruptSnapshotsDegradeToRecompute(t *testing.T) {
 			if info.Cached {
 				t.Fatalf("corrupt snapshot served as cached")
 			}
+			if info := mustDecompose(t, s2, id, Spanning); !info.Cached {
+				t.Fatalf("undamaged snapshot repacked")
+			}
 			st := s2.Stats()
 			if st.StoreErrors == 0 {
 				t.Fatalf("corruption not counted: %+v", st)
 			}
-			if st.PackComputes != 1 {
-				t.Fatalf("PackComputes = %d, want 1 (recompute)", st.PackComputes)
+			if st.PackComputes != 1 || st.StoreHits != 1 {
+				t.Fatalf("PackComputes=%d StoreHits=%d, want 1/1 (recompute only the damaged kind)", st.PackComputes, st.StoreHits)
 			}
 			if st.PackRequests != st.PackComputes+st.CacheHits+st.Coalesced+st.StoreHits {
 				t.Fatalf("stats invariant broken after corruption: %+v", st)
@@ -338,6 +337,21 @@ func TestIngestInstallsSnapshot(t *testing.T) {
 	s3 := New(Config{MaxConcurrent: 2, PackSeed: 99})
 	if _, err := s3.Ingest(sn); err == nil {
 		t.Fatalf("Ingest accepted a snapshot with a foreign options digest")
+	}
+
+	// A snapshot that fails the oracles is refused and leaves no cache
+	// entry behind: the graph's next Decompose packs it afresh.
+	bad := *sn
+	bad.Trees = append([]check.Weighted(nil), sn.Trees...)
+	for i := range bad.Trees {
+		bad.Trees[i].Weight *= 4
+	}
+	s4 := New(Config{MaxConcurrent: 2, PackSeed: 11})
+	if _, err := s4.Ingest(&bad); err == nil {
+		t.Fatalf("Ingest accepted an overloaded packing")
+	}
+	if info := mustDecompose(t, s4, id, Spanning); info.Cached || s4.Stats().PackComputes != 1 {
+		t.Fatalf("Decompose after a rejected ingest: %+v, want one fresh packing", info)
 	}
 }
 

@@ -297,7 +297,10 @@ func Decode(data []byte) (*Snapshot, error) {
 	}
 	n := int(r.u32())
 	m := int(r.u32())
-	if r.err != nil || n <= 0 || m < 0 || m > len(r.buf)/8 {
+	// Every packable graph is connected, so m >= n-1: a larger n is
+	// corrupt, and bounding it by the file size also bounds the n-entry
+	// array graph.NewTree allocates per tree.
+	if r.err != nil || n <= 0 || m < 0 || m > len(r.buf)/8 || n > m+1 {
 		return nil, fmt.Errorf("%w: implausible header (n=%d, m=%d)", ErrCorrupt, n, m)
 	}
 	edges := make([]graph.Edge, m)
