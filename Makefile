@@ -1,11 +1,11 @@
-# Tier-1 verification plus the bench workflow. `make ci` is what every
+# Tier-1 verification plus the benchmark smokes. `make ci` is what every
 # PR must keep green — locally and in .github/workflows/ci.yml.
 
 GO ?= go
 
-.PHONY: ci verify vet build test fmt-check lint cover race fuzz-smoke serve-smoke fingerprint-check perfbench-check bench-short bench bench-check fingerprint clean
+.PHONY: ci verify vet build test fmt-check lint cover race fuzz-smoke serve-smoke fingerprint-check perfbench-check perfbench-smoke bench-short fingerprint clean
 
-ci: fmt-check lint verify race fuzz-smoke serve-smoke fingerprint-check perfbench-check bench-short
+ci: fmt-check lint verify race fuzz-smoke serve-smoke fingerprint-check perfbench-check perfbench-smoke bench-short
 
 verify: vet build test
 
@@ -68,14 +68,17 @@ race:
 serve-smoke:
 	$(GO) run ./cmd/serve -selftest
 
-# 10-second fuzz smokes of the two parsers of untrusted input. The CSR
+# 10-second fuzz smokes of the three parsers of untrusted input. The CSR
 # builder: random edge streams with duplicates and self-loops must
 # finalize to sorted, deduped, symmetric adjacency with consistent edge
 # ids. The snapshot decoder: any file body must decode to an error or to
-# a snapshot that re-encodes and decodes again, never panic.
+# a snapshot that re-encodes and decodes again, never panic. The HTTP
+# API: any (method, path, body) must answer an API status code, keep the
+# pack accounting balanced, and leave the cache able to decompose.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBuilder$$' -fuzztime 10s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapDecode$$' -fuzztime 10s ./internal/snap
+	$(GO) test -run '^$$' -fuzz '^FuzzHandler$$' -fuzztime 10s ./internal/serve
 
 # Determinism gate: the current build's content-level fingerprint must
 # match the committed golden byte for byte (TestFingerprintGolden is the
@@ -90,27 +93,27 @@ fingerprint-check:
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
+# End-to-end smoke of the benchmark: every BENCHMARK.json workload runs
+# once for one second (perfbench/run.sh builds into the gitignored
+# .bench_build/, where the output lands too) and its last line must
+# report correct output and no failed op.
+perfbench-smoke:
+	@mkdir -p .bench_build
+	@for w in broadcast cold-pack warm-reload sim-dist; do \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 > .bench_build/smoke-$$w.out || exit 1; \
+		last=$$(tail -n 1 .bench_build/smoke-$$w.out); \
+		case "$$last" in \
+		'{"correct":true'*'"failed":0'*) echo "perfbench-smoke $$w: ok" ;; \
+		*) echo "perfbench-smoke $$w: FAIL: $$last"; exit 1 ;; \
+		esac; \
+	done
+
 # Short-mode benches: one iteration each, so CI catches benchmark rot
-# without paying for full measurements.
+# without paying for full measurements. Per-change microbenchmark
+# comparisons run the same benchmarks with repetitions, e.g.
+#   go test -run '^$' -bench E5 -benchmem -count 10 .
 bench-short:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-
-# Full E1-E8 measurement written to BENCH_$(LABEL).json. Set BASELINE to
-# a prior BENCH_*.json to embed per-bench speedups:
-#   make bench LABEL=pr2 BASELINE=BENCH_pr1.json
-LABEL ?= local
-BASELINE ?=
-bench:
-	$(GO) run ./cmd/bench -label $(LABEL) $(if $(BASELINE),-baseline $(BASELINE))
-
-# Pre-merge regression gate: rerun the full E1-E8 measurement and fail
-# if any benchmark is more than TOLERANCE (fractional) slower than the
-# committed baseline:
-#   make bench-check [CHECK_BASELINE=BENCH_pr10.json] [TOLERANCE=0.20]
-CHECK_BASELINE ?= BENCH_pr10.json
-TOLERANCE ?= 0.20
-bench-check:
-	$(GO) run ./cmd/bench -check -baseline $(CHECK_BASELINE) -tolerance $(TOLERANCE)
 
 # Content-level determinism fingerprint; diff two runs (or two builds)
 # to prove refactors did not change experiment outcomes.
@@ -118,4 +121,4 @@ fingerprint:
 	$(GO) run ./cmd/fingerprint
 
 clean:
-	rm -f repro.test *.test *.prof *.out cover.out cover.lint.out BENCH_local.json
+	rm -f repro.test *.test *.prof *.out cover.out cover.lint.out

@@ -445,23 +445,6 @@ type DecompositionInfo = serve.DecompInfo
 // The serving layer also attaches it to the request's trace.
 type PackProfile = serve.PackProfile
 
-// LoadConfig describes one load run: closed loop (K workers × M
-// demands, the default) or open loop (ArrivalRate > 0, demands arriving
-// on a deterministic exponential schedule regardless of completion
-// speed). The two shapes differ under load: with MaxPending = K, an
-// open-loop arrival that finds K demands in flight is rejected where a
-// closed-loop worker would simply wait.
-type LoadConfig = serve.LoadConfig
-
-// LoadReport aggregates a load run's throughput and, open-loop, its
-// latency distribution and admission accounting.
-type LoadReport = serve.LoadReport
-
-// PhaseSummary is one serving phase's latency distribution in a
-// LoadReport: observation count and sum plus the exact max and the
-// p50/p95/p99 estimates of the deterministic log-scale histogram.
-type PhaseSummary = serve.PhaseSummary
-
 // BatchDemand is one demand of a service batch: a source list plus the
 // seed its tree assignment draws from.
 type BatchDemand = serve.BatchDemand
@@ -489,12 +472,6 @@ func NewService(cfg ServiceConfig) *Service { return serve.New(cfg) }
 // cmd/serve exposes: register graph, request decomposition, submit
 // broadcast demand, stats).
 func NewServiceHandler(s *Service) http.Handler { return serve.NewHandler(s) }
-
-// GenerateLoad drives the load generator against a service — closed
-// loop (K workers × M demands) or, when ArrivalRate is set, open loop
-// (deterministic arrival schedule, latency percentiles, admission
-// control).
-func GenerateLoad(s *Service, cfg LoadConfig) (LoadReport, error) { return serve.GenerateLoad(s, cfg) }
 
 // GraphID returns the content-hash registry key a Service would assign
 // the graph.

@@ -130,10 +130,13 @@ func RandomHamCycles(n, c int, rng *rand.Rand) *Graph {
 	return b.Graph()
 }
 
-// RandomRegular returns a (near-)d-regular random simple graph via the
-// configuration model with rejection of loops and duplicates, retrying
-// stubs a bounded number of times. For d >= 3 the result is d-connected
-// w.h.p. It requires n*d even and d < n.
+// RandomRegular returns a d-regular random simple graph via the
+// configuration model, pairing stubs one at a time: each step draws two
+// remaining stubs and keeps the pair unless it is a loop or a duplicate
+// edge, and the matching restarts (a bounded number of times) only when
+// one step finds no valid pair within a bounded number of draws. For
+// d >= 3 the result is d-connected w.h.p. It requires n*d even and
+// d < n.
 func RandomRegular(n, d int, rng *rand.Rand) (*Graph, error) {
 	if n*d%2 != 0 {
 		return nil, fmt.Errorf("graph: RandomRegular needs n*d even, got n=%d d=%d", n, d)
@@ -141,28 +144,36 @@ func RandomRegular(n, d int, rng *rand.Rand) (*Graph, error) {
 	if d >= n {
 		return nil, fmt.Errorf("graph: RandomRegular needs d < n, got n=%d d=%d", n, d)
 	}
-	const maxAttempts = 200
+	const maxAttempts, maxDraws = 200, 100
+	stubs := make([]int, n*d)
+attempts:
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		stubs := make([]int, 0, n*d)
-		for u := 0; u < n; u++ {
-			for j := 0; j < d; j++ {
-				stubs = append(stubs, u)
-			}
+		for i := range stubs {
+			stubs[i] = i / d
 		}
-		rng.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
 		b := NewBuilder(n)
-		ok := true
-		for i := 0; i < len(stubs); i += 2 {
-			u, v := stubs[i], stubs[i+1]
-			if u == v || b.HasEdge(u, v) {
-				ok = false
-				break
+		for rest := len(stubs); rest > 0; rest -= 2 {
+			draws := 0
+			for {
+				if draws++; draws > maxDraws {
+					continue attempts
+				}
+				i, j := rng.IntN(rest), rng.IntN(rest-1)
+				if j >= i {
+					j++
+				}
+				if u, v := stubs[i], stubs[j]; u != v && !b.HasEdge(u, v) {
+					b.AddEdge(u, v)
+					// Swap the pair out of the live prefix, higher index first
+					// so the lower one is not moved before it is removed.
+					i, j = max(i, j), min(i, j)
+					stubs[i], stubs[rest-1] = stubs[rest-1], stubs[i]
+					stubs[j], stubs[rest-2] = stubs[rest-2], stubs[j]
+					break
+				}
 			}
-			b.AddEdge(u, v)
 		}
-		if ok {
-			return b.Graph(), nil
-		}
+		return b.Graph(), nil
 	}
 	return nil, fmt.Errorf("graph: RandomRegular(n=%d,d=%d) failed after %d attempts", n, d, maxAttempts)
 }

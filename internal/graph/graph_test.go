@@ -152,17 +152,30 @@ func TestHararyDegrees(t *testing.T) {
 	}
 }
 
+// TestRandomRegular sweeps n, d (up to 12) and 40 seeds: every graph
+// must be d-regular and simple.
 func TestRandomRegular(t *testing.T) {
-	rng := ds.NewRand(11)
-	g, err := RandomRegular(50, 4, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < g.N(); v++ {
-		if g.Degree(v) != 4 {
-			t.Fatalf("vertex %d degree %d, want 4", v, g.Degree(v))
+	for _, n := range []int{16, 30, 64, 256} {
+		for _, d := range []int{3, 4, 5, 6, 7, 8, 12} {
+			for seed := uint64(1); seed <= 40; seed++ {
+				g, err := RandomRegular(n, d, ds.NewRand(seed))
+				if err != nil {
+					t.Fatalf("n=%d d=%d seed=%d: %v", n, d, seed, err)
+				}
+				// The builder drops loops and duplicates, so n*d/2 distinct
+				// edges with every degree d means no stub pair was dropped.
+				if g.N() != n || g.M() != n*d/2 {
+					t.Fatalf("n=%d d=%d seed=%d: got n=%d m=%d", n, d, seed, g.N(), g.M())
+				}
+				for v := 0; v < n; v++ {
+					if g.Degree(v) != d {
+						t.Fatalf("n=%d d=%d seed=%d: vertex %d degree %d", n, d, seed, v, g.Degree(v))
+					}
+				}
+			}
 		}
 	}
+	rng := ds.NewRand(11)
 	if _, err := RandomRegular(5, 3, rng); err == nil {
 		t.Fatal("odd n*d accepted")
 	}

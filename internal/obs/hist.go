@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"math/bits"
 	"sync/atomic"
 )
@@ -44,9 +43,8 @@ func BucketUpper(b int) uint64 {
 
 // Histogram is a fixed-bucket log-scale distribution safe for
 // concurrent use. Observe is allocation-free (atomic adds into a fixed
-// array), so it can sit on serving hot paths; Merge folds another
-// histogram in, so per-worker histograms can aggregate without
-// contending on one instance.
+// array), so it can sit on serving hot paths; the registry exposes the
+// bucket counts, count and sum as a Prometheus histogram.
 //
 // The zero value is ready to use, but a Histogram must not be copied
 // after first use (it embeds atomics).
@@ -54,7 +52,6 @@ type Histogram struct {
 	counts [NumBuckets]atomic.Uint64
 	count  atomic.Uint64
 	sum    atomic.Uint64
-	max    atomic.Uint64
 }
 
 // Observe records one value. Negative values clamp to zero (durations
@@ -68,12 +65,6 @@ func (h *Histogram) Observe(v int64) {
 	h.counts[bucketOf(u)].Add(1)
 	h.count.Add(1)
 	h.sum.Add(u)
-	for {
-		cur := h.max.Load()
-		if u <= cur || h.max.CompareAndSwap(cur, u) {
-			return
-		}
-	}
 }
 
 // Count returns the number of observations.
@@ -82,81 +73,5 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() uint64 { return h.sum.Load() }
 
-// Max returns the largest observed value (0 before any observation).
-func (h *Histogram) Max() uint64 { return h.max.Load() }
-
 // BucketCount returns the observation count of one bucket.
 func (h *Histogram) BucketCount(b int) uint64 { return h.counts[b].Load() }
-
-// Merge adds o's observations into h. Counts and sums add exactly; the
-// merged max is the larger of the two.
-func (h *Histogram) Merge(o *Histogram) {
-	for i := range o.counts {
-		if c := o.counts[i].Load(); c > 0 {
-			h.counts[i].Add(c)
-		}
-	}
-	h.count.Add(o.count.Load())
-	h.sum.Add(o.sum.Load())
-	om := o.max.Load()
-	for {
-		cur := h.max.Load()
-		if om <= cur || h.max.CompareAndSwap(cur, om) {
-			break
-		}
-	}
-}
-
-// Quantile returns the q-quantile (0 < q <= 1) as the upper bound of
-// the bucket holding the nearest-rank observation, clamped to the
-// observed max so a wide top bucket never reports beyond reality. The
-// result is a deterministic function of the observation multiset.
-func (h *Histogram) Quantile(q float64) uint64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum uint64
-	for i := 0; i < NumBuckets; i++ {
-		cum += h.counts[i].Load()
-		if cum >= rank {
-			u := BucketUpper(i)
-			if m := h.max.Load(); m < u {
-				return m
-			}
-			return u
-		}
-	}
-	return h.max.Load()
-}
-
-// Summary is a Histogram condensed to the fields reports care about.
-type Summary struct {
-	// Count is the number of observations; Sum their total.
-	Count uint64 `json:"count"`
-	Sum   uint64 `json:"sum"`
-	// Max is the exact largest observation; P50/P95/P99 are bucket
-	// upper-bound quantile estimates (<= 12.5% relative error).
-	Max uint64 `json:"max"`
-	P50 uint64 `json:"p50"`
-	P95 uint64 `json:"p95"`
-	P99 uint64 `json:"p99"`
-}
-
-// Summarize snapshots the histogram into a Summary. Concurrent
-// observations may land between field reads; callers wanting an exact
-// snapshot should quiesce writers first (tests do, scrapes don't care).
-func (h *Histogram) Summarize() Summary {
-	return Summary{
-		Count: h.Count(),
-		Sum:   h.Sum(),
-		Max:   h.Max(),
-		P50:   h.Quantile(0.50),
-		P95:   h.Quantile(0.95),
-		P99:   h.Quantile(0.99),
-	}
-}

@@ -67,40 +67,9 @@ func TestBucketMapping(t *testing.T) {
 	}
 }
 
-// TestHistogramQuantiles checks the quantile estimates against an exact
-// distribution and the max clamp.
-func TestHistogramQuantiles(t *testing.T) {
-	var h Histogram
-	if got := h.Quantile(0.5); got != 0 {
-		t.Fatalf("empty histogram p50 = %d", got)
-	}
-	// 100 observations 1..100: p50 must land within a bucket of 50.
-	for v := int64(1); v <= 100; v++ {
-		h.Observe(v)
-	}
-	if h.Count() != 100 || h.Sum() != 5050 || h.Max() != 100 {
-		t.Fatalf("count/sum/max = %d/%d/%d", h.Count(), h.Sum(), h.Max())
-	}
-	p50, p99 := h.Quantile(0.50), h.Quantile(0.99)
-	if p50 < 50 || p50 > 55 {
-		t.Fatalf("p50 = %d, want ~50 within bucket resolution", p50)
-	}
-	if p99 < 99 || p99 > 100 {
-		t.Fatalf("p99 = %d, want 99..100", p99)
-	}
-	if got := h.Quantile(1.0); got != 100 {
-		t.Fatalf("p100 = %d, want exactly the max", got)
-	}
-	// Negative observations clamp to zero rather than corrupting buckets.
-	h.Observe(-5)
-	if h.BucketCount(0) != 1 {
-		t.Fatalf("negative observation not clamped into bucket 0")
-	}
-}
-
 // TestHistogramDeterministic pins replay determinism: two histograms
-// fed the same sequence summarize identically (the bucket math has no
-// hidden wall-clock or random state).
+// fed the same sequence hold identical counts, sums and buckets (the
+// bucket math has no hidden wall-clock or random state).
 func TestHistogramDeterministic(t *testing.T) {
 	var a, b Histogram
 	seq := []int64{0, 1, 17, 17, 1023, 4096, 1 << 40, 3}
@@ -110,30 +79,19 @@ func TestHistogramDeterministic(t *testing.T) {
 	for _, v := range seq {
 		b.Observe(v)
 	}
-	if a.Summarize() != b.Summarize() {
-		t.Fatalf("same sequence, different summaries:\n%+v\n%+v", a.Summarize(), b.Summarize())
+	if a.Count() != uint64(len(seq)) || a.Count() != b.Count() || a.Sum() != b.Sum() {
+		t.Fatalf("count/sum = %d/%d vs %d/%d", a.Count(), a.Sum(), b.Count(), b.Sum())
 	}
 	for i := 0; i < NumBuckets; i++ {
 		if a.BucketCount(i) != b.BucketCount(i) {
 			t.Fatalf("bucket %d diverged: %d vs %d", i, a.BucketCount(i), b.BucketCount(i))
 		}
 	}
-}
-
-// TestHistogramMerge checks Merge equals observing the union.
-func TestHistogramMerge(t *testing.T) {
-	var a, b, union Histogram
-	for v := int64(1); v < 200; v += 3 {
-		a.Observe(v)
-		union.Observe(v)
-	}
-	for v := int64(1000); v < 5000; v += 97 {
-		b.Observe(v)
-		union.Observe(v)
-	}
-	a.Merge(&b)
-	if a.Summarize() != union.Summarize() {
-		t.Fatalf("merge diverges from union:\n%+v\n%+v", a.Summarize(), union.Summarize())
+	// Negative observations clamp to zero rather than corrupting buckets.
+	zero := a.BucketCount(0)
+	a.Observe(-5)
+	if a.BucketCount(0) != zero+1 || a.Sum() != b.Sum() {
+		t.Fatal("negative observation not clamped into bucket 0")
 	}
 }
 
@@ -142,7 +100,6 @@ func TestHistogramMerge(t *testing.T) {
 // observations per demand).
 func TestObserveZeroAlloc(t *testing.T) {
 	var h Histogram
-	h.Observe(1 << 20) // warm the max so the CAS loop settles
 	allocs := testing.AllocsPerRun(1000, func() {
 		h.Observe(123456)
 	})
@@ -171,7 +128,7 @@ func TestHistogramConcurrent(t *testing.T) {
 	if h.Count() != workers*per {
 		t.Fatalf("count = %d, want %d", h.Count(), workers*per)
 	}
-	if h.Max() != workers*per-1 {
-		t.Fatalf("max = %d, want %d", h.Max(), workers*per-1)
+	if want := uint64(workers*per) * (workers*per - 1) / 2; h.Sum() != want {
+		t.Fatalf("sum = %d, want %d", h.Sum(), want)
 	}
 }

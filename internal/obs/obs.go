@@ -9,11 +9,9 @@
 // The three pieces compose but do not depend on each other:
 //
 //   - Histogram is a fixed-bucket log-scale distribution with
-//     allocation-free recording (atomic bucket counters), mergeable
-//     across instances, and with p50/p95/p99/max derivable from the
-//     buckets. The bucket boundaries are a pure function of the value —
-//     no wall clock, no randomness — so a replayed workload fills
-//     byte-identical buckets.
+//     allocation-free recording (atomic bucket counters). The bucket
+//     boundaries are a pure function of the value — no wall clock, no
+//     randomness — so a replayed workload fills byte-identical buckets.
 //   - Registry names counters, gauges, and histograms and writes them
 //     in the Prometheus text exposition format. Packages register
 //     closures over their own counters, so nothing needs to import the
@@ -23,9 +21,8 @@
 //     Ring whose snapshot backs a recent-traces endpoint.
 //
 // internal/serve wires all three through the request path (see its
-// obs.go), cmd/serve exposes GET /metrics and GET /v1/traces over them,
-// and serve.GenerateLoad folds per-demand trace spans into the
-// per-phase latency summaries of its reports.
+// obs.go), and cmd/serve exposes GET /metrics and GET /v1/traces over
+// them.
 package obs
 
 import (

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -157,56 +156,6 @@ func TestBroadcastContextCancelReleasesSlot(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("post-cancel broadcast diverged: %+v vs %+v", got, want)
-	}
-}
-
-// TestGenerateLoadChaos pins the chaos load generator: a FaultRate of 1
-// faults every demand, the report's chaos accounting is populated and
-// exactly reproducible, and rate 0 keeps the healthy path untouched.
-func TestGenerateLoadChaos(t *testing.T) {
-	run := func() (LoadReport, *Service) {
-		s := New(Config{PackSeed: 1, MaxConcurrent: 4})
-		id := mustRegister(t, s, testGraph())
-		rep, err := GenerateLoad(s, LoadConfig{
-			GraphID: id, Kind: Spanning,
-			Workers: 3, Demands: 4, MsgsPerDemand: 8,
-			Seed:      11,
-			FaultRate: 1, FaultSeed: 5, FaultEdges: 2, FaultRetries: 2,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep, s
-	}
-	rep, s := run()
-	if rep.FaultedDemands != rep.Demands {
-		t.Fatalf("FaultRate=1 faulted %d of %d demands", rep.FaultedDemands, rep.Demands)
-	}
-	if rep.DeliveredFraction <= 0 || rep.DeliveredFraction > 1 {
-		t.Fatalf("DeliveredFraction=%v", rep.DeliveredFraction)
-	}
-	if st := s.Stats(); st.FaultedRequests != uint64(rep.Demands) {
-		t.Fatalf("service saw %d faulted requests, report says %d", st.FaultedRequests, rep.Demands)
-	}
-	rep2, _ := run()
-	rep.Elapsed, rep2.Elapsed = 0, 0
-	rep.DemandsPerSec, rep2.DemandsPerSec = 0, 0
-	rep.Phases, rep2.Phases = nil, nil // wall-clock latencies
-	if !reflect.DeepEqual(rep, rep2) {
-		t.Fatalf("chaos load run not reproducible: %+v vs %+v", rep, rep2)
-	}
-
-	s2 := New(Config{PackSeed: 1})
-	id := mustRegister(t, s2, testGraph())
-	healthy, err := GenerateLoad(s2, LoadConfig{GraphID: id, Kind: Spanning, Workers: 2, Demands: 2, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if healthy.FaultedDemands != 0 || healthy.MessagesLost != 0 || healthy.DeliveredFraction != 1 {
-		t.Fatalf("healthy load reported chaos: %+v", healthy)
-	}
-	if st := s2.Stats(); st.FaultedRequests != 0 {
-		t.Fatalf("healthy load hit the chaos path: %+v", st)
 	}
 }
 

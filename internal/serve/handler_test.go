@@ -139,6 +139,7 @@ func TestHTTPRoundTrip(t *testing.T) {
 		{"bad source", srv.URL + "/v1/graphs/" + info.ID + "/broadcast", BroadcastRequest{Kind: Spanning, Sources: []int{-1}}, http.StatusBadRequest},
 		{"unknown graph decomp", srv.URL + "/v1/graphs/gdeadbeef/decomposition", DecomposeRequest{Kind: Spanning}, http.StatusNotFound},
 		{"bad register", srv.URL + "/v1/graphs", RegisterRequest{N: -3}, http.StatusBadRequest},
+		{"huge empty register", srv.URL + "/v1/graphs", RegisterRequest{N: 1 << 27}, http.StatusBadRequest},
 	} {
 		if code, _ := postJSON(t, client, tc.url, tc.body, nil); code != tc.want {
 			t.Fatalf("%s: got %d, want %d", tc.name, code, tc.want)
@@ -149,8 +150,9 @@ func TestHTTPRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHTTPLoadThroughService exercises the load generator against a
-// service that is simultaneously serving HTTP traffic.
+// TestHTTPLoadThroughService serves an HTTP broadcast while two
+// in-process callers broadcast on the same service: one packing serves
+// all of them, and every demand is counted once.
 func TestHTTPLoadThroughService(t *testing.T) {
 	svc := New(Config{PackSeed: 1, MaxConcurrent: 4})
 	srv := httptest.NewServer(NewHandler(svc))
@@ -162,13 +164,19 @@ func TestHTTPLoadThroughService(t *testing.T) {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
-	wg.Add(1)
-	var rep LoadReport
-	var lerr error
-	go func() {
-		defer wg.Done()
-		rep, lerr = GenerateLoad(svc, LoadConfig{GraphID: id, Kind: Spanning, Workers: 2, Demands: 4, Seed: 9})
-	}()
+	errs := make(chan error, 2)
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for d := 0; d < 4; d++ {
+				if _, err := svc.Broadcast(id, Spanning, []int{w, 2 + d, 11}, uint64(4*w+d)); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
 	var hres BroadcastResponse
 	code, body := postJSON(t, srv.Client(), fmt.Sprintf("%s/v1/graphs/%s/broadcast", srv.URL, id),
 		BroadcastRequest{Kind: Spanning, Sources: []int{0, 5}, Seed: 1}, &hres)
@@ -176,11 +184,9 @@ func TestHTTPLoadThroughService(t *testing.T) {
 		t.Fatalf("broadcast during load: %d %s", code, body)
 	}
 	wg.Wait()
-	if lerr != nil {
-		t.Fatal(lerr)
-	}
-	if rep.Demands != 8 {
-		t.Fatalf("load report %+v", rep)
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 	if hres.Result == (cast.Result{}) {
 		t.Fatal("HTTP broadcast returned zero result")
@@ -406,4 +412,53 @@ func TestHTTPBatchStreaming(t *testing.T) {
 	if st.Requests != 6 { // 3 successes per streamed batch
 		t.Fatalf("requests=%d, want 6", st.Requests)
 	}
+}
+
+// FuzzHandler drives arbitrary (method, path, body) requests through
+// the HTTP API of a fresh service holding K5. No request may panic or
+// answer outside the API's status codes (ServeMux's path-cleaning
+// redirects included), the pack-accounting invariant must hold
+// afterwards, and both kinds must still decompose, so no request leaves
+// a poisoned cache entry behind.
+func FuzzHandler(f *testing.F) {
+	k5 := graph.Complete(5)
+	g := "/v1/graphs/" + GraphID(k5)
+	for _, seed := range []struct{ method, path, body string }{
+		{"POST", "/v1/graphs", `{"n":3,"edges":[[0,1],[1,2]]}`},
+		{"GET", g, ""},
+		{"POST", g + "/decomposition", `{"kind":"spanning"}`},
+		{"POST", g + "/broadcast", `{"kind":"dominating","sources":[0,1,2],"seed":1}`},
+		{"POST", g + "/broadcast", `{"kind":"spanning","sources":[0,3],"seed":2,"fault":{"round":1,"random_edges":2,"seed":3}}`},
+		{"POST", g + "/broadcast/batch", `{"kind":"spanning","demands":[{"sources":[0,1],"seed":1},{"sources":[4],"seed":2}]}`},
+		{"POST", g + "/broadcast/batch?stream=1", `{"kind":"dominating","demands":[{"sources":[2,3],"seed":1}]}`},
+		{"GET", "/v1/stats", ""},
+		{"GET", "/v1/traces?n=2", ""},
+		{"GET", "/metrics", ""},
+	} {
+		f.Add(seed.method, seed.path, seed.body)
+	}
+	f.Fuzz(func(t *testing.T, method, path, body string) {
+		req, err := http.NewRequest(method, path, strings.NewReader(body))
+		if err != nil {
+			return
+		}
+		s := New(Config{PackSeed: 1})
+		id := mustRegister(t, s, k5)
+		rec := httptest.NewRecorder()
+		NewHandler(s).ServeHTTP(rec, req)
+		switch rec.Code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusNotFound, http.StatusMethodNotAllowed,
+			http.StatusMovedPermanently, http.StatusTemporaryRedirect, http.StatusPermanentRedirect:
+		default:
+			t.Fatalf("%s %q: status %d: %s", method, path, rec.Code, rec.Body)
+		}
+		if st := s.Stats(); st.PackRequests != st.PackComputes+st.CacheHits+st.Coalesced+st.StoreHits {
+			t.Fatalf("%s %q broke pack accounting: %+v", method, path, st)
+		}
+		for _, kind := range []Kind{Dominating, Spanning} {
+			if _, err := s.Decompose(id, kind); err != nil {
+				t.Fatalf("%s %q left %s undecomposable: %v", method, path, kind, err)
+			}
+		}
+	})
 }

@@ -121,8 +121,13 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("demand-size histogram wrong: count=%v sum=%v",
 			vals["repro_serve_demand_messages_count"], vals["repro_serve_demand_messages_sum"])
 	}
-	if vals["repro_serve_phase_run_ns_count"] < 1 {
-		t.Fatalf("run-phase histogram empty")
+	// Only computes pay the pack phase (the cache hit and both cached
+	// broadcasts skip it), and every demand pays the run phase.
+	if vals["repro_serve_phase_pack_ns_count"] != vals["repro_serve_pack_computes_total"] ||
+		vals["repro_serve_phase_run_ns_count"] != vals["repro_serve_requests_total"] {
+		t.Fatalf("phase histograms disagree with counters: pack %v/%v, run %v/%v",
+			vals["repro_serve_phase_pack_ns_count"], vals["repro_serve_pack_computes_total"],
+			vals["repro_serve_phase_run_ns_count"], vals["repro_serve_requests_total"])
 	}
 }
 
@@ -314,36 +319,56 @@ func TestDecomposeProfile(t *testing.T) {
 	}
 }
 
-// TestLoadReportPhases pins the per-phase breakdown in load reports:
-// a closed-loop run fills registry/clone/run summaries whose counts
-// match the completed demands.
+// TestLoadReportPhases pins the per-phase breakdown under closed-loop
+// load: two goroutines serving three broadcasts on a pre-warmed
+// decomposition add one registry, clone and run observation per demand,
+// every observation lands in a bucket, and the pack phase records only
+// the warm-up compute.
 func TestLoadReportPhases(t *testing.T) {
 	s := New(Config{PackSeed: 1, MaxConcurrent: 2})
 	id := mustRegister(t, s, testGraph())
-	rep, err := GenerateLoad(s, LoadConfig{GraphID: id, Kind: Spanning, Workers: 2, Demands: 3, MsgsPerDemand: 4, Seed: 9})
-	if err != nil {
+	if _, err := s.Decompose(id, Spanning); err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Phases) == 0 {
-		t.Fatal("load report has no phase summaries")
+	var before [numPhases]uint64
+	for ph := range before {
+		before[ph] = s.phaseHist[ph].Count()
 	}
-	byName := make(map[string]obs.Summary)
-	for _, ph := range rep.Phases {
-		byName[ph.Phase] = ph.Summary
+
+	const demands = 3
+	next := make(chan int, demands)
+	for i := 0; i < demands; i++ {
+		next <- i
 	}
-	for _, want := range []string{"registry", "clone", "run"} {
-		sum, ok := byName[want]
-		if !ok {
-			t.Fatalf("phase %q missing from %+v", want, rep.Phases)
+	close(next)
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				if _, err := s.Broadcast(id, Spanning, []int{0, 1, 2, 3}, uint64(9+i)); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	for _, ph := range []int{phaseRegistry, phaseClone, phaseRun} {
+		h := s.phaseHist[ph]
+		if got := h.Count() - before[ph]; got != demands {
+			t.Fatalf("phase %q count grew by %d, want %d", phaseNames[ph], got, demands)
 		}
-		if sum.Count != uint64(rep.Completed) {
-			t.Fatalf("phase %q count %d != completed %d", want, sum.Count, rep.Completed)
+		var inBuckets uint64
+		for b := 0; b < obs.NumBuckets; b++ {
+			inBuckets += h.BucketCount(b)
 		}
-		if sum.P50 > sum.P99 || sum.P99 > sum.Max && sum.Max > 0 {
-			t.Fatalf("phase %q quantiles disordered: %+v", want, sum)
+		if inBuckets != h.Count() {
+			t.Fatalf("phase %q buckets hold %d of %d observations", phaseNames[ph], inBuckets, h.Count())
 		}
 	}
-	if _, ok := byName["pack"]; ok {
-		t.Fatal("pack phase leaked into load phases (decomposition is pre-warmed)")
+	if got := s.phaseHist[phasePack].Count(); got != 1 {
+		t.Fatalf("pack phase count %d, want 1 (decomposition is pre-warmed)", got)
 	}
 }

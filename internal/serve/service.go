@@ -35,8 +35,7 @@
 // immutable.
 //
 // The HTTP front end over this service lives in handler.go and is
-// served by cmd/serve; the closed-loop load generator in loadgen.go
-// drives it for the E6 parallel-throughput benchmark.
+// served by cmd/serve.
 package serve
 
 import (
@@ -312,7 +311,9 @@ func (s *Service) shardFor(id string) *registryShard {
 // Registering an already-known graph is an idempotent no-op returning
 // the existing id. Edge endpoints are validated against [0, n) here:
 // this is the network-facing entry point, and the graph builder treats
-// out-of-range endpoints as a programming error (panic).
+// out-of-range endpoints as a programming error (panic). Every packable
+// graph is connected, so n > len(edges)+1 is rejected too, which bounds
+// the vertex arrays a short request can make the registry allocate.
 func (s *Service) Register(n int, edges [][2]int) (string, error) {
 	if n <= 0 {
 		return "", fmt.Errorf("serve: graph must have n > 0 vertices (got %d)", n)
@@ -322,14 +323,18 @@ func (s *Service) Register(n int, edges [][2]int) (string, error) {
 			return "", fmt.Errorf("serve: edge %d (%d,%d) out of range [0,%d)", i, e[0], e[1], n)
 		}
 	}
+	if n > len(edges)+1 {
+		return "", fmt.Errorf("serve: %d edges cannot connect %d vertices", len(edges), n)
+	}
 	return s.RegisterGraph(graph.FromEdgeList(n, edges))
 }
 
-// RegisterGraph registers an already-built graph (the in-process path
-// used by the load generator and benchmarks) and returns its id. An id
-// hit is verified against the stored graph's canonical edge list, so a
-// content-hash collision between distinct graphs surfaces as an error
-// instead of silently serving one graph's decomposition for another.
+// RegisterGraph registers an already-built graph (the in-process path,
+// which Ingest also takes; unlike Register it does not bound n by the
+// edge count) and returns its id. An id hit is verified against the
+// stored graph's canonical edge list, so a content-hash collision
+// between distinct graphs surfaces as an error instead of silently
+// serving one graph's decomposition for another.
 func (s *Service) RegisterGraph(g *graph.Graph) (string, error) {
 	id := GraphID(g)
 	sh := s.shardFor(id)

@@ -267,43 +267,3 @@ func TestPackErrorCached(t *testing.T) {
 		t.Fatalf("failed packing recomputed: %d computes", st.PackComputes)
 	}
 }
-
-// TestGenerateLoad runs the closed loop end to end and checks the
-// report's accounting against the service stats.
-func TestGenerateLoad(t *testing.T) {
-	g := graph.Complete(16)
-	s := New(Config{PackSeed: 1, MaxConcurrent: 4})
-	id := mustRegister(t, s, g)
-	cfg := LoadConfig{GraphID: id, Kind: Spanning, Workers: 4, Demands: 8, MsgsPerDemand: 2 * g.N(), Seed: 3}
-	rep, err := GenerateLoad(s, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Demands != 32 || rep.Messages != 32*2*g.N() {
-		t.Fatalf("report miscounts: %+v", rep)
-	}
-	if rep.Rounds == 0 || rep.MsgsPerRound <= 0 || rep.DemandsPerSec <= 0 {
-		t.Fatalf("degenerate report: %+v", rep)
-	}
-	st := s.Stats()
-	if st.Requests != 32 || st.Rounds != rep.Rounds {
-		t.Fatalf("service stats disagree with report: stats=%+v report=%+v", st, rep)
-	}
-	if st.PackComputes != 1 {
-		t.Fatalf("load run packed %d times, want 1", st.PackComputes)
-	}
-	// Replayability: the same config on a fresh service yields the same
-	// rounds total (demands and seeds are derived, not drawn ad hoc).
-	s2 := New(Config{PackSeed: 1, MaxConcurrent: 4})
-	cfg.GraphID = mustRegister(t, s2, g)
-	rep2, err := GenerateLoad(s2, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.Rounds != rep.Rounds {
-		t.Fatalf("load run not replayable: %d rounds vs %d", rep2.Rounds, rep.Rounds)
-	}
-	if _, err := GenerateLoad(s, LoadConfig{GraphID: "nope", Kind: Spanning}); err == nil {
-		t.Fatal("unknown graph accepted by load generator")
-	}
-}
