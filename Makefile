@@ -53,7 +53,7 @@ cover:
 # spanning-tree packers (stpdist drives the worker pool through the MWU
 # loop's per-iteration MSTs), cast (long-lived Scheduler handles plus
 # concurrent clones over one shared core), serve (the concurrent
-# decomposition service: singleflight packing cache, pooled clones,
+# decomposition service: singleflight packing cache, free-list handles,
 # bounded-concurrency demand execution), and the remaining packages that
 # drive the sim worker pool (cdsdist and dist run their protocols over
 # the persistent engine), plus obs (histograms, trace rings, and the
@@ -72,7 +72,7 @@ serve-smoke:
 # builder: random edge streams with duplicates and self-loops must
 # finalize to sorted, deduped, symmetric adjacency with consistent edge
 # ids. The snapshot decoder: any file body must decode to an error or to
-# a snapshot that re-encodes and decodes again, never panic. The HTTP
+# a snapshot that re-encodes to exactly its bytes, never panic. The HTTP
 # API: any (method, path, body) must answer an API status code, keep the
 # pack accounting balanced, and leave the cache able to decompose.
 fuzz-smoke:

@@ -406,7 +406,7 @@ func spanToWeighted(p *SpanningTreePacking) []cast.WeightedTree {
 // Service is the concurrent decomposition-and-broadcast service: a graph
 // registry keyed by content hash, a per-(graph, kind) packing cache with
 // singleflight semantics (N concurrent requests trigger exactly one
-// packing), a Scheduler clone pool per cached decomposition, and
+// packing), a free list of Scheduler handles per cached decomposition, and
 // bounded-concurrency demand execution with per-graph and global stats.
 type Service = serve.Service
 

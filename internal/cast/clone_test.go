@@ -1,7 +1,6 @@
 package cast
 
 import (
-	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -115,48 +114,42 @@ func TestSchedulerCloneOfCloneSharesCore(t *testing.T) {
 	}
 }
 
-// TestSchedulerClonePoolZeroSteadyStateAllocs is the pooled-clone
-// allocation gate: warm clones checked out of a sync.Pool, run, and
+// TestSchedulerClonePoolZeroSteadyStateAllocs is the free-list
+// allocation gate, in the shape internal/serve uses: warm handles — the
+// prototype and its clones — taken from a bounded channel, run, and
 // returned must not allocate at all in steady state, in either model.
-// GC is disabled for the measurement so the pool cannot be drained
-// mid-run (a collected pool entry would charge a fresh Clone to the
-// loop being measured).
 func TestSchedulerClonePoolZeroSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items at random under the race detector")
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, model := range []sim.Model{sim.VCongest, sim.ECongest} {
 		g, trees := schedulerFixture(t, model)
 		s, err := NewScheduler(g, trees, model)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pool := &sync.Pool{New: func() any { return s.Clone() }}
 		d := AllToAll(g.N())
-		// Warm a handful of pooled clones to the demand size.
+		// Warm a handful of handles to the demand size.
 		const warm = 4
-		clones := make([]*Scheduler, warm)
-		for i := range clones {
-			clones[i] = pool.Get().(*Scheduler)
-			if _, err := clones[i].Run(d, uint64(i)); err != nil {
+		free := make(chan *Scheduler, warm)
+		for i := 0; i < warm; i++ {
+			c := s
+			if i > 0 {
+				c = s.Clone()
+			}
+			if _, err := c.Run(d, uint64(i)); err != nil {
 				t.Fatal(err)
 			}
-		}
-		for _, c := range clones {
-			pool.Put(c)
+			free <- c
 		}
 		var i int
 		allocs := testing.AllocsPerRun(2*warm, func() {
 			i++
-			c := pool.Get().(*Scheduler)
+			c := <-free
 			if _, err := c.Run(d, uint64(i%warm)); err != nil {
 				t.Fatal(err)
 			}
-			pool.Put(c)
+			free <- c
 		})
 		if allocs != 0 {
-			t.Fatalf("model %v: warm pooled clone made %.1f allocations per run, want 0", model, allocs)
+			t.Fatalf("model %v: warm free-list handle made %.1f allocations per run, want 0", model, allocs)
 		}
 	}
 }

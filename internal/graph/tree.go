@@ -8,62 +8,110 @@ import (
 )
 
 // Tree is a subtree of a host graph on n vertices, stored as a parent
-// forest: parent[v] = -1 for the root, -2 for vertices not in the tree.
-// Dominating-tree and spanning-tree packings are collections of Trees.
+// forest: parent[v] = TreeRoot for the root, TreeAbsent for vertices
+// not in the tree. Dominating-tree and spanning-tree packings are
+// collections of Trees.
 type Tree struct {
 	root     int32
 	parent   []int32
 	vertices []int32 // sorted
 }
 
+// The parent-array sentinels of a Tree (see TreeFromParents).
 const (
-	treeAbsent = -2
-	treeRoot   = -1
+	TreeAbsent = -2 // the vertex is not in the tree
+	TreeRoot   = -1 // the vertex is the root
 )
 
 // NewTree builds a Tree over a host graph with n vertices from a parent
 // map. parentOf must map every non-root tree vertex to its parent; the
-// root maps to -1. It returns an error if the structure is not a single
-// tree rooted at root.
+// root maps to -1 or is left out. It returns an error if the structure
+// is not a single tree rooted at root. It costs O(n) map lookups plus
+// TreeFromParents' linear pass.
 func NewTree(n int, root int, parentOf map[int]int) (*Tree, error) {
-	t := &Tree{root: int32(root), parent: make([]int32, n)}
-	for i := range t.parent {
-		t.parent[i] = treeAbsent
-	}
 	if root < 0 || root >= n {
 		return nil, fmt.Errorf("graph: tree root %d out of range", root)
 	}
-	t.parent[root] = treeRoot
-	t.vertices = append(t.vertices, int32(root))
-	// Sorted-key iteration keeps everything downstream of the map
-	// deterministic — including which entry a validation error names
-	// (maprange would flag a direct range here).
-	for _, v := range slices.Sorted(maps.Keys(parentOf)) {
-		p := parentOf[v]
-		if v == root {
-			if p != -1 {
-				return nil, fmt.Errorf("graph: root %d has parent %d", root, p)
-			}
+	parent := make([]int32, n)
+	found := 0
+	for v := range parent {
+		p, ok := parentOf[v]
+		switch {
+		case !ok:
+			parent[v] = TreeAbsent
 			continue
-		}
-		if v < 0 || v >= n || p < 0 || p >= n {
+		case v == root && p != TreeRoot:
+			return nil, fmt.Errorf("graph: root %d has parent %d", root, p)
+		case v != root && (p < 0 || p >= n):
 			return nil, fmt.Errorf("graph: tree entry %d->%d out of range", v, p)
 		}
-		t.parent[v] = int32(p)
-		t.vertices = append(t.vertices, int32(v))
+		parent[v] = int32(p)
+		found++
 	}
-	sort.Slice(t.vertices, func(i, j int) bool { return t.vertices[i] < t.vertices[j] })
-	// Every vertex must reach the root without cycles.
+	if found != len(parentOf) {
+		// Some key lies outside [0, n); name the smallest.
+		for _, v := range slices.Sorted(maps.Keys(parentOf)) {
+			if v < 0 || v >= n {
+				return nil, fmt.Errorf("graph: tree entry %d->%d out of range", v, parentOf[v])
+			}
+		}
+	}
+	parent[root] = TreeRoot
+	return TreeFromParents(root, parent)
+}
+
+// TreeFromParents builds a Tree from its parent array over n =
+// len(parent) host vertices and takes ownership of the array:
+// parent[root] is TreeRoot, parent[v] is TreeAbsent for every vertex
+// outside the tree, and every other entry is v's parent. It returns an
+// error unless the entries form a single tree rooted at root. The check
+// is one linear pass that marks each vertex once: a vertex's walk
+// toward the root stops at the first vertex already known to reach it.
+func TreeFromParents(root int, parent []int32) (*Tree, error) {
+	n := len(parent)
+	if root < 0 || root >= n {
+		return nil, fmt.Errorf("graph: tree root %d out of range", root)
+	}
+	if p := parent[root]; p != TreeRoot {
+		return nil, fmt.Errorf("graph: root %d has parent %d", root, p)
+	}
+	size := 0
+	for v, p := range parent {
+		if p == TreeAbsent {
+			continue
+		}
+		if v != root && (p < 0 || int(p) >= n) {
+			return nil, fmt.Errorf("graph: tree entry %d->%d out of range", v, p)
+		}
+		size++
+	}
+	t := &Tree{root: int32(root), parent: parent, vertices: make([]int32, 0, size)}
+	for v, p := range parent {
+		if p != TreeAbsent {
+			t.vertices = append(t.vertices, int32(v))
+		}
+	}
+	const (
+		unseen = iota
+		onPath
+		reachesRoot
+	)
+	mark := make([]uint8, n)
+	mark[root] = reachesRoot
 	for _, v := range t.vertices {
-		steps := 0
-		for u := v; t.parent[u] != treeRoot; u = t.parent[u] {
-			if t.parent[u] == treeAbsent {
+		u := v
+		for mark[u] == unseen {
+			mark[u] = onPath
+			u = parent[u]
+			if parent[u] == TreeAbsent {
 				return nil, fmt.Errorf("graph: vertex %d's ancestor chain leaves the tree", v)
 			}
-			steps++
-			if steps > len(t.vertices) {
-				return nil, fmt.Errorf("graph: cycle in parent chain of vertex %d", v)
-			}
+		}
+		if mark[u] == onPath {
+			return nil, fmt.Errorf("graph: cycle in parent chain of vertex %d", v)
+		}
+		for u := v; mark[u] == onPath; u = parent[u] {
+			mark[u] = reachesRoot
 		}
 	}
 	return t, nil
@@ -75,14 +123,14 @@ func TreeFromBFS(g *Graph, root int) *Tree {
 	dist, parent := BFS(g, root)
 	t := &Tree{root: int32(root), parent: make([]int32, g.n)}
 	for i := range t.parent {
-		t.parent[i] = treeAbsent
+		t.parent[i] = TreeAbsent
 	}
 	for v := 0; v < g.n; v++ {
 		if dist[v] < 0 {
 			continue
 		}
 		if v == root {
-			t.parent[v] = treeRoot
+			t.parent[v] = TreeRoot
 		} else {
 			t.parent[v] = parent[v]
 		}
@@ -98,7 +146,7 @@ func (t *Tree) Root() int { return int(t.root) }
 func (t *Tree) Size() int { return len(t.vertices) }
 
 // Contains reports whether v is a tree vertex.
-func (t *Tree) Contains(v int) bool { return t.parent[v] != treeAbsent }
+func (t *Tree) Contains(v int) bool { return t.parent[v] != TreeAbsent }
 
 // Parent returns v's parent and true, or (-1,false) for the root or for
 // vertices outside the tree.
@@ -134,7 +182,7 @@ func (t *Tree) Height() int {
 	depth := make(map[int32]int32, len(t.vertices))
 	var depthOf func(v int32) int32
 	depthOf = func(v int32) int32 {
-		if t.parent[v] == treeRoot {
+		if t.parent[v] == TreeRoot {
 			return 0
 		}
 		if d, ok := depth[v]; ok {
@@ -208,15 +256,15 @@ func SpanningTreeOfSubset(g *Graph, inSet func(v int) bool) (*Tree, error) {
 	}
 	t := &Tree{root: int32(root), parent: make([]int32, g.n)}
 	for i := range t.parent {
-		t.parent[i] = treeAbsent
+		t.parent[i] = TreeAbsent
 	}
-	t.parent[root] = treeRoot
+	t.parent[root] = TreeRoot
 	t.vertices = append(t.vertices, int32(root))
 	queue := []int32{int32(root)}
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
 		for _, v := range g.Neighbors(int(u)) {
-			if inSet(int(v)) && t.parent[v] == treeAbsent {
+			if inSet(int(v)) && t.parent[v] == TreeAbsent {
 				t.parent[v] = u
 				t.vertices = append(t.vertices, v)
 				queue = append(queue, v)

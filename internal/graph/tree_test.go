@@ -3,6 +3,7 @@ package graph
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestNewTreeValid(t *testing.T) {
@@ -27,18 +28,72 @@ func TestNewTreeValid(t *testing.T) {
 	}
 }
 
+// TestNewTreeRejectsBadStructures pins the shared linear validator's
+// error paths and messages, reached through both the parent-map
+// constructor and the parent-array one.
 func TestNewTreeRejectsBadStructures(t *testing.T) {
-	if _, err := NewTree(4, 0, map[int]int{1: 2}); err == nil {
-		t.Fatal("dangling parent chain accepted")
+	const A, R = TreeAbsent, TreeRoot
+	cases := []struct {
+		name    string
+		parents map[int]int
+		array   []int32
+		want    string
+	}{
+		{"cycle", map[int]int{1: 2, 2: 1, 3: 0}, []int32{R, 2, 1, 0}, "graph: cycle in parent chain of vertex 1"},
+		{"self-parent", map[int]int{1: 0, 2: 2}, []int32{R, 0, 2, A}, "graph: cycle in parent chain of vertex 2"},
+		{"leaves-tree", map[int]int{1: 2, 3: 1}, []int32{R, 2, A, 1}, "graph: vertex 1's ancestor chain leaves the tree"},
+		{"second-root", map[int]int{1: 0, 2: -1}, []int32{R, 0, R, A}, "graph: tree entry 2->-1 out of range"},
+		{"parent-out-of-range", map[int]int{1: 0, 2: 7}, []int32{R, 0, 7, A}, "graph: tree entry 2->7 out of range"},
 	}
-	if _, err := NewTree(4, 0, map[int]int{1: 2, 2: 1}); err == nil {
-		t.Fatal("cycle accepted")
+	for _, c := range cases {
+		if _, err := NewTree(4, 0, c.parents); err == nil || err.Error() != c.want {
+			t.Errorf("%s: NewTree error %v, want %q", c.name, err, c.want)
+		}
+		if _, err := TreeFromParents(0, c.array); err == nil || err.Error() != c.want {
+			t.Errorf("%s: TreeFromParents error %v, want %q", c.name, err, c.want)
+		}
 	}
-	if _, err := NewTree(4, 9, nil); err == nil {
-		t.Fatal("out-of-range root accepted")
+	if _, err := NewTree(4, 9, nil); err == nil || err.Error() != "graph: tree root 9 out of range" {
+		t.Errorf("out-of-range root: NewTree error %v", err)
 	}
-	if _, err := NewTree(4, 0, map[int]int{1: 7}); err == nil {
-		t.Fatal("out-of-range parent accepted")
+	if _, err := TreeFromParents(4, []int32{R, 0, A, A}); err == nil || err.Error() != "graph: tree root 4 out of range" {
+		t.Errorf("out-of-range root: TreeFromParents error %v", err)
+	}
+	if _, err := TreeFromParents(1, []int32{R, 0, A, A}); err == nil || err.Error() != "graph: root 1 has parent 0" {
+		t.Errorf("root with a parent: error %v", err)
+	}
+	if _, err := NewTree(4, 0, map[int]int{1: 0, 9: 1}); err == nil || err.Error() != "graph: tree entry 9->1 out of range" {
+		t.Errorf("out-of-range vertex: error %v", err)
+	}
+}
+
+// TestNewTreeLongPathLinear builds a path on 2^16 vertices rooted at
+// either end. Validation that walks every vertex's ancestor chain is
+// quadratic here and takes seconds; the linear pass takes milliseconds.
+func TestNewTreeLongPathLinear(t *testing.T) {
+	const n = 1 << 16
+	for _, root := range []int{0, n - 1} {
+		step := -1 // each vertex's parent is its neighbour toward the root
+		if root != 0 {
+			step = 1
+		}
+		parentOf := make(map[int]int, n)
+		for v := 0; v < n; v++ {
+			if v != root {
+				parentOf[v] = v + step
+			}
+		}
+		start := time.Now()
+		tr, err := NewTree(n, root, parentOf)
+		if err != nil {
+			t.Fatalf("root %d: %v", root, err)
+		}
+		if el := time.Since(start); el > 2*time.Second {
+			t.Fatalf("root %d: NewTree on a %d-vertex path took %v, want linear time", root, n, el)
+		}
+		if tr.Size() != n || tr.Height() != n-1 {
+			t.Fatalf("root %d: size %d height %d, want %d and %d", root, tr.Size(), tr.Height(), n, n-1)
+		}
 	}
 }
 

@@ -54,17 +54,17 @@ func (p *TreePool) SpanningFromEdgeIDs(g *Graph, edgeIDs []int, root int) (*Tree
 
 	t := &Tree{root: int32(root), parent: make([]int32, n), vertices: make([]int32, n)}
 	for i := range t.parent {
-		t.parent[i] = treeAbsent
+		t.parent[i] = TreeAbsent
 		t.vertices[i] = int32(i)
 	}
-	t.parent[root] = treeRoot
+	t.parent[root] = TreeRoot
 	p.queue = append(p.queue[:0], int32(root))
 	visited := 1
 	for head := 0; head < len(p.queue); head++ {
 		u := p.queue[head]
 		for s := p.head[u]; s >= 0; s = p.next[s] {
 			v := p.to[s]
-			if t.parent[v] == treeAbsent {
+			if t.parent[v] == TreeAbsent {
 				t.parent[v] = u
 				p.queue = append(p.queue, v)
 				visited++

@@ -1,7 +1,8 @@
 // The batched demand path: N demands against one graph resolved with a
 // single registry lookup and a single packing-cache checkout, executed
-// concurrently under the service's existing semaphore with one pooled
-// Scheduler clone per in-flight demand. A demand that fails validation
+// concurrently under the service's existing semaphore with one
+// Scheduler handle from the decomposition's free list per in-flight
+// demand. A demand that fails validation
 // or is cancelled becomes a structured entry in the result array — only
 // request-level problems (unknown graph or kind, empty or oversized
 // batch, a cached packing error) fail the batch as a whole. The
@@ -121,7 +122,7 @@ func (s *Service) prepareBatch(ctx context.Context, id string, kind Kind, demand
 }
 
 // runBatch executes a prepared batch: every valid entry runs under the
-// service semaphore on a pooled clone and is recorded like a single
+// service semaphore on a free-list handle and is recorded like a single
 // broadcast, and the summary is computed from the entries. A non-nil
 // events channel must have room for len(demands)+1 events: it receives
 // one event per entry as the entry completes and then the summary, so

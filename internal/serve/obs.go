@@ -12,7 +12,7 @@ const (
 	phaseRegistry  = iota // registry lookup + demand validation
 	phaseStoreLoad        // snapshot store load + oracle verification
 	phasePack             // packer run + scheduler construction
-	phaseClone            // scheduler clone checkout from the pool
+	phaseClone            // scheduler handle checkout from the free list
 	phaseRun              // scheduler round loop
 	phasePersist          // write-behind snapshot capture + save
 	numPhases

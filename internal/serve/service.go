@@ -16,9 +16,12 @@
 //   - per-segment LRU eviction (Config.MaxResident) bounding how many
 //     decompositions stay resident; evicted entries reload from the
 //     store — or repack — on demand,
-//   - a sync.Pool of Scheduler clones per cached decomposition, so
+//   - a free list of Scheduler handles per cached decomposition, seeded
+//     with the prototype handle and holding at most MaxConcurrent, so
 //     concurrent demands share the immutable scheduler core and reuse
-//     warm per-run buffers (zero steady-state allocations per clone),
+//     warm per-run buffers (zero steady-state allocations per handle);
+//     only the cache entry references it, so an evicted decomposition
+//     is collected at the next GC,
 //   - bounded-concurrency demand execution with per-graph and global
 //     stats (requests, cache hits, store hits, rounds, congestion
 //     maxima).
@@ -84,7 +87,7 @@ const registryShards = 8
 type Config struct {
 	// MaxConcurrent bounds how many demands execute simultaneously
 	// (scheduler rounds are CPU-bound; more in flight than cores just
-	// grows clone pools). Default 8.
+	// grows the per-decomposition free lists). Default 8.
 	MaxConcurrent int
 	// PackSeed seeds the packing computations (default 0, packer
 	// defaults). Fixed per service so a graph's decomposition is a pure
@@ -246,17 +249,22 @@ type graphEntry struct {
 }
 
 // packEntry is one cached decomposition: the singleflight slot, the
-// prototype scheduler whose immutable core every pooled clone shares,
-// and the clone pool itself. done is closed once the leader finished
-// (computing, loading from the store, or failing); proto/trees/wtrees/
-// size/err are written only before that close, so followers read them
-// race-free after <-done. elem is the entry's node on its shard's LRU
-// list (nil once evicted); it is guarded by the shard mutex like the
-// packs map.
+// prototype scheduler whose immutable core every clone shares, and the
+// entry's free list of idle handles. done is closed once the leader
+// finished (computing, loading from the store, or failing); proto/
+// clones/trees/wtrees/size/err are written only before that close, so
+// followers read them race-free after <-done. elem is the entry's node
+// on its shard's LRU list (nil once evicted); it is guarded by the
+// shard mutex like the packs map.
 type packEntry struct {
-	done    chan struct{}
-	proto   *cast.Scheduler
-	pool    sync.Pool
+	done  chan struct{}
+	proto *cast.Scheduler
+	// clones holds the idle scheduler handles, the prototype first. At
+	// most Config.MaxConcurrent demands run at once, so the entry never
+	// owns more handles than that capacity and a return never blocks.
+	// Only the entry references the channel: once evicted, its handles
+	// and the decomposition they share are garbage at the next GC.
+	clones  chan *cast.Scheduler
 	wtrees  []cast.WeightedTree // the packed trees, for snapshotting
 	trees   int
 	size    float64
@@ -520,8 +528,7 @@ func (s *Service) pack(tr *obs.Trace, e *graphEntry, kind Kind) (*packEntry, boo
 		tr.Attach("pack_profile", pe.profile)
 	}
 	if pe.proto != nil {
-		proto := pe.proto
-		pe.pool.New = func() any { return proto.Clone() }
+		s.seedClones(pe)
 	}
 	close(pe.done)
 	if s.store != nil && pe.err == nil {
@@ -586,8 +593,15 @@ func (s *Service) adopt(e *graphEntry, kind Kind, pe *packEntry, sn *snap.Snapsh
 	pe.size = sn.Size
 	pe.wtrees = trees
 	pe.proto = sched
-	pe.pool.New = func() any { return sched.Clone() }
+	s.seedClones(pe)
 	return nil
+}
+
+// seedClones gives a freshly built entry its free list, holding the
+// prototype handle itself so the first demand needs no clone.
+func (s *Service) seedClones(pe *packEntry) {
+	pe.clones = make(chan *cast.Scheduler, s.cfg.MaxConcurrent)
+	pe.clones <- pe.proto
 }
 
 // saveAsync persists a freshly computed decomposition write-behind:
@@ -669,7 +683,7 @@ func (s *Service) Ingest(sn *snap.Snapshot) (string, error) {
 }
 
 // compute runs the packer for the kind, builds the prototype scheduler
-// whose core all pooled clones will share, and condenses the packer's
+// whose core every handle will share, and condenses the packer's
 // run diagnostics into a PackProfile.
 func (s *Service) compute(g *graph.Graph, kind Kind) (int, float64, []cast.WeightedTree, *cast.Scheduler, *PackProfile, error) {
 	var (
@@ -731,9 +745,10 @@ func (s *Service) compute(g *graph.Graph, kind Kind) (int, float64, []cast.Weigh
 }
 
 // Broadcast serves one demand over the graph's cached decomposition
-// (packing it first if needed): a Scheduler clone is checked out of the
-// pool, the demand runs under the service's concurrency bound, and the
-// result is identical to a serial cast Run with the same (demand, seed).
+// (packing it first if needed): a Scheduler handle is checked out of the
+// decomposition's free list, the demand runs under the service's
+// concurrency bound, and the result is identical to a serial cast Run
+// with the same (demand, seed).
 func (s *Service) Broadcast(id string, kind Kind, sources []int, seed uint64) (cast.Result, error) {
 	return s.BroadcastContext(context.Background(), id, kind, sources, seed)
 }
@@ -741,7 +756,7 @@ func (s *Service) Broadcast(id string, kind Kind, sources []int, seed uint64) (c
 // BroadcastContext is Broadcast with request-level cancellation: a done
 // context aborts both the wait for an execution slot and the scheduler
 // round loop itself, and in either case the slot is released and the
-// clone returned to its pool, so a client disconnect mid-broadcast
+// handle returned to its free list, so a client disconnect mid-broadcast
 // never leaks service capacity.
 func (s *Service) BroadcastContext(ctx context.Context, id string, kind Kind, sources []int, seed uint64) (cast.Result, error) {
 	e, pe, err := s.checkoutDemand(ctx, id, kind, sources)
@@ -832,11 +847,12 @@ func (s *Service) validateSources(e *graphEntry, sources []int) error {
 	return nil
 }
 
-// runDemand executes one demand under the concurrency bound with a
-// pooled clone, releasing both slot and clone on every path (a clone's
-// buffers are cleared at Run entry, so a cancelled clone is pool-safe).
-// The clone checkout (slot wait + pool get) and the round loop are the
-// clone and run trace phases.
+// runDemand executes one demand under the concurrency bound with an
+// idle handle from the entry's free list, or a fresh clone of the
+// prototype when every handle is busy, releasing both slot and handle
+// on every path (a handle's buffers are cleared at Run entry, so a
+// cancelled one is safe to reuse). The checkout (slot wait + handle)
+// and the round loop are the clone and run trace phases.
 func (s *Service) runDemand(ctx context.Context, pe *packEntry, run func(*cast.Scheduler) (cast.Result, error)) (cast.Result, error) {
 	tr := obs.FromContext(ctx)
 	cloneStart := time.Now()
@@ -845,12 +861,17 @@ func (s *Service) runDemand(ctx context.Context, pe *packEntry, run func(*cast.S
 	case <-ctx.Done():
 		return cast.Result{}, ctx.Err()
 	}
-	c := pe.pool.Get().(*cast.Scheduler)
+	var c *cast.Scheduler
+	select {
+	case c = <-pe.clones:
+	default:
+		c = pe.proto.Clone()
+	}
 	s.observePhase(tr, phaseClone, cloneStart)
 	runStart := time.Now()
 	res, err := run(c)
 	s.observePhase(tr, phaseRun, runStart)
-	pe.pool.Put(c)
+	pe.clones <- c
 	<-s.sem
 	if err != nil {
 		return cast.Result{}, err

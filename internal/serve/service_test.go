@@ -127,7 +127,7 @@ func TestSingleflightPacksOnce(t *testing.T) {
 }
 
 // TestBroadcastConcurrentMatchesSerial is the service-level determinism
-// gate: 8 workers × 16 demands each through the service (pooled clones,
+// gate: 8 workers × 16 demands each through the service (free-list handles,
 // bounded concurrency) must be byte-identical to a serial replay on one
 // scheduler handle built from the same packing.
 func TestBroadcastConcurrentMatchesSerial(t *testing.T) {

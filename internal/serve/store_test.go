@@ -4,9 +4,12 @@ import (
 	"errors"
 	"os"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/cast"
 	"repro/internal/check"
 	"repro/internal/graph"
 	"repro/internal/snap"
@@ -227,6 +230,49 @@ func TestEvictionReloadsFromStore(t *testing.T) {
 		t.Fatalf("Broadcast after reload: %v", err)
 	}
 	s.FlushStore() // the spanning save must land before TempDir cleanup
+}
+
+// TestEvictedDecompositionIsCollected: an evicted decomposition must
+// not outlive its eviction. With one resident decomposition, a reload
+// of one kind from the store serves a demand; loading the other kind
+// evicts it, and one GC must then finalize the first kind's prototype
+// scheduler handle, and with it the decomposition its core shares.
+func TestEvictedDecompositionIsCollected(t *testing.T) {
+	dir := t.TempDir()
+	g := graph.Hypercube(4)
+	fill := New(storeConfig(dir))
+	id := mustRegister(t, fill, g)
+	mustDecompose(t, fill, id, Dominating)
+	mustDecompose(t, fill, id, Spanning)
+	fill.FlushStore()
+
+	cfg := storeConfig(dir)
+	cfg.MaxResident = 1
+	s := New(cfg)
+	mustRegister(t, s, g)
+	collected := make(chan struct{})
+	// The handle lives only in this closure's frame, so nothing on the
+	// test goroutine keeps it reachable after eviction.
+	func() {
+		if _, err := s.Broadcast(id, Dominating, []int{0, 3}, 7); err != nil {
+			t.Fatalf("Broadcast: %v", err)
+		}
+		e, _ := s.lookup(id)
+		e.shard.mu.Lock()
+		proto := e.packs[Dominating].proto
+		e.shard.mu.Unlock()
+		runtime.SetFinalizer(proto, func(*cast.Scheduler) { close(collected) })
+	}()
+	mustDecompose(t, s, id, Spanning)
+	if st := s.Stats(); st.Evictions != 1 || st.StoreHits != 2 {
+		t.Fatalf("Evictions=%d StoreHits=%d, want 1/2", st.Evictions, st.StoreHits)
+	}
+	runtime.GC()
+	select {
+	case <-collected:
+	case <-time.After(time.Second):
+		t.Fatal("evicted decomposition still reachable one GC after eviction")
+	}
 }
 
 // TestEvictionWithoutStoreRecomputes: the residency bound works with

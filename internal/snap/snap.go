@@ -32,13 +32,20 @@
 //	  root   uint32
 //	  vcount uint32   vertices in the tree
 //	  (vcount-1) × (uint32 vertex, uint32 parent)  non-root vertices,
-//	                                               ascending by vertex
+//	                                               strictly ascending
+//	                                               by vertex
 //	checksum uint64   FNV-64a over every preceding byte
 //
 // Encoding is deterministic: the same packing always serializes to the
 // same bytes (tree vertex lists are stored sorted, no maps or
 // timestamps are involved), so snapshot files can be compared or
-// content-addressed byte-for-byte.
+// content-addressed byte-for-byte. Decoding enforces that canonical
+// form: a tree's pairs must be strictly ascending by vertex and must
+// not list the root, so every file Decode accepts re-encodes to exactly
+// its own bytes. Each decoded tree owns an n-entry parent array, so
+// Decode also requires trees × n ≤ the file length; a spanning tree
+// takes 8(n-1)+16 bytes and always fits, and real dominating packings
+// stay far below the bound.
 //
 // # Caller invariants
 //
@@ -276,10 +283,12 @@ func (s *Snapshot) Encode() ([]byte, error) {
 }
 
 // Decode parses and validates one snapshot file image: magic, version,
-// whole-file checksum, and the structural validity of every tree (the
-// parent lists must form single rooted trees over the embedded vertex
-// count). Every failure wraps ErrCorrupt so callers can treat any bad
-// file uniformly as a miss.
+// whole-file checksum, the tree-count bound, and the structural
+// validity of every tree (the pairs must be strictly ascending by
+// vertex and form single rooted trees over the embedded vertex count).
+// It runs in time and memory linear in the file size, and a file it
+// accepts re-encodes to exactly its bytes. Every failure wraps
+// ErrCorrupt so callers can treat any bad file uniformly as a miss.
 func Decode(data []byte) (*Snapshot, error) {
 	if len(data) < len(magic)+4+8 {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than any valid snapshot", ErrCorrupt, len(data))
@@ -298,14 +307,15 @@ func Decode(data []byte) (*Snapshot, error) {
 	n := int(r.u32())
 	m := int(r.u32())
 	// Every packable graph is connected, so m >= n-1: a larger n is
-	// corrupt, and bounding it by the file size also bounds the n-entry
-	// array graph.NewTree allocates per tree.
+	// corrupt, and bounding it by the file size also bounds each tree's
+	// n-entry parent array.
 	if r.err != nil || n <= 0 || m < 0 || m > len(r.buf)/8 || n > m+1 {
 		return nil, fmt.Errorf("%w: implausible header (n=%d, m=%d)", ErrCorrupt, n, m)
 	}
 	edges := make([]graph.Edge, m)
+	eb := r.take(8 * m)
 	for i := range edges {
-		u, v := r.u32(), r.u32()
+		u, v := binary.LittleEndian.Uint32(eb[8*i:]), binary.LittleEndian.Uint32(eb[8*i+4:])
 		if int(u) >= n || int(v) >= n {
 			return nil, fmt.Errorf("%w: edge %d (%d,%d) out of range [0,%d)", ErrCorrupt, i, u, v, n)
 		}
@@ -327,30 +337,44 @@ func Decode(data []byte) (*Snapshot, error) {
 	digest := r.u64()
 	size := r.f64()
 	treeCount := int(r.u32())
-	if r.err != nil || treeCount <= 0 || treeCount > len(r.buf) {
-		return nil, fmt.Errorf("%w: implausible tree count %d", ErrCorrupt, treeCount)
+	// Every tree allocates an n-entry parent array: bounding trees × n
+	// by the file length keeps Decode's memory linear in the file (see
+	// the package doc for why valid files fit).
+	if r.err != nil || treeCount <= 0 || treeCount > len(data)/n {
+		return nil, fmt.Errorf("%w: implausible tree count %d for %d vertices in %d bytes", ErrCorrupt, treeCount, n, len(data))
 	}
 	trees := make([]check.Weighted, 0, treeCount)
 	for i := 0; i < treeCount; i++ {
 		weight := r.f64()
 		root := int(r.u32())
 		vcount := int(r.u32())
-		if r.err != nil || vcount <= 0 || vcount > n {
-			return nil, fmt.Errorf("%w: tree %d has implausible vertex count %d", ErrCorrupt, i, vcount)
+		if r.err != nil || vcount <= 0 || vcount > n || root >= n {
+			return nil, fmt.Errorf("%w: tree %d has implausible root %d or vertex count %d", ErrCorrupt, i, root, vcount)
 		}
-		parentOf := make(map[int]int, vcount)
-		parentOf[root] = -1
-		for j := 0; j < vcount-1; j++ {
-			v, p := int(r.u32()), int(r.u32())
-			if _, dup := parentOf[v]; dup {
-				return nil, fmt.Errorf("%w: tree %d lists vertex %d twice", ErrCorrupt, i, v)
-			}
-			parentOf[v] = p
-		}
+		pairs := r.take(8 * (vcount - 1))
 		if r.err != nil {
 			break
 		}
-		t, err := graph.NewTree(n, root, parentOf)
+		parent := make([]int32, n)
+		for v := range parent {
+			parent[v] = graph.TreeAbsent
+		}
+		parent[root] = graph.TreeRoot
+		prev := -1
+		for j := 0; j < len(pairs); j += 8 {
+			v, p := int(binary.LittleEndian.Uint32(pairs[j:])), int(binary.LittleEndian.Uint32(pairs[j+4:]))
+			switch {
+			case v <= prev:
+				return nil, fmt.Errorf("%w: tree %d lists vertex %d after %d, not in ascending order", ErrCorrupt, i, v, prev)
+			case v == root:
+				return nil, fmt.Errorf("%w: tree %d lists its root %d as a non-root vertex", ErrCorrupt, i, v)
+			case v >= n || p >= n:
+				return nil, fmt.Errorf("%w: tree %d entry %d->%d out of range [0,%d)", ErrCorrupt, i, v, p, n)
+			}
+			parent[v] = int32(p)
+			prev = v
+		}
+		t, err := graph.TreeFromParents(root, parent)
 		if err != nil {
 			return nil, fmt.Errorf("%w: tree %d is not a rooted tree: %v", ErrCorrupt, i, err)
 		}

@@ -6,7 +6,9 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/cds"
 	"repro/internal/check"
@@ -16,7 +18,7 @@ import (
 
 // packSpanning packs the test graph's spanning trees and converts to
 // the neutral check.Weighted shape.
-func packSpanning(t *testing.T, g *graph.Graph, seed uint64) ([]check.Weighted, float64) {
+func packSpanning(t testing.TB, g *graph.Graph, seed uint64) ([]check.Weighted, float64) {
 	t.Helper()
 	p, err := stp.Pack(g, stp.Options{Seed: seed})
 	if err != nil {
@@ -30,7 +32,7 @@ func packSpanning(t *testing.T, g *graph.Graph, seed uint64) ([]check.Weighted, 
 }
 
 // packDominating packs dominating trees of the test graph.
-func packDominating(t *testing.T, g *graph.Graph, seed uint64) ([]check.Weighted, float64) {
+func packDominating(t testing.TB, g *graph.Graph, seed uint64) ([]check.Weighted, float64) {
 	t.Helper()
 	p, err := cds.Pack(g, cds.Options{Seed: seed})
 	if err != nil {
@@ -188,6 +190,37 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		"trailing-garbage": func(b []byte) []byte {
 			return append(append([]byte(nil), b...), 0xde, 0xad)
 		},
+		"pairs-swapped": func(b []byte) []byte {
+			c := append([]byte(nil), b...)
+			p0, p1 := firstPairs(g, 0), firstPairs(g, 1)
+			for k := 0; k < 8; k++ {
+				c[p0+k], c[p1+k] = c[p1+k], c[p0+k]
+			}
+			return rechecksum(c)
+		},
+		"vertex-twice": func(b []byte) []byte {
+			c := append([]byte(nil), b...)
+			copy(c[firstPairs(g, 1):firstPairs(g, 1)+8], c[firstPairs(g, 0):])
+			return rechecksum(c)
+		},
+		"root-as-pair": func(b []byte) []byte {
+			// Overwrite the vertex of the pair whose slot the root
+			// would take in ascending order, so only the root check
+			// can reject it.
+			c := append([]byte(nil), b...)
+			root := binary.LittleEndian.Uint32(c[firstPairs(g, 0)-8:])
+			j := 0
+			for j < g.N()-2 && binary.LittleEndian.Uint32(c[firstPairs(g, j):]) < root {
+				j++
+			}
+			binary.LittleEndian.PutUint32(c[firstPairs(g, j):], root)
+			return rechecksum(c)
+		},
+		"parent-out-of-range": func(b []byte) []byte {
+			c := append([]byte(nil), b...)
+			binary.LittleEndian.PutUint32(c[firstPairs(g, 0)+4:], uint32(g.N()))
+			return rechecksum(c)
+		},
 		"vertices-beyond-edges": func(b []byte) []byte {
 			// n = m+2 cannot be connected. Key hash and checksum are
 			// recomputed, so only the header bound can reject it.
@@ -195,8 +228,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 			m := binary.LittleEndian.Uint32(c[16:])
 			binary.LittleEndian.PutUint32(c[12:], m+2)
 			binary.LittleEndian.PutUint64(c[20+8*m:], keyHash(int(m)+2, g.Edges()))
-			binary.LittleEndian.PutUint64(c[len(c)-8:], fnvSum(c[:len(c)-8]))
-			return c
+			return rechecksum(c)
 		},
 	}
 	for name, corrupt := range cases {
@@ -209,10 +241,26 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
+// firstPairs returns the offset of pair j of the first tree in an
+// encodeSpanning file over g: past the header, the tree count, and the
+// tree's weight, root and vertex count.
+func firstPairs(g *graph.Graph, j int) int {
+	header := len(magic) + 4 + 4 + 4 + 8*g.M() + 8 + 1 + 8 + 8 + 4
+	return header + 8 + 4 + 4 + 8*j
+}
+
+// rechecksum rewrites a file image's checksum trailer in place, so only
+// the structural checks can reject a tampered body.
+func rechecksum(c []byte) []byte {
+	binary.LittleEndian.PutUint64(c[len(c)-8:], fnvSum(c[:len(c)-8]))
+	return c
+}
+
 // FuzzSnapDecode feeds Decode arbitrary file bodies behind a freshly
 // computed checksum trailer, so mutations reach the structural checks
 // instead of dying at the checksum. Decode must never panic, and any
-// snapshot it returns must survive a re-encode and a second decode.
+// file it accepts must be canonical: re-encoding the snapshot gives
+// back exactly the input bytes.
 func FuzzSnapDecode(f *testing.F) {
 	// A small seed keeps the engine fast: a 4-cycle and one spanning path.
 	path, err := graph.NewTree(4, 0, map[int]int{0: -1, 1: 0, 2: 1, 3: 2})
@@ -229,7 +277,8 @@ func FuzzSnapDecode(f *testing.F) {
 	}
 	f.Add(data[:len(data)-8])
 	f.Fuzz(func(t *testing.T, body []byte) {
-		s, err := Decode(binary.LittleEndian.AppendUint64(append([]byte(nil), body...), fnvSum(body)))
+		file := binary.LittleEndian.AppendUint64(append([]byte(nil), body...), fnvSum(body))
+		s, err := Decode(file)
 		if err != nil {
 			return
 		}
@@ -237,8 +286,8 @@ func FuzzSnapDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded snapshot does not re-encode: %v", err)
 		}
-		if _, err := Decode(again); err != nil {
-			t.Fatalf("re-encoded snapshot does not decode: %v", err)
+		if !bytes.Equal(again, file) {
+			t.Fatalf("accepted file is not canonical: re-encoding gives %d bytes that differ from its %d", len(again), len(file))
 		}
 	})
 }
@@ -253,15 +302,74 @@ func TestDecodeRejectsTamperedTree(t *testing.T) {
 		t.Fatalf("Decode: %v", err)
 	}
 	// Rebuild with a cycle: point the first tree's last vertex at itself.
-	headerLen := len(magic) + 4 + 4 + 4 + 8*g.M() + 8 + 1 + 8 + 8 + 4
-	treeStart := headerLen + 8 + 4 + 4 // weight + root + vcount
-	lastPair := treeStart + 8*(s.Trees[0].Tree.Size()-2)
+	lastPair := firstPairs(g, s.Trees[0].Tree.Size()-2)
 	c := append([]byte(nil), data...)
 	v := binary.LittleEndian.Uint32(c[lastPair:])
 	binary.LittleEndian.PutUint32(c[lastPair+4:], v) // parent := self
-	binary.LittleEndian.PutUint64(c[len(c)-8:], fnvSum(c[:len(c)-8]))
-	if _, err := Decode(c); !errors.Is(err, ErrCorrupt) {
+	if _, err := Decode(rechecksum(c)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("self-parented tree decoded: err=%v, want ErrCorrupt", err)
+	}
+}
+
+// TestDecodeMemoryBoundedByFileSize decodes crafted checksum-valid
+// dominating files of growing size: a path on n vertices packed into
+// n-1 one-vertex trees. Every tree would own an n-entry parent array,
+// quadratic in the file size, so Decode must reject each file by its
+// tree count before building any tree, allocating at most 8× the file.
+func TestDecodeMemoryBoundedByFileSize(t *testing.T) {
+	for _, n := range []int{1000, 2000, 4000} {
+		g := graph.Path(n)
+		single, err := graph.NewTree(n, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trees := make([]check.Weighted, n-1)
+		for i := range trees {
+			trees[i] = check.Weighted{Tree: single, Weight: 1}
+		}
+		s := &Snapshot{N: n, Edges: g.Edges(), Kind: KindDominating, OptionsDigest: 1, Size: float64(n - 1), Trees: trees}
+		data, err := s.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = Decode(data)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("n=%d: %d one-vertex trees in %d bytes decoded: err=%v, want ErrCorrupt", n, n-1, len(data), err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 8*uint64(len(data)) {
+			t.Fatalf("n=%d: Decode of a %d-byte file allocated %d bytes, want at most %d", n, len(data), alloc, 8*len(data))
+		}
+	}
+}
+
+// TestDecodeLongPathLinear decodes the spanning snapshot of a path on
+// 2^16 vertices rooted at either end. Validation that walks every
+// vertex's ancestor chain is quadratic here and takes seconds; the
+// linear pass takes milliseconds.
+func TestDecodeLongPathLinear(t *testing.T) {
+	const n = 1 << 16
+	g := graph.Path(n)
+	for _, root := range []int{0, n - 1} {
+		s, err := Capture(g, KindSpanning, 1, []check.Weighted{{Tree: graph.TreeFromBFS(g, root), Weight: 1}}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := s.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		got, err := Decode(data)
+		if err != nil {
+			t.Fatalf("root %d: Decode: %v", root, err)
+		}
+		if el := time.Since(start); el > 2*time.Second {
+			t.Fatalf("root %d: Decode of a %d-vertex path took %v, want linear time", root, n, el)
+		}
+		sameTrees(t, s.Trees, got.Trees)
 	}
 }
 
