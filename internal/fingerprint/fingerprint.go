@@ -36,7 +36,10 @@ func Text() string {
 }
 
 // packingFingerprints covers the Theorem 1.1 distributed packing over
-// five graph families and eight seeds each.
+// five graph families: eight seeds each at a fixed connectivity guess,
+// then P lines for two seeds each of cdsdist.Pack, the Remark 3.1 loop
+// over guesses n, n/2, ..., 1, which pin the guess it keeps and the
+// meters of the distributed tester it runs on every guess.
 func packingFingerprints(b *strings.Builder) {
 	type tc struct {
 		name string
@@ -54,19 +57,32 @@ func packingFingerprints(b *strings.Builder) {
 		{"ham64", graph.RandomHamCycles(64, 3, ds.NewRand(1)), 6},
 		{"chain", chain, 2},
 	}
+	outcome := func(res *cdsdist.Result) string {
+		h := fnv.New64a()
+		for _, t := range res.Packing.Trees {
+			fmt.Fprintf(h, "%d:%v;", t.Class, t.Tree.Vertices())
+		}
+		m := res.Meter
+		return fmt.Sprintf("size=%.6f raw=%d metered=%d charged=%d msgs=%d bits=%d phases=%d hash=%x",
+			res.Packing.Size(), m.RawRounds, m.MeteredRounds, m.ChargedRounds, m.Messages, m.Bits, m.Phases, h.Sum64())
+	}
 	for _, c := range cases {
 		for seed := uint64(0); seed < 8; seed++ {
 			res, err := cdsdist.PackWithGuess(c.g, c.k, cds.Options{Seed: seed})
 			if err != nil {
 				panic(err)
 			}
-			h := fnv.New64a()
-			for _, t := range res.Packing.Trees {
-				fmt.Fprintf(h, "%d:%v;", t.Class, t.Tree.Vertices())
+			fmt.Fprintf(b, "%s seed=%d %s\n", c.name, seed, outcome(res))
+		}
+	}
+	for _, c := range cases {
+		for seed := uint64(0); seed < 2; seed++ {
+			res, err := cdsdist.Pack(c.g, cds.Options{Seed: seed})
+			if err != nil {
+				panic(err)
 			}
-			m := res.Meter
-			fmt.Fprintf(b, "%s seed=%d size=%.6f raw=%d metered=%d charged=%d msgs=%d bits=%d phases=%d hash=%x\n",
-				c.name, seed, res.Packing.Size(), m.RawRounds, m.MeteredRounds, m.ChargedRounds, m.Messages, m.Bits, m.Phases, h.Sum64())
+			st := res.Packing.Stats
+			fmt.Fprintf(b, "P %s seed=%d guess=%d classes=%d %s\n", c.name, seed, st.Guess, st.Classes, outcome(res))
 		}
 	}
 }

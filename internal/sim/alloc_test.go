@@ -41,13 +41,22 @@ func chatterEngine(t testing.TB, g *graph.Graph, model Model, limit int, opts ..
 // warm-up phase has grown every buffer, a full Reset+RunPhase cycle on
 // the same engine performs no per-round allocation at all. Workers are
 // pinned to 1 and 2 so the serial and the parallel (pool) path are both
-// checked whatever the machine's core count.
+// checked whatever the machine's core count; the observed case covers
+// engines built WithDeliveryObserver.
 func TestSteadyStateStepAllocations(t *testing.T) {
-	for _, workers := range []int{1, 2} {
+	var copies int
+	for _, cfg := range []struct {
+		name string
+		opts []Option
+	}{
+		{"1 worker", []Option{WithWorkers(1)}},
+		{"2 workers", []Option{WithWorkers(2)}},
+		{"observed", []Option{WithDeliveryObserver(func(from, to int32, bits int) { copies++ })}},
+	} {
 		for _, model := range []Model{VCongest, ECongest} {
 			g := graph.Hypercube(6)
 			const limit = 16
-			eng, procs, nodes := chatterEngine(t, g, model, limit, WithWorkers(workers))
+			eng, procs, nodes := chatterEngine(t, g, model, limit, cfg.opts...)
 			if err := eng.RunPhase(limit + 4); err != nil { // warm-up growth
 				t.Fatal(err)
 			}
@@ -55,7 +64,7 @@ func TestSteadyStateStepAllocations(t *testing.T) {
 				for _, nd := range nodes {
 					nd.rounds = 0
 				}
-				if err := eng.Reset(procs, 1, WithWorkers(workers)); err != nil {
+				if err := eng.Reset(procs, 1, cfg.opts...); err != nil {
 					t.Fatal(err)
 				}
 				if err := eng.RunPhase(limit + 4); err != nil {
@@ -63,9 +72,12 @@ func TestSteadyStateStepAllocations(t *testing.T) {
 				}
 			})
 			if allocs > 0 {
-				t.Fatalf("%v, %d workers: warm Reset+RunPhase (%d rounds) allocated %.0f times, want 0", model, workers, limit, allocs)
+				t.Fatalf("%v, %s: warm Reset+RunPhase (%d rounds) allocated %.0f times, want 0", model, cfg.name, limit, allocs)
 			}
 		}
+	}
+	if copies == 0 {
+		t.Fatal("observer never called")
 	}
 }
 

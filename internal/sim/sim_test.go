@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -399,4 +400,98 @@ func (p *phaseProbe) Round(ctx *Context, inbox []Delivery) Status {
 		}
 	}
 	return Done
+}
+
+// burstProc sends a seeded burst for `limit` rounds, then stops: 0–3
+// broadcasts and, when sends is set (E-CONGEST), 0–3 directed sends to
+// random neighbours, repeats allowed so one edge direction can carry
+// several slots. It logs every delivery it receives, in order.
+type burstProc struct {
+	limit int
+	sends bool
+	round int
+	got   []Delivery
+}
+
+func (p *burstProc) Round(ctx *Context, inbox []Delivery) Status {
+	p.got = append(p.got, inbox...)
+	if p.round >= p.limit {
+		return Done
+	}
+	p.round++
+	r := ctx.Rand()
+	for i := r.IntN(4); i > 0; i-- {
+		ctx.Broadcast(Msg(1, int64(ctx.ID()), int64(r.IntN(1000))))
+	}
+	if p.sends {
+		for i := r.IntN(4); i > 0; i-- {
+			ctx.Send(r.IntN(ctx.Degree()), Msg(2, int64(r.IntN(1000))))
+		}
+	}
+	return Active
+}
+
+// TestDeliveryObserverParity pins what WithDeliveryObserver may and may
+// not change, under both models: an observed run has the same meter and
+// the same per-node deliveries (sender, slot and message, in order) as
+// an unobserved one, and the observer is called once per delivered copy
+// with its receiver and its bit size.
+func TestDeliveryObserverParity(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"Q4", graph.Hypercube(4)},
+		{"K7", graph.Complete(7)},
+		{"T3x5", graph.Torus(3, 5)},
+	} {
+		for _, model := range []Model{VCongest, ECongest} {
+			n := tc.g.N()
+			run := func(opts ...Option) (Meter, []*burstProc) {
+				nodes := make([]*burstProc, n)
+				procs := make([]Process, n)
+				for i := range procs {
+					nodes[i] = &burstProc{limit: 6, sends: model == ECongest}
+					procs[i] = nodes[i]
+				}
+				e, err := NewEngine(tc.g, model, procs, 5, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := e.RunPhase(20); err != nil {
+					t.Fatal(err)
+				}
+				return *e.Meter(), nodes
+			}
+			calls := make([]int, n)
+			bits := make([]int, n)
+			plain, plainNodes := run()
+			observed, obsNodes := run(WithDeliveryObserver(func(from, to int32, b int) {
+				calls[to]++
+				bits[to] += b
+			}))
+			if plain != observed {
+				t.Fatalf("%s %v: observed meter %+v, unobserved %+v", tc.name, model, observed, plain)
+			}
+			copies := 0
+			for v := 0; v < n; v++ {
+				got := obsNodes[v].got
+				if !slices.Equal(got, plainNodes[v].got) {
+					t.Fatalf("%s %v: node %d received %v observed, %v unobserved", tc.name, model, v, got, plainNodes[v].got)
+				}
+				sum := 0
+				for _, d := range got {
+					sum += d.Msg.BitSize()
+				}
+				if calls[v] != len(got) || bits[v] != sum {
+					t.Fatalf("%s %v: node %d: observer saw %d copies of %d bits, node received %d of %d",
+						tc.name, model, v, calls[v], bits[v], len(got), sum)
+				}
+				copies += len(got)
+			}
+			if copies == 0 {
+				t.Fatalf("%s %v: no deliveries", tc.name, model)
+			}
+		}
+	}
 }
