@@ -48,16 +48,18 @@ cover:
 	awk -v p="$$pct" -v f="$(COVER_FLOOR)" 'BEGIN { exit (p+0 < f) ? 1 : 0 }' || \
 		{ echo "FAIL: internal/lint coverage $$pct% is below the $(COVER_FLOOR)% floor"; exit 1; }
 
-# Race-enabled runs of the packages with real concurrency (the simulator
-# worker pool), the invariant harness that gates the packers, the
-# spanning-tree packers (stpdist drives the worker pool through the MWU
-# loop's per-iteration MSTs), cast (long-lived Scheduler handles plus
-# concurrent clones over one shared core), serve (the concurrent
-# decomposition service: singleflight packing cache, free-list handles,
-# bounded-concurrency demand execution), and the remaining packages that
-# drive the sim worker pool (cdsdist and dist run their protocols over
-# the persistent engine), plus obs (histograms, trace rings, and the
-# metrics registry are all written concurrently on the serve path).
+# Race-enabled runs of the packages with real concurrency (cast:
+# long-lived Scheduler handles plus concurrent clones over one shared
+# core; serve: the concurrent decomposition service with its
+# singleflight packing cache, free-list handles and bounded-concurrency
+# demand execution; obs: histograms, trace rings, and the metrics
+# registry are all written concurrently on the serve path), plus the
+# invariant harness that gates the packers (check), the spanning-tree
+# packers (stp, stpdist) and the simulator with its other drivers (sim,
+# cdsdist, dist). Simulator rounds run serially; the simulator and its
+# drivers stay in the set because running the Remark 3.1 guesses
+# concurrently, an open ROADMAP item, will land in these drivers and is
+# then race-checked from its first change.
 race:
 	$(GO) test -race ./internal/sim ./internal/check ./internal/stp ./internal/stpdist ./internal/cast ./internal/serve ./internal/cdsdist ./internal/dist ./internal/obs
 

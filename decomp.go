@@ -23,7 +23,7 @@
 //
 // Everything here is deterministic on purpose: for a fixed graph and
 // seed, packings, meters, and broadcast results are byte-identical
-// across runs, worker counts, and process restarts. Callers keep that
+// across runs and process restarts. Callers keep that
 // guarantee by treating values as immutable after construction — don't
 // mutate a Graph once it has been packed, a packing once it has been
 // scheduled, or a Demand while a Run is in flight. A

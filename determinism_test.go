@@ -3,13 +3,11 @@ package decomp_test
 import (
 	"fmt"
 	"hash/fnv"
-	"runtime"
 	"testing"
 
 	"repro/internal/cds"
 	"repro/internal/cdsdist"
 	"repro/internal/graph"
-	"repro/internal/sim"
 	"repro/internal/stp"
 	"repro/internal/stpdist"
 )
@@ -45,28 +43,6 @@ func workloadFingerprint(t *testing.T) string {
 	}
 
 	return fmt.Sprintf("%x", h.Sum64())
-}
-
-// TestWorkerCountDeterminism is the regression gate for the engine's
-// worker-pool and receiver-sharded routing: the same seeds must give
-// byte-identical packings and meters whether rounds run on one worker,
-// NumCPU workers, or an oversubscribed pool that forces many chunks
-// even on 32-node graphs.
-func TestWorkerCountDeterminism(t *testing.T) {
-	defer sim.SetDefaultWorkers(0)
-
-	counts := []int{1, runtime.NumCPU(), 8}
-	prints := make([]string, len(counts))
-	for i, w := range counts {
-		sim.SetDefaultWorkers(w)
-		prints[i] = workloadFingerprint(t)
-	}
-	for i := 1; i < len(prints); i++ {
-		if prints[i] != prints[0] {
-			t.Fatalf("workers=%d fingerprint %s differs from workers=%d fingerprint %s",
-				counts[i], prints[i], counts[0], prints[0])
-		}
-	}
 }
 
 // TestSeedReproducibility guards the run-to-run contract (identical

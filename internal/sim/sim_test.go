@@ -125,7 +125,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 }
 
 // randomGossip broadcasts a random value for 5 rounds and sums what it
-// hears — exercises per-node RNG determinism under parallel execution.
+// hears — exercises per-node RNG determinism across runs.
 type randomGossip struct {
 	round int
 	sum   int64
