@@ -70,17 +70,21 @@ race:
 serve-smoke:
 	$(GO) run ./cmd/serve -selftest
 
-# 10-second fuzz smokes of the three parsers of untrusted input. The CSR
-# builder: random edge streams with duplicates and self-loops must
-# finalize to sorted, deduped, symmetric adjacency with consistent edge
-# ids. The snapshot decoder: any file body must decode to an error or to
-# a snapshot that re-encodes to exactly its bytes, never panic. The HTTP
-# API: any (method, path, body) must answer an API status code, keep the
-# pack accounting balanced, and leave the cache able to decompose.
+# 10-second fuzz smokes of the three parsers of untrusted input and of
+# the λ computation that runs on client graphs. The CSR builder: random
+# edge streams with duplicates and self-loops must finalize to sorted,
+# deduped, symmetric adjacency with consistent edge ids. The snapshot
+# decoder: any file body must decode to an error or to a snapshot that
+# re-encodes to exactly its bytes, never panic. The HTTP API: any
+# (method, path, body) must answer an API status code, keep the pack
+# accounting balanced, and leave the cache able to decompose. Edge
+# connectivity: on any graph of at most 24 vertices the dominating-set
+# flows must equal Stoer–Wagner.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBuilder$$' -fuzztime 10s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapDecode$$' -fuzztime 10s ./internal/snap
 	$(GO) test -run '^$$' -fuzz '^FuzzHandler$$' -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzEdgeConnectivity$$' -fuzztime 10s ./internal/flow
 
 # Determinism gate: the current build's content-level fingerprint must
 # match the committed golden byte for byte (TestFingerprintGolden is the

@@ -1,5 +1,5 @@
-// Benchmarks regenerating every experiment of DESIGN.md's per-experiment
-// index (E1–E10) plus the design-choice ablations (A1–A5). Each bench
+// Benchmarks regenerating every experiment of README's experiment index
+// (E1–E10) plus the design-choice ablations (A1–A5). Each bench
 // reports the paper's quantity of interest as custom metrics alongside
 // ns/op; cmd/experiments prints the same data as claimed-vs-measured
 // tables.
@@ -87,6 +87,45 @@ func BenchmarkE3SpanPackingCentralized(b *testing.B) {
 			bound := math.Max(1, math.Ceil(float64(tc.lambda-1)/2))
 			b.ReportMetric(size, "packing-size")
 			b.ReportMetric(size/bound, "fraction-of-bound")
+		})
+	}
+}
+
+// E3 cold: stp.Pack as the service runs it on a graph it has not seen,
+// with λ computed inside the pack (E3 above passes KnownLambda, so it
+// never times λ). Reports the Lemma F.1 stop tests per pack that took
+// the prefix exit (stop-skipped) and the full evaluation (stop-exact).
+func BenchmarkE3SpanPackingCold(b *testing.B) {
+	h8, err := graph.Harary(8, 112)
+	if err != nil {
+		b.Fatal(err)
+	}
+	h12, err := graph.Harary(12, 160)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"Q8", graph.Hypercube(8)},
+		{"T16x16", graph.Torus(16, 16)},
+		{"H8_112", h8},
+		{"H12_160", h12},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var exact, skipped int
+			for i := 0; i < b.N; i++ {
+				p, err := stp.Pack(tc.g, stp.Options{Seed: uint64(i)})
+				if err != nil {
+					b.Fatal(err)
+				}
+				exact += p.Stats.StopChecksExact
+				skipped += p.Stats.StopChecksSkipped
+			}
+			b.ReportMetric(float64(exact)/float64(b.N), "stop-exact/op")
+			b.ReportMetric(float64(skipped)/float64(b.N), "stop-skipped/op")
 		})
 	}
 }
@@ -409,7 +448,7 @@ func BenchmarkE10LowerBound(b *testing.B) {
 	b.ReportMetric(kappaW, "kappa-disjoint")
 }
 
-// --- Ablations (DESIGN.md section 4) ----------------------------------------
+// --- Ablations (A1–A5 of README's experiment index) -------------------------
 
 // A1: matching order in the centralized packer is randomized; compare
 // the packing size variance across seeds (Luby-style stages live in the

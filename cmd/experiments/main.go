@@ -1,6 +1,6 @@
 // Command experiments runs the full claimed-vs-measured suite of
-// DESIGN.md (E1–E10) and prints one table per experiment. EXPERIMENTS.md
-// is a captured run of this tool.
+// README's experiment index (E1–E10) and prints one table per
+// experiment.
 //
 // Usage: experiments [-quick] [-only E3]
 package main

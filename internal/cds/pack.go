@@ -360,8 +360,8 @@ func ApproxVertexConnectivity(g *graph.Graph, opts Options) (float64, *Packing, 
 // packing order, and a class is kept if its members minus all
 // previously used vertices still induce a connected dominating set.
 // This replaces the random-layering adaptation of [12, Theorem 1.2]
-// (see DESIGN.md substitutions); the returned trees are guaranteed
-// vertex-disjoint dominating trees.
+// (docs/ARCHITECTURE.md "Substitutions", item 3); the returned trees are
+// guaranteed vertex-disjoint dominating trees.
 func ExtractDisjoint(g *graph.Graph, p *Packing) []*graph.Tree {
 	used := ds.NewBitset(g.N())
 	member := ds.NewBitset(g.N())

@@ -2,7 +2,7 @@
 // protocols compose: Theorem B.2's restricted-flooding component
 // identification (ComponentMin) and a Borůvka-phase minimum spanning
 // tree over the simulator (MST), the stand-in for Kutten–Peleg that
-// DESIGN.md substitution 2 documents.
+// docs/ARCHITECTURE.md documents ("Substitutions", item 2).
 //
 // Both primitives run real sim.Engine phases so their cost lands on the
 // caller's meter in the paper's units; the driver-side glue (collecting

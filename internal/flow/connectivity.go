@@ -2,39 +2,100 @@ package flow
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 )
 
-// LocalEdgeConnectivity returns λ(s,t): the maximum number of
-// edge-disjoint s-t paths in g.
-func LocalEdgeConnectivity(g *graph.Graph, s, t int) int {
-	return localEdgeConnectivityAtMost(g, s, t, int(unbounded))
-}
-
-func localEdgeConnectivityAtMost(g *graph.Graph, s, t, limit int) int {
-	f := NewNetwork(g.N())
-	for _, e := range g.Edges() {
-		f.AddEdge(int(e.U), int(e.V))
-	}
-	return f.MaxFlowAtMost(s, t, limit)
-}
-
-// EdgeConnectivity returns the exact global edge connectivity λ(G) by
-// fixing vertex 0 and taking the minimum of λ(0,t) over all other t
-// (every global minimum cut separates 0 from some t). It returns 0 for
-// disconnected or single-vertex graphs.
+// EdgeConnectivity returns the exact global edge connectivity λ(G), or 0
+// for disconnected or single-vertex graphs. It rests on Matula's lemma:
+// in a simple graph with λ < δ, each side S of a minimum cut has a vertex
+// whose whole neighbourhood lies in S (otherwise the cut would have at
+// least |S|·max(1, δ-|S|+1) >= δ edges), so every dominating set D has a
+// vertex on both sides. For any d₀ ∈ D, then,
+//
+//	λ = min(δ, min over d ∈ D of λ(d₀, d)),
+//
+// which takes |D|-1 max-flows instead of n-1. graph.Graph is always
+// simple, so the lemma applies. D comes from dominatingSet; all flows
+// share one network whose capacities are restored by copy before each,
+// and each flow stops at the best cut found so far.
 func EdgeConnectivity(g *graph.Graph) int {
 	if g.N() <= 1 {
 		return 0
 	}
-	best := g.Degree(0)
-	for t := 1; t < g.N() && best > 0; t++ {
-		if c := localEdgeConnectivityAtMost(g, 0, t, best); c < best {
-			best = c
+	best := g.MinDegree()
+	dom := dominatingSet(g)
+	if best == 0 || len(dom) < 2 {
+		return best
+	}
+	f := NewNetwork(g.N())
+	for _, e := range g.Edges() {
+		f.AddEdge(int(e.U), int(e.V))
+	}
+	caps := slices.Clone(f.cap)
+	for _, d := range dom[1:] {
+		copy(f.cap, caps)
+		if c := f.MaxFlowAtMost(int(dom[0]), int(d), best); c < best {
+			if best = c; best == 0 {
+				break
+			}
 		}
 	}
 	return best
+}
+
+// dominatingSet returns a dominating set of g, built by the max-coverage
+// greedy: repeatedly take the vertex whose closed neighbourhood covers
+// the most still-uncovered vertices, lowest id on ties. Gains only fall,
+// so each vertex waits in the bucket of its last known gain and is
+// re-filed lazily when its bucket is reached and the gain has dropped.
+// Updating gains costs O(n + m); sorting each bucket as its level is
+// reached puts re-filed vertices back in id order.
+func dominatingSet(g *graph.Graph) []int32 {
+	n := g.N()
+	gain := make([]int32, n) // uncovered vertices in the closed neighbourhood
+	top := int32(0)
+	for v := range gain {
+		gain[v] = int32(g.Degree(v) + 1)
+		top = max(top, gain[v])
+	}
+	buckets := make([][]int32, top+1)
+	for v, gv := range gain {
+		buckets[gv] = append(buckets[gv], int32(v))
+	}
+	covered := make([]bool, n)
+	uncovered := n
+	cover := func(u int32) {
+		if covered[u] {
+			return
+		}
+		covered[u] = true
+		uncovered--
+		gain[u]--
+		for _, w := range g.Neighbors(int(u)) {
+			gain[w]--
+		}
+	}
+	var dom []int32
+	for level := top; level > 0 && uncovered > 0; level-- {
+		bucket := buckets[level]
+		slices.Sort(bucket)
+		for _, v := range bucket {
+			switch gv := gain[v]; {
+			case gv == level:
+				dom = append(dom, v)
+				cover(v)
+				for _, u := range g.Neighbors(int(v)) {
+					cover(u)
+				}
+			case gv > 0:
+				buckets[gv] = append(buckets[gv], v)
+			}
+		}
+		buckets[level] = nil
+	}
+	return dom
 }
 
 // LocalVertexConnectivity returns κ(s,t): the maximum number of

@@ -1,7 +1,11 @@
-// Package flow implements unit-capacity max-flow (Dinic) and the exact
-// vertex- and edge-connectivity algorithms used as ground-truth baselines
-// for the paper's approximation claims (Corollary 1.7) and as validators
-// for the generators' advertised connectivity.
+// Package flow implements unit-capacity max-flow (Dinic) and exact
+// vertex and edge connectivity. VertexConnectivity is the ground truth
+// for the paper's approximation claims (Corollary 1.7) and for the
+// generators' advertised connectivity. EdgeConnectivity also runs in
+// production: the spanning-tree packers compute λ with it whenever the
+// caller does not pass one, standing in for the distributed min-cut
+// approximation of [21]. StoerWagner is the independent oracle the
+// tests and FuzzEdgeConnectivity check EdgeConnectivity against.
 package flow
 
 // Network is a directed flow network with integer capacities stored as

@@ -4,9 +4,10 @@ import "repro/internal/graph"
 
 // StoerWagner computes the global minimum cut weight of g (with unit
 // edge weights this is the edge connectivity λ). It is an independent
-// O(n^3) algorithmic path used to cross-validate the flow-based
-// EdgeConnectivity in tests. Returns 0 for graphs with fewer than two
-// vertices or disconnected graphs.
+// O(n^3) algorithmic path, dense in n, kept only as the test oracle for
+// the flow-based EdgeConnectivity; production code calls
+// EdgeConnectivity. Returns 0 for graphs with fewer than two vertices or
+// disconnected graphs.
 func StoerWagner(g *graph.Graph) int {
 	n := g.N()
 	if n < 2 {

@@ -35,9 +35,10 @@ type PackProfile struct {
 	Trees   int     `json:"trees"`
 	MaxLoad float64 `json:"max_load"`
 
-	// Spanning: MWU iterations, the exact-vs-skipped split of the
-	// Lemma F.1 stop tests, signature-index tree dedups, and the
-	// Section 5.2 subgraph sampling outcome.
+	// Spanning: MWU iterations, the Lemma F.1 stop tests split into
+	// full-evaluation fallbacks (exact) and heaviest-first prefix early
+	// exits (skipped), signature-index tree dedups, and the Section 5.2
+	// subgraph sampling outcome.
 	Iterations        int `json:"iterations,omitempty"`
 	StopChecksExact   int `json:"stop_checks_exact,omitempty"`
 	StopChecksSkipped int `json:"stop_checks_skipped,omitempty"`

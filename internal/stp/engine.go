@@ -31,12 +31,14 @@ type MSTOracle func(e *Engine, seed uint64) (chosen []int, rounds int, err error
 //     trees).
 //   - max_e z_e reads off the order's tail in O(1).
 //   - The Lemma F.1 stop test (Cost(MST) > (1-ε)·Σ c_e·x_e with
-//     c_e = exp(α·z_e)) is gated by an O(1) conservative bound: when
-//     log(n-1) + α·max_{e∈MST} z_e is far below the largest term of the
-//     full log-sum-exp, the test provably cannot fire and the O(m)
-//     exponential rescan is skipped. When the bound is inconclusive the
-//     test is evaluated exactly as before, so the stop iteration — and
-//     with it the packing — is unchanged.
+//     c_e = exp(α·z_e)) sums Σ c_e·x_e from the heaviest end of the
+//     maintained order. Every term is non-negative, so every prefix is
+//     a lower bound on the full sum, and once (1-ε)·prefix clears
+//     Cost(MST) the certificate cannot fire; far from convergence that
+//     takes a few terms instead of m. Only a prefix that runs out of
+//     loaded edges falls back to the full O(m) evaluation in edge-id
+//     order, so the stop iteration — and with it the packing — is
+//     unchanged.
 //   - Distinct trees are deduplicated by FNV-1a hashing of sorted edge
 //     ids over a reused scratch buffer (with stored-id verification on
 //     hash hits) instead of per-iteration string signatures, and new
@@ -70,8 +72,6 @@ type Engine struct {
 	costMST *mst.LogSumExp
 	costAll *mst.LogSumExp
 
-	// Constants of the skip bound.
-	logTreeEdges float64 // log(n-1)
 	logOneMinusE float64 // log(1-ε)
 
 	oracle MSTOracle
@@ -80,8 +80,8 @@ type Engine struct {
 
 	// Profiling counters copied into Stats by Finish (observability only;
 	// none of these feed the fingerprint).
-	stopExact   int // stop tests that ran the exact O(m) rescan
-	stopSkipped int // stop tests the conservative O(1) bound skipped
+	stopExact   int // stop tests decided by the full O(m) evaluation
+	stopSkipped int // stop tests a heaviest-first prefix ruled out
 	dedupHits   int // trees folded into an existing entry by signature
 }
 
@@ -93,12 +93,12 @@ type packEntry struct {
 	weight float64
 }
 
-// skipMargin is the log-domain safety margin of the conservative stop
-// bound. The bound compares exact-arithmetic envelopes of two LogSumExp
-// accumulations whose float error is bounded by ~m·ulp of the result
-// (≪ 1e-9 in the log domain); a margin of 1.0 dwarfs that by nine
-// orders of magnitude, so a skipped test can never have fired.
-const skipMargin = 1.0
+// prefixMargin is the log-domain margin by which (1-ε)·prefix must clear
+// Cost(MST) before the stop test returns early. The prefix and the full
+// evaluation sum the same terms in different orders; each LogSumExp's
+// float error is ~m·ulp of its result (≪ 1e-9 in the log domain), so a
+// prefix that clears by 1e-6 cannot disagree with the full evaluation.
+const prefixMargin = 1e-6
 
 // NewEngine returns an engine over g for edge connectivity lambda. opts
 // must already be normalized (Pack and stpdist.Pack both normalize
@@ -128,7 +128,6 @@ func NewEngine(g *graph.Graph, lambda int, opts Options, oracle MSTOracle) *Engi
 		pool:         graph.NewTreePool(n),
 		costMST:      mst.NewLogSumExp(),
 		costAll:      mst.NewLogSumExp(),
-		logTreeEdges: math.Log(float64(n - 1)),
 		logOneMinusE: math.Log(1 - eps),
 		oracle:       oracle,
 	}
@@ -187,38 +186,37 @@ func (e *Engine) MaxLoad() float64 {
 
 // shouldStop evaluates the two stop conditions of the Section 5.1 loop:
 // the direct load check maxZ <= 1+2ε and the Lemma F.1 certificate
-// Cost(MST) > (1-ε)·Σ c_e·x_e. Both break identically, so the cheap
-// O(1) check runs first and the exponential rescan runs only when the
-// conservative bound cannot rule the certificate out.
+// Cost(MST) > (1-ε)·Σ c_e·x_e. The O(1) load check runs first. Cost(MST)
+// is then computed exactly, and Σ c_e·x_e is summed from the heaviest
+// edge down until (1-ε)·prefix clears Cost(MST) by prefixMargin, which
+// rules the certificate out. A prefix that runs out of loaded edges
+// leaves the decision to the full evaluation in edge-id order.
 func (e *Engine) shouldStop(chosen []int) bool {
 	halfLamF := float64(e.halfLam)
-	maxZ := e.MaxLoad()
-	if maxZ <= 1+2*e.eps {
+	if e.MaxLoad() <= 1+2*e.eps {
 		return true
 	}
-
-	// Conservative bound: Cost(MST) <= (n-1)·exp(max_{e∈MST} α·z_e) and
-	// Σ c_e·x_e >= x_max·exp(α·maxZ), so when the left envelope sits
-	// skipMargin below the right one the certificate cannot fire and the
-	// O(m) rescan is skipped. Far from convergence the MST avoids loaded
-	// edges and the envelopes differ by hundreds in the log domain.
-	maxExpMST := math.Inf(-1)
-	for _, c := range chosen {
-		if exp := e.alpha * e.x[c] * halfLamF; exp > maxExpMST {
-			maxExpMST = exp
-		}
-	}
-	xMax := e.x[e.order.MaxID()]
-	if e.logTreeEdges+maxExpMST+skipMargin < e.logOneMinusE+e.alpha*maxZ+math.Log(xMax) {
-		e.stopSkipped++
-		return false
-	}
-	e.stopExact++
 
 	e.costMST.Reset()
 	for _, c := range chosen {
 		e.costMST.Add(e.alpha*e.x[c]*halfLamF, 1)
 	}
+	bar := e.costMST.Log() + prefixMargin - e.logOneMinusE
+	e.costAll.Reset()
+	order := e.order.Order()
+	for i := len(order) - 1; i >= 0; i-- {
+		x := e.x[order[i]]
+		if x == 0 {
+			break // the rest of the prefix adds nothing
+		}
+		e.costAll.Add(e.alpha*(x*halfLamF), x)
+		if e.costAll.Log() > bar {
+			e.stopSkipped++
+			return false
+		}
+	}
+	e.stopExact++
+
 	e.costAll.Reset()
 	for i := range e.x {
 		z := e.x[i] * halfLamF

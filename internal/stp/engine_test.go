@@ -1,8 +1,10 @@
 package stp
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/flow"
 	"repro/internal/graph"
 	"repro/internal/mst"
 )
@@ -108,5 +110,116 @@ func TestEngineDeduplicatesTrees(t *testing.T) {
 			t.Fatalf("duplicate tree entry %v", ent.ids)
 		}
 		seen[key] = true
+	}
+}
+
+// fullStopDecision is the stop test without the prefix shortcut: the
+// load check, then Cost(MST) > (1-ε)·Σ c_e·x_e with the sum taken over
+// every edge in id order.
+func fullStopDecision(e *Engine, chosen []int) bool {
+	halfLamF := float64(e.halfLam)
+	if e.MaxLoad() <= 1+2*e.eps {
+		return true
+	}
+	cost, all := mst.NewLogSumExp(), mst.NewLogSumExp()
+	for _, c := range chosen {
+		cost.Add(e.alpha*e.x[c]*halfLamF, 1)
+	}
+	for _, x := range e.x {
+		all.Add(e.alpha*(x*halfLamF), x)
+	}
+	return cost.GreaterThan(all, 1-e.eps)
+}
+
+type namedGraph struct {
+	name string
+	g    *graph.Graph
+}
+
+// stopParityGraphs are perfbench's 13 cold-pack families (unrelabelled)
+// plus K16, K32 and C8.
+func stopParityGraphs(t *testing.T) []namedGraph {
+	t.Helper()
+	out := []namedGraph{
+		{"Q5", graph.Hypercube(5)}, {"Q6", graph.Hypercube(6)},
+		{"Q7", graph.Hypercube(7)}, {"Q8", graph.Hypercube(8)},
+		{"T8x8", graph.Torus(8, 8)}, {"T12x12", graph.Torus(12, 12)},
+		{"T16x16", graph.Torus(16, 16)},
+		{"K16", graph.Complete(16)}, {"K32", graph.Complete(32)}, {"C8", graph.Cycle(8)},
+	}
+	for _, h := range [][2]int{{6, 64}, {8, 112}, {10, 96}, {12, 160}} {
+		g, err := graph.Harary(h[0], h[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, namedGraph{fmt.Sprintf("H(%d,%d)", h[0], h[1]), g})
+	}
+	for _, c := range [][3]int{{8, 8, 4}, {6, 12, 6}} {
+		g, err := graph.CliqueChain(c[0], c[1], c[2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, namedGraph{fmt.Sprintf("CC(%d,%d,%d)", c[0], c[1], c[2]), g})
+	}
+	return out
+}
+
+// TestStopDecisionMatchesFullEvaluation gates the heaviest-first stop
+// test against the evaluation it short-cuts: at every MWU iteration of a
+// full pack, the engine stops exactly when the full evaluation says so.
+func TestStopDecisionMatchesFullEvaluation(t *testing.T) {
+	iterations, skipped, exact := 0, 0, 0
+	for _, tc := range stopParityGraphs(t) {
+		lambda := flow.EdgeConnectivity(tc.g)
+		for _, eps := range []float64{0.05, 0.1, 0.2, 0.4} {
+			opts := Options{Epsilon: eps}.normalize(tc.g.N())
+			var want bool
+			oracle := func(e *Engine, seed uint64) ([]int, int, error) {
+				chosen, rounds, err := KruskalOracle(e, seed)
+				want = err == nil && fullStopDecision(e, chosen)
+				return chosen, rounds, err
+			}
+			eng := NewEngine(tc.g, lambda, opts, oracle)
+			if _, err := eng.Step(0); err != nil {
+				t.Fatal(err)
+			}
+			for iter := 0; iter < opts.MaxIters && !eng.Done(); iter++ {
+				if _, err := eng.Step(0); err != nil {
+					t.Fatal(err)
+				}
+				if eng.Done() != want {
+					t.Fatalf("%s ε=%v iteration %d: engine stopped = %v, full evaluation says %v",
+						tc.name, eps, eng.Iterations(), eng.Done(), want)
+				}
+				iterations++
+			}
+			if !eng.Done() {
+				t.Fatalf("%s ε=%v: no stop within %d iterations", tc.name, eps, opts.MaxIters)
+			}
+			skipped += eng.stopSkipped
+			exact += eng.stopExact
+		}
+	}
+	if skipped == 0 {
+		t.Fatal("no stop test took the prefix shortcut")
+	}
+	t.Logf("%d iterations agree; %d prefix exits, %d full evaluations", iterations, skipped, exact)
+}
+
+// TestStopFallsBackToFullEvaluation drives the one path the packs above
+// never reach: a prefix that runs out of edges. On C8 with every load
+// 0.5 and λ = 20, Cost(MST) = 7·e^{5α} exceeds (1-ε)·Σ c_e·x_e =
+// 3.6·e^{5α}, so no prefix clears and the full evaluation must stop.
+func TestStopFallsBackToFullEvaluation(t *testing.T) {
+	g := graph.Cycle(8)
+	eng := NewEngine(g, 20, Options{Epsilon: 0.1}.normalize(g.N()), KruskalOracle)
+	for i := range eng.x {
+		eng.x[i] = 0.5
+	}
+	if !eng.shouldStop([]int{0, 1, 2, 3, 4, 5, 6}) {
+		t.Fatal("certificate did not fire")
+	}
+	if eng.stopExact != 1 || eng.stopSkipped != 0 {
+		t.Fatalf("stopExact = %d, stopSkipped = %d, want 1 and 0", eng.stopExact, eng.stopSkipped)
 	}
 }

@@ -52,10 +52,11 @@ type Stats struct {
 	SubgraphsPacked int
 	// DistinctTrees counts distinct trees in the collection.
 	DistinctTrees int
-	// StopChecksExact counts stop tests that ran the exact O(m) rescan;
-	// StopChecksSkipped counts those the conservative O(1) bound skipped.
-	// Their ratio is the skip bound's effectiveness (observability only —
-	// neither feeds the fingerprint).
+	// StopChecksSkipped counts Lemma F.1 stop tests that a heaviest-first
+	// prefix of Σ c_e·x_e ruled out early; StopChecksExact counts those
+	// whose prefix ran out of loaded edges and fell back to the full O(m)
+	// evaluation. Tests decided by the maxZ <= 1+2ε load check count in
+	// neither (observability only — neither feeds the fingerprint).
 	StopChecksExact   int
 	StopChecksSkipped int
 	// DedupHits counts oracle trees folded into an existing entry by the
@@ -137,12 +138,13 @@ type Options struct {
 	Seed uint64
 	// Epsilon is the paper's ε (default 0.1).
 	Epsilon float64
-	// MaxIters caps the MWU iterations per subgraph (default Θ(log^3 n),
-	// at least 256).
+	// MaxIters caps the MWU iterations per subgraph (default
+	// 80·log₂³(n+2)/ε, clamped to [2000, 60000]).
 	MaxIters int
 	// KnownLambda skips connectivity estimation when > 0. Otherwise λ is
-	// computed exactly with Stoer–Wagner (standing in for the paper's
-	// distributed 3-approximation of [21]; see DESIGN.md).
+	// computed exactly with flow.EdgeConnectivity, standing in for the
+	// paper's distributed 3-approximation of [21] (docs/ARCHITECTURE.md,
+	// "Substitutions").
 	KnownLambda int
 	// SampleThreshold: subgraph sampling kicks in when λ exceeds this
 	// multiple of log n/ε² (paper: constant ~20; default 6, scaled for
@@ -156,7 +158,8 @@ func (o Options) normalize(n int) Options {
 	}
 	if o.MaxIters <= 0 {
 		// Θ(log^3 n)-flavored cap with the constants the analysis hides;
-		// the loop normally stops far earlier via the Lemma F.1 test.
+		// the loop normally stops far earlier, on the maxZ <= 1+2ε load
+		// check.
 		l := math.Log2(float64(n) + 2)
 		o.MaxIters = int(80 * l * l * l / o.Epsilon)
 		if o.MaxIters < 2000 {
@@ -185,7 +188,7 @@ func Pack(g *graph.Graph, opts Options) (*Packing, error) {
 	opts = opts.normalize(n)
 	lambda := opts.KnownLambda
 	if lambda <= 0 {
-		lambda = flow.StoerWagner(g)
+		lambda = flow.EdgeConnectivity(g)
 	}
 	if lambda < 1 {
 		return nil, fmt.Errorf("stp: edge connectivity %d < 1", lambda)
@@ -225,7 +228,7 @@ func Pack(g *graph.Graph, opts Options) (*Packing, error) {
 			// skip it — the remaining subgraphs still pack Ω(λ).
 			continue
 		}
-		subLambda := flow.StoerWagner(sub)
+		subLambda := flow.EdgeConnectivity(sub)
 		if subLambda < 1 {
 			continue
 		}
@@ -294,7 +297,7 @@ func IntegralPack(g *graph.Graph, opts Options) ([]*graph.Tree, error) {
 	opts = opts.normalize(n)
 	lambda := opts.KnownLambda
 	if lambda <= 0 {
-		lambda = flow.StoerWagner(g)
+		lambda = flow.EdgeConnectivity(g)
 	}
 	logn := math.Log2(float64(n) + 2)
 	eta := int(float64(lambda) / (3 * logn))

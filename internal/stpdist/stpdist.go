@@ -2,12 +2,12 @@
 // packing of Theorem 1.3 in the E-CONGEST model (Section 5).
 //
 // Each MWU iteration runs one distributed MST (internal/dist's Borůvka
-// phases standing in for Kutten–Peleg, DESIGN.md substitution 2) under
-// edge loads quantized to multiples of 1/(4n) — the paper's footnote-6
-// rounding that keeps messages within O(log n) bits. The
-// stop-or-continue decision is the leader's: we compute it driver-side
-// and charge one BFS-tree convergecast (D rounds) per iteration, as the
-// paper describes.
+// phases standing in for Kutten–Peleg, docs/ARCHITECTURE.md
+// "Substitutions", item 2) under edge loads quantized to multiples of
+// 1/(4n) — the paper's footnote-6 rounding that keeps messages within
+// O(log n) bits. The stop-or-continue decision is the leader's: we
+// compute it driver-side and charge one BFS-tree convergecast (D rounds)
+// per iteration, as the paper describes.
 //
 // The MWU loop itself — load bookkeeping, the Lemma F.1 stop test with
 // its iters > 1 first-step guard, tree deduplication, the final rescale
@@ -54,8 +54,9 @@ func Pack(g *graph.Graph, opts stp.Options) (*Result, error) {
 	if lambda <= 0 {
 		// The paper uses the distributed min-cut 3-approximation of [21]
 		// in O~(D+sqrt(n)) rounds; we substitute the exact value and
-		// charge that bound (DESIGN.md substitution 5).
-		lambda = flow.StoerWagner(g)
+		// charge that bound (docs/ARCHITECTURE.md "Substitutions",
+		// item 1).
+		lambda = flow.EdgeConnectivity(g)
 		d := approxD(g)
 		charge := float64(d) + math.Sqrt(float64(n))*math.Log2(float64(n)+2)
 		meter.Charge(int(charge))
@@ -96,7 +97,7 @@ func Pack(g *graph.Graph, opts stp.Options) (*Result, error) {
 	for i, sub := range subgraphs {
 		subLambda := lambda
 		if eta > 1 {
-			subLambda = flow.StoerWagner(sub)
+			subLambda = flow.EdgeConnectivity(sub)
 		}
 		if subLambda < 1 {
 			continue
