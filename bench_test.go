@@ -63,6 +63,42 @@ func BenchmarkE2DomPackingCentralized(b *testing.B) {
 	}
 }
 
+// E2 cold: cds.Pack as the service runs it on a graph it has not seen,
+// over four of perfbench's cold-pack families (E2 above covers
+// hypercubes only), with every guess of Remark 3.1's loop timed.
+func BenchmarkE2DomPackingCold(b *testing.B) {
+	h12, err := graph.Harary(12, 160)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cc, err := graph.CliqueChain(6, 12, 6)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"Q8", graph.Hypercube(8)},
+		{"T16x16", graph.Torus(16, 16)},
+		{"H12_160", h12},
+		{"CC6_12_6", cc},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var size float64
+			for i := 0; i < b.N; i++ {
+				p, err := cds.Pack(tc.g, cds.Options{Seed: uint64(i)})
+				if err != nil {
+					b.Fatal(err)
+				}
+				size = p.Size()
+			}
+			b.ReportMetric(size, "packing-size")
+		})
+	}
+}
+
 // --- E3: Theorem 1.3 — spanning-tree packing ------------------------------
 
 func BenchmarkE3SpanPackingCentralized(b *testing.B) {

@@ -29,6 +29,7 @@ import (
 func Text() string {
 	var b strings.Builder
 	packingFingerprints(&b)
+	centralizedFingerprints(&b)
 	spanningFingerprints(&b)
 	broadcastFingerprints(&b)
 	faultFingerprints(&b)
@@ -84,6 +85,63 @@ func packingFingerprints(b *strings.Builder) {
 			st := res.Packing.Stats
 			fmt.Fprintf(b, "P %s seed=%d guess=%d classes=%d %s\n", c.name, seed, st.Guess, st.Classes, outcome(res))
 		}
+	}
+}
+
+// centralizedFingerprints covers the Theorem 1.2 centralized packer
+// directly (C lines): cds.Pack, Remark 3.1's loop over guesses n, n/2,
+// ..., 1, on five cold-pack families at seeds 0 and 1, then every
+// cds.PackWithGuess guess of Q8 at seed 0, so the guesses Pack discards
+// are pinned too. The hash covers the per-layer traces, every class's
+// member list, and each tree's weight and parent edges.
+func centralizedFingerprints(b *strings.Builder) {
+	outcome := func(p *cds.Packing) string {
+		st := p.Stats
+		h := fnv.New64a()
+		fmt.Fprintf(h, "%d|%d|%v|%v|", st.Layers, st.MaxLoad, st.ExcessComponents, st.MatchedPerLayer)
+		for _, members := range p.Classes {
+			fmt.Fprintf(h, "%v;", members)
+		}
+		for _, t := range p.Trees {
+			fmt.Fprintf(h, "%d:%.9f|", t.Class, t.Weight)
+			t.Tree.ForEachEdge(func(child, parent int) {
+				fmt.Fprintf(h, "%d-%d;", child, parent)
+			})
+		}
+		return fmt.Sprintf("guess=%d classes=%d valid=%d size=%.6f matched=%d unmatched=%d hash=%x",
+			st.Guess, st.Classes, st.ValidClasses, p.Size(), st.Matched, st.Unmatched, h.Sum64())
+	}
+	mustGraph := func(g *graph.Graph, err error) *graph.Graph {
+		if err != nil {
+			panic(err)
+		}
+		return g
+	}
+	q8 := graph.Hypercube(8)
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"Q6", graph.Hypercube(6)},
+		{"Q8", q8},
+		{"T12x12", graph.Torus(12, 12)},
+		{"H10_96", mustGraph(graph.Harary(10, 96))},
+		{"CC6_12_6", mustGraph(graph.CliqueChain(6, 12, 6))},
+	} {
+		for seed := uint64(0); seed < 2; seed++ {
+			p, err := cds.Pack(c.g, cds.Options{Seed: seed})
+			if err != nil {
+				panic(err)
+			}
+			fmt.Fprintf(b, "C %s seed=%d %s\n", c.name, seed, outcome(p))
+		}
+	}
+	for guess := q8.N(); guess >= 1; guess /= 2 {
+		p, err := cds.PackWithGuess(q8, guess, cds.Options{Seed: 0})
+		if err != nil {
+			panic(err)
+		}
+		fmt.Fprintf(b, "C Q8 seed=0 try %s\n", outcome(p))
 	}
 }
 
