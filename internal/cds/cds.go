@@ -149,7 +149,8 @@ type Stats struct {
 	MaxLoad int
 }
 
-// Options configures the packing algorithms. The zero value is usable;
+// Options configures the packing algorithms, centralized (this
+// package) and distributed (internal/cdsdist). The zero value is usable;
 // Normalize fills defaults.
 type Options struct {
 	// Seed drives all randomness.
@@ -169,7 +170,9 @@ type Options struct {
 	AllowPartialValidity bool
 }
 
-func (o Options) normalize(n int) Options {
+// Normalize returns o with every unset or out-of-range factor replaced
+// by its default.
+func (o Options) Normalize() Options {
 	if o.ClassFactor <= 0 {
 		o.ClassFactor = 0.5
 	}
@@ -179,11 +182,13 @@ func (o Options) normalize(n int) Options {
 	if o.JumpStartFraction <= 0 || o.JumpStartFraction >= 1 {
 		o.JumpStartFraction = 0.5
 	}
-	_ = n
 	return o
 }
 
-func layersFor(n int, o Options) int {
+// LayersFor returns L, the number of virtual layers for an n-vertex
+// graph under normalized options o: 2*ceil(LayerFactor * log2(n+2)), at
+// least 4.
+func LayersFor(n int, o Options) int {
 	log2n := math.Log2(float64(n) + 2)
 	l := int(math.Ceil(o.LayerFactor * log2n))
 	if l < 2 {

@@ -21,8 +21,8 @@ func PackWithGuess(g *graph.Graph, kGuess int, opts Options) (*Packing, error) {
 	if kGuess < 1 {
 		return nil, fmt.Errorf("cds: connectivity guess %d < 1", kGuess)
 	}
-	opts = opts.normalize(n)
-	layers := layersFor(n, opts)
+	opts = opts.Normalize()
+	layers := LayersFor(n, opts)
 	classes := int(opts.ClassFactor * float64(kGuess))
 	if classes < 1 {
 		classes = 1
@@ -319,7 +319,7 @@ func Pack(g *graph.Graph, opts Options) (*Packing, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("cds: empty graph")
 	}
-	opts = opts.normalize(n)
+	opts = opts.Normalize()
 	var best *Packing
 	for guess := n; guess >= 1; guess /= 2 {
 		p, err := PackWithGuess(g, guess, opts)

@@ -14,7 +14,6 @@ package cdsdist
 
 import (
 	"fmt"
-	"math"
 	"math/rand/v2"
 
 	"repro/internal/cds"
@@ -53,7 +52,7 @@ func PackWithGuess(g *graph.Graph, kGuess int, opts cds.Options) (*Result, error
 	if kGuess < 1 {
 		return nil, fmt.Errorf("cdsdist: connectivity guess %d < 1", kGuess)
 	}
-	opts = normalized(opts)
+	opts = opts.Normalize()
 	r := newRun(g, kGuess, opts)
 	if err := r.execute(); err != nil {
 		return nil, err
@@ -98,19 +97,6 @@ func Pack(g *graph.Graph, opts cds.Options) (*Result, error) {
 	}
 	best.Meter = total
 	return best, nil
-}
-
-func normalized(o cds.Options) cds.Options {
-	if o.ClassFactor <= 0 {
-		o.ClassFactor = 0.5
-	}
-	if o.LayerFactor <= 0 {
-		o.LayerFactor = 1.0
-	}
-	if o.JumpStartFraction <= 0 || o.JumpStartFraction >= 1 {
-		o.JumpStartFraction = 0.5
-	}
-	return o
 }
 
 // run holds the global (driver-visible) protocol state: per-node class
@@ -179,7 +165,7 @@ func insertClass(cls []int32, c int32) []int32 {
 
 func newRun(g *graph.Graph, kGuess int, opts cds.Options) *run {
 	n := g.N()
-	layers := layersFor(n, opts)
+	layers := cds.LayersFor(n, opts)
 	classes := int(opts.ClassFactor * float64(kGuess))
 	if classes < 1 {
 		classes = 1
@@ -215,14 +201,6 @@ func newRun(g *graph.Graph, kGuess int, opts cds.Options) *run {
 		r.parent[v] = make(map[int32]int64, 8)
 	}
 	return r
-}
-
-func layersFor(n int, o cds.Options) int {
-	l := int(math.Ceil(o.LayerFactor * math.Log2(float64(n)+2)))
-	if l < 2 {
-		l = 2
-	}
-	return 2 * l
 }
 
 func (r *run) execute() error {

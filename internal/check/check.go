@@ -248,6 +248,6 @@ func ClassesOf(n int, trees []Weighted) [][]int32 {
 
 func log2(n int) float64 {
 	// The +2 keeps the bound finite on degenerate sizes, matching
-	// layersFor and the existing test constants.
+	// cds.LayersFor and the existing test constants.
 	return math.Log2(float64(n) + 2)
 }
