@@ -7,8 +7,10 @@
 // node, a random jump-start on the first L/2 layers, and a recursive
 // class assignment in which type-2 virtual nodes are matched to
 // connected components through the bridging graph. Components are
-// maintained with a union-find over virtual nodes, giving the paper's
-// O(m log^2 n) step bound up to the union-find inverse-Ackermann factor.
+// maintained with a union-find over one representative virtual node per
+// (real node, class) pair, and each layer reads component roots from a
+// table refreshed once at its start, giving the paper's O(m log^2 n)
+// step bound up to the union-find inverse-Ackermann factor.
 package cds
 
 import (
@@ -144,8 +146,10 @@ type Stats struct {
 	// to a random class (observability roll-up of MatchedPerLayer).
 	Matched   int
 	Unmatched int
-	// MaxLoad is the maximum number of distinct classes any real vertex
-	// belongs to (per-node load before fractional weighting).
+	// MaxLoad is the maximum number of valid trees through any real
+	// vertex, as FinalizeWeights returns it (per-node load before
+	// fractional weighting). Invalid classes do not count, so it can be
+	// below the number of classes a vertex joined.
 	MaxLoad int
 }
 

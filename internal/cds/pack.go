@@ -14,6 +14,13 @@ import (
 // with fewer valid trees than classes — so callers can test the outcome
 // as the paper's try-and-error loop does.
 func PackWithGuess(g *graph.Graph, kGuess int, opts Options) (*Packing, error) {
+	return packWithGuess(g, kGuess, opts, nil)
+}
+
+// packWithGuess is PackWithGuess. A non-nil afterLayer is called with
+// the virtual graph after the jump start and after every recursive
+// layer, where the white-box tests check the component invariants.
+func packWithGuess(g *graph.Graph, kGuess int, opts Options, afterLayer func(*virtualGraph)) (*Packing, error) {
 	n := g.N()
 	if n == 0 {
 		return nil, fmt.Errorf("cds: empty graph")
@@ -49,6 +56,9 @@ func PackWithGuess(g *graph.Graph, kGuess int, opts Options) (*Packing, error) {
 		}
 	}
 	stats.ExcessComponents = append(stats.ExcessComponents, vg.excess())
+	if afterLayer != nil {
+		afterLayer(vg)
+	}
 
 	// Recursive class assignment, one layer at a time.
 	for layer := half; layer < layers; layer++ {
@@ -57,6 +67,9 @@ func PackWithGuess(g *graph.Graph, kGuess int, opts Options) (*Packing, error) {
 		stats.Matched += matchedCount
 		stats.Unmatched += n - matchedCount
 		stats.ExcessComponents = append(stats.ExcessComponents, vg.excess())
+		if afterLayer != nil {
+			afterLayer(vg)
+		}
 	}
 
 	return buildPacking(g, vg, stats), nil
@@ -76,6 +89,7 @@ type packScratch struct {
 	pmSeen []int32   // per class: pm[class] valid iff == pmGen
 	pm     [][]int32 // per class: suitable component roots (App. C array)
 
+	adjacent []int32   // deactivation's component roots, reused across layers
 	suitable [][]int32 // per vertex: reused across layers
 	order    []int     // matching order permutation, reused across layers
 }
@@ -101,6 +115,7 @@ func newPackScratch(vg *virtualGraph) *packScratch {
 func assignLayer(g *graph.Graph, vg *virtualGraph, s *packScratch, rng *rand.Rand, layer, classes int) int {
 	n := g.N()
 	s.layerGen++
+	vg.refreshRoots()
 
 	// Types 1 and 3 join random classes (recorded, merged later).
 	for v := 0; v < n; v++ {
@@ -110,12 +125,11 @@ func assignLayer(g *graph.Graph, vg *virtualGraph, s *packScratch, rng *rand.Ran
 
 	// Deactivation: a component already bridged by a type-1 new node of
 	// its own class needs no type-2 match this layer (Appendix B.2).
-	var scratch []int32
 	for v := 0; v < n; v++ {
 		class := vg.class(v, layer, typeOne)
-		scratch = vg.adjacentComponents(v, class, scratch[:0])
-		if len(scratch) >= 2 {
-			for _, root := range scratch {
+		s.adjacent = vg.adjacentComponents(v, class, s.adjacent[:0])
+		if len(s.adjacent) >= 2 {
+			for _, root := range s.adjacent {
 				s.deactGen[root] = s.layerGen
 			}
 		}
@@ -190,21 +204,21 @@ func findMatch(g *graph.Graph, vg *virtualGraph, s *packScratch, v, layer int) (
 		addSuit(int(w))
 	}
 
-	// Scan candidate components adjacent to v, class by class.
+	// Scan candidate components adjacent to v, class by class. A class
+	// with no suitable component fails rule (c) whatever the root, so
+	// its stamp is tested first; a set, once stamped, is never empty.
 	tryClass := func(u int) (int32, int32) {
 		vids := vg.repVid[u]
 		for i, class := range vg.repCls[u] {
-			root := int32(vg.uf.Find(int(vids[i])))
+			if s.pmSeen[class] != s.pmGen {
+				continue
+			}
+			root := vg.root[vids[i]]
 			if s.matchGen[root] == s.layerGen || s.deactGen[root] == s.layerGen {
 				continue
 			}
 			// Bridging rule (c): some suitable component differs from root.
-			var set []int32
-			if s.pmSeen[class] == s.pmGen {
-				set = s.pm[class]
-			}
-			ok := len(set) > 1 || (len(set) == 1 && set[0] != root)
-			if ok {
+			if set := s.pm[class]; len(set) > 1 || set[0] != root {
 				return class, root
 			}
 		}
@@ -223,14 +237,17 @@ func findMatch(g *graph.Graph, vg *virtualGraph, s *packScratch, v, layer int) (
 
 // buildPacking converts the class assignment into dominating trees: the
 // CDS-to-tree step of Section 3.1 (a 0/1-weight MST, which reduces to a
-// per-class spanning tree of the induced subgraph), then uniform
-// fractional weights 1/maxLoad so that per-vertex load is at most 1.
+// per-class spanning tree of the induced subgraph), then fractional
+// weights from FinalizeWeights so that per-vertex load is at most 1.
 func buildPacking(g *graph.Graph, vg *virtualGraph, stats Stats) *Packing {
 	classes := vg.realClasses()
 	inSet := ds.NewBitset(g.N())
 	var trees []Tree
 	for class, members := range classes {
-		if len(members) == 0 {
+		// comps counts the components of the class's induced subgraph:
+		// 0 is an empty class and more than 1 a disconnected one, both
+		// invalid, so only a count of 1 needs a tree.
+		if vg.comps[class] != 1 {
 			continue
 		}
 		inSet.Reset()
@@ -239,7 +256,7 @@ func buildPacking(g *graph.Graph, vg *virtualGraph, stats Stats) *Packing {
 		}
 		tree, err := graph.SpanningTreeOfSubset(g, inSet.Has)
 		if err != nil {
-			continue // class not connected: invalid
+			continue // not reached while comps is exact
 		}
 		if !tree.IsDominatingIn(g) {
 			continue

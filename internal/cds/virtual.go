@@ -18,9 +18,15 @@ const (
 // virtualGraph is the bookkeeping for the virtual graph G~: each real
 // node simulates 3L virtual nodes (one per layer and type); two virtual
 // nodes are adjacent iff their real nodes are equal or adjacent in G.
-// Connected components of each class are tracked by a union-find over
-// virtual node ids, with one representative virtual node per (real
-// node, class) so that merging a new virtual node costs O(deg) finds.
+// Connected components of each class are tracked by a union-find whose
+// only members are representatives: the first virtual node of each
+// (real node, class) pair to merge. A later virtual node of the same
+// pair is adjacent to its representative, so it joins that component
+// and changes nothing; a new representative costs O(deg) finds, one
+// union with each real neighbor's representative of its class. So the
+// representatives of one class at adjacent real nodes always share a
+// root, and comps[class] is the number of connected components of the
+// subgraph of G induced by the class's real members.
 //
 // Representatives are stored as two parallel per-vertex slices sorted by
 // class (repCls/repVid) instead of per-vertex maps: a vertex belongs to
@@ -36,6 +42,7 @@ type virtualGraph struct {
 	uf      *ds.UnionFind
 	repCls  [][]int32 // repCls[v] = sorted classes with a representative at v
 	repVid  [][]int32 // repVid[v][i] = representative vid of class repCls[v][i]
+	root    []int32   // per representative vid: its root as of refreshRoots
 	comps   []int32   // comps[class] = live component count
 }
 
@@ -50,6 +57,7 @@ func newVirtualGraph(g *graph.Graph, layers, classes int) *virtualGraph {
 		uf:      ds.NewUnionFind(n * layers * numTypes),
 		repCls:  make([][]int32, n),
 		repVid:  make([][]int32, n),
+		root:    make([]int32, n*layers*numTypes),
 		comps:   make([]int32, classes),
 	}
 	for i := range vg.classOf {
@@ -91,41 +99,38 @@ func (vg *virtualGraph) rep(v int, class int32) int32 {
 	return -1
 }
 
-// addRep records vid as the representative of class at real node v,
-// keeping the per-vertex class list sorted.
-func (vg *virtualGraph) addRep(v int, class, id int32) {
+// addRep records id as the representative of class at real node v,
+// keeping the per-vertex class list sorted. It reports false, recording
+// nothing, when v already has a representative of class.
+func (vg *virtualGraph) addRep(v int, class, id int32) bool {
 	cls, vids := vg.repCls[v], vg.repVid[v]
 	i := sort.Search(len(cls), func(i int) bool { return cls[i] >= class })
+	if i < len(cls) && cls[i] == class {
+		return false
+	}
 	cls = append(cls, 0)
 	vids = append(vids, 0)
 	copy(cls[i+1:], cls[i:])
 	copy(vids[i+1:], vids[i:])
 	cls[i], vids[i] = class, id
 	vg.repCls[v], vg.repVid[v] = cls, vids
+	return true
 }
 
 // merge folds an assigned virtual node into its class's component
-// structure, unioning it with the class representatives at its own real
-// node and at every real neighbor.
+// structure. Only the first virtual node of its real node in the class
+// does anything: it becomes the representative, a new component, and is
+// unioned with the class representatives at every real neighbor.
 func (vg *virtualGraph) merge(v, layer, typ int) {
 	id := vg.vid(v, layer, typ)
 	class := vg.classOf[id]
-	if class < 0 {
+	if class < 0 || !vg.addRep(v, class, id) {
 		return
 	}
 	vg.comps[class]++
-	if r := vg.rep(v, class); r >= 0 {
-		if vg.uf.Union(int(id), int(r)) {
-			vg.comps[class]--
-		}
-	} else {
-		vg.addRep(v, class, id)
-	}
 	for _, w := range vg.g.Neighbors(v) {
-		if r := vg.rep(int(w), class); r >= 0 {
-			if vg.uf.Union(int(id), int(r)) {
-				vg.comps[class]--
-			}
+		if r := vg.rep(int(w), class); r >= 0 && vg.uf.Union(int(id), int(r)) {
+			vg.comps[class]--
 		}
 	}
 }
@@ -136,17 +141,29 @@ func (vg *virtualGraph) assign(v, layer, typ int, class int32) {
 	vg.merge(v, layer, typ)
 }
 
+// refreshRoots records every representative's component root in root.
+// A layer merges nothing until its final loop, so a refresh at the start
+// of the layer stays exact through deactivation, suitability and
+// matching, which then read roots without a single find.
+func (vg *virtualGraph) refreshRoots() {
+	for _, vids := range vg.repVid {
+		for _, id := range vids {
+			vg.root[id] = int32(vg.uf.Find(int(id)))
+		}
+	}
+}
+
 // adjacentComponents appends to dst the distinct component roots of the
 // given class adjacent (in the virtual graph) to real node v: the class
 // components containing a virtual node of v itself or of a real
-// neighbor of v.
+// neighbor of v. It reads the roots recorded by refreshRoots.
 func (vg *virtualGraph) adjacentComponents(v int, class int32, dst []int32) []int32 {
 	add := func(u int) {
 		r := vg.rep(u, class)
 		if r < 0 {
 			return
 		}
-		root := int32(vg.uf.Find(int(r)))
+		root := vg.root[r]
 		for _, have := range dst {
 			if have == root {
 				return
@@ -185,16 +202,4 @@ func (vg *virtualGraph) realClasses() [][]int32 {
 		}
 	}
 	return out
-}
-
-// maxLoad returns the maximum over real nodes of the number of distinct
-// classes the node belongs to.
-func (vg *virtualGraph) maxLoad() int {
-	max := 0
-	for v := 0; v < vg.n; v++ {
-		if l := len(vg.repCls[v]); l > max {
-			max = l
-		}
-	}
-	return max
 }

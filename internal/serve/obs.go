@@ -30,7 +30,8 @@ var phaseNames = [numPhases]string{"registry", "store_load", "pack", "clone", "r
 type PackProfile struct {
 	// Kind is the decomposition kind the profile describes; Trees the
 	// packed tree count; MaxLoad the packer's load diagnostic (max_e z_e
-	// for spanning, max per-vertex class count for dominating).
+	// for spanning, the most valid trees through one vertex for
+	// dominating).
 	Kind    Kind    `json:"kind"`
 	Trees   int     `json:"trees"`
 	MaxLoad float64 `json:"max_load"`
