@@ -162,8 +162,9 @@ type Options struct {
 	// ClassFactor sets t = max(1, floor(ClassFactor * k-hat)); the paper
 	// uses t = Θ(k) with a small constant. Default 0.5.
 	ClassFactor float64
-	// LayerFactor sets L = 2*ceil(LayerFactor * log2 n) (always even);
-	// the paper uses L = Θ(log n). Default 1.0, i.e. L = 2*ceil(log2 n).
+	// LayerFactor sets L = 2*ceil(LayerFactor * log2(n+2)), at least 4
+	// and always even (LayersFor); the paper uses L = Θ(log n).
+	// Default 1.0.
 	LayerFactor float64
 	// JumpStartFraction is the fraction of layers assigned randomly
 	// up-front (paper: 1/2). Exposed for the A2 ablation. Default 0.5.

@@ -8,11 +8,13 @@ import (
 	"repro/internal/graph"
 )
 
-// invariantGraphs is perfbench's 13 cold-pack families plus K16 and C9.
-func invariantGraphs(t *testing.T) []struct {
+type namedGraph struct {
 	name string
 	g    *graph.Graph
-} {
+}
+
+// invariantGraphs is perfbench's 13 cold-pack families plus K16 and C9.
+func invariantGraphs(t *testing.T) []namedGraph {
 	t.Helper()
 	must := func(g *graph.Graph, err error) *graph.Graph {
 		if err != nil {
@@ -20,10 +22,7 @@ func invariantGraphs(t *testing.T) []struct {
 		}
 		return g
 	}
-	return []struct {
-		name string
-		g    *graph.Graph
-	}{
+	return []namedGraph{
 		{"Q5", graph.Hypercube(5)},
 		{"Q6", graph.Hypercube(6)},
 		{"Q7", graph.Hypercube(7)},
