@@ -5,9 +5,9 @@
 package ds
 
 // UnionFind is a disjoint-set forest with union by rank and path halving.
-// It tracks the number of disjoint sets and the size of each set, which
-// the dominating-tree packer uses to count excess components per class
-// (the M_ell quantity of the paper's Section 3.1).
+// It tracks the number of disjoint sets and the size of each set. The
+// dominating-tree packer counts each class's components (the M_ell
+// quantity of the paper's Section 3.1) from Union's result.
 type UnionFind struct {
 	parent []int32
 	rank   []int8
