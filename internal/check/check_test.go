@@ -88,23 +88,38 @@ func TestSpanningPackingViolations(t *testing.T) {
 	g := graph.Complete(5)
 	span := graph.TreeFromBFS(g, 0)
 	partial := mustTree(t, 5, 0, map[int]int{1: 0})
+	// A path and a star that share the edges (1,2) and (2,3): at 0.75
+	// each both carry 1.5, and the error names the lower edge id.
+	path := mustTree(t, 5, 0, map[int]int{1: 0, 2: 1, 3: 2, 4: 3})
+	star := mustTree(t, 5, 2, map[int]int{0: 2, 1: 2, 3: 2, 4: 2})
+	// On C6, a spanning tree whose edge (3,0) is a chord the cycle lacks.
+	cycle := graph.Cycle(6)
+	chord := mustTree(t, 6, 0, map[int]int{1: 0, 2: 1, 3: 0, 4: 3, 5: 4})
 
 	cases := []struct {
 		name     string
+		g        *graph.Graph
 		trees    []check.Weighted
 		capacity float64
 		minSize  float64
 		want     string
 	}{
-		{"empty", nil, 1, 0, "empty packing"},
-		{"not-spanning", []check.Weighted{{Tree: partial, Weight: 1}}, 1, 0, "spans 2 of 5"},
-		{"edge-overload", []check.Weighted{{Tree: span, Weight: 0.8}, {Tree: span, Weight: 0.8}}, 1, 0, "> capacity"},
-		{"below-floor", []check.Weighted{{Tree: span, Weight: 0.1}}, 1, 1.0, "below floor"},
-		{"weight-nonpositive", []check.Weighted{{Tree: span, Weight: -0.2}}, 1, 0, "not positive"},
+		{"empty", g, nil, 1, 0, "empty packing"},
+		{"not-spanning", g, []check.Weighted{{Tree: partial, Weight: 1}}, 1, 0, "spans 2 of 5"},
+		{"edge-overload", g, []check.Weighted{{Tree: span, Weight: 0.8}, {Tree: span, Weight: 0.8}}, 1, 0, "> capacity"},
+		{"overload-names-first-max-edge", g, []check.Weighted{{Tree: path, Weight: 0.75}, {Tree: star, Weight: 0.75}}, 1, 0,
+			"check: edge (1,2) carries fractional load 1.5 > capacity 1"},
+		{"edge-missing-second-tree", cycle, []check.Weighted{{Tree: graph.TreeFromBFS(cycle, 0), Weight: 0.5}, {Tree: chord, Weight: 0.5}}, 1, 0,
+			"check: tree 1: " + chord.ValidateIn(cycle).Error()},
+		{"below-floor", g, []check.Weighted{{Tree: span, Weight: 0.1}}, 1, 1.0, "below floor"},
+		{"weight-nonpositive", g, []check.Weighted{{Tree: span, Weight: -0.2}}, 1, 0, "not positive"},
+	}
+	if want := "graph: tree edge (3,0) not in host graph"; chord.ValidateIn(cycle).Error() != want {
+		t.Fatalf("ValidateIn of the chord tree: %v, want %q", chord.ValidateIn(cycle), want)
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := check.SpanningPacking(g, tc.trees, tc.capacity, tc.minSize)
+			err := check.SpanningPacking(tc.g, tc.trees, tc.capacity, tc.minSize)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("got %v, want error containing %q", err, tc.want)
 			}
