@@ -105,6 +105,7 @@ func SpanningPacking(g *graph.Graph, trees []Weighted, capacity, minSize float64
 	if len(trees) == 0 {
 		return fmt.Errorf("check: empty packing")
 	}
+	load := make([]float64, g.M())
 	size := 0.0
 	for i, t := range trees {
 		if t.Weight <= 0 {
@@ -113,14 +114,14 @@ func SpanningPacking(g *graph.Graph, trees []Weighted, capacity, minSize float64
 		if !t.Tree.IsSpanning(g) {
 			return fmt.Errorf("check: tree %d spans %d of %d vertices", i, t.Tree.Size(), g.N())
 		}
-		if err := t.Tree.ValidateIn(g); err != nil {
+		if err := addEdgeLoad(g, t, load); err != nil {
 			return fmt.Errorf("check: tree %d: %w", i, err)
 		}
 		size += t.Weight
 	}
-	if load, e := EdgeCongestion(g, trees); load > capacity+eps {
+	if l, e := maxLoad(load); l > capacity+eps {
 		u, v := g.Endpoints(e)
-		return fmt.Errorf("check: edge (%d,%d) carries fractional load %g > capacity %g", u, v, load, capacity)
+		return fmt.Errorf("check: edge (%d,%d) carries fractional load %g > capacity %g", u, v, l, capacity)
 	}
 	if size+eps < minSize {
 		return fmt.Errorf("check: packing size %.4f below floor %.4f", size, minSize)
@@ -133,19 +134,29 @@ func SpanningPacking(g *graph.Graph, trees []Weighted, capacity, minSize float64
 func EdgeCongestion(g *graph.Graph, trees []Weighted) (float64, int) {
 	load := make([]float64, g.M())
 	for _, t := range trees {
-		t.Tree.ForEachEdge(func(child, parent int) {
-			if id, ok := g.EdgeID(child, parent); ok {
-				load[id] += t.Weight
-			}
-		})
+		// A tree edge g lacks carries no load; only SpanningPacking
+		// rejects it.
+		_ = addEdgeLoad(g, t, load)
 	}
-	maxLoad, maxEdge := 0.0, 0
+	return maxLoad(load)
+}
+
+// addEdgeLoad adds t's weight to the load of every edge of t that g
+// has, one edge lookup each, and returns t.ValidateIn(g)'s verdict.
+func addEdgeLoad(g *graph.Graph, t Weighted, load []float64) error {
+	return t.Tree.ForEachEdgeID(g, func(id int) { load[id] += t.Weight })
+}
+
+// maxLoad returns the largest load and the first edge id carrying it
+// (0, 0 when no edge is loaded).
+func maxLoad(load []float64) (float64, int) {
+	top, edge := 0.0, 0
 	for id, l := range load {
-		if l > maxLoad {
-			maxLoad, maxEdge = l, id
+		if l > top {
+			top, edge = l, id
 		}
 	}
-	return maxLoad, maxEdge
+	return top, edge
 }
 
 // VertexLoad returns the maximum fractional load over vertices,

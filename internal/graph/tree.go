@@ -203,16 +203,30 @@ func (t *Tree) Height() int {
 
 // ValidateIn checks that t is a tree whose edges all exist in g.
 func (t *Tree) ValidateIn(g *Graph) error {
+	return t.ForEachEdgeID(g, func(int) {})
+}
+
+// ForEachEdgeID calls fn with the id in g of every tree edge g has, in
+// ForEachEdge's order, looking each edge up once. It returns
+// ValidateIn's verdict: an error for an empty tree, or one naming the
+// first tree edge g lacks, once the remaining edges are visited.
+func (t *Tree) ForEachEdgeID(g *Graph, fn func(id int)) error {
 	if len(t.vertices) == 0 {
 		return fmt.Errorf("graph: empty tree")
 	}
-	bad := error(nil)
-	t.ForEachEdge(func(child, parent int) {
-		if bad == nil && !g.HasEdge(child, parent) {
-			bad = fmt.Errorf("graph: tree edge (%d,%d) not in host graph", child, parent)
+	var missing error
+	for _, v := range t.vertices {
+		p := t.parent[v]
+		if p < 0 {
+			continue
 		}
-	})
-	return bad
+		if id, ok := g.EdgeID(int(v), int(p)); ok {
+			fn(id)
+		} else if missing == nil {
+			missing = fmt.Errorf("graph: tree edge (%d,%d) not in host graph", v, p)
+		}
+	}
+	return missing
 }
 
 // IsSpanning reports whether t contains every vertex of g.

@@ -1,10 +1,14 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
 	"os"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -170,6 +174,69 @@ func TestCorruptSnapshotsDegradeToRecompute(t *testing.T) {
 				t.Fatalf("stats invariant broken after corruption: %+v", st)
 			}
 		})
+	}
+}
+
+// TestVersion1SnapshotIsRecomputedAsVersion2: a version-1 file (the
+// same layout sealed by an 8-byte FNV-64a trailer) is a corrupt file to
+// this reader. The first Decompose counts it as a store error and
+// packs, the write-behind save replaces it with the version-2 file, and
+// a restarted service serves that file without packing.
+func TestVersion1SnapshotIsRecomputedAsVersion2(t *testing.T) {
+	dir := t.TempDir()
+	g := graph.Hypercube(4)
+	s1 := New(storeConfig(dir))
+	id := mustRegister(t, s1, g)
+	mustDecompose(t, s1, id, Spanning)
+	s1.FlushStore()
+	path := snap.NewStore(dir).Path(id, string(Spanning), snap.OptionsDigest(11, 0))
+	v2, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	body := append([]byte(nil), v2[:len(v2)-4]...)
+	binary.LittleEndian.PutUint32(body[8:], 1)
+	h := fnv.New64a()
+	h.Write(body)
+	v1 := binary.LittleEndian.AppendUint64(body, h.Sum64())
+	// cmd/serve -ingest reports this Decode error for a version-1 file.
+	if _, err := snap.Decode(v1); !errors.Is(err, snap.ErrCorrupt) || !strings.Contains(err.Error(), "unsupported version 1 ") {
+		t.Fatalf("Decode of a version-1 file: err=%v, want ErrCorrupt naming version 1", err)
+	}
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := New(storeConfig(dir))
+	mustRegister(t, s2, g)
+	if info := mustDecompose(t, s2, id, Spanning); info.Cached {
+		t.Fatal("version-1 snapshot served as cached")
+	}
+	s2.FlushStore()
+	if st := s2.Stats(); st.StoreErrors != 1 || st.PackComputes != 1 || st.StoreHits != 0 {
+		t.Fatalf("over a version-1 file: StoreErrors=%d PackComputes=%d StoreHits=%d, want 1/1/0",
+			st.StoreErrors, st.PackComputes, st.StoreHits)
+	}
+	saved, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(saved, v2) {
+		t.Fatalf("re-saved file (%d bytes) differs from the version-2 image (%d bytes)", len(saved), len(v2))
+	}
+	if _, err := snap.Decode(saved); err != nil {
+		t.Fatalf("re-saved file does not decode: %v", err)
+	}
+
+	s3 := New(storeConfig(dir))
+	mustRegister(t, s3, g)
+	if info := mustDecompose(t, s3, id, Spanning); !info.Cached {
+		t.Fatal("upgraded snapshot repacked")
+	}
+	if st := s3.Stats(); st.StoreHits != 1 || st.PackComputes != 0 || st.StoreErrors != 0 {
+		t.Fatalf("over the upgraded file: StoreHits=%d PackComputes=%d StoreErrors=%d, want 1/0/0",
+			st.StoreHits, st.PackComputes, st.StoreErrors)
 	}
 }
 

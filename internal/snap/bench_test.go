@@ -3,7 +3,9 @@ package snap
 import (
 	"testing"
 
+	"repro/internal/cast"
 	"repro/internal/graph"
+	"repro/internal/sim"
 )
 
 // reloadCatalogue is the graph catalogue of perfbench's warm-reload
@@ -72,5 +74,76 @@ func BenchmarkDecode(b *testing.B) {
 			}
 		}
 		run(b, files)
+	})
+}
+
+// BenchmarkReload times a store reload's layers over the warm-reload
+// catalogue's 26 snapshots per op: decode (Decode), verify (Verify, the
+// internal/check oracles), build (cast.NewScheduler over the decoded
+// trees, with the serving layer's congestion model per kind) and all,
+// the three in sequence as the service runs them. b.SetBytes counts
+// the snapshot files in every sub-benchmark.
+func BenchmarkReload(b *testing.B) {
+	type reload struct {
+		g    *graph.Graph
+		file []byte
+		snap *Snapshot
+	}
+	var reloads []reload
+	total := 0
+	for _, g := range reloadCatalogue(b) {
+		for _, kind := range []string{KindDominating, KindSpanning} {
+			file := encodeKind(b, g, kind)
+			s, err := Decode(file)
+			if err != nil {
+				b.Fatal(err)
+			}
+			reloads = append(reloads, reload{g: g, file: file, snap: s})
+			total += len(file)
+		}
+	}
+	decode := func(b *testing.B, r reload) *Snapshot {
+		s, err := Decode(r.file)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return s
+	}
+	verify := func(b *testing.B, r reload, s *Snapshot) {
+		if err := s.Verify(r.g); err != nil {
+			b.Fatal(err)
+		}
+	}
+	build := func(b *testing.B, r reload, s *Snapshot) {
+		trees := make([]cast.WeightedTree, len(s.Trees))
+		for i, t := range s.Trees {
+			trees[i] = cast.WeightedTree{Tree: t.Tree, Weight: t.Weight}
+		}
+		model := sim.VCongest
+		if s.Kind == KindSpanning {
+			model = sim.ECongest
+		}
+		if _, err := cast.NewScheduler(r.g, trees, model); err != nil {
+			b.Fatal(err)
+		}
+	}
+	run := func(b *testing.B, step func(b *testing.B, r reload)) {
+		b.SetBytes(int64(total))
+		b.ReportAllocs()
+		for b.Loop() {
+			for _, r := range reloads {
+				step(b, r)
+			}
+		}
+	}
+	b.Run("decode", func(b *testing.B) { run(b, func(b *testing.B, r reload) { decode(b, r) }) })
+	b.Run("verify", func(b *testing.B) { run(b, func(b *testing.B, r reload) { verify(b, r, r.snap) }) })
+	b.Run("build", func(b *testing.B) { run(b, func(b *testing.B, r reload) { build(b, r, r.snap) }) })
+	b.Run("all", func(b *testing.B) {
+		run(b, func(b *testing.B, r reload) {
+			s := decode(b, r)
+			verify(b, r, s)
+			build(b, r, s)
+		})
 	})
 }

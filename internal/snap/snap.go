@@ -13,12 +13,12 @@
 // options digest, and every tree's edge list can all be re-derived and
 // cross-checked from the bytes alone.
 //
-// # File format (version 1)
+// # File format (version 2)
 //
 // All integers are little-endian, all floats are IEEE-754 bits:
 //
 //	magic    [8]byte  "REPROSNP"
-//	version  uint32   1
+//	version  uint32   2
 //	n        uint32   vertex count
 //	m        uint32   edge count
 //	edges    m × (uint32 u, uint32 v)   canonical sorted edge list
@@ -34,7 +34,14 @@
 //	  (vcount-1) × (uint32 vertex, uint32 parent)  non-root vertices,
 //	                                               strictly ascending
 //	                                               by vertex
-//	checksum uint64   FNV-64a over every preceding byte
+//	checksum uint32   CRC-32C (Castagnoli) over every preceding byte
+//
+// Version 1 differed only in its trailer, an 8-byte FNV-64a checksum.
+// Decode rejects a version-1 file with ErrCorrupt naming the version,
+// so the service treats it like any damaged file: it packs the graph
+// again and saves the packing as version 2. No version-1 reader is
+// kept, because a snapshot is a cache of a pure function of the graph
+// and options.
 //
 // Encoding is deterministic: the same packing always serializes to the
 // same bytes (tree vertex lists are stored sorted, no maps or
@@ -50,7 +57,7 @@
 // # Caller invariants
 //
 // A Snapshot must never be served without verification: Load checks
-// the whole-file checksum, the magic/version, the embedded graph hash,
+// the magic/version, the whole-file checksum, the embedded graph hash,
 // and the structural validity of every tree (each parent list must
 // form a single tree rooted at its root), and any failure is reported
 // as ErrCorrupt — the caller must treat that as a cache miss and
@@ -65,6 +72,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"hash/fnv"
 	"math"
 
@@ -73,13 +81,16 @@ import (
 )
 
 // Version is the snapshot format version this package reads and
-// writes. Files carrying any other version fail to decode with
-// ErrCorrupt (a future reader that understands several versions would
-// dispatch here).
-const Version = 1
+// writes: 2, sealed by a CRC-32C trailer. Files carrying any other
+// version, version 1 with its FNV-64a trailer included, fail to decode
+// with ErrCorrupt, which serving callers treat as a miss.
+const Version = 2
 
 // magic identifies a snapshot file; anything else is ErrCorrupt.
 const magic = "REPROSNP"
+
+// trailerLen is the byte length of the CRC-32C checksum trailer.
+const trailerLen = 4
 
 // The decomposition kinds a snapshot can carry. They mirror
 // serve.Dominating / serve.Spanning as plain strings so this package
@@ -278,31 +289,33 @@ func (s *Snapshot) Encode() ([]byte, error) {
 			w.u32(uint32(p))
 		}
 	}
-	w.u64(w.sum())
+	w.u32(checksum(w.buf))
 	return w.buf, nil
 }
 
 // Decode parses and validates one snapshot file image: magic, version,
-// whole-file checksum, the tree-count bound, and the structural
+// the whole-file checksum, the tree-count bound, and the structural
 // validity of every tree (the pairs must be strictly ascending by
 // vertex and form single rooted trees over the embedded vertex count).
 // It runs in time and memory linear in the file size, and a file it
 // accepts re-encodes to exactly its bytes. Every failure wraps
 // ErrCorrupt so callers can treat any bad file uniformly as a miss.
 func Decode(data []byte) (*Snapshot, error) {
-	if len(data) < len(magic)+4+8 {
+	if len(data) < len(magic)+4+trailerLen {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than any valid snapshot", ErrCorrupt, len(data))
 	}
-	body, trailer := data[:len(data)-8], data[len(data)-8:]
-	if got, want := binary.LittleEndian.Uint64(trailer), fnvSum(body); got != want {
-		return nil, fmt.Errorf("%w: checksum %016x does not match content %016x", ErrCorrupt, got, want)
-	}
+	body, trailer := data[:len(data)-trailerLen], data[len(data)-trailerLen:]
 	r := wireReader{buf: body}
 	if string(r.take(len(magic))) != magic {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
+	// The version precedes the checksum check, because another
+	// version's file is sealed by another trailer.
 	if v := r.u32(); v != Version {
 		return nil, fmt.Errorf("%w: unsupported version %d (want %d)", ErrCorrupt, v, Version)
+	}
+	if got, want := binary.LittleEndian.Uint32(trailer), checksum(body); got != want {
+		return nil, fmt.Errorf("%w: checksum %08x does not match content %08x", ErrCorrupt, got, want)
 	}
 	n := int(r.u32())
 	m := int(r.u32())
@@ -389,12 +402,13 @@ func Decode(data []byte) (*Snapshot, error) {
 	return &Snapshot{N: n, Edges: edges, Kind: kind, OptionsDigest: digest, Size: size, Trees: trees}, nil
 }
 
-// fnvSum is the FNV-64a checksum the trailer carries.
-func fnvSum(b []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64()
-}
+// castagnoli is the CRC-32C table; hash/crc32 computes this polynomial
+// with the CPU's CRC32 instruction where there is one (SSE4.2 on amd64,
+// the CRC extension on arm64).
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// checksum is the CRC-32C the trailer carries.
+func checksum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
 
 // wireWriter accumulates the little-endian byte image.
 type wireWriter struct{ buf []byte }
@@ -403,7 +417,6 @@ func (w *wireWriter) bytes(b []byte) { w.buf = append(w.buf, b...) }
 func (w *wireWriter) u32(v uint32)   { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
 func (w *wireWriter) u64(v uint64)   { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
 func (w *wireWriter) f64(v float64)  { w.u64(math.Float64bits(v)) }
-func (w *wireWriter) sum() uint64    { return fnvSum(w.buf) }
 
 // wireReader consumes the byte image with sticky bounds checking:
 // after the first short read every further read returns zero and err

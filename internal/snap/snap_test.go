@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -153,89 +155,94 @@ func encodeSpanning(t *testing.T) ([]byte, *graph.Graph) {
 
 func TestDecodeRejectsCorruption(t *testing.T) {
 	data, g := encodeSpanning(t)
-	cases := map[string]func([]byte) []byte{
-		"empty":     func(b []byte) []byte { return nil },
-		"tiny":      func(b []byte) []byte { return b[:8] },
-		"truncated": func(b []byte) []byte { return b[:len(b)/2] },
-		"no-trailer": func(b []byte) []byte {
-			return b[:len(b)-8]
-		},
-		"bad-magic": func(b []byte) []byte {
+	u32 := func(off int) uint32 { return binary.LittleEndian.Uint32(data[off:]) }
+	v0, v1 := u32(firstPairs(g, 0)), u32(firstPairs(g, 1))
+	root := u32(firstPairs(g, 0) - 8)
+	m := u32(16)
+	// Each row names a fragment of the one check it targets, so a row
+	// whose damage some earlier check catches fails.
+	cases := map[string]struct {
+		corrupt func([]byte) []byte
+		want    string
+	}{
+		"empty":     {func(b []byte) []byte { return nil }, "0 bytes is shorter than any valid snapshot"},
+		"tiny":      {func(b []byte) []byte { return b[:8] }, "8 bytes is shorter than any valid snapshot"},
+		"truncated": {func(b []byte) []byte { return b[:len(b)/2] }, "checksum"},
+		"no-trailer": {func(b []byte) []byte {
+			return b[:len(b)-trailerLen]
+		}, "checksum"},
+		"bad-magic": {func(b []byte) []byte {
 			c := append([]byte(nil), b...)
 			c[0] ^= 0xff
-			return c
-		},
-		"wrong-version": func(b []byte) []byte {
+			return rechecksum(c)
+		}, "bad magic"},
+		"wrong-version": {func(b []byte) []byte {
 			c := append([]byte(nil), b...)
 			binary.LittleEndian.PutUint32(c[8:], Version+1)
-			// Re-checksum so only the version check can reject it.
-			binary.LittleEndian.PutUint64(c[len(c)-8:], fnvSum(c[:len(c)-8]))
-			return c
-		},
-		"bit-flip-header": func(b []byte) []byte {
+			return rechecksum(c)
+		}, fmt.Sprintf("unsupported version %d (want %d)", Version+1, Version)},
+		"bit-flip-header": {func(b []byte) []byte {
 			c := append([]byte(nil), b...)
 			c[13] ^= 0x01
 			return c
-		},
-		"bit-flip-middle": func(b []byte) []byte {
+		}, "checksum"},
+		"bit-flip-middle": {func(b []byte) []byte {
 			c := append([]byte(nil), b...)
 			c[len(c)/2] ^= 0x40
 			return c
-		},
-		"bit-flip-trailer": func(b []byte) []byte {
+		}, "checksum"},
+		"bit-flip-trailer": {func(b []byte) []byte {
 			c := append([]byte(nil), b...)
 			c[len(c)-1] ^= 0x80
 			return c
-		},
-		"trailing-garbage": func(b []byte) []byte {
+		}, "checksum"},
+		"trailing-garbage": {func(b []byte) []byte {
 			return append(append([]byte(nil), b...), 0xde, 0xad)
-		},
-		"pairs-swapped": func(b []byte) []byte {
+		}, "checksum"},
+		"pairs-swapped": {func(b []byte) []byte {
 			c := append([]byte(nil), b...)
 			p0, p1 := firstPairs(g, 0), firstPairs(g, 1)
 			for k := 0; k < 8; k++ {
 				c[p0+k], c[p1+k] = c[p1+k], c[p0+k]
 			}
 			return rechecksum(c)
-		},
-		"vertex-twice": func(b []byte) []byte {
+		}, fmt.Sprintf("tree 0 lists vertex %d after %d, not in ascending order", v0, v1)},
+		"vertex-twice": {func(b []byte) []byte {
 			c := append([]byte(nil), b...)
 			copy(c[firstPairs(g, 1):firstPairs(g, 1)+8], c[firstPairs(g, 0):])
 			return rechecksum(c)
-		},
-		"root-as-pair": func(b []byte) []byte {
+		}, fmt.Sprintf("tree 0 lists vertex %d after %d, not in ascending order", v0, v0)},
+		"root-as-pair": {func(b []byte) []byte {
 			// Overwrite the vertex of the pair whose slot the root
 			// would take in ascending order, so only the root check
 			// can reject it.
 			c := append([]byte(nil), b...)
-			root := binary.LittleEndian.Uint32(c[firstPairs(g, 0)-8:])
 			j := 0
 			for j < g.N()-2 && binary.LittleEndian.Uint32(c[firstPairs(g, j):]) < root {
 				j++
 			}
 			binary.LittleEndian.PutUint32(c[firstPairs(g, j):], root)
 			return rechecksum(c)
-		},
-		"parent-out-of-range": func(b []byte) []byte {
+		}, fmt.Sprintf("tree 0 lists its root %d as a non-root vertex", root)},
+		"parent-out-of-range": {func(b []byte) []byte {
 			c := append([]byte(nil), b...)
 			binary.LittleEndian.PutUint32(c[firstPairs(g, 0)+4:], uint32(g.N()))
 			return rechecksum(c)
-		},
-		"vertices-beyond-edges": func(b []byte) []byte {
+		}, fmt.Sprintf("tree 0 entry %d->%d out of range [0,%d)", v0, g.N(), g.N())},
+		"vertices-beyond-edges": {func(b []byte) []byte {
 			// n = m+2 cannot be connected. Key hash and checksum are
 			// recomputed, so only the header bound can reject it.
 			c := append([]byte(nil), b...)
-			m := binary.LittleEndian.Uint32(c[16:])
 			binary.LittleEndian.PutUint32(c[12:], m+2)
 			binary.LittleEndian.PutUint64(c[20+8*m:], keyHash(int(m)+2, g.Edges()))
 			return rechecksum(c)
-		},
+		}, fmt.Sprintf("implausible header (n=%d, m=%d)", m+2, m)},
 	}
-	for name, corrupt := range cases {
+	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
-			_, err := Decode(corrupt(data))
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("Decode of %s file: err=%v, want ErrCorrupt", name, err)
+			_, err := Decode(tc.corrupt(data))
+			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Decode of %s file: err=%v, want ErrCorrupt containing %q", name, err, tc.want)
 			}
 		})
 	}
@@ -252,15 +259,22 @@ func firstPairs(g *graph.Graph, j int) int {
 // rechecksum rewrites a file image's checksum trailer in place, so only
 // the structural checks can reject a tampered body.
 func rechecksum(c []byte) []byte {
-	binary.LittleEndian.PutUint64(c[len(c)-8:], fnvSum(c[:len(c)-8]))
+	binary.LittleEndian.PutUint32(c[len(c)-trailerLen:], checksum(c[:len(c)-trailerLen]))
 	return c
+}
+
+// seal returns a copy of a file body followed by its checksum trailer.
+func seal(body []byte) []byte {
+	return binary.LittleEndian.AppendUint32(append([]byte(nil), body...), checksum(body))
 }
 
 // FuzzSnapDecode feeds Decode arbitrary file bodies behind a freshly
 // computed checksum trailer, so mutations reach the structural checks
 // instead of dying at the checksum. Decode must never panic, and any
 // file it accepts must be canonical: re-encoding the snapshot gives
-// back exactly the input bytes.
+// back exactly the input bytes. The seed body must decode once sealed,
+// or the trailer is not the one Decode checks and every input would die
+// there.
 func FuzzSnapDecode(f *testing.F) {
 	// A small seed keeps the engine fast: a 4-cycle and one spanning path.
 	path, err := graph.NewTree(4, 0, map[int]int{0: -1, 1: 0, 2: 1, 3: 2})
@@ -275,9 +289,13 @@ func FuzzSnapDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(data[:len(data)-8])
+	body := data[:len(data)-trailerLen]
+	if _, err := Decode(seal(body)); err != nil {
+		f.Fatalf("sealed seed body does not decode: %v", err)
+	}
+	f.Add(body)
 	f.Fuzz(func(t *testing.T, body []byte) {
-		file := binary.LittleEndian.AppendUint64(append([]byte(nil), body...), fnvSum(body))
+		file := seal(body)
 		s, err := Decode(file)
 		if err != nil {
 			return
@@ -306,8 +324,8 @@ func TestDecodeRejectsTamperedTree(t *testing.T) {
 	c := append([]byte(nil), data...)
 	v := binary.LittleEndian.Uint32(c[lastPair:])
 	binary.LittleEndian.PutUint32(c[lastPair+4:], v) // parent := self
-	if _, err := Decode(rechecksum(c)); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("self-parented tree decoded: err=%v, want ErrCorrupt", err)
+	if _, err := Decode(rechecksum(c)); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "tree 0 is not a rooted tree") {
+		t.Fatalf("self-parented tree decoded: err=%v, want ErrCorrupt naming tree 0 as not a rooted tree", err)
 	}
 }
 
@@ -336,8 +354,8 @@ func TestDecodeMemoryBoundedByFileSize(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		_, err = Decode(data)
 		runtime.ReadMemStats(&after)
-		if !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("n=%d: %d one-vertex trees in %d bytes decoded: err=%v, want ErrCorrupt", n, n-1, len(data), err)
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "implausible tree count") {
+			t.Fatalf("n=%d: %d one-vertex trees in %d bytes decoded: err=%v, want ErrCorrupt for the tree count", n, n-1, len(data), err)
 		}
 		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 8*uint64(len(data)) {
 			t.Fatalf("n=%d: Decode of a %d-byte file allocated %d bytes, want at most %d", n, len(data), alloc, 8*len(data))
