@@ -207,9 +207,9 @@ func (t *Tree) ValidateIn(g *Graph) error {
 }
 
 // ForEachEdgeID calls fn with the id in g of every tree edge g has, in
-// ForEachEdge's order, looking each edge up once. It returns
-// ValidateIn's verdict: an error for an empty tree, or one naming the
-// first tree edge g lacks, once the remaining edges are visited.
+// ForEachEdge's order, looking each edge up once. It then returns
+// ValidateIn's verdict: an error for an empty tree or one naming the
+// first tree edge g lacks, nil otherwise.
 func (t *Tree) ForEachEdgeID(g *Graph, fn func(id int)) error {
 	if len(t.vertices) == 0 {
 		return fmt.Errorf("graph: empty tree")

@@ -135,13 +135,26 @@ func TestTreeDominating(t *testing.T) {
 }
 
 func TestValidateInCatchesForeignEdges(t *testing.T) {
-	g := Path(4)                                // edges 0-1,1-2,2-3
-	tr, err := NewTree(4, 0, map[int]int{2: 0}) // edge (2,0) not in P4
+	g := Path(4)                                            // edges 0-1,1-2,2-3
+	tr, err := NewTree(4, 0, map[int]int{1: 0, 2: 0, 3: 2}) // edge (2,0) not in P4
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.ValidateIn(g); err == nil {
-		t.Fatal("foreign edge not caught")
+	const want = "graph: tree edge (2,0) not in host graph"
+	if err := tr.ValidateIn(g); err == nil || err.Error() != want {
+		t.Fatalf("ValidateIn: %v, want %q", err, want)
+	}
+	// ForEachEdgeID gives the same verdict after visiting the ids of
+	// the edges P4 has, in ForEachEdge's order.
+	var ids []int
+	err = tr.ForEachEdgeID(g, func(id int) { ids = append(ids, id) })
+	if err == nil || err.Error() != want {
+		t.Fatalf("ForEachEdgeID: %v, want %q", err, want)
+	}
+	id10, _ := g.EdgeID(1, 0)
+	id32, _ := g.EdgeID(3, 2)
+	if len(ids) != 2 || ids[0] != id10 || ids[1] != id32 {
+		t.Fatalf("ForEachEdgeID visited %v, want [%d %d]", ids, id10, id32)
 	}
 }
 
