@@ -179,6 +179,74 @@ func TestSlotSerializationCharge(t *testing.T) {
 	}
 }
 
+// fanSender broadcasts `count` messages (id, i+1) in its first round and
+// logs every delivery it receives.
+type fanSender struct {
+	count int
+	sent  bool
+	got   []Delivery
+}
+
+func (p *fanSender) Round(ctx *Context, inbox []Delivery) Status {
+	p.got = append(p.got, inbox...)
+	if p.sent || p.count == 0 {
+		return Done
+	}
+	p.sent = true
+	for i := 0; i < p.count; i++ {
+		ctx.Broadcast(Msg(1, int64(ctx.ID()), int64(i+1)))
+	}
+	return Active
+}
+
+// TestBroadcastMetering pins how each model meters local broadcasts on
+// a star with an isolated vertex: nodes 0, 1 and 4 broadcast 1, 2 and 3
+// messages in round 0. V-CONGEST charges every broadcast once and takes
+// its slot count from every node, the isolated one included. E-CONGEST
+// charges a broadcast once per incident edge and takes its slot count
+// only from nodes that have an edge, so node 4's three slots cost
+// nothing there.
+func TestBroadcastMetering(t *testing.T) {
+	g := graph.FromEdgeList(5, [][2]int{{0, 1}, {0, 2}, {0, 3}}) // 4 isolated
+	for _, tc := range []struct {
+		model           Model
+		metered         int
+		messages, nbits int64
+	}{
+		{VCongest, 4, 6, 79},
+		{ECongest, 3, 5, 55},
+	} {
+		counts := []int{1, 2, 0, 0, 3}
+		nodes := make([]*fanSender, g.N())
+		procs := make([]Process, g.N())
+		for i := range procs {
+			nodes[i] = &fanSender{count: counts[i]}
+			procs[i] = nodes[i]
+		}
+		e, err := NewEngine(g, tc.model, procs, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.RunPhase(5); err != nil {
+			t.Fatal(err)
+		}
+		m := e.Meter()
+		if m.RawRounds != 2 || m.MeteredRounds != tc.metered || m.Messages != tc.messages || m.Bits != tc.nbits {
+			t.Fatalf("%v: raw %d metered %d messages %d bits %d, want raw 2 metered %d messages %d bits %d",
+				tc.model, m.RawRounds, m.MeteredRounds, m.Messages, m.Bits, tc.metered, tc.messages, tc.nbits)
+		}
+		got := nodes[0].got
+		if len(got) != 2 {
+			t.Fatalf("%v: node 0 received %d messages, want node 1's 2", tc.model, len(got))
+		}
+		for i, d := range got {
+			if want := Msg(1, 1, int64(i+1)); d.From != 1 || d.Msg != want {
+				t.Fatalf("%v: node 0 delivery %d is %v from %d, want %v from 1", tc.model, i, d.Msg, d.From, want)
+			}
+		}
+	}
+}
+
 type bigFieldSender struct{}
 
 func (bigFieldSender) Round(ctx *Context, inbox []Delivery) Status {
