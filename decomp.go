@@ -151,9 +151,10 @@ func WithKnownConnectivity(k int) Option {
 	}
 }
 
-// WithEpsilon sets the spanning-tree packing's ε (default 0.1). ε must
-// lie in (0, 1): the packer would otherwise silently substitute its
-// default.
+// WithEpsilon sets the spanning-tree packing's ε. The default is 0.1
+// for PackSpanningTrees and IntegralSpanningTrees and 0.15 for
+// PackSpanningTreesDistributed. ε must lie in (0, 1): the packer would
+// otherwise silently substitute its default.
 func WithEpsilon(eps float64) Option {
 	return func(o *Options) {
 		if eps <= 0 || eps >= 1 {
@@ -304,7 +305,8 @@ func PackSpanningTrees(g *Graph, opts ...Option) (*SpanningTreePacking, error) {
 }
 
 // PackSpanningTreesDistributed runs the E-CONGEST protocol of
-// Theorem 1.3 on the simulator.
+// Theorem 1.3 on the simulator. Its default ε is 0.15, not the
+// centralized packer's 0.1.
 func PackSpanningTreesDistributed(g *Graph, opts ...Option) (*DistSpanningResult, error) {
 	o, err := buildOptions(opts)
 	if err != nil {

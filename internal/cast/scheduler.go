@@ -214,12 +214,6 @@ func newHandle(core *schedCore) *Scheduler {
 // equivalent to cloning the original.
 func (s *Scheduler) Clone() *Scheduler { return newHandle(s.core) }
 
-// Model reports the congestion model the handle schedules for.
-func (s *Scheduler) Model() sim.Model { return s.core.model }
-
-// NumTrees reports the decomposition size the handle routes over.
-func (s *Scheduler) NumTrees() int { return len(s.core.trees) }
-
 // Run disseminates the demand's messages to every node by routing each
 // along a randomly chosen tree of the decomposition, exactly as
 // Broadcast would with the same seed, reusing the handle's buffers.

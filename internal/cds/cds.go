@@ -162,17 +162,9 @@ type Options struct {
 	// ClassFactor sets t = max(1, floor(ClassFactor * k-hat)); the paper
 	// uses t = Θ(k) with a small constant. Default 0.5.
 	ClassFactor float64
-	// LayerFactor sets L = 2*ceil(LayerFactor * log2(n+2)), at least 4
-	// and always even (LayersFor); the paper uses L = Θ(log n).
-	// Default 1.0.
-	LayerFactor float64
 	// JumpStartFraction is the fraction of layers assigned randomly
 	// up-front (paper: 1/2). Exposed for the A2 ablation. Default 0.5.
 	JumpStartFraction float64
-	// AllowPartialValidity lets Pack accept a guess when at least half
-	// of its classes are valid CDSs. The default (false) is the paper's
-	// test: every class must be a CDS.
-	AllowPartialValidity bool
 }
 
 // Normalize returns o with every unset or out-of-range factor replaced
@@ -181,9 +173,6 @@ func (o Options) Normalize() Options {
 	if o.ClassFactor <= 0 {
 		o.ClassFactor = 0.5
 	}
-	if o.LayerFactor <= 0 {
-		o.LayerFactor = 1.0
-	}
 	if o.JumpStartFraction <= 0 || o.JumpStartFraction >= 1 {
 		o.JumpStartFraction = 0.5
 	}
@@ -191,11 +180,9 @@ func (o Options) Normalize() Options {
 }
 
 // LayersFor returns L, the number of virtual layers for an n-vertex
-// graph under normalized options o: 2*ceil(LayerFactor * log2(n+2)), at
-// least 4.
-func LayersFor(n int, o Options) int {
-	log2n := math.Log2(float64(n) + 2)
-	l := int(math.Ceil(o.LayerFactor * log2n))
+// graph: 2*ceil(log2(n+2)), at least 4; the paper uses L = Θ(log n).
+func LayersFor(n int) int {
+	l := int(math.Ceil(math.Log2(float64(n) + 2)))
 	if l < 2 {
 		l = 2
 	}

@@ -29,7 +29,7 @@ func packWithGuess(g *graph.Graph, kGuess int, opts Options, afterLayer func(*vi
 		return nil, fmt.Errorf("cds: connectivity guess %d < 1", kGuess)
 	}
 	opts = opts.Normalize()
-	layers := LayersFor(n, opts)
+	layers := LayersFor(n)
 	classes := int(opts.ClassFactor * float64(kGuess))
 	if classes < 1 {
 		classes = 1
@@ -343,7 +343,7 @@ func Pack(g *graph.Graph, opts Options) (*Packing, error) {
 		if err != nil {
 			return nil, err
 		}
-		if packingPasses(p, opts) && (best == nil || p.Size() > best.Size()) {
+		if p.Stats.ValidClasses == p.Stats.Classes && (best == nil || p.Size() > best.Size()) {
 			best = p
 		}
 	}
@@ -351,13 +351,6 @@ func Pack(g *graph.Graph, opts Options) (*Packing, error) {
 		return nil, fmt.Errorf("cds: no guess produced a valid packing (graph disconnected?)")
 	}
 	return best, nil
-}
-
-func packingPasses(p *Packing, opts Options) bool {
-	if opts.AllowPartialValidity {
-		return p.Stats.ValidClasses*2 >= p.Stats.Classes && p.Stats.ValidClasses > 0
-	}
-	return p.Stats.ValidClasses == p.Stats.Classes
 }
 
 // ApproxVertexConnectivity returns the packing-size estimate of the

@@ -232,15 +232,3 @@ func TestValidateCatchesOverload(t *testing.T) {
 		t.Fatal("weight over 1 accepted")
 	}
 }
-
-func TestAllowPartialValidity(t *testing.T) {
-	g := graph.Hypercube(4)
-	opts := Options{Seed: 3, AllowPartialValidity: true}
-	p, err := Pack(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Stats.ValidClasses*2 < p.Stats.Classes {
-		t.Fatalf("partial pass accepted with %d/%d valid", p.Stats.ValidClasses, p.Stats.Classes)
-	}
-}

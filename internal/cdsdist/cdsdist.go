@@ -17,6 +17,7 @@ import (
 	"math/rand/v2"
 
 	"repro/internal/cds"
+	"repro/internal/dist"
 	"repro/internal/ds"
 	"repro/internal/graph"
 	"repro/internal/sim"
@@ -165,7 +166,7 @@ func insertClass(cls []int32, c int32) []int32 {
 
 func newRun(g *graph.Graph, kGuess int, opts cds.Options) *run {
 	n := g.N()
-	layers := cds.LayersFor(n, opts)
+	layers := cds.LayersFor(n)
 	classes := int(opts.ClassFactor * float64(kGuess))
 	if classes < 1 {
 		classes = 1
@@ -184,12 +185,8 @@ func newRun(g *graph.Graph, kGuess int, opts cds.Options) *run {
 		active:   make([][]bool, n),
 		parent:   make([]map[int32]int64, n),
 		stats:    cds.Stats{Guess: kGuess, Layers: layers, Classes: classes},
+		diam:     dist.ApproxD(g),
 	}
-	d := graph.ApproxDiameter(g)
-	if d < 1 {
-		d = n
-	}
-	r.diam = d
 	seedBase := opts.Seed ^ (uint64(kGuess) * 0x9e3779b97f4a7c15)
 	for v := 0; v < n; v++ {
 		r.rngs[v] = ds.SplitRand(seedBase, uint64(v))

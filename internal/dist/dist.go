@@ -256,7 +256,7 @@ func (r *MSTRunner) MST(weights []int64, seed uint64, maxRounds int) ([]int, sim
 	chosen := make([]int, 0, n-1)
 	uf := ds.NewUnionFind(n)
 	comps := n
-	diam := approxD(g)
+	diam := ApproxD(g)
 
 	// Each phase at least halves the component count.
 	for phase := 0; comps > 1; phase++ {
@@ -395,7 +395,10 @@ func (p *announceNode) Round(ctx *sim.Context, inbox []sim.Delivery) sim.Status 
 	return sim.Done
 }
 
-func approxD(g *graph.Graph) int {
+// ApproxD is the diameter bound the distributed drivers charge for a
+// BFS-tree pass over g: graph.ApproxDiameter, or n when that is below 1
+// (a disconnected or one-vertex graph).
+func ApproxD(g *graph.Graph) int {
 	d := graph.ApproxDiameter(g)
 	if d < 1 {
 		d = g.N()

@@ -1,76 +1,27 @@
 package ds
 
-import "math/bits"
-
 // Bitset is a fixed-size set of small non-negative integers backed by
 // 64-bit words. The zero value is an empty set of size zero; use
 // NewBitset to size it.
 type Bitset struct {
 	words []uint64
-	n     int
 }
 
 // NewBitset returns an empty bitset able to hold values 0..n-1.
 func NewBitset(n int) *Bitset {
-	return &Bitset{words: make([]uint64, (n+63)/64), n: n}
+	return &Bitset{words: make([]uint64, (n+63)/64)}
 }
-
-// Len returns the capacity of the bitset (the n it was created with).
-func (b *Bitset) Len() int { return b.n }
 
 // Set adds i to the set.
 func (b *Bitset) Set(i int) { b.words[i>>6] |= 1 << (uint(i) & 63) }
 
-// Clear removes i from the set.
-func (b *Bitset) Clear(i int) { b.words[i>>6] &^= 1 << (uint(i) & 63) }
-
 // Has reports whether i is in the set.
 func (b *Bitset) Has(i int) bool { return b.words[i>>6]&(1<<(uint(i)&63)) != 0 }
 
-// Words exposes the backing 64-bit words (length ⌈Len()/64⌉) for
-// word-parallel set algebra; callers must not resize it.
+// Words exposes the backing 64-bit words (⌈n/64⌉ of them for
+// NewBitset(n)) for word-parallel set algebra; callers must not resize
+// it.
 func (b *Bitset) Words() []uint64 { return b.words }
 
-// Count returns the number of elements in the set.
-func (b *Bitset) Count() int {
-	c := 0
-	for _, w := range b.words {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
 // Reset removes all elements.
-func (b *Bitset) Reset() {
-	for i := range b.words {
-		b.words[i] = 0
-	}
-}
-
-// ForEach calls fn for each element in increasing order.
-func (b *Bitset) ForEach(fn func(i int)) {
-	for wi, w := range b.words {
-		for w != 0 {
-			tz := bits.TrailingZeros64(w)
-			fn(wi<<6 + tz)
-			w &= w - 1
-		}
-	}
-}
-
-// Union adds every element of other to b. Both bitsets must have the
-// same capacity.
-func (b *Bitset) Union(other *Bitset) {
-	for i := range b.words {
-		b.words[i] |= other.words[i]
-	}
-}
-
-// IntersectCount returns |b ∩ other| without materializing the result.
-func (b *Bitset) IntersectCount(other *Bitset) int {
-	c := 0
-	for i := range b.words {
-		c += bits.OnesCount64(b.words[i] & other.words[i])
-	}
-	return c
-}
+func (b *Bitset) Reset() { clear(b.words) }

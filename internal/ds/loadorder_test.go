@@ -116,45 +116,3 @@ func TestOrderedLoadsAllBumped(t *testing.T) {
 	o.Reorder(loads, []int32{0, 1, 2, 3, 4})
 	assertOrderEqual(t, o.Order(), []int32{0, 1, 2, 3, 4})
 }
-
-func TestLexHeapOrdering(t *testing.T) {
-	h := NewLexHeap(8)
-	h.Push(0, 2.0, 5)
-	h.Push(1, 2.0, 3)
-	h.Push(2, 1.0, 9)
-	h.Push(3, 2.0, 4)
-	if !h.Contains(1) || h.Contains(4) {
-		t.Fatal("Contains wrong")
-	}
-	// Lower tie at equal key must win DecreaseKey; higher must not.
-	if h.DecreaseKey(0, 2.0, 7) {
-		t.Fatal("DecreaseKey accepted a larger tie")
-	}
-	if !h.DecreaseKey(0, 2.0, 1) {
-		t.Fatal("DecreaseKey rejected a smaller tie at equal key")
-	}
-	wantItems := []int{2, 0, 1, 3}
-	wantTies := []int32{9, 1, 3, 4}
-	for i, want := range wantItems {
-		item, _, tie := h.PopMin()
-		if item != want || tie != wantTies[i] {
-			t.Fatalf("pop %d: got item %d tie %d, want item %d tie %d", i, item, tie, want, wantTies[i])
-		}
-	}
-	if h.Len() != 0 {
-		t.Fatalf("heap not empty: %d", h.Len())
-	}
-}
-
-func TestLexHeapEqualKeysPopByTie(t *testing.T) {
-	h := NewLexHeap(16)
-	for i := 15; i >= 0; i-- {
-		h.Push(i, 1.0, int32(i))
-	}
-	for want := 0; want < 16; want++ {
-		item, key, tie := h.PopMin()
-		if item != want || key != 1.0 || int(tie) != want {
-			t.Fatalf("pop: got (%d,%v,%d), want item %d", item, key, tie, want)
-		}
-	}
-}

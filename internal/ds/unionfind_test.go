@@ -7,8 +7,10 @@ import (
 
 func TestUnionFindBasic(t *testing.T) {
 	u := NewUnionFind(10)
-	if got := u.Sets(); got != 10 {
-		t.Fatalf("Sets() = %d, want 10", got)
+	for i := 0; i < 10; i++ {
+		if u.Find(i) != i {
+			t.Fatalf("Find(%d) = %d in a fresh forest", i, u.Find(i))
+		}
 	}
 	if !u.Union(0, 1) {
 		t.Fatal("Union(0,1) = false, want true")
@@ -16,17 +18,11 @@ func TestUnionFindBasic(t *testing.T) {
 	if u.Union(1, 0) {
 		t.Fatal("repeat Union(1,0) = true, want false")
 	}
-	if !u.Same(0, 1) {
-		t.Fatal("Same(0,1) = false after union")
+	if u.Find(0) != u.Find(1) {
+		t.Fatal("0 and 1 in different sets after union")
 	}
-	if u.Same(0, 2) {
-		t.Fatal("Same(0,2) = true without union")
-	}
-	if got := u.Sets(); got != 9 {
-		t.Fatalf("Sets() = %d, want 9", got)
-	}
-	if got := u.SizeOf(1); got != 2 {
-		t.Fatalf("SizeOf(1) = %d, want 2", got)
+	if u.Find(0) == u.Find(2) {
+		t.Fatal("0 and 2 in one set without union")
 	}
 }
 
@@ -34,18 +30,17 @@ func TestUnionFindChainMerge(t *testing.T) {
 	const n = 1000
 	u := NewUnionFind(n)
 	for i := 0; i+1 < n; i++ {
-		u.Union(i, i+1)
-	}
-	if got := u.Sets(); got != 1 {
-		t.Fatalf("Sets() after chain = %d, want 1", got)
-	}
-	if got := u.SizeOf(0); got != n {
-		t.Fatalf("SizeOf(0) = %d, want %d", got, n)
+		if !u.Union(i, i+1) {
+			t.Fatalf("Union(%d,%d) merged nothing", i, i+1)
+		}
 	}
 	for i := 1; i < n; i++ {
-		if !u.Same(0, i) {
-			t.Fatalf("Same(0,%d) = false after chain", i)
+		if u.Find(i) != u.Find(0) {
+			t.Fatalf("%d not in 0's set after chain", i)
 		}
+	}
+	if u.Union(0, n-1) {
+		t.Fatal("Union of the chain's ends merged again")
 	}
 }
 
@@ -54,39 +49,37 @@ func TestUnionFindReset(t *testing.T) {
 	u.Union(0, 1)
 	u.Union(2, 3)
 	u.Reset()
-	if got := u.Sets(); got != 5 {
-		t.Fatalf("Sets() after Reset = %d, want 5", got)
+	for i := 0; i < 5; i++ {
+		if u.Find(i) != i {
+			t.Fatalf("Find(%d) = %d after Reset", i, u.Find(i))
+		}
 	}
-	if u.Same(0, 1) {
-		t.Fatal("Same(0,1) = true after Reset")
-	}
-	if got := u.SizeOf(2); got != 1 {
-		t.Fatalf("SizeOf(2) after Reset = %d, want 1", got)
+	if !u.Union(0, 1) {
+		t.Fatal("Union(0,1) after Reset merged nothing")
 	}
 }
 
+// TestUnionFindComponents checks the sets a few unions leave:
+// {0,2,4}, {1,5} and {3}.
 func TestUnionFindComponents(t *testing.T) {
 	u := NewUnionFind(6)
 	u.Union(0, 2)
 	u.Union(2, 4)
 	u.Union(1, 5)
-	labels, count := u.Components()
-	if count != 3 {
-		t.Fatalf("component count = %d, want 3", count)
+	if u.Find(0) != u.Find(2) || u.Find(2) != u.Find(4) {
+		t.Fatal("0, 2 and 4 are not in one set")
 	}
-	if labels[0] != labels[2] || labels[2] != labels[4] {
-		t.Fatalf("labels of {0,2,4} differ: %v", labels)
+	if u.Find(1) != u.Find(5) {
+		t.Fatal("1 and 5 are not in one set")
 	}
-	if labels[1] != labels[5] {
-		t.Fatalf("labels of {1,5} differ: %v", labels)
-	}
-	if labels[0] == labels[1] || labels[0] == labels[3] || labels[1] == labels[3] {
-		t.Fatalf("distinct components share labels: %v", labels)
+	if u.Find(0) == u.Find(1) || u.Find(0) == u.Find(3) || u.Find(1) == u.Find(3) {
+		t.Fatal("distinct sets share a root")
 	}
 }
 
 // TestUnionFindMatchesNaive drives the structure with random union
-// sequences and checks Same/Sets against a brute-force partition.
+// sequences and checks Union's result and Find equality against a
+// brute-force partition.
 func TestUnionFindMatchesNaive(t *testing.T) {
 	property := func(ops []uint16) bool {
 		const n = 32
@@ -104,21 +97,21 @@ func TestUnionFindMatchesNaive(t *testing.T) {
 		}
 		for _, op := range ops {
 			x, y := int(op)%n, int(op>>5)%n
-			u.Union(x, y)
+			if u.Union(x, y) != (naive[x] != naive[y]) {
+				return false
+			}
 			if naive[x] != naive[y] {
 				relabel(naive[x], naive[y])
 			}
 		}
-		groups := map[int]bool{}
 		for i := 0; i < n; i++ {
-			groups[naive[i]] = true
 			for j := i + 1; j < n; j++ {
-				if u.Same(i, j) != (naive[i] == naive[j]) {
+				if (u.Find(i) == u.Find(j)) != (naive[i] == naive[j]) {
 					return false
 				}
 			}
 		}
-		return u.Sets() == len(groups)
+		return true
 	}
 	if err := quick.Check(property, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

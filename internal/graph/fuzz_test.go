@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"sort"
 	"testing"
 )
@@ -104,7 +105,7 @@ func FuzzBuilder(f *testing.F) {
 				if int(e.U) != lo || int(e.V) != hi {
 					t.Fatalf("vertex %d: incident id %d is (%d,%d), want (%d,%d)", v, eids[i], e.U, e.V, lo, hi)
 				}
-				if g.NeighborIndex(int(w), v) < 0 {
+				if !slices.Contains(g.Neighbors(int(w)), int32(v)) {
 					t.Fatalf("asymmetric adjacency: %d lists %d but not vice versa", v, w)
 				}
 			}

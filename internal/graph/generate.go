@@ -208,19 +208,3 @@ func CliqueChain(cliques, size, bridge int) (*Graph, error) {
 	}
 	return b.Graph(), nil
 }
-
-// RandomSpanningConnected adds a random spanning tree to g's edge set so
-// that the result is connected; it is used to repair sparse random
-// graphs in workload generators.
-func RandomSpanningConnected(n int, extra []Edge, rng *rand.Rand) *Graph {
-	b := NewBuilder(n)
-	perm := make([]int, n)
-	ds.Perm(rng, perm)
-	for i := 1; i < n; i++ {
-		b.AddEdge(perm[i], perm[rng.IntN(i)])
-	}
-	for _, e := range extra {
-		b.AddEdge(int(e.U), int(e.V))
-	}
-	return b.Graph()
-}

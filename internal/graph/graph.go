@@ -1,7 +1,8 @@
 // Package graph provides the undirected simple-graph substrate used by
-// every other module: a compact adjacency representation with stable edge
-// identifiers, generators for the families the experiments run on, and
-// the traversal utilities (BFS, components, diameter) the paper's
+// every other module: an immutable CSR adjacency with stable edge
+// identifiers, generators for the families the experiments run on,
+// rooted trees with the checks the packings validate against, and the
+// traversal utilities (BFS, connectivity, diameter) the paper's
 // algorithms assume as primitives.
 package graph
 
@@ -184,10 +185,6 @@ func (g *Graph) AdjOffsets() []int32 { return g.off }
 // do not modify.
 func (g *Graph) AdjTargets() []int32 { return g.nbr }
 
-// AdjEdgeIDs returns the flat CSR incident-edge-id array parallel to
-// AdjTargets. Shared; do not modify.
-func (g *Graph) AdjEdgeIDs() []int32 { return g.eid }
-
 // Edges returns the edge list indexed by edge id. The slice is shared;
 // do not modify it.
 func (g *Graph) Edges() []Edge { return g.edges }
@@ -223,45 +220,6 @@ func (g *Graph) EdgeID(u, v int) (int, bool) {
 		return int(g.IncidentEdges(u)[i]), true
 	}
 	return 0, false
-}
-
-// NeighborIndex returns the position of v in u's sorted neighbor list,
-// or -1 when {u,v} is not an edge. The simulator's routing uses it to
-// map sender ids back to adjacency rows.
-func (g *Graph) NeighborIndex(u, v int) int {
-	a := g.Neighbors(u)
-	i := sort.Search(len(a), func(i int) bool { return a[i] >= int32(v) })
-	if i < len(a) && a[i] == int32(v) {
-		return i
-	}
-	return -1
-}
-
-// InducedSubgraph returns the subgraph induced by the given vertex set
-// together with the mapping from new ids to original ids. Vertices may
-// be listed in any order; duplicates are rejected.
-func (g *Graph) InducedSubgraph(vertices []int) (*Graph, []int, error) {
-	orig := make([]int, 0, len(vertices))
-	index := make(map[int]int, len(vertices))
-	for _, v := range vertices {
-		if v < 0 || v >= g.n {
-			return nil, nil, fmt.Errorf("graph: vertex %d out of range", v)
-		}
-		if _, dup := index[v]; dup {
-			return nil, nil, fmt.Errorf("graph: duplicate vertex %d in induced set", v)
-		}
-		index[v] = len(orig)
-		orig = append(orig, v)
-	}
-	b := NewBuilder(len(orig))
-	for newU, u := range orig {
-		for _, w := range g.Neighbors(u) {
-			if newW, ok := index[int(w)]; ok && newU < newW {
-				b.AddEdge(newU, newW)
-			}
-		}
-	}
-	return b.Graph(), orig, nil
 }
 
 // SubgraphByEdges returns the spanning subgraph of g containing exactly

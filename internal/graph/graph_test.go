@@ -60,29 +60,6 @@ func TestGraphDegreesAndEdgeIDs(t *testing.T) {
 	}
 }
 
-func TestInducedSubgraph(t *testing.T) {
-	g := Complete(5)
-	sub, orig, err := g.InducedSubgraph([]int{1, 3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.N() != 3 || sub.M() != 3 {
-		t.Fatalf("induced K3 has n=%d m=%d", sub.N(), sub.M())
-	}
-	want := []int{1, 3, 4}
-	for i, v := range orig {
-		if v != want[i] {
-			t.Fatalf("orig = %v, want %v", orig, want)
-		}
-	}
-	if _, _, err := g.InducedSubgraph([]int{1, 1}); err == nil {
-		t.Fatal("duplicate vertex accepted")
-	}
-	if _, _, err := g.InducedSubgraph([]int{7}); err == nil {
-		t.Fatal("out-of-range vertex accepted")
-	}
-}
-
 func TestSubgraphByEdges(t *testing.T) {
 	g := Cycle(6)
 	even := g.SubgraphByEdges(func(id int) bool { return id%2 == 0 })

@@ -26,35 +26,6 @@ func BFS(g *Graph, src int) (dist, parent []int32) {
 	return dist, parent
 }
 
-// Components labels the connected components of g. labels[v] is a dense
-// component index in [0, count).
-func Components(g *Graph) (labels []int32, count int) {
-	labels = make([]int32, g.n)
-	for i := range labels {
-		labels[i] = -1
-	}
-	queue := make([]int32, 0, g.n)
-	for s := 0; s < g.n; s++ {
-		if labels[s] >= 0 {
-			continue
-		}
-		labels[s] = int32(count)
-		queue = queue[:0]
-		queue = append(queue, int32(s))
-		for head := 0; head < len(queue); head++ {
-			u := queue[head]
-			for _, v := range g.Neighbors(int(u)) {
-				if labels[v] < 0 {
-					labels[v] = int32(count)
-					queue = append(queue, v)
-				}
-			}
-		}
-		count++
-	}
-	return labels, count
-}
-
 // IsConnected reports whether g is connected. The empty graph counts as
 // connected.
 func IsConnected(g *Graph) bool {

@@ -32,23 +32,6 @@ func TestBFSUnreachable(t *testing.T) {
 	}
 }
 
-func TestComponents(t *testing.T) {
-	g := FromEdgeList(7, [][2]int{{0, 1}, {1, 2}, {3, 4}})
-	labels, count := Components(g)
-	if count != 4 { // {0,1,2}, {3,4}, {5}, {6}
-		t.Fatalf("count = %d, want 4", count)
-	}
-	if labels[0] != labels[1] || labels[1] != labels[2] {
-		t.Fatalf("component of {0,1,2} split: %v", labels)
-	}
-	if labels[3] != labels[4] {
-		t.Fatalf("component of {3,4} split: %v", labels)
-	}
-	if labels[5] == labels[6] || labels[0] == labels[3] {
-		t.Fatalf("distinct components merged: %v", labels)
-	}
-}
-
 func TestDiameterKnownFamilies(t *testing.T) {
 	tests := []struct {
 		name string

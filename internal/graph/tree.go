@@ -162,9 +162,6 @@ func (t *Tree) Parent(v int) (int, bool) {
 // modify it.
 func (t *Tree) Vertices() []int32 { return t.vertices }
 
-// EdgeCount returns the number of tree edges (Size()-1 for a valid tree).
-func (t *Tree) EdgeCount() int { return len(t.vertices) - 1 }
-
 // ForEachEdge calls fn once per tree edge (child, parent).
 func (t *Tree) ForEachEdge(fn func(child, parent int)) {
 	for _, v := range t.vertices {

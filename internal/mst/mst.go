@@ -1,13 +1,13 @@
-// Package mst provides minimum spanning tree algorithms. The
-// spanning-tree packing of Section 5 calls an MST oracle once per MWU
-// iteration with exponential edge costs exp(α·z_e); to keep that stable
-// for large exponents the oracle works directly on the exponents (MST
-// order is monotone in z_e) and the cost sums use a log-sum-exp
-// accumulator.
+// Package mst provides Kruskal's minimum spanning forest, the reference
+// the packers' MST oracles are tested against, and a log-sum-exp
+// accumulator. The spanning-tree packing of Section 5 calls an MST
+// oracle once per MWU iteration with exponential edge costs exp(α·z_e);
+// to keep that stable for large exponents the oracle works directly on
+// the exponents (MST order is monotone in z_e) and the cost sums use
+// the accumulator.
 package mst
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -39,65 +39,6 @@ func Kruskal(g *graph.Graph, weight func(edgeID int) float64) []int {
 		}
 	}
 	return chosen
-}
-
-// Prim computes a minimum spanning tree of the component containing
-// root and returns it as a graph.Tree. It is the oracle used when only
-// one component matters. Equal weights break by edge id, exactly like
-// Kruskal: both then compute the unique MST of the infinitesimally
-// perturbed weights w_e + δ·id_e, so the two oracles agree even on
-// all-equal-weight graphs.
-func Prim(g *graph.Graph, root int, weight func(edgeID int) float64) *graph.Tree {
-	h := ds.NewLexHeap(g.N())
-	parent := make(map[int]int)
-	bestEdge := make([]int32, g.N())
-	inTree := make([]bool, g.N())
-	for i := range bestEdge {
-		bestEdge[i] = -1
-	}
-	h.Push(root, 0, -1)
-	for h.Len() > 0 {
-		u, _, _ := h.PopMin()
-		inTree[u] = true
-		if be := bestEdge[u]; be >= 0 {
-			a, b := g.Endpoints(int(be))
-			if a == u {
-				parent[u] = b
-			} else {
-				parent[u] = a
-			}
-		}
-		nbrs := g.Neighbors(u)
-		eids := g.IncidentEdges(u)
-		for i, v := range nbrs {
-			if inTree[v] {
-				continue
-			}
-			w := weight(int(eids[i]))
-			if !h.Contains(int(v)) {
-				bestEdge[v] = eids[i]
-				h.Push(int(v), w, eids[i])
-			} else if h.DecreaseKey(int(v), w, eids[i]) {
-				bestEdge[v] = eids[i]
-			}
-		}
-	}
-	t, err := graph.NewTree(g.N(), root, parent)
-	if err != nil {
-		// Prim over a connected component always yields a valid tree;
-		// reaching here is a bug, not an input error.
-		panic(fmt.Sprintf("mst: Prim built an invalid tree: %v", err))
-	}
-	return t
-}
-
-// TotalWeight sums weight over the given edge ids.
-func TotalWeight(ids []int, weight func(edgeID int) float64) float64 {
-	total := 0.0
-	for _, id := range ids {
-		total += weight(id)
-	}
-	return total
 }
 
 // LogSumExp accumulates a sum of terms exp(x_i), optionally scaled by a

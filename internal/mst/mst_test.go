@@ -16,15 +16,13 @@ func TestKruskalSpanningTreeSize(t *testing.T) {
 	if len(chosen) != g.N()-1 {
 		t.Fatalf("MST has %d edges, want %d", len(chosen), g.N()-1)
 	}
+	// n-1 edges without a cycle span all n vertices.
 	uf := ds.NewUnionFind(g.N())
 	for _, id := range chosen {
 		u, v := g.Endpoints(id)
 		if !uf.Union(u, v) {
 			t.Fatalf("MST edge %d creates a cycle", id)
 		}
-	}
-	if uf.Sets() != 1 {
-		t.Fatal("MST does not span")
 	}
 }
 
@@ -54,95 +52,6 @@ func TestKruskalForestOnDisconnected(t *testing.T) {
 	chosen := Kruskal(g, unitWeight)
 	if len(chosen) != 3 {
 		t.Fatalf("forest has %d edges, want 3", len(chosen))
-	}
-}
-
-func TestPrimMatchesKruskalWeight(t *testing.T) {
-	rng := ds.NewRand(41)
-	for trial := 0; trial < 10; trial++ {
-		g := graph.Gnp(30, 0.2, rng)
-		if !graph.IsConnected(g) {
-			continue
-		}
-		weights := make([]float64, g.M())
-		for i := range weights {
-			weights[i] = rng.Float64()
-		}
-		w := func(id int) float64 { return weights[id] }
-		kr := TotalWeight(Kruskal(g, w), w)
-		tree := Prim(g, 0, w)
-		var pr float64
-		tree.ForEachEdge(func(child, parent int) {
-			id, ok := g.EdgeID(child, parent)
-			if !ok {
-				t.Fatalf("Prim edge (%d,%d) not in graph", child, parent)
-			}
-			pr += w(id)
-		})
-		if math.Abs(kr-pr) > 1e-9 {
-			t.Fatalf("trial %d: Kruskal %.9f vs Prim %.9f", trial, kr, pr)
-		}
-		if !tree.IsSpanning(g) {
-			t.Fatalf("trial %d: Prim not spanning", trial)
-		}
-	}
-}
-
-// TestPrimKruskalAgreeOnEqualWeights feeds both oracles all-equal
-// weights on several families: with the edge-id tie-break on each side,
-// both compute the unique MST of the perturbed weights w_e + δ·id_e, so
-// the trees must be identical edge sets — not merely equal in weight.
-func TestPrimKruskalAgreeOnEqualWeights(t *testing.T) {
-	rng := ds.NewRand(97)
-	cases := []*graph.Graph{
-		graph.Hypercube(4),
-		graph.Complete(9),
-		graph.Torus(3, 4),
-		graph.RandomHamCycles(20, 2, rng),
-	}
-	for ci, g := range cases {
-		kr := Kruskal(g, unitWeight)
-		inKruskal := make(map[int]bool, len(kr))
-		for _, id := range kr {
-			inKruskal[id] = true
-		}
-		tree := Prim(g, 0, unitWeight)
-		count := 0
-		tree.ForEachEdge(func(child, parent int) {
-			id, ok := g.EdgeID(child, parent)
-			if !ok {
-				t.Fatalf("case %d: Prim edge (%d,%d) not in graph", ci, child, parent)
-			}
-			if !inKruskal[id] {
-				t.Fatalf("case %d: Prim edge %d not chosen by Kruskal", ci, id)
-			}
-			count++
-		})
-		if count != len(kr) {
-			t.Fatalf("case %d: Prim tree has %d edges, Kruskal %d", ci, count, len(kr))
-		}
-	}
-}
-
-// TestPrimTieBreakPrefersSmallerEdgeID pins the tie-break directly: on
-// an all-equal-weight multigraph-free diamond, vertex 3 is reachable
-// through edge (1,3) or (2,3); the smaller edge id must win.
-func TestPrimTieBreakPrefersSmallerEdgeID(t *testing.T) {
-	// FromEdgeList assigns ids in sorted (u,v) order: (0,1)=0, (0,2)=1,
-	// (1,3)=2, (2,3)=3.
-	g := graph.FromEdgeList(4, [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}})
-	tree := Prim(g, 0, unitWeight)
-	p, ok := tree.Parent(3)
-	if !ok || p != 1 {
-		t.Fatalf("vertex 3's parent = %d (ok=%v), want 1 via edge id 2", p, ok)
-	}
-}
-
-func TestPrimSingleVertex(t *testing.T) {
-	g := graph.NewBuilder(1).Graph()
-	tree := Prim(g, 0, unitWeight)
-	if tree.Size() != 1 || tree.Root() != 0 {
-		t.Fatalf("single-vertex tree wrong: size=%d root=%d", tree.Size(), tree.Root())
 	}
 }
 

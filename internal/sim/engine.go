@@ -14,15 +14,15 @@ type Meter struct {
 	// RawRounds counts engine rounds across all phases.
 	RawRounds int
 	// MeteredRounds counts rounds after slot serialization: a raw round
-	// where the busiest node (V-CONGEST) or edge direction (E-CONGEST)
-	// used s slots contributes s.
+	// where the busiest node (V-CONGEST) or the busiest node with an
+	// edge (E-CONGEST) broadcast s times contributes s.
 	MeteredRounds int
 	// ChargedRounds are driver-added costs (BFS preprocessing,
 	// termination-detection barriers, meta-round simulation overhead).
 	ChargedRounds int
-	// Messages and Bits count everything sent (a broadcast to d
-	// neighbors counts as one message of its size; the V-CONGEST model
-	// charges a node once per local broadcast).
+	// Messages and Bits count everything sent: V-CONGEST charges a
+	// broadcast once, E-CONGEST once per incident edge (d copies of its
+	// size for a node of degree d).
 	Messages int64
 	Bits     int64
 	// Phases counts completed RunPhase calls.
@@ -67,12 +67,6 @@ type Engine struct {
 	phaseRound   int
 	statuses     []Status
 	observer     func(from, to int32, bits int)
-
-	// rev maps each CSR adjacency position p (receiver v listing sender
-	// u) to the position of v inside u's neighbor list, so receiver-side
-	// routing can recognize directed sends addressed to v. Built only
-	// for E-CONGEST engines.
-	rev []int32
 }
 
 // Option customizes engine construction.
@@ -124,9 +118,6 @@ func NewEngine(g *graph.Graph, model Model, procs []Process, seed uint64, opts .
 		maxFieldBits: DefaultMaxFieldBits(g.N()),
 		statuses:     make([]Status, g.N()),
 	}
-	if model == ECongest {
-		e.rev = buildReverseIndex(g)
-	}
 	for i := range e.contexts {
 		s1, s2 := ds.SplitSeed(seed, uint64(i))
 		pcg := rand.NewPCG(s1, s2)
@@ -145,8 +136,8 @@ func NewEngine(g *graph.Graph, model Model, procs []Process, seed uint64, opts .
 
 // Reset rebinds the engine to a new protocol run over the same graph
 // and model: fresh processes, reseeded per-node random streams, zeroed
-// meter and statuses — while keeping every internal buffer (inboxes,
-// outboxes, reverse index). Drivers that execute many phases over one
+// meter and statuses — while keeping every internal buffer (inboxes
+// and outboxes). Drivers that execute many phases over one
 // topology reset one engine instead of allocating one per phase.
 // Options are re-applied from the defaults, so pass the same options
 // each time (or none).
@@ -162,7 +153,6 @@ func (e *Engine) Reset(procs []Process, seed uint64, opts ...Option) error {
 	for i := range e.contexts {
 		c := &e.contexts[i]
 		c.out = c.out[:0]
-		c.slotsUsed = 0
 		c.violation = nil
 		s1, s2 := ds.SplitSeed(seed, uint64(i))
 		c.pcg.Seed(s1, s2)
@@ -178,20 +168,6 @@ func (e *Engine) Reset(procs []Process, seed uint64, opts ...Option) error {
 	return nil
 }
 
-// buildReverseIndex computes, for every CSR position p where vertex v
-// lists neighbor u, the position of v inside u's neighbor list.
-func buildReverseIndex(g *graph.Graph) []int32 {
-	off := g.AdjOffsets()
-	nbr := g.AdjTargets()
-	rev := make([]int32, len(nbr))
-	for v := 0; v < g.N(); v++ {
-		for p := off[v]; p < off[v+1]; p++ {
-			rev[p] = int32(g.NeighborIndex(int(nbr[p]), v))
-		}
-	}
-	return rev
-}
-
 func ceilLog2(x int) int {
 	if x <= 1 {
 		return 0
@@ -201,12 +177,6 @@ func ceilLog2(x int) int {
 
 // Meter returns the accumulated cost meter.
 func (e *Engine) Meter() *Meter { return &e.meter }
-
-// Graph returns the underlying topology.
-func (e *Engine) Graph() *graph.Graph { return e.g }
-
-// Model returns the congestion model in force.
-func (e *Engine) Model() Model { return e.model }
 
 func (e *Engine) checkMessage(m Message) error {
 	for _, f := range m.F {
@@ -243,7 +213,6 @@ func (e *Engine) step() (allDone bool, err error) {
 	for v := range e.contexts {
 		ctx := &e.contexts[v]
 		ctx.out = ctx.out[:0]
-		ctx.slotsUsed = 0
 		e.statuses[v] = e.procs[v].Round(ctx, e.inbox[v])
 	}
 	for v := range e.contexts {
@@ -261,7 +230,7 @@ func (e *Engine) step() (allDone bool, err error) {
 		}
 	}
 	e.meter.RawRounds++
-	e.meter.MeteredRounds += int(max(maxSlots, 1))
+	e.meter.MeteredRounds += max(maxSlots, 1)
 	e.inbox, e.nextInbox = e.nextInbox, e.inbox
 
 	for _, st := range e.statuses {
@@ -272,64 +241,36 @@ func (e *Engine) step() (allDone bool, err error) {
 	return true, nil
 }
 
-// route meters every node's sends and assembles the next round's
+// route meters every node's broadcasts and assembles the next round's
 // inboxes, receiver by receiver: each receiver scans its neighbors'
 // outboxes in ascending sender order, so an inbox lists deliveries by
 // sender and, per sender, in send order. It returns the round's slot
-// count: the most slots any node (V-CONGEST) or edge direction
-// (E-CONGEST) used.
-func (e *Engine) route() (maxSlots int32) {
+// count: the most broadcasts any node made (V-CONGEST) or any node with
+// an edge made (E-CONGEST, where an isolated node's broadcasts cross no
+// edge direction).
+func (e *Engine) route() (maxSlots int) {
 	off := e.g.AdjOffsets()
-	nbrFlat := e.g.AdjTargets()
+	nbr := e.g.AdjTargets()
 	var messages, sentBits int64
 	for v := range e.contexts {
-		ctx := &e.contexts[v]
-		deg := int64(off[v+1] - off[v])
-		if e.model == VCongest {
-			maxSlots = max(maxSlots, ctx.slotsUsed)
-			for i := range ctx.out {
-				messages++
-				sentBits += int64(ctx.out[i].msg.BitSize())
+		if out := e.contexts[v].out; len(out) > 0 {
+			copies := int64(1)
+			if e.model == ECongest {
+				copies = int64(off[v+1] - off[v])
 			}
-		} else {
-			for i := range ctx.out {
-				size := int64(ctx.out[i].msg.BitSize())
-				if ctx.out[i].target < 0 {
-					// A broadcast in E-CONGEST sends one copy per
-					// incident edge (net zero for isolated nodes).
-					messages += deg
-					sentBits += size * deg
-				} else {
-					messages++
-					sentBits += size
-				}
+			if copies > 0 {
+				maxSlots = max(maxSlots, len(out))
 			}
+			for i := range out {
+				sentBits += int64(out[i].BitSize()) * copies
+			}
+			messages += int64(len(out)) * copies
 		}
 
 		buf := e.nextInbox[v][:0]
-		for pos := off[v]; pos < off[v+1]; pos++ {
-			u := nbrFlat[pos]
-			out := e.contexts[u].out
-			if len(out) == 0 {
-				continue
-			}
-			if e.model == VCongest {
-				for i := range out {
-					buf = append(buf, Delivery{From: u, Slot: out[i].slot, Msg: out[i].msg})
-				}
-			} else {
-				revIdx := e.rev[pos]
-				var dirCount int32
-				for i := range out {
-					if out[i].target < 0 {
-						buf = append(buf, Delivery{From: u, Slot: out[i].slot, Msg: out[i].msg})
-						dirCount++
-					} else if out[i].target == revIdx {
-						buf = append(buf, Delivery{From: u, Slot: dirCount, Msg: out[i].msg})
-						dirCount++
-					}
-				}
-				maxSlots = max(maxSlots, dirCount)
+		for _, u := range nbr[off[v]:off[v+1]] {
+			for _, m := range e.contexts[u].out {
+				buf = append(buf, Delivery{From: u, Msg: m})
 			}
 		}
 		e.nextInbox[v] = buf

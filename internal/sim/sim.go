@@ -1,14 +1,19 @@
 // Package sim implements the synchronous message-passing models of the
 // paper (Section 1.2): V-CONGEST, where each node locally broadcasts one
 // O(log n)-bit message per round, and E-CONGEST, where one O(log n)-bit
-// message crosses each edge direction per round.
+// message crosses each edge direction per round. Every protocol here
+// only broadcasts locally, so a broadcast is the engine's one way to
+// send; in E-CONGEST it puts one copy on each incident edge.
 //
 // Protocols are state machines implementing Process; a driver composes
 // phases by calling Engine.RunPhase repeatedly. The engine meters rounds
 // the way the paper does: a round in which some node uses s message
 // slots is charged as s rounds (slots serialize under a globally known
 // schedule), and driver-side glue such as termination-detection
-// convergecasts is charged explicitly via Meter.Charge.
+// convergecasts is charged explicitly via Meter.Charge. V-CONGEST takes
+// the slot count from every node and charges each broadcast once;
+// E-CONGEST takes it only from nodes that have an edge and charges each
+// broadcast once per incident edge.
 package sim
 
 import (
@@ -83,11 +88,9 @@ func FieldBits(f int64) int { return fieldBits(f) }
 // an n-node graph: 2⌈log2(n+2)⌉+8, i.e. O(log n).
 func DefaultMaxFieldBits(n int) int { return 2*ceilLog2(n+2) + 8 }
 
-// Delivery is a received message together with its sender and the slot
-// it was sent in.
+// Delivery is a received message together with its sender.
 type Delivery struct {
 	From int32
-	Slot int32
 	Msg  Message
 }
 
@@ -123,16 +126,8 @@ type Context struct {
 	rng    *rand.Rand
 	pcg    *rand.PCG // rng's source, reseeded in place by Engine.Reset
 
-	// outbox for the current round; target = -1 means local broadcast.
-	out       []outMsg
-	slotsUsed int32
+	out       []Message // this round's broadcasts, one slot each
 	violation error
-}
-
-type outMsg struct {
-	target int32 // neighbor index in Neighbors(), or -1 for broadcast
-	slot   int32
-	msg    Message
 }
 
 // ID returns this node's identifier in [0, N()).
@@ -141,12 +136,6 @@ func (c *Context) ID() int { return int(c.node) }
 // N returns the number of nodes. The paper grants this knowledge after
 // an O(D) preprocessing phase (Section 2), which drivers charge.
 func (c *Context) N() int { return c.engine.g.N() }
-
-// Round returns the current round number within the running phase.
-func (c *Context) Round() int { return c.engine.phaseRound }
-
-// Degree returns this node's degree.
-func (c *Context) Degree() int { return c.engine.g.Degree(int(c.node)) }
 
 // Neighbors returns this node's sorted neighbor list (shared slice).
 func (c *Context) Neighbors() []int32 { return c.engine.g.Neighbors(int(c.node)) }
@@ -162,28 +151,5 @@ func (c *Context) Broadcast(msg Message) {
 		c.violation = fmt.Errorf("node %d round %d: %w", c.node, c.engine.phaseRound, err)
 		return
 	}
-	c.out = append(c.out, outMsg{target: -1, slot: c.slotsUsed, msg: msg})
-	c.slotsUsed++
-}
-
-// Send sends msg to the neighbor at index nbrIndex in Neighbors(). It is
-// only legal in the E-CONGEST model.
-func (c *Context) Send(nbrIndex int, msg Message) {
-	if c.engine.model != ECongest {
-		if c.violation == nil {
-			c.violation = fmt.Errorf("node %d round %d: Send is illegal in %v", c.node, c.engine.phaseRound, c.engine.model)
-		}
-		return
-	}
-	if nbrIndex < 0 || nbrIndex >= c.Degree() {
-		if c.violation == nil {
-			c.violation = fmt.Errorf("node %d round %d: neighbor index %d out of range", c.node, c.engine.phaseRound, nbrIndex)
-		}
-		return
-	}
-	if err := c.engine.checkMessage(msg); err != nil && c.violation == nil {
-		c.violation = fmt.Errorf("node %d round %d: %w", c.node, c.engine.phaseRound, err)
-		return
-	}
-	c.out = append(c.out, outMsg{target: int32(nbrIndex), slot: 0, msg: msg})
+	c.out = append(c.out, msg)
 }

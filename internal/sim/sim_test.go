@@ -270,90 +270,11 @@ func TestFieldBitBudgetEnforced(t *testing.T) {
 	}
 }
 
-type illegalSender struct{}
-
-func (illegalSender) Round(ctx *Context, inbox []Delivery) Status {
-	ctx.Send(0, Msg(1, 7))
-	return Active
-}
-
-func TestSendIllegalInVCongest(t *testing.T) {
-	g := graph.Path(3)
-	procs := []Process{illegalSender{}, illegalSender{}, illegalSender{}}
-	e, err := NewEngine(g, VCongest, procs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = e.RunPhase(5)
-	if err == nil || !strings.Contains(err.Error(), "illegal") {
-		t.Fatalf("Send in V-CONGEST not rejected: %v", err)
-	}
-}
-
-// edgePing: node 0 sends distinct values to each neighbor (E-CONGEST),
-// neighbors record them.
-type edgePing struct {
-	sent bool
-	got  int64
-}
-
-func (p *edgePing) Round(ctx *Context, inbox []Delivery) Status {
-	for _, d := range inbox {
-		p.got = d.Msg.F[0]
-	}
-	if ctx.ID() == 0 && !p.sent {
-		p.sent = true
-		for i := range ctx.Neighbors() {
-			ctx.Send(i, Msg(1, int64(100+i)))
-		}
-		return Active
-	}
-	return Done
-}
-
-func TestECongestDistinctPerEdgeMessages(t *testing.T) {
-	g := graph.FromEdgeList(4, [][2]int{{0, 1}, {0, 2}, {0, 3}})
-	procs := make([]Process, 4)
-	states := make([]*edgePing, 4)
-	for i := range procs {
-		s := &edgePing{}
-		states[i] = s
-		procs[i] = s
-	}
-	e, err := NewEngine(g, ECongest, procs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.RunPhase(10); err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 3; i++ {
-		if states[i].got != int64(100+i-1) {
-			t.Fatalf("node %d got %d, want %d", i, states[i].got, 100+i-1)
-		}
-	}
-	// Distinct edges: one slot each, no serialization surcharge.
-	if e.Meter().MeteredRounds != e.Meter().RawRounds {
-		t.Fatalf("unexpected surcharge: metered=%d raw=%d", e.Meter().MeteredRounds, e.Meter().RawRounds)
-	}
-}
-
-// doubleSend sends two messages over the same edge in one round.
-type doubleSend struct{ sent bool }
-
-func (p *doubleSend) Round(ctx *Context, inbox []Delivery) Status {
-	if ctx.ID() == 0 && !p.sent {
-		p.sent = true
-		ctx.Send(0, Msg(1, 1))
-		ctx.Send(0, Msg(1, 2))
-		return Active
-	}
-	return Done
-}
-
+// TestECongestPerEdgeSlotSurcharge: two broadcasts in one round put two
+// messages on node 0's one edge, so the round is charged twice.
 func TestECongestPerEdgeSlotSurcharge(t *testing.T) {
 	g := graph.Path(2)
-	e, err := NewEngine(g, ECongest, []Process{&doubleSend{}, &doubleSend{}}, 1)
+	e, err := NewEngine(g, ECongest, []Process{&slotHog{slots: 2}, &slotHog{slots: 2}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,13 +391,10 @@ func (p *phaseProbe) Round(ctx *Context, inbox []Delivery) Status {
 	return Done
 }
 
-// burstProc sends a seeded burst for `limit` rounds, then stops: 0–3
-// broadcasts and, when sends is set (E-CONGEST), 0–3 directed sends to
-// random neighbours, repeats allowed so one edge direction can carry
-// several slots. It logs every delivery it receives, in order.
+// burstProc broadcasts a seeded burst of 0–3 messages for `limit`
+// rounds, then stops. It logs every delivery it receives, in order.
 type burstProc struct {
 	limit int
-	sends bool
 	round int
 	got   []Delivery
 }
@@ -491,18 +409,13 @@ func (p *burstProc) Round(ctx *Context, inbox []Delivery) Status {
 	for i := r.IntN(4); i > 0; i-- {
 		ctx.Broadcast(Msg(1, int64(ctx.ID()), int64(r.IntN(1000))))
 	}
-	if p.sends {
-		for i := r.IntN(4); i > 0; i-- {
-			ctx.Send(r.IntN(ctx.Degree()), Msg(2, int64(r.IntN(1000))))
-		}
-	}
 	return Active
 }
 
 // TestDeliveryObserverParity pins what WithDeliveryObserver may and may
 // not change, under both models: an observed run has the same meter and
-// the same per-node deliveries (sender, slot and message, in order) as
-// an unobserved one, and the observer is called once per delivered copy
+// the same per-node deliveries (sender and message, in order) as an
+// unobserved one, and the observer is called once per delivered copy
 // with its receiver and its bit size.
 func TestDeliveryObserverParity(t *testing.T) {
 	for _, tc := range []struct {
@@ -519,7 +432,7 @@ func TestDeliveryObserverParity(t *testing.T) {
 				nodes := make([]*burstProc, n)
 				procs := make([]Process, n)
 				for i := range procs {
-					nodes[i] = &burstProc{limit: 6, sends: model == ECongest}
+					nodes[i] = &burstProc{limit: 6}
 					procs[i] = nodes[i]
 				}
 				e, err := NewEngine(tc.g, model, procs, 5, opts...)

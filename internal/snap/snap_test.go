@@ -425,8 +425,8 @@ func TestVerifyRejectsOverloadedPacking(t *testing.T) {
 }
 
 func TestStoreSaveLoad(t *testing.T) {
-	dir := t.TempDir()
-	st := NewStore(filepath.Join(dir, "nested", "store"))
+	dir := filepath.Join(t.TempDir(), "nested", "store")
+	st := NewStore(dir)
 	g := testGraph()
 	trees, size := packSpanning(t, g, 7)
 	digest := OptionsDigest(7, 0)
@@ -454,7 +454,7 @@ func TestStoreSaveLoad(t *testing.T) {
 	}
 
 	// No temp litter after a successful save.
-	entries, err := os.ReadDir(st.Dir())
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatalf("ReadDir: %v", err)
 	}

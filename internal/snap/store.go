@@ -23,9 +23,6 @@ type Store struct {
 // consumer of a missing directory just sees ErrNotFound.
 func NewStore(dir string) *Store { return &Store{dir: dir} }
 
-// Dir returns the store's root directory.
-func (st *Store) Dir() string { return st.dir }
-
 // FileName is the snapshot file name for a cache key — the graph
 // content key, the kind, and the options digest, dash-joined with a
 // .snap suffix.

@@ -48,7 +48,7 @@ type MSTOracle func(e *Engine, seed uint64) (chosen []int, rounds int, err error
 // guarded: the first Step seeds the collection with the oracle's tree at
 // weight 1 and skips the stop test entirely (all loads are still zero,
 // which would trivially satisfy it — the iters > 1 guard both loops now
-// share). Callers bound the loop with Options.MaxIters.
+// share). Callers bound the loop with their own iteration cap.
 type Engine struct {
 	g       *graph.Graph
 	lambda  int

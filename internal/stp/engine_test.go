@@ -26,7 +26,7 @@ func TestKruskalOracleMatchesFullSortPerIteration(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := Options{Epsilon: 0.15}.normalize(tc.g.N())
+			opts := Options{Epsilon: 0.15}.normalize()
 			checked := 0
 			oracle := func(e *Engine, seed uint64) ([]int, int, error) {
 				chosen, rounds, err := KruskalOracle(e, seed)
@@ -67,7 +67,7 @@ func TestKruskalOracleMatchesFullSortPerIteration(t *testing.T) {
 // the O(m) rescan it replaced.
 func TestEngineMaxLoadMatchesScan(t *testing.T) {
 	g := graph.Complete(12)
-	opts := Options{Epsilon: 0.2}.normalize(g.N())
+	opts := Options{Epsilon: 0.2}.normalize()
 	eng := NewEngine(g, 11, opts, KruskalOracle)
 	for iter := 0; iter < 150 && !eng.Done(); iter++ {
 		if _, err := eng.Step(0); err != nil {
@@ -90,7 +90,7 @@ func TestEngineMaxLoadMatchesScan(t *testing.T) {
 // produce distinct entries only, with weights aggregated.
 func TestEngineDeduplicatesTrees(t *testing.T) {
 	g := graph.Cycle(8)
-	opts := Options{Epsilon: 0.1}.normalize(g.N())
+	opts := Options{Epsilon: 0.1}.normalize()
 	eng := NewEngine(g, 2, opts, KruskalOracle)
 	for iter := 0; iter < 200 && !eng.Done(); iter++ {
 		if _, err := eng.Step(0); err != nil {
@@ -172,7 +172,7 @@ func TestStopDecisionMatchesFullEvaluation(t *testing.T) {
 	for _, tc := range stopParityGraphs(t) {
 		lambda := flow.EdgeConnectivity(tc.g)
 		for _, eps := range []float64{0.05, 0.1, 0.2, 0.4} {
-			opts := Options{Epsilon: eps}.normalize(tc.g.N())
+			opts := Options{Epsilon: eps}.normalize()
 			var want bool
 			oracle := func(e *Engine, seed uint64) ([]int, int, error) {
 				chosen, rounds, err := KruskalOracle(e, seed)
@@ -183,7 +183,8 @@ func TestStopDecisionMatchesFullEvaluation(t *testing.T) {
 			if _, err := eng.Step(0); err != nil {
 				t.Fatal(err)
 			}
-			for iter := 0; iter < opts.MaxIters && !eng.Done(); iter++ {
+			limit := maxIters(tc.g.N(), opts.Epsilon)
+			for iter := 0; iter < limit && !eng.Done(); iter++ {
 				if _, err := eng.Step(0); err != nil {
 					t.Fatal(err)
 				}
@@ -194,7 +195,7 @@ func TestStopDecisionMatchesFullEvaluation(t *testing.T) {
 				iterations++
 			}
 			if !eng.Done() {
-				t.Fatalf("%s ε=%v: no stop within %d iterations", tc.name, eps, opts.MaxIters)
+				t.Fatalf("%s ε=%v: no stop within %d iterations", tc.name, eps, limit)
 			}
 			skipped += eng.stopSkipped
 			exact += eng.stopExact
@@ -212,7 +213,7 @@ func TestStopDecisionMatchesFullEvaluation(t *testing.T) {
 // 3.6·e^{5α}, so no prefix clears and the full evaluation must stop.
 func TestStopFallsBackToFullEvaluation(t *testing.T) {
 	g := graph.Cycle(8)
-	eng := NewEngine(g, 20, Options{Epsilon: 0.1}.normalize(g.N()), KruskalOracle)
+	eng := NewEngine(g, 20, Options{Epsilon: 0.1}.normalize(), KruskalOracle)
 	for i := range eng.x {
 		eng.x[i] = 0.5
 	}

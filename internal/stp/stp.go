@@ -136,11 +136,9 @@ func (p *Packing) Validate(g *graph.Graph) error {
 type Options struct {
 	// Seed drives the randomness (edge sampling).
 	Seed uint64
-	// Epsilon is the paper's ε (default 0.1).
+	// Epsilon is the paper's ε. Unset or outside (0, 1), it defaults
+	// to 0.1 in Pack and IntegralPack and to 0.15 in stpdist.Pack.
 	Epsilon float64
-	// MaxIters caps the MWU iterations per subgraph (default
-	// 80·log₂³(n+2)/ε, clamped to [2000, 60000]).
-	MaxIters int
 	// KnownLambda skips connectivity estimation when > 0. Otherwise λ is
 	// computed exactly with flow.EdgeConnectivity, standing in for the
 	// paper's distributed 3-approximation of [21] (docs/ARCHITECTURE.md,
@@ -152,27 +150,23 @@ type Options struct {
 	SampleThreshold float64
 }
 
-func (o Options) normalize(n int) Options {
+func (o Options) normalize() Options {
 	if o.Epsilon <= 0 || o.Epsilon >= 1 {
 		o.Epsilon = 0.1
-	}
-	if o.MaxIters <= 0 {
-		// Θ(log^3 n)-flavored cap with the constants the analysis hides;
-		// the loop normally stops far earlier, on the maxZ <= 1+2ε load
-		// check.
-		l := math.Log2(float64(n) + 2)
-		o.MaxIters = int(80 * l * l * l / o.Epsilon)
-		if o.MaxIters < 2000 {
-			o.MaxIters = 2000
-		}
-		if o.MaxIters > 60000 {
-			o.MaxIters = 60000
-		}
 	}
 	if o.SampleThreshold <= 0 {
 		o.SampleThreshold = 6
 	}
 	return o
+}
+
+// maxIters caps the MWU iterations per subgraph of an n-vertex graph at
+// 80·log₂³(n+2)/ε, clamped to [2000, 60000]: a Θ(log^3 n)-flavored cap
+// with the constants the analysis hides. The loop normally stops far
+// earlier, on the maxZ <= 1+2ε load check.
+func maxIters(n int, eps float64) int {
+	l := math.Log2(float64(n) + 2)
+	return min(max(int(80*l*l*l/eps), 2000), 60000)
 }
 
 // Pack computes a fractional spanning tree packing of g of size
@@ -185,7 +179,7 @@ func Pack(g *graph.Graph, opts Options) (*Packing, error) {
 	if !graph.IsConnected(g) {
 		return nil, fmt.Errorf("stp: graph disconnected")
 	}
-	opts = opts.normalize(n)
+	opts = opts.normalize()
 	lambda := opts.KnownLambda
 	if lambda <= 0 {
 		lambda = flow.EdgeConnectivity(g)
@@ -268,7 +262,7 @@ func packLowLambda(g *graph.Graph, lambda int, opts Options) (*Packing, error) {
 	if _, err := eng.Step(0); err != nil {
 		return nil, err
 	}
-	for iter := 0; iter < opts.MaxIters && !eng.Done(); iter++ {
+	for iter, limit := 0, maxIters(g.N(), opts.Epsilon); iter < limit && !eng.Done(); iter++ {
 		if _, err := eng.Step(0); err != nil {
 			return nil, err
 		}
@@ -294,7 +288,7 @@ func IntegralPack(g *graph.Graph, opts Options) ([]*graph.Tree, error) {
 	if n < 2 || !graph.IsConnected(g) {
 		return nil, fmt.Errorf("stp: need a connected graph with n >= 2")
 	}
-	opts = opts.normalize(n)
+	opts = opts.normalize()
 	lambda := opts.KnownLambda
 	if lambda <= 0 {
 		lambda = flow.EdgeConnectivity(g)

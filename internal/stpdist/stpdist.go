@@ -39,7 +39,8 @@ type Result struct {
 	Meter   sim.Meter
 }
 
-// Pack computes the fractional spanning-tree packing distributedly.
+// Pack computes the fractional spanning-tree packing distributedly. An
+// unset ε defaults to 0.15 here, not stp.Pack's 0.1.
 func Pack(g *graph.Graph, opts stp.Options) (*Result, error) {
 	n := g.N()
 	if n < 2 {
@@ -48,8 +49,9 @@ func Pack(g *graph.Graph, opts stp.Options) (*Result, error) {
 	if !graph.IsConnected(g) {
 		return nil, fmt.Errorf("stpdist: graph disconnected")
 	}
-	opts = normalize(opts, n)
+	opts = normalize(opts)
 	lambda := opts.KnownLambda
+	d := dist.ApproxD(g)
 	var meter sim.Meter
 	if lambda <= 0 {
 		// The paper uses the distributed min-cut 3-approximation of [21]
@@ -57,7 +59,6 @@ func Pack(g *graph.Graph, opts stp.Options) (*Result, error) {
 		// charge that bound (docs/ARCHITECTURE.md "Substitutions",
 		// item 1).
 		lambda = flow.EdgeConnectivity(g)
-		d := approxD(g)
 		charge := float64(d) + math.Sqrt(float64(n))*math.Log2(float64(n)+2)
 		meter.Charge(int(charge))
 	}
@@ -105,8 +106,7 @@ func Pack(g *graph.Graph, opts stp.Options) (*Result, error) {
 		states[i] = newMWUState(sub, subLambda, opts)
 	}
 
-	d := approxD(g)
-	for iter := 0; iter < opts.MaxIters; iter++ {
+	for iter, limit := 0, maxIters(n, opts.Epsilon); iter < limit; iter++ {
 		anyActive := false
 		iterRounds := 0
 		for i, st := range states {
@@ -151,19 +151,9 @@ func Pack(g *graph.Graph, opts stp.Options) (*Result, error) {
 	return &Result{Packing: out, Meter: meter}, nil
 }
 
-func normalize(o stp.Options, n int) stp.Options {
+func normalize(o stp.Options) stp.Options {
 	if o.Epsilon <= 0 || o.Epsilon >= 1 {
 		o.Epsilon = 0.15
-	}
-	if o.MaxIters <= 0 {
-		l := math.Log2(float64(n) + 2)
-		o.MaxIters = int(40 * l * l * l / o.Epsilon)
-		if o.MaxIters < 1000 {
-			o.MaxIters = 1000
-		}
-		if o.MaxIters > 20000 {
-			o.MaxIters = 20000
-		}
 	}
 	if o.SampleThreshold <= 0 {
 		o.SampleThreshold = 6
@@ -171,12 +161,11 @@ func normalize(o stp.Options, n int) stp.Options {
 	return o
 }
 
-func approxD(g *graph.Graph) int {
-	d := graph.ApproxDiameter(g)
-	if d < 1 {
-		d = g.N()
-	}
-	return d
+// maxIters caps the joint MWU iterations on an n-vertex graph at
+// 40·log₂³(n+2)/ε, clamped to [1000, 20000].
+func maxIters(n int, eps float64) int {
+	l := math.Log2(float64(n) + 2)
+	return min(max(int(40*l*l*l/eps), 1000), 20000)
 }
 
 func addBitsAndMessages(dst *sim.Meter, src *sim.Meter) {

@@ -90,7 +90,7 @@ func CheckDistributed(g *graph.Graph, classOf [][]int32, classes int, seed uint6
 			}
 		}
 		// Failure flooding costs O(D); charge it.
-		res.Meter.Charge(approxD(g))
+		res.Meter.Charge(dist.ApproxD(g))
 	}
 	if domFail {
 		res.OK = false
@@ -172,17 +172,9 @@ func CheckDistributed(g *graph.Graph, classOf [][]int32, classes int, seed uint6
 			res.ConnectivityFailures++
 			res.OK = false
 		}
-		res.Meter.Charge(approxD(g)) // failure flooding
+		res.Meter.Charge(dist.ApproxD(g)) // failure flooding
 	}
 	return res, nil
-}
-
-func approxD(g *graph.Graph) int {
-	d := graph.ApproxDiameter(g)
-	if d < 1 {
-		d = g.N()
-	}
-	return d
 }
 
 // domNode announces this node's class memberships (one slot each) and
@@ -280,7 +272,7 @@ func (p *connNode) Round(ctx *sim.Context, inbox []sim.Delivery) sim.Status {
 // O~(min{d', D + sqrt(n)}) with d' <= n.
 func MaxRoundsBudget(g *graph.Graph) int {
 	n := float64(g.N())
-	d := float64(approxD(g))
+	d := float64(dist.ApproxD(g))
 	b := math.Min(n, d+math.Sqrt(n)*math.Log2(n+2))
 	return int(b) + 1
 }
