@@ -2,6 +2,7 @@ package cdsdist
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/cds"
@@ -165,5 +166,42 @@ func TestDistributedDeterministicForSeed(t *testing.T) {
 	}
 	if r1.Meter != r2.Meter {
 		t.Fatalf("meters diverged: %+v vs %+v", r1.Meter, r2.Meter)
+	}
+}
+
+// TestExcessComponentsGolden pins the M_ell trace (Stats.
+// ExcessComponents) of PackWithGuess, which no FINGERPRINT line
+// covers. Guesses n and 2n give enough classes that the jump start
+// leaves classes split, so the traces are not all zero.
+func TestExcessComponentsGolden(t *testing.T) {
+	q5, t48 := graph.Hypercube(5), graph.Torus(4, 8)
+	cases := []struct {
+		name  string
+		g     *graph.Graph
+		guess int
+		seed  uint64
+		want  []int
+	}{
+		{"Q5", q5, 32, 0, []int{2, 0, 0, 0, 0, 0}},
+		{"Q5", q5, 32, 1, []int{3, 0, 0, 0, 0, 0}},
+		{"Q5", q5, 32, 2, []int{1, 0, 0, 0, 0, 0}},
+		{"Q5", q5, 64, 0, []int{31, 16, 12, 6, 1, 1}},
+		{"Q5", q5, 64, 1, []int{39, 17, 9, 3, 3, 3}},
+		{"Q5", q5, 64, 2, []int{37, 12, 6, 3, 2, 0}},
+		{"T4x8", t48, 32, 0, []int{4, 0, 0, 0, 0, 0}},
+		{"T4x8", t48, 32, 1, []int{5, 2, 1, 0, 0, 0}},
+		{"T4x8", t48, 32, 2, []int{8, 2, 2, 2, 1, 1}},
+		{"T4x8", t48, 64, 0, []int{69, 42, 24, 15, 11, 5}},
+		{"T4x8", t48, 64, 1, []int{71, 34, 23, 13, 12, 6}},
+		{"T4x8", t48, 64, 2, []int{71, 47, 29, 22, 12, 8}},
+	}
+	for _, tc := range cases {
+		res, err := PackWithGuess(tc.g, tc.guess, cds.Options{Seed: tc.seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Packing.Stats.ExcessComponents; !slices.Equal(got, tc.want) {
+			t.Errorf("%s guess=%d seed=%d: M_ell trace %v, want %v", tc.name, tc.guess, tc.seed, got, tc.want)
+		}
 	}
 }
