@@ -19,7 +19,7 @@ import (
 	"os"
 
 	decomp "repro"
-	"repro/internal/check"
+	"repro/internal/graph"
 	"repro/internal/snap"
 )
 
@@ -41,7 +41,7 @@ func main() {
 
 	var (
 		kind  string
-		trees []check.Weighted
+		trees []graph.WeightedTree
 		size  float64
 	)
 	switch *mode {
@@ -66,7 +66,7 @@ func main() {
 // digest uses the packer-default epsilon (this command exposes no
 // epsilon flag), matching a serve.Config with the same PackSeed and
 // zero Epsilon.
-func writeSnapshot(path string, g *decomp.Graph, kind string, seed uint64, trees []check.Weighted, size float64) error {
+func writeSnapshot(path string, g *decomp.Graph, kind string, seed uint64, trees []graph.WeightedTree, size float64) error {
 	sn, err := snap.Capture(g, kind, snap.OptionsDigest(seed, 0), trees, size)
 	if err != nil {
 		return fmt.Errorf("capturing snapshot: %w", err)
@@ -102,7 +102,7 @@ func makeGraph(family string, param, n int, seed uint64) (*decomp.Graph, error) 
 	}
 }
 
-func runVertex(g *decomp.Graph, distributed bool, seed uint64) ([]check.Weighted, float64) {
+func runVertex(g *decomp.Graph, distributed bool, seed uint64) ([]graph.WeightedTree, float64) {
 	var p *decomp.DominatingTreePacking
 	if distributed {
 		res, err := decomp.PackDominatingTreesDistributed(g, decomp.WithSeed(seed))
@@ -122,11 +122,7 @@ func runVertex(g *decomp.Graph, distributed bool, seed uint64) ([]check.Weighted
 		}
 		printDomPacking(g, p)
 	}
-	trees := make([]check.Weighted, len(p.Trees))
-	for i, t := range p.Trees {
-		trees[i] = check.Weighted{Tree: t.Tree, Weight: t.Weight}
-	}
-	return trees, p.Size()
+	return p.Trees, p.Size()
 }
 
 func printDomPacking(g *decomp.Graph, p *decomp.DominatingTreePacking) {
@@ -142,7 +138,7 @@ func printDomPacking(g *decomp.Graph, p *decomp.DominatingTreePacking) {
 	}
 }
 
-func runEdge(g *decomp.Graph, distributed bool, seed uint64) ([]check.Weighted, float64) {
+func runEdge(g *decomp.Graph, distributed bool, seed uint64) ([]graph.WeightedTree, float64) {
 	var p *decomp.SpanningTreePacking
 	if distributed {
 		res, err := decomp.PackSpanningTreesDistributed(g, decomp.WithSeed(seed))
@@ -162,11 +158,7 @@ func runEdge(g *decomp.Graph, distributed bool, seed uint64) ([]check.Weighted, 
 		}
 		printSpanPacking(g, p)
 	}
-	trees := make([]check.Weighted, len(p.Trees))
-	for i, t := range p.Trees {
-		trees[i] = check.Weighted{Tree: t.Tree, Weight: t.Weight}
-	}
-	return trees, p.Size()
+	return p.Trees, p.Size()
 }
 
 func printSpanPacking(g *decomp.Graph, p *decomp.SpanningTreePacking) {

@@ -68,7 +68,7 @@ func TestCrossValidateCentralizedVsDistributed(t *testing.T) {
 					t.Fatalf("seed %d: packing sizes differ: %v vs %v", seed, cent.Size(), dp.Size())
 				}
 				for side, p := range map[string]*cds.Packing{"centralized": cent, "distributed": dp} {
-					w := toWeighted(p)
+					w := p.Trees
 					if err := check.DominatingPacking(tc.g, w, tc.k); err != nil {
 						t.Fatalf("seed %d: %s packing: %v", seed, side, err)
 					}
@@ -109,12 +109,4 @@ func TestCrossValidateForcedSingleClass(t *testing.T) {
 			}
 		}
 	}
-}
-
-func toWeighted(p *cds.Packing) []check.Weighted {
-	out := make([]check.Weighted, len(p.Trees))
-	for i, t := range p.Trees {
-		out[i] = check.Weighted{Tree: t.Tree, Weight: t.Weight}
-	}
-	return out
 }

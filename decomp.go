@@ -345,35 +345,40 @@ func IndependentSpanningTrees(g *Graph, disjoint []*Tree, root int) ([]*Tree, er
 // NewBroadcastScheduler builds a reusable V-CONGEST broadcast handle
 // over a dominating-tree packing (Corollary 1.4 served in steady state):
 // s.Run(decomp.Demand{Sources: srcs}, seed) is equivalent to
-// Broadcast(g, p, srcs, seed) without the per-call setup.
+// Broadcast(g, p, srcs, seed) without the per-call setup. The handle
+// shares p.Trees, which must not be mutated while it is in use.
 func NewBroadcastScheduler(g *Graph, p *DominatingTreePacking) (*Scheduler, error) {
-	return cast.NewScheduler(g, domToWeighted(p), sim.VCongest)
+	return cast.NewScheduler(g, p.Trees, sim.VCongest)
 }
 
 // NewEdgeBroadcastScheduler builds a reusable E-CONGEST broadcast handle
 // over a spanning-tree packing (Corollary 1.5 served in steady state):
 // s.Run(decomp.Demand{Sources: srcs}, seed) is equivalent to
-// BroadcastEdges(g, p, srcs, seed) without the per-call setup.
+// BroadcastEdges(g, p, srcs, seed) without the per-call setup. The
+// handle shares p.Trees, which must not be mutated while it is in use.
 func NewEdgeBroadcastScheduler(g *Graph, p *SpanningTreePacking) (*Scheduler, error) {
-	return cast.NewScheduler(g, spanToWeighted(p), sim.ECongest)
+	return cast.NewScheduler(g, p.Trees, sim.ECongest)
 }
 
 // Broadcast routes each message along a random tree of the dominating-
-// tree packing in the V-CONGEST model (Corollary 1.4).
+// tree packing in the V-CONGEST model (Corollary 1.4). It reads
+// p.Trees in place; the call must not race with a change to them.
 func Broadcast(g *Graph, p *DominatingTreePacking, sources []int, seed uint64) (BroadcastResult, error) {
-	return cast.Broadcast(g, domToWeighted(p), cast.Demand{Sources: sources}, sim.VCongest, seed)
+	return cast.Broadcast(g, p.Trees, cast.Demand{Sources: sources}, sim.VCongest, seed)
 }
 
 // BroadcastEdges routes each message along a random spanning tree in the
-// E-CONGEST model (Corollary 1.5).
+// E-CONGEST model (Corollary 1.5). It reads p.Trees in place; the call
+// must not race with a change to them.
 func BroadcastEdges(g *Graph, p *SpanningTreePacking, sources []int, seed uint64) (BroadcastResult, error) {
-	return cast.Broadcast(g, spanToWeighted(p), cast.Demand{Sources: sources}, sim.ECongest, seed)
+	return cast.Broadcast(g, p.Trees, cast.Demand{Sources: sources}, sim.ECongest, seed)
 }
 
 // Gossip performs all-to-all broadcast (Appendix A): one message per
-// node, routed through the dominating-tree packing.
+// node, routed through the dominating-tree packing. It reads p.Trees in
+// place; the call must not race with a change to them.
 func Gossip(g *Graph, p *DominatingTreePacking, seed uint64) (BroadcastResult, error) {
-	return cast.Broadcast(g, domToWeighted(p), cast.AllToAll(g.N()), sim.VCongest, seed)
+	return cast.Broadcast(g, p.Trees, cast.AllToAll(g.N()), sim.VCongest, seed)
 }
 
 // SingleTreeBroadcast is the throughput-1 baseline: all messages over
@@ -385,22 +390,6 @@ func SingleTreeBroadcast(g *Graph, sources []int, model Model, seed uint64) (Bro
 // UniformSources draws nMsgs message sources uniformly at random.
 func UniformSources(n, nMsgs int, seed uint64) []int {
 	return cast.UniformDemand(n, nMsgs, ds.NewRand(seed)).Sources
-}
-
-func domToWeighted(p *DominatingTreePacking) []cast.WeightedTree {
-	out := make([]cast.WeightedTree, len(p.Trees))
-	for i, t := range p.Trees {
-		out[i] = cast.WeightedTree{Tree: t.Tree, Weight: t.Weight}
-	}
-	return out
-}
-
-func spanToWeighted(p *SpanningTreePacking) []cast.WeightedTree {
-	out := make([]cast.WeightedTree, len(p.Trees))
-	for i, t := range p.Trees {
-		out[i] = cast.WeightedTree{Tree: t.Tree, Weight: t.Weight}
-	}
-	return out
 }
 
 // --- Serving ------------------------------------------------------------

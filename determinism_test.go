@@ -27,8 +27,8 @@ func workloadFingerprint(t *testing.T) string {
 			t.Fatal(err)
 		}
 		fmt.Fprintf(h, "cds seed=%d size=%.9f meter=%+v;", seed, res.Packing.Size(), res.Meter)
-		for _, tr := range res.Packing.Trees {
-			fmt.Fprintf(h, "%d:%v;", tr.Class, tr.Tree.Vertices())
+		for i, tr := range res.Packing.Trees {
+			fmt.Fprintf(h, "%d:%v;", res.Packing.TreeClass[i], tr.Tree.Vertices())
 		}
 	}
 

@@ -36,13 +36,11 @@ import (
 	"repro/internal/sim"
 )
 
-// WeightedTree is one tree of a decomposition with its fractional
-// weight. Both dominating-tree and spanning-tree packings convert to
-// this form.
-type WeightedTree struct {
-	Tree   *graph.Tree
-	Weight float64
-}
+// WeightedTree is graph.WeightedTree under its former name.
+//
+// Deprecated: it remains only for the benchmark runner (perfbench),
+// which still names it, and goes once that stops naming it.
+type WeightedTree = graph.WeightedTree
 
 // Result reports a dissemination run.
 type Result struct {
@@ -94,7 +92,7 @@ func UniformDemand(n, nMsgs int, rng *rand.Rand) Demand {
 //
 // In sim.VCongest mode the trees must be dominating trees; in
 // sim.ECongest mode they must be spanning trees.
-func Broadcast(g *graph.Graph, trees []WeightedTree, demand Demand, model sim.Model, seed uint64) (Result, error) {
+func Broadcast(g *graph.Graph, trees []graph.WeightedTree, demand Demand, model sim.Model, seed uint64) (Result, error) {
 	s, err := NewScheduler(g, trees, model)
 	if err != nil {
 		return Result{}, err
@@ -106,7 +104,7 @@ func Broadcast(g *graph.Graph, trees []WeightedTree, demand Demand, model sim.Mo
 // the throughput-1 baseline the corollaries compare against.
 func SingleTreeBaseline(g *graph.Graph, demand Demand, model sim.Model, seed uint64) (Result, error) {
 	tree := graph.TreeFromBFS(g, 0)
-	return Broadcast(g, []WeightedTree{{Tree: tree, Weight: 1}}, demand, model, seed)
+	return Broadcast(g, []graph.WeightedTree{{Tree: tree, Weight: 1}}, demand, model, seed)
 }
 
 func maxOf32(xs []int32) int32 {

@@ -10,30 +10,22 @@ import (
 	"repro/internal/stp"
 )
 
-func domTrees(t testing.TB, g *graph.Graph, seed uint64) []WeightedTree {
+func domTrees(t testing.TB, g *graph.Graph, seed uint64) []graph.WeightedTree {
 	t.Helper()
 	p, err := cds.Pack(g, cds.Options{Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make([]WeightedTree, len(p.Trees))
-	for i, tr := range p.Trees {
-		out[i] = WeightedTree{Tree: tr.Tree, Weight: tr.Weight}
-	}
-	return out
+	return p.Trees
 }
 
-func spanTrees(t testing.TB, g *graph.Graph, seed uint64) []WeightedTree {
+func spanTrees(t testing.TB, g *graph.Graph, seed uint64) []graph.WeightedTree {
 	t.Helper()
 	p, err := stp.Pack(g, stp.Options{Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make([]WeightedTree, len(p.Trees))
-	for i, tr := range p.Trees {
-		out[i] = WeightedTree{Tree: tr.Tree, Weight: tr.Weight}
-	}
-	return out
+	return p.Trees
 }
 
 func TestBroadcastValidation(t *testing.T) {
@@ -42,7 +34,7 @@ func TestBroadcastValidation(t *testing.T) {
 		t.Fatal("no trees accepted")
 	}
 	tr := graph.TreeFromBFS(g, 0)
-	if _, err := Broadcast(g, []WeightedTree{{Tree: tr, Weight: 1}}, Demand{}, sim.VCongest, 1); err == nil {
+	if _, err := Broadcast(g, []graph.WeightedTree{{Tree: tr, Weight: 1}}, Demand{}, sim.VCongest, 1); err == nil {
 		t.Fatal("empty demand accepted")
 	}
 	// A non-spanning tree must be rejected in E-CONGEST.
@@ -50,7 +42,7 @@ func TestBroadcastValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Broadcast(g, []WeightedTree{{Tree: partial, Weight: 1}}, AllToAll(4), sim.ECongest, 1); err == nil {
+	if _, err := Broadcast(g, []graph.WeightedTree{{Tree: partial, Weight: 1}}, AllToAll(4), sim.ECongest, 1); err == nil {
 		t.Fatal("non-spanning tree accepted in E-CONGEST")
 	}
 }
@@ -162,7 +154,7 @@ func TestUniformDemandSources(t *testing.T) {
 func TestAssignTreesProportional(t *testing.T) {
 	g := graph.Complete(3)
 	tr := graph.TreeFromBFS(g, 0)
-	trees := []WeightedTree{
+	trees := []graph.WeightedTree{
 		{Tree: tr, Weight: 0.9},
 		{Tree: tr, Weight: 0.1},
 	}

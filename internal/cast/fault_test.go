@@ -197,7 +197,7 @@ func TestFaultFullDeliveryBelowConnectivity(t *testing.T) {
 func TestFaultPlanValidation(t *testing.T) {
 	g := graph.Complete(4)
 	tr := graph.TreeFromBFS(g, 0)
-	s, err := NewScheduler(g, []WeightedTree{{Tree: tr, Weight: 1}}, sim.VCongest)
+	s, err := NewScheduler(g, []graph.WeightedTree{{Tree: tr, Weight: 1}}, sim.VCongest)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,7 +66,7 @@ type Scheduler struct {
 // be written after construction.
 type schedCore struct {
 	g     *graph.Graph
-	trees []WeightedTree
+	trees []graph.WeightedTree
 	model sim.Model
 
 	// cum[i] is the total weight of trees[0..i]; total the grand sum.
@@ -140,7 +140,7 @@ type edgeBuffers struct {
 // the demand-independent scheduler state: in sim.VCongest mode the trees
 // must be dominating trees; in sim.ECongest mode they must be spanning
 // trees.
-func NewScheduler(g *graph.Graph, trees []WeightedTree, model sim.Model) (*Scheduler, error) {
+func NewScheduler(g *graph.Graph, trees []graph.WeightedTree, model sim.Model) (*Scheduler, error) {
 	if len(trees) == 0 {
 		return nil, fmt.Errorf("cast: no trees")
 	}
@@ -269,7 +269,7 @@ func (s *Scheduler) assignDemand(nMsgs int) {
 	}
 }
 
-func newVertexCore(g *graph.Graph, trees []WeightedTree) *vertexCore {
+func newVertexCore(g *graph.Graph, trees []graph.WeightedTree) *vertexCore {
 	n := g.N()
 	vs := &vertexCore{
 		stride: (n + 63) / 64,
@@ -425,7 +425,7 @@ func (s *Scheduler) runVertex(ctx context.Context, demand Demand, f *faultState)
 	return res, nil
 }
 
-func newEdgeCore(g *graph.Graph, trees []WeightedTree) *edgeCore {
+func newEdgeCore(g *graph.Graph, trees []graph.WeightedTree) *edgeCore {
 	n := g.N()
 	m := g.M()
 	nArcs := 2 * m

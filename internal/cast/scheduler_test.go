@@ -9,7 +9,7 @@ import (
 )
 
 // schedulerFixture returns a (graph, trees) pair valid for the model.
-func schedulerFixture(t testing.TB, model sim.Model) (*graph.Graph, []WeightedTree) {
+func schedulerFixture(t testing.TB, model sim.Model) (*graph.Graph, []graph.WeightedTree) {
 	t.Helper()
 	if model == sim.VCongest {
 		g := graph.Hypercube(5)
@@ -90,11 +90,11 @@ func TestSchedulerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewScheduler(g, []WeightedTree{{Tree: partial, Weight: 1}}, sim.ECongest); err == nil {
+	if _, err := NewScheduler(g, []graph.WeightedTree{{Tree: partial, Weight: 1}}, sim.ECongest); err == nil {
 		t.Fatal("non-spanning tree accepted in E-CONGEST")
 	}
 	tr := graph.TreeFromBFS(g, 0)
-	s, err := NewScheduler(g, []WeightedTree{{Tree: tr, Weight: 1}}, sim.VCongest)
+	s, err := NewScheduler(g, []graph.WeightedTree{{Tree: tr, Weight: 1}}, sim.VCongest)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,28 +14,22 @@
 package cds
 
 import (
-	"fmt"
 	"math"
 
+	"repro/internal/check"
 	"repro/internal/graph"
 )
-
-// Tree is one weighted dominating tree of a packing.
-type Tree struct {
-	// Tree is the dominating tree in the host graph.
-	Tree *graph.Tree
-	// Weight is the tree's fractional weight x_tau in [0,1].
-	Weight float64
-	// Class is the class index this tree was built from.
-	Class int
-}
 
 // Packing is a fractional dominating tree packing (Section 2): trees
 // with weights such that the total weight through every vertex is at
 // most 1. Size() is the packing size Σ x_tau, the quantity Theorem 1.1
 // lower-bounds by Ω(k/log n).
 type Packing struct {
-	Trees []Tree
+	// Trees are the dominating trees with their fractional weights
+	// x_tau in (0,1].
+	Trees []graph.WeightedTree
+	// TreeClass[i] is the index of the class Trees[i] was built from.
+	TreeClass []int
 	// Classes holds, for every class (valid or not), the set of real
 	// vertices that joined it; experiment code uses it for diagnostics
 	// and figure generation.
@@ -52,25 +46,6 @@ func (p *Packing) Size() float64 {
 		s += t.Weight
 	}
 	return s
-}
-
-// MaxVertexLoad returns the maximum over vertices of the total weight
-// of trees containing that vertex; a valid fractional packing has load
-// at most 1.
-func (p *Packing) MaxVertexLoad(n int) float64 {
-	load := make([]float64, n)
-	for _, t := range p.Trees {
-		for _, v := range t.Tree.Vertices() {
-			load[v] += t.Weight
-		}
-	}
-	max := 0.0
-	for _, l := range load {
-		if l > max {
-			max = l
-		}
-	}
-	return max
 }
 
 // MaxTreeCount returns the maximum over vertices of the number of trees
@@ -104,25 +79,13 @@ func (p *Packing) MaxTreeHeight() int {
 	return max
 }
 
-// Validate checks the packing against the host graph: every tree must
-// be a genuine dominating tree of g, weights must lie in (0,1], and the
-// per-vertex fractional load must not exceed 1 (+eps).
+// Validate checks the packing against the host graph with
+// check.DominatingPacking: every tree must be a genuine dominating tree
+// of g, weights must lie in (0,1], and the per-vertex fractional load
+// must not exceed 1 (+eps). Like the oracle it rejects an empty
+// packing, which Pack never returns.
 func (p *Packing) Validate(g *graph.Graph) error {
-	for i, t := range p.Trees {
-		if t.Weight <= 0 || t.Weight > 1 {
-			return fmt.Errorf("cds: tree %d has weight %f outside (0,1]", i, t.Weight)
-		}
-		if err := t.Tree.ValidateIn(g); err != nil {
-			return fmt.Errorf("cds: tree %d: %w", i, err)
-		}
-		if !t.Tree.IsDominatingIn(g) {
-			return fmt.Errorf("cds: tree %d does not dominate", i)
-		}
-	}
-	if load := p.MaxVertexLoad(g.N()); load > 1+1e-9 {
-		return fmt.Errorf("cds: max vertex load %f exceeds 1", load)
-	}
-	return nil
+	return check.DominatingPacking(g, p.Trees, 0)
 }
 
 // Stats captures the run diagnostics the experiments report.

@@ -242,7 +242,10 @@ func findMatch(g *graph.Graph, vg *virtualGraph, s *packScratch, v, layer int) (
 func buildPacking(g *graph.Graph, vg *virtualGraph, stats Stats) *Packing {
 	classes := vg.realClasses()
 	inSet := ds.NewBitset(g.N())
-	var trees []Tree
+	var (
+		trees     []graph.WeightedTree
+		treeClass []int
+	)
 	for class, members := range classes {
 		// comps counts the components of the class's induced subgraph:
 		// 0 is an empty class and more than 1 a disconnected one, both
@@ -261,11 +264,12 @@ func buildPacking(g *graph.Graph, vg *virtualGraph, stats Stats) *Packing {
 		if !tree.IsDominatingIn(g) {
 			continue
 		}
-		trees = append(trees, Tree{Tree: tree, Weight: 1, Class: class})
+		trees = append(trees, graph.WeightedTree{Tree: tree, Weight: 1})
+		treeClass = append(treeClass, class)
 	}
 	stats.ValidClasses = len(trees)
 	stats.MaxLoad = FinalizeWeights(trees, g.N())
-	return &Packing{Trees: trees, Classes: classes, Stats: stats}
+	return &Packing{Trees: trees, TreeClass: treeClass, Classes: classes, Stats: stats}
 }
 
 // FinalizeWeights assigns fractional weights to the valid trees: first the
@@ -275,7 +279,7 @@ func buildPacking(g *graph.Graph, vg *virtualGraph, stats Stats) *Packing {
 // raise each tree's weight by the minimum residual slack along it.
 // It returns the maximum per-vertex tree count. The distributed packer
 // (internal/cdsdist) reuses it on the trees it extracts.
-func FinalizeWeights(trees []Tree, n int) int {
+func FinalizeWeights(trees []graph.WeightedTree, n int) int {
 	count := make([]int, n)
 	for _, t := range trees {
 		for _, v := range t.Tree.Vertices() {

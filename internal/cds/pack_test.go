@@ -223,12 +223,17 @@ func TestPackDisconnectedGraphFails(t *testing.T) {
 func TestValidateCatchesOverload(t *testing.T) {
 	g := graph.Complete(4)
 	tr := graph.TreeFromBFS(g, 0)
-	p := &Packing{Trees: []Tree{{Tree: tr, Weight: 0.8}, {Tree: tr, Weight: 0.8}}}
-	if err := p.Validate(g); err == nil {
-		t.Fatal("vertex load 1.6 accepted")
-	}
-	p = &Packing{Trees: []Tree{{Tree: tr, Weight: 1.5}}}
-	if err := p.Validate(g); err == nil {
-		t.Fatal("weight over 1 accepted")
+	for _, tc := range []struct {
+		name  string
+		trees []graph.WeightedTree
+	}{
+		{"vertex load 1.6", []graph.WeightedTree{{Tree: tr, Weight: 0.8}, {Tree: tr, Weight: 0.8}}},
+		{"weight over 1", []graph.WeightedTree{{Tree: tr, Weight: 1.5}}},
+		{"empty packing", nil},
+	} {
+		p := &Packing{Trees: tc.trees}
+		if err := p.Validate(g); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"math/rand/v2"
 
 	"repro/internal/cds"
+	"repro/internal/check"
 	"repro/internal/dist"
 	"repro/internal/ds"
 	"repro/internal/graph"
@@ -78,12 +79,7 @@ func Pack(g *graph.Graph, opts cds.Options) (*Result, error) {
 			return nil, err
 		}
 		total.Add(&res.Meter)
-		classOf := make([][]int32, n)
-		for i, t := range res.Packing.Trees {
-			for _, v := range t.Tree.Vertices() {
-				classOf[v] = append(classOf[v], int32(i))
-			}
-		}
+		classOf := check.ClassesOf(n, res.Packing.Trees)
 		tr, err := tester.CheckDistributed(g, classOf, res.Packing.Stats.Classes, opts.Seed+uint64(guess))
 		if err != nil {
 			return nil, err

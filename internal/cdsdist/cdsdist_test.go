@@ -104,15 +104,16 @@ func TestDistributedTreeMembersMatchClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tr := range res.Packing.Trees {
-		members := res.Packing.Classes[tr.Class]
+	for i, tr := range res.Packing.Trees {
+		c := res.Packing.TreeClass[i]
+		members := res.Packing.Classes[c]
 		if len(members) != tr.Tree.Size() {
 			t.Fatalf("class %d has %d members but tree has %d vertices",
-				tr.Class, len(members), tr.Tree.Size())
+				c, len(members), tr.Tree.Size())
 		}
 		for _, v := range members {
 			if !tr.Tree.Contains(int(v)) {
-				t.Fatalf("class %d member %d missing from tree", tr.Class, v)
+				t.Fatalf("class %d member %d missing from tree", c, v)
 			}
 		}
 	}

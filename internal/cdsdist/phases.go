@@ -942,7 +942,10 @@ func (r *run) buildPacking() *cds.Packing {
 			classMembers[c] = append(classMembers[c], int32(v))
 		}
 	}
-	var trees []cds.Tree
+	var (
+		trees     []graph.WeightedTree
+		treeClass []int
+	)
 	for c := 0; c < r.classes; c++ {
 		members := classMembers[c]
 		if len(members) == 0 {
@@ -977,10 +980,11 @@ func (r *run) buildPacking() *cds.Packing {
 		if !tree.IsDominatingIn(r.g) {
 			continue
 		}
-		trees = append(trees, cds.Tree{Tree: tree, Weight: 1, Class: c})
+		trees = append(trees, graph.WeightedTree{Tree: tree, Weight: 1})
+		treeClass = append(treeClass, c)
 	}
 	stats := r.stats
 	stats.ValidClasses = len(trees)
 	stats.MaxLoad = cds.FinalizeWeights(trees, r.n)
-	return &cds.Packing{Trees: trees, Classes: classMembers, Stats: stats}
+	return &cds.Packing{Trees: trees, TreeClass: treeClass, Classes: classMembers, Stats: stats}
 }

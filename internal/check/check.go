@@ -6,9 +6,9 @@
 // package, so a refactor of a packer is gated by the paper's guarantees
 // and not only by byte-identity of outputs.
 //
-// The package depends only on internal/graph: packings are passed as
-// []Weighted so that cds, stp, and their tests can all import it without
-// cycles.
+// The package depends only on internal/graph, so the packers can
+// validate through it: a packing is the []graph.WeightedTree the
+// packers build, checked as is.
 //
 // # Caller invariants
 //
@@ -28,12 +28,11 @@ import (
 	"repro/internal/graph"
 )
 
-// Weighted is one tree of a fractional packing with its weight. Both
-// dominating-tree and spanning-tree packings convert to this shape.
-type Weighted struct {
-	Tree   *graph.Tree
-	Weight float64
-}
+// Weighted is graph.WeightedTree under its former name.
+//
+// Deprecated: it remains only for the benchmark runner (perfbench),
+// which still names it, and goes once that stops naming it.
+type Weighted = graph.WeightedTree
 
 // eps absorbs float accumulation error in load and size comparisons.
 const eps = 1e-9
@@ -63,7 +62,7 @@ func SpanningFloor(lambda int, epsilon float64) float64 {
 // with weight in (0,1], the fractional load through every vertex is at
 // most 1, and the packing size reaches DominatingFloor(kappa, n). Pass
 // kappa = 0 to skip the size bound (unknown connectivity).
-func DominatingPacking(g *graph.Graph, trees []Weighted, kappa int) error {
+func DominatingPacking(g *graph.Graph, trees []graph.WeightedTree, kappa int) error {
 	if len(trees) == 0 {
 		return fmt.Errorf("check: empty packing")
 	}
@@ -101,7 +100,7 @@ func DominatingPacking(g *graph.Graph, trees []Weighted, kappa int) error {
 // through every edge is at most capacity (the paper packs against unit
 // capacities; its ⌊(λ-1)/2⌋-size decompositions never need more than 2),
 // and the packing size reaches minSize (use SpanningFloor, or 0 to skip).
-func SpanningPacking(g *graph.Graph, trees []Weighted, capacity, minSize float64) error {
+func SpanningPacking(g *graph.Graph, trees []graph.WeightedTree, capacity, minSize float64) error {
 	if len(trees) == 0 {
 		return fmt.Errorf("check: empty packing")
 	}
@@ -131,7 +130,7 @@ func SpanningPacking(g *graph.Graph, trees []Weighted, capacity, minSize float64
 
 // EdgeCongestion returns the maximum fractional load over edges of g,
 // max_e Σ_{τ∋e} w_τ, and the edge id attaining it.
-func EdgeCongestion(g *graph.Graph, trees []Weighted) (float64, int) {
+func EdgeCongestion(g *graph.Graph, trees []graph.WeightedTree) (float64, int) {
 	load := make([]float64, g.M())
 	for _, t := range trees {
 		// A tree edge g lacks carries no load; only SpanningPacking
@@ -143,7 +142,7 @@ func EdgeCongestion(g *graph.Graph, trees []Weighted) (float64, int) {
 
 // addEdgeLoad adds t's weight to the load of every edge of t that g
 // has, one edge lookup each, and returns t.ValidateIn(g)'s verdict.
-func addEdgeLoad(g *graph.Graph, t Weighted, load []float64) error {
+func addEdgeLoad(g *graph.Graph, t graph.WeightedTree, load []float64) error {
 	return t.Tree.ForEachEdgeID(g, func(id int) { load[id] += t.Weight })
 }
 
@@ -161,7 +160,7 @@ func maxLoad(load []float64) (float64, int) {
 
 // VertexLoad returns the maximum fractional load over vertices,
 // max_v Σ_{τ∋v} w_τ.
-func VertexLoad(n int, trees []Weighted) float64 {
+func VertexLoad(n int, trees []graph.WeightedTree) float64 {
 	load := make([]float64, n)
 	for _, t := range trees {
 		for _, v := range t.Tree.Vertices() {
@@ -247,7 +246,7 @@ func Partition(g *graph.Graph, classOf [][]int32, classes int) (domFailures, con
 // ClassesOf projects a packing's trees to the per-vertex class lists
 // Partition consumes: classOf[v] lists the indices of the trees whose
 // vertex sets contain v, in tree order.
-func ClassesOf(n int, trees []Weighted) [][]int32 {
+func ClassesOf(n int, trees []graph.WeightedTree) [][]int32 {
 	classOf := make([][]int32, n)
 	for i, t := range trees {
 		for _, v := range t.Tree.Vertices() {

@@ -31,7 +31,7 @@ func mustTree(t *testing.T, n, root int, parentOf map[int]int) *graph.Tree {
 func TestDominatingPackingAcceptsValid(t *testing.T) {
 	g := graph.Complete(6)
 	spanning := graph.TreeFromBFS(g, 0)
-	trees := []check.Weighted{{Tree: spanning, Weight: 1}}
+	trees := []graph.WeightedTree{{Tree: spanning, Weight: 1}}
 	if err := check.DominatingPacking(g, trees, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -52,17 +52,17 @@ func TestDominatingPackingViolations(t *testing.T) {
 	cases := []struct {
 		name  string
 		g     *graph.Graph
-		trees []check.Weighted
+		trees []graph.WeightedTree
 		kappa int
 		want  string
 	}{
 		{"empty", g, nil, 0, "empty packing"},
-		{"weight-zero", g, []check.Weighted{{Tree: span, Weight: 0}}, 0, "outside (0,1]"},
-		{"weight-high", g, []check.Weighted{{Tree: span, Weight: 1.5}}, 0, "outside (0,1]"},
-		{"overload", g, []check.Weighted{{Tree: span, Weight: 0.8}, {Tree: sub, Weight: 0.8}}, 0, "fractional load"},
-		{"non-dominating", pathG, []check.Weighted{{Tree: leaf, Weight: 1}}, 0, "does not dominate"},
-		{"edge-missing", cycle, []check.Weighted{{Tree: chord, Weight: 1}}, 0, "not in host graph"},
-		{"below-floor", g, []check.Weighted{{Tree: span, Weight: 0.01}}, 5, "below Theorem 1.1 floor"},
+		{"weight-zero", g, []graph.WeightedTree{{Tree: span, Weight: 0}}, 0, "outside (0,1]"},
+		{"weight-high", g, []graph.WeightedTree{{Tree: span, Weight: 1.5}}, 0, "outside (0,1]"},
+		{"overload", g, []graph.WeightedTree{{Tree: span, Weight: 0.8}, {Tree: sub, Weight: 0.8}}, 0, "fractional load"},
+		{"non-dominating", pathG, []graph.WeightedTree{{Tree: leaf, Weight: 1}}, 0, "does not dominate"},
+		{"edge-missing", cycle, []graph.WeightedTree{{Tree: chord, Weight: 1}}, 0, "not in host graph"},
+		{"below-floor", g, []graph.WeightedTree{{Tree: span, Weight: 0.01}}, 5, "below Theorem 1.1 floor"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -78,7 +78,7 @@ func TestSpanningPackingAcceptsValid(t *testing.T) {
 	g := graph.Complete(5)
 	t1 := graph.TreeFromBFS(g, 0)
 	t2 := graph.TreeFromBFS(g, 1)
-	trees := []check.Weighted{{Tree: t1, Weight: 0.5}, {Tree: t2, Weight: 0.5}}
+	trees := []graph.WeightedTree{{Tree: t1, Weight: 0.5}, {Tree: t2, Weight: 0.5}}
 	if err := check.SpanningPacking(g, trees, 1, check.SpanningFloor(2, 0.1)); err != nil {
 		t.Fatal(err)
 	}
@@ -99,20 +99,20 @@ func TestSpanningPackingViolations(t *testing.T) {
 	cases := []struct {
 		name     string
 		g        *graph.Graph
-		trees    []check.Weighted
+		trees    []graph.WeightedTree
 		capacity float64
 		minSize  float64
 		want     string
 	}{
 		{"empty", g, nil, 1, 0, "empty packing"},
-		{"not-spanning", g, []check.Weighted{{Tree: partial, Weight: 1}}, 1, 0, "spans 2 of 5"},
-		{"edge-overload", g, []check.Weighted{{Tree: span, Weight: 0.8}, {Tree: span, Weight: 0.8}}, 1, 0, "> capacity"},
-		{"overload-names-first-max-edge", g, []check.Weighted{{Tree: path, Weight: 0.75}, {Tree: star, Weight: 0.75}}, 1, 0,
+		{"not-spanning", g, []graph.WeightedTree{{Tree: partial, Weight: 1}}, 1, 0, "spans 2 of 5"},
+		{"edge-overload", g, []graph.WeightedTree{{Tree: span, Weight: 0.8}, {Tree: span, Weight: 0.8}}, 1, 0, "> capacity"},
+		{"overload-names-first-max-edge", g, []graph.WeightedTree{{Tree: path, Weight: 0.75}, {Tree: star, Weight: 0.75}}, 1, 0,
 			"check: edge (1,2) carries fractional load 1.5 > capacity 1"},
-		{"edge-missing-second-tree", cycle, []check.Weighted{{Tree: graph.TreeFromBFS(cycle, 0), Weight: 0.5}, {Tree: chord, Weight: 0.5}}, 1, 0,
+		{"edge-missing-second-tree", cycle, []graph.WeightedTree{{Tree: graph.TreeFromBFS(cycle, 0), Weight: 0.5}, {Tree: chord, Weight: 0.5}}, 1, 0,
 			"check: tree 1: " + chord.ValidateIn(cycle).Error()},
-		{"below-floor", g, []check.Weighted{{Tree: span, Weight: 0.1}}, 1, 1.0, "below floor"},
-		{"weight-nonpositive", g, []check.Weighted{{Tree: span, Weight: -0.2}}, 1, 0, "not positive"},
+		{"below-floor", g, []graph.WeightedTree{{Tree: span, Weight: 0.1}}, 1, 1.0, "below floor"},
+		{"weight-nonpositive", g, []graph.WeightedTree{{Tree: span, Weight: -0.2}}, 1, 0, "not positive"},
 	}
 	if want := "graph: tree edge (3,0) not in host graph"; chord.ValidateIn(cycle).Error() != want {
 		t.Fatalf("ValidateIn of the chord tree: %v, want %q", chord.ValidateIn(cycle), want)
@@ -130,13 +130,13 @@ func TestSpanningPackingViolations(t *testing.T) {
 func TestEdgeCongestionDoubledTree(t *testing.T) {
 	g := graph.Complete(4)
 	span := graph.TreeFromBFS(g, 0)
-	load, _ := check.EdgeCongestion(g, []check.Weighted{
+	load, _ := check.EdgeCongestion(g, []graph.WeightedTree{
 		{Tree: span, Weight: 0.75}, {Tree: span, Weight: 0.75},
 	})
 	if math.Abs(load-1.5) > 1e-12 {
 		t.Fatalf("edge congestion %v, want 1.5", load)
 	}
-	if vl := check.VertexLoad(4, []check.Weighted{{Tree: span, Weight: 0.75}}); math.Abs(vl-0.75) > 1e-12 {
+	if vl := check.VertexLoad(4, []graph.WeightedTree{{Tree: span, Weight: 0.75}}); math.Abs(vl-0.75) > 1e-12 {
 		t.Fatalf("vertex load %v, want 0.75", vl)
 	}
 }
@@ -177,7 +177,7 @@ func TestClassesOf(t *testing.T) {
 	g := graph.Complete(4)
 	span := graph.TreeFromBFS(g, 0)
 	sub := mustTree(t, 4, 1, map[int]int{2: 1})
-	classOf := check.ClassesOf(4, []check.Weighted{{Tree: span, Weight: 1}, {Tree: sub, Weight: 1}})
+	classOf := check.ClassesOf(4, []graph.WeightedTree{{Tree: span, Weight: 1}, {Tree: sub, Weight: 1}})
 	want := [][]int32{{0}, {0, 1}, {0, 1}, {0}}
 	for v := range want {
 		if len(classOf[v]) != len(want[v]) {

@@ -67,14 +67,6 @@ func sweepSeeds() []uint64 {
 	return []uint64{0, 1, 2, 3}
 }
 
-func domToWeighted(p *cds.Packing) []check.Weighted {
-	out := make([]check.Weighted, len(p.Trees))
-	for i, tr := range p.Trees {
-		out[i] = check.Weighted{Tree: tr.Tree, Weight: tr.Weight}
-	}
-	return out
-}
-
 // assertDominating runs the full Theorem 1.1/1.2 oracle on one packing:
 // tree validity, domination, per-vertex capacity, the Ω(k/log n) size
 // floor, the Lemma E.1 partition predicate, and — since a fractional
@@ -82,7 +74,7 @@ func domToWeighted(p *cds.Packing) []check.Weighted {
 // through both endpoints — the paper's per-edge congestion ceiling of 2.
 func assertDominating(t *testing.T, g *graph.Graph, p *cds.Packing, k int) {
 	t.Helper()
-	w := domToWeighted(p)
+	w := p.Trees
 	if err := check.DominatingPacking(g, w, k); err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +131,7 @@ func TestSweepDistributedDominating(t *testing.T) {
 // exceeds k) is exact.
 func assertDominatingFullPack(t *testing.T, g *graph.Graph, p *cds.Packing, k int) {
 	t.Helper()
-	w := domToWeighted(p)
+	w := p.Trees
 	if err := check.DominatingPacking(g, w, 0); err != nil { // floor asserted below at half strength
 		t.Fatal(err)
 	}
@@ -218,14 +210,10 @@ func TestSweepSpanningFullPack(t *testing.T) {
 				if p.Stats.SubgraphsPacked < 1 || p.Stats.SubgraphsPacked > p.Stats.Subgraphs {
 					t.Fatalf("seed %d: SubgraphsPacked=%d outside [1, η=%d]", seed, p.Stats.SubgraphsPacked, p.Stats.Subgraphs)
 				}
-				w := make([]check.Weighted, len(p.Trees))
-				for i, tr := range p.Trees {
-					w[i] = check.Weighted{Tree: tr.Tree, Weight: tr.Weight}
-				}
 				// The size floor scales with the packed fraction of the
 				// sampled subgraphs (skipped samples pack nothing).
 				floor := check.SpanningFloor(tc.k, epsilon) * float64(p.Stats.SubgraphsPacked) / float64(p.Stats.Subgraphs)
-				if err := check.SpanningPacking(tc.g, w, 1, floor); err != nil {
+				if err := check.SpanningPacking(tc.g, p.Trees, 1, floor); err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
 			}
@@ -247,11 +235,7 @@ func TestSweepSpanningDistributed(t *testing.T) {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
 				p := res.Packing
-				w := make([]check.Weighted, len(p.Trees))
-				for i, tr := range p.Trees {
-					w[i] = check.Weighted{Tree: tr.Tree, Weight: tr.Weight}
-				}
-				if err := check.SpanningPacking(tc.g, w, 1, check.SpanningFloor(tc.k, epsilon)); err != nil {
+				if err := check.SpanningPacking(tc.g, p.Trees, 1, check.SpanningFloor(tc.k, epsilon)); err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
 				n := float64(tc.g.N())
@@ -275,13 +259,9 @@ func TestSweepSpanning(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
-				w := make([]check.Weighted, len(p.Trees))
-				for i, tr := range p.Trees {
-					w[i] = check.Weighted{Tree: tr.Tree, Weight: tr.Weight}
-				}
 				// Unit edge capacities are the implementation's contract,
 				// strictly stronger than the theorem's congestion-2 ceiling.
-				if err := check.SpanningPacking(tc.g, w, 1, check.SpanningFloor(tc.k, epsilon)); err != nil {
+				if err := check.SpanningPacking(tc.g, p.Trees, 1, check.SpanningFloor(tc.k, epsilon)); err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
 			}

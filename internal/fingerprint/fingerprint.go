@@ -60,8 +60,8 @@ func packingFingerprints(b *strings.Builder) {
 	}
 	outcome := func(res *cdsdist.Result) string {
 		h := fnv.New64a()
-		for _, t := range res.Packing.Trees {
-			fmt.Fprintf(h, "%d:%v;", t.Class, t.Tree.Vertices())
+		for i, t := range res.Packing.Trees {
+			fmt.Fprintf(h, "%d:%v;", res.Packing.TreeClass[i], t.Tree.Vertices())
 		}
 		m := res.Meter
 		return fmt.Sprintf("size=%.6f raw=%d metered=%d charged=%d msgs=%d bits=%d phases=%d hash=%x",
@@ -102,8 +102,8 @@ func centralizedFingerprints(b *strings.Builder) {
 		for _, members := range p.Classes {
 			fmt.Fprintf(h, "%v;", members)
 		}
-		for _, t := range p.Trees {
-			fmt.Fprintf(h, "%d:%.9f|", t.Class, t.Weight)
+		for i, t := range p.Trees {
+			fmt.Fprintf(h, "%d:%.9f|", p.TreeClass[i], t.Weight)
 			t.Tree.ForEachEdge(func(child, parent int) {
 				fmt.Fprintf(h, "%d-%d;", child, parent)
 			})

@@ -10,11 +10,20 @@ import (
 // Tree is a subtree of a host graph on n vertices, stored as a parent
 // forest: parent[v] = TreeRoot for the root, TreeAbsent for vertices
 // not in the tree. Dominating-tree and spanning-tree packings are
-// collections of Trees.
+// collections of WeightedTrees.
 type Tree struct {
 	root     int32
 	parent   []int32
 	vertices []int32 // sorted
+}
+
+// WeightedTree is one tree τ of a fractional packing with its weight
+// w_τ; a packing is a []WeightedTree of size Σ w_τ. Both decompositions
+// use it, and the packers, the check oracles, the broadcast scheduler
+// and the snapshot format all pass the same slice along.
+type WeightedTree struct {
+	Tree   *Tree
+	Weight float64
 }
 
 // The parent-array sentinels of a Tree (see TreeFromParents).

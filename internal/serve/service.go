@@ -54,7 +54,6 @@ import (
 
 	"repro/internal/cast"
 	"repro/internal/cds"
-	"repro/internal/check"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -252,7 +251,7 @@ type graphEntry struct {
 // prototype scheduler whose immutable core every clone shares, and the
 // entry's free list of idle handles. done is closed once the leader
 // finished (computing, loading from the store, or failing); proto/
-// clones/trees/wtrees/size/err are written only before that close, so
+// clones/wtrees/size/profile/err are written only before that close, so
 // followers read them race-free after <-done. elem is the entry's node
 // on its shard's LRU list (nil once evicted); it is guarded by the
 // shard mutex like the packs map.
@@ -265,8 +264,7 @@ type packEntry struct {
 	// Only the entry references the channel: once evicted, its handles
 	// and the decomposition they share are garbage at the next GC.
 	clones  chan *cast.Scheduler
-	wtrees  []cast.WeightedTree // the packed trees, for snapshotting
-	trees   int
+	wtrees  []graph.WeightedTree // the packed trees, shared with proto
 	size    float64
 	profile *PackProfile // packer-internal counters; nil for store/ingest loads
 	err     error
@@ -449,7 +447,7 @@ func (s *Service) DecomposeContext(ctx context.Context, id string, kind Kind) (D
 	if pe.err != nil {
 		return DecompInfo{}, pe.err
 	}
-	info := DecompInfo{GraphID: id, Kind: kind, Trees: pe.trees, Size: pe.size, Cached: hit}
+	info := DecompInfo{GraphID: id, Kind: kind, Trees: len(pe.wtrees), Size: pe.size, Cached: hit}
 	if !hit {
 		info.Profile = pe.profile // the compute leader reports what it ran
 	}
@@ -522,14 +520,16 @@ func (s *Service) pack(tr *obs.Trace, e *graphEntry, kind Kind) (*packEntry, boo
 	s.packComputes.Add(1)
 	e.computes.Add(1)
 	packStart := time.Now()
-	pe.trees, pe.size, pe.wtrees, pe.proto, pe.profile, pe.err = s.compute(e.g, kind)
+	trees, size, profile, err := s.compute(e.g, kind)
+	if err == nil {
+		err = s.install(e.g, kind, pe, trees, size)
+	}
 	s.observePhase(tr, phasePack, packStart)
-	if pe.err == nil {
-		tr.Attach("pack_profile", pe.profile)
+	if err == nil {
+		pe.profile = profile
+		tr.Attach("pack_profile", profile)
 	}
-	if pe.proto != nil {
-		s.seedClones(pe)
-	}
+	pe.err = err
 	close(pe.done)
 	if s.store != nil && pe.err == nil {
 		s.saveAsync(tr, e, kind, pe)
@@ -571,37 +571,31 @@ func (s *Service) evictExcessLocked(sh *registryShard) {
 // adopt installs a verified snapshot as this entry's decomposition:
 // the trees are checked against the internal/check packing oracles for
 // the registered graph (a tampered or stale file can never poison
-// results) and the prototype scheduler is rebuilt from them exactly as
-// compute would have.
+// results) and then installed exactly as a computed packing is.
 func (s *Service) adopt(e *graphEntry, kind Kind, pe *packEntry, sn *snap.Snapshot) error {
 	if err := sn.Verify(e.g); err != nil {
 		return err
 	}
-	trees := make([]cast.WeightedTree, len(sn.Trees))
-	for i, t := range sn.Trees {
-		trees[i] = cast.WeightedTree{Tree: t.Tree, Weight: t.Weight}
-	}
+	return s.install(e.g, kind, pe, sn.Trees, sn.Size)
+}
+
+// install makes trees, a packing of the given size, the entry's
+// decomposition: it builds the prototype scheduler whose core every
+// handle shares and seeds the entry's free list with the prototype
+// itself, so the first demand needs no clone.
+func (s *Service) install(g *graph.Graph, kind Kind, pe *packEntry, trees []graph.WeightedTree, size float64) error {
 	model := sim.VCongest
 	if kind == Spanning {
 		model = sim.ECongest
 	}
-	sched, err := cast.NewScheduler(e.g, trees, model)
+	sched, err := cast.NewScheduler(g, trees, model)
 	if err != nil {
-		return fmt.Errorf("serve: scheduler construction from snapshot: %w", err)
+		return fmt.Errorf("serve: scheduler construction: %w", err)
 	}
-	pe.trees = len(trees)
-	pe.size = sn.Size
-	pe.wtrees = trees
-	pe.proto = sched
-	s.seedClones(pe)
-	return nil
-}
-
-// seedClones gives a freshly built entry its free list, holding the
-// prototype handle itself so the first demand needs no clone.
-func (s *Service) seedClones(pe *packEntry) {
+	pe.wtrees, pe.size, pe.proto = trees, size, sched
 	pe.clones = make(chan *cast.Scheduler, s.cfg.MaxConcurrent)
-	pe.clones <- pe.proto
+	pe.clones <- sched
+	return nil
 }
 
 // saveAsync persists a freshly computed decomposition write-behind:
@@ -616,11 +610,7 @@ func (s *Service) saveAsync(tr *obs.Trace, e *graphEntry, kind Kind, pe *packEnt
 	go func() {
 		defer s.saves.Done()
 		start := time.Now()
-		trees := make([]check.Weighted, len(pe.wtrees))
-		for i, t := range pe.wtrees {
-			trees[i] = check.Weighted{Tree: t.Tree, Weight: t.Weight}
-		}
-		sn, err := snap.Capture(e.g, string(kind), s.digest, trees, pe.size)
+		sn, err := snap.Capture(e.g, string(kind), s.digest, pe.wtrees, pe.size)
 		if err == nil {
 			err = s.store.Save(sn)
 		}
@@ -682,66 +672,40 @@ func (s *Service) Ingest(sn *snap.Snapshot) (string, error) {
 	return id, nil
 }
 
-// compute runs the packer for the kind, builds the prototype scheduler
-// whose core every handle will share, and condenses the packer's
-// run diagnostics into a PackProfile.
-func (s *Service) compute(g *graph.Graph, kind Kind) (int, float64, []cast.WeightedTree, *cast.Scheduler, *PackProfile, error) {
-	var (
-		trees   []cast.WeightedTree
-		size    float64
-		model   sim.Model
-		profile *PackProfile
-	)
-	switch kind {
-	case Dominating:
+// compute runs the packer for the kind (already validated) and
+// condenses the packer's run diagnostics into a PackProfile.
+func (s *Service) compute(g *graph.Graph, kind Kind) ([]graph.WeightedTree, float64, *PackProfile, error) {
+	if kind == Dominating {
 		p, err := cds.Pack(g, cds.Options{Seed: s.cfg.PackSeed})
 		if err != nil {
-			return 0, 0, nil, nil, nil, fmt.Errorf("serve: dominating-tree packing: %w", err)
+			return nil, 0, nil, fmt.Errorf("serve: dominating-tree packing: %w", err)
 		}
-		trees = make([]cast.WeightedTree, len(p.Trees))
-		for i, t := range p.Trees {
-			trees[i] = cast.WeightedTree{Tree: t.Tree, Weight: t.Weight}
-		}
-		size = p.Size()
-		model = sim.VCongest
-		profile = &PackProfile{
+		return p.Trees, p.Size(), &PackProfile{
 			Kind:         kind,
-			Trees:        len(trees),
+			Trees:        len(p.Trees),
 			MaxLoad:      float64(p.Stats.MaxLoad),
 			Layers:       p.Stats.Layers,
 			Classes:      p.Stats.Classes,
 			ValidClasses: p.Stats.ValidClasses,
 			Matched:      p.Stats.Matched,
 			Unmatched:    p.Stats.Unmatched,
-		}
-	case Spanning:
-		p, err := stp.Pack(g, stp.Options{Seed: s.cfg.PackSeed, Epsilon: s.cfg.Epsilon})
-		if err != nil {
-			return 0, 0, nil, nil, nil, fmt.Errorf("serve: spanning-tree packing: %w", err)
-		}
-		trees = make([]cast.WeightedTree, len(p.Trees))
-		for i, t := range p.Trees {
-			trees[i] = cast.WeightedTree{Tree: t.Tree, Weight: t.Weight}
-		}
-		size = p.Size()
-		model = sim.ECongest
-		profile = &PackProfile{
-			Kind:              kind,
-			Trees:             len(trees),
-			MaxLoad:           p.Stats.MaxLoad,
-			Iterations:        p.Stats.Iterations,
-			StopChecksExact:   p.Stats.StopChecksExact,
-			StopChecksSkipped: p.Stats.StopChecksSkipped,
-			DedupHits:         p.Stats.DedupHits,
-			Subgraphs:         p.Stats.Subgraphs,
-			SubgraphsPacked:   p.Stats.SubgraphsPacked,
-		}
+		}, nil
 	}
-	sched, err := cast.NewScheduler(g, trees, model)
+	p, err := stp.Pack(g, stp.Options{Seed: s.cfg.PackSeed, Epsilon: s.cfg.Epsilon})
 	if err != nil {
-		return 0, 0, nil, nil, nil, fmt.Errorf("serve: scheduler construction: %w", err)
+		return nil, 0, nil, fmt.Errorf("serve: spanning-tree packing: %w", err)
 	}
-	return len(trees), size, trees, sched, profile, nil
+	return p.Trees, p.Size(), &PackProfile{
+		Kind:              kind,
+		Trees:             len(p.Trees),
+		MaxLoad:           p.Stats.MaxLoad,
+		Iterations:        p.Stats.Iterations,
+		StopChecksExact:   p.Stats.StopChecksExact,
+		StopChecksSkipped: p.Stats.StopChecksSkipped,
+		DedupHits:         p.Stats.DedupHits,
+		Subgraphs:         p.Stats.Subgraphs,
+		SubgraphsPacked:   p.Stats.SubgraphsPacked,
+	}, nil
 }
 
 // Broadcast serves one demand over the graph's cached decomposition

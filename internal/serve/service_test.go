@@ -151,11 +151,7 @@ func TestBroadcastConcurrentMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trees := make([]cast.WeightedTree, len(p.Trees))
-	for i, tr := range p.Trees {
-		trees[i] = cast.WeightedTree{Tree: tr.Tree, Weight: tr.Weight}
-	}
-	ref, err := cast.NewScheduler(g, trees, sim.VCongest)
+	ref, err := cast.NewScheduler(g, p.Trees, sim.VCongest)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/cast"
-	"repro/internal/check"
 	"repro/internal/graph"
 	"repro/internal/snap"
 )
@@ -455,7 +454,7 @@ func TestIngestInstallsSnapshot(t *testing.T) {
 	// A snapshot that fails the oracles is refused and leaves no cache
 	// entry behind: the graph's next Decompose packs it afresh.
 	bad := *sn
-	bad.Trees = append([]check.Weighted(nil), sn.Trees...)
+	bad.Trees = append([]graph.WeightedTree(nil), sn.Trees...)
 	for i := range bad.Trees {
 		bad.Trees[i].Weight *= 4
 	}

@@ -115,15 +115,11 @@ func BenchmarkReload(b *testing.B) {
 		}
 	}
 	build := func(b *testing.B, r reload, s *Snapshot) {
-		trees := make([]cast.WeightedTree, len(s.Trees))
-		for i, t := range s.Trees {
-			trees[i] = cast.WeightedTree{Tree: t.Tree, Weight: t.Weight}
-		}
 		model := sim.VCongest
 		if s.Kind == KindSpanning {
 			model = sim.ECongest
 		}
-		if _, err := cast.NewScheduler(r.g, trees, model); err != nil {
+		if _, err := cast.NewScheduler(r.g, s.Trees, model); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -130,13 +130,13 @@ type Snapshot struct {
 	Size float64
 	// Trees are the packed trees with their fractional weights, in
 	// packing order.
-	Trees []check.Weighted
+	Trees []graph.WeightedTree
 }
 
 // Capture builds a Snapshot of a packed decomposition over g. The
 // graph's edge slice and the trees are shared, not copied; the
 // resulting Snapshot must be treated as immutable.
-func Capture(g *graph.Graph, kind string, digest uint64, trees []check.Weighted, size float64) (*Snapshot, error) {
+func Capture(g *graph.Graph, kind string, digest uint64, trees []graph.WeightedTree, size float64) (*Snapshot, error) {
 	if kind != KindDominating && kind != KindSpanning {
 		return nil, fmt.Errorf("snap: unknown decomposition kind %q", kind)
 	}
@@ -356,7 +356,7 @@ func Decode(data []byte) (*Snapshot, error) {
 	if r.err != nil || treeCount <= 0 || treeCount > len(data)/n {
 		return nil, fmt.Errorf("%w: implausible tree count %d for %d vertices in %d bytes", ErrCorrupt, treeCount, n, len(data))
 	}
-	trees := make([]check.Weighted, 0, treeCount)
+	trees := make([]graph.WeightedTree, 0, treeCount)
 	for i := 0; i < treeCount; i++ {
 		weight := r.f64()
 		root := int(r.u32())
@@ -391,7 +391,7 @@ func Decode(data []byte) (*Snapshot, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: tree %d is not a rooted tree: %v", ErrCorrupt, i, err)
 		}
-		trees = append(trees, check.Weighted{Tree: t, Weight: weight})
+		trees = append(trees, graph.WeightedTree{Tree: t, Weight: weight})
 	}
 	if r.err != nil {
 		return nil, fmt.Errorf("%w: truncated content", ErrCorrupt)

@@ -13,45 +13,35 @@ import (
 	"time"
 
 	"repro/internal/cds"
-	"repro/internal/check"
 	"repro/internal/graph"
 	"repro/internal/stp"
 )
 
-// packSpanning packs the test graph's spanning trees and converts to
-// the neutral check.Weighted shape.
-func packSpanning(t testing.TB, g *graph.Graph, seed uint64) ([]check.Weighted, float64) {
+// packSpanning packs spanning trees of the test graph.
+func packSpanning(t testing.TB, g *graph.Graph, seed uint64) ([]graph.WeightedTree, float64) {
 	t.Helper()
 	p, err := stp.Pack(g, stp.Options{Seed: seed})
 	if err != nil {
 		t.Fatalf("stp.Pack: %v", err)
 	}
-	trees := make([]check.Weighted, len(p.Trees))
-	for i, tr := range p.Trees {
-		trees[i] = check.Weighted{Tree: tr.Tree, Weight: tr.Weight}
-	}
-	return trees, p.Size()
+	return p.Trees, p.Size()
 }
 
 // packDominating packs dominating trees of the test graph.
-func packDominating(t testing.TB, g *graph.Graph, seed uint64) ([]check.Weighted, float64) {
+func packDominating(t testing.TB, g *graph.Graph, seed uint64) ([]graph.WeightedTree, float64) {
 	t.Helper()
 	p, err := cds.Pack(g, cds.Options{Seed: seed})
 	if err != nil {
 		t.Fatalf("cds.Pack: %v", err)
 	}
-	trees := make([]check.Weighted, len(p.Trees))
-	for i, tr := range p.Trees {
-		trees[i] = check.Weighted{Tree: tr.Tree, Weight: tr.Weight}
-	}
-	return trees, p.Size()
+	return p.Trees, p.Size()
 }
 
 func testGraph() *graph.Graph { return graph.Hypercube(4) }
 
 // sameTrees requires byte-level equality of two tree collections:
 // same order, weights, roots, vertex sets, and parent pointers.
-func sameTrees(t *testing.T, a, b []check.Weighted) {
+func sameTrees(t *testing.T, a, b []graph.WeightedTree) {
 	t.Helper()
 	if len(a) != len(b) {
 		t.Fatalf("tree count %d != %d", len(a), len(b))
@@ -281,7 +271,7 @@ func FuzzSnapDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	s, err := Capture(graph.Cycle(4), KindSpanning, OptionsDigest(1, 0), []check.Weighted{{Tree: path, Weight: 1}}, 1)
+	s, err := Capture(graph.Cycle(4), KindSpanning, OptionsDigest(1, 0), []graph.WeightedTree{{Tree: path, Weight: 1}}, 1)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -341,9 +331,9 @@ func TestDecodeMemoryBoundedByFileSize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		trees := make([]check.Weighted, n-1)
+		trees := make([]graph.WeightedTree, n-1)
 		for i := range trees {
-			trees[i] = check.Weighted{Tree: single, Weight: 1}
+			trees[i] = graph.WeightedTree{Tree: single, Weight: 1}
 		}
 		s := &Snapshot{N: n, Edges: g.Edges(), Kind: KindDominating, OptionsDigest: 1, Size: float64(n - 1), Trees: trees}
 		data, err := s.Encode()
@@ -371,7 +361,7 @@ func TestDecodeLongPathLinear(t *testing.T) {
 	const n = 1 << 16
 	g := graph.Path(n)
 	for _, root := range []int{0, n - 1} {
-		s, err := Capture(g, KindSpanning, 1, []check.Weighted{{Tree: graph.TreeFromBFS(g, root), Weight: 1}}, 1)
+		s, err := Capture(g, KindSpanning, 1, []graph.WeightedTree{{Tree: graph.TreeFromBFS(g, root), Weight: 1}}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -411,9 +401,9 @@ func TestVerifyRejectsWrongGraph(t *testing.T) {
 func TestVerifyRejectsOverloadedPacking(t *testing.T) {
 	g := testGraph()
 	trees, size := packSpanning(t, g, 7)
-	heavy := make([]check.Weighted, len(trees))
+	heavy := make([]graph.WeightedTree, len(trees))
 	for i, w := range trees {
-		heavy[i] = check.Weighted{Tree: w.Tree, Weight: w.Weight * 4}
+		heavy[i] = graph.WeightedTree{Tree: w.Tree, Weight: w.Weight * 4}
 	}
 	s, err := Capture(g, KindSpanning, 1, heavy, size*4)
 	if err != nil {

@@ -302,7 +302,7 @@ func (e *Engine) Finish() *Packing {
 	}}
 	for _, ent := range e.entries {
 		if w := ent.weight * scale; w > 1e-12 {
-			p.Trees = append(p.Trees, Tree{Tree: ent.tree, Weight: w})
+			p.Trees = append(p.Trees, graph.WeightedTree{Tree: ent.tree, Weight: w})
 		}
 	}
 	p.Stats.DistinctTrees = len(p.Trees)

@@ -17,21 +17,16 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/check"
 	"repro/internal/ds"
 	"repro/internal/flow"
 	"repro/internal/graph"
 )
 
-// Tree is one weighted spanning tree of a packing.
-type Tree struct {
-	Tree   *graph.Tree
-	Weight float64
-}
-
 // Packing is a fractional spanning tree packing: Σ_{τ∋e} w_τ <= 1 for
 // every edge e.
 type Packing struct {
-	Trees []Tree
+	Trees []graph.WeightedTree
 	Stats Stats
 }
 
@@ -73,25 +68,6 @@ func (p *Packing) Size() float64 {
 	return s
 }
 
-// MaxEdgeLoad returns max_e Σ_{τ∋e} w_τ.
-func (p *Packing) MaxEdgeLoad(g *graph.Graph) float64 {
-	load := make([]float64, g.M())
-	for _, t := range p.Trees {
-		t.Tree.ForEachEdge(func(child, parent int) {
-			if id, ok := g.EdgeID(child, parent); ok {
-				load[id] += t.Weight
-			}
-		})
-	}
-	max := 0.0
-	for _, l := range load {
-		if l > max {
-			max = l
-		}
-	}
-	return max
-}
-
 // MaxEdgeTreeCount returns the maximum number of distinct trees using a
 // single edge (Theorem 1.3's O(log^3 n) bound).
 func (p *Packing) MaxEdgeTreeCount(g *graph.Graph) int {
@@ -112,24 +88,12 @@ func (p *Packing) MaxEdgeTreeCount(g *graph.Graph) int {
 	return max
 }
 
-// Validate checks that every tree is a spanning tree of g with positive
-// weight and that no edge carries load above 1 (+eps).
+// Validate checks the packing against g with check.SpanningPacking:
+// every tree must be a spanning tree of g with positive weight, and no
+// edge may carry load above 1 (+eps). Like the oracle it rejects an
+// empty packing, which Pack never returns.
 func (p *Packing) Validate(g *graph.Graph) error {
-	for i, t := range p.Trees {
-		if t.Weight <= 0 {
-			return fmt.Errorf("stp: tree %d has non-positive weight %f", i, t.Weight)
-		}
-		if !t.Tree.IsSpanning(g) {
-			return fmt.Errorf("stp: tree %d is not spanning", i)
-		}
-		if err := t.Tree.ValidateIn(g); err != nil {
-			return fmt.Errorf("stp: tree %d: %w", i, err)
-		}
-	}
-	if load := p.MaxEdgeLoad(g); load > 1+1e-9 {
-		return fmt.Errorf("stp: max edge load %f exceeds 1", load)
-	}
-	return nil
+	return check.SpanningPacking(g, p.Trees, 1, 0)
 }
 
 // Options configures the packing. The zero value is usable.

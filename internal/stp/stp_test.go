@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/check"
 	"repro/internal/ds"
 	"repro/internal/flow"
 	"repro/internal/graph"
@@ -76,8 +77,31 @@ func TestPackMaxLoadBoundedByLemmaF1(t *testing.T) {
 	if p.Stats.MaxLoad > 1+6*0.1+0.05 {
 		t.Fatalf("pre-rescale max load %.3f exceeds 1+6ε", p.Stats.MaxLoad)
 	}
-	if l := p.MaxEdgeLoad(g); l > 1+1e-9 {
+	if l, _ := check.EdgeCongestion(g, p.Trees); l > 1+1e-9 {
 		t.Fatalf("post-rescale edge load %.6f > 1", l)
+	}
+}
+
+func TestValidateRejects(t *testing.T) {
+	g := graph.Complete(4)
+	span := graph.TreeFromBFS(g, 0)
+	partial, err := graph.NewTree(4, 0, map[int]int{1: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		trees []graph.WeightedTree
+	}{
+		{"edge load 1.6", []graph.WeightedTree{{Tree: span, Weight: 0.8}, {Tree: span, Weight: 0.8}}},
+		{"not spanning", []graph.WeightedTree{{Tree: partial, Weight: 1}}},
+		{"zero weight", []graph.WeightedTree{{Tree: span, Weight: 0}}},
+		{"empty packing", nil},
+	} {
+		p := &Packing{Trees: tc.trees}
+		if err := p.Validate(g); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
 
