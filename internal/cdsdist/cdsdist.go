@@ -122,9 +122,6 @@ type run struct {
 	// compList[v][i] = min real id in v's component of class clsList[v][i]
 	// (phase A output), parallel to clsList.
 	compList [][]int64
-	// compID[v][class] = the same information as a map, for the
-	// matching-phase processes that inherited map-shaped state.
-	compID []map[int32]int64
 	// active[v][i] = component of class clsList[v][i] not deactivated
 	// this layer, parallel to clsList.
 	active [][]bool
@@ -177,7 +174,6 @@ func newRun(g *graph.Graph, kGuess int, opts cds.Options) *run {
 		classOf:  make([][]int32, n),
 		clsList:  make([][]int32, n),
 		compList: make([][]int64, n),
-		compID:   make([]map[int32]int64, n),
 		active:   make([][]bool, n),
 		parent:   make([]map[int32]int64, n),
 		stats:    cds.Stats{Guess: kGuess, Layers: layers, Classes: classes},
@@ -190,7 +186,6 @@ func newRun(g *graph.Graph, kGuess int, opts cds.Options) *run {
 		for i := range r.classOf[v] {
 			r.classOf[v][i] = -1
 		}
-		r.compID[v] = make(map[int32]int64, 8)
 		r.parent[v] = make(map[int32]int64, 8)
 	}
 	return r
@@ -277,24 +272,22 @@ func (r *run) assignLayer(layer int) error {
 	return nil
 }
 
-// excess computes M_ell from the driver's view of component ids
-// (diagnostic only; no rounds charged).
+// excess computes M_ell, the number of components beyond one per
+// class that has members, from the driver's view of component ids
+// (diagnostic only; no rounds charged). A component's id is its least
+// member, so it has exactly one leader v with compList[v][i] == v.
 func (r *run) excess() int {
-	comps := make(map[int32]map[int64]bool)
-	for v := 0; v < r.n; v++ {
-		//repro:allow maprange order-independent fold: every (class, id) pair lands in the same set regardless of visit order
-		for c, id := range r.compID[v] {
-			if comps[c] == nil {
-				comps[c] = make(map[int64]bool)
-			}
-			comps[c][id] = true
-		}
-	}
+	hasMember := make([]bool, r.classes)
 	m := 0
-	//repro:allow maprange order-independent sum of per-set excesses
-	for _, set := range comps {
-		if len(set) > 1 {
-			m += len(set) - 1
+	for v := 0; v < r.n; v++ {
+		for i, c := range r.clsList[v] {
+			if r.compList[v][i] == int64(v) {
+				m++
+			}
+			if !hasMember[c] {
+				hasMember[c] = true
+				m--
+			}
 		}
 	}
 	return m

@@ -103,7 +103,7 @@ func (p *compFloodNode) Round(ctx *sim.Context, inbox []sim.Delivery) sim.Status
 	return sim.Active
 }
 
-// identifyComponents refreshes r.compList/r.compID for the current
+// identifyComponents refreshes r.compList for the current
 // old-node sets. The per-node state slices come from two shared backing
 // arrays, so the whole phase costs O(1) allocations.
 func (r *run) identifyComponents() error {
@@ -131,11 +131,6 @@ func (r *run) identifyComponents() error {
 	}
 	for v := 0; v < r.n; v++ {
 		r.compList[v] = nodes[v].label
-		m := r.compID[v]
-		clear(m)
-		for i, c := range r.clsList[v] {
-			m[c] = nodes[v].label[i]
-		}
 	}
 	return nil
 }
