@@ -70,6 +70,11 @@ func (s *Service) initObs() {
 	for _, c := range s.counters(new(Stats)) {
 		r.Counter(c.name, c.help, c.v.Load)
 	}
+	// Derived like Stats.PackRequests. A scrape reads each line
+	// separately, so the bucket lines add up to this one only at rest.
+	r.Counter("repro_serve_pack_requests_total", "Decomposition requests, including cached.", func() uint64 {
+		return s.packComputes.Load() + s.cacheHits.Load() + s.coalesced.Load() + s.storeHits.Load()
+	})
 	r.Counter("repro_serve_traces_total", "Request traces recorded.", s.traces.Total)
 
 	r.Gauge("repro_serve_graphs", "Registered graphs.", func() float64 {

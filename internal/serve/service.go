@@ -126,12 +126,15 @@ type Service struct {
 
 	saves sync.WaitGroup // in-flight write-behind snapshot saves
 
-	// Global counters, each described once in counters.
-	requests, messages, rounds                       atomic.Uint64
-	packRequests, packComputes, cacheHits, coalesced atomic.Uint64
-	storeHits, storeMisses, storeErrors, evictions   atomic.Uint64
-	faultedRequests, messagesLost, retries           atomic.Uint64
-	maxVCong, maxECong                               atomic.Int64 // per-demand congestion maxima seen
+	// Global counters, each described once in counters. Pack requests
+	// have no counter of their own: they are the sum of the four
+	// buckets every request lands in (packComputes, cacheHits,
+	// coalesced, storeHits).
+	requests, messages, rounds                     atomic.Uint64
+	packComputes, cacheHits, coalesced             atomic.Uint64
+	storeHits, storeMisses, storeErrors, evictions atomic.Uint64
+	faultedRequests, messagesLost, retries         atomic.Uint64
+	maxVCong, maxECong                             atomic.Int64 // per-demand congestion maxima seen
 	// pairs is the chaos delivered/expected pair. It lives behind one
 	// mutex so a Stats snapshot can never observe expected bumped
 	// without its delivered half (a torn read would report a
@@ -165,7 +168,6 @@ func (s *Service) counters(st *Stats) []counter {
 		{&s.requests, &st.Requests, "repro_serve_requests_total", "Broadcast demands served."},
 		{&s.messages, &st.Messages, "repro_serve_messages_total", "Messages disseminated."},
 		{&s.rounds, &st.Rounds, "repro_serve_rounds_total", "Scheduler rounds across all demands."},
-		{&s.packRequests, &st.PackRequests, "repro_serve_pack_requests_total", "Decomposition requests, including cached."},
 		{&s.packComputes, &st.PackComputes, "repro_serve_pack_computes_total", "Packings actually computed."},
 		{&s.cacheHits, &st.CacheHits, "repro_serve_cache_hits_total", "Decomposition requests served from a completed cache entry."},
 		{&s.coalesced, &st.Coalesced, "repro_serve_coalesced_total", "Decomposition requests that waited on an in-flight packing."},
@@ -462,15 +464,13 @@ func (s *Service) DecomposeContext(ctx context.Context, id string, kind Kind) (D
 // in-flight leader is counted as coalesced (the two tell very
 // different latency stories), and a leader that restores the
 // decomposition from the snapshot store is a store hit. Every request
-// lands in exactly one of those buckets or in PackComputes, so
-// PackRequests == PackComputes + CacheHits + Coalesced + StoreHits
-// always holds. tr (nil allowed) receives store_load and pack phase
-// spans on the leader paths that perform that work.
+// lands in exactly one of those buckets or in PackComputes, and
+// PackRequests is their sum. tr (nil allowed) receives store_load and
+// pack phase spans on the leader paths that perform that work.
 func (s *Service) pack(tr *obs.Trace, e *graphEntry, kind Kind) (*packEntry, bool, error) {
 	if !kind.valid() {
 		return nil, false, fmt.Errorf("serve: unknown decomposition kind %q", kind)
 	}
-	s.packRequests.Add(1)
 	sh := e.shard
 	sh.mu.Lock()
 	if pe, ok := e.packs[kind]; ok {
@@ -910,8 +910,8 @@ type Stats struct {
 	// PackRequests counts decomposition requests; PackComputes the
 	// packings actually run. Every request is exactly one of the
 	// compute leader, a cache hit, a coalesced follower, or a store
-	// hit: PackRequests == PackComputes + CacheHits + Coalesced +
-	// StoreHits.
+	// hit, and PackRequests is derived as PackComputes + CacheHits +
+	// Coalesced + StoreHits, so every snapshot satisfies that identity.
 	PackRequests uint64 `json:"pack_requests"`
 	PackComputes uint64 `json:"pack_computes"`
 	// CacheHits counts decomposition requests served from a completed
@@ -974,6 +974,7 @@ func (s *Service) Stats() Stats {
 	for _, c := range s.counters(&st) {
 		*c.field = c.v.Load()
 	}
+	st.PackRequests = st.PackComputes + st.CacheHits + st.Coalesced + st.StoreHits
 	for _, e := range entries {
 		gd, ge := e.pairs.load()
 		st.PerGraph = append(st.PerGraph, GraphStats{

@@ -409,6 +409,65 @@ func TestConcurrentLoadWhileEvict(t *testing.T) {
 	}
 }
 
+// TestPackAccountingHoldsInEverySnapshot polls Stats while concurrent
+// Decompose leaders (computes and store reloads, forced by
+// MaxResident=1 over both kinds of one graph) and followers run, and
+// fails on the first snapshot whose PackRequests differs from the sum
+// of its four buckets. make race runs it under the race detector.
+func TestPackAccountingHoldsInEverySnapshot(t *testing.T) {
+	cfg := storeConfig(t.TempDir())
+	cfg.MaxResident = 1
+	s := New(cfg)
+	t.Cleanup(s.FlushStore)
+	id := mustRegister(t, s, graph.Hypercube(4))
+	kinds := []Kind{Dominating, Spanning}
+	for _, kind := range kinds {
+		mustDecompose(t, s, id, kind)
+	}
+	s.FlushStore() // both kinds on disk, so every later leader is a store hit
+
+	stop := make(chan struct{})
+	polled := make(chan int)
+	go func() {
+		polls := 0
+		defer func() { polled <- polls }()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			st := s.Stats()
+			polls++
+			if sum := st.PackComputes + st.CacheHits + st.Coalesced + st.StoreHits; st.PackRequests != sum {
+				t.Errorf("snapshot %d: PackRequests=%d but computes+hits+coalesced+storeHits=%d", polls, st.PackRequests, sum)
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				if _, err := s.Decompose(id, kinds[(w+i)%2]); err != nil {
+					t.Errorf("worker %d: %v", w, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	if polls := <-polled; polls == 0 {
+		t.Fatal("no Stats snapshot taken")
+	}
+	if st := s.Stats(); st.StoreHits == 0 || st.CacheHits+st.Coalesced == 0 {
+		t.Fatalf("run exercised too little: storeHits=%d hits=%d coalesced=%d", st.StoreHits, st.CacheHits, st.Coalesced)
+	}
+}
+
 // TestIngestInstallsSnapshot: a snapshot file produced elsewhere (here:
 // by a first service) can be ingested into a fresh store-less service,
 // registering its graph and priming the cache so the first Decompose is
