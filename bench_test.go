@@ -3,6 +3,12 @@
 // reports the paper's quantity of interest as custom metrics alongside
 // ns/op; cmd/experiments prints the same data as claimed-vs-measured
 // tables.
+//
+// Iteration i runs seed i, so ns/op averages over seeds, but a
+// seed-determined metric is taken from iteration 0 (seed 0), which
+// every run has, or from a fixed seed set each op repeats (A1, E7
+// faulted). Either way the metric does not follow b.N: -benchtime 3x
+// and 7x print the same value.
 package decomp_test
 
 import (
@@ -13,6 +19,7 @@ import (
 	decomp "repro"
 	"repro/internal/cds"
 	"repro/internal/cdsdist"
+	"repro/internal/check"
 	"repro/internal/ds"
 	"repro/internal/flow"
 	"repro/internal/graph"
@@ -34,8 +41,10 @@ func BenchmarkE1DomPackingDistributed(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				rounds = float64(res.Meter.TotalRounds())
-				size = res.Packing.Size()
+				if i == 0 {
+					rounds = float64(res.Meter.TotalRounds())
+					size = res.Packing.Size()
+				}
 			}
 			b.ReportMetric(rounds, "rounds")
 			b.ReportMetric(size, "packing-size")
@@ -55,7 +64,9 @@ func BenchmarkE2DomPackingCentralized(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				size = p.Size()
+				if i == 0 {
+					size = p.Size()
+				}
 			}
 			b.ReportMetric(size, "packing-size")
 			b.ReportMetric(float64(g.M()), "edges")
@@ -92,7 +103,9 @@ func BenchmarkE2DomPackingCold(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				size = p.Size()
+				if i == 0 {
+					size = p.Size()
+				}
 			}
 			b.ReportMetric(size, "packing-size")
 		})
@@ -118,7 +131,9 @@ func BenchmarkE3SpanPackingCentralized(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				size = p.Size()
+				if i == 0 {
+					size = p.Size()
+				}
 			}
 			bound := math.Max(1, math.Ceil(float64(tc.lambda-1)/2))
 			b.ReportMetric(size, "packing-size")
@@ -129,8 +144,9 @@ func BenchmarkE3SpanPackingCentralized(b *testing.B) {
 
 // E3 cold: stp.Pack as the service runs it on a graph it has not seen,
 // with λ computed inside the pack (E3 above passes KnownLambda, so it
-// never times λ). Reports the Lemma F.1 stop tests per pack that took
-// the prefix exit (stop-skipped) and the full evaluation (stop-exact).
+// never times λ). Reports the Lemma F.1 stop tests of the seed-0 pack
+// that took the prefix exit (stop-skipped) and the full evaluation
+// (stop-exact).
 func BenchmarkE3SpanPackingCold(b *testing.B) {
 	h8, err := graph.Harary(8, 112)
 	if err != nil {
@@ -151,17 +167,19 @@ func BenchmarkE3SpanPackingCold(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
-			var exact, skipped int
+			var exact, skipped float64
 			for i := 0; i < b.N; i++ {
 				p, err := stp.Pack(tc.g, stp.Options{Seed: uint64(i)})
 				if err != nil {
 					b.Fatal(err)
 				}
-				exact += p.Stats.StopChecksExact
-				skipped += p.Stats.StopChecksSkipped
+				if i == 0 {
+					exact = float64(p.Stats.StopChecksExact)
+					skipped = float64(p.Stats.StopChecksSkipped)
+				}
 			}
-			b.ReportMetric(float64(exact)/float64(b.N), "stop-exact/op")
-			b.ReportMetric(float64(skipped)/float64(b.N), "stop-skipped/op")
+			b.ReportMetric(exact, "stop-exact/op")
+			b.ReportMetric(skipped, "stop-skipped/op")
 		})
 	}
 }
@@ -174,8 +192,10 @@ func BenchmarkE3SpanPackingDistributed(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rounds = float64(res.Meter.TotalRounds())
-		size = res.Packing.Size()
+		if i == 0 {
+			rounds = float64(res.Meter.TotalRounds())
+			size = res.Packing.Size()
+		}
 	}
 	b.ReportMetric(rounds, "rounds")
 	b.ReportMetric(size, "packing-size")
@@ -203,8 +223,10 @@ func BenchmarkE4BroadcastVertex(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		speedup = float64(single.Rounds) / float64(multi.Rounds)
-		throughput = multi.Throughput
+		if i == 0 {
+			speedup = float64(single.Rounds) / float64(multi.Rounds)
+			throughput = multi.Throughput
+		}
 	}
 	b.ReportMetric(throughput, "msgs/round")
 	b.ReportMetric(speedup, "speedup-vs-tree")
@@ -226,8 +248,10 @@ func BenchmarkE5BroadcastEdge(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		speedup = float64(single.Rounds) / float64(multi.Rounds)
-		throughput = multi.Throughput
+		if i == 0 {
+			speedup = float64(single.Rounds) / float64(multi.Rounds)
+			throughput = multi.Throughput
+		}
 	}
 	b.ReportMetric(throughput, "msgs/round")
 	b.ReportMetric(speedup, "speedup-vs-tree")
@@ -367,7 +391,9 @@ func BenchmarkE6ObliviousCongestion(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		competitiveness = float64(res.MaxVertexCongestion) / (float64(nMsgs) / k)
+		if i == 0 {
+			competitiveness = float64(res.MaxVertexCongestion) / (float64(nMsgs) / k)
+		}
 	}
 	b.ReportMetric(competitiveness, "vertex-congestion-competitiveness")
 }
@@ -394,7 +420,9 @@ func BenchmarkE7VertexConnApprox(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				ratio = float64(kappa) / est
+				if i == 0 {
+					ratio = float64(kappa) / est
+				}
 			}
 			b.ReportMetric(ratio, "approx-ratio")
 		})
@@ -424,7 +452,9 @@ func BenchmarkE8Gossip(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rounds = float64(res.Rounds)
+		if i == 0 {
+			rounds = float64(res.Rounds)
+		}
 	}
 	b.ReportMetric(rounds, "rounds")
 }
@@ -437,12 +467,7 @@ func BenchmarkE9Tester(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	classOf := make([][]int32, g.N())
-	for i, t := range p.Trees {
-		for _, v := range t.Tree.Vertices() {
-			classOf[v] = append(classOf[v], int32(i))
-		}
-	}
+	classOf := check.ClassesOf(g.N(), p.Trees)
 	b.Run("centralized", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			res, err := tester.CheckCentralized(g, classOf, len(p.Trees))
@@ -458,7 +483,9 @@ func BenchmarkE9Tester(b *testing.B) {
 			if err != nil || !res.OK {
 				b.Fatalf("err=%v ok=%v", err, res.OK)
 			}
-			rounds = float64(res.Meter.TotalRounds())
+			if i == 0 {
+				rounds = float64(res.Meter.TotalRounds())
+			}
 		}
 		b.ReportMetric(rounds, "rounds")
 	})
@@ -487,26 +514,26 @@ func BenchmarkE10LowerBound(b *testing.B) {
 // --- Ablations (A1–A5 of README's experiment index) -------------------------
 
 // A1: matching order in the centralized packer is randomized; compare
-// the packing size variance across seeds (Luby-style stages live in the
-// distributed path, exercised by E1).
+// the packing size spread across a fixed seed set, packed once per op
+// (Luby-style stages live in the distributed path, exercised by E1).
 func BenchmarkA1MatchingSeeds(b *testing.B) {
+	const seeds = 4
 	g := graph.Hypercube(6)
-	var minSize, maxSize float64 = math.Inf(1), 0
+	var minSize, maxSize float64
 	for i := 0; i < b.N; i++ {
-		p, err := cds.PackWithGuess(g, 24, cds.Options{Seed: uint64(i)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		s := p.Size()
-		if s < minSize {
-			minSize = s
-		}
-		if s > maxSize {
-			maxSize = s
+		minSize, maxSize = math.Inf(1), 0
+		for seed := uint64(0); seed < seeds; seed++ {
+			p, err := cds.PackWithGuess(g, 24, cds.Options{Seed: seed})
+			if err != nil {
+				b.Fatal(err)
+			}
+			minSize = math.Min(minSize, p.Size())
+			maxSize = math.Max(maxSize, p.Size())
 		}
 	}
 	b.ReportMetric(minSize, "min-size")
 	b.ReportMetric(maxSize, "max-size")
+	b.ReportMetric(seeds, "packs/op")
 }
 
 // A2: jump-start depth — L/4 vs L/2 vs 3L/4 random layers.
@@ -520,8 +547,10 @@ func BenchmarkA2JumpStart(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				size = p.Size()
-				valid = float64(p.Stats.ValidClasses)
+				if i == 0 {
+					size = p.Size()
+					valid = float64(p.Stats.ValidClasses)
+				}
 			}
 			b.ReportMetric(size, "packing-size")
 			b.ReportMetric(valid, "valid-classes")
@@ -540,8 +569,10 @@ func BenchmarkA3MWUParams(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				iters = float64(p.Stats.Iterations)
-				size = p.Size()
+				if i == 0 {
+					iters = float64(p.Stats.Iterations)
+					size = p.Size()
+				}
 			}
 			b.ReportMetric(iters, "iterations")
 			b.ReportMetric(size, "packing-size")
@@ -569,8 +600,10 @@ func BenchmarkA4Sampling(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				size = p.Size()
-				eta = float64(p.Stats.Subgraphs)
+				if i == 0 {
+					size = p.Size()
+					eta = float64(p.Stats.Subgraphs)
+				}
 			}
 			b.ReportMetric(size, "packing-size")
 			b.ReportMetric(eta, "subgraphs")
@@ -600,7 +633,9 @@ func BenchmarkA5Components(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				rounds = float64(res.Meter.TotalRounds())
+				if i == 0 {
+					rounds = float64(res.Meter.TotalRounds())
+				}
 			}
 			b.ReportMetric(rounds, "rounds")
 		})
