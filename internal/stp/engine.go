@@ -86,11 +86,11 @@ type Engine struct {
 }
 
 // packEntry is one distinct tree of the collection with its accumulated
-// weight; ids holds the sorted edge ids for hash-collision verification.
+// weight, before Finish rescales it; ids holds the sorted edge ids for
+// hash-collision verification.
 type packEntry struct {
-	tree   *graph.Tree
-	ids    []int32
-	weight float64
+	graph.WeightedTree
+	ids []int32
 }
 
 // prefixMargin is the log-domain margin by which (1-ε)·prefix must clear
@@ -230,7 +230,7 @@ func (e *Engine) shouldStop(chosen []int) bool {
 // maintained order, and deduplicate against the existing trees.
 func (e *Engine) addTree(chosen []int, beta float64) error {
 	for _, ent := range e.entries {
-		ent.weight *= 1 - beta
+		ent.Weight *= 1 - beta
 	}
 	for i := range e.x {
 		e.x[i] *= 1 - beta
@@ -265,7 +265,7 @@ func (e *Engine) addTree(chosen []int, beta float64) error {
 	sig := fnvEdgeIDs(byID)
 	for _, idx := range e.sigIndex[sig] {
 		if ent := e.entries[idx]; edgeIDsEqual(ent.ids, byID) {
-			ent.weight += beta
+			ent.Weight += beta
 			e.dedupHits++
 			return nil
 		}
@@ -278,7 +278,7 @@ func (e *Engine) addTree(chosen []int, beta float64) error {
 	for i, id := range byID {
 		ids[i] = int32(id)
 	}
-	e.entries = append(e.entries, &packEntry{tree: tree, ids: ids, weight: beta})
+	e.entries = append(e.entries, &packEntry{WeightedTree: graph.WeightedTree{Tree: tree, Weight: beta}, ids: ids})
 	e.sigIndex[sig] = append(e.sigIndex[sig], int32(len(e.entries)-1))
 	return nil
 }
@@ -301,8 +301,8 @@ func (e *Engine) Finish() *Packing {
 		DedupHits:         e.dedupHits,
 	}}
 	for _, ent := range e.entries {
-		if w := ent.weight * scale; w > 1e-12 {
-			p.Trees = append(p.Trees, graph.WeightedTree{Tree: ent.tree, Weight: w})
+		if w := ent.Weight * scale; w > 1e-12 {
+			p.Trees = append(p.Trees, graph.WeightedTree{Tree: ent.Tree, Weight: w})
 		}
 	}
 	p.Stats.DistinctTrees = len(p.Trees)
