@@ -273,7 +273,7 @@ func (r *run) assignLayer(layer int) error {
 }
 
 // excess computes M_ell, the number of components beyond one per
-// class that has members, from the driver's view of component ids
+// class that has members, from the component ids in compList
 // (diagnostic only; no rounds charged). A component's id is its least
 // member, so it has exactly one leader v with compList[v][i] == v.
 func (r *run) excess() int {
