@@ -90,10 +90,12 @@ func packingFingerprints(b *strings.Builder) {
 
 // centralizedFingerprints covers the Theorem 1.2 centralized packer
 // directly (C lines): cds.Pack, Remark 3.1's loop over guesses n, n/2,
-// ..., 1, on five cold-pack families at seeds 0 and 1, then every
-// cds.PackWithGuess guess of Q8 at seed 0, so the guesses Pack discards
-// are pinned too. The hash covers the per-layer traces, every class's
-// member list, and each tree's weight and parent edges.
+// ..., 1, on five cold-pack families and T20x20 at seeds 0 and 1, then
+// every cds.PackWithGuess guess of Q8 and T20x20 at seed 0, so the
+// guesses Pack discards are pinned too. T20x20's top guess runs 200
+// classes, the only pinned guess above 128. The hash covers the
+// per-layer traces, every class's member list, and each tree's weight
+// and parent edges.
 func centralizedFingerprints(b *strings.Builder) {
 	outcome := func(p *cds.Packing) string {
 		st := p.Stats
@@ -117,16 +119,19 @@ func centralizedFingerprints(b *strings.Builder) {
 		}
 		return g
 	}
-	q8 := graph.Hypercube(8)
-	for _, c := range []struct {
+	type named struct {
 		name string
 		g    *graph.Graph
-	}{
+	}
+	q8 := named{"Q8", graph.Hypercube(8)}
+	t20 := named{"T20x20", graph.Torus(20, 20)}
+	for _, c := range []named{
 		{"Q6", graph.Hypercube(6)},
-		{"Q8", q8},
+		q8,
 		{"T12x12", graph.Torus(12, 12)},
 		{"H10_96", mustGraph(graph.Harary(10, 96))},
 		{"CC6_12_6", mustGraph(graph.CliqueChain(6, 12, 6))},
+		t20,
 	} {
 		for seed := uint64(0); seed < 2; seed++ {
 			p, err := cds.Pack(c.g, cds.Options{Seed: seed})
@@ -136,12 +141,14 @@ func centralizedFingerprints(b *strings.Builder) {
 			fmt.Fprintf(b, "C %s seed=%d %s\n", c.name, seed, outcome(p))
 		}
 	}
-	for guess := q8.N(); guess >= 1; guess /= 2 {
-		p, err := cds.PackWithGuess(q8, guess, cds.Options{Seed: 0})
-		if err != nil {
-			panic(err)
+	for _, c := range []named{q8, t20} {
+		for guess := c.g.N(); guess >= 1; guess /= 2 {
+			p, err := cds.PackWithGuess(c.g, guess, cds.Options{Seed: 0})
+			if err != nil {
+				panic(err)
+			}
+			fmt.Fprintf(b, "C %s seed=0 try %s\n", c.name, outcome(p))
 		}
-		fmt.Fprintf(b, "C Q8 seed=0 try %s\n", outcome(p))
 	}
 }
 
