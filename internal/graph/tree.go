@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 )
 
 // Tree is a subtree of a host graph on n vertices, stored as a parent
@@ -264,42 +263,45 @@ func (t *Tree) IsDominatingIn(g *Graph) bool {
 // connected. This implements the paper's CDS-to-dominating-tree step
 // (the 0/1-weight MST of Section 3.1 reduces to exactly this).
 func SpanningTreeOfSubset(g *Graph, inSet func(v int) bool) (*Tree, error) {
-	root := -1
+	root, size := -1, 0
 	for v := 0; v < g.n; v++ {
 		if inSet(v) {
-			root = v
-			break
+			if root < 0 {
+				root = v
+			}
+			size++
 		}
 	}
 	if root < 0 {
 		return nil, fmt.Errorf("graph: empty vertex set")
 	}
-	t := &Tree{root: int32(root), parent: make([]int32, g.n)}
-	for i := range t.parent {
-		t.parent[i] = TreeAbsent
+	parent := make([]int32, g.n)
+	for i := range parent {
+		parent[i] = TreeAbsent
 	}
-	t.parent[root] = TreeRoot
-	t.vertices = append(t.vertices, int32(root))
-	queue := []int32{int32(root)}
+	parent[root] = TreeRoot
+	queue := make([]int32, 1, size)
+	queue[0] = int32(root)
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
 		for _, v := range g.Neighbors(int(u)) {
-			if inSet(int(v)) && t.parent[v] == TreeAbsent {
-				t.parent[v] = u
-				t.vertices = append(t.vertices, v)
+			if parent[v] == TreeAbsent && inSet(int(v)) {
+				parent[v] = u
 				queue = append(queue, v)
 			}
 		}
 	}
-	size := 0
-	for v := 0; v < g.n; v++ {
-		if inSet(v) {
-			size++
+	if len(queue) != size {
+		return nil, fmt.Errorf("graph: induced subgraph disconnected (%d of %d reached)", len(queue), size)
+	}
+	// The BFS is done with its queue, which holds exactly the tree's
+	// vertices; one scan of the parent array rewrites it in ascending
+	// order.
+	vertices := queue[:0]
+	for v, p := range parent {
+		if p != TreeAbsent {
+			vertices = append(vertices, int32(v))
 		}
 	}
-	if size != len(t.vertices) {
-		return nil, fmt.Errorf("graph: induced subgraph disconnected (%d of %d reached)", len(t.vertices), size)
-	}
-	sort.Slice(t.vertices, func(i, j int) bool { return t.vertices[i] < t.vertices[j] })
-	return t, nil
+	return &Tree{root: int32(root), parent: parent, vertices: vertices}, nil
 }

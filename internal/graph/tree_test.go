@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -177,6 +178,35 @@ func TestSpanningTreeOfSubset(t *testing.T) {
 	}
 	if _, err := SpanningTreeOfSubset(g, func(int) bool { return false }); err == nil {
 		t.Fatal("empty set accepted")
+	}
+}
+
+// TestSpanningTreeOfSubsetVerticesAscending checks that the vertex list
+// comes out ascending although the BFS reaches the vertices in another
+// order: on Q4 from vertex 0 it visits 1, 2, 4 and 8 before 3.
+func TestSpanningTreeOfSubsetVerticesAscending(t *testing.T) {
+	g := Hypercube(4)
+	inSet := func(v int) bool { return v != 6 && v != 9 }
+	tr, err := SpanningTreeOfSubset(g, inSet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []int32
+	for v := 0; v < g.N(); v++ {
+		if inSet(v) {
+			want = append(want, int32(v))
+		}
+	}
+	if !slices.Equal(tr.Vertices(), want) {
+		t.Fatalf("Vertices() = %v, want %v", tr.Vertices(), want)
+	}
+	for v := 0; v < g.N(); v++ {
+		if tr.Contains(v) != inSet(v) {
+			t.Fatalf("Contains(%d) = %v", v, tr.Contains(v))
+		}
+	}
+	if err := tr.ValidateIn(g); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -10,25 +10,30 @@ import "fmt"
 //
 // Because the input edges form a tree, the rooted parent orientation is
 // unique, so the result is identical to building a one-off Graph from
-// the same edges and calling TreeFromBFS on it.
+// the same edges and calling TreeFromBFS on it, whatever the order of
+// the edge ids. Every tree the pool builds spans all n vertices, so
+// all of them share one identity vertex list (Vertices is read-only).
 type TreePool struct {
-	head  []int32 // head[v] = first slot of v's adjacency, -1 if none
-	next  []int32 // next[s] = following slot in v's list
-	to    []int32 // to[s] = neighbor vertex of the slot's edge
-	queue []int32
+	head     []int32 // head[v] = first slot of v's adjacency, -1 if none
+	next     []int32 // next[s] = following slot in v's list
+	to       []int32 // to[s] = neighbor vertex of the slot's edge
+	queue    []int32
+	vertices []int32 // vertices[v] = v, shared by every tree built
 }
 
 // NewTreePool returns a pool for trees over host graphs of up to n
 // vertices.
 func NewTreePool(n int) *TreePool {
 	p := &TreePool{
-		head:  make([]int32, n),
-		next:  make([]int32, 0, 2*(n-1)),
-		to:    make([]int32, 0, 2*(n-1)),
-		queue: make([]int32, 0, n),
+		head:     make([]int32, n),
+		next:     make([]int32, 0, 2*(n-1)),
+		to:       make([]int32, 0, 2*(n-1)),
+		queue:    make([]int32, 0, n),
+		vertices: make([]int32, n),
 	}
 	for i := range p.head {
 		p.head[i] = -1
+		p.vertices[i] = int32(i)
 	}
 	return p
 }
@@ -52,10 +57,9 @@ func (p *TreePool) SpanningFromEdgeIDs(g *Graph, edgeIDs []int, root int) (*Tree
 		p.link(int32(v), int32(u))
 	}
 
-	t := &Tree{root: int32(root), parent: make([]int32, n), vertices: make([]int32, n)}
+	t := &Tree{root: int32(root), parent: make([]int32, n), vertices: p.vertices[:n:n]}
 	for i := range t.parent {
 		t.parent[i] = TreeAbsent
-		t.vertices[i] = int32(i)
 	}
 	t.parent[root] = TreeRoot
 	p.queue = append(p.queue[:0], int32(root))

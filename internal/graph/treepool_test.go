@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/ds"
@@ -103,6 +104,62 @@ func TestTreePoolReusedAcrossTrees(t *testing.T) {
 				if gp != wp {
 					t.Fatalf("trial %d parent[%d]: got %d want %d", trial, v, gp, wp)
 				}
+			}
+		}
+	}
+}
+
+// TestTreePoolTreesShareVertexList checks that every tree a pool builds
+// lists all n vertices in order from one shared slice, also when the
+// pool is sized for more vertices than the graph has.
+func TestTreePoolTreesShareVertexList(t *testing.T) {
+	pool := NewTreePool(32)
+	var first *Tree
+	for _, g := range []*Graph{Complete(10), Cycle(10), Hypercube(3)} {
+		tr, err := pool.SpanningFromEdgeIDs(g, spanningEdgeIDs(t, g), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vs := tr.Vertices()
+		if len(vs) != g.N() {
+			t.Fatalf("%d vertices listed for n = %d", len(vs), g.N())
+		}
+		for i, v := range vs {
+			if int(v) != i {
+				t.Fatalf("Vertices()[%d] = %d", i, v)
+			}
+		}
+		if first == nil {
+			first = tr
+		} else if &vs[0] != &first.Vertices()[0] {
+			t.Fatal("two trees of one pool hold separate vertex lists")
+		}
+	}
+}
+
+// TestTreePoolEdgeOrderIndependent checks that the tree built from a
+// spanning edge set does not depend on the order of its edge ids.
+func TestTreePoolEdgeOrderIndependent(t *testing.T) {
+	g := Hypercube(5)
+	ids := spanningEdgeIDs(t, g)
+	pool := NewTreePool(g.N())
+	want, err := pool.SpanningFromEdgeIDs(g, ids, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := ds.NewRand(1)
+	for trial := 0; trial < 5; trial++ {
+		shuffled := slices.Clone(ids)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		got, err := pool.SpanningFromEdgeIDs(g, shuffled, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := 0; v < g.N(); v++ {
+			gp, _ := got.Parent(v)
+			wp, _ := want.Parent(v)
+			if gp != wp {
+				t.Fatalf("trial %d parent[%d]: got %d want %d", trial, v, gp, wp)
 			}
 		}
 	}
