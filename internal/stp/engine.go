@@ -3,7 +3,6 @@ package stp
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/ds"
 	"repro/internal/graph"
@@ -39,10 +38,13 @@ type MSTOracle func(e *Engine, seed uint64) (chosen []int, rounds int, err error
 //     loaded edges falls back to the full O(m) evaluation in edge-id
 //     order, so the stop iteration — and with it the packing — is
 //     unchanged.
-//   - Distinct trees are deduplicated by FNV-1a hashing of sorted edge
-//     ids over a reused scratch buffer (with stored-id verification on
-//     hash hits) instead of per-iteration string signatures, and new
-//     trees are materialized through a pooled graph.TreePool builder.
+//   - Distinct trees are deduplicated by an order-independent set hash
+//     of their edge ids (the wrapping sum of a 64-bit mix of each id),
+//     so the oracle's edges need no sort. A hash hit stamps the chosen
+//     ids in a per-edge array and accepts an entry only if all of its
+//     n-1 ids are stamped. New trees are materialized through a pooled
+//     graph.TreePool builder, which builds the same rooted tree from
+//     any edge order.
 //
 // The engine does not stop on its own after the Lemma F.1 test is
 // guarded: the first Step seeds the collection with the oracle's tree at
@@ -61,13 +63,14 @@ type Engine struct {
 	order *ds.OrderedLoads // edge ids sorted by (x_e, id)
 
 	entries  []*packEntry
-	sigIndex map[uint64][]int32 // FNV-1a of sorted edge ids -> entry indices
+	sigIndex map[uint64][]int32 // set hash of a tree's edge ids -> entry indices
 
 	// Scratch reused across iterations.
 	uf      *ds.UnionFind
 	chosen  []int   // centralized oracle output
 	byLoad  []int32 // chosen sorted by (load, id), merge input
-	byID    []int   // chosen sorted by id, signature input
+	mark    []int32 // per edge id: in the tree being deduplicated iff == markGen
+	markGen int32
 	pool    *graph.TreePool
 	costMST *mst.LogSumExp
 	costAll *mst.LogSumExp
@@ -86,8 +89,9 @@ type Engine struct {
 }
 
 // packEntry is one distinct tree of the collection with its accumulated
-// weight, before Finish rescales it; ids holds the sorted edge ids for
-// hash-collision verification.
+// weight, before Finish rescales it; ids holds its edge ids, in the
+// order the oracle first returned them, for hash-collision
+// verification.
 type packEntry struct {
 	graph.WeightedTree
 	ids []int32
@@ -124,7 +128,7 @@ func NewEngine(g *graph.Graph, lambda int, opts Options, oracle MSTOracle) *Engi
 		uf:           ds.NewUnionFind(n),
 		chosen:       make([]int, 0, n-1),
 		byLoad:       make([]int32, 0, n-1),
-		byID:         make([]int, 0, n-1),
+		mark:         make([]int32, m),
 		pool:         graph.NewTreePool(n),
 		costMST:      mst.NewLogSumExp(),
 		costAll:      mst.NewLogSumExp(),
@@ -259,23 +263,26 @@ func (e *Engine) addTree(chosen []int, beta float64) error {
 	e.byLoad = byLoad
 	e.order.Reorder(e.x, byLoad)
 
-	byID := append(e.byID[:0], chosen...)
-	sort.Ints(byID)
-	e.byID = byID
-	sig := fnvEdgeIDs(byID)
-	for _, idx := range e.sigIndex[sig] {
-		if ent := e.entries[idx]; edgeIDsEqual(ent.ids, byID) {
-			ent.Weight += beta
-			e.dedupHits++
-			return nil
+	sig := edgeSetHash(chosen)
+	if idxs := e.sigIndex[sig]; len(idxs) > 0 {
+		e.markGen++
+		for _, c := range chosen {
+			e.mark[c] = e.markGen
+		}
+		for _, idx := range idxs {
+			if ent := e.entries[idx]; e.marksAll(ent.ids, len(chosen)) {
+				ent.Weight += beta
+				e.dedupHits++
+				return nil
+			}
 		}
 	}
-	tree, err := e.pool.SpanningFromEdgeIDs(e.g, byID, 0)
+	tree, err := e.pool.SpanningFromEdgeIDs(e.g, chosen, 0)
 	if err != nil {
 		return fmt.Errorf("stp: oracle tree invalid: %w", err)
 	}
-	ids := make([]int32, len(byID))
-	for i, id := range byID {
+	ids := make([]int32, len(chosen))
+	for i, id := range chosen {
 		ids[i] = int32(id)
 	}
 	e.entries = append(e.entries, &packEntry{WeightedTree: graph.WeightedTree{Tree: tree, Weight: beta}, ids: ids})
@@ -330,30 +337,28 @@ func KruskalOracle(e *Engine, _ uint64) ([]int, int, error) {
 	return chosen, 0, nil
 }
 
-// fnvEdgeIDs hashes sorted edge ids with FNV-1a over their 4-byte
-// little-endian encodings — the byte stream the old string signature
-// built, without materializing it.
-func fnvEdgeIDs(ids []int) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, e := range ids {
-		for shift := 0; shift < 32; shift += 8 {
-			h ^= uint64(byte(e >> shift))
-			h *= prime64
-		}
+// edgeSetHash hashes a set of edge ids independently of their order:
+// the wrapping sum of a SplitMix64 mix of each id.
+func edgeSetHash(ids []int) uint64 {
+	var h uint64
+	for _, id := range ids {
+		z := uint64(id) + 0x9e3779b97f4a7c15
+		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+		h += z ^ (z >> 31)
 	}
 	return h
 }
 
-func edgeIDsEqual(a []int32, b []int) bool {
-	if len(a) != len(b) {
+// marksAll reports whether a stored tree's edge ids, which are
+// distinct, number size and all carry the current markGen stamp. The
+// stamps mark the size ids the oracle chose, so that is set equality.
+func (e *Engine) marksAll(ids []int32, size int) bool {
+	if len(ids) != size {
 		return false
 	}
-	for i := range a {
-		if int(a[i]) != b[i] {
+	for _, id := range ids {
+		if e.mark[id] != e.markGen {
 			return false
 		}
 	}

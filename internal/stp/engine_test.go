@@ -2,8 +2,11 @@ package stp
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
+	"repro/internal/ds"
 	"repro/internal/flow"
 	"repro/internal/graph"
 	"repro/internal/mst"
@@ -102,14 +105,81 @@ func TestEngineDeduplicatesTrees(t *testing.T) {
 	}
 	seen := make(map[string]bool)
 	for _, ent := range eng.entries {
-		key := ""
-		for _, id := range ent.ids {
-			key += string(rune(id)) + ","
-		}
+		key := fmt.Sprint(slices.Sorted(slices.Values(ent.ids)))
 		if seen[key] {
 			t.Fatalf("duplicate tree entry %v", ent.ids)
 		}
 		seen[key] = true
+	}
+}
+
+// TestShuffledOracleMatchesKruskal feeds the engine KruskalOracle's
+// trees with their edge ids in a seeded shuffled order. The dedup hash
+// and the tree builder ignore the order, so the packing must be
+// identical to KruskalOracle's, dedup hits included.
+func TestShuffledOracleMatchesKruskal(t *testing.T) {
+	hits := 0
+	for _, tc := range stopParityGraphs(t) {
+		lambda := flow.EdgeConnectivity(tc.g)
+		opts := Options{}.normalize()
+		run := func(oracle MSTOracle) *Packing {
+			eng := NewEngine(tc.g, lambda, opts, oracle)
+			for iter, limit := 0, maxIters(tc.g.N(), opts.Epsilon); iter <= limit && !eng.Done(); iter++ {
+				if _, err := eng.Step(0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return eng.Finish()
+		}
+		want := run(KruskalOracle)
+		rng := ds.NewRand(uint64(tc.g.M()))
+		got := run(func(e *Engine, seed uint64) ([]int, int, error) {
+			chosen, rounds, err := KruskalOracle(e, seed)
+			rng.Shuffle(len(chosen), func(i, j int) { chosen[i], chosen[j] = chosen[j], chosen[i] })
+			return chosen, rounds, err
+		})
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: shuffled oracle packed %d trees, stats %+v; Kruskal order %d trees, stats %+v",
+				tc.name, len(got.Trees), got.Stats, len(want.Trees), want.Stats)
+		}
+		hits += want.Stats.DedupHits
+	}
+	if hits == 0 {
+		t.Fatal("no pack folded a repeated tree, so dedup went untested")
+	}
+}
+
+// TestDedupStampsSeparateHashCollisions files two different spanning
+// trees of C4 under one sigIndex hash. Adding the second tree must
+// create a new entry rather than fold into the first, and re-adding it
+// in another edge order must fold into its own entry.
+func TestDedupStampsSeparateHashCollisions(t *testing.T) {
+	g := graph.Cycle(4)
+	eng := NewEngine(g, 2, Options{}.normalize(), KruskalOracle)
+	a, b := []int{0, 1, 2}, []int{1, 2, 3}
+	if err := eng.addTree(a, 1); err != nil {
+		t.Fatal(err)
+	}
+	// Collide: file entry 0 (tree a) under b's hash too.
+	eng.sigIndex[edgeSetHash(b)] = []int32{0}
+	if err := eng.addTree(b, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	if len(eng.entries) != 2 || eng.dedupHits != 0 {
+		t.Fatalf("tree b folded into tree a: %d entries, %d dedup hits", len(eng.entries), eng.dedupHits)
+	}
+	if got := eng.sigIndex[edgeSetHash(b)]; !slices.Equal(got, []int32{0, 1}) {
+		t.Fatalf("b's hash lists entries %v, want [0 1]", got)
+	}
+	before := eng.entries[0].Weight
+	if err := eng.addTree([]int{3, 1, 2}, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	if len(eng.entries) != 2 || eng.dedupHits != 1 {
+		t.Fatalf("reordered tree b: %d entries, %d dedup hits, want 2 and 1", len(eng.entries), eng.dedupHits)
+	}
+	if w := eng.entries[0].Weight; w != before*0.5 {
+		t.Fatalf("tree a's weight %v took the hit (want %v after rescaling only)", w, before*0.5)
 	}
 }
 

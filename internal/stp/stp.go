@@ -54,8 +54,9 @@ type Stats struct {
 	// neither (observability only — neither feeds the fingerprint).
 	StopChecksExact   int
 	StopChecksSkipped int
-	// DedupHits counts oracle trees folded into an existing entry by the
-	// FNV signature index instead of allocating a new one.
+	// DedupHits counts oracle trees folded into an existing entry
+	// (found by the set hash of their edge ids) instead of allocating a
+	// new one.
 	DedupHits int
 }
 
