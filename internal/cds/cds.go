@@ -10,7 +10,12 @@
 // maintained with a union-find over one representative virtual node per
 // (real node, class) pair, and each layer reads component roots from a
 // table refreshed once at its start, giving the paper's O(m log^2 n)
-// step bound up to the union-find inverse-Ackermann factor.
+// step bound up to the union-find inverse-Ackermann factor. Each real
+// node's classes are a bitmask row with its representatives in class
+// order, so a lookup is a bit test plus a popcount rank, and the
+// matching scans only the classes set in both a node's row and the row
+// of classes with a suitable component. Pack runs all of Remark 3.1's
+// guesses in one arena, sized at the first and largest guess.
 package cds
 
 import (

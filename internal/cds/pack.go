@@ -2,6 +2,7 @@ package cds
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand/v2"
 
 	"repro/internal/ds"
@@ -12,15 +13,39 @@ import (
 // fixed connectivity guess kGuess (the paper's 2-approximation
 // assumption; Pack removes it). It always returns a Packing — possibly
 // with fewer valid trees than classes — so callers can test the outcome
-// as the paper's try-and-error loop does.
+// as the paper's try-and-error loop does. It allocates its own arena;
+// Pack runs its whole loop in one, with identical results.
 func PackWithGuess(g *graph.Graph, kGuess int, opts Options) (*Packing, error) {
-	return packWithGuess(g, kGuess, opts, nil)
+	return packWithGuess(g, kGuess, opts, new(arena), nil)
 }
 
-// packWithGuess is PackWithGuess. A non-nil afterLayer is called with
-// the virtual graph after the jump start and after every recursive
-// layer, where the white-box tests check the component invariants.
-func packWithGuess(g *graph.Graph, kGuess int, opts Options, afterLayer func(*virtualGraph)) (*Packing, error) {
+// arena is the memory one guess runs in: the virtual graph and the
+// scratch arena. Its arrays are sized by n, by n·L·3 (which depends on
+// n alone) or by the class count, so Pack runs every guess of its loop
+// in one arena, allocated at the first and largest guess and reset for
+// each guess after it.
+type arena struct {
+	vg *virtualGraph
+	s  *packScratch
+}
+
+// reset readies the arena for a guess with the given class count on g.
+func (a *arena) reset(g *graph.Graph, layers, classes int) {
+	if a.vg == nil {
+		a.vg = newVirtualGraph(g, layers, classes)
+		a.s = newPackScratch(a.vg)
+		return
+	}
+	a.vg.reset(classes)
+	a.s.reset(classes)
+}
+
+// packWithGuess is PackWithGuess run in the arena a, which holds either
+// nothing yet or a previous guess's state on the same graph. A non-nil
+// afterLayer is called with the virtual graph after the jump start and
+// after every recursive layer, where the white-box tests check the
+// component invariants.
+func packWithGuess(g *graph.Graph, kGuess int, opts Options, a *arena, afterLayer func(*virtualGraph)) (*Packing, error) {
 	n := g.N()
 	if n == 0 {
 		return nil, fmt.Errorf("cds: empty graph")
@@ -35,8 +60,8 @@ func packWithGuess(g *graph.Graph, kGuess int, opts Options, afterLayer func(*vi
 		classes = 1
 	}
 	rng := ds.NewRand(opts.Seed ^ (uint64(kGuess) * 0x9e3779b97f4a7c15))
-	vg := newVirtualGraph(g, layers, classes)
-	scratch := newPackScratch(vg)
+	a.reset(g, layers, classes)
+	vg, scratch := a.vg, a.s
 	stats := Stats{Guess: kGuess, Layers: layers, Classes: classes}
 
 	// Jump start: layers [0, half) of every type join random classes
@@ -76,18 +101,20 @@ func packWithGuess(g *graph.Graph, kGuess int, opts Options, afterLayer func(*vi
 }
 
 // packScratch is the epoch-stamped scratch arena shared by every layer
-// of one PackWithGuess run. The per-layer component sets (deactivated,
-// matched) and the per-findMatch potential-matches array are "cleared"
-// by bumping a generation counter instead of reallocating maps, so the
-// matching loop performs no per-call allocation and no hashing.
+// of one guess, and by every guess of Pack's loop. The per-layer
+// component sets (deactivated, matched) are "cleared" by bumping a
+// generation counter instead of reallocating maps; the generation keeps
+// counting across guesses, so a stamp left by an earlier guess is never
+// current. The per-findMatch potential-matches array is valid for the
+// classes set in pmRow, a class row cleared per call. So the matching
+// loop performs no per-call allocation and no hashing.
 type packScratch struct {
 	layerGen int32   // current layer generation
 	deactGen []int32 // per component root: deactivated iff == layerGen
 	matchGen []int32 // per component root: matched iff == layerGen
 
-	pmGen  int32     // current findMatch generation
-	pmSeen []int32   // per class: pm[class] valid iff == pmGen
-	pm     [][]int32 // per class: suitable component roots (App. C array)
+	pmRow []uint64  // class row: bit c set iff pm[c] is valid in this findMatch
+	pm    [][]int32 // per class: suitable component roots (App. C array)
 
 	adjacent []int32   // deactivation's component roots, reused across layers
 	suitable [][]int32 // per vertex: reused across layers
@@ -95,16 +122,27 @@ type packScratch struct {
 }
 
 func newPackScratch(vg *virtualGraph) *packScratch {
-	// Generation 0 is never current: layerGen and pmGen are incremented
-	// before first use, so the zeroed stamps mean "not in set".
+	// Generation 0 is never current: layerGen is incremented before
+	// first use, so the zeroed stamps mean "not in set".
 	return &packScratch{
 		deactGen: make([]int32, vg.numVirtual()),
 		matchGen: make([]int32, vg.numVirtual()),
-		pmSeen:   make([]int32, vg.classes),
+		pmRow:    make([]uint64, vg.words),
 		pm:       make([][]int32, vg.classes),
 		suitable: make([][]int32, vg.n),
 		order:    make([]int, vg.n),
 	}
+}
+
+// reset readies the scratch arena for a guess with the given class
+// count. Only the per-class arrays change size; each pm[c] is truncated
+// when findMatch first stamps c, so its old contents are never read.
+func (s *packScratch) reset(classes int) {
+	s.pmRow = growClear(s.pmRow, (classes+63)/64)
+	if cap(s.pm) < classes {
+		s.pm = make([][]int32, classes)
+	}
+	s.pm = s.pm[:classes]
 }
 
 // assignLayer performs the paper's recursive class assignment for one
@@ -172,21 +210,21 @@ func assignLayer(g *graph.Graph, vg *virtualGraph, s *packScratch, rng *rand.Ran
 // has a virtual neighbor in C and a type-3 new neighbor of class i that
 // is adjacent to a component of class i other than C. It returns the
 // matched class and component root, or (-1, -1). Candidate classes are
-// scanned in ascending class order (the sorted representative lists),
-// so the greedy choice is deterministic by construction.
+// scanned in ascending class order (set bits of the class rows), so the
+// greedy choice is deterministic by construction.
 func findMatch(g *graph.Graph, vg *virtualGraph, s *packScratch, v, layer int) (int32, int32) {
 	// s.pm[class] = set of component roots reachable via type-3 new
 	// neighbors of that class (the potential-matches array of App. C),
-	// valid for this call iff s.pmSeen[class] == s.pmGen.
-	s.pmGen++
+	// valid for this call iff bit class of s.pmRow is set.
+	clear(s.pmRow)
 	addSuit := func(u int) {
 		class := vg.class(u, layer, typeThree)
 		roots := s.suitable[u]
 		if len(roots) == 0 {
 			return
 		}
-		if s.pmSeen[class] != s.pmGen {
-			s.pmSeen[class] = s.pmGen
+		if bit := uint64(1) << (class & 63); s.pmRow[class>>6]&bit == 0 {
+			s.pmRow[class>>6] |= bit
 			s.pm[class] = s.pm[class][:0]
 		}
 	outer:
@@ -206,21 +244,27 @@ func findMatch(g *graph.Graph, vg *virtualGraph, s *packScratch, v, layer int) (
 
 	// Scan candidate components adjacent to v, class by class. A class
 	// with no suitable component fails rule (c) whatever the root, so
-	// its stamp is tested first; a set, once stamped, is never empty.
+	// only the classes of u's row that are also set in pmRow are
+	// candidates; a set, once stamped, is never empty. below counts u's
+	// classes in the words already walked, so below plus the rank within
+	// the word indexes the class's representative.
 	tryClass := func(u int) (int32, int32) {
 		vids := vg.repVid[u]
-		for i, class := range vg.repCls[u] {
-			if s.pmSeen[class] != s.pmGen {
-				continue
+		below := 0
+		for w, have := range vg.row(u) {
+			for cand := have & s.pmRow[w]; cand != 0; cand &= cand - 1 {
+				b := bits.TrailingZeros64(cand)
+				class := int32(w<<6 | b)
+				root := vg.root[vids[below+bits.OnesCount64(have&(1<<b-1))]]
+				if s.matchGen[root] == s.layerGen || s.deactGen[root] == s.layerGen {
+					continue
+				}
+				// Bridging rule (c): some suitable component differs from root.
+				if set := s.pm[class]; len(set) > 1 || set[0] != root {
+					return class, root
+				}
 			}
-			root := vg.root[vids[i]]
-			if s.matchGen[root] == s.layerGen || s.deactGen[root] == s.layerGen {
-				continue
-			}
-			// Bridging rule (c): some suitable component differs from root.
-			if set := s.pm[class]; len(set) > 1 || set[0] != root {
-				return class, root
-			}
+			below += bits.OnesCount64(have)
 		}
 		return -1, -1
 	}
@@ -334,16 +378,20 @@ func FinalizeWeights(trees []graph.WeightedTree, n int) int {
 // while no valid fractional dominating-tree packing can exceed k, so
 // the best passing size is the Corollary 1.7 estimate. For a connected
 // graph the loop always terminates with at least the single-class
-// packing (the whole vertex set).
+// packing (the whole vertex set). Every guess runs in one arena,
+// allocated at the first and largest guess.
 func Pack(g *graph.Graph, opts Options) (*Packing, error) {
 	n := g.N()
 	if n == 0 {
 		return nil, fmt.Errorf("cds: empty graph")
 	}
 	opts = opts.Normalize()
-	var best *Packing
+	var (
+		best *Packing
+		a    arena
+	)
 	for guess := n; guess >= 1; guess /= 2 {
-		p, err := PackWithGuess(g, guess, opts)
+		p, err := packWithGuess(g, guess, opts, &a, nil)
 		if err != nil {
 			return nil, err
 		}

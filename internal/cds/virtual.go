@@ -1,7 +1,7 @@
 package cds
 
 import (
-	"sort"
+	"math/bits"
 
 	"repro/internal/ds"
 	"repro/internal/graph"
@@ -28,42 +28,78 @@ const (
 // root, and comps[class] is the number of connected components of the
 // subgraph of G induced by the class's real members.
 //
-// Representatives are stored as two parallel per-vertex slices sorted by
-// class (repCls/repVid) instead of per-vertex maps: a vertex belongs to
-// O(log n) classes, so lookups are a short binary search and inserts a
-// short shift, and every iteration over a vertex's classes is in
-// ascending class order — deterministic by construction.
+// Representatives are stored per real node v as a class row, words
+// 64-bit words in which bit c is set iff v has a representative of
+// class c (repMask[v*words:(v+1)*words]), plus repVid[v], the
+// representative vids in ascending class order. A class's index in
+// repVid[v] is its rank in the row: the number of set bits below c. So
+// a lookup is a bit test and a popcount, an insert a bit set and a
+// short shift, and every iteration over a vertex's classes walks set
+// bits in ascending class order — deterministic by construction.
+//
+// Every array is sized by n, by n·L·3 (which depends on n alone) or by
+// the class count, so reset readies one virtual graph for each guess of
+// Pack's loop in turn.
 type virtualGraph struct {
 	g       *graph.Graph
 	n       int
 	layers  int
 	classes int
+	words   int     // ⌈classes/64⌉, the width of a class row
 	classOf []int32 // per vid; -1 unassigned
 	uf      *ds.UnionFind
-	repCls  [][]int32 // repCls[v] = sorted classes with a representative at v
-	repVid  [][]int32 // repVid[v][i] = representative vid of class repCls[v][i]
+	repMask []uint64  // n class rows of words words each
+	repVid  [][]int32 // repVid[v] = v's representative vids, ascending by class
 	root    []int32   // per representative vid: its root as of refreshRoots
 	comps   []int32   // comps[class] = live component count
 }
 
+// newVirtualGraph returns the virtual graph of g with L = layers, reset
+// for a run with the given class count.
 func newVirtualGraph(g *graph.Graph, layers, classes int) *virtualGraph {
 	n := g.N()
 	vg := &virtualGraph{
 		g:       g,
 		n:       n,
 		layers:  layers,
-		classes: classes,
 		classOf: make([]int32, n*layers*numTypes),
 		uf:      ds.NewUnionFind(n * layers * numTypes),
-		repCls:  make([][]int32, n),
 		repVid:  make([][]int32, n),
 		root:    make([]int32, n*layers*numTypes),
-		comps:   make([]int32, classes),
 	}
+	vg.reset(classes)
+	return vg
+}
+
+// reset empties the virtual graph for a run with the given class count:
+// no virtual node is assigned, every union-find set is a singleton and
+// no real node holds a representative. The storage is reused; the class
+// rows and counts grow only past the largest class count seen. root is
+// left as it is: refreshRoots writes it for every representative before
+// it is read.
+func (vg *virtualGraph) reset(classes int) {
+	vg.classes = classes
+	vg.words = (classes + 63) / 64
 	for i := range vg.classOf {
 		vg.classOf[i] = -1
 	}
-	return vg
+	vg.uf.Reset()
+	vg.repMask = growClear(vg.repMask, vg.n*vg.words)
+	for v := range vg.repVid {
+		vg.repVid[v] = vg.repVid[v][:0]
+	}
+	vg.comps = growClear(vg.comps, classes)
+}
+
+// growClear returns s resized to n zeroed elements, reusing its storage
+// when it has the capacity.
+func growClear[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // vid maps (real node, layer, type) to a virtual node id.
@@ -88,32 +124,47 @@ func (vg *virtualGraph) setClass(v, layer, typ int, class int32) {
 	vg.classOf[vg.vid(v, layer, typ)] = class
 }
 
+// row returns real node v's class row.
+func (vg *virtualGraph) row(v int) []uint64 {
+	return vg.repMask[v*vg.words : (v+1)*vg.words]
+}
+
+// rank returns the number of classes below class in row, which is the
+// index of class's representative in the row's repVid list.
+func rank(row []uint64, class int32) int {
+	w := int(class >> 6)
+	r := bits.OnesCount64(row[w] & (1<<(class&63) - 1))
+	for _, word := range row[:w] {
+		r += bits.OnesCount64(word)
+	}
+	return r
+}
+
 // rep returns the representative vid of class at real node v, or -1 when
 // no virtual node of v has joined the class yet.
 func (vg *virtualGraph) rep(v int, class int32) int32 {
-	cls := vg.repCls[v]
-	i := sort.Search(len(cls), func(i int) bool { return cls[i] >= class })
-	if i < len(cls) && cls[i] == class {
-		return vg.repVid[v][i]
+	row := vg.row(v)
+	if row[class>>6]&(1<<(class&63)) == 0 {
+		return -1
 	}
-	return -1
+	return vg.repVid[v][rank(row, class)]
 }
 
 // addRep records id as the representative of class at real node v,
-// keeping the per-vertex class list sorted. It reports false, recording
-// nothing, when v already has a representative of class.
+// keeping repVid[v] in ascending class order. It reports false,
+// recording nothing, when v already has a representative of class.
 func (vg *virtualGraph) addRep(v int, class, id int32) bool {
-	cls, vids := vg.repCls[v], vg.repVid[v]
-	i := sort.Search(len(cls), func(i int) bool { return cls[i] >= class })
-	if i < len(cls) && cls[i] == class {
+	row := vg.row(v)
+	bit := uint64(1) << (class & 63)
+	if row[class>>6]&bit != 0 {
 		return false
 	}
-	cls = append(cls, 0)
-	vids = append(vids, 0)
-	copy(cls[i+1:], cls[i:])
+	row[class>>6] |= bit
+	i := rank(row, class)
+	vids := append(vg.repVid[v], 0)
 	copy(vids[i+1:], vids[i:])
-	cls[i], vids[i] = class, id
-	vg.repCls[v], vg.repVid[v] = cls, vids
+	vids[i] = id
+	vg.repVid[v] = vids
 	return true
 }
 
@@ -191,14 +242,17 @@ func (vg *virtualGraph) excess() int {
 }
 
 // realClasses projects classes onto real nodes: class i contains real
-// node v iff some virtual node of v joined class i (repCls records
-// exactly the classes each real node participates in). Members are
-// appended in ascending v, so every class list comes out sorted.
+// node v iff some virtual node of v joined class i (the class rows
+// record exactly the classes each real node participates in). Members
+// are appended in ascending v, so every class list comes out sorted.
 func (vg *virtualGraph) realClasses() [][]int32 {
 	out := make([][]int32, vg.classes)
 	for v := 0; v < vg.n; v++ {
-		for _, class := range vg.repCls[v] {
-			out[class] = append(out[class], int32(v))
+		for w, word := range vg.row(v) {
+			for ; word != 0; word &= word - 1 {
+				class := w<<6 | bits.TrailingZeros64(word)
+				out[class] = append(out[class], int32(v))
+			}
 		}
 	}
 	return out

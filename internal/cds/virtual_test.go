@@ -2,6 +2,7 @@ package cds
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -42,15 +43,16 @@ func invariantGraphs(t *testing.T) []namedGraph {
 }
 
 // sweepLayers runs every guess of Pack's loop on every invariant graph
-// at seeds 0-2 and applies check after the jump start and after each
-// recursive layer.
+// at seeds 0-2, in one arena per seed as Pack does, and applies check
+// after the jump start and after each recursive layer.
 func sweepLayers(t *testing.T, check func(*virtualGraph) error) {
 	for _, tc := range invariantGraphs(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := uint64(0); seed < 3; seed++ {
+				var a arena
 				for guess := tc.g.N(); guess >= 1; guess /= 2 {
 					step := 0
-					_, err := packWithGuess(tc.g, guess, Options{Seed: seed}, func(vg *virtualGraph) {
+					_, err := packWithGuess(tc.g, guess, Options{Seed: seed}, &a, func(vg *virtualGraph) {
 						if err := check(vg); err != nil {
 							t.Fatalf("seed %d guess %d after step %d: %v", seed, guess, step, err)
 						}
@@ -70,8 +72,9 @@ func sweepLayers(t *testing.T, check func(*virtualGraph) error) {
 // members, counted by a BFS that reads only the class assignment. It is
 // what lets buildPacking skip the spanning-tree build of every class
 // whose count is not 1, and what the early return in merge must keep.
-// The check also requires the representative lists to hold exactly the
-// classes each real node joined, which realClasses relies on.
+// The check also requires each real node's class row to hold exactly
+// the classes it joined, with one representative each, which
+// realClasses relies on.
 func TestComponentCountsMatchBFS(t *testing.T) {
 	sweepLayers(t, func(vg *virtualGraph) error {
 		member := make([][]bool, vg.classes)
@@ -95,8 +98,11 @@ func TestComponentCountsMatchBFS(t *testing.T) {
 					want = append(want, int32(c))
 				}
 			}
-			if !slices.Equal(vg.repCls[v], want) {
-				return fmt.Errorf("vertex %d has representatives of %v, joined %v", v, vg.repCls[v], want)
+			if got := rowClasses(vg, v); !slices.Equal(got, want) {
+				return fmt.Errorf("vertex %d has representatives of %v, joined %v", v, got, want)
+			}
+			if len(vg.repVid[v]) != len(want) {
+				return fmt.Errorf("vertex %d: %d representative vids for %d classes", v, len(vg.repVid[v]), len(want))
 			}
 		}
 		for c := range member {
@@ -117,7 +123,7 @@ func TestAdjacentRepresentativesShareRoot(t *testing.T) {
 	sweepLayers(t, func(vg *virtualGraph) error {
 		for v := 0; v < vg.n; v++ {
 			for _, w := range vg.g.Neighbors(v) {
-				for i, c := range vg.repCls[v] {
+				for i, c := range rowClasses(vg, v) {
 					r := vg.rep(int(w), c)
 					if r < 0 {
 						continue
@@ -130,6 +136,48 @@ func TestAdjacentRepresentativesShareRoot(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// rowClasses lists the classes whose bit is set in real node v's class
+// row, in ascending order, testing every bit of the row one at a time.
+func rowClasses(vg *virtualGraph, v int) []int32 {
+	var out []int32
+	row := vg.repMask[v*vg.words : (v+1)*vg.words]
+	for c := 0; c < 64*len(row); c++ {
+		if row[c/64]&(1<<(c%64)) != 0 {
+			out = append(out, int32(c))
+		}
+	}
+	return out
+}
+
+// TestArenaGuessesMatchFreshPackWithGuess runs every guess of Pack's
+// loop in one shared arena, as Pack does, and checks that each packing
+// equals a fresh PackWithGuess of the same guess: trees, weights,
+// TreeClass, Classes and Stats.
+func TestArenaGuessesMatchFreshPackWithGuess(t *testing.T) {
+	for _, tc := range invariantGraphs(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			for seed := uint64(0); seed < 3; seed++ {
+				opts := Options{Seed: seed}
+				var a arena
+				for guess := tc.g.N(); guess >= 1; guess /= 2 {
+					got, err := packWithGuess(tc.g, guess, opts, &a, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := PackWithGuess(tc.g, guess, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("seed %d guess %d: arena packing differs from a fresh one:\n got  %+v\n want %+v",
+							seed, guess, got.Stats, want.Stats)
+					}
+				}
+			}
+		})
+	}
 }
 
 // inducedComponents counts the connected components of g[in] by BFS.
