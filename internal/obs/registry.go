@@ -18,15 +18,23 @@ const (
 	kindHistogram
 )
 
-// metric is one registered name: exactly one of counter, gauge, and
-// hist is set, matching kind.
+// metric is one registered name: exactly one of group, gauge, and hist
+// is set, matching kind. A counter is value idx of its group.
 type metric struct {
-	name    string
-	help    string
-	kind    metricKind
-	counter func() uint64
-	gauge   func() float64
-	hist    *Histogram
+	name  string
+	help  string
+	kind  metricKind
+	group *counterGroup
+	idx   int
+	gauge func() float64
+	hist  *Histogram
+}
+
+// counterGroup is counters whose values one call of read loads
+// together, filling one value per counter.
+type counterGroup struct {
+	read func(vals []uint64)
+	n    int
 }
 
 // Registry names counters, gauges, and histograms and writes them in
@@ -62,7 +70,22 @@ func (r *Registry) register(m *metric) {
 // Counter registers a monotonically nondecreasing metric read through
 // fn at scrape time.
 func (r *Registry) Counter(name, help string, fn func() uint64) {
-	r.register(&metric{name: name, help: help, kind: kindCounter, counter: fn})
+	r.CounterGroup([]string{name}, []string{help}, func(vals []uint64) { vals[0] = fn() })
+}
+
+// CounterGroup registers the counters names, with help texts helps,
+// whose values one call of read loads together: read fills vals[i] for
+// names[i]. A scrape calls read once and writes every value from that
+// call, so counters that must agree, such as a total and its parts,
+// agree in every scrape even while they move.
+func (r *Registry) CounterGroup(names, helps []string, read func(vals []uint64)) {
+	if len(helps) != len(names) {
+		panic(fmt.Sprintf("obs: %d help texts for %d counters", len(helps), len(names)))
+	}
+	grp := &counterGroup{read: read, n: len(names)}
+	for i, name := range names {
+		r.register(&metric{name: name, help: helps[i], kind: kindCounter, group: grp, idx: i})
+	}
 }
 
 // Gauge registers a point-in-time metric read through fn at scrape
@@ -100,9 +123,10 @@ func validMetricName(name string) bool {
 }
 
 // WritePrometheus writes every registered metric in the text exposition
-// format, sorted by name so scrapes are diffable. Histograms emit only
-// their non-empty buckets (cumulative counts at explicit le boundaries
-// are valid at any subset of thresholds) plus the +Inf bucket.
+// format, sorted by name so scrapes are diffable. Each counter group is
+// read once per call. Histograms emit only their non-empty buckets
+// (cumulative counts at explicit le boundaries are valid at any subset
+// of thresholds) plus the +Inf bucket.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
 	names := make([]string, 0, len(r.metrics))
@@ -116,6 +140,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	r.mu.Unlock()
 
+	groupVals := make(map[*counterGroup][]uint64)
 	for _, m := range ms {
 		if m.help != "" {
 			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", m.name, m.help); err != nil {
@@ -125,7 +150,13 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		var err error
 		switch m.kind {
 		case kindCounter:
-			_, err = fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", m.name, m.name, m.counter())
+			vals, ok := groupVals[m.group]
+			if !ok {
+				vals = make([]uint64, m.group.n)
+				m.group.read(vals)
+				groupVals[m.group] = vals
+			}
+			_, err = fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", m.name, m.name, vals[m.idx])
 		case kindGauge:
 			_, err = fmt.Fprintf(w, "# TYPE %s gauge\n%s %s\n",
 				m.name, m.name, strconv.FormatFloat(m.gauge(), 'g', -1, 64))

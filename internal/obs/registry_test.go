@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -47,6 +48,40 @@ func TestRegistryExposition(t *testing.T) {
 			!strings.Contains(line, "le=\"3\"") {
 			if !strings.HasSuffix(line, " 3") {
 				t.Fatalf("histogram buckets not cumulative: %q", line)
+			}
+		}
+	}
+}
+
+// TestCounterGroupReadOncePerScrape checks that a scrape reads a
+// counter group with one call and writes every member from it: the
+// read below returns a fresh value on every call, yet a total and its
+// two parts still agree in each scrape.
+func TestCounterGroupReadOncePerScrape(t *testing.T) {
+	r := NewRegistry()
+	calls := uint64(0)
+	r.CounterGroup([]string{"test_a_total", "test_b_total", "test_sum_total"}, []string{"A.", "B.", "A+B."},
+		func(vals []uint64) {
+			calls++
+			vals[0], vals[1] = calls, 10*calls
+			vals[2] = vals[0] + vals[1]
+		})
+	for scrape := uint64(1); scrape <= 2; scrape++ {
+		var sb strings.Builder
+		if err := r.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		if calls != scrape {
+			t.Fatalf("scrape %d: group read %d times in all", scrape, calls)
+		}
+		for _, want := range []string{
+			fmt.Sprintf("test_a_total %d\n", scrape),
+			fmt.Sprintf("test_b_total %d\n", 10*scrape),
+			fmt.Sprintf("test_sum_total %d\n", 11*scrape),
+			"# HELP test_sum_total A+B.\n",
+		} {
+			if !strings.Contains(sb.String(), want) {
+				t.Fatalf("scrape %d missing %q:\n%s", scrape, want, sb.String())
 			}
 		}
 	}

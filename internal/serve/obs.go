@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"slices"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -67,13 +69,32 @@ func (s *Service) initObs() {
 	s.traces = obs.NewRing(traceRing)
 	r := obs.NewRegistry()
 	s.metrics = r
+	// The four pack-accounting buckets and pack_requests, derived from
+	// them like Stats.PackRequests, are one counter group: a scrape
+	// loads each bucket once and writes the sum of the values it wrote,
+	// so every scrape satisfies the identity exactly.
+	isBucket := []*atomic.Uint64{&s.packComputes, &s.cacheHits, &s.coalesced, &s.storeHits}
+	var (
+		buckets      []*atomic.Uint64
+		names, helps []string
+	)
 	for _, c := range s.counters(new(Stats)) {
-		r.Counter(c.name, c.help, c.v.Load)
+		if !slices.Contains(isBucket, c.v) {
+			r.Counter(c.name, c.help, c.v.Load)
+			continue
+		}
+		buckets = append(buckets, c.v)
+		names, helps = append(names, c.name), append(helps, c.help)
 	}
-	// Derived like Stats.PackRequests. A scrape reads each line
-	// separately, so the bucket lines add up to this one only at rest.
-	r.Counter("repro_serve_pack_requests_total", "Decomposition requests, including cached.", func() uint64 {
-		return s.packComputes.Load() + s.cacheHits.Load() + s.coalesced.Load() + s.storeHits.Load()
+	names = append(names, "repro_serve_pack_requests_total")
+	helps = append(helps, "Decomposition requests, including cached.")
+	r.CounterGroup(names, helps, func(vals []uint64) {
+		var sum uint64
+		for i, b := range buckets {
+			vals[i] = b.Load()
+			sum += vals[i]
+		}
+		vals[len(buckets)] = sum
 	})
 	r.Counter("repro_serve_traces_total", "Request traces recorded.", s.traces.Total)
 

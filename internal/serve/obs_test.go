@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/obs"
 )
 
@@ -173,6 +174,67 @@ func TestMetricsScrapeWhileServing(t *testing.T) {
 	vals, _ := scrapeMetrics(t, srv.Client(), srv.URL)
 	if vals["repro_serve_requests_total"] != 60 {
 		t.Fatalf("requests_total = %v after 60 broadcasts", vals["repro_serve_requests_total"])
+	}
+}
+
+// TestMetricsScrapeSatisfiesPackAccounting scrapes /metrics while
+// goroutines broadcast (cache hits), decompose both kinds (hits and
+// coalesced followers) and pack fresh graphs (computes), and requires
+// every scrape to satisfy PackRequests == PackComputes + CacheHits +
+// Coalesced + StoreHits exactly, not only at rest. make race runs it
+// under the race detector.
+func TestMetricsScrapeSatisfiesPackAccounting(t *testing.T) {
+	s := New(Config{PackSeed: 1, MaxConcurrent: 4})
+	srv := httptest.NewServer(NewHandler(s))
+	defer srv.Close()
+	id := mustRegister(t, s, testGraph())
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				var err error
+				switch {
+				case w == 0 && i%2 == 1:
+					var fresh string
+					if fresh, err = s.RegisterGraph(graph.Cycle(6 + i%40)); err == nil {
+						_, err = s.Decompose(fresh, Spanning)
+					}
+				case i%4 == 3:
+					_, err = s.Decompose(id, []Kind{Dominating, Spanning}[w%2])
+				default:
+					_, err = s.Broadcast(id, Spanning, []int{w, i % 8}, uint64(i))
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	for scrape := 1; scrape <= 300; scrape++ {
+		vals, _ := scrapeMetrics(t, srv.Client(), srv.URL)
+		req := vals["repro_serve_pack_requests_total"]
+		sum := vals["repro_serve_pack_computes_total"] + vals["repro_serve_cache_hits_total"] +
+			vals["repro_serve_coalesced_total"] + vals["repro_serve_store_hits_total"]
+		if req != sum {
+			t.Fatalf("scrape %d: pack_requests %v, but computes+hits+coalesced+store_hits = %v", scrape, req, sum)
+		}
+	}
+	if st := s.Stats(); st.PackComputes < 3 || st.CacheHits == 0 {
+		t.Fatalf("too little traffic ran during the scrapes: %d computes, %d cache hits", st.PackComputes, st.CacheHits)
 	}
 }
 
