@@ -184,6 +184,79 @@ func BenchmarkE3SpanPackingCold(b *testing.B) {
 	}
 }
 
+// coldPackDeck is perfbench's cold-pack deck: its 13 families, each
+// under one vertex relabelling drawn from seed 0, since a cold-pack op
+// packs a relabelled copy the service has not seen.
+func coldPackDeck(b *testing.B) []*graph.Graph {
+	must := func(g *graph.Graph, err error) *graph.Graph {
+		if err != nil {
+			b.Fatal(err)
+		}
+		return g
+	}
+	families := []*graph.Graph{
+		graph.Hypercube(5), graph.Hypercube(6), graph.Hypercube(7), graph.Hypercube(8),
+		graph.Torus(8, 8), graph.Torus(12, 12), graph.Torus(16, 16),
+		must(graph.Harary(6, 64)), must(graph.Harary(8, 112)), must(graph.Harary(10, 96)), must(graph.Harary(12, 160)),
+		must(graph.CliqueChain(8, 8, 4)), must(graph.CliqueChain(6, 12, 6)),
+	}
+	rng := ds.NewRand(0)
+	deck := make([]*graph.Graph, len(families))
+	for i, g := range families {
+		perm := rng.Perm(g.N())
+		edges := make([][2]int, 0, g.M())
+		for _, e := range g.Edges() {
+			edges = append(edges, [2]int{perm[e.U], perm[e.V]})
+		}
+		deck[i] = graph.FromEdgeList(g.N(), edges)
+	}
+	return deck
+}
+
+// BenchmarkColdPackDeck times one pass of each centralized packer over
+// the cold-pack deck, the packs a cold-pack op runs: cds.Pack with every
+// guess of Remark 3.1's loop, and stp.Pack with λ computed inside.
+// Reports the sum of the seed-0 packing sizes over the deck.
+func BenchmarkColdPackDeck(b *testing.B) {
+	deck := coldPackDeck(b)
+	for _, tc := range []struct {
+		name string
+		pack func(g *graph.Graph, seed uint64) (float64, error)
+	}{
+		{"cds.Pack", func(g *graph.Graph, seed uint64) (float64, error) {
+			p, err := cds.Pack(g, cds.Options{Seed: seed})
+			if err != nil {
+				return 0, err
+			}
+			return p.Size(), nil
+		}},
+		{"stp.Pack", func(g *graph.Graph, seed uint64) (float64, error) {
+			p, err := stp.Pack(g, stp.Options{Seed: seed})
+			if err != nil {
+				return 0, err
+			}
+			return p.Size(), nil
+		}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var sizes float64
+			for i := 0; i < b.N; i++ {
+				for _, g := range deck {
+					size, err := tc.pack(g, uint64(i))
+					if err != nil {
+						b.Fatal(err)
+					}
+					if i == 0 {
+						sizes += size
+					}
+				}
+			}
+			b.ReportMetric(sizes, "packing-size-sum")
+		})
+	}
+}
+
 func BenchmarkE3SpanPackingDistributed(b *testing.B) {
 	g := graph.Hypercube(4)
 	var rounds, size float64
