@@ -179,20 +179,17 @@ func TestSpanningTreeOfSubset(t *testing.T) {
 	if _, err := SpanningTreeOfSubset(g, func(int) bool { return false }); err == nil {
 		t.Fatal("empty set accepted")
 	}
-}
 
-// TestSpanningTreeOfSubsetVerticesAscending checks that the vertex list
-// comes out ascending although the BFS reaches the vertices in another
-// order: on Q4 from vertex 0 it visits 1, 2, 4 and 8 before 3.
-func TestSpanningTreeOfSubsetVerticesAscending(t *testing.T) {
-	g := Hypercube(4)
+	// On Q4 the BFS from 0 reaches 1, 2, 4 and 8 before 3; the vertex
+	// list must still come out ascending.
+	q4 := Hypercube(4)
 	inSet := func(v int) bool { return v != 6 && v != 9 }
-	tr, err := SpanningTreeOfSubset(g, inSet)
+	tr, err = SpanningTreeOfSubset(q4, inSet)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want []int32
-	for v := 0; v < g.N(); v++ {
+	for v := 0; v < q4.N(); v++ {
 		if inSet(v) {
 			want = append(want, int32(v))
 		}
@@ -200,12 +197,7 @@ func TestSpanningTreeOfSubsetVerticesAscending(t *testing.T) {
 	if !slices.Equal(tr.Vertices(), want) {
 		t.Fatalf("Vertices() = %v, want %v", tr.Vertices(), want)
 	}
-	for v := 0; v < g.N(); v++ {
-		if tr.Contains(v) != inSet(v) {
-			t.Fatalf("Contains(%d) = %v", v, tr.Contains(v))
-		}
-	}
-	if err := tr.ValidateIn(g); err != nil {
+	if err := tr.ValidateIn(q4); err != nil {
 		t.Fatal(err)
 	}
 }
