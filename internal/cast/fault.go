@@ -200,8 +200,8 @@ func (s *Scheduler) prepareFaults(plan FaultPlan, nMsgs int) (*faultState, error
 	f := s.faults
 	f.round, f.maxRetries = plan.Round, plan.retries()
 	f.retries, f.firstRetryRound = 0, -1
-	f.deadV = growClear(f.deadV, n)
-	f.deadE = growClear(f.deadE, m)
+	f.deadV = ds.GrowClear(f.deadV, n)
+	f.deadE = ds.GrowClear(f.deadE, m)
 	f.deadVIDs, f.deadEIDs = f.deadVIDs[:0], f.deadEIDs[:0]
 	for _, v := range plan.Vertices {
 		if v < 0 || v >= n {
@@ -235,7 +235,7 @@ func (s *Scheduler) prepareFaults(plan FaultPlan, nMsgs int) (*faultState, error
 		}
 	}
 	stride := (n + 63) / 64
-	f.liveMask = growClear(f.liveMask, stride)
+	f.liveMask = ds.GrowClear(f.liveMask, stride)
 	for v, dead := range f.deadV {
 		if !dead {
 			f.liveMask[v>>6] |= 1 << (uint(v) & 63)
@@ -253,14 +253,14 @@ func (s *Scheduler) prepareFaults(plan FaultPlan, nMsgs int) (*faultState, error
 		}
 	} else {
 		// Both arcs of edge e (2e and 2e+1) share one word.
-		f.deadArcs = growClear(f.deadArcs, s.core.es.awords)
+		f.deadArcs = ds.GrowClear(f.deadArcs, s.core.es.awords)
 		for e, ed := range g.Edges() {
 			if f.deadE[e] || f.deadV[ed.U] || f.deadV[ed.V] {
 				f.deadArcs[e>>5] |= 3 << (uint(2*e) & 63)
 			}
 		}
 	}
-	f.attempts = growClear(f.attempts, nMsgs)
+	f.attempts = ds.GrowClear(f.attempts, nMsgs)
 	return f, nil
 }
 
@@ -416,15 +416,4 @@ func (s *Scheduler) retryTree(msg, attempt int, f *faultState) int32 {
 		idx = (idx + 1) % t
 	}
 	return int32(idx)
-}
-
-// growClear returns s with length n and every element zeroed, reusing
-// capacity when possible.
-func growClear[T bool | int32 | uint64](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
 }

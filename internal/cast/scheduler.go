@@ -316,8 +316,8 @@ func (s *Scheduler) runVertex(ctx context.Context, demand Demand, f *faultState)
 	stride := vs.stride
 	res := Result{TreeLoad: int(maxOf32(s.msgsPerTree))}
 
-	s.hasM = growClear(s.hasM, nMsgs*stride)
-	vb.queuedM = growClear(vb.queuedM, nMsgs*stride)
+	s.hasM = ds.GrowClear(s.hasM, nMsgs*stride)
+	vb.queuedM = ds.GrowClear(vb.queuedM, nMsgs*stride)
 	for v := range vb.queues {
 		vb.queues[v] = vb.queues[v][:0]
 	}
@@ -515,7 +515,7 @@ func (s *Scheduler) runEdge(ctx context.Context, demand Demand, f *faultState) (
 	if f != nil {
 		remaining = (n - len(f.deadVIDs)) * nMsgs
 		maxRounds *= f.maxRetries + 2
-		s.hasM = growClear(s.hasM, nMsgs*stride)
+		s.hasM = ds.GrowClear(s.hasM, nMsgs*stride)
 	}
 
 	// Injection delivers each message at its source and queues it on

@@ -138,7 +138,7 @@ func newPackScratch(vg *virtualGraph) *packScratch {
 // count. Only the per-class arrays change size; each pm[c] is truncated
 // when findMatch first stamps c, so its old contents are never read.
 func (s *packScratch) reset(classes int) {
-	s.pmRow = growClear(s.pmRow, (classes+63)/64)
+	s.pmRow = ds.GrowClear(s.pmRow, (classes+63)/64)
 	if cap(s.pm) < classes {
 		s.pm = make([][]int32, classes)
 	}

@@ -84,22 +84,11 @@ func (vg *virtualGraph) reset(classes int) {
 		vg.classOf[i] = -1
 	}
 	vg.uf.Reset()
-	vg.repMask = growClear(vg.repMask, vg.n*vg.words)
+	vg.repMask = ds.GrowClear(vg.repMask, vg.n*vg.words)
 	for v := range vg.repVid {
 		vg.repVid[v] = vg.repVid[v][:0]
 	}
-	vg.comps = growClear(vg.comps, classes)
-}
-
-// growClear returns s resized to n zeroed elements, reusing its storage
-// when it has the capacity.
-func growClear[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
+	vg.comps = ds.GrowClear(vg.comps, classes)
 }
 
 // vid maps (real node, layer, type) to a virtual node id.
