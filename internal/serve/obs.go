@@ -73,13 +73,13 @@ func (s *Service) initObs() {
 	// them like Stats.PackRequests, are one counter group: a scrape
 	// loads each bucket once and writes the sum of the values it wrote,
 	// so every scrape satisfies the identity exactly.
-	isBucket := []*atomic.Uint64{&s.packComputes, &s.cacheHits, &s.coalesced, &s.storeHits}
+	packBuckets := []*atomic.Uint64{&s.packComputes, &s.cacheHits, &s.coalesced, &s.storeHits}
 	var (
 		buckets      []*atomic.Uint64
 		names, helps []string
 	)
 	for _, c := range s.counters(new(Stats)) {
-		if !slices.Contains(isBucket, c.v) {
+		if !slices.Contains(packBuckets, c.v) {
 			r.Counter(c.name, c.help, c.v.Load)
 			continue
 		}
