@@ -23,11 +23,16 @@ func Reseed(pcg *rand.PCG, seed uint64) {
 // reseed a PCG in place instead of allocating a new generator.
 func SplitSeed(seed uint64, stream uint64) (uint64, uint64) {
 	// SplitMix64-style avalanche of the pair keeps streams decorrelated.
-	z := seed + 0x9e3779b97f4a7c15*(stream+1)
+	z := Mix64(seed + 0x9e3779b97f4a7c15*(stream+1))
+	return z, z ^ 0xda942042e4dd58b5
+}
+
+// Mix64 is SplitMix64's finalizer: a bijection of the 64-bit words
+// whose every output bit depends on every input bit.
+func Mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return z, z ^ 0xda942042e4dd58b5
+	return z ^ (z >> 31)
 }
 
 // SplitRand derives an independent stream from a parent seed and a

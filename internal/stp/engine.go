@@ -342,10 +342,7 @@ func KruskalOracle(e *Engine, _ uint64) ([]int, int, error) {
 func edgeSetHash(ids []int) uint64 {
 	var h uint64
 	for _, id := range ids {
-		z := uint64(id) + 0x9e3779b97f4a7c15
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		h += z ^ (z >> 31)
+		h += ds.Mix64(uint64(id) + 0x9e3779b97f4a7c15)
 	}
 	return h
 }
