@@ -142,7 +142,7 @@ func TestAdjacentRepresentativesShareRoot(t *testing.T) {
 // row, in ascending order, testing every bit of the row one at a time.
 func rowClasses(vg *virtualGraph, v int) []int32 {
 	var out []int32
-	row := vg.repMask[v*vg.words : (v+1)*vg.words]
+	row := vg.row(v)
 	for c := 0; c < 64*len(row); c++ {
 		if row[c/64]&(1<<(c%64)) != 0 {
 			out = append(out, int32(c))
