@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -472,6 +473,137 @@ func TestDeliveryObserverParity(t *testing.T) {
 			}
 			if copies == 0 {
 				t.Fatalf("%s %v: no deliveries", tc.name, model)
+			}
+		}
+	}
+}
+
+// orderProc logs, round by round, what it broadcasts and what it
+// receives. While `left` bursts remain in the phase it broadcasts a
+// seeded burst of 0–3 messages per round; with `carry` set, the phase's
+// last burst returns Done, so the phase ends with that burst in flight.
+type orderProc struct {
+	run   int64 // tags every message with the run that sent it
+	left  int
+	carry bool
+	sent  [][]Message  // per round
+	got   [][]Delivery // per round
+}
+
+func (p *orderProc) Round(ctx *Context, inbox []Delivery) Status {
+	p.got = append(p.got, slices.Clone(inbox))
+	var out []Message
+	if p.left > 0 {
+		p.left--
+		r := ctx.Rand()
+		for i := r.IntN(4); i > 0; i-- {
+			m := Msg(1, p.run, int64(ctx.ID()), int64(len(p.sent)), int64(r.IntN(1000)))
+			ctx.Broadcast(m)
+			out = append(out, m)
+		}
+	}
+	p.sent = append(p.sent, out)
+	if p.left > 0 || (len(out) > 0 && !p.carry) {
+		return Active
+	}
+	return Done
+}
+
+// checkDeliveryOrder checks every round of one run: node v's inbox in
+// round r is, over Neighbors(v) in ascending order, each neighbor's
+// round r-1 broadcasts in send order, and round 0's inbox is empty.
+// It returns the number of deliveries checked.
+func checkDeliveryOrder(t *testing.T, name string, g *graph.Graph, nodes []*orderProc) int {
+	t.Helper()
+	total := 0
+	for v, nd := range nodes {
+		for r, got := range nd.got {
+			var want []Delivery
+			if r > 0 {
+				for _, u := range g.Neighbors(v) {
+					for _, m := range nodes[u].sent[r-1] {
+						want = append(want, Delivery{From: u, Msg: m})
+					}
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: node %d round %d received %v, want %v", name, v, r, got, want)
+			}
+			total += len(got)
+		}
+	}
+	return total
+}
+
+// TestDeliveryOrder pins the order in which a node receives its
+// neighbors' broadcasts, under both models: by sender in Neighbors()
+// order and, per sender, in send order. The first run has two phases
+// on one engine, each ending with a burst in flight: the second phase
+// delivers the first's last burst in its first round. A Reset then
+// starts a second run in which nothing from the first arrives.
+func TestDeliveryOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"Q4", graph.Hypercube(4)},
+		{"K7", graph.Complete(7)},
+		{"T3x5", graph.Torus(3, 5)},
+	} {
+		for _, model := range []Model{VCongest, ECongest} {
+			name := fmt.Sprintf("%s %v", tc.name, model)
+			n := tc.g.N()
+			newRun := func(run int64, left int, carry bool) ([]*orderProc, []Process) {
+				nodes := make([]*orderProc, n)
+				procs := make([]Process, n)
+				for i := range procs {
+					nodes[i] = &orderProc{run: run, left: left, carry: carry}
+					procs[i] = nodes[i]
+				}
+				return nodes, procs
+			}
+			first, procs := newRun(1, 4, true)
+			e, err := NewEngine(tc.g, model, procs, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.RunPhase(20); err != nil {
+				t.Fatal(err)
+			}
+			end := len(first[0].got) // the first round of phase two
+			for _, nd := range first {
+				nd.left = 3
+			}
+			if err := e.RunPhase(20); err != nil {
+				t.Fatal(err)
+			}
+			if got := checkDeliveryOrder(t, name+" run 1", tc.g, first); got == 0 {
+				t.Fatalf("%s: run 1 delivered nothing", name)
+			}
+			carried := 0
+			for _, nd := range first {
+				carried += len(nd.got[end])
+			}
+			if carried == 0 {
+				t.Fatalf("%s: nothing carried over the phase boundary", name)
+			}
+			inFlight := 0
+			for _, nd := range first {
+				inFlight += len(nd.sent[len(nd.sent)-1])
+			}
+			if inFlight == 0 {
+				t.Fatalf("%s: run 1 ended with nothing in flight", name)
+			}
+
+			second, procs := newRun(2, 3, false)
+			if err := e.Reset(procs, 8); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.RunPhase(20); err != nil {
+				t.Fatal(err)
+			}
+			if got := checkDeliveryOrder(t, name+" run 2", tc.g, second); got == 0 {
+				t.Fatalf("%s: run 2 delivered nothing", name)
 			}
 		}
 	}

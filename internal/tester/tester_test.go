@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cds"
 	"repro/internal/graph"
+	"repro/internal/sim"
 )
 
 // singleClassAll returns a membership table putting every node in class 0.
@@ -92,6 +93,9 @@ func TestDistributedMatchesCentralizedOnCases(t *testing.T) {
 		classOf func(n int) [][]int32
 		classes int
 		wantOK  bool
+		// want pins CheckDistributed's whole Result at seed 5: the
+		// verdict, the failure counts and every meter field.
+		want Result
 	}{
 		{
 			name: "valid-two-classes-K8",
@@ -105,6 +109,8 @@ func TestDistributedMatchesCentralizedOnCases(t *testing.T) {
 			},
 			classes: 2,
 			wantOK:  true,
+			want: Result{OK: true, Meter: sim.Meter{
+				RawRounds: 14, MeteredRounds: 14, ChargedRounds: 6, Messages: 46, Bits: 430, Phases: 5}},
 		},
 		{
 			name:    "single-class-cycle",
@@ -112,6 +118,8 @@ func TestDistributedMatchesCentralizedOnCases(t *testing.T) {
 			classOf: singleClassAll,
 			classes: 1,
 			wantOK:  true,
+			want: Result{OK: true, Meter: sim.Meter{
+				RawRounds: 11, MeteredRounds: 11, ChargedRounds: 16, Messages: 56, Bits: 514, Phases: 3}},
 		},
 		{
 			name: "undominated",
@@ -123,6 +131,8 @@ func TestDistributedMatchesCentralizedOnCases(t *testing.T) {
 			},
 			classes: 1,
 			wantOK:  false,
+			want: Result{DominationFailures: 4, Meter: sim.Meter{
+				RawRounds: 2, MeteredRounds: 2, ChargedRounds: 10, Messages: 1, Bits: 8, Phases: 1}},
 		},
 		{
 			name: "disconnected-class-far-apart",
@@ -139,6 +149,8 @@ func TestDistributedMatchesCentralizedOnCases(t *testing.T) {
 			},
 			classes: 1,
 			wantOK:  false,
+			want: Result{ConnectivityFailures: 1, Meter: sim.Meter{
+				RawRounds: 9, MeteredRounds: 9, ChargedRounds: 24, Messages: 40, Bits: 412, Phases: 3}},
 		},
 	}
 	for _, tc := range cases {
@@ -158,8 +170,8 @@ func TestDistributedMatchesCentralizedOnCases(t *testing.T) {
 			if dis.OK != tc.wantOK {
 				t.Fatalf("distributed OK=%v, want %v (%+v)", dis.OK, tc.wantOK, dis)
 			}
-			if dis.Meter.TotalRounds() == 0 {
-				t.Fatal("distributed test metered zero rounds")
+			if dis != tc.want {
+				t.Fatalf("distributed result %+v, want %+v", dis, tc.want)
 			}
 		})
 	}
@@ -190,8 +202,10 @@ func TestTesterAcceptsRealPacking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dis.OK {
-		t.Fatalf("distributed test rejected a valid packing: %+v", dis)
+	want := Result{OK: true, Meter: sim.Meter{
+		RawRounds: 161, MeteredRounds: 176, ChargedRounds: 170, Messages: 3000, Bits: 30804, Phases: 33}}
+	if dis != want {
+		t.Fatalf("distributed result %+v, want %+v", dis, want)
 	}
 }
 
@@ -211,11 +225,12 @@ func TestTesterDetectsSabotagedPacking(t *testing.T) {
 			classOf[v] = append(classOf[v], int32(i))
 		}
 	}
-	// Sabotage: remove class 0 from one of its cut vertices — pick a
-	// non-leaf tree vertex so the class likely splits or loses domination.
+	// Sabotage: remove class 0 from one of its cut vertices — pick the
+	// least tree vertex with two children, so the class may split or
+	// lose domination.
 	victim := -1
 	tr := p.Trees[0].Tree
-	childCount := map[int]int{}
+	childCount := make([]int, g.N())
 	tr.ForEachEdge(func(child, parent int) { childCount[parent]++ })
 	for v, c := range childCount {
 		if c >= 2 {
@@ -244,6 +259,11 @@ func TestTesterDetectsSabotagedPacking(t *testing.T) {
 	}
 	if cen.OK != dis.OK {
 		t.Fatalf("centralized (%v) and distributed (%v) disagree on sabotage", cen.OK, dis.OK)
+	}
+	want := Result{OK: true, Meter: sim.Meter{
+		RawRounds: 161, MeteredRounds: 176, ChargedRounds: 170, Messages: 2988, Bits: 30871, Phases: 33}}
+	if dis != want {
+		t.Fatalf("distributed result %+v, want %+v", dis, want)
 	}
 }
 
