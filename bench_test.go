@@ -24,6 +24,7 @@ import (
 	"repro/internal/flow"
 	"repro/internal/graph"
 	"repro/internal/lower"
+	"repro/internal/sim"
 	"repro/internal/stp"
 	"repro/internal/stpdist"
 	"repro/internal/tester"
@@ -194,12 +195,36 @@ func coldPackDeck(b *testing.B) []*graph.Graph {
 		}
 		return g
 	}
-	families := []*graph.Graph{
+	return relabelOnce([]*graph.Graph{
 		graph.Hypercube(5), graph.Hypercube(6), graph.Hypercube(7), graph.Hypercube(8),
 		graph.Torus(8, 8), graph.Torus(12, 12), graph.Torus(16, 16),
 		must(graph.Harary(6, 64)), must(graph.Harary(8, 112)), must(graph.Harary(10, 96)), must(graph.Harary(12, 160)),
 		must(graph.CliqueChain(8, 8, 4)), must(graph.CliqueChain(6, 12, 6)),
+	})
+}
+
+// simDistDeck is perfbench's sim-dist deck: its 14 families, each under
+// one vertex relabelling drawn from seed 0. The last, CC(8,6,3), has
+// λ = 3, which takes the spanning packer's trivial low-λ path, so the
+// deck packs it as a dominating slot only.
+func simDistDeck(b *testing.B) []*graph.Graph {
+	must := func(g *graph.Graph, err error) *graph.Graph {
+		if err != nil {
+			b.Fatal(err)
+		}
+		return g
 	}
+	return relabelOnce([]*graph.Graph{
+		graph.Hypercube(4), graph.Hypercube(5), graph.Hypercube(6), graph.Complete(16), graph.Torus(8, 8),
+		must(graph.Harary(4, 32)), must(graph.Harary(4, 64)), must(graph.Harary(4, 128)),
+		must(graph.Harary(5, 32)), must(graph.Harary(5, 64)), must(graph.Harary(6, 32)), must(graph.Harary(6, 64)),
+		must(graph.CliqueChain(4, 8, 4)), must(graph.CliqueChain(8, 6, 3)),
+	})
+}
+
+// relabelOnce returns each graph under a vertex permutation drawn, in
+// order, from one stream seeded 0.
+func relabelOnce(families []*graph.Graph) []*graph.Graph {
 	rng := ds.NewRand(0)
 	deck := make([]*graph.Graph, len(families))
 	for i, g := range families {
@@ -253,6 +278,55 @@ func BenchmarkColdPackDeck(b *testing.B) {
 				}
 			}
 			b.ReportMetric(sizes, "packing-size-sum")
+		})
+	}
+}
+
+// BenchmarkSimDistDeck times one pass of each distributed packer over
+// the sim-dist deck, the packs a sim-dist op runs: cdsdist.Pack with
+// Remark 3.1's guess loop and the Appendix E tester on every guess, and
+// stpdist.Pack on every family but CC(8,6,3). Reports the seed-0 sums
+// of the meters' total rounds and messages, which two builds doing
+// identical work share.
+func BenchmarkSimDistDeck(b *testing.B) {
+	deck := simDistDeck(b)
+	for _, tc := range []struct {
+		name   string
+		graphs []*graph.Graph
+		pack   func(g *graph.Graph, seed uint64) (sim.Meter, error)
+	}{
+		{"cdsdist.Pack", deck, func(g *graph.Graph, seed uint64) (sim.Meter, error) {
+			res, err := cdsdist.Pack(g, cds.Options{Seed: seed})
+			if err != nil {
+				return sim.Meter{}, err
+			}
+			return res.Meter, nil
+		}},
+		{"stpdist.Pack", deck[:len(deck)-1], func(g *graph.Graph, seed uint64) (sim.Meter, error) {
+			res, err := stpdist.Pack(g, stp.Options{Seed: seed})
+			if err != nil {
+				return sim.Meter{}, err
+			}
+			return res.Meter, nil
+		}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var rounds, messages float64
+			for i := 0; i < b.N; i++ {
+				for _, g := range tc.graphs {
+					m, err := tc.pack(g, uint64(i))
+					if err != nil {
+						b.Fatal(err)
+					}
+					if i == 0 {
+						rounds += float64(m.TotalRounds())
+						messages += float64(m.Messages)
+					}
+				}
+			}
+			b.ReportMetric(rounds, "rounds-sum")
+			b.ReportMetric(messages, "messages-sum")
 		})
 	}
 }
