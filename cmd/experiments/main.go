@@ -430,13 +430,13 @@ type floodProc struct {
 	dirty   bool
 }
 
-func (p *floodProc) Round(ctx *sim.Context, inbox []sim.Delivery) sim.Status {
+func (p *floodProc) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 	if !p.started {
 		p.started = true
 		p.min = int64(ctx.ID())
 		p.dirty = true
 	}
-	for _, d := range inbox {
+	for d := range inbox.All() {
 		if d.Msg.F[0] < p.min {
 			p.min = d.Msg.F[0]
 			p.dirty = true

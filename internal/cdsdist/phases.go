@@ -66,7 +66,7 @@ type compFloodNode struct {
 	started  bool
 }
 
-func (p *compFloodNode) Round(ctx *sim.Context, inbox []sim.Delivery) sim.Status {
+func (p *compFloodNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 	if !p.started {
 		p.started = true
 		id := int64(ctx.ID())
@@ -76,7 +76,7 @@ func (p *compFloodNode) Round(ctx *sim.Context, inbox []sim.Delivery) sim.Status
 		}
 		p.hasDirty = len(p.cls) > 0
 	}
-	for _, d := range inbox {
+	for d := range inbox.All() {
 		if d.Msg.Kind != kindComp {
 			continue
 		}
@@ -159,7 +159,7 @@ type annNode struct {
 	seen       [2]int64
 }
 
-func (p *annNode) Round(ctx *sim.Context, inbox []sim.Delivery) sim.Status {
+func (p *annNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 	switch p.round {
 	case 0:
 		p.round++
@@ -190,7 +190,7 @@ func (p *annNode) Round(ctx *sim.Context, inbox []sim.Delivery) sim.Status {
 		if i := classIndex(p.cls, p.type1Class); i >= 0 {
 			note(p.comp[i])
 		}
-		for _, d := range inbox {
+		for d := range inbox.All() {
 			if d.Msg.Kind == kindCompAnn && int32(d.Msg.F[0]) == p.type1Class {
 				note(d.Msg.F[1])
 			}
@@ -201,7 +201,7 @@ func (p *annNode) Round(ctx *sim.Context, inbox []sim.Delivery) sim.Status {
 		}
 	case 2:
 		p.round++
-		for _, d := range inbox {
+		for d := range inbox.All() {
 			if d.Msg.Kind != kindDeact {
 				continue
 			}
@@ -224,7 +224,7 @@ type deactFloodNode struct {
 	started  bool
 }
 
-func (p *deactFloodNode) Round(ctx *sim.Context, inbox []sim.Delivery) sim.Status {
+func (p *deactFloodNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 	if !p.started {
 		p.started = true
 		for i := range p.cls {
@@ -234,7 +234,7 @@ func (p *deactFloodNode) Round(ctx *sim.Context, inbox []sim.Delivery) sim.Statu
 			}
 		}
 	}
-	for _, d := range inbox {
+	for d := range inbox.All() {
 		if d.Msg.Kind != kindDeact {
 			continue
 		}
@@ -279,7 +279,7 @@ type scoutNode struct {
 	list     []candidate
 }
 
-func (p *scoutNode) Round(ctx *sim.Context, inbox []sim.Delivery) sim.Status {
+func (p *scoutNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 	switch p.round {
 	case 0:
 		p.round++
@@ -307,7 +307,7 @@ func (p *scoutNode) Round(ctx *sim.Context, inbox []sim.Delivery) sim.Status {
 		if i := classIndex(p.cls, p.type3Class); i >= 0 {
 			noteComp(p.comp[i])
 		}
-		for _, d := range inbox {
+		for d := range inbox.All() {
 			if d.Msg.Kind != kindCompAnn {
 				continue
 			}
@@ -341,7 +341,7 @@ func (p *scoutNode) Round(ctx *sim.Context, inbox []sim.Delivery) sim.Status {
 		// Type-2 role: build List_v per Appendix B.2. Scout messages are
 		// bucketed per class; each bucket is a small distinct-id set.
 		scouts := make([][]int64, p.classes)
-		for _, d := range inbox {
+		for d := range inbox.All() {
 			if d.Msg.Kind != kindScout {
 				continue
 			}
@@ -484,7 +484,7 @@ type proposeNode struct {
 	hasBest []bool
 }
 
-func (p *proposeNode) Round(ctx *sim.Context, inbox []sim.Delivery) sim.Status {
+func (p *proposeNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 	switch p.round {
 	case 0:
 		p.round++
@@ -505,7 +505,7 @@ func (p *proposeNode) Round(ctx *sim.Context, inbox []sim.Delivery) sim.Status {
 		}
 	case 1:
 		p.round++
-		for _, d := range inbox {
+		for d := range inbox.All() {
 			if d.Msg.Kind != kindPropose {
 				continue
 			}
@@ -540,7 +540,7 @@ type acceptNode struct {
 	lost     []candidate // components that accepted someone else
 }
 
-func (p *acceptNode) Round(ctx *sim.Context, inbox []sim.Delivery) sim.Status {
+func (p *acceptNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 	switch p.round {
 	case 0:
 		p.round++
@@ -564,7 +564,7 @@ func (p *acceptNode) Round(ctx *sim.Context, inbox []sim.Delivery) sim.Status {
 		}
 	case 1:
 		p.round++
-		for _, d := range inbox {
+		for d := range inbox.All() {
 			if d.Msg.Kind != kindAccept {
 				continue
 			}
@@ -735,7 +735,7 @@ type proposalFloodNode struct {
 	started  bool
 }
 
-func (p *proposalFloodNode) Round(ctx *sim.Context, inbox []sim.Delivery) sim.Status {
+func (p *proposalFloodNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 	if !p.started {
 		p.started = true
 		for i := range p.cls {
@@ -745,7 +745,7 @@ func (p *proposalFloodNode) Round(ctx *sim.Context, inbox []sim.Delivery) sim.St
 			}
 		}
 	}
-	for _, d := range inbox {
+	for d := range inbox.All() {
 		if d.Msg.Kind != kindPropose {
 			continue
 		}
@@ -837,7 +837,7 @@ type bfsClassNode struct {
 	started  bool
 }
 
-func (p *bfsClassNode) Round(ctx *sim.Context, inbox []sim.Delivery) sim.Status {
+func (p *bfsClassNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 	if !p.started {
 		p.started = true
 		for i := range p.cls {
@@ -849,7 +849,7 @@ func (p *bfsClassNode) Round(ctx *sim.Context, inbox []sim.Delivery) sim.Status 
 			}
 		}
 	}
-	for _, d := range inbox {
+	for d := range inbox.All() {
 		if d.Msg.Kind != kindBFS {
 			continue
 		}

@@ -131,22 +131,19 @@ func (s *session) componentMin(edgeOK []bool, values []Pair, out []Pair, seed ui
 // minFloodNode floods the minimum Pair over allowed incident edges.
 type minFloodNode struct {
 	val     Pair
-	allowed []bool // parallel to Neighbors()
+	allowed []bool // indexed by port, parallel to Neighbors()
 	active  bool   // has at least one allowed edge
 	started bool
 }
 
-func (p *minFloodNode) Round(ctx *sim.Context, inbox []sim.Delivery) sim.Status {
+func (p *minFloodNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 	dirty := false
 	if !p.started {
 		p.started = true
 		dirty = p.active
 	}
-	for _, d := range inbox {
-		if d.Msg.Kind != kindMin {
-			continue
-		}
-		if !p.allowedFrom(ctx, d.From) {
+	for d := range inbox.All() {
+		if d.Msg.Kind != kindMin || !p.allowed[d.Port] {
 			continue
 		}
 		q := Pair{A: d.Msg.F[0], B: d.Msg.F[1]}
@@ -160,14 +157,6 @@ func (p *minFloodNode) Round(ctx *sim.Context, inbox []sim.Delivery) sim.Status 
 		return sim.Active
 	}
 	return sim.Done
-}
-
-// allowedFrom reports whether the edge to sender `from` is allowed, by
-// binary search over the sorted neighbor list.
-func (p *minFloodNode) allowedFrom(ctx *sim.Context, from int32) bool {
-	nbrs := ctx.Neighbors()
-	i := sort.Search(len(nbrs), func(i int) bool { return nbrs[i] >= from })
-	return i < len(nbrs) && nbrs[i] == from && p.allowed[i]
 }
 
 // pairFieldBits sizes the message field budget so every initial Pair
@@ -362,13 +351,13 @@ func (s *session) outgoingCandidates(weights []int64, cids, out []Pair, sentinel
 // (ties by edge id) — all node-local knowledge.
 type announceNode struct {
 	cid     int64
-	eids    []int32 // incident edge ids, parallel to Neighbors()
+	eids    []int32 // incident edge ids, indexed by port
 	weights []int64 // global weight table indexed by edge id (node reads only incident entries)
 	best    Pair
 	round   int
 }
 
-func (p *announceNode) Round(ctx *sim.Context, inbox []sim.Delivery) sim.Status {
+func (p *announceNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 	switch p.round {
 	case 0:
 		p.round++
@@ -376,16 +365,11 @@ func (p *announceNode) Round(ctx *sim.Context, inbox []sim.Delivery) sim.Status 
 		return sim.Active
 	case 1:
 		p.round++
-		nbrs := ctx.Neighbors()
-		for _, d := range inbox {
+		for d := range inbox.All() {
 			if d.Msg.Kind != kindComp || d.Msg.F[0] == p.cid {
 				continue
 			}
-			i := sort.Search(len(nbrs), func(i int) bool { return nbrs[i] >= d.From })
-			if i >= len(nbrs) || nbrs[i] != d.From {
-				continue
-			}
-			e := p.eids[i]
+			e := p.eids[d.Port]
 			cand := Pair{A: p.weights[e], B: int64(e)}
 			if cand.Less(p.best) {
 				p.best = cand

@@ -107,7 +107,7 @@ type hubChatter struct {
 	sent   int
 }
 
-func (p *hubChatter) Round(ctx *sim.Context, inbox []sim.Delivery) sim.Status {
+func (p *hubChatter) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 	if p.isHub && p.sent < p.rounds {
 		p.sent++
 		ctx.Broadcast(sim.Msg(1, 5)) // 8 + 4 bits

@@ -7,19 +7,23 @@ import (
 )
 
 // chatterProc broadcasts for `limit` rounds, then stops — a steady
-// message load that exercises the engine's outbox, routing, and inbox
-// paths every round.
+// message load that exercises the engine's outboxes, metering and
+// inbox reads every round.
 type chatterProc struct {
 	limit  int
 	rounds int
 }
 
-func (p *chatterProc) Round(ctx *Context, inbox []Delivery) Status {
+func (p *chatterProc) Round(ctx *Context, inbox Inbox) Status {
 	if p.rounds >= p.limit {
 		return Done
 	}
 	p.rounds++
-	ctx.Broadcast(Msg(1, int64(p.rounds), int64(len(inbox))))
+	heard := 0
+	for range inbox.All() {
+		heard++
+	}
+	ctx.Broadcast(Msg(1, int64(p.rounds), int64(heard)))
 	return Active
 }
 

@@ -50,9 +50,10 @@ func (m *Meter) Add(src *Meter) {
 
 // Engine executes Processes over a graph in synchronous rounds.
 //
-// Each round is one serial pass: every node's Round, then one
-// receiver-major routing pass that assembles the next round's inboxes
-// and meters the sends. Inbox and outbox buffers are reused across
+// Each round is one serial pass: every node's Round, which reads its
+// neighbors' previous-round outboxes in place, then the metering of the
+// round's sends. Each node keeps two outboxes, this round's and last
+// round's, swapped at the start of every round; both are reused across
 // rounds and, via Reset, across protocol phases on the same graph, so a
 // warm engine allocates nothing per round.
 type Engine struct {
@@ -60,8 +61,6 @@ type Engine struct {
 	model        Model
 	procs        []Process
 	contexts     []Context
-	inbox        [][]Delivery
-	nextInbox    [][]Delivery
 	meter        Meter
 	maxFieldBits int
 	phaseRound   int
@@ -86,8 +85,8 @@ func WithMaxFieldBits(b int) Option {
 // message copy (from, to, payload bits). The lower-bound experiments of
 // Appendix G use it to count the bits crossing a vertex separator, the
 // quantity Lemma G.6 bounds. The calls for a round come after its
-// routing, on the engine's goroutine, receiver by receiver in inbox
-// order.
+// metering, on the engine's goroutine, receiver by receiver in the order
+// of the inbox that will deliver them.
 func WithDeliveryObserver(fn func(from, to int32, bits int)) Option {
 	return func(e *Engine) { e.observer = fn }
 }
@@ -113,8 +112,6 @@ func NewEngine(g *graph.Graph, model Model, procs []Process, seed uint64, opts .
 		model:        model,
 		procs:        procs,
 		contexts:     make([]Context, g.N()),
-		inbox:        make([][]Delivery, g.N()),
-		nextInbox:    make([][]Delivery, g.N()),
 		maxFieldBits: DefaultMaxFieldBits(g.N()),
 		statuses:     make([]Status, g.N()),
 	}
@@ -136,8 +133,8 @@ func NewEngine(g *graph.Graph, model Model, procs []Process, seed uint64, opts .
 
 // Reset rebinds the engine to a new protocol run over the same graph
 // and model: fresh processes, reseeded per-node random streams, zeroed
-// meter and statuses — while keeping every internal buffer (inboxes
-// and outboxes). Drivers that execute many phases over one
+// meter and statuses, both outboxes of every node emptied — while
+// keeping their buffers. Drivers that execute many phases over one
 // topology reset one engine instead of allocating one per phase.
 // Options are re-applied from the defaults, so pass the same options
 // each time (or none).
@@ -153,13 +150,10 @@ func (e *Engine) Reset(procs []Process, seed uint64, opts ...Option) error {
 	for i := range e.contexts {
 		c := &e.contexts[i]
 		c.out = c.out[:0]
+		c.prev = c.prev[:0]
 		c.violation = nil
 		s1, s2 := ds.SplitSeed(seed, uint64(i))
 		c.pcg.Seed(s1, s2)
-	}
-	for i := range e.inbox {
-		e.inbox[i] = e.inbox[i][:0]
-		e.nextInbox[i] = e.nextInbox[i][:0]
 	}
 	clear(e.statuses)
 	for _, opt := range opts {
@@ -188,9 +182,9 @@ func (e *Engine) checkMessage(m Message) error {
 }
 
 // RunPhase executes rounds until every process returns Done in the same
-// round, or maxRounds elapse (an error). Message buffers carry over
-// between phases: messages sent in the final round of a phase are
-// delivered in the first round of the next.
+// round, or maxRounds elapse (an error). Outboxes carry over between
+// phases: messages sent in the final round of a phase are delivered in
+// the first round of the next.
 func (e *Engine) RunPhase(maxRounds int) error {
 	e.phaseRound = 0
 	for r := 0; r < maxRounds; r++ {
@@ -207,13 +201,19 @@ func (e *Engine) RunPhase(maxRounds int) error {
 	return fmt.Errorf("sim: phase did not converge within %d rounds", maxRounds)
 }
 
-// step runs one synchronous round: every node's Round, then routing and
-// metering, then the delivery observer if one is registered.
+// step runs one synchronous round: the outbox swap, every node's Round
+// over its in-place inbox, then metering, then the delivery observer if
+// one is registered.
 func (e *Engine) step() (allDone bool, err error) {
 	for v := range e.contexts {
-		ctx := &e.contexts[v]
-		ctx.out = ctx.out[:0]
-		e.statuses[v] = e.procs[v].Round(ctx, e.inbox[v])
+		c := &e.contexts[v]
+		c.out, c.prev = c.prev[:0], c.out
+	}
+	off := e.g.AdjOffsets()
+	nbr := e.g.AdjTargets()
+	for v := range e.contexts {
+		inbox := Inbox{nbrs: nbr[off[v]:off[v+1]], contexts: e.contexts}
+		e.statuses[v] = e.procs[v].Round(&e.contexts[v], inbox)
 	}
 	for v := range e.contexts {
 		if e.contexts[v].violation != nil {
@@ -221,17 +221,18 @@ func (e *Engine) step() (allDone bool, err error) {
 		}
 	}
 
-	maxSlots := e.route()
+	maxSlots := e.meterSends()
 	if e.observer != nil {
-		for v, buf := range e.nextInbox {
-			for i := range buf {
-				e.observer(buf[i].From, int32(v), buf[i].Msg.BitSize())
+		for v := range e.contexts {
+			for _, u := range nbr[off[v]:off[v+1]] {
+				for _, m := range e.contexts[u].out {
+					e.observer(u, int32(v), m.BitSize())
+				}
 			}
 		}
 	}
 	e.meter.RawRounds++
 	e.meter.MeteredRounds += max(maxSlots, 1)
-	e.inbox, e.nextInbox = e.nextInbox, e.inbox
 
 	for _, st := range e.statuses {
 		if st != Done {
@@ -241,39 +242,29 @@ func (e *Engine) step() (allDone bool, err error) {
 	return true, nil
 }
 
-// route meters every node's broadcasts and assembles the next round's
-// inboxes, receiver by receiver: each receiver scans its neighbors'
-// outboxes in ascending sender order, so an inbox lists deliveries by
-// sender and, per sender, in send order. It returns the round's slot
-// count: the most broadcasts any node made (V-CONGEST) or any node with
-// an edge made (E-CONGEST, where an isolated node's broadcasts cross no
-// edge direction).
-func (e *Engine) route() (maxSlots int) {
+// meterSends meters every node's broadcasts of the round and returns
+// the round's slot count: the most broadcasts any node made (V-CONGEST)
+// or any node with an edge made (E-CONGEST, where an isolated node's
+// broadcasts cross no edge direction).
+func (e *Engine) meterSends() (maxSlots int) {
 	off := e.g.AdjOffsets()
-	nbr := e.g.AdjTargets()
 	var messages, sentBits int64
 	for v := range e.contexts {
-		if out := e.contexts[v].out; len(out) > 0 {
-			copies := int64(1)
-			if e.model == ECongest {
-				copies = int64(off[v+1] - off[v])
-			}
-			if copies > 0 {
-				maxSlots = max(maxSlots, len(out))
-			}
-			for i := range out {
-				sentBits += int64(out[i].BitSize()) * copies
-			}
-			messages += int64(len(out)) * copies
+		out := e.contexts[v].out
+		if len(out) == 0 {
+			continue
 		}
-
-		buf := e.nextInbox[v][:0]
-		for _, u := range nbr[off[v]:off[v+1]] {
-			for _, m := range e.contexts[u].out {
-				buf = append(buf, Delivery{From: u, Msg: m})
-			}
+		copies := int64(1)
+		if e.model == ECongest {
+			copies = int64(off[v+1] - off[v])
 		}
-		e.nextInbox[v] = buf
+		if copies > 0 {
+			maxSlots = max(maxSlots, len(out))
+		}
+		for i := range out {
+			sentBits += int64(out[i].BitSize()) * copies
+		}
+		messages += int64(len(out)) * copies
 	}
 	e.meter.Messages += messages
 	e.meter.Bits += sentBits

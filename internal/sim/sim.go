@@ -3,21 +3,24 @@
 // O(log n)-bit message per round, and E-CONGEST, where one O(log n)-bit
 // message crosses each edge direction per round. Every protocol here
 // only broadcasts locally, so a broadcast is the engine's one way to
-// send; in E-CONGEST it puts one copy on each incident edge.
+// send; E-CONGEST counts it as one message on each incident edge.
 //
 // Protocols are state machines implementing Process; a driver composes
-// phases by calling Engine.RunPhase repeatedly. The engine meters rounds
-// the way the paper does: a round in which some node uses s message
-// slots is charged as s rounds (slots serialize under a globally known
-// schedule), and driver-side glue such as termination-detection
-// convergecasts is charged explicitly via Meter.Charge. V-CONGEST takes
-// the slot count from every node and charges each broadcast once;
-// E-CONGEST takes it only from nodes that have an edge and charges each
-// broadcast once per incident edge.
+// phases by calling Engine.RunPhase repeatedly. A node receives in
+// place: its Inbox reads the neighbors' previous-round outboxes, so no
+// delivery is copied. The engine meters rounds the way the paper does:
+// a round in which some node uses s message slots is charged as s
+// rounds (slots serialize under a globally known schedule), and
+// driver-side glue such as termination-detection convergecasts is
+// charged explicitly via Meter.Charge. V-CONGEST takes the slot count
+// from every node and charges each broadcast once; E-CONGEST takes it
+// only from nodes that have an edge and charges each broadcast once per
+// incident edge.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/bits"
 	"math/rand/v2"
 )
@@ -88,10 +91,37 @@ func FieldBits(f int64) int { return fieldBits(f) }
 // an n-node graph: 2⌈log2(n+2)⌉+8, i.e. O(log n).
 func DefaultMaxFieldBits(n int) int { return 2*ceilLog2(n+2) + 8 }
 
-// Delivery is a received message together with its sender.
+// Delivery is a received message together with its sender and the
+// port it arrived on: the sender's index in the receiver's Neighbors()
+// and in its graph.Graph IncidentEdges(). In CONGEST a node knows which
+// incident edge a message crossed.
 type Delivery struct {
 	From int32
+	Port int32
 	Msg  Message
+}
+
+// Inbox is what a node receives in one round: its neighbors' broadcasts
+// of the previous round, read in place from their outboxes. An Inbox is
+// valid only during the Round call it is passed to.
+type Inbox struct {
+	nbrs     []int32   // the receiver's neighbors, ascending
+	contexts []Context // the engine's, indexed by node
+}
+
+// All yields the round's deliveries neighbor by neighbor, in ascending
+// sender order (the order of Neighbors()), and each neighbor's
+// broadcasts in send order.
+func (in Inbox) All() iter.Seq[Delivery] {
+	return func(yield func(Delivery) bool) {
+		for port, u := range in.nbrs {
+			for _, m := range in.contexts[u].prev {
+				if !yield(Delivery{From: u, Port: int32(port), Msg: m}) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // Status is returned by Process.Round each round.
@@ -106,8 +136,9 @@ const (
 )
 
 // Process is a node-local protocol state machine. Round is called once
-// per synchronous round with all messages delivered this round; it may
-// send via ctx and must not touch any other node's state.
+// per synchronous round with the node's inbox: the broadcasts its
+// neighbors made in the previous round, valid only during the call.
+// Round may send via ctx and must not touch any other node's state.
 //
 // Contract: a node that sends in a round must return Active for that
 // round. A phase ends when every node returns Done in the same round;
@@ -116,7 +147,7 @@ const (
 // in the last round of a phase are delivered in the first round of the
 // next phase.
 type Process interface {
-	Round(ctx *Context, inbox []Delivery) Status
+	Round(ctx *Context, inbox Inbox) Status
 }
 
 // Context is the per-node view of the network handed to Process.Round.
@@ -127,6 +158,7 @@ type Context struct {
 	pcg    *rand.PCG // rng's source, reseeded in place by Engine.Reset
 
 	out       []Message // this round's broadcasts, one slot each
+	prev      []Message // last round's, which the neighbors read now
 	violation error
 }
 

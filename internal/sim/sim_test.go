@@ -17,13 +17,13 @@ type minFlood struct {
 	dirty   bool
 }
 
-func (p *minFlood) Round(ctx *Context, inbox []Delivery) Status {
+func (p *minFlood) Round(ctx *Context, inbox Inbox) Status {
 	if !p.started {
 		p.started = true
 		p.min = int64(ctx.ID())
 		p.dirty = true
 	}
-	for _, d := range inbox {
+	for d := range inbox.All() {
 		if d.Msg.F[0] < p.min {
 			p.min = d.Msg.F[0]
 			p.dirty = true
@@ -132,8 +132,8 @@ type randomGossip struct {
 	sum   int64
 }
 
-func (p *randomGossip) Round(ctx *Context, inbox []Delivery) Status {
-	for _, d := range inbox {
+func (p *randomGossip) Round(ctx *Context, inbox Inbox) Status {
+	for d := range inbox.All() {
 		p.sum += d.Msg.F[0]
 	}
 	if p.round < 5 {
@@ -150,7 +150,7 @@ type slotHog struct {
 	sent  bool
 }
 
-func (p *slotHog) Round(ctx *Context, inbox []Delivery) Status {
+func (p *slotHog) Round(ctx *Context, inbox Inbox) Status {
 	if ctx.ID() == 0 && !p.sent {
 		p.sent = true
 		for i := 0; i < p.slots; i++ {
@@ -188,8 +188,8 @@ type fanSender struct {
 	got   []Delivery
 }
 
-func (p *fanSender) Round(ctx *Context, inbox []Delivery) Status {
-	p.got = append(p.got, inbox...)
+func (p *fanSender) Round(ctx *Context, inbox Inbox) Status {
+	p.got = slices.AppendSeq(p.got, inbox.All())
 	if p.sent || p.count == 0 {
 		return Done
 	}
@@ -250,7 +250,7 @@ func TestBroadcastMetering(t *testing.T) {
 
 type bigFieldSender struct{}
 
-func (bigFieldSender) Round(ctx *Context, inbox []Delivery) Status {
+func (bigFieldSender) Round(ctx *Context, inbox Inbox) Status {
 	ctx.Broadcast(Msg(1, 1<<62))
 	return Active
 }
@@ -289,7 +289,7 @@ func TestECongestPerEdgeSlotSurcharge(t *testing.T) {
 
 type neverDone struct{}
 
-func (neverDone) Round(ctx *Context, inbox []Delivery) Status { return Active }
+func (neverDone) Round(ctx *Context, inbox Inbox) Status { return Active }
 
 func TestRunPhaseTimeout(t *testing.T) {
 	g := graph.Path(2)
@@ -374,7 +374,7 @@ type phaseProbe struct {
 	sawCarryover bool
 }
 
-func (p *phaseProbe) Round(ctx *Context, inbox []Delivery) Status {
+func (p *phaseProbe) Round(ctx *Context, inbox Inbox) Status {
 	if p.phase == 0 {
 		if p.id == 0 && !p.sent {
 			p.sent = true
@@ -384,7 +384,7 @@ func (p *phaseProbe) Round(ctx *Context, inbox []Delivery) Status {
 		}
 		return Done
 	}
-	for _, d := range inbox {
+	for d := range inbox.All() {
 		if d.Msg.Kind == 7 && d.Msg.F[0] == 42 {
 			p.sawCarryover = true
 		}
@@ -400,8 +400,8 @@ type burstProc struct {
 	got   []Delivery
 }
 
-func (p *burstProc) Round(ctx *Context, inbox []Delivery) Status {
-	p.got = append(p.got, inbox...)
+func (p *burstProc) Round(ctx *Context, inbox Inbox) Status {
+	p.got = slices.AppendSeq(p.got, inbox.All())
 	if p.round >= p.limit {
 		return Done
 	}
@@ -490,8 +490,8 @@ type orderProc struct {
 	got   [][]Delivery // per round
 }
 
-func (p *orderProc) Round(ctx *Context, inbox []Delivery) Status {
-	p.got = append(p.got, slices.Clone(inbox))
+func (p *orderProc) Round(ctx *Context, inbox Inbox) Status {
+	p.got = append(p.got, slices.Collect(inbox.All()))
 	var out []Message
 	if p.left > 0 {
 		p.left--
@@ -511,8 +511,9 @@ func (p *orderProc) Round(ctx *Context, inbox []Delivery) Status {
 
 // checkDeliveryOrder checks every round of one run: node v's inbox in
 // round r is, over Neighbors(v) in ascending order, each neighbor's
-// round r-1 broadcasts in send order, and round 0's inbox is empty.
-// It returns the number of deliveries checked.
+// round r-1 broadcasts in send order, each on the port that is the
+// sender's index in Neighbors(v); round 0's inbox is empty. It returns
+// the number of deliveries checked.
 func checkDeliveryOrder(t *testing.T, name string, g *graph.Graph, nodes []*orderProc) int {
 	t.Helper()
 	total := 0
@@ -520,9 +521,9 @@ func checkDeliveryOrder(t *testing.T, name string, g *graph.Graph, nodes []*orde
 		for r, got := range nd.got {
 			var want []Delivery
 			if r > 0 {
-				for _, u := range g.Neighbors(v) {
+				for port, u := range g.Neighbors(v) {
 					for _, m := range nodes[u].sent[r-1] {
-						want = append(want, Delivery{From: u, Msg: m})
+						want = append(want, Delivery{From: u, Port: int32(port), Msg: m})
 					}
 				}
 			}
@@ -537,7 +538,8 @@ func checkDeliveryOrder(t *testing.T, name string, g *graph.Graph, nodes []*orde
 
 // TestDeliveryOrder pins the order in which a node receives its
 // neighbors' broadcasts, under both models: by sender in Neighbors()
-// order and, per sender, in send order. The first run has two phases
+// order and, per sender, in send order, with the sender's index in
+// Neighbors() as the arrival port. The first run has two phases
 // on one engine, each ending with a burst in flight: the second phase
 // delivers the first's last burst in its first round. A Reset then
 // starts a second run in which nothing from the first arrives.

@@ -192,7 +192,7 @@ const (
 	kindCompID     = 11
 )
 
-func (p *domNode) Round(ctx *sim.Context, inbox []sim.Delivery) sim.Status {
+func (p *domNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 	switch p.round {
 	case 0:
 		p.round++
@@ -206,7 +206,7 @@ func (p *domNode) Round(ctx *sim.Context, inbox []sim.Delivery) sim.Status {
 		}
 	case 1:
 		p.round++
-		for _, d := range inbox {
+		for d := range inbox.All() {
 			if d.Msg.Kind == kindMembership {
 				p.seen[int32(d.Msg.F[0])] = true
 			}
@@ -232,7 +232,7 @@ type connNode struct {
 	detected bool
 }
 
-func (p *connNode) Round(ctx *sim.Context, inbox []sim.Delivery) sim.Status {
+func (p *connNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 	switch p.round {
 	case 0:
 		p.round++
@@ -243,7 +243,7 @@ func (p *connNode) Round(ctx *sim.Context, inbox []sim.Delivery) sim.Status {
 		}
 	case 1:
 		p.round++
-		for _, d := range inbox {
+		for d := range inbox.All() {
 			if d.Msg.Kind != kindCompID {
 				continue
 			}
@@ -259,7 +259,7 @@ func (p *connNode) Round(ctx *sim.Context, inbox []sim.Delivery) sim.Status {
 		}
 	case 2:
 		p.round++
-		for _, d := range inbox {
+		for d := range inbox.All() {
 			if d.Msg.Kind == kindCompID && p.heard >= 0 && d.Msg.F[0] != p.heard {
 				p.detected = true
 			}
