@@ -216,8 +216,13 @@ func (e *Engine) step() (allDone bool, err error) {
 		e.statuses[v] = e.procs[v].Round(&e.contexts[v], inbox)
 	}
 	for v := range e.contexts {
-		if e.contexts[v].violation != nil {
-			return false, e.contexts[v].violation
+		if err := e.contexts[v].violation; err != nil {
+			// The round is aborted: none of its broadcasts is metered or
+			// delivered.
+			for i := range e.contexts {
+				e.contexts[i].out = e.contexts[i].out[:0]
+			}
+			return false, err
 		}
 	}
 

@@ -177,10 +177,14 @@ func (c *Context) Rand() *rand.Rand { return c.rng }
 
 // Broadcast sends msg to all neighbors, consuming one slot. Multiple
 // broadcasts per round are allowed and metered: a round where some node
-// uses s slots is charged as s rounds.
+// uses s slots is charged as s rounds. A message with a field over the
+// engine's bit budget is not sent: the round is aborted, RunPhase
+// returns the violation, and no broadcast of that round is delivered.
 func (c *Context) Broadcast(msg Message) {
-	if err := c.engine.checkMessage(msg); err != nil && c.violation == nil {
-		c.violation = fmt.Errorf("node %d round %d: %w", c.node, c.engine.phaseRound, err)
+	if err := c.engine.checkMessage(msg); err != nil {
+		if c.violation == nil {
+			c.violation = fmt.Errorf("node %d round %d: %w", c.node, c.engine.phaseRound, err)
+		}
 		return
 	}
 	c.out = append(c.out, msg)

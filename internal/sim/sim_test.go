@@ -271,6 +271,81 @@ func TestFieldBitBudgetEnforced(t *testing.T) {
 	}
 }
 
+// budgetProc logs its deliveries. In round 1 every node broadcasts a
+// valid kind-1 message; in round 2 every node broadcasts a valid kind-2
+// message, and the breaker two more whose fields exceed the budget.
+type budgetProc struct {
+	breaker bool
+	rounds  int
+	queued  int // the breaker's outbox length after its round-2 sends
+	got     []Delivery
+}
+
+func (p *budgetProc) Round(ctx *Context, inbox Inbox) Status {
+	p.got = slices.AppendSeq(p.got, inbox.All())
+	p.rounds++
+	switch p.rounds {
+	case 1:
+		ctx.Broadcast(Msg(1, int64(ctx.ID())))
+	case 2:
+		ctx.Broadcast(Msg(2, int64(ctx.ID())))
+		if p.breaker {
+			ctx.Broadcast(Msg(3, 1<<62))
+			ctx.Broadcast(Msg(3, -1<<62))
+			p.queued = len(ctx.out)
+		}
+	default:
+		return Done
+	}
+	return Active
+}
+
+// TestFieldBudgetViolationDeliversNothing: a round aborted by a
+// field-budget violation delivers none of its broadcasts, valid ones
+// included, not even to a caller that runs on without Reset; the
+// aborted round's own inbox is not delivered a second time; and the
+// meter holds only the rounds before it.
+func TestFieldBudgetViolationDeliversNothing(t *testing.T) {
+	g := graph.Cycle(5)
+	nodes := make([]*budgetProc, g.N())
+	procs := make([]Process, g.N())
+	for i := range procs {
+		nodes[i] = &budgetProc{breaker: i == 0}
+		procs[i] = nodes[i]
+	}
+	e, err := NewEngine(g, VCongest, procs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RunPhase(10); err == nil || !strings.Contains(err.Error(), "bits") {
+		t.Fatalf("over-budget broadcast not rejected: %v", err)
+	}
+	if nodes[0].queued != 1 {
+		t.Fatalf("breaker's outbox held %d messages, want its one valid broadcast", nodes[0].queued)
+	}
+	_ = e.RunPhase(10) // runs on without Reset
+	for v, nd := range nodes {
+		if nd.rounds < 3 {
+			t.Fatalf("node %d ran %d rounds, want the second RunPhase to run it again", v, nd.rounds)
+		}
+		if len(nd.got) != g.Degree(v) {
+			t.Fatalf("node %d received %v, want each neighbor's round-1 message once", v, nd.got)
+		}
+		for _, d := range nd.got {
+			if d.Msg != Msg(1, int64(d.From)) {
+				t.Fatalf("node %d received %v from %d, want only round-1 messages", v, d.Msg, d.From)
+			}
+		}
+	}
+	want := Meter{RawRounds: 1, MeteredRounds: 1, Messages: int64(g.N())}
+	for v := 0; v < g.N(); v++ {
+		want.Bits += int64(Msg(1, int64(v)).BitSize())
+	}
+	if m := *e.Meter(); m.Messages != want.Messages || m.Bits != want.Bits {
+		t.Fatalf("meter %+v, want the round-1 broadcasts alone (%+v)", m, want)
+	}
+}
+
 // TestECongestPerEdgeSlotSurcharge: two broadcasts in one round put two
 // messages on node 0's one edge, so the round is charged twice.
 func TestECongestPerEdgeSlotSurcharge(t *testing.T) {
