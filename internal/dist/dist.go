@@ -1,16 +1,17 @@
 // Package dist implements the distributed primitives the packing
 // protocols compose: Theorem B.2's restricted-flooding component
-// identification (ComponentMin) and a Borůvka-phase minimum spanning
-// tree over the simulator (MST), the stand-in for Kutten–Peleg that
-// docs/ARCHITECTURE.md documents ("Substitutions", item 2).
+// identification (ComponentMinRunner) and a Borůvka-phase minimum
+// spanning tree over the simulator (MST), the stand-in for Kutten–Peleg
+// that docs/ARCHITECTURE.md documents ("Substitutions", item 2).
 //
 // Both primitives run real sim.Engine phases so their cost lands on the
 // caller's meter in the paper's units; the driver-side glue (collecting
 // per-component winners, termination detection) is charged explicitly as
 // convergecast rounds, matching the accounting style of the rest of the
-// repo. Callers that run many MSTs over one topology (the MWU loop of
-// the spanning-tree packing) hold an MSTRunner, which reuses one engine
-// and all per-node protocol state across calls.
+// repo. Callers that run many floods or MSTs over one topology (the
+// distributed tester's per-class floods, the MWU loop of the
+// spanning-tree packing) hold a ComponentMinRunner or an MSTRunner,
+// which reuses one engine and all per-node protocol state across calls.
 package dist
 
 import (
@@ -73,16 +74,28 @@ func (s *session) run(procs []sim.Process, seed uint64, maxRounds int, opts ...s
 	return *s.eng.Meter(), nil
 }
 
+// ComponentMinRunner floods component minima over a fixed (graph,
+// model) pair, reusing one engine, all per-node protocol state and one
+// output buffer between calls.
+type ComponentMinRunner struct {
+	s   *session
+	out []Pair
+}
+
+// NewComponentMinRunner returns a runner for g under the given model.
+func NewComponentMinRunner(g *graph.Graph, model sim.Model) *ComponentMinRunner {
+	return &ComponentMinRunner{s: &session{g: g, model: model}, out: make([]Pair, g.N())}
+}
+
 // ComponentMin computes, for every node, the minimum Pair held by any
 // node in its component of the subgraph formed by the edges with
 // edgeOK[id] true (Theorem B.2 restricted flooding: messages only merge
 // across allowed edges). Nodes in no allowed edge keep their own value.
-// The returned meter covers the flooding phase.
-func ComponentMin(g *graph.Graph, model sim.Model, edgeOK []bool, values []Pair, seed uint64) ([]Pair, sim.Meter, error) {
-	s := &session{g: g, model: model}
-	out := make([]Pair, g.N())
-	m, err := s.componentMin(edgeOK, values, out, seed, 2*g.N()+16)
-	return out, m, err
+// The returned meter covers the flooding phase. The returned slice is
+// the runner's output buffer, overwritten by the next call.
+func (r *ComponentMinRunner) ComponentMin(edgeOK []bool, values []Pair, seed uint64) ([]Pair, sim.Meter, error) {
+	m, err := r.s.componentMin(edgeOK, values, r.out, seed, 2*r.s.g.N()+16)
+	return r.out, m, err
 }
 
 // componentMin floods into out (length n), reusing session state.

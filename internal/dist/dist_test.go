@@ -116,7 +116,7 @@ func TestComponentMinRestrictedFlooding(t *testing.T) {
 		values[v] = Pair{A: int64(10 - v), B: int64(v)}
 	}
 	for _, model := range []sim.Model{sim.VCongest, sim.ECongest} {
-		out, meter, err := ComponentMin(g, model, edgeOK, values, 42)
+		out, meter, err := NewComponentMinRunner(g, model).ComponentMin(edgeOK, values, 42)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,13 +143,51 @@ func TestComponentMinInertNodes(t *testing.T) {
 	g := graph.Complete(5)
 	edgeOK := make([]bool, g.M())
 	values := []Pair{{9, 0}, {3, 1}, {7, 2}, {1, 3}, {5, 4}}
-	out, _, err := ComponentMin(g, sim.VCongest, edgeOK, values, 1)
+	out, _, err := NewComponentMinRunner(g, sim.VCongest).ComponentMin(edgeOK, values, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for v := range values {
 		if out[v] != values[v] {
 			t.Fatalf("node %d: got %+v, want own value %+v", v, out[v], values[v])
+		}
+	}
+}
+
+// TestComponentMinRunnerReuseIsDeterministic: one runner called in
+// sequence on several (edge mask, values, seed) triples returns, for
+// each call, what a fresh runner returns, meter included.
+func TestComponentMinRunnerReuseIsDeterministic(t *testing.T) {
+	g := graph.Hypercube(4)
+	rng := ds.NewRand(5)
+	for _, model := range []sim.Model{sim.VCongest, sim.ECongest} {
+		r := NewComponentMinRunner(g, model)
+		for i := 0; i < 4; i++ {
+			edgeOK := make([]bool, g.M())
+			for e := range edgeOK {
+				edgeOK[e] = rng.IntN(3) > 0
+			}
+			values := make([]Pair, g.N())
+			for v := range values {
+				values[v] = Pair{A: rng.Int64N(8), B: int64(v)}
+			}
+			seed := rng.Uint64()
+			reused, rm, err := r.ComponentMin(edgeOK, values, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, fm, err := NewComponentMinRunner(g, model).ComponentMin(edgeOK, values, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v := range fresh {
+				if reused[v] != fresh[v] {
+					t.Fatalf("%v call %d: node %d got %+v reused, %+v fresh", model, i, v, reused[v], fresh[v])
+				}
+			}
+			if rm != fm {
+				t.Fatalf("%v call %d: meters differ: reused %+v fresh %+v", model, i, rm, fm)
+			}
 		}
 	}
 }

@@ -56,7 +56,9 @@ func CheckCentralized(g *graph.Graph, classOf [][]int32, classes int) (Result, e
 //
 // For simplicity each phase handles one class at a time when a node has
 // multiple memberships; the meter is charged for all slots, matching
-// the paper's meta-round accounting.
+// the paper's meta-round accounting. One engine runs the domination
+// phase and, reset, every class's announcements; one runner floods
+// every class's components.
 func CheckDistributed(g *graph.Graph, classOf [][]int32, classes int, seed uint64) (Result, error) {
 	n := g.N()
 	if len(classOf) != n {
@@ -64,35 +66,32 @@ func CheckDistributed(g *graph.Graph, classOf [][]int32, classes int, seed uint6
 	}
 	var res Result
 	res.OK = true
+	diam := dist.ApproxD(g) // the O(D) charge of one failure flood
 
 	// --- Domination phase: every node announces its memberships (one
 	// slot per membership); every node checks it saw all classes.
-	domFail := false
-	{
-		procs := make([]sim.Process, n)
-		nodes := make([]*domNode, n)
-		for v := 0; v < n; v++ {
-			nodes[v] = &domNode{mine: classOf[v], classes: classes}
-			procs[v] = nodes[v]
-		}
-		eng, err := sim.NewEngine(g, sim.VCongest, procs, seed)
-		if err != nil {
-			return res, err
-		}
-		if err := eng.RunPhase(4); err != nil {
-			return res, fmt.Errorf("tester: domination phase: %w", err)
-		}
-		res.Meter.Add(eng.Meter())
-		for _, nd := range nodes {
-			if nd.failed {
-				domFail = true
-				res.DominationFailures++
-			}
-		}
-		// Failure flooding costs O(D); charge it.
-		res.Meter.Charge(dist.ApproxD(g))
+	procs := make([]sim.Process, n)
+	doms := make([]domNode, n)
+	for v := range doms {
+		doms[v] = domNode{mine: classOf[v], classes: classes}
+		procs[v] = &doms[v]
 	}
-	if domFail {
+	eng, err := sim.NewEngine(g, sim.VCongest, procs, seed)
+	if err != nil {
+		return res, err
+	}
+	if err := eng.RunPhase(4); err != nil {
+		return res, fmt.Errorf("tester: domination phase: %w", err)
+	}
+	res.Meter.Add(eng.Meter())
+	for v := range doms {
+		if doms[v].failed {
+			res.DominationFailures++
+		}
+	}
+	// Failure flooding costs O(D); charge it.
+	res.Meter.Charge(diam)
+	if res.DominationFailures > 0 {
 		res.OK = false
 		return res, nil // the paper aborts after a domination failure
 	}
@@ -106,10 +105,18 @@ func CheckDistributed(g *graph.Graph, classOf [][]int32, classes int, seed uint6
 	// announce every class membership rather than sampling; the paper's
 	// Θ(log n) random sampling meets the same bound when nodes carry
 	// O(log n) memberships, which is the regime of Lemma 4.6.)
+	flood := dist.NewComponentMinRunner(g, sim.VCongest)
+	member := make([]bool, n)
+	edgeOK := make([]bool, g.M())
+	values := make([]dist.Pair, n)
+	conns := make([]connNode, n)
+	for v := range conns {
+		procs[v] = &conns[v]
+	}
 	for c := 0; c < classes; c++ {
-		member := make([]bool, n)
 		any := false
 		for v := 0; v < n; v++ {
+			member[v] = false
 			for _, cc := range classOf[v] {
 				if int(cc) == c {
 					member[v] = true
@@ -122,13 +129,11 @@ func CheckDistributed(g *graph.Graph, classOf [][]int32, classes int, seed uint6
 			res.OK = false
 			continue
 		}
-		edgeOK := make([]bool, g.M())
 		for id := range edgeOK {
 			u, v := g.Endpoints(id)
 			edgeOK[id] = member[u] && member[v]
 		}
 		// Theorem B.2 component identification (restricted flooding).
-		values := make([]dist.Pair, n)
 		for v := 0; v < n; v++ {
 			if member[v] {
 				values[v] = dist.Pair{A: int64(v), B: 0}
@@ -136,43 +141,35 @@ func CheckDistributed(g *graph.Graph, classOf [][]int32, classes int, seed uint6
 				values[v] = dist.Pair{A: int64(n), B: 0} // inert
 			}
 		}
-		ids, m, err := dist.ComponentMin(g, sim.VCongest, edgeOK, values, seed+uint64(c)+1)
+		ids, m, err := flood.ComponentMin(edgeOK, values, seed+uint64(c)+1)
 		if err != nil {
 			return res, err
 		}
 		res.Meter.Add(&m)
 		// Announcement round: members broadcast component ids; any node
 		// hearing two distinct ids for class c detects a disconnect.
-		procs := make([]sim.Process, n)
-		nodes := make([]*connNode, n)
-		for v := 0; v < n; v++ {
+		for v := range conns {
 			cid := int64(-1)
 			if member[v] {
 				cid = ids[v].A
 			}
-			nodes[v] = &connNode{compID: cid}
-			procs[v] = nodes[v]
+			conns[v] = connNode{compID: cid}
 		}
-		eng, err := sim.NewEngine(g, sim.VCongest, procs, seed+uint64(c)*31+7)
-		if err != nil {
+		if err := eng.Reset(procs, seed+uint64(c)*31+7); err != nil {
 			return res, err
 		}
 		if err := eng.RunPhase(4); err != nil {
 			return res, fmt.Errorf("tester: connectivity phase: %w", err)
 		}
 		res.Meter.Add(eng.Meter())
-		detected := false
-		for _, nd := range nodes {
-			if nd.detected {
-				detected = true
+		for v := range conns {
+			if conns[v].detected {
+				res.ConnectivityFailures++
+				res.OK = false
 				break
 			}
 		}
-		if detected {
-			res.ConnectivityFailures++
-			res.OK = false
-		}
-		res.Meter.Charge(dist.ApproxD(g)) // failure flooding
+		res.Meter.Charge(diam) // failure flooding
 	}
 	return res, nil
 }
