@@ -144,7 +144,7 @@ func (s *session) componentMin(edgeOK []bool, values []Pair, out []Pair, seed ui
 // minFloodNode floods the minimum Pair over allowed incident edges.
 type minFloodNode struct {
 	val     Pair
-	allowed []bool // indexed by port, parallel to Neighbors()
+	allowed []bool // indexed by port, parallel to g.Neighbors(v)
 	active  bool   // has at least one allowed edge
 	started bool
 }

@@ -92,9 +92,9 @@ func FieldBits(f int64) int { return fieldBits(f) }
 func DefaultMaxFieldBits(n int) int { return 2*ceilLog2(n+2) + 8 }
 
 // Delivery is a received message together with its sender and the
-// port it arrived on: the sender's index in the receiver's Neighbors()
-// and in its graph.Graph IncidentEdges(). In CONGEST a node knows which
-// incident edge a message crossed.
+// port it arrived on: the sender's index in the receiver's rows of the
+// graph, graph.Graph's Neighbors(v) and IncidentEdges(v). In CONGEST a
+// node knows which incident edge a message crossed.
 type Delivery struct {
 	From int32
 	Port int32
@@ -110,8 +110,8 @@ type Inbox struct {
 }
 
 // All yields the round's deliveries neighbor by neighbor, in ascending
-// sender order (the order of Neighbors()), and each neighbor's
-// broadcasts in send order.
+// sender order (the order of Neighbors(v), so ports ascend), and each
+// neighbor's broadcasts in send order.
 func (in Inbox) All() iter.Seq[Delivery] {
 	return func(yield func(Delivery) bool) {
 		for port, u := range in.nbrs {
@@ -168,9 +168,6 @@ func (c *Context) ID() int { return int(c.node) }
 // N returns the number of nodes. The paper grants this knowledge after
 // an O(D) preprocessing phase (Section 2), which drivers charge.
 func (c *Context) N() int { return c.engine.g.N() }
-
-// Neighbors returns this node's sorted neighbor list (shared slice).
-func (c *Context) Neighbors() []int32 { return c.engine.g.Neighbors(int(c.node)) }
 
 // Rand returns this node's private random stream.
 func (c *Context) Rand() *rand.Rand { return c.rng }

@@ -611,13 +611,13 @@ func checkDeliveryOrder(t *testing.T, name string, g *graph.Graph, nodes []*orde
 	return total
 }
 
-// TestDeliveryOrder pins the order in which a node receives its
-// neighbors' broadcasts, under both models: by sender in Neighbors()
+// TestDeliveryOrder pins the order in which node v receives its
+// neighbors' broadcasts, under both models: by sender in Neighbors(v)
 // order and, per sender, in send order, with the sender's index in
-// Neighbors() as the arrival port. The first run has two phases
-// on one engine, each ending with a burst in flight: the second phase
-// delivers the first's last burst in its first round. A Reset then
-// starts a second run in which nothing from the first arrives.
+// Neighbors(v) as the arrival port. The first run has two phases on one
+// engine, each ending with a burst in flight: the second phase delivers
+// the first's last burst in its first round. A Reset then starts a
+// second run in which nothing from the first arrives.
 func TestDeliveryOrder(t *testing.T) {
 	for _, tc := range []struct {
 		name string
