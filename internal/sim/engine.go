@@ -255,21 +255,19 @@ func (e *Engine) meterSends() (maxSlots int) {
 	off := e.g.AdjOffsets()
 	var messages, sentBits int64
 	for v := range e.contexts {
-		out := e.contexts[v].out
-		if len(out) == 0 {
-			continue
+		if out := e.contexts[v].out; len(out) > 0 {
+			copies := int64(1)
+			if e.model == ECongest {
+				copies = int64(off[v+1] - off[v])
+			}
+			if copies > 0 {
+				maxSlots = max(maxSlots, len(out))
+			}
+			for i := range out {
+				sentBits += int64(out[i].BitSize()) * copies
+			}
+			messages += int64(len(out)) * copies
 		}
-		copies := int64(1)
-		if e.model == ECongest {
-			copies = int64(off[v+1] - off[v])
-		}
-		if copies > 0 {
-			maxSlots = max(maxSlots, len(out))
-		}
-		for i := range out {
-			sentBits += int64(out[i].BitSize()) * copies
-		}
-		messages += int64(len(out)) * copies
 	}
 	e.meter.Messages += messages
 	e.meter.Bits += sentBits
