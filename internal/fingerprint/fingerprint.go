@@ -156,9 +156,11 @@ func centralizedFingerprints(b *strings.Builder) {
 // S lines pin the centralized MWU engine (deterministic given the graph
 // when no edge-sampling engages, so low-λ cases carry one line and only
 // the sampled K40 case sweeps seeds), D lines the distributed E-CONGEST
-// loop whose MST weights carry the footnote-6 1/(4n) quantization. The
-// tree hash covers weights and parent-edge structure, so any change to
-// iteration count, stop decision, tie-breaking, or quantization shows.
+// loop whose MST weights carry the footnote-6 1/(4n) quantization (the
+// K24 lines with Section 5.2's edge sampling engaged), and I lines the
+// edge-disjoint trees of stp.IntegralPack. The tree hash covers weights
+// and parent-edge structure, so any change to iteration count, stop
+// decision, tie-breaking, sampling, or quantization shows.
 func spanningFingerprints(b *strings.Builder) {
 	spanHash := func(p *stp.Packing) uint64 {
 		h := fnv.New64a()
@@ -171,17 +173,18 @@ func spanningFingerprints(b *strings.Builder) {
 		return h.Sum64()
 	}
 	type tc struct {
-		name   string
-		g      *graph.Graph
-		lambda int
-		eps    float64
+		name      string
+		g         *graph.Graph
+		lambda    int
+		eps       float64
+		threshold float64 // SampleThreshold; 0 keeps the default
 	}
 	for _, c := range []tc{
-		{"K16", graph.Complete(16), 15, 0.1},
-		{"Q5", graph.Hypercube(5), 5, 0.1},
-		{"torus45", graph.Torus(4, 5), 4, 0.15},
+		{"K16", graph.Complete(16), 15, 0.1, 0},
+		{"Q5", graph.Hypercube(5), 5, 0.1, 0},
+		{"torus45", graph.Torus(4, 5), 4, 0.15, 0},
 	} {
-		p, err := stp.Pack(c.g, stp.Options{KnownLambda: c.lambda, Epsilon: c.eps})
+		p, err := stp.Pack(c.g, stp.Options{KnownLambda: c.lambda, Epsilon: c.eps, SampleThreshold: c.threshold})
 		if err != nil {
 			panic(err)
 		}
@@ -202,12 +205,13 @@ func spanningFingerprints(b *strings.Builder) {
 	// delivery order) — two seeds are pinned so that invariance is
 	// itself part of the gate.
 	for _, c := range []tc{
-		{"Q4", graph.Hypercube(4), 4, 0.2},
-		{"cycle12", graph.Cycle(12), 2, 0.2},
-		{"torus34", graph.Torus(3, 4), 4, 0.25},
+		{"Q4", graph.Hypercube(4), 4, 0.2, 0},
+		{"cycle12", graph.Cycle(12), 2, 0.2, 0},
+		{"torus34", graph.Torus(3, 4), 4, 0.25, 0},
+		{"K24sampled", graph.Complete(24), 23, 0.3, 0.4},
 	} {
 		for seed := uint64(0); seed < 2; seed++ {
-			res, err := stpdist.Pack(c.g, stp.Options{Seed: seed, KnownLambda: c.lambda, Epsilon: c.eps})
+			res, err := stpdist.Pack(c.g, stp.Options{Seed: seed, KnownLambda: c.lambda, Epsilon: c.eps, SampleThreshold: c.threshold})
 			if err != nil {
 				panic(err)
 			}
@@ -215,6 +219,25 @@ func spanningFingerprints(b *strings.Builder) {
 			fmt.Fprintf(b, "D %s seed=%d size=%.6f iters=%d trees=%d raw=%d metered=%d charged=%d msgs=%d bits=%d phases=%d hash=%x\n",
 				c.name, seed, p.Size(), p.Stats.Iterations, p.Stats.DistinctTrees,
 				m.RawRounds, m.MeteredRounds, m.ChargedRounds, m.Messages, m.Bits, m.Phases, spanHash(p))
+		}
+	}
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"K40", k40}, {"Q6", graph.Hypercube(6)}} {
+		for seed := uint64(0); seed < 3; seed++ {
+			trees, err := stp.IntegralPack(c.g, stp.Options{Seed: seed})
+			if err != nil {
+				panic(err)
+			}
+			h := fnv.New64a()
+			for _, t := range trees {
+				t.ForEachEdge(func(child, parent int) {
+					fmt.Fprintf(h, "%d-%d;", child, parent)
+				})
+				fmt.Fprint(h, "|")
+			}
+			fmt.Fprintf(b, "I %s seed=%d trees=%d hash=%x\n", c.name, seed, len(trees), h.Sum64())
 		}
 	}
 }
