@@ -6,15 +6,22 @@
 // node's local broadcast, so the simulator's slot meter realizes exactly
 // the paper's meta-round accounting (Θ(log n) real rounds per virtual
 // round). The per-layer structure is the paper's: component
-// identification by restricted flooding (Theorem B.2), deactivation by
-// type-1 connectors, bridging-graph construction through type-3
-// messages, and O(log n) stages of randomized proposal matching
-// (Appendix B.3), followed by per-class distributed BFS tree extraction.
+// identification, deactivation by type-1 connectors, bridging-graph
+// construction through type-3 messages, and O(log n) stages of
+// randomized proposal matching (Appendix B.3), followed by per-class
+// distributed BFS tree extraction.
+//
+// Every component-wide aggregate is one process, Theorem B.2's
+// restricted flooding of a per-class minimum (minFloodNode): component
+// ids, deactivation and the best proposal all flood through it. A
+// node's per-class state lives in rows parallel to its sorted class
+// list, all carved from one array per phase (perClass).
 package cdsdist
 
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 
 	"repro/internal/cds"
 	"repro/internal/check"
@@ -27,11 +34,11 @@ import (
 
 // Message kinds used by the protocol.
 const (
-	kindComp    = 20 // (class, labelA, labelB): component-label flooding
-	kindDeact   = 21 // (class, active01): deactivation flooding
+	kindComp    = 20 // (class, compID): component-id flooding
+	kindDeact   = 21 // (class): connector shout and deactivation flooding
 	kindCompAnn = 22 // (class, compID, active01): component announcement
 	kindScout   = 23 // (class, compID|-1 connector): type-3 message m_w
-	kindPropose = 24 // (class, compID, value): type-2 proposal
+	kindPropose = 24 // (class, compID, value): type-2 proposal; flooded as (class, −value, −proposer)
 	kindAccept  = 25 // (class, compID, value, proposer): accepted proposal
 	kindBFS     = 26 // (class, depth): tree-extraction flood
 )
@@ -109,26 +116,26 @@ type run struct {
 	rngs    []*rand.Rand // per-node private randomness
 	meter   sim.Meter
 	diam    int
-	eng     *sim.Engine // reused across all phases of the run
+	eng     *sim.Engine   // reused across all phases of the run
+	procs   []sim.Process // the current phase's processes, one per node
 
 	// classOf[v][layer*3+typ] = class of that virtual node, -1 unassigned.
 	classOf [][]int32
 	// clsList[v] = sorted distinct classes with an assigned virtual node
 	// at v in layers processed so far (the keys of the paper's old-node
-	// sets). The flood protocols index their per-class state by position
-	// in this list, so their per-message work is a short linear scan
+	// sets). The protocols index their per-class state by position in
+	// this list, so their per-message work is a short linear scan
 	// instead of a map probe.
 	clsList [][]int32
 	// compList[v][i] = min real id in v's component of class clsList[v][i]
 	// (phase A output), parallel to clsList.
 	compList [][]int64
-	// active[v][i] = component of class clsList[v][i] not deactivated
-	// this layer, parallel to clsList.
-	active [][]bool
 	// stats
 	stats cds.Stats
-	// tree extraction output: parent[v][class] (real parent), -1 root.
-	parent []map[int32]int64
+	// parent[v][i] = v's parent in the BFS tree of class clsList[v][i]
+	// (tree extraction output): graph.TreeRoot at the class leader,
+	// graph.TreeAbsent where the BFS never arrived.
+	parent [][]int32
 }
 
 // classIndex returns the position of c in the sorted class list, or -1.
@@ -144,16 +151,9 @@ func classIndex(cls []int32, c int32) int {
 
 // insertClass adds c to the sorted class list if absent.
 func insertClass(cls []int32, c int32) []int32 {
-	i := 0
-	for i < len(cls) && cls[i] < c {
-		i++
+	if i, found := slices.BinarySearch(cls, c); !found {
+		cls = slices.Insert(cls, i, c)
 	}
-	if i < len(cls) && cls[i] == c {
-		return cls
-	}
-	cls = append(cls, 0)
-	copy(cls[i+1:], cls[i:])
-	cls[i] = c
 	return cls
 }
 
@@ -165,28 +165,26 @@ func newRun(g *graph.Graph, kGuess int, opts cds.Options) *run {
 		classes = 1
 	}
 	r := &run{
-		g:        g,
-		n:        n,
-		layers:   layers,
-		classes:  classes,
-		opts:     opts,
-		rngs:     make([]*rand.Rand, n),
-		classOf:  make([][]int32, n),
-		clsList:  make([][]int32, n),
-		compList: make([][]int64, n),
-		active:   make([][]bool, n),
-		parent:   make([]map[int32]int64, n),
-		stats:    cds.Stats{Guess: kGuess, Layers: layers, Classes: classes},
-		diam:     dist.ApproxD(g),
+		g:       g,
+		n:       n,
+		layers:  layers,
+		classes: classes,
+		opts:    opts,
+		rngs:    make([]*rand.Rand, n),
+		procs:   make([]sim.Process, n),
+		classOf: make([][]int32, n),
+		clsList: make([][]int32, n),
+		stats:   cds.Stats{Guess: kGuess, Layers: layers, Classes: classes},
+		diam:    dist.ApproxD(g),
 	}
 	seedBase := opts.Seed ^ (uint64(kGuess) * 0x9e3779b97f4a7c15)
+	virtual := make([]int32, n*layers*3)
+	for i := range virtual {
+		virtual[i] = -1
+	}
 	for v := 0; v < n; v++ {
 		r.rngs[v] = ds.SplitRand(seedBase, uint64(v))
-		r.classOf[v] = make([]int32, layers*3)
-		for i := range r.classOf[v] {
-			r.classOf[v][i] = -1
-		}
-		r.parent[v] = make(map[int32]int64, 8)
+		r.classOf[v], virtual = virtual[:layers*3:layers*3], virtual[layers*3:]
 	}
 	return r
 }

@@ -2,6 +2,8 @@ package cdsdist
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/cds"
 	"repro/internal/graph"
@@ -26,17 +28,18 @@ func proposalRange(n int) int64 {
 	return v * v * v * v
 }
 
-// runPhase executes one protocol phase, reusing a single engine across
-// all phases of the run (every phase ends quiescent, so there is never
-// message carry-over to preserve; Reset reseeds the per-node streams).
-func (r *run) runPhase(procs []sim.Process, seed uint64, maxRounds int) error {
+// runPhase executes one protocol phase on the processes in r.procs,
+// reusing a single engine across all phases of the run (every phase
+// ends quiescent, so there is never message carry-over to preserve;
+// Reset reseeds the per-node streams).
+func (r *run) runPhase(seed uint64, maxRounds int) error {
 	if r.eng == nil {
-		eng, err := sim.NewEngine(r.g, sim.VCongest, procs, seed, sim.WithMaxFieldBits(r.fieldBitsFor()))
+		eng, err := sim.NewEngine(r.g, sim.VCongest, r.procs, seed, sim.WithMaxFieldBits(r.fieldBitsFor()))
 		if err != nil {
 			return err
 		}
 		r.eng = eng
-	} else if err := r.eng.Reset(procs, seed, sim.WithMaxFieldBits(r.fieldBitsFor())); err != nil {
+	} else if err := r.eng.Reset(r.procs, seed, sim.WithMaxFieldBits(r.fieldBitsFor())); err != nil {
 		return err
 	}
 	if err := r.eng.RunPhase(maxRounds); err != nil {
@@ -49,43 +52,68 @@ func (r *run) runPhase(procs []sim.Process, seed uint64, maxRounds int) error {
 	return nil
 }
 
-// --- Phase A: component identification --------------------------------
+// perClass returns one row per node, parallel to its class list, all
+// carved from a single backing array.
+func perClass[T any](r *run) [][]T {
+	total := 0
+	for _, cls := range r.clsList {
+		total += len(cls)
+	}
+	backing := make([]T, total)
+	rows := make([][]T, r.n)
+	for v, cls := range r.clsList {
+		k := len(cls)
+		rows[v], backing = backing[:k:k], backing[k:]
+	}
+	return rows
+}
 
-// compFloodNode floods, per class this node belongs to, the minimum real
-// node id within the class component (Theorem B.2 restricted flooding:
-// class-c messages only merge across edges whose both endpoints carry
-// class c, which is exactly class-c component adjacency). Per-class
-// state is indexed by position in the sorted class list; min-merging is
+// --- Restricted flooding (Theorem B.2) -----------------------------------
+
+// noValue is the flood value of a class that holds nothing yet; every
+// value a flood carries is smaller.
+var noValue = [2]int64{math.MaxInt64, math.MaxInt64}
+
+// minFloodNode is Theorem B.2's restricted flooding, run for every
+// class of the node at once: per class it keeps the least value
+// (F[1], F[2]) seen, sends every value other than noValue in its first
+// round, and resends a class whenever a strictly smaller value arrives
+// for it. Class-c messages only merge across edges whose both endpoints
+// carry class c, which is exactly class-c component adjacency, so each
+// component ends holding its least seeded value. Min-merging is
 // order-insensitive, so the sorted broadcast order leaves results
-// identical to any other send order.
-type compFloodNode struct {
+// identical to any other send order. Per-class state is indexed by
+// position in the sorted class list.
+type minFloodNode struct {
+	kind     uint8
 	cls      []int32
-	label    []int64
+	val      [][2]int64 // parallel to cls
 	dirty    []bool
 	hasDirty bool
 	started  bool
 }
 
-func (p *compFloodNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
+func (p *minFloodNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 	if !p.started {
 		p.started = true
-		id := int64(ctx.ID())
-		for i := range p.cls {
-			p.label[i] = id
-			p.dirty[i] = true
+		for i := range p.val {
+			if p.val[i] != noValue {
+				p.dirty[i] = true
+				p.hasDirty = true
+			}
 		}
-		p.hasDirty = len(p.cls) > 0
 	}
 	for d := range inbox.All() {
-		if d.Msg.Kind != kindComp {
+		if d.Msg.Kind != p.kind {
 			continue
 		}
 		i := classIndex(p.cls, int32(d.Msg.F[0]))
 		if i < 0 {
 			continue
 		}
-		if d.Msg.F[1] < p.label[i] {
-			p.label[i] = d.Msg.F[1]
+		x := [2]int64{d.Msg.F[1], d.Msg.F[2]}
+		if cur := p.val[i]; x[0] < cur[0] || x[0] == cur[0] && x[1] < cur[1] {
+			p.val[i] = x
 			p.dirty[i] = true
 			p.hasDirty = true
 		}
@@ -95,7 +123,7 @@ func (p *compFloodNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 	}
 	for i, c := range p.cls {
 		if p.dirty[i] {
-			ctx.Broadcast(sim.Msg(kindComp, int64(c), p.label[i]))
+			ctx.Broadcast(sim.Msg(p.kind, int64(c), p.val[i][0], p.val[i][1]))
 			p.dirty[i] = false
 		}
 	}
@@ -103,34 +131,39 @@ func (p *compFloodNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 	return sim.Active
 }
 
-// identifyComponents refreshes r.compList for the current
-// old-node sets. The per-node state slices come from two shared backing
-// arrays, so the whole phase costs O(1) allocations.
+// flood runs one restricted flood of the given message kind over every
+// class component: vals, one row per node parallel to its class list,
+// holds the seeds and, once flood returns, each component's least seed.
+func (r *run) flood(kind uint8, vals [][][2]int64, seed uint64) error {
+	dirty := perClass[bool](r)
+	nodes := make([]minFloodNode, r.n)
+	for v := range nodes {
+		nodes[v] = minFloodNode{kind: kind, cls: r.clsList[v], val: vals[v], dirty: dirty[v]}
+		r.procs[v] = &nodes[v]
+	}
+	return r.runPhase(seed, 4*r.n+8)
+}
+
+// --- Phase A: component identification --------------------------------
+
+// identifyComponents refreshes r.compList for the current old-node
+// sets: each node seeds (v, 0) for every class it holds, and the flood
+// leaves each component's least member id.
 func (r *run) identifyComponents() error {
-	total := 0
-	for v := 0; v < r.n; v++ {
-		total += len(r.clsList[v])
-	}
-	labelBacking := make([]int64, total)
-	dirtyBacking := make([]bool, total)
-	procs := make([]sim.Process, r.n)
-	nodes := make([]*compFloodNode, r.n)
-	pos := 0
-	for v := 0; v < r.n; v++ {
-		k := len(r.clsList[v])
-		nodes[v] = &compFloodNode{
-			cls:   r.clsList[v],
-			label: labelBacking[pos : pos+k : pos+k],
-			dirty: dirtyBacking[pos : pos+k : pos+k],
+	vals := perClass[[2]int64](r)
+	for v, row := range vals {
+		for i := range row {
+			row[i] = [2]int64{int64(v), 0}
 		}
-		pos += k
-		procs[v] = nodes[v]
 	}
-	if err := r.runPhase(procs, r.opts.Seed^0xc0ffee, 4*r.n+8); err != nil {
+	if err := r.flood(kindComp, vals, r.opts.Seed^0xc0ffee); err != nil {
 		return fmt.Errorf("component identification: %w", err)
 	}
-	for v := 0; v < r.n; v++ {
-		r.compList[v] = nodes[v].label
+	r.compList = perClass[int64](r)
+	for v, row := range vals {
+		for i, x := range row {
+			r.compList[v][i] = x[0]
+		}
 	}
 	return nil
 }
@@ -147,15 +180,16 @@ type candidate struct {
 // annNode broadcasts this node's (class, compID) pairs; type-1 new nodes
 // that see two components of their class reply with a connector message;
 // old nodes hearing a connector for their (class, component) mark it
-// deactivated locally (flooded component-wide in the next step). All
+// deactivated locally by writing (0, 0) into deact, the seeds of the
+// component-wide deactivation flood (noValue leaves it active). All
 // collection steps are set-valued, so the sorted announcement order is
 // interchangeable with any other.
 type annNode struct {
-	cls        []int32 // sorted classes with old nodes here
-	comp       []int64 // component ids parallel to cls
+	cls        []int32    // sorted classes with old nodes here
+	comp       []int64    // component ids parallel to cls
+	deact      [][2]int64 // parallel to cls
 	type1Class int32
 	round      int
-	deact      []bool // parallel to cls: component deactivated locally
 	seen       [2]int64
 }
 
@@ -164,6 +198,7 @@ func (p *annNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 	case 0:
 		p.round++
 		for i, c := range p.cls {
+			p.deact[i] = noValue
 			ctx.Broadcast(sim.Msg(kindCompAnn, int64(c), p.comp[i], 1))
 		}
 		if len(p.cls) > 0 {
@@ -206,56 +241,11 @@ func (p *annNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 				continue
 			}
 			if i := classIndex(p.cls, int32(d.Msg.F[0])); i >= 0 {
-				p.deact[i] = true
+				p.deact[i] = [2]int64{}
 			}
 		}
 	}
 	return sim.Done
-}
-
-// deactFloodNode floods the deactivation bit component-wide (restricted
-// flooding again: class-c adjacency is component adjacency). Flag
-// merging is order-insensitive, like the component flood.
-type deactFloodNode struct {
-	cls      []int32
-	deact    []bool
-	dirty    []bool
-	hasDirty bool
-	started  bool
-}
-
-func (p *deactFloodNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
-	if !p.started {
-		p.started = true
-		for i := range p.cls {
-			if p.deact[i] {
-				p.dirty[i] = true
-				p.hasDirty = true
-			}
-		}
-	}
-	for d := range inbox.All() {
-		if d.Msg.Kind != kindDeact {
-			continue
-		}
-		i := classIndex(p.cls, int32(d.Msg.F[0]))
-		if i >= 0 && !p.deact[i] {
-			p.deact[i] = true
-			p.dirty[i] = true
-			p.hasDirty = true
-		}
-	}
-	if !p.hasDirty {
-		return sim.Done
-	}
-	for i, c := range p.cls {
-		if p.dirty[i] {
-			ctx.Broadcast(sim.Msg(kindDeact, int64(c)))
-			p.dirty[i] = false
-		}
-	}
-	p.hasDirty = false
-	return sim.Active
 }
 
 // scoutNode implements Appendix B.2's bridging-graph construction: old
@@ -265,12 +255,11 @@ func (p *deactFloodNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 // List order follows delivery order (sender-major), as in the original
 // map-based version; every collection step in between is set-valued.
 type scoutNode struct {
-	cls        []int32 // sorted classes with old nodes here
-	comp       []int64 // component ids parallel to cls
-	active     []bool  // parallel to cls
+	cls        []int32    // sorted classes with old nodes here
+	comp       []int64    // component ids parallel to cls
+	deact      [][2]int64 // parallel to cls: noValue while active
 	classes    int
 	type3Class int32
-	type2Class int32 // unused by the protocol; kept for symmetry
 	round      int
 
 	// scratch
@@ -285,7 +274,7 @@ func (p *scoutNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 		p.round++
 		for i, c := range p.cls {
 			act := int64(0)
-			if p.active[i] {
+			if p.deact[i] == noValue {
 				act = 1
 			}
 			ctx.Broadcast(sim.Msg(kindCompAnn, int64(c), p.comp[i], act))
@@ -322,7 +311,7 @@ func (p *scoutNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 		// Also count own active components as heard (virtual adjacency
 		// within the same real node).
 		for i, c := range p.cls {
-			if p.active[i] {
+			if p.deact[i] == noValue {
 				p.annHeard = append(p.annHeard, candidate{class: c, compID: p.comp[i]})
 			}
 		}
@@ -391,73 +380,44 @@ func (p *scoutNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 // bridging-graph neighbor list.
 func (r *run) buildBridging(layer int) ([][]candidate, error) {
 	// B.1: announcements + type-1 connector detection.
-	total := 0
-	for v := 0; v < r.n; v++ {
-		total += len(r.clsList[v])
-	}
-	annDeact := make([]bool, total)
-	anns := make([]*annNode, r.n)
-	procs := make([]sim.Process, r.n)
-	pos := 0
-	for v := 0; v < r.n; v++ {
-		k := len(r.clsList[v])
-		anns[v] = &annNode{
+	deact := perClass[[2]int64](r)
+	anns := make([]annNode, r.n)
+	for v := range anns {
+		anns[v] = annNode{
 			cls:        r.clsList[v],
 			comp:       r.compList[v],
+			deact:      deact[v],
 			type1Class: r.classOf[v][layer*3+0],
-			deact:      annDeact[pos : pos+k : pos+k],
 		}
-		pos += k
-		procs[v] = anns[v]
+		r.procs[v] = &anns[v]
 	}
-	if err := r.runPhase(procs, r.opts.Seed^uint64(layer)<<8^0xdead, 8); err != nil {
+	if err := r.runPhase(r.opts.Seed^uint64(layer)<<8^0xdead, 8); err != nil {
 		return nil, fmt.Errorf("deactivation detection: %w", err)
 	}
 
 	// B.2: flood deactivation component-wide, seeded from the type-1
-	// verdicts (same class indexing, so the flags carry over directly).
-	dirtyBacking := make([]bool, total)
-	floods := make([]*deactFloodNode, r.n)
-	pos = 0
-	for v := 0; v < r.n; v++ {
-		k := len(r.clsList[v])
-		floods[v] = &deactFloodNode{
-			cls:   r.clsList[v],
-			deact: anns[v].deact,
-			dirty: dirtyBacking[pos : pos+k : pos+k],
-		}
-		pos += k
-		procs[v] = floods[v]
-	}
-	if err := r.runPhase(procs, r.opts.Seed^uint64(layer)<<8^0xbeef, 4*r.n+8); err != nil {
+	// verdicts.
+	if err := r.flood(kindDeact, deact, r.opts.Seed^uint64(layer)<<8^0xbeef); err != nil {
 		return nil, fmt.Errorf("deactivation flood: %w", err)
-	}
-	for v := 0; v < r.n; v++ {
-		active := r.active[v][:0]
-		for i := range r.clsList[v] {
-			active = append(active, !floods[v].deact[i])
-		}
-		r.active[v] = active
 	}
 
 	// B.3: re-announce with activity; scouts; type-2 lists.
-	scouts := make([]*scoutNode, r.n)
-	for v := 0; v < r.n; v++ {
-		scouts[v] = &scoutNode{
+	scouts := make([]scoutNode, r.n)
+	for v := range scouts {
+		scouts[v] = scoutNode{
 			cls:        r.clsList[v],
 			comp:       r.compList[v],
-			active:     r.active[v],
+			deact:      deact[v],
 			classes:    r.classes,
 			type3Class: r.classOf[v][layer*3+2],
-			type2Class: r.classOf[v][layer*3+1],
 		}
-		procs[v] = scouts[v]
+		r.procs[v] = &scouts[v]
 	}
-	if err := r.runPhase(procs, r.opts.Seed^uint64(layer)<<8^0xfeed, 8); err != nil {
+	if err := r.runPhase(r.opts.Seed^uint64(layer)<<8^0xfeed, 8); err != nil {
 		return nil, fmt.Errorf("bridging construction: %w", err)
 	}
 	lists := make([][]candidate, r.n)
-	for v := 0; v < r.n; v++ {
+	for v := range lists {
 		lists[v] = scouts[v].list
 	}
 	return lists, nil
@@ -466,28 +426,31 @@ func (r *run) buildBridging(layer int) ([][]candidate, error) {
 // --- Phase C: matching stages ------------------------------------------
 
 // proposeNode: stage round 1 — unmatched type-2 nodes propose to the
-// listed component with the largest random value; old nodes record the
-// best proposal they hear for each of their components. The best-map is
-// a max-merge (ties to the higher proposer id), so collection order is
-// immaterial; state is indexed by position in the sorted class list.
+// listed component with the largest random value; old nodes keep, per
+// component, the least proposal key (−value, −proposer) they hear, so
+// the minimum is the highest proposal with ties to the higher proposer
+// id. The min-merge is order-insensitive, so collection order is
+// immaterial; best is the proposal flood's seed array, indexed by
+// position in the sorted class list.
 type proposeNode struct {
 	cls      []int32
 	comp     []int64
 	blocked  []bool      // parallel: component here already matched
+	best     [][2]int64  // parallel: least key heard, noValue if none
 	list     []candidate // nil when matched or empty
 	proposal candidate   // what this node proposed to
 	propVal  int64
 	proposed bool
 	round    int
-	// best proposal per class heard by this old node: (value, proposer).
-	best    [][2]int64
-	hasBest []bool
 }
 
 func (p *proposeNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 	switch p.round {
 	case 0:
 		p.round++
+		for i := range p.best {
+			p.best[i] = noValue
+		}
 		if len(p.list) > 0 {
 			bestIdx, bestVal := 0, int64(-1)
 			span := proposalRange(ctx.N())
@@ -513,25 +476,23 @@ func (p *proposeNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 			if i < 0 || p.blocked[i] || p.comp[i] != d.Msg.F[1] {
 				continue // not in this component, or matched earlier
 			}
-			val, from := d.Msg.F[2], int64(d.From)
-			cur := p.best[i]
-			if !p.hasBest[i] || val > cur[0] || (val == cur[0] && from > cur[1]) {
-				p.best[i] = [2]int64{val, from}
-				p.hasBest[i] = true
+			key := [2]int64{-d.Msg.F[2], -int64(d.From)}
+			if cur := p.best[i]; key[0] < cur[0] || key[0] == cur[0] && key[1] < cur[1] {
+				p.best[i] = key
 			}
 		}
 	}
 	return sim.Done
 }
 
-// acceptNode: after the component-wide max flood, old nodes broadcast
-// the accepted proposal; type-2 nodes learn whether they were matched
-// and prune their lists. The lost-collection is a set, so announcement
-// order is immaterial.
+// acceptNode: after the component-wide proposal flood, old nodes
+// broadcast the accepted proposal; type-2 nodes learn whether they were
+// matched and prune their lists. The lost-collection is a set, so
+// announcement order is immaterial.
 type acceptNode struct {
 	cls      []int32
 	comp     []int64
-	accepted [][2]int64 // parallel: (value, proposer), -1 proposer = none
+	best     [][2]int64 // parallel: the flood's least key, noValue if none
 	proposed bool
 	proposal candidate
 	propVal  int64
@@ -545,18 +506,19 @@ func (p *acceptNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 	case 0:
 		p.round++
 		sent := false
-		for i, best := range p.accepted {
-			if best[1] < 0 {
+		for i, key := range p.best {
+			if key == noValue {
 				continue // no proposal reached this component
 			}
 			c := p.cls[i]
+			val, winner := -key[0], -key[1]
 			// Self-acceptance: a proposer that is itself a member of the
 			// winning component never hears its own broadcast.
 			if p.proposed && p.proposal.class == c && p.proposal.compID == p.comp[i] &&
-				best[0] == p.propVal && best[1] == int64(ctx.ID()) {
+				val == p.propVal && winner == int64(ctx.ID()) {
 				p.matched = true
 			}
-			ctx.Broadcast(sim.Msg(kindAccept, int64(c), p.comp[i], best[0], best[1]))
+			ctx.Broadcast(sim.Msg(kindAccept, int64(c), p.comp[i], val, winner))
 			sent = true
 		}
 		if sent {
@@ -572,17 +534,8 @@ func (p *acceptNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 			val, winner := d.Msg.F[2], d.Msg.F[3]
 			if p.proposed && cand == p.proposal && val == p.propVal && winner == int64(ctx.ID()) {
 				p.matched = true
-			} else {
-				dup := false
-				for _, have := range p.lost {
-					if have == cand {
-						dup = true
-						break
-					}
-				}
-				if !dup {
-					p.lost = append(p.lost, cand)
-				}
+			} else if !slices.Contains(p.lost, cand) {
+				p.lost = append(p.lost, cand)
 			}
 		}
 	}
@@ -591,7 +544,8 @@ func (p *acceptNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 
 // matchStages runs the O(log n) Luby-style stages of Appendix B.3 and
 // assigns classes to the type-2 virtual nodes of the layer. Returns the
-// number matched through the bridging graph.
+// number matched through the bridging graph. The per-node state of
+// every stage is allocated once per layer.
 func (r *run) matchStages(layer int, lists [][]candidate) (int, error) {
 	stages := 1
 	for s := 1; s < r.n; s <<= 1 {
@@ -599,19 +553,10 @@ func (r *run) matchStages(layer int, lists [][]candidate) (int, error) {
 	}
 	matchedCount := 0
 	assigned := make([]bool, r.n)
-	procs := make([]sim.Process, r.n)
-	total := 0
-	for v := 0; v < r.n; v++ {
-		total += len(r.clsList[v])
-	}
-	blockedBacking := make([]bool, total)
-	blocked := make([][]bool, r.n)
-	pos := 0
-	for v := range blocked {
-		k := len(r.clsList[v])
-		blocked[v] = blockedBacking[pos : pos+k : pos+k]
-		pos += k
-	}
+	props := make([]proposeNode, r.n)
+	accs := make([]acceptNode, r.n)
+	best := perClass[[2]int64](r)
+	blocked := perClass[bool](r)
 
 	for stage := 0; stage < stages; stage++ {
 		anyList := false
@@ -625,61 +570,53 @@ func (r *run) matchStages(layer int, lists [][]candidate) (int, error) {
 			break
 		}
 		// Stage round 1-2: propose and collect.
-		bestBacking := make([][2]int64, total)
-		hasBacking := make([]bool, total)
-		props := make([]*proposeNode, r.n)
-		pos = 0
-		for v := 0; v < r.n; v++ {
+		for v := range props {
 			var list []candidate
 			if !assigned[v] {
 				list = lists[v]
 			}
-			k := len(r.clsList[v])
-			props[v] = &proposeNode{
+			props[v] = proposeNode{
 				cls:     r.clsList[v],
 				comp:    r.compList[v],
 				blocked: blocked[v],
+				best:    best[v],
 				list:    list,
-				best:    bestBacking[pos : pos+k : pos+k],
-				hasBest: hasBacking[pos : pos+k : pos+k],
 			}
-			pos += k
-			procs[v] = props[v]
+			r.procs[v] = &props[v]
 		}
 		seed := r.opts.Seed ^ uint64(layer*131+stage)<<10 ^ 0xabcd
-		if err := r.runPhase(procs, seed, 8); err != nil {
+		if err := r.runPhase(seed, 8); err != nil {
 			return matchedCount, fmt.Errorf("propose stage: %w", err)
 		}
 
-		// Component-wide max of proposals per class, via restricted
-		// flooding (minimize (-value, -proposer)).
-		accepted, err := r.floodBestProposal(props, seed^0x1111)
-		if err != nil {
-			return matchedCount, err
+		// Component-wide best proposal per class (the Theorem B.2
+		// aggregation of Appendix B.3).
+		if err := r.flood(kindPropose, best, seed^0x1111); err != nil {
+			return matchedCount, fmt.Errorf("proposal flood: %w", err)
 		}
 
 		// Accept round.
-		accs := make([]*acceptNode, r.n)
-		for v := 0; v < r.n; v++ {
-			accs[v] = &acceptNode{
+		for v := range accs {
+			accs[v] = acceptNode{
 				cls:      r.clsList[v],
 				comp:     r.compList[v],
-				accepted: accepted[v],
+				best:     best[v],
 				proposed: props[v].proposed,
 				proposal: props[v].proposal,
 				propVal:  props[v].propVal,
+				lost:     accs[v].lost[:0],
 			}
-			procs[v] = accs[v]
+			r.procs[v] = &accs[v]
 		}
-		if err := r.runPhase(procs, seed^0x2222, 8); err != nil {
+		if err := r.runPhase(seed^0x2222, 8); err != nil {
 			return matchedCount, fmt.Errorf("accept stage: %w", err)
 		}
 
 		for v := 0; v < r.n; v++ {
 			// Members of components that accepted a proposal mark them
 			// matched for all later stages.
-			for i := range accepted[v] {
-				if accepted[v][i][1] >= 0 {
+			for i, key := range best[v] {
+				if key != noValue {
 					blocked[v][i] = true
 				}
 			}
@@ -693,21 +630,8 @@ func (r *run) matchStages(layer int, lists [][]candidate) (int, error) {
 				continue
 			}
 			// Prune components that accepted other proposals.
-			if len(accs[v].lost) > 0 {
-				pruned := lists[v][:0]
-				for _, cand := range lists[v] {
-					lostIt := false
-					for _, lc := range accs[v].lost {
-						if lc == cand {
-							lostIt = true
-							break
-						}
-					}
-					if !lostIt {
-						pruned = append(pruned, cand)
-					}
-				}
-				lists[v] = pruned
+			if lost := accs[v].lost; len(lost) > 0 {
+				lists[v] = slices.DeleteFunc(lists[v], func(c candidate) bool { return slices.Contains(lost, c) })
 			}
 		}
 	}
@@ -721,103 +645,6 @@ func (r *run) matchStages(layer int, lists [][]candidate) (int, error) {
 	return matchedCount, nil
 }
 
-// floodBestProposal spreads each component's best proposal to all its
-// members (the Theorem B.2 aggregation of Appendix B.3). The max-merge
-// with (value, proposer) tie-breaking is order-insensitive, so the
-// slice-indexed state floods identically to the map-based original.
-// Entries with hasBest false stand for "no proposal heard yet".
-type proposalFloodNode struct {
-	cls      []int32
-	best     [][2]int64
-	hasBest  []bool
-	dirty    []bool
-	hasDirty bool
-	started  bool
-}
-
-func (p *proposalFloodNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
-	if !p.started {
-		p.started = true
-		for i := range p.cls {
-			if p.hasBest[i] {
-				p.dirty[i] = true
-				p.hasDirty = true
-			}
-		}
-	}
-	for d := range inbox.All() {
-		if d.Msg.Kind != kindPropose {
-			continue
-		}
-		i := classIndex(p.cls, int32(d.Msg.F[0]))
-		if i < 0 {
-			continue
-		}
-		val, who := d.Msg.F[1], d.Msg.F[2]
-		cur := p.best[i]
-		if !p.hasBest[i] || val > cur[0] || (val == cur[0] && who > cur[1]) {
-			p.best[i] = [2]int64{val, who}
-			p.hasBest[i] = true
-			p.dirty[i] = true
-			p.hasDirty = true
-		}
-	}
-	if !p.hasDirty {
-		return sim.Done
-	}
-	for i, c := range p.cls {
-		if p.dirty[i] {
-			b := p.best[i]
-			ctx.Broadcast(sim.Msg(kindPropose, int64(c), b[0], b[1]))
-			p.dirty[i] = false
-		}
-	}
-	p.hasDirty = false
-	return sim.Active
-}
-
-func (r *run) floodBestProposal(props []*proposeNode, seed uint64) ([][][2]int64, error) {
-	total := 0
-	for v := 0; v < r.n; v++ {
-		total += len(r.clsList[v])
-	}
-	bestBacking := make([][2]int64, total)
-	flagBacking := make([]bool, 2*total)
-	nodes := make([]*proposalFloodNode, r.n)
-	procs := make([]sim.Process, r.n)
-	pos := 0
-	for v := 0; v < r.n; v++ {
-		k := len(r.clsList[v])
-		nd := &proposalFloodNode{
-			cls:     r.clsList[v],
-			best:    bestBacking[pos : pos+k : pos+k],
-			hasBest: flagBacking[pos : pos+k : pos+k],
-			dirty:   flagBacking[total+pos : total+pos+k : total+pos+k],
-		}
-		copy(nd.best, props[v].best)
-		copy(nd.hasBest, props[v].hasBest)
-		pos += k
-		nodes[v] = nd
-		procs[v] = nd
-	}
-	if err := r.runPhase(procs, seed, 4*r.n+8); err != nil {
-		return nil, fmt.Errorf("proposal flood: %w", err)
-	}
-	out := make([][][2]int64, r.n)
-	for v := 0; v < r.n; v++ {
-		// Components with no proposal anywhere get proposer -1 so
-		// acceptNode can skip them.
-		best := nodes[v].best
-		for i := range best {
-			if !nodes[v].hasBest[i] {
-				best[i] = [2]int64{-1, -1}
-			}
-		}
-		out[v] = best
-	}
-	return out, nil
-}
-
 // --- Tree extraction ----------------------------------------------------
 
 // bfsClassNode grows, for every class this node belongs to, a BFS tree
@@ -825,13 +652,13 @@ func (r *run) floodBestProposal(props []*proposeNode, seed uint64) ([][][2]int64
 // The parent rule ("first delivery for the class") picks the lowest-id
 // neighbor at the previous BFS depth: deliveries arrive sender-major,
 // and a sender broadcasts each class at most once per round, so the rule
-// is insensitive to the per-sender broadcast order. parent[i] is -2
-// until the BFS reaches the node (-1 marks the root).
+// is insensitive to the per-sender broadcast order. It takes the parent
+// from the sender, so it is not a min-flood.
 type bfsClassNode struct {
 	cls      []int32
-	leader   []bool
-	parent   []int64
-	depth    []int64
+	comp     []int64 // component ids parallel to cls
+	parent   []int32 // graph.TreeRoot at the leader, graph.TreeAbsent until reached
+	depth    []int32
 	dirty    []bool
 	hasDirty bool
 	started  bool
@@ -841,9 +668,9 @@ func (p *bfsClassNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 	if !p.started {
 		p.started = true
 		for i := range p.cls {
-			if p.leader[i] {
-				p.parent[i] = -1
-				p.depth[i] = 0
+			p.parent[i] = graph.TreeAbsent
+			if p.comp[i] == int64(ctx.ID()) {
+				p.parent[i] = graph.TreeRoot
 				p.dirty[i] = true
 				p.hasDirty = true
 			}
@@ -854,11 +681,11 @@ func (p *bfsClassNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 			continue
 		}
 		i := classIndex(p.cls, int32(d.Msg.F[0]))
-		if i < 0 || p.parent[i] != unreached {
+		if i < 0 || p.parent[i] != graph.TreeAbsent {
 			continue
 		}
-		p.parent[i] = int64(d.From)
-		p.depth[i] = d.Msg.F[1] + 1
+		p.parent[i] = d.From
+		p.depth[i] = int32(d.Msg.F[1]) + 1
 		p.dirty[i] = true
 		p.hasDirty = true
 	}
@@ -867,7 +694,7 @@ func (p *bfsClassNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 	}
 	for i, c := range p.cls {
 		if p.dirty[i] {
-			ctx.Broadcast(sim.Msg(kindBFS, int64(c), p.depth[i]))
+			ctx.Broadcast(sim.Msg(kindBFS, int64(c), int64(p.depth[i])))
 			p.dirty[i] = false
 		}
 	}
@@ -875,53 +702,27 @@ func (p *bfsClassNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 	return sim.Active
 }
 
-// unreached marks a class whose BFS has not arrived at this node.
-const unreached = -2
-
 // extractTrees converts the final classes into dominating trees by
-// per-class distributed BFS from the class leader. This realizes the
-// paper's 0/1-weight MST step: a BFS forest of the 0-weight (same-class)
-// subgraph is such an MST's 0-weight part.
+// per-class distributed BFS from the class leader, leaving r.parent.
+// This realizes the paper's 0/1-weight MST step: a BFS forest of the
+// 0-weight (same-class) subgraph is such an MST's 0-weight part.
 func (r *run) extractTrees() error {
-	total := 0
-	for v := 0; v < r.n; v++ {
-		total += len(r.clsList[v])
-	}
-	i64Backing := make([]int64, 2*total)
-	flagBacking := make([]bool, 2*total)
-	nodes := make([]*bfsClassNode, r.n)
-	procs := make([]sim.Process, r.n)
-	pos := 0
-	for v := 0; v < r.n; v++ {
-		k := len(r.clsList[v])
-		nd := &bfsClassNode{
+	r.parent = perClass[int32](r)
+	depth := perClass[int32](r)
+	dirty := perClass[bool](r)
+	nodes := make([]bfsClassNode, r.n)
+	for v := range nodes {
+		nodes[v] = bfsClassNode{
 			cls:    r.clsList[v],
-			leader: flagBacking[pos : pos+k : pos+k],
-			parent: i64Backing[pos : pos+k : pos+k],
-			depth:  i64Backing[total+pos : total+pos+k : total+pos+k],
-			dirty:  flagBacking[total+pos : total+pos+k : total+pos+k],
+			comp:   r.compList[v],
+			parent: r.parent[v],
+			depth:  depth[v],
+			dirty:  dirty[v],
 		}
-		for i := range nd.parent {
-			nd.parent[i] = unreached
-		}
-		for i := range r.clsList[v] {
-			nd.leader[i] = r.compList[v][i] == int64(v)
-		}
-		pos += k
-		nodes[v] = nd
-		procs[v] = nd
+		r.procs[v] = &nodes[v]
 	}
-	if err := r.runPhase(procs, r.opts.Seed^0x7ee5, 4*r.n+8); err != nil {
+	if err := r.runPhase(r.opts.Seed^0x7ee5, 4*r.n+8); err != nil {
 		return fmt.Errorf("tree extraction: %w", err)
-	}
-	for v := 0; v < r.n; v++ {
-		m := r.parent[v]
-		clear(m)
-		for i, c := range r.clsList[v] {
-			if nodes[v].parent[i] != unreached {
-				m[c] = nodes[v].parent[i]
-			}
-		}
 	}
 	return nil
 }
@@ -940,41 +741,44 @@ func (r *run) buildPacking() *cds.Packing {
 	var (
 		trees     []graph.WeightedTree
 		treeClass []int
+		parent    []int32 // reused until a tree takes it over
 	)
 	for c := 0; c < r.classes; c++ {
 		members := classMembers[c]
 		if len(members) == 0 {
 			continue
 		}
-		parentOf := make(map[int]int, len(members))
+		if parent == nil {
+			parent = make([]int32, r.n)
+		}
+		for v := range parent {
+			parent[v] = graph.TreeAbsent
+		}
 		root := -1
 		complete := true
 		for _, v := range members {
-			p, ok := r.parent[v][int32(c)]
-			if !ok {
+			p := r.parent[v][classIndex(r.clsList[v], int32(c))]
+			if p == graph.TreeAbsent {
 				complete = false // BFS never reached v: class disconnected
 				break
 			}
-			if p < 0 {
+			if p == graph.TreeRoot {
 				if root >= 0 {
 					complete = false // two roots: split class
 					break
 				}
 				root = int(v)
-			} else {
-				parentOf[int(v)] = int(p)
 			}
+			parent[v] = p
 		}
 		if !complete || root < 0 {
 			continue
 		}
-		tree, err := graph.NewTree(r.n, root, parentOf)
-		if err != nil {
+		tree, err := graph.TreeFromParents(root, parent)
+		if err != nil || !tree.IsDominatingIn(r.g) {
 			continue
 		}
-		if !tree.IsDominatingIn(r.g) {
-			continue
-		}
+		parent = nil // the kept tree owns it
 		trees = append(trees, graph.WeightedTree{Tree: tree, Weight: 1})
 		treeClass = append(treeClass, c)
 	}
