@@ -153,67 +153,77 @@ func Pack(g *graph.Graph, opts Options) (*Packing, error) {
 		return nil, fmt.Errorf("stp: edge connectivity %d < 1", lambda)
 	}
 
-	logn := math.Log2(float64(n) + 2)
-	cutoff := opts.SampleThreshold * logn / (opts.Epsilon * opts.Epsilon)
-	if float64(lambda) <= cutoff {
-		p, err := packLowLambda(g, lambda, opts)
-		if err != nil {
-			return nil, err
-		}
-		p.Stats.Subgraphs = 1
-		p.Stats.SubgraphsPacked = 1
-		return p, nil
+	// Section 5.2: pack each sampled subgraph and take the union (valid
+	// because the subgraphs are edge-disjoint).
+	eta, samples := SampleSubgraphs(g, lambda, opts)
+	if len(samples) == 0 {
+		return nil, fmt.Errorf("stp: all %d sampled subgraphs were disconnected", eta)
 	}
-
-	// Section 5.2: split edges into η random subgraphs so each keeps
-	// edge connectivity Θ(log n/ε²) w.h.p., pack each, and take the
-	// union (valid because the subgraphs are edge-disjoint).
-	eta := int(float64(lambda) / cutoff)
-	if eta < 2 {
-		eta = 2
-	}
-	rng := ds.NewRand(opts.Seed ^ 0x5eed)
-	assign := make([]int, g.M())
-	for e := range assign {
-		assign[e] = rng.IntN(eta)
-	}
-	var out Packing
-	out.Stats.Lambda = lambda
-	out.Stats.Subgraphs = eta
-	for i := 0; i < eta; i++ {
-		sub := g.SubgraphByEdges(func(id int) bool { return assign[id] == i })
-		if !graph.IsConnected(sub) {
-			// Sampling failed for this subgraph (low-probability event);
-			// skip it — the remaining subgraphs still pack Ω(λ).
-			continue
-		}
-		subLambda := flow.EdgeConnectivity(sub)
-		if subLambda < 1 {
-			continue
-		}
-		subOpts := opts
-		subOpts.KnownLambda = subLambda
-		sp, err := packLowLambda(sub, subLambda, subOpts)
+	out := &Packing{Stats: Stats{Lambda: lambda, Subgraphs: eta}}
+	for i, s := range samples {
+		sp, err := packLowLambda(s.Graph, s.Lambda, opts)
 		if err != nil {
 			return nil, fmt.Errorf("stp: subgraph %d: %w", i, err)
 		}
-		// Trees of a spanning subgraph are spanning trees of g; re-host
-		// them (edges exist in g by construction).
+		// Trees of a spanning subgraph are spanning trees of g.
 		out.Trees = append(out.Trees, sp.Trees...)
 		out.Stats.SubgraphsPacked++
 		out.Stats.Iterations += sp.Stats.Iterations
-		if sp.Stats.MaxLoad > out.Stats.MaxLoad {
-			out.Stats.MaxLoad = sp.Stats.MaxLoad
-		}
+		out.Stats.MaxLoad = max(out.Stats.MaxLoad, sp.Stats.MaxLoad)
 		out.Stats.DistinctTrees += sp.Stats.DistinctTrees
 		out.Stats.StopChecksExact += sp.Stats.StopChecksExact
 		out.Stats.StopChecksSkipped += sp.Stats.StopChecksSkipped
 		out.Stats.DedupHits += sp.Stats.DedupHits
 	}
-	if len(out.Trees) == 0 {
-		return nil, fmt.Errorf("stp: all %d sampled subgraphs were disconnected", eta)
+	return out, nil
+}
+
+// Sample is one spanning subgraph of Section 5.2's edge sampling, with
+// its edge connectivity.
+type Sample struct {
+	Graph  *graph.Graph
+	Lambda int
+}
+
+// SampleSubgraphs is Section 5.2's edge sampling of g, whose edge
+// connectivity is lambda. Up to the cutoff SampleThreshold·log₂(n+2)/ε²
+// it returns η = 1 and g itself. Above it, it splits the edges into
+// η = max(2, ⌊lambda/cutoff⌋) random groups, so that each keeps edge
+// connectivity Θ(log n/ε²) w.h.p., and returns η with the groups that
+// are connected (a sample that is not is a low-probability event),
+// each with its exact edge connectivity. Unset options take Pack's
+// defaults.
+func SampleSubgraphs(g *graph.Graph, lambda int, opts Options) (int, []Sample) {
+	opts = opts.normalize()
+	cutoff := opts.SampleThreshold * math.Log2(float64(g.N())+2) / (opts.Epsilon * opts.Epsilon)
+	if float64(lambda) <= cutoff {
+		return 1, []Sample{{g, lambda}}
 	}
-	return &out, nil
+	eta := max(int(float64(lambda)/cutoff), 2)
+	subs := splitEdges(g, eta, opts.Seed^0x5eed)
+	samples := make([]Sample, len(subs))
+	for i, sub := range subs {
+		samples[i] = Sample{sub, flow.EdgeConnectivity(sub)}
+	}
+	return eta, samples
+}
+
+// splitEdges assigns each edge of g to one of k groups uniformly at
+// random and returns, in group order, the groups whose edges span a
+// connected subgraph.
+func splitEdges(g *graph.Graph, k int, seed uint64) []*graph.Graph {
+	rng := ds.NewRand(seed)
+	assign := make([]int, g.M())
+	for e := range assign {
+		assign[e] = rng.IntN(k)
+	}
+	var subs []*graph.Graph
+	for i := 0; i < k; i++ {
+		if sub := g.SubgraphByEdges(func(id int) bool { return assign[id] == i }); graph.IsConnected(sub) {
+			subs = append(subs, sub)
+		}
+	}
+	return subs
 }
 
 // packLowLambda is the Section 5.1 loop for λ = O(log n), run on the
@@ -258,25 +268,10 @@ func IntegralPack(g *graph.Graph, opts Options) ([]*graph.Tree, error) {
 	if lambda <= 0 {
 		lambda = flow.EdgeConnectivity(g)
 	}
-	logn := math.Log2(float64(n) + 2)
-	eta := int(float64(lambda) / (3 * logn))
-	if eta < 1 {
-		eta = 1
-	}
-	rng := ds.NewRand(opts.Seed ^ 0x1f7e)
-	assign := make([]int, g.M())
-	for e := range assign {
-		assign[e] = rng.IntN(eta)
-	}
+	eta := max(int(float64(lambda)/(3*math.Log2(float64(n)+2))), 1)
 	var out []*graph.Tree
-	for i := 0; i < eta; i++ {
-		sub := g.SubgraphByEdges(func(id int) bool { return assign[id] == i })
-		if !graph.IsConnected(sub) {
-			continue
-		}
-		tree := graph.TreeFromBFS(sub, 0)
-		// Rebuild over g's vertex ids (identical since sub is spanning).
-		out = append(out, tree)
+	for _, sub := range splitEdges(g, eta, opts.Seed^0x1f7e) {
+		out = append(out, graph.TreeFromBFS(sub, 0))
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("stp: no connected sampled subgraph (λ=%d too small for η=%d)", lambda, eta)

@@ -225,3 +225,37 @@ func TestPackAgainstExactLambdaOnRandomGraphs(t *testing.T) {
 		}
 	}
 }
+
+// TestSampleSubgraphs: up to the cutoff the one sample is g itself with
+// the given λ; above it (K40 at threshold 0.5, ε 0.3: cutoff 15.5, so
+// η = 2) the samples are connected, spanning, pairwise edge-disjoint
+// subgraphs of g that carry their exact edge connectivity.
+func TestSampleSubgraphs(t *testing.T) {
+	q5 := graph.Hypercube(5)
+	eta, samples := SampleSubgraphs(q5, 5, Options{})
+	if eta != 1 || len(samples) != 1 || samples[0].Graph != q5 || samples[0].Lambda != 5 {
+		t.Fatalf("below the cutoff: eta=%d samples=%+v, want 1 and Q5 itself with λ=5", eta, samples)
+	}
+	k40 := graph.Complete(40)
+	eta, samples = SampleSubgraphs(k40, 39, Options{Seed: 1, Epsilon: 0.3, SampleThreshold: 0.5})
+	if eta != 2 || len(samples) != 2 {
+		t.Fatalf("above the cutoff: eta=%d with %d samples, want 2 and 2", eta, len(samples))
+	}
+	owner := make([]int, k40.M())
+	for i, s := range samples {
+		if s.Graph.N() != k40.N() || !graph.IsConnected(s.Graph) {
+			t.Fatalf("sample %d is not a connected spanning subgraph", i)
+		}
+		if want := flow.EdgeConnectivity(s.Graph); s.Lambda != want {
+			t.Fatalf("sample %d carries λ=%d, want %d", i, s.Lambda, want)
+		}
+		for id := 0; id < s.Graph.M(); id++ {
+			u, v := s.Graph.Endpoints(id)
+			e, ok := k40.EdgeID(u, v)
+			if !ok || owner[e] != 0 {
+				t.Fatalf("sample %d edge %d-%d is not a fresh edge of K40", i, u, v)
+			}
+			owner[e] = i + 1
+		}
+	}
+}

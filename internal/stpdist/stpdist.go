@@ -15,10 +15,11 @@
 // contributes only the distributed MST oracle and the round/bit
 // accounting around it.
 //
-// For general λ, the η sampled subgraphs are edge-disjoint, so their
-// MSTs compose congestion-free in E-CONGEST: a joint iteration is
-// metered as the maximum of the per-subgraph MST rounds (Lemma 5.1's
-// parallel composition), plus the shared convergecast.
+// For general λ, the η subgraphs of stp.SampleSubgraphs (Section 5.2's
+// edge sampling) are edge-disjoint, so their MSTs compose
+// congestion-free in E-CONGEST: a joint iteration is metered as the
+// maximum of the per-subgraph MST rounds (Lemma 5.1's parallel
+// composition), plus the shared convergecast.
 package stpdist
 
 import (
@@ -26,7 +27,6 @@ import (
 	"math"
 
 	"repro/internal/dist"
-	"repro/internal/ds"
 	"repro/internal/flow"
 	"repro/internal/graph"
 	"repro/internal/sim"
@@ -66,51 +66,21 @@ func Pack(g *graph.Graph, opts stp.Options) (*Result, error) {
 		return nil, fmt.Errorf("stpdist: edge connectivity %d < 1", lambda)
 	}
 
-	logn := math.Log2(float64(n) + 2)
-	cutoff := opts.SampleThreshold * logn / (opts.Epsilon * opts.Epsilon)
-	subgraphs := []*graph.Graph{g}
-	eta := 1
-	if float64(lambda) > cutoff {
-		eta = int(float64(lambda) / cutoff)
-		if eta < 2 {
-			eta = 2
-		}
-		rng := ds.NewRand(opts.Seed ^ 0x5eed)
-		assign := make([]int, g.M())
-		for e := range assign {
-			assign[e] = rng.IntN(eta)
-		}
-		subgraphs = subgraphs[:0]
-		for i := 0; i < eta; i++ {
-			idx := i
-			sub := g.SubgraphByEdges(func(id int) bool { return assign[id] == idx })
-			if graph.IsConnected(sub) {
-				subgraphs = append(subgraphs, sub)
-			}
-		}
-		if len(subgraphs) == 0 {
-			return nil, fmt.Errorf("stpdist: all %d sampled subgraphs disconnected", eta)
-		}
+	eta, samples := stp.SampleSubgraphs(g, lambda, opts)
+	if len(samples) == 0 {
+		return nil, fmt.Errorf("stpdist: all %d sampled subgraphs disconnected", eta)
 	}
-
 	out := &stp.Packing{Stats: stp.Stats{Lambda: lambda, Subgraphs: eta}}
-	states := make([]*mwuState, len(subgraphs))
-	for i, sub := range subgraphs {
-		subLambda := lambda
-		if eta > 1 {
-			subLambda = flow.EdgeConnectivity(sub)
-		}
-		if subLambda < 1 {
-			continue
-		}
-		states[i] = newMWUState(sub, subLambda, opts)
+	states := make([]*mwuState, len(samples))
+	for i, s := range samples {
+		states[i] = newMWUState(s.Graph, s.Lambda, opts)
 	}
 
 	for iter, limit := 0, maxIters(n, opts.Epsilon); iter < limit; iter++ {
 		anyActive := false
 		iterRounds := 0
 		for i, st := range states {
-			if st == nil || st.eng.Done() {
+			if st.eng.Done() {
 				continue
 			}
 			anyActive = true
@@ -134,9 +104,6 @@ func Pack(g *graph.Graph, opts stp.Options) (*Result, error) {
 	}
 
 	for _, st := range states {
-		if st == nil {
-			continue
-		}
 		p := st.eng.Finish()
 		out.Trees = append(out.Trees, p.Trees...)
 		out.Stats.SubgraphsPacked++
