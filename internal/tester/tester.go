@@ -58,11 +58,24 @@ func CheckCentralized(g *graph.Graph, classOf [][]int32, classes int) (Result, e
 // multiple memberships; the meter is charged for all slots, matching
 // the paper's meta-round accounting. One engine runs the domination
 // phase and, reset, every class's announcements; one runner floods
-// every class's components.
+// every class's components. Each node's domination check keeps one
+// row of an n×classes array. CheckDistributed returns an error if
+// classOf does not have one entry per node or names a class outside
+// [0, classes).
 func CheckDistributed(g *graph.Graph, classOf [][]int32, classes int, seed uint64) (Result, error) {
 	n := g.N()
 	if len(classOf) != n {
 		return Result{}, fmt.Errorf("tester: classOf has %d entries for %d nodes", len(classOf), n)
+	}
+	if classes < 0 {
+		return Result{}, fmt.Errorf("tester: %d classes", classes)
+	}
+	for v, mine := range classOf {
+		for _, c := range mine {
+			if c < 0 || int(c) >= classes {
+				return Result{}, fmt.Errorf("tester: node %d's class %d is outside [0, %d)", v, c, classes)
+			}
+		}
 	}
 	var res Result
 	res.OK = true
@@ -72,8 +85,10 @@ func CheckDistributed(g *graph.Graph, classOf [][]int32, classes int, seed uint6
 	// slot per membership); every node checks it saw all classes.
 	procs := make([]sim.Process, n)
 	doms := make([]domNode, n)
+	seen := make([]bool, n*classes)
 	for v := range doms {
-		doms[v] = domNode{mine: classOf[v], classes: classes}
+		doms[v] = domNode{mine: classOf[v], seen: seen[:classes:classes], missing: classes}
+		seen = seen[classes:]
 		procs[v] = &doms[v]
 	}
 	eng, err := sim.NewEngine(g, sim.VCongest, procs, seed)
@@ -178,9 +193,9 @@ func CheckDistributed(g *graph.Graph, classOf [][]int32, classes int, seed uint6
 // checks that its closed neighborhood covers every class.
 type domNode struct {
 	mine    []int32
-	classes int
+	seen    []bool // seen[c]: class c is in the closed neighborhood
+	missing int    // classes not seen yet
 	round   int
-	seen    map[int32]bool
 	failed  bool
 }
 
@@ -189,13 +204,19 @@ const (
 	kindCompID     = 11
 )
 
+func (p *domNode) see(c int32) {
+	if !p.seen[c] {
+		p.seen[c] = true
+		p.missing--
+	}
+}
+
 func (p *domNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 	switch p.round {
 	case 0:
 		p.round++
-		p.seen = make(map[int32]bool, p.classes)
 		for _, c := range p.mine {
-			p.seen[c] = true
+			p.see(c)
 			ctx.Broadcast(sim.Msg(kindMembership, int64(c)))
 		}
 		if len(p.mine) > 0 {
@@ -205,12 +226,10 @@ func (p *domNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 		p.round++
 		for d := range inbox.All() {
 			if d.Msg.Kind == kindMembership {
-				p.seen[int32(d.Msg.F[0])] = true
+				p.see(int32(d.Msg.F[0]))
 			}
 		}
-		if len(p.seen) < p.classes {
-			p.failed = true
-		}
+		p.failed = p.missing > 0
 	}
 	return sim.Done
 }

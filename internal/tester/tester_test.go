@@ -1,6 +1,7 @@
 package tester
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cds"
@@ -209,6 +210,11 @@ func TestTesterAcceptsRealPacking(t *testing.T) {
 	}
 }
 
+// TestTesterDetectsSabotagedPacking removes class 0 from the least
+// vertex holding it and from all that vertex's neighbours, so that
+// vertex has no class-0 member in its closed neighbourhood: both testers
+// must reject the partition, the distributed one in its domination
+// phase.
 func TestTesterDetectsSabotagedPacking(t *testing.T) {
 	g := graph.Hypercube(5)
 	p, err := cds.Pack(g, cds.Options{Seed: 3})
@@ -225,45 +231,38 @@ func TestTesterDetectsSabotagedPacking(t *testing.T) {
 			classOf[v] = append(classOf[v], int32(i))
 		}
 	}
-	// Sabotage: remove class 0 from one of its cut vertices — pick the
-	// least tree vertex with two children, so the class may split or
-	// lose domination.
-	victim := -1
-	tr := p.Trees[0].Tree
-	childCount := make([]int, g.N())
-	tr.ForEachEdge(func(child, parent int) { childCount[parent]++ })
-	for v, c := range childCount {
-		if c >= 2 {
-			victim = v
-			break
-		}
+	victim := int(p.Trees[0].Tree.Vertices()[0])
+	for _, v := range append([]int32{int32(victim)}, g.Neighbors(victim)...) {
+		classOf[v] = slices.DeleteFunc(classOf[v], func(c int32) bool { return c == 0 })
 	}
-	if victim < 0 {
-		victim = tr.Root()
-	}
-	pruned := classOf[victim][:0]
-	for _, c := range classOf[victim] {
-		if c != 0 {
-			pruned = append(pruned, c)
-		}
-	}
-	classOf[victim] = pruned
 
 	cen, err := CheckCentralized(g, classOf, classes)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if cen.OK || cen.DominationFailures == 0 {
+		t.Fatalf("centralized test missed the undominated vertex %d: %+v", victim, cen)
+	}
 	dis, err := CheckDistributed(g, classOf, classes, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cen.OK != dis.OK {
-		t.Fatalf("centralized (%v) and distributed (%v) disagree on sabotage", cen.OK, dis.OK)
-	}
-	want := Result{OK: true, Meter: sim.Meter{
-		RawRounds: 161, MeteredRounds: 176, ChargedRounds: 170, Messages: 2988, Bits: 30871, Phases: 33}}
+	want := Result{DominationFailures: 1, Meter: sim.Meter{
+		RawRounds: 2, MeteredRounds: 17, ChargedRounds: 10, Messages: 451, Bits: 5431, Phases: 1}}
 	if dis != want {
 		t.Fatalf("distributed result %+v, want %+v", dis, want)
+	}
+}
+
+// TestCheckDistributedRejectsClassOutOfRange: a class id outside
+// [0, classes) is an error, like a classOf of the wrong length.
+func TestCheckDistributedRejectsClassOutOfRange(t *testing.T) {
+	g := graph.Path(3)
+	for _, bad := range []int32{-1, 2} {
+		classOf := [][]int32{{0}, {1, bad}, {0}}
+		if _, err := CheckDistributed(g, classOf, 2, 1); err == nil {
+			t.Fatalf("class %d accepted with 2 classes", bad)
+		}
 	}
 }
 
