@@ -66,6 +66,9 @@ type Engine struct {
 	phaseRound   int
 	statuses     []Status
 	observer     func(from, to int32, bits int)
+	// violation is the field-budget violation that aborted a round; it
+	// stays until Reset.
+	violation error
 }
 
 // Option customizes engine construction.
@@ -147,11 +150,11 @@ func (e *Engine) Reset(procs []Process, seed uint64, opts ...Option) error {
 	e.phaseRound = 0
 	e.maxFieldBits = DefaultMaxFieldBits(e.g.N())
 	e.observer = nil
+	e.violation = nil
 	for i := range e.contexts {
 		c := &e.contexts[i]
 		c.out = c.out[:0]
 		c.prev = c.prev[:0]
-		c.violation = nil
 		s1, s2 := ds.SplitSeed(seed, uint64(i))
 		c.pcg.Seed(s1, s2)
 	}
@@ -184,8 +187,13 @@ func (e *Engine) checkMessage(m Message) error {
 // RunPhase executes rounds until every process returns Done in the same
 // round, or maxRounds elapse (an error). Outboxes carry over between
 // phases: messages sent in the final round of a phase are delivered in
-// the first round of the next.
+// the first round of the next. Once a field-budget violation has
+// aborted a round, RunPhase returns that error at once, calling no
+// Round, until Reset.
 func (e *Engine) RunPhase(maxRounds int) error {
+	if e.violation != nil {
+		return e.violation
+	}
 	e.phaseRound = 0
 	for r := 0; r < maxRounds; r++ {
 		allDone, err := e.step()
@@ -215,15 +223,13 @@ func (e *Engine) step() (allDone bool, err error) {
 		inbox := Inbox{nbrs: nbr[off[v]:off[v+1]], contexts: e.contexts}
 		e.statuses[v] = e.procs[v].Round(&e.contexts[v], inbox)
 	}
-	for v := range e.contexts {
-		if err := e.contexts[v].violation; err != nil {
-			// The round is aborted: none of its broadcasts is metered or
-			// delivered.
-			for i := range e.contexts {
-				e.contexts[i].out = e.contexts[i].out[:0]
-			}
-			return false, err
+	if e.violation != nil {
+		// The round is aborted: none of its broadcasts is metered or
+		// delivered.
+		for i := range e.contexts {
+			e.contexts[i].out = e.contexts[i].out[:0]
 		}
+		return false, e.violation
 	}
 
 	maxSlots := e.meterSends()

@@ -157,9 +157,8 @@ type Context struct {
 	rng    *rand.Rand
 	pcg    *rand.PCG // rng's source, reseeded in place by Engine.Reset
 
-	out       []Message // this round's broadcasts, one slot each
-	prev      []Message // last round's, which the neighbors read now
-	violation error
+	out  []Message // this round's broadcasts, one slot each
+	prev []Message // last round's, which the neighbors read now
 }
 
 // ID returns this node's identifier in [0, N()).
@@ -176,11 +175,12 @@ func (c *Context) Rand() *rand.Rand { return c.rng }
 // broadcasts per round are allowed and metered: a round where some node
 // uses s slots is charged as s rounds. A message with a field over the
 // engine's bit budget is not sent: the round is aborted, RunPhase
-// returns the violation, and no broadcast of that round is delivered.
+// returns the violation (and keeps returning it until Reset), and no
+// broadcast of that round is delivered.
 func (c *Context) Broadcast(msg Message) {
 	if err := c.engine.checkMessage(msg); err != nil {
-		if c.violation == nil {
-			c.violation = fmt.Errorf("node %d round %d: %w", c.node, c.engine.phaseRound, err)
+		if c.engine.violation == nil {
+			c.engine.violation = fmt.Errorf("node %d round %d: %w", c.node, c.engine.phaseRound, err)
 		}
 		return
 	}

@@ -302,9 +302,9 @@ func (p *budgetProc) Round(ctx *Context, inbox Inbox) Status {
 
 // TestFieldBudgetViolationDeliversNothing: a round aborted by a
 // field-budget violation delivers none of its broadcasts, valid ones
-// included, not even to a caller that runs on without Reset; the
-// aborted round's own inbox is not delivered a second time; and the
-// meter holds only the rounds before it.
+// included; the meter holds only the rounds before it; a second
+// RunPhase without Reset returns the same error without calling any
+// Round; and Reset clears the violation.
 func TestFieldBudgetViolationDeliversNothing(t *testing.T) {
 	g := graph.Cycle(5)
 	nodes := make([]*budgetProc, g.N())
@@ -317,16 +317,19 @@ func TestFieldBudgetViolationDeliversNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.RunPhase(10); err == nil || !strings.Contains(err.Error(), "bits") {
+	err = e.RunPhase(10)
+	if err == nil || !strings.Contains(err.Error(), "bits") {
 		t.Fatalf("over-budget broadcast not rejected: %v", err)
 	}
 	if nodes[0].queued != 1 {
 		t.Fatalf("breaker's outbox held %d messages, want its one valid broadcast", nodes[0].queued)
 	}
-	_ = e.RunPhase(10) // runs on without Reset
+	if again := e.RunPhase(10); again != err {
+		t.Fatalf("second RunPhase without Reset returned %v, want the violation %v", again, err)
+	}
 	for v, nd := range nodes {
-		if nd.rounds < 3 {
-			t.Fatalf("node %d ran %d rounds, want the second RunPhase to run it again", v, nd.rounds)
+		if nd.rounds != 2 {
+			t.Fatalf("node %d ran %d rounds, want 2: the aborted phase must call no further Round", v, nd.rounds)
 		}
 		if len(nd.got) != g.Degree(v) {
 			t.Fatalf("node %d received %v, want each neighbor's round-1 message once", v, nd.got)
@@ -343,6 +346,24 @@ func TestFieldBudgetViolationDeliversNothing(t *testing.T) {
 	}
 	if m := e.Meter(); m.Messages != int64(g.N()) || m.Bits != wantBits {
 		t.Fatalf("meter %+v, want the round-1 broadcasts alone: %d messages, %d bits", *m, g.N(), wantBits)
+	}
+
+	// Reset clears the violation: processes without a breaker run their
+	// three rounds to completion on the same engine.
+	for i := range procs {
+		nodes[i] = &budgetProc{}
+		procs[i] = nodes[i]
+	}
+	if err := e.Reset(procs, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RunPhase(10); err != nil {
+		t.Fatalf("RunPhase after Reset: %v", err)
+	}
+	for v, nd := range nodes {
+		if nd.rounds != 3 {
+			t.Fatalf("node %d ran %d rounds after Reset, want 3", v, nd.rounds)
+		}
 	}
 }
 
