@@ -56,12 +56,14 @@ cover:
 # registry are all written concurrently on the serve path), plus the
 # invariant harness that gates the packers (check), the spanning-tree
 # packers (stp, stpdist) and the simulator with its other drivers (sim,
-# cdsdist, dist). Simulator rounds run serially; the simulator and its
+# cdsdist, dist, and tester, whose CheckDistributed cdsdist.Pack runs on
+# every guess). Simulator rounds run serially; the simulator and its
 # drivers stay in the set because running the Remark 3.1 guesses
-# concurrently, an open ROADMAP item, will land in these drivers and is
-# then race-checked from its first change.
+# concurrently, an open ROADMAP item, will land in these drivers and
+# the tester calls they make, and is then race-checked from its first
+# change.
 race:
-	$(GO) test -race ./internal/sim ./internal/check ./internal/stp ./internal/stpdist ./internal/cast ./internal/serve ./internal/cdsdist ./internal/dist ./internal/obs
+	$(GO) test -race ./internal/sim ./internal/check ./internal/stp ./internal/stpdist ./internal/cast ./internal/serve ./internal/cdsdist ./internal/dist ./internal/tester ./internal/obs
 
 # Serving smoke: cmd/serve -selftest drives the binary's own handler
 # (request logging included) over a real HTTP listener — register,
