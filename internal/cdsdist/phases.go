@@ -74,6 +74,9 @@ func perClass[T any](r *run) [][]T {
 // value a flood carries is smaller.
 var noValue = [2]int64{math.MaxInt64, math.MaxInt64}
 
+// less orders flood values lexicographically.
+func less(a, b [2]int64) bool { return a[0] < b[0] || a[0] == b[0] && a[1] < b[1] }
+
 // minFloodNode is Theorem B.2's restricted flooding, run for every
 // class of the node at once: per class it keeps the least value
 // (F[1], F[2]) seen, sends every value other than noValue in its first
@@ -111,8 +114,7 @@ func (p *minFloodNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 		if i < 0 {
 			continue
 		}
-		x := [2]int64{d.Msg.F[1], d.Msg.F[2]}
-		if cur := p.val[i]; x[0] < cur[0] || x[0] == cur[0] && x[1] < cur[1] {
+		if x := [2]int64{d.Msg.F[1], d.Msg.F[2]}; less(x, p.val[i]) {
 			p.val[i] = x
 			p.dirty[i] = true
 			p.hasDirty = true
@@ -476,8 +478,7 @@ func (p *proposeNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 			if i < 0 || p.blocked[i] || p.comp[i] != d.Msg.F[1] {
 				continue // not in this component, or matched earlier
 			}
-			key := [2]int64{-d.Msg.F[2], -int64(d.From)}
-			if cur := p.best[i]; key[0] < cur[0] || key[0] == cur[0] && key[1] < cur[1] {
+			if key := [2]int64{-d.Msg.F[2], -int64(d.From)}; less(key, p.best[i]) {
 				p.best[i] = key
 			}
 		}

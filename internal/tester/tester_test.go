@@ -85,6 +85,12 @@ func TestCheckCentralizedValidatesLength(t *testing.T) {
 	if _, err := CheckDistributed(g, make([][]int32, 2), 1, 1); err == nil {
 		t.Fatal("bad classOf length accepted (distributed)")
 	}
+	// A class id outside [0, classes) is an error too.
+	for _, bad := range []int32{-1, 2} {
+		if _, err := CheckDistributed(g, [][]int32{{0}, {1, bad}, {0}}, 2, 1); err == nil {
+			t.Fatalf("class %d accepted with 2 classes (distributed)", bad)
+		}
+	}
 }
 
 func TestDistributedMatchesCentralizedOnCases(t *testing.T) {
@@ -251,18 +257,6 @@ func TestTesterDetectsSabotagedPacking(t *testing.T) {
 		RawRounds: 2, MeteredRounds: 17, ChargedRounds: 10, Messages: 451, Bits: 5431, Phases: 1}}
 	if dis != want {
 		t.Fatalf("distributed result %+v, want %+v", dis, want)
-	}
-}
-
-// TestCheckDistributedRejectsClassOutOfRange: a class id outside
-// [0, classes) is an error, like a classOf of the wrong length.
-func TestCheckDistributedRejectsClassOutOfRange(t *testing.T) {
-	g := graph.Path(3)
-	for _, bad := range []int32{-1, 2} {
-		classOf := [][]int32{{0}, {1, bad}, {0}}
-		if _, err := CheckDistributed(g, classOf, 2, 1); err == nil {
-			t.Fatalf("class %d accepted with 2 classes", bad)
-		}
 	}
 }
 
