@@ -219,7 +219,7 @@ func (r *run) execute() error {
 	}
 
 	// Final component identification + per-class BFS tree extraction.
-	if err := r.identifyComponents(); err != nil {
+	if _, err := r.identifyComponents(); err != nil {
 		return err
 	}
 	if err := r.extractTrees(); err != nil {
@@ -230,8 +230,11 @@ func (r *run) execute() error {
 
 // assignLayer runs one layer of the recursive class assignment.
 func (r *run) assignLayer(layer int) error {
-	// Phase A: identify components of the old nodes (Appendix B.1).
-	if err := r.identifyComponents(); err != nil {
+	// Phase A: identify components of the old nodes (Appendix B.1). The
+	// layer's other floods reuse the component flood's value rows, since
+	// the class lists stay the same until the layer ends.
+	vals, err := r.identifyComponents()
+	if err != nil {
 		return err
 	}
 	r.stats.ExcessComponents = append(r.stats.ExcessComponents, r.excess())
@@ -245,14 +248,14 @@ func (r *run) assignLayer(layer int) error {
 	// Phase B: deactivate components already bridged by type-1 nodes
 	// (Appendix B.2), then build each type-2 node's neighbor list of the
 	// bridging graph via component announcements and type-3 scouting.
-	lists, err := r.buildBridging(layer)
+	lists, err := r.buildBridging(layer, vals)
 	if err != nil {
 		return err
 	}
 
 	// Phase C: O(log n) stages of randomized proposal matching
 	// (Appendix B.3).
-	matchedCount, err := r.matchStages(layer, lists)
+	matchedCount, err := r.matchStages(layer, lists, vals)
 	if err != nil {
 		return err
 	}

@@ -150,8 +150,9 @@ func (r *run) flood(kind uint8, vals [][][2]int64, seed uint64) error {
 
 // identifyComponents refreshes r.compList for the current old-node
 // sets: each node seeds (v, 0) for every class it holds, and the flood
-// leaves each component's least member id.
-func (r *run) identifyComponents() error {
+// leaves each component's least member id. It returns the flood's value
+// rows for reuse.
+func (r *run) identifyComponents() ([][][2]int64, error) {
 	vals := perClass[[2]int64](r)
 	for v, row := range vals {
 		for i := range row {
@@ -159,7 +160,7 @@ func (r *run) identifyComponents() error {
 		}
 	}
 	if err := r.flood(kindComp, vals, r.opts.Seed^0xc0ffee); err != nil {
-		return fmt.Errorf("component identification: %w", err)
+		return nil, fmt.Errorf("component identification: %w", err)
 	}
 	r.compList = perClass[int64](r)
 	for v, row := range vals {
@@ -167,7 +168,7 @@ func (r *run) identifyComponents() error {
 			r.compList[v][i] = x[0]
 		}
 	}
-	return nil
+	return vals, nil
 }
 
 // --- Phase B: deactivation and bridging lists --------------------------
@@ -379,10 +380,10 @@ func (p *scoutNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 }
 
 // buildBridging runs phases B of a layer and returns each type-2 node's
-// bridging-graph neighbor list.
-func (r *run) buildBridging(layer int) ([][]candidate, error) {
+// bridging-graph neighbor list. deact holds a row per node parallel to
+// its class list, which the announcements overwrite.
+func (r *run) buildBridging(layer int, deact [][][2]int64) ([][]candidate, error) {
 	// B.1: announcements + type-1 connector detection.
-	deact := perClass[[2]int64](r)
 	anns := make([]annNode, r.n)
 	for v := range anns {
 		anns[v] = annNode{
@@ -545,19 +546,21 @@ func (p *acceptNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 
 // matchStages runs the O(log n) Luby-style stages of Appendix B.3 and
 // assigns classes to the type-2 virtual nodes of the layer. Returns the
-// number matched through the bridging graph. The per-node state of
-// every stage is allocated once per layer.
-func (r *run) matchStages(layer int, lists [][]candidate) (int, error) {
+// number matched through the bridging graph. best holds a row per node
+// parallel to its class list, which every stage's proposals overwrite;
+// the stages' per-node state is allocated once, when the first runs.
+func (r *run) matchStages(layer int, lists [][]candidate, best [][][2]int64) (int, error) {
 	stages := 1
 	for s := 1; s < r.n; s <<= 1 {
 		stages++
 	}
 	matchedCount := 0
 	assigned := make([]bool, r.n)
-	props := make([]proposeNode, r.n)
-	accs := make([]acceptNode, r.n)
-	best := perClass[[2]int64](r)
 	blocked := perClass[bool](r)
+	var (
+		props []proposeNode
+		accs  []acceptNode
+	)
 
 	for stage := 0; stage < stages; stage++ {
 		anyList := false
@@ -569,6 +572,9 @@ func (r *run) matchStages(layer int, lists [][]candidate) (int, error) {
 		}
 		if !anyList {
 			break
+		}
+		if props == nil {
+			props, accs = make([]proposeNode, r.n), make([]acceptNode, r.n)
 		}
 		// Stage round 1-2: propose and collect.
 		for v := range props {
