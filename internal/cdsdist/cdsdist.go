@@ -149,9 +149,14 @@ func classIndex(cls []int32, c int32) int {
 	return -1
 }
 
-// insertClass adds c to the sorted class list if absent.
+// insertClass adds c to the sorted class list if absent, scanning
+// linearly like classIndex.
 func insertClass(cls []int32, c int32) []int32 {
-	if i, found := slices.BinarySearch(cls, c); !found {
+	i := 0
+	for i < len(cls) && cls[i] < c {
+		i++
+	}
+	if i == len(cls) || cls[i] != c {
 		cls = slices.Insert(cls, i, c)
 	}
 	return cls
