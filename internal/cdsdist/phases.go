@@ -192,14 +192,12 @@ type annNode struct {
 	comp       []int64    // component ids parallel to cls
 	deact      [][2]int64 // parallel to cls
 	type1Class int32
-	round      int
 	seen       [2]int64
 }
 
 func (p *annNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
-	switch p.round {
+	switch ctx.PhaseRound() {
 	case 0:
-		p.round++
 		for i, c := range p.cls {
 			p.deact[i] = noValue
 			ctx.Broadcast(sim.Msg(kindCompAnn, int64(c), p.comp[i], 1))
@@ -208,7 +206,6 @@ func (p *annNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 			return sim.Active
 		}
 	case 1:
-		p.round++
 		// Type-1 role: collect components of own class; if >= 2, shout
 		// the connector symbol for that class. Two distinct ids suffice,
 		// so a two-slot set is enough.
@@ -238,7 +235,6 @@ func (p *annNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 			return sim.Active
 		}
 	case 2:
-		p.round++
 		for d := range inbox.All() {
 			if d.Msg.Kind != kindDeact {
 				continue
@@ -263,7 +259,6 @@ type scoutNode struct {
 	deact      [][2]int64 // parallel to cls: noValue while active
 	classes    int
 	type3Class int32
-	round      int
 
 	// scratch
 	seenComp []int64     // distinct type-3 component ids heard
@@ -272,9 +267,8 @@ type scoutNode struct {
 }
 
 func (p *scoutNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
-	switch p.round {
+	switch ctx.PhaseRound() {
 	case 0:
-		p.round++
 		for i, c := range p.cls {
 			act := int64(0)
 			if p.deact[i] == noValue {
@@ -286,7 +280,6 @@ func (p *scoutNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 			return sim.Active
 		}
 	case 1:
-		p.round++
 		// Gather announcements; type-3 role constructs m_w.
 		noteComp := func(id int64) {
 			for _, have := range p.seenComp {
@@ -329,7 +322,6 @@ func (p *scoutNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 			return sim.Active
 		}
 	case 2:
-		p.round++
 		// Type-2 role: build List_v per Appendix B.2. Scout messages are
 		// bucketed per class; each bucket is a small distinct-id set.
 		scouts := make([][]int64, p.classes)
@@ -444,13 +436,11 @@ type proposeNode struct {
 	proposal candidate   // what this node proposed to
 	propVal  int64
 	proposed bool
-	round    int
 }
 
 func (p *proposeNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
-	switch p.round {
+	switch ctx.PhaseRound() {
 	case 0:
-		p.round++
 		for i := range p.best {
 			p.best[i] = noValue
 		}
@@ -470,7 +460,6 @@ func (p *proposeNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 			return sim.Active
 		}
 	case 1:
-		p.round++
 		for d := range inbox.All() {
 			if d.Msg.Kind != kindPropose {
 				continue
@@ -498,15 +487,13 @@ type acceptNode struct {
 	proposed bool
 	proposal candidate
 	propVal  int64
-	round    int
 	matched  bool
 	lost     []candidate // components that accepted someone else
 }
 
 func (p *acceptNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
-	switch p.round {
+	switch ctx.PhaseRound() {
 	case 0:
-		p.round++
 		sent := false
 		for i, key := range p.best {
 			if key == noValue {
@@ -527,7 +514,6 @@ func (p *acceptNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 			return sim.Active
 		}
 	case 1:
-		p.round++
 		for d := range inbox.All() {
 			if d.Msg.Kind != kindAccept {
 				continue

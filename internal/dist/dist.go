@@ -343,7 +343,6 @@ func (s *session) outgoingCandidates(weights []int64, cids, out []Pair, sentinel
 		nd.cid = cids[v].A
 		nd.weights = weights
 		nd.best = sentinel
-		nd.round = 0
 	}
 	bits := sim.DefaultMaxFieldBits(n)
 	if b := sim.FieldBits(sentinel.A); b > bits {
@@ -367,17 +366,14 @@ type announceNode struct {
 	eids    []int32 // incident edge ids, indexed by port
 	weights []int64 // global weight table indexed by edge id (node reads only incident entries)
 	best    Pair
-	round   int
 }
 
 func (p *announceNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
-	switch p.round {
+	switch ctx.PhaseRound() {
 	case 0:
-		p.round++
 		ctx.Broadcast(sim.Msg(kindComp, p.cid))
 		return sim.Active
 	case 1:
-		p.round++
 		for d := range inbox.All() {
 			if d.Msg.Kind != kindComp || d.Msg.F[0] == p.cid {
 				continue

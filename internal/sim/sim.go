@@ -168,6 +168,12 @@ func (c *Context) ID() int { return int(c.node) }
 // an O(D) preprocessing phase (Section 2), which drivers charge.
 func (c *Context) N() int { return c.engine.g.N() }
 
+// PhaseRound returns the index of the current round within its phase:
+// 0 in the phase's first round. It advances every round, whether or
+// not this node is called, so a protocol that acts by round number
+// switches on it rather than counting its own calls.
+func (c *Context) PhaseRound() int { return c.engine.phaseRound }
+
 // Rand returns this node's private random stream.
 func (c *Context) Rand() *rand.Rand { return c.rng }
 

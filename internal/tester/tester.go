@@ -96,7 +96,7 @@ func CheckDistributed(g *graph.Graph, classOf [][]int32, classes int, seed uint6
 	}
 	res.Meter.Add(eng.Meter())
 	for v := range doms {
-		if doms[v].failed {
+		if doms[v].missing > 0 {
 			res.DominationFailures++
 		}
 	}
@@ -186,13 +186,13 @@ func CheckDistributed(g *graph.Graph, classOf [][]int32, classes int, seed uint6
 }
 
 // domNode announces this node's class memberships (one slot each) and
-// checks that its closed neighborhood covers every class.
+// counts the classes its closed neighborhood misses. The verdict,
+// missing > 0, is read after the phase: a node that holds no class and
+// hears nothing is never called after the first round.
 type domNode struct {
 	mine    []int32
 	seen    []bool // seen[c]: class c is in the closed neighborhood
 	missing int    // classes not seen yet
-	round   int
-	failed  bool
 }
 
 const (
@@ -208,9 +208,8 @@ func (p *domNode) see(c int32) {
 }
 
 func (p *domNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
-	switch p.round {
+	switch ctx.PhaseRound() {
 	case 0:
-		p.round++
 		for _, c := range p.mine {
 			p.see(c)
 			ctx.Broadcast(sim.Msg(kindMembership, int64(c)))
@@ -219,13 +218,11 @@ func (p *domNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 			return sim.Active
 		}
 	case 1:
-		p.round++
 		for d := range inbox.All() {
 			if d.Msg.Kind == kindMembership {
 				p.see(int32(d.Msg.F[0]))
 			}
 		}
-		p.failed = p.missing > 0
 	}
 	return sim.Done
 }
@@ -239,22 +236,19 @@ func (p *domNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 // paths.
 type connNode struct {
 	compID   int64 // -1 for non-members
-	round    int
 	heard    int64
 	detected bool
 }
 
 func (p *connNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
-	switch p.round {
+	switch ctx.PhaseRound() {
 	case 0:
-		p.round++
 		p.heard = p.compID // members witness their own component
 		if p.compID >= 0 {
 			ctx.Broadcast(sim.Msg(kindCompID, p.compID))
 			return sim.Active
 		}
 	case 1:
-		p.round++
 		for d := range inbox.All() {
 			if d.Msg.Kind != kindCompID {
 				continue
@@ -270,7 +264,6 @@ func (p *connNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 			return sim.Active
 		}
 	case 2:
-		p.round++
 		for d := range inbox.All() {
 			if d.Msg.Kind == kindCompID && p.heard >= 0 && d.Msg.F[0] != p.heard {
 				p.detected = true
