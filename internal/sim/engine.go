@@ -50,12 +50,18 @@ func (m *Meter) Add(src *Meter) {
 
 // Engine executes Processes over a graph in synchronous rounds.
 //
-// Each round is one serial pass: every node's Round, which reads its
-// neighbors' previous-round outboxes in place, then the metering of the
-// round's sends. Each node keeps two outboxes, this round's and last
-// round's, swapped at the start of every round; both are reused across
-// rounds and, via Reset, across protocol phases on the same graph, so a
-// warm engine allocates nothing per round.
+// Each round is one serial pass over the nodes that are due, in
+// ascending id order, then the metering of the round's sends. Every
+// node is due in a phase's first round; after it, a node is due when it
+// returned Active in the round before or has deliveries. Metering walks
+// only the round's senders: it charges each broadcast at the size
+// Broadcast computed, lists the sender's port at each neighbor through
+// the reverse-port table, and swaps the sender's two outboxes, so the
+// next round's receivers read its broadcasts in place. A round thus
+// costs what it delivers plus the calls of its due nodes. Both outboxes
+// of a node are reused across rounds and, via Reset, across protocol
+// phases on the same graph, so a warm engine allocates nothing per
+// round.
 type Engine struct {
 	g            *graph.Graph
 	model        Model
@@ -64,11 +70,23 @@ type Engine struct {
 	meter        Meter
 	maxFieldBits int
 	phaseRound   int
-	statuses     []Status
 	observer     func(from, to int32, bits int)
 	// violation is the field-budget violation that aborted a round; it
 	// stays until Reset.
 	violation error
+
+	// rev[i], for the CSR slot i of edge (u, v) in u's row, is u's
+	// port at v: its index in Neighbors(v).
+	rev []int32
+	// ports[off[v] : off[v]+heard[v]] are the ports of v whose
+	// neighbor broadcast in the last metered round, ascending: what
+	// v's next Inbox walks.
+	ports []int32
+	heard []int32
+	// due has bit v set when node v is called in the next round.
+	due []uint64
+	// senders lists the current round's senders, ascending.
+	senders []int32
 }
 
 // Option customizes engine construction.
@@ -110,14 +128,27 @@ func NewEngine(g *graph.Graph, model Model, procs []Process, seed uint64, opts .
 	if model != VCongest && model != ECongest {
 		return nil, fmt.Errorf("sim: unknown model %v", model)
 	}
+	n := g.N()
+	nbr := g.AdjTargets()
 	e := &Engine{
 		g:            g,
 		model:        model,
 		procs:        procs,
-		contexts:     make([]Context, g.N()),
-		maxFieldBits: DefaultMaxFieldBits(g.N()),
-		statuses:     make([]Status, g.N()),
+		contexts:     make([]Context, n),
+		maxFieldBits: DefaultMaxFieldBits(n),
+		rev:          make([]int32, len(nbr)),
+		ports:        make([]int32, len(nbr)),
+		heard:        make([]int32, n),
+		due:          make([]uint64, (n+63)/64),
+		senders:      make([]int32, 0, n),
 	}
+	// Rows ascend, so visiting the senders u in ascending order meets
+	// each receiver's neighbors in row order: heard counts them off.
+	for i, v := range nbr {
+		e.rev[i] = e.heard[v]
+		e.heard[v]++
+	}
+	clear(e.heard)
 	for i := range e.contexts {
 		s1, s2 := ds.SplitSeed(seed, uint64(i))
 		pcg := rand.NewPCG(s1, s2)
@@ -135,12 +166,12 @@ func NewEngine(g *graph.Graph, model Model, procs []Process, seed uint64, opts .
 }
 
 // Reset rebinds the engine to a new protocol run over the same graph
-// and model: fresh processes, reseeded per-node random streams, zeroed
-// meter and statuses, both outboxes of every node emptied — while
-// keeping their buffers. Drivers that execute many phases over one
-// topology reset one engine instead of allocating one per phase.
-// Options are re-applied from the defaults, so pass the same options
-// each time (or none).
+// and model: fresh processes, reseeded per-node random streams, a
+// zeroed meter, no deliveries pending and both outboxes of every node
+// emptied — while keeping their buffers. Drivers that execute many
+// phases over one topology reset one engine instead of allocating one
+// per phase. Options are re-applied from the defaults, so pass the same
+// options each time (or none).
 func (e *Engine) Reset(procs []Process, seed uint64, opts ...Option) error {
 	if len(procs) != e.g.N() {
 		return fmt.Errorf("sim: %d processes for %d nodes", len(procs), e.g.N())
@@ -155,10 +186,11 @@ func (e *Engine) Reset(procs []Process, seed uint64, opts ...Option) error {
 		c := &e.contexts[i]
 		c.out = c.out[:0]
 		c.prev = c.prev[:0]
+		c.bits = 0
 		s1, s2 := ds.SplitSeed(seed, uint64(i))
 		c.pcg.Seed(s1, s2)
 	}
-	clear(e.statuses)
+	clear(e.heard)
 	for _, opt := range opts {
 		opt(e)
 	}
@@ -175,33 +207,34 @@ func ceilLog2(x int) int {
 // Meter returns the accumulated cost meter.
 func (e *Engine) Meter() *Meter { return &e.meter }
 
-func (e *Engine) checkMessage(m Message) error {
-	for _, f := range m.F {
-		if fb := fieldBits(f); fb > e.maxFieldBits {
-			return fmt.Errorf("sim: field %d needs %d bits, budget %d", f, fb, e.maxFieldBits)
-		}
-	}
-	return nil
-}
-
-// RunPhase executes rounds until every process returns Done in the same
-// round, or maxRounds elapse (an error). Outboxes carry over between
-// phases: messages sent in the final round of a phase are delivered in
-// the first round of the next. Once a field-budget violation has
-// aborted a round, RunPhase returns that error at once, calling no
-// Round, until Reset.
+// RunPhase executes rounds until no node called in a round returns
+// Active, or maxRounds elapse (an error). Every node is called in the
+// phase's first round; after it, only nodes that returned Active in
+// the round before or have deliveries are called. A node that returned
+// Done and receives nothing is not called and keeps its state, so the
+// phase ends in global quiescence. Outboxes carry over between phases:
+// messages sent in the final round of a phase are delivered in the
+// first round of the next. Once a field-budget violation has aborted a
+// round, RunPhase returns that error at once, calling no Round, until
+// Reset.
 func (e *Engine) RunPhase(maxRounds int) error {
 	if e.violation != nil {
 		return e.violation
 	}
 	e.phaseRound = 0
+	for i := range e.due {
+		e.due[i] = ^uint64(0)
+	}
+	if tail := len(e.contexts) % 64; tail != 0 {
+		e.due[len(e.due)-1] = 1<<tail - 1
+	}
 	for r := 0; r < maxRounds; r++ {
-		allDone, err := e.step()
+		active, err := e.step()
 		if err != nil {
 			return err
 		}
 		e.phaseRound++
-		if allDone {
+		if !active {
 			e.meter.Phases++
 			return nil
 		}
@@ -209,25 +242,42 @@ func (e *Engine) RunPhase(maxRounds int) error {
 	return fmt.Errorf("sim: phase did not converge within %d rounds", maxRounds)
 }
 
-// step runs one synchronous round: the outbox swap, every node's Round
-// over its in-place inbox, then metering, then the delivery observer if
-// one is registered.
-func (e *Engine) step() (allDone bool, err error) {
-	for v := range e.contexts {
-		c := &e.contexts[v]
-		c.out, c.prev = c.prev[:0], c.out
-	}
+// inbox returns node v's inbox: the ports listed at the last metering.
+func (e *Engine) inbox(v int) Inbox {
 	off := e.g.AdjOffsets()
-	nbr := e.g.AdjTargets()
-	for v := range e.contexts {
-		inbox := Inbox{nbrs: nbr[off[v]:off[v+1]], contexts: e.contexts}
-		e.statuses[v] = e.procs[v].Round(&e.contexts[v], inbox)
+	lo := off[v]
+	return Inbox{nbrs: e.g.AdjTargets()[lo:off[v+1]], ports: e.ports[lo : lo+e.heard[v]], contexts: e.contexts}
+}
+
+// step runs one synchronous round: the Round of every due node over
+// its in-place inbox, then metering, then the delivery observer if one
+// is registered. It reports whether some called node returned Active.
+func (e *Engine) step() (active bool, err error) {
+	e.senders = e.senders[:0]
+	for w, word := range e.due {
+		e.due[w] = 0
+		for word != 0 {
+			b := bits.TrailingZeros64(word)
+			word &= word - 1
+			v := w<<6 | b
+			inbox := e.inbox(v)
+			e.heard[v] = 0
+			c := &e.contexts[v]
+			if e.procs[v].Round(c, inbox) != Done {
+				e.due[w] |= 1 << b
+				active = true
+			}
+			if len(c.out) > 0 {
+				e.senders = append(e.senders, int32(v))
+			}
+		}
 	}
 	if e.violation != nil {
 		// The round is aborted: none of its broadcasts is metered or
 		// delivered.
-		for i := range e.contexts {
-			e.contexts[i].out = e.contexts[i].out[:0]
+		for _, u := range e.senders {
+			c := &e.contexts[u]
+			c.out, c.bits = c.out[:0], 0
 		}
 		return false, e.violation
 	}
@@ -235,45 +285,45 @@ func (e *Engine) step() (allDone bool, err error) {
 	maxSlots := e.meterSends()
 	if e.observer != nil {
 		for v := range e.contexts {
-			for _, u := range nbr[off[v]:off[v+1]] {
-				for _, m := range e.contexts[u].out {
-					e.observer(u, int32(v), m.BitSize())
-				}
+			for d := range e.inbox(v).All() {
+				e.observer(d.From, int32(v), d.Msg.BitSize())
 			}
 		}
 	}
 	e.meter.RawRounds++
 	e.meter.MeteredRounds += max(maxSlots, 1)
-
-	for _, st := range e.statuses {
-		if st != Done {
-			return false, nil
-		}
-	}
-	return true, nil
+	return active, nil
 }
 
-// meterSends meters every node's broadcasts of the round and returns
-// the round's slot count: the most broadcasts any node made (V-CONGEST)
-// or any node with an edge made (E-CONGEST, where an isolated node's
-// broadcasts cross no edge direction).
+// meterSends meters the round's broadcasts and returns its slot count:
+// the most broadcasts any node made (V-CONGEST) or any node with an
+// edge made (E-CONGEST, where an isolated node's broadcasts cross no
+// edge direction). It lists each sender's port at every neighbor, marks
+// the neighbor due, and swaps the sender's outboxes, so the next
+// round's inboxes read this round's broadcasts.
 func (e *Engine) meterSends() (maxSlots int) {
 	off := e.g.AdjOffsets()
+	nbr := e.g.AdjTargets()
 	var messages, sentBits int64
-	for v := range e.contexts {
-		if out := e.contexts[v].out; len(out) > 0 {
-			copies := int64(1)
-			if e.model == ECongest {
-				copies = int64(off[v+1] - off[v])
-			}
-			if copies > 0 {
-				maxSlots = max(maxSlots, len(out))
-			}
-			for i := range out {
-				sentBits += int64(out[i].BitSize()) * copies
-			}
-			messages += int64(len(out)) * copies
+	for _, u := range e.senders {
+		c := &e.contexts[u]
+		lo, hi := off[u], off[u+1]
+		copies := int64(1)
+		if e.model == ECongest {
+			copies = int64(hi - lo)
 		}
+		if copies > 0 {
+			maxSlots = max(maxSlots, len(c.out))
+		}
+		messages += int64(len(c.out)) * copies
+		sentBits += c.bits * copies
+		for i := lo; i < hi; i++ {
+			v := nbr[i]
+			e.ports[off[v]+e.heard[v]] = e.rev[i]
+			e.heard[v]++
+			e.due[v>>6] |= 1 << (v & 63)
+		}
+		c.out, c.prev, c.bits = c.prev[:0], c.out, 0
 	}
 	e.meter.Messages += messages
 	e.meter.Bits += sentBits

@@ -102,21 +102,25 @@ type Delivery struct {
 }
 
 // Inbox is what a node receives in one round: its neighbors' broadcasts
-// of the previous round, read in place from their outboxes. An Inbox is
-// valid only during the Round call it is passed to.
+// of the previous round, read in place from their outboxes. It lists
+// only the ports whose neighbor broadcast, so walking it costs what it
+// delivers. An Inbox is valid only during the Round call it is passed
+// to.
 type Inbox struct {
 	nbrs     []int32   // the receiver's neighbors, ascending
+	ports    []int32   // the ports whose neighbor broadcast, ascending
 	contexts []Context // the engine's, indexed by node
 }
 
 // All yields the round's deliveries neighbor by neighbor, in ascending
-// sender order (the order of Neighbors(v), so ports ascend), and each
+// port order (the order of Neighbors(v), so senders ascend), and each
 // neighbor's broadcasts in send order.
 func (in Inbox) All() iter.Seq[Delivery] {
 	return func(yield func(Delivery) bool) {
-		for port, u := range in.nbrs {
+		for _, port := range in.ports {
+			u := in.nbrs[port]
 			for _, m := range in.contexts[u].prev {
-				if !yield(Delivery{From: u, Port: int32(port), Msg: m}) {
+				if !yield(Delivery{From: u, Port: port, Msg: m}) {
 					return
 				}
 			}
@@ -130,22 +134,29 @@ type Status int
 const (
 	// Active means the node is still working on the current phase.
 	Active Status = iota
-	// Done means the node is locally finished with the current phase;
-	// the phase ends when every node reports Done in the same round.
+	// Done means the node is locally finished with the current phase:
+	// until a message arrives, it is not called again in the phase.
+	// The phase ends in the first round in which no called node
+	// returns Active.
 	Done
 )
 
-// Process is a node-local protocol state machine. Round is called once
-// per synchronous round with the node's inbox: the broadcasts its
-// neighbors made in the previous round, valid only during the call.
-// Round may send via ctx and must not touch any other node's state.
+// Process is a node-local protocol state machine. Round is called with
+// the node's inbox: the broadcasts its neighbors made in the previous
+// round, valid only during the call. Round may send via ctx and must
+// not touch any other node's state.
 //
-// Contract: a node that sends in a round must return Active for that
-// round. A phase ends when every node returns Done in the same round;
-// because Done nodes sent nothing, all-Done implies global quiescence.
-// The first round of the first phase has an empty inbox; messages sent
-// in the last round of a phase are delivered in the first round of the
-// next phase.
+// Contract: every node is called in the first round of a phase. After
+// it, a node is called in a round only if it returned Active in the
+// round before or has deliveries; a node that returned Done and
+// receives nothing is not called and keeps its state. A protocol that
+// acts by round number reads ctx.PhaseRound(), which counts the rounds
+// a node skips. A node that sends in a round must return Active for
+// that round. A phase ends in the first round in which no called node
+// returns Active; because Done nodes sent nothing, that is global
+// quiescence. The first round of the first phase has an empty inbox;
+// messages sent in the last round of a phase are delivered in the first
+// round of the next phase.
 type Process interface {
 	Round(ctx *Context, inbox Inbox) Status
 }
@@ -159,6 +170,7 @@ type Context struct {
 
 	out  []Message // this round's broadcasts, one slot each
 	prev []Message // last round's, which the neighbors read now
+	bits int64     // the total size of out, in bits
 }
 
 // ID returns this node's identifier in [0, N()).
@@ -184,11 +196,18 @@ func (c *Context) Rand() *rand.Rand { return c.rng }
 // returns the violation (and keeps returning it until Reset), and no
 // broadcast of that round is delivered.
 func (c *Context) Broadcast(msg Message) {
-	if err := c.engine.checkMessage(msg); err != nil {
-		if c.engine.violation == nil {
-			c.engine.violation = fmt.Errorf("node %d round %d: %w", c.node, c.engine.phaseRound, err)
+	size := 8
+	for _, f := range msg.F {
+		fb := fieldBits(f)
+		if fb > c.engine.maxFieldBits {
+			if c.engine.violation == nil {
+				c.engine.violation = fmt.Errorf("node %d round %d: sim: field %d needs %d bits, budget %d",
+					c.node, c.engine.phaseRound, f, fb, c.engine.maxFieldBits)
+			}
+			return
 		}
-		return
+		size += fb
 	}
 	c.out = append(c.out, msg)
+	c.bits += int64(size)
 }

@@ -706,3 +706,152 @@ func TestDeliveryOrder(t *testing.T) {
 		}
 	}
 }
+
+// scriptProc logs the phase round of each of its calls and the
+// deliveries of each. In the phase rounds listed in send it broadcasts
+// (id, phase round); it returns Active through phase round activeUntil
+// and Done after it.
+type scriptProc struct {
+	send        []int
+	activeUntil int
+	calls       []int
+	got         [][]Delivery
+}
+
+func (p *scriptProc) Round(ctx *Context, inbox Inbox) Status {
+	r := ctx.PhaseRound()
+	p.calls = append(p.calls, r)
+	p.got = append(p.got, slices.Collect(inbox.All()))
+	if slices.Contains(p.send, r) {
+		ctx.Broadcast(Msg(1, int64(ctx.ID()), int64(r)))
+	}
+	if r <= p.activeUntil {
+		return Active
+	}
+	return Done
+}
+
+func scriptEngine(t *testing.T, g *graph.Graph, nodes []*scriptProc) *Engine {
+	t.Helper()
+	procs := make([]Process, len(nodes))
+	for i, nd := range nodes {
+		procs[i] = nd
+	}
+	e, err := NewEngine(g, VCongest, procs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// TestDoneNodeWithoutDeliveriesIsSkipped pins the event-driven
+// contract on P5: node 0 stays Active through round 3 and broadcasts in
+// rounds 0 and 3, every other node returns Done at once. Node 1 is
+// called in round 1 and round 4, where its deliveries arrive, and not
+// in rounds 2 and 3, yet reads the true phase round when called again;
+// nodes 2–4 hear nothing and are called only in round 0.
+func TestDoneNodeWithoutDeliveriesIsSkipped(t *testing.T) {
+	g := graph.Path(5)
+	nodes := make([]*scriptProc, g.N())
+	for i := range nodes {
+		nodes[i] = &scriptProc{activeUntil: -1}
+	}
+	nodes[0] = &scriptProc{send: []int{0, 3}, activeUntil: 3}
+	e := scriptEngine(t, g, nodes)
+	if err := e.RunPhase(20); err != nil {
+		t.Fatal(err)
+	}
+	want := [][]int{{0, 1, 2, 3, 4}, {0, 1, 4}, {0}, {0}, {0}}
+	for v, nd := range nodes {
+		if !slices.Equal(nd.calls, want[v]) {
+			t.Fatalf("node %d called in phase rounds %v, want %v", v, nd.calls, want[v])
+		}
+	}
+	wantGot := [][]Delivery{nil, {{From: 0, Port: 0, Msg: Msg(1, 0, 0)}}, {{From: 0, Port: 0, Msg: Msg(1, 0, 3)}}}
+	if got := nodes[1].got; !slices.EqualFunc(got, wantGot, slices.Equal) {
+		t.Fatalf("node 1 received %v, want %v", got, wantGot)
+	}
+	if m := e.Meter(); m.RawRounds != 5 || m.Messages != 2 {
+		t.Fatalf("meter %+v, want 5 raw rounds and 2 messages", *m)
+	}
+}
+
+// TestPhaseFirstRoundCallsEveryNode: the first round of every phase
+// calls every node, those with no deliveries included, also when a
+// message carries over from the previous phase.
+func TestPhaseFirstRoundCallsEveryNode(t *testing.T) {
+	g := graph.Path(5)
+	nodes := make([]*scriptProc, g.N())
+	for i := range nodes {
+		nodes[i] = &scriptProc{activeUntil: -1}
+	}
+	// Node 0 broadcasts and returns Done in round 0, so the phase ends
+	// with its message in flight.
+	nodes[0].send = []int{0}
+	e := scriptEngine(t, g, nodes)
+	for phase := 0; phase < 2; phase++ {
+		for _, nd := range nodes {
+			nd.calls, nd.got = nil, nil
+		}
+		if err := e.RunPhase(20); err != nil {
+			t.Fatal(err)
+		}
+		nodes[0].send = nil
+		for v, nd := range nodes {
+			if !slices.Equal(nd.calls, []int{0}) {
+				t.Fatalf("phase %d: node %d called in phase rounds %v, want [0]", phase, v, nd.calls)
+			}
+		}
+	}
+	want := []Delivery{{From: 0, Port: 0, Msg: Msg(1, 0, 0)}}
+	if got := nodes[1].got[0]; !slices.Equal(got, want) {
+		t.Fatalf("node 1 received %v in the second phase's first round, want the carried %v", got, want)
+	}
+	if m := e.Meter(); m.RawRounds != 2 || m.Phases != 2 {
+		t.Fatalf("meter %+v, want two one-round phases", *m)
+	}
+}
+
+// TestSparseSendersAscendByPort: when only some neighbors broadcast,
+// a node's deliveries still come in ascending port order, one sender
+// per listed port, and no port without a broadcast appears.
+func TestSparseSendersAscendByPort(t *testing.T) {
+	for _, g := range []*graph.Graph{graph.Complete(9), graph.Torus(3, 5), graph.Hypercube(4)} {
+		const last = 3 // the last phase round with sends
+		sends := func(u, r int) bool { return (7*u+r)%4 == 0 }
+		nodes := make([]*scriptProc, g.N())
+		for u := range nodes {
+			nodes[u] = &scriptProc{activeUntil: last}
+			for r := 0; r <= last; r++ {
+				if sends(u, r) {
+					nodes[u].send = append(nodes[u].send, r)
+				}
+			}
+		}
+		e := scriptEngine(t, g, nodes)
+		if err := e.RunPhase(20); err != nil {
+			t.Fatal(err)
+		}
+		sparse := false
+		for v, nd := range nodes {
+			if len(nd.got) != last+2 {
+				t.Fatalf("node %d called %d times, want %d", v, len(nd.got), last+2)
+			}
+			for r := 1; r < len(nd.got); r++ {
+				var want []Delivery
+				for port, u := range g.Neighbors(v) {
+					if sends(int(u), r-1) {
+						want = append(want, Delivery{From: u, Port: int32(port), Msg: Msg(1, int64(u), int64(r-1))})
+					}
+				}
+				if !slices.Equal(nd.got[r], want) {
+					t.Fatalf("node %d round %d received %v, want %v", v, r, nd.got[r], want)
+				}
+				sparse = sparse || len(want) > 1 && len(want) < g.Degree(v)
+			}
+		}
+		if !sparse {
+			t.Fatal("no node heard from more than one but fewer than all of its neighbors")
+		}
+	}
+}
