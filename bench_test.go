@@ -626,7 +626,7 @@ func BenchmarkE9Tester(b *testing.B) {
 	b.Run("distributed", func(b *testing.B) {
 		var rounds float64
 		for i := 0; i < b.N; i++ {
-			res, err := tester.CheckDistributed(g, classOf, len(p.Trees), uint64(i))
+			res, err := tester.CheckDistributed(g, classOf, len(p.Trees))
 			if err != nil || !res.OK {
 				b.Fatalf("err=%v ok=%v", err, res.OK)
 			}

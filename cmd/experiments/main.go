@@ -341,7 +341,7 @@ func e9() {
 			classOf[v] = append(classOf[v], int32(i))
 		}
 	}
-	res, err := tester.CheckDistributed(g, classOf, len(p.Trees), 61)
+	res, err := tester.CheckDistributed(g, classOf, len(p.Trees))
 	if err != nil {
 		fmt.Println("  error:", err)
 		return
@@ -370,7 +370,7 @@ func e9() {
 		}
 		classOf[v] = pruned
 	}
-	res2, err := tester.CheckDistributed(g, classOf, len(p.Trees), 61)
+	res2, err := tester.CheckDistributed(g, classOf, len(p.Trees))
 	if err != nil {
 		fmt.Println("  error:", err)
 		return
@@ -412,7 +412,7 @@ func e10() {
 	for v := range procs {
 		procs[v] = &floodProc{}
 	}
-	bits, meter, err := inst.CutBits(procs, sim.VCongest, 67, 4*inst.G.N())
+	bits, meter, err := inst.CutBits(procs, sim.VCongest, 4*inst.G.N())
 	if err != nil {
 		fmt.Println("  error:", err)
 		return

@@ -87,7 +87,7 @@ func Pack(g *graph.Graph, opts cds.Options) (*Result, error) {
 		}
 		total.Add(&res.Meter)
 		classOf := check.ClassesOf(n, res.Packing.Trees)
-		tr, err := tester.CheckDistributed(g, classOf, res.Packing.Stats.Classes, opts.Seed+uint64(guess))
+		tr, err := tester.CheckDistributed(g, classOf, res.Packing.Stats.Classes)
 		if err != nil {
 			return nil, err
 		}
@@ -118,6 +118,11 @@ type run struct {
 	diam    int
 	eng     *sim.Engine   // reused across all phases of the run
 	procs   []sim.Process // the current phase's processes, one per node
+
+	// propRngs[v] is node v's proposal stream over propPCGs[v], which
+	// proposeStreams reseeds for every propose phase.
+	propPCGs []rand.PCG
+	propRngs []*rand.Rand
 
 	// classOf[v][layer*3+typ] = class of that virtual node, -1 unassigned.
 	classOf [][]int32

@@ -225,7 +225,7 @@ func TestMinFloodRestrictsToClassComponents(t *testing.T) {
 	vals[0][0] = [2]int64{-7, -2}
 	vals[1][0] = [2]int64{-7, -4}
 	vals[4][0] = [2]int64{-3, -1}
-	if err := r.flood(kindPropose, vals, 1); err != nil {
+	if err := r.flood(kindPropose, vals); err != nil {
 		t.Fatal(err)
 	}
 	want := [][][2]int64{

@@ -3,9 +3,11 @@ package cdsdist
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"slices"
 
 	"repro/internal/cds"
+	"repro/internal/ds"
 	"repro/internal/graph"
 	"repro/internal/sim"
 )
@@ -30,16 +32,15 @@ func proposalRange(n int) int64 {
 
 // runPhase executes one protocol phase on the processes in r.procs,
 // reusing a single engine across all phases of the run (every phase
-// ends quiescent, so there is never message carry-over to preserve;
-// Reset reseeds the per-node streams).
-func (r *run) runPhase(seed uint64, maxRounds int) error {
+// ends quiescent, so there is never message carry-over to preserve).
+func (r *run) runPhase(maxRounds int) error {
 	if r.eng == nil {
-		eng, err := sim.NewEngine(r.g, sim.VCongest, r.procs, seed, sim.WithMaxFieldBits(r.fieldBitsFor()))
+		eng, err := sim.NewEngine(r.g, sim.VCongest, r.procs, sim.WithMaxFieldBits(r.fieldBitsFor()))
 		if err != nil {
 			return err
 		}
 		r.eng = eng
-	} else if err := r.eng.Reset(r.procs, seed, sim.WithMaxFieldBits(r.fieldBitsFor())); err != nil {
+	} else if err := r.eng.Reset(r.procs, sim.WithMaxFieldBits(r.fieldBitsFor())); err != nil {
 		return err
 	}
 	if err := r.eng.RunPhase(maxRounds); err != nil {
@@ -136,14 +137,14 @@ func (p *minFloodNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 // flood runs one restricted flood of the given message kind over every
 // class component: vals, one row per node parallel to its class list,
 // holds the seeds and, once flood returns, each component's least seed.
-func (r *run) flood(kind uint8, vals [][][2]int64, seed uint64) error {
+func (r *run) flood(kind uint8, vals [][][2]int64) error {
 	dirty := perClass[bool](r)
 	nodes := make([]minFloodNode, r.n)
 	for v := range nodes {
 		nodes[v] = minFloodNode{kind: kind, cls: r.clsList[v], val: vals[v], dirty: dirty[v]}
 		r.procs[v] = &nodes[v]
 	}
-	return r.runPhase(seed, 4*r.n+8)
+	return r.runPhase(4*r.n + 8)
 }
 
 // --- Phase A: component identification --------------------------------
@@ -159,7 +160,7 @@ func (r *run) identifyComponents() ([][][2]int64, error) {
 			row[i] = [2]int64{int64(v), 0}
 		}
 	}
-	if err := r.flood(kindComp, vals, r.opts.Seed^0xc0ffee); err != nil {
+	if err := r.flood(kindComp, vals); err != nil {
 		return nil, fmt.Errorf("component identification: %w", err)
 	}
 	r.compList = perClass[int64](r)
@@ -386,13 +387,13 @@ func (r *run) buildBridging(layer int, deact [][][2]int64) ([][]candidate, error
 		}
 		r.procs[v] = &anns[v]
 	}
-	if err := r.runPhase(r.opts.Seed^uint64(layer)<<8^0xdead, 8); err != nil {
+	if err := r.runPhase(8); err != nil {
 		return nil, fmt.Errorf("deactivation detection: %w", err)
 	}
 
 	// B.2: flood deactivation component-wide, seeded from the type-1
 	// verdicts.
-	if err := r.flood(kindDeact, deact, r.opts.Seed^uint64(layer)<<8^0xbeef); err != nil {
+	if err := r.flood(kindDeact, deact); err != nil {
 		return nil, fmt.Errorf("deactivation flood: %w", err)
 	}
 
@@ -408,7 +409,7 @@ func (r *run) buildBridging(layer int, deact [][][2]int64) ([][]candidate, error
 		}
 		r.procs[v] = &scouts[v]
 	}
-	if err := r.runPhase(r.opts.Seed^uint64(layer)<<8^0xfeed, 8); err != nil {
+	if err := r.runPhase(8); err != nil {
 		return nil, fmt.Errorf("bridging construction: %w", err)
 	}
 	lists := make([][]candidate, r.n)
@@ -428,6 +429,7 @@ func (r *run) buildBridging(layer int, deact [][][2]int64) ([][]candidate, error
 // immaterial; best is the proposal flood's seed array, indexed by
 // position in the sorted class list.
 type proposeNode struct {
+	rng      *rand.Rand // this node's proposal stream for the phase
 	cls      []int32
 	comp     []int64
 	blocked  []bool      // parallel: component here already matched
@@ -448,7 +450,7 @@ func (p *proposeNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 			bestIdx, bestVal := 0, int64(-1)
 			span := proposalRange(ctx.N())
 			for i := range p.list {
-				v := ctx.Rand().Int64N(span) // 4·log n random bits
+				v := p.rng.Int64N(span) // 4·log n random bits
 				if v > bestVal {
 					bestVal, bestIdx = v, i
 				}
@@ -563,12 +565,14 @@ func (r *run) matchStages(layer int, lists [][]candidate, best [][][2]int64) (in
 			props, accs = make([]proposeNode, r.n), make([]acceptNode, r.n)
 		}
 		// Stage round 1-2: propose and collect.
+		rngs := r.proposeStreams(r.opts.Seed ^ uint64(layer*131+stage)<<10 ^ 0xabcd)
 		for v := range props {
 			var list []candidate
 			if !assigned[v] {
 				list = lists[v]
 			}
 			props[v] = proposeNode{
+				rng:     rngs[v],
 				cls:     r.clsList[v],
 				comp:    r.compList[v],
 				blocked: blocked[v],
@@ -577,14 +581,13 @@ func (r *run) matchStages(layer int, lists [][]candidate, best [][][2]int64) (in
 			}
 			r.procs[v] = &props[v]
 		}
-		seed := r.opts.Seed ^ uint64(layer*131+stage)<<10 ^ 0xabcd
-		if err := r.runPhase(seed, 8); err != nil {
+		if err := r.runPhase(8); err != nil {
 			return matchedCount, fmt.Errorf("propose stage: %w", err)
 		}
 
 		// Component-wide best proposal per class (the Theorem B.2
 		// aggregation of Appendix B.3).
-		if err := r.flood(kindPropose, best, seed^0x1111); err != nil {
+		if err := r.flood(kindPropose, best); err != nil {
 			return matchedCount, fmt.Errorf("proposal flood: %w", err)
 		}
 
@@ -601,7 +604,7 @@ func (r *run) matchStages(layer int, lists [][]candidate, best [][][2]int64) (in
 			}
 			r.procs[v] = &accs[v]
 		}
-		if err := r.runPhase(seed^0x2222, 8); err != nil {
+		if err := r.runPhase(8); err != nil {
 			return matchedCount, fmt.Errorf("accept stage: %w", err)
 		}
 
@@ -636,6 +639,23 @@ func (r *run) matchStages(layer int, lists [][]candidate, best [][][2]int64) (in
 		}
 	}
 	return matchedCount, nil
+}
+
+// proposeStreams reseeds each node's proposal stream for one propose
+// phase, node v's from ds.SplitSeed(seed, v), and returns them. The
+// streams are allocated at the run's first propose phase.
+func (r *run) proposeStreams(seed uint64) []*rand.Rand {
+	if r.propRngs == nil {
+		r.propPCGs = make([]rand.PCG, r.n)
+		r.propRngs = make([]*rand.Rand, r.n)
+		for v := range r.propRngs {
+			r.propRngs[v] = rand.New(&r.propPCGs[v])
+		}
+	}
+	for v := range r.propPCGs {
+		r.propPCGs[v].Seed(ds.SplitSeed(seed, uint64(v)))
+	}
+	return r.propRngs
 }
 
 // --- Tree extraction ----------------------------------------------------
@@ -714,7 +734,7 @@ func (r *run) extractTrees() error {
 		}
 		r.procs[v] = &nodes[v]
 	}
-	if err := r.runPhase(r.opts.Seed^0x7ee5, 4*r.n+8); err != nil {
+	if err := r.runPhase(4*r.n + 8); err != nil {
 		return fmt.Errorf("tree extraction: %w", err)
 	}
 	return nil

@@ -57,15 +57,15 @@ type session struct {
 
 // run executes one phase over the given processes, reusing the session
 // engine. Options are re-applied on each run.
-func (s *session) run(procs []sim.Process, seed uint64, maxRounds int, opts ...sim.Option) (sim.Meter, error) {
+func (s *session) run(procs []sim.Process, maxRounds int, opts ...sim.Option) (sim.Meter, error) {
 	var meter sim.Meter
 	if s.eng == nil {
-		eng, err := sim.NewEngine(s.g, s.model, procs, seed, opts...)
+		eng, err := sim.NewEngine(s.g, s.model, procs, opts...)
 		if err != nil {
 			return meter, err
 		}
 		s.eng = eng
-	} else if err := s.eng.Reset(procs, seed, opts...); err != nil {
+	} else if err := s.eng.Reset(procs, opts...); err != nil {
 		return meter, err
 	}
 	if err := s.eng.RunPhase(maxRounds); err != nil {
@@ -93,13 +93,13 @@ func NewComponentMinRunner(g *graph.Graph, model sim.Model) *ComponentMinRunner 
 // across allowed edges). Nodes in no allowed edge keep their own value.
 // The returned meter covers the flooding phase. The returned slice is
 // the runner's output buffer, overwritten by the next call.
-func (r *ComponentMinRunner) ComponentMin(edgeOK []bool, values []Pair, seed uint64) ([]Pair, sim.Meter, error) {
-	m, err := r.s.componentMin(edgeOK, values, r.out, seed, 2*r.s.g.N()+16)
+func (r *ComponentMinRunner) ComponentMin(edgeOK []bool, values []Pair) ([]Pair, sim.Meter, error) {
+	m, err := r.s.componentMin(edgeOK, values, r.out, 2*r.s.g.N()+16)
 	return r.out, m, err
 }
 
 // componentMin floods into out (length n), reusing session state.
-func (s *session) componentMin(edgeOK []bool, values []Pair, out []Pair, seed uint64, maxRounds int) (sim.Meter, error) {
+func (s *session) componentMin(edgeOK []bool, values []Pair, out []Pair, maxRounds int) (sim.Meter, error) {
 	g := s.g
 	n := g.N()
 	var meter sim.Meter
@@ -131,7 +131,7 @@ func (s *session) componentMin(edgeOK []bool, values []Pair, out []Pair, seed ui
 			nd.active = nd.active || nd.allowed[i]
 		}
 	}
-	meter, err := s.run(s.minProcs, seed, maxRounds, sim.WithMaxFieldBits(pairFieldBits(g, values)))
+	meter, err := s.run(s.minProcs, maxRounds, sim.WithMaxFieldBits(pairFieldBits(g, values)))
 	if err != nil {
 		return meter, fmt.Errorf("dist: component flooding: %w", err)
 	}
@@ -224,13 +224,13 @@ func NewMSTRunner(g *graph.Graph, model sim.Model) *MSTRunner {
 // bounds the rounds of each flooding phase; <= 0 selects the default
 // budget. The meter accumulates all phases plus one termination-
 // detection convergecast charge (diameter) per Borůvka phase.
-func MST(g *graph.Graph, model sim.Model, weights []int64, seed uint64, maxRounds int) ([]int, sim.Meter, error) {
-	return NewMSTRunner(g, model).MST(weights, seed, maxRounds)
+func MST(g *graph.Graph, model sim.Model, weights []int64, maxRounds int) ([]int, sim.Meter, error) {
+	return NewMSTRunner(g, model).MST(weights, maxRounds)
 }
 
 // MST runs one minimum-spanning-forest computation; see the package
 // function of the same name.
-func (r *MSTRunner) MST(weights []int64, seed uint64, maxRounds int) ([]int, sim.Meter, error) {
+func (r *MSTRunner) MST(weights []int64, maxRounds int) ([]int, sim.Meter, error) {
 	g := r.s.g
 	n, m := g.N(), g.M()
 	var meter sim.Meter
@@ -265,13 +265,11 @@ func (r *MSTRunner) MST(weights []int64, seed uint64, maxRounds int) ([]int, sim
 		if phase > ceilLog2(n)+1 {
 			return nil, meter, fmt.Errorf("dist: Borůvka did not converge in %d phases", phase)
 		}
-		phaseSeed := seed + uint64(phase)*0x9e3779b97f4a7c15 + 1
-
 		// Component identification over the forest edges (Theorem B.2).
 		for v := range r.idVals {
 			r.idVals[v] = Pair{A: int64(v)}
 		}
-		fm, err := r.s.componentMin(inForest, r.idVals, r.cids, phaseSeed, maxRounds)
+		fm, err := r.s.componentMin(inForest, r.idVals, r.cids, maxRounds)
 		if err != nil {
 			return nil, meter, err
 		}
@@ -279,14 +277,14 @@ func (r *MSTRunner) MST(weights []int64, seed uint64, maxRounds int) ([]int, sim
 
 		// Neighbor announcements: every node learns each neighbor's
 		// component id and picks its lightest outgoing incident edge.
-		am, err := r.s.outgoingCandidates(weights, r.cids, r.cands, sentinel, phaseSeed^0xa11ce)
+		am, err := r.s.outgoingCandidates(weights, r.cids, r.cands, sentinel)
 		if err != nil {
 			return nil, meter, err
 		}
 		meter.Add(&am)
 
 		// Component-wide minimum of the candidates.
-		bm, err := r.s.componentMin(inForest, r.cands, r.best, phaseSeed^0xb0b, maxRounds)
+		bm, err := r.s.componentMin(inForest, r.cands, r.best, maxRounds)
 		if err != nil {
 			return nil, meter, err
 		}
@@ -326,7 +324,7 @@ func (r *MSTRunner) MST(weights []int64, seed uint64, maxRounds int) ([]int, sim
 // outgoingCandidates runs the two-round announcement protocol: every
 // node broadcasts its component id, then selects its minimum-weight
 // incident edge leaving the component (ties by edge id).
-func (s *session) outgoingCandidates(weights []int64, cids, out []Pair, sentinel Pair, seed uint64) (sim.Meter, error) {
+func (s *session) outgoingCandidates(weights []int64, cids, out []Pair, sentinel Pair) (sim.Meter, error) {
 	g := s.g
 	n := g.N()
 	var meter sim.Meter
@@ -348,7 +346,7 @@ func (s *session) outgoingCandidates(weights []int64, cids, out []Pair, sentinel
 	if b := sim.FieldBits(sentinel.A); b > bits {
 		bits = b
 	}
-	meter, err := s.run(s.annProcs, seed, 4, sim.WithMaxFieldBits(bits))
+	meter, err := s.run(s.annProcs, 4, sim.WithMaxFieldBits(bits))
 	if err != nil {
 		return meter, fmt.Errorf("dist: announcement phase: %w", err)
 	}

@@ -50,7 +50,7 @@ func TestMSTMatchesKruskal(t *testing.T) {
 				for e := range weights {
 					weights[e] = rng.Int64N(5) // few distinct weights force tie-breaking
 				}
-				got, meter, err := MST(tc.g, model, weights, uint64(trial), 0)
+				got, meter, err := MST(tc.g, model, weights, 0)
 				if err != nil {
 					t.Fatalf("%s/%v: %v", tc.name, model, err)
 				}
@@ -86,11 +86,11 @@ func TestMSTRunnerReuseIsDeterministic(t *testing.T) {
 	}
 	r := NewMSTRunner(g, sim.ECongest)
 	for i, w := range weightSets {
-		reused, rm, err := r.MST(w, uint64(i), 0)
+		reused, rm, err := r.MST(w, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, fm, err := MST(g, sim.ECongest, w, uint64(i), 0)
+		fresh, fm, err := MST(g, sim.ECongest, w, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +116,7 @@ func TestComponentMinRestrictedFlooding(t *testing.T) {
 		values[v] = Pair{A: int64(10 - v), B: int64(v)}
 	}
 	for _, model := range []sim.Model{sim.VCongest, sim.ECongest} {
-		out, meter, err := NewComponentMinRunner(g, model).ComponentMin(edgeOK, values, 42)
+		out, meter, err := NewComponentMinRunner(g, model).ComponentMin(edgeOK, values)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func TestComponentMinInertNodes(t *testing.T) {
 	g := graph.Complete(5)
 	edgeOK := make([]bool, g.M())
 	values := []Pair{{9, 0}, {3, 1}, {7, 2}, {1, 3}, {5, 4}}
-	out, _, err := NewComponentMinRunner(g, sim.VCongest).ComponentMin(edgeOK, values, 1)
+	out, _, err := NewComponentMinRunner(g, sim.VCongest).ComponentMin(edgeOK, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestComponentMinInertNodes(t *testing.T) {
 }
 
 // TestComponentMinRunnerReuseIsDeterministic: one runner called in
-// sequence on several (edge mask, values, seed) triples returns, for
+// sequence on several (edge mask, values) pairs returns, for
 // each call, what a fresh runner returns, meter included.
 func TestComponentMinRunnerReuseIsDeterministic(t *testing.T) {
 	g := graph.Hypercube(4)
@@ -171,12 +171,11 @@ func TestComponentMinRunnerReuseIsDeterministic(t *testing.T) {
 			for v := range values {
 				values[v] = Pair{A: rng.Int64N(8), B: int64(v)}
 			}
-			seed := rng.Uint64()
-			reused, rm, err := r.ComponentMin(edgeOK, values, seed)
+			reused, rm, err := r.ComponentMin(edgeOK, values)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fresh, fm, err := NewComponentMinRunner(g, model).ComponentMin(edgeOK, values, seed)
+			fresh, fm, err := NewComponentMinRunner(g, model).ComponentMin(edgeOK, values)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -200,7 +199,7 @@ func TestMSTDisconnectedForest(t *testing.T) {
 	}
 	g := b.Graph()
 	weights := make([]int64, g.M())
-	chosen, _, err := MST(g, sim.VCongest, weights, 0, 0)
+	chosen, _, err := MST(g, sim.VCongest, weights, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func Reseed(pcg *rand.PCG, seed uint64) {
 }
 
 // SplitSeed derives the PCG seed pair SplitRand would use for a stream,
-// so long-lived consumers (the simulator's engine reuse path) can
+// so long-lived consumers (cdsdist's per-node proposal streams) can
 // reseed a PCG in place instead of allocating a new generator.
 func SplitSeed(seed uint64, stream uint64) (uint64, uint64) {
 	// SplitMix64-style avalanche of the pair keeps streams decorrelated.

@@ -224,7 +224,7 @@ func (inst *Instance) MinCutUpper() (int, error) {
 // broadcast is delivered to the other hub exactly once over the a-b
 // edge, so metering a<->b deliveries counts each exchanged message once;
 // Lemma G.6 bounds the total by 2B·T for T-round protocols.
-func (inst *Instance) CutBits(procs []sim.Process, model sim.Model, seed uint64, maxRounds int) (int64, sim.Meter, error) {
+func (inst *Instance) CutBits(procs []sim.Process, model sim.Model, maxRounds int) (int64, sim.Meter, error) {
 	var crossing int64
 	a, b := int32(inst.A), int32(inst.B)
 	obs := func(from, to int32, bits int) {
@@ -232,7 +232,7 @@ func (inst *Instance) CutBits(procs []sim.Process, model sim.Model, seed uint64,
 			crossing += int64(bits)
 		}
 	}
-	eng, err := sim.NewEngine(inst.G, model, procs, seed, sim.WithDeliveryObserver(obs))
+	eng, err := sim.NewEngine(inst.G, model, procs, sim.WithDeliveryObserver(obs))
 	if err != nil {
 		return 0, sim.Meter{}, err
 	}

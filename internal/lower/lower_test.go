@@ -125,7 +125,7 @@ func TestCutBitsCountsHubTraffic(t *testing.T) {
 	for v := range procs {
 		procs[v] = &hubChatter{isHub: v == inst.A || v == inst.B, rounds: 3}
 	}
-	bits, meter, err := inst.CutBits(procs, sim.VCongest, 1, 20)
+	bits, meter, err := inst.CutBits(procs, sim.VCongest, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestCutBitsIgnoresNonHubTraffic(t *testing.T) {
 	for v := range procs {
 		procs[v] = &hubChatter{isHub: v != inst.A && v != inst.B, rounds: 2}
 	}
-	bits, _, err := inst.CutBits(procs, sim.VCongest, 1, 20)
+	bits, _, err := inst.CutBits(procs, sim.VCongest, 20)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func chatterEngine(t testing.TB, g *graph.Graph, model Model, limit int, opts ..
 		nodes[i] = &chatterProc{limit: limit}
 		procs[i] = nodes[i]
 	}
-	eng, err := NewEngine(g, model, procs, 1, opts...)
+	eng, err := NewEngine(g, model, procs, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestSteadyStateStepAllocations(t *testing.T) {
 				for _, nd := range nodes {
 					nd.rounds = 0
 				}
-				if err := eng.Reset(procs, 1, cfg.opts...); err != nil {
+				if err := eng.Reset(procs, cfg.opts...); err != nil {
 					t.Fatal(err)
 				}
 				if err := eng.RunPhase(limit + 4); err != nil {
@@ -106,7 +106,7 @@ func BenchmarkEngineStepFlood(b *testing.B) {
 				for _, nd := range nodes {
 					nd.rounds = 0
 				}
-				if err := eng.Reset(procs, uint64(i)); err != nil {
+				if err := eng.Reset(procs); err != nil {
 					b.Fatal(err)
 				}
 				if err := eng.RunPhase(limit + 4); err != nil {
@@ -133,7 +133,7 @@ func BenchmarkEngineStepFreshEngines(b *testing.B) {
 			nodes[j] = &chatterProc{limit: limit}
 			procs[j] = nodes[j]
 		}
-		eng, err := NewEngine(g, VCongest, procs, uint64(i))
+		eng, err := NewEngine(g, VCongest, procs)
 		if err != nil {
 			b.Fatal(err)
 		}

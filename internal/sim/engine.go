@@ -3,9 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/bits"
-	"math/rand/v2"
 
-	"repro/internal/ds"
 	"repro/internal/graph"
 )
 
@@ -119,9 +117,10 @@ func WithDeliveryObserver(fn func(from, to int32, bits int)) Option {
 // on several goroutines, and goes once they stop calling it.
 func SetDefaultWorkers(w int) {}
 
-// NewEngine builds an engine over g. Each node i runs procs[i]; the
-// seed drives every node's private random stream.
-func NewEngine(g *graph.Graph, model Model, procs []Process, seed uint64, opts ...Option) (*Engine, error) {
+// NewEngine builds an engine over g. Each node i runs procs[i]. The
+// engine owns no randomness: a randomized protocol draws from streams
+// its driver hands its processes.
+func NewEngine(g *graph.Graph, model Model, procs []Process, opts ...Option) (*Engine, error) {
 	if len(procs) != g.N() {
 		return nil, fmt.Errorf("sim: %d processes for %d nodes", len(procs), g.N())
 	}
@@ -150,14 +149,7 @@ func NewEngine(g *graph.Graph, model Model, procs []Process, seed uint64, opts .
 	}
 	clear(e.heard)
 	for i := range e.contexts {
-		s1, s2 := ds.SplitSeed(seed, uint64(i))
-		pcg := rand.NewPCG(s1, s2)
-		e.contexts[i] = Context{
-			engine: e,
-			node:   int32(i),
-			pcg:    pcg,
-			rng:    rand.New(pcg),
-		}
+		e.contexts[i] = Context{engine: e, node: int32(i)}
 	}
 	for _, opt := range opts {
 		opt(e)
@@ -166,13 +158,12 @@ func NewEngine(g *graph.Graph, model Model, procs []Process, seed uint64, opts .
 }
 
 // Reset rebinds the engine to a new protocol run over the same graph
-// and model: fresh processes, reseeded per-node random streams, a
-// zeroed meter, no deliveries pending and both outboxes of every node
+// and model: fresh processes, a zeroed meter, no deliveries pending and both outboxes of every node
 // emptied — while keeping their buffers. Drivers that execute many
 // phases over one topology reset one engine instead of allocating one
 // per phase. Options are re-applied from the defaults, so pass the same
 // options each time (or none).
-func (e *Engine) Reset(procs []Process, seed uint64, opts ...Option) error {
+func (e *Engine) Reset(procs []Process, opts ...Option) error {
 	if len(procs) != e.g.N() {
 		return fmt.Errorf("sim: %d processes for %d nodes", len(procs), e.g.N())
 	}
@@ -187,8 +178,6 @@ func (e *Engine) Reset(procs []Process, seed uint64, opts ...Option) error {
 		c.out = c.out[:0]
 		c.prev = c.prev[:0]
 		c.bits = 0
-		s1, s2 := ds.SplitSeed(seed, uint64(i))
-		c.pcg.Seed(s1, s2)
 	}
 	clear(e.heard)
 	for _, opt := range opts {

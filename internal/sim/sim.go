@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"iter"
 	"math/bits"
-	"math/rand/v2"
 )
 
 // Model selects which congestion constraint the engine enforces.
@@ -165,8 +164,6 @@ type Process interface {
 type Context struct {
 	engine *Engine
 	node   int32
-	rng    *rand.Rand
-	pcg    *rand.PCG // rng's source, reseeded in place by Engine.Reset
 
 	out  []Message // this round's broadcasts, one slot each
 	prev []Message // last round's, which the neighbors read now
@@ -185,9 +182,6 @@ func (c *Context) N() int { return c.engine.g.N() }
 // not this node is called, so a protocol that acts by round number
 // switches on it rather than counting its own calls.
 func (c *Context) PhaseRound() int { return c.engine.phaseRound }
-
-// Rand returns this node's private random stream.
-func (c *Context) Rand() *rand.Rand { return c.rng }
 
 // Broadcast sends msg to all neighbors, consuming one slot. Multiple
 // broadcasts per round are allowed and metered: a round where some node

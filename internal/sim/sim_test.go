@@ -2,10 +2,12 @@ package sim
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/ds"
 	"repro/internal/graph"
 )
 
@@ -51,7 +53,7 @@ func newMinFloodProcs(n int) ([]Process, []*minFlood) {
 func TestMinFloodPath(t *testing.T) {
 	g := graph.Path(8)
 	procs, states := newMinFloodProcs(g.N())
-	e, err := NewEngine(g, VCongest, procs, 1)
+	e, err := NewEngine(g, VCongest, procs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +77,7 @@ func TestMinFloodPath(t *testing.T) {
 func TestMinFloodDisconnected(t *testing.T) {
 	g := graph.FromEdgeList(5, [][2]int{{0, 1}, {2, 3}}) // 4 isolated
 	procs, states := newMinFloodProcs(g.N())
-	e, err := NewEngine(g, VCongest, procs, 1)
+	e, err := NewEngine(g, VCongest, procs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,11 +98,11 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		procs := make([]Process, g.N())
 		states := make([]*randomGossip, g.N())
 		for i := range procs {
-			s := &randomGossip{}
+			s := &randomGossip{rng: ds.SplitRand(99, uint64(i))}
 			states[i] = s
 			procs[i] = s
 		}
-		e, err := NewEngine(g, VCongest, procs, 99)
+		e, err := NewEngine(g, VCongest, procs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,9 +127,11 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	}
 }
 
-// randomGossip broadcasts a random value for 5 rounds and sums what it
-// hears — exercises per-node RNG determinism across runs.
+// randomGossip broadcasts a value drawn from its own stream for 5
+// rounds and sums what it hears — exercises run determinism with
+// per-node randomness.
 type randomGossip struct {
+	rng   *rand.Rand
 	round int
 	sum   int64
 }
@@ -138,7 +142,7 @@ func (p *randomGossip) Round(ctx *Context, inbox Inbox) Status {
 	}
 	if p.round < 5 {
 		p.round++
-		ctx.Broadcast(Msg(1, int64(ctx.Rand().IntN(1000))))
+		ctx.Broadcast(Msg(1, int64(p.rng.IntN(1000))))
 		return Active
 	}
 	return Done
@@ -167,7 +171,7 @@ func TestSlotSerializationCharge(t *testing.T) {
 	for i := range procs {
 		procs[i] = &slotHog{slots: 3}
 	}
-	e, err := NewEngine(g, VCongest, procs, 1)
+	e, err := NewEngine(g, VCongest, procs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +228,7 @@ func TestBroadcastMetering(t *testing.T) {
 			nodes[i] = &fanSender{count: counts[i]}
 			procs[i] = nodes[i]
 		}
-		e, err := NewEngine(g, tc.model, procs, 1)
+		e, err := NewEngine(g, tc.model, procs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,7 +265,7 @@ func TestFieldBitBudgetEnforced(t *testing.T) {
 	for i := range procs {
 		procs[i] = bigFieldSender{}
 	}
-	e, err := NewEngine(g, VCongest, procs, 1)
+	e, err := NewEngine(g, VCongest, procs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +317,7 @@ func TestFieldBudgetViolationDeliversNothing(t *testing.T) {
 		nodes[i] = &budgetProc{breaker: i == 0}
 		procs[i] = nodes[i]
 	}
-	e, err := NewEngine(g, VCongest, procs, 1)
+	e, err := NewEngine(g, VCongest, procs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +358,7 @@ func TestFieldBudgetViolationDeliversNothing(t *testing.T) {
 		nodes[i] = &budgetProc{}
 		procs[i] = nodes[i]
 	}
-	if err := e.Reset(procs, 1); err != nil {
+	if err := e.Reset(procs); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.RunPhase(10); err != nil {
@@ -371,7 +375,7 @@ func TestFieldBudgetViolationDeliversNothing(t *testing.T) {
 // messages on node 0's one edge, so the round is charged twice.
 func TestECongestPerEdgeSlotSurcharge(t *testing.T) {
 	g := graph.Path(2)
-	e, err := NewEngine(g, ECongest, []Process{&slotHog{slots: 2}, &slotHog{slots: 2}}, 1)
+	e, err := NewEngine(g, ECongest, []Process{&slotHog{slots: 2}, &slotHog{slots: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +393,7 @@ func (neverDone) Round(ctx *Context, inbox Inbox) Status { return Active }
 
 func TestRunPhaseTimeout(t *testing.T) {
 	g := graph.Path(2)
-	e, err := NewEngine(g, VCongest, []Process{neverDone{}, neverDone{}}, 1)
+	e, err := NewEngine(g, VCongest, []Process{neverDone{}, neverDone{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,10 +407,10 @@ func TestRunPhaseTimeout(t *testing.T) {
 
 func TestNewEngineValidation(t *testing.T) {
 	g := graph.Path(3)
-	if _, err := NewEngine(g, VCongest, make([]Process, 2), 1); err == nil {
+	if _, err := NewEngine(g, VCongest, make([]Process, 2)); err == nil {
 		t.Fatal("process count mismatch accepted")
 	}
-	if _, err := NewEngine(g, Model(9), make([]Process, 3), 1); err == nil {
+	if _, err := NewEngine(g, Model(9), make([]Process, 3)); err == nil {
 		t.Fatal("bogus model accepted")
 	}
 }
@@ -447,7 +451,7 @@ func TestMultiPhaseCarryover(t *testing.T) {
 	g := graph.Path(2)
 	s0 := &phaseProbe{id: 0}
 	s1 := &phaseProbe{id: 1}
-	e, err := NewEngine(g, VCongest, []Process{s0, s1}, 1)
+	e, err := NewEngine(g, VCongest, []Process{s0, s1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,9 +492,11 @@ func (p *phaseProbe) Round(ctx *Context, inbox Inbox) Status {
 	return Done
 }
 
-// burstProc broadcasts a seeded burst of 0–3 messages for `limit`
-// rounds, then stops. It logs every delivery it receives, in order.
+// burstProc broadcasts a burst of 0–3 messages drawn from its own
+// stream for `limit` rounds, then stops. It logs every delivery it
+// receives, in order.
 type burstProc struct {
+	rng   *rand.Rand
 	limit int
 	round int
 	got   []Delivery
@@ -502,7 +508,7 @@ func (p *burstProc) Round(ctx *Context, inbox Inbox) Status {
 		return Done
 	}
 	p.round++
-	r := ctx.Rand()
+	r := p.rng
 	for i := r.IntN(4); i > 0; i-- {
 		ctx.Broadcast(Msg(1, int64(ctx.ID()), int64(r.IntN(1000))))
 	}
@@ -529,10 +535,10 @@ func TestDeliveryObserverParity(t *testing.T) {
 				nodes := make([]*burstProc, n)
 				procs := make([]Process, n)
 				for i := range procs {
-					nodes[i] = &burstProc{limit: 6}
+					nodes[i] = &burstProc{rng: ds.SplitRand(5, uint64(i)), limit: 6}
 					procs[i] = nodes[i]
 				}
-				e, err := NewEngine(tc.g, model, procs, 5, opts...)
+				e, err := NewEngine(tc.g, model, procs, opts...)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -576,9 +582,11 @@ func TestDeliveryObserverParity(t *testing.T) {
 
 // orderProc logs, round by round, what it broadcasts and what it
 // receives. While `left` bursts remain in the phase it broadcasts a
-// seeded burst of 0–3 messages per round; with `carry` set, the phase's
-// last burst returns Done, so the phase ends with that burst in flight.
+// burst of 0–3 messages per round, drawn from its own stream; with
+// `carry` set, the phase's last burst returns Done, so the phase ends
+// with that burst in flight.
 type orderProc struct {
+	rng   *rand.Rand
 	run   int64 // tags every message with the run that sent it
 	left  int
 	carry bool
@@ -591,7 +599,7 @@ func (p *orderProc) Round(ctx *Context, inbox Inbox) Status {
 	var out []Message
 	if p.left > 0 {
 		p.left--
-		r := ctx.Rand()
+		r := p.rng
 		for i := r.IntN(4); i > 0; i-- {
 			m := Msg(1, p.run, int64(ctx.ID()), int64(len(p.sent)), int64(r.IntN(1000)))
 			ctx.Broadcast(m)
@@ -651,17 +659,17 @@ func TestDeliveryOrder(t *testing.T) {
 		for _, model := range []Model{VCongest, ECongest} {
 			name := fmt.Sprintf("%s %v", tc.name, model)
 			n := tc.g.N()
-			newRun := func(run int64, left int, carry bool) ([]*orderProc, []Process) {
+			newRun := func(run int64, seed uint64, left int, carry bool) ([]*orderProc, []Process) {
 				nodes := make([]*orderProc, n)
 				procs := make([]Process, n)
 				for i := range procs {
-					nodes[i] = &orderProc{run: run, left: left, carry: carry}
+					nodes[i] = &orderProc{rng: ds.SplitRand(seed, uint64(i)), run: run, left: left, carry: carry}
 					procs[i] = nodes[i]
 				}
 				return nodes, procs
 			}
-			first, procs := newRun(1, 4, true)
-			e, err := NewEngine(tc.g, model, procs, 7)
+			first, procs := newRun(1, 7, 4, true)
+			e, err := NewEngine(tc.g, model, procs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -693,8 +701,8 @@ func TestDeliveryOrder(t *testing.T) {
 				t.Fatalf("%s: run 1 ended with nothing in flight", name)
 			}
 
-			second, procs := newRun(2, 3, false)
-			if err := e.Reset(procs, 8); err != nil {
+			second, procs := newRun(2, 8, 3, false)
+			if err := e.Reset(procs); err != nil {
 				t.Fatal(err)
 			}
 			if err := e.RunPhase(20); err != nil {
@@ -737,7 +745,7 @@ func scriptEngine(t *testing.T, g *graph.Graph, nodes []*scriptProc) *Engine {
 	for i, nd := range nodes {
 		procs[i] = nd
 	}
-	e, err := NewEngine(g, VCongest, procs, 1)
+	e, err := NewEngine(g, VCongest, procs)
 	if err != nil {
 		t.Fatal(err)
 	}

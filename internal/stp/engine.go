@@ -15,7 +15,7 @@ import (
 // oracles). Centralized oracles should return the edges in the engine's
 // maintained (load, id) order; distributed oracles may return them in
 // any order (internal/dist returns them id-sorted).
-type MSTOracle func(e *Engine, seed uint64) (chosen []int, rounds int, err error)
+type MSTOracle func(e *Engine) (chosen []int, rounds int, err error)
 
 // Engine is the Section 5.1 Lagrangian-relaxation loop shared by the
 // centralized (internal/stp) and distributed (internal/stpdist)
@@ -160,12 +160,12 @@ func (e *Engine) Iterations() int { return e.iters }
 // test (skipped on the first step — see the type comment), and the
 // (1-β)-rescale-plus-β-bump collection update. It returns the oracle's
 // distributed rounds.
-func (e *Engine) Step(seed uint64) (int, error) {
+func (e *Engine) Step() (int, error) {
 	if e.done {
 		return 0, fmt.Errorf("stp: Step after engine stopped")
 	}
 	e.iters++
-	chosen, rounds, err := e.oracle(e, seed)
+	chosen, rounds, err := e.oracle(e)
 	if err != nil {
 		return rounds, err
 	}
@@ -320,7 +320,7 @@ func (e *Engine) Finish() *Packing {
 // the edges sorted by (load, id), Kruskal reduces to one union-find scan
 // — no per-iteration sort. The returned slice is engine scratch, valid
 // until the next Step.
-func KruskalOracle(e *Engine, _ uint64) ([]int, int, error) {
+func KruskalOracle(e *Engine) ([]int, int, error) {
 	e.uf.Reset()
 	chosen := e.chosen[:0]
 	want := e.g.N() - 1

@@ -31,8 +31,8 @@ func TestKruskalOracleMatchesFullSortPerIteration(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := Options{Epsilon: 0.15}.normalize()
 			checked := 0
-			oracle := func(e *Engine, seed uint64) ([]int, int, error) {
-				chosen, rounds, err := KruskalOracle(e, seed)
+			oracle := func(e *Engine) ([]int, int, error) {
+				chosen, rounds, err := KruskalOracle(e)
 				if err != nil {
 					return chosen, rounds, err
 				}
@@ -51,7 +51,7 @@ func TestKruskalOracleMatchesFullSortPerIteration(t *testing.T) {
 			}
 			eng := NewEngine(tc.g, tc.lambda, opts, oracle)
 			for iter := 0; iter < 400 && !eng.Done(); iter++ {
-				if _, err := eng.Step(0); err != nil {
+				if _, err := eng.Step(); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -73,7 +73,7 @@ func TestEngineMaxLoadMatchesScan(t *testing.T) {
 	opts := Options{Epsilon: 0.2}.normalize()
 	eng := NewEngine(g, 11, opts, KruskalOracle)
 	for iter := 0; iter < 150 && !eng.Done(); iter++ {
-		if _, err := eng.Step(0); err != nil {
+		if _, err := eng.Step(); err != nil {
 			t.Fatal(err)
 		}
 		maxZ := 0.0
@@ -96,7 +96,7 @@ func TestEngineDeduplicatesTrees(t *testing.T) {
 	opts := Options{Epsilon: 0.1}.normalize()
 	eng := NewEngine(g, 2, opts, KruskalOracle)
 	for iter := 0; iter < 200 && !eng.Done(); iter++ {
-		if _, err := eng.Step(0); err != nil {
+		if _, err := eng.Step(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -125,7 +125,7 @@ func TestShuffledOracleMatchesKruskal(t *testing.T) {
 		run := func(oracle MSTOracle) *Packing {
 			eng := NewEngine(tc.g, lambda, opts, oracle)
 			for iter, limit := 0, maxIters(tc.g.N(), opts.Epsilon); iter <= limit && !eng.Done(); iter++ {
-				if _, err := eng.Step(0); err != nil {
+				if _, err := eng.Step(); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -133,8 +133,8 @@ func TestShuffledOracleMatchesKruskal(t *testing.T) {
 		}
 		want := run(KruskalOracle)
 		rng := ds.NewRand(uint64(tc.g.M()))
-		got := run(func(e *Engine, seed uint64) ([]int, int, error) {
-			chosen, rounds, err := KruskalOracle(e, seed)
+		got := run(func(e *Engine) ([]int, int, error) {
+			chosen, rounds, err := KruskalOracle(e)
 			rng.Shuffle(len(chosen), func(i, j int) { chosen[i], chosen[j] = chosen[j], chosen[i] })
 			return chosen, rounds, err
 		})
@@ -244,18 +244,18 @@ func TestStopDecisionMatchesFullEvaluation(t *testing.T) {
 		for _, eps := range []float64{0.05, 0.1, 0.2, 0.4} {
 			opts := Options{Epsilon: eps}.normalize()
 			var want bool
-			oracle := func(e *Engine, seed uint64) ([]int, int, error) {
-				chosen, rounds, err := KruskalOracle(e, seed)
+			oracle := func(e *Engine) ([]int, int, error) {
+				chosen, rounds, err := KruskalOracle(e)
 				want = err == nil && fullStopDecision(e, chosen)
 				return chosen, rounds, err
 			}
 			eng := NewEngine(tc.g, lambda, opts, oracle)
-			if _, err := eng.Step(0); err != nil {
+			if _, err := eng.Step(); err != nil {
 				t.Fatal(err)
 			}
 			limit := maxIters(tc.g.N(), opts.Epsilon)
 			for iter := 0; iter < limit && !eng.Done(); iter++ {
-				if _, err := eng.Step(0); err != nil {
+				if _, err := eng.Step(); err != nil {
 					t.Fatal(err)
 				}
 				if eng.Done() != want {

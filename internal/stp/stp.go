@@ -234,11 +234,11 @@ func splitEdges(g *graph.Graph, k int, seed uint64) []*graph.Graph {
 // MWU iterations after the initial tree.
 func packLowLambda(g *graph.Graph, lambda int, opts Options) (*Packing, error) {
 	eng := NewEngine(g, lambda, opts, KruskalOracle)
-	if _, err := eng.Step(0); err != nil {
+	if _, err := eng.Step(); err != nil {
 		return nil, err
 	}
 	for iter, limit := 0, maxIters(g.N(), opts.Epsilon); iter < limit && !eng.Done(); iter++ {
-		if _, err := eng.Step(0); err != nil {
+		if _, err := eng.Step(); err != nil {
 			return nil, err
 		}
 	}

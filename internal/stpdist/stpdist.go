@@ -84,7 +84,7 @@ func Pack(g *graph.Graph, opts stp.Options) (*Result, error) {
 				continue
 			}
 			anyActive = true
-			rounds, err := st.eng.Step(opts.Seed + uint64(iter*len(states)+i))
+			rounds, err := st.eng.Step()
 			if err != nil {
 				return nil, fmt.Errorf("stpdist: subgraph %d iteration %d: %w", i, iter, err)
 			}
@@ -173,7 +173,7 @@ func quantScale(n int) float64 { return float64(4 * n) }
 
 // oracle is the distributed MST oracle: quantize z_e to multiples of
 // 1/(4n) (footnote 6) and run one Borůvka-phase MST on the simulator.
-func (st *mwuState) oracle(e *stp.Engine, seed uint64) ([]int, int, error) {
+func (st *mwuState) oracle(e *stp.Engine) ([]int, int, error) {
 	scale := quantScale(e.Graph().N())
 	halfLam := float64(e.HalfLambda())
 	x := e.Loads()
@@ -181,7 +181,7 @@ func (st *mwuState) oracle(e *stp.Engine, seed uint64) ([]int, int, error) {
 		z := x[i] * halfLam
 		st.weights[i] = int64(math.Round(z * scale))
 	}
-	chosen, meter, err := st.runner.MST(st.weights, seed, 0)
+	chosen, meter, err := st.runner.MST(st.weights, 0)
 	if err != nil {
 		return nil, 0, err
 	}

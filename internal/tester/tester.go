@@ -61,7 +61,7 @@ func CheckCentralized(g *graph.Graph, classOf [][]int32, classes int) (Result, e
 // every class's components. CheckDistributed returns an error if
 // classOf does not have one entry per node or names a class outside
 // [0, classes).
-func CheckDistributed(g *graph.Graph, classOf [][]int32, classes int, seed uint64) (Result, error) {
+func CheckDistributed(g *graph.Graph, classOf [][]int32, classes int) (Result, error) {
 	n := g.N()
 	if len(classOf) != n {
 		return Result{}, fmt.Errorf("tester: classOf has %d entries for %d nodes", len(classOf), n)
@@ -87,7 +87,7 @@ func CheckDistributed(g *graph.Graph, classOf [][]int32, classes int, seed uint6
 		seen = seen[classes:]
 		procs[v] = &doms[v]
 	}
-	eng, err := sim.NewEngine(g, sim.VCongest, procs, seed)
+	eng, err := sim.NewEngine(g, sim.VCongest, procs)
 	if err != nil {
 		return res, err
 	}
@@ -152,7 +152,7 @@ func CheckDistributed(g *graph.Graph, classOf [][]int32, classes int, seed uint6
 				values[v] = dist.Pair{A: int64(n), B: 0} // inert
 			}
 		}
-		ids, m, err := flood.ComponentMin(edgeOK, values, seed+uint64(c)+1)
+		ids, m, err := flood.ComponentMin(edgeOK, values)
 		if err != nil {
 			return res, err
 		}
@@ -166,7 +166,7 @@ func CheckDistributed(g *graph.Graph, classOf [][]int32, classes int, seed uint6
 			}
 			conns[v] = connNode{compID: cid}
 		}
-		if err := eng.Reset(procs, seed+uint64(c)*31+7); err != nil {
+		if err := eng.Reset(procs); err != nil {
 			return res, err
 		}
 		if err := eng.RunPhase(4); err != nil {

@@ -82,12 +82,12 @@ func TestCheckCentralizedValidatesLength(t *testing.T) {
 	if _, err := CheckCentralized(g, make([][]int32, 2), 1); err == nil {
 		t.Fatal("bad classOf length accepted")
 	}
-	if _, err := CheckDistributed(g, make([][]int32, 2), 1, 1); err == nil {
+	if _, err := CheckDistributed(g, make([][]int32, 2), 1); err == nil {
 		t.Fatal("bad classOf length accepted (distributed)")
 	}
 	// A class id outside [0, classes) is an error too.
 	for _, bad := range []int32{-1, 2} {
-		if _, err := CheckDistributed(g, [][]int32{{0}, {1, bad}, {0}}, 2, 1); err == nil {
+		if _, err := CheckDistributed(g, [][]int32{{0}, {1, bad}, {0}}, 2); err == nil {
 			t.Fatalf("class %d accepted with 2 classes (distributed)", bad)
 		}
 	}
@@ -167,7 +167,7 @@ func TestDistributedMatchesCentralizedOnCases(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dis, err := CheckDistributed(tc.g, classOf, tc.classes, 5)
+			dis, err := CheckDistributed(tc.g, classOf, tc.classes)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -205,7 +205,7 @@ func TestTesterAcceptsRealPacking(t *testing.T) {
 	if !cen.OK {
 		t.Fatalf("centralized test rejected a valid packing: %+v", cen)
 	}
-	dis, err := CheckDistributed(g, classOf, classes, 11)
+	dis, err := CheckDistributed(g, classOf, classes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestTesterDetectsSabotagedPacking(t *testing.T) {
 	if cen.OK || cen.DominationFailures == 0 {
 		t.Fatalf("centralized test missed the undominated vertex %d: %+v", victim, cen)
 	}
-	dis, err := CheckDistributed(g, classOf, classes, 13)
+	dis, err := CheckDistributed(g, classOf, classes)
 	if err != nil {
 		t.Fatal(err)
 	}
