@@ -123,6 +123,9 @@ type run struct {
 	// proposeStreams reseeds for every propose phase.
 	propPCGs []rand.PCG
 	propRngs []*rand.Rand
+	// scouts is the scratch in which a scoutNode collects the scout
+	// pairs of one call; nodes run serially, so the run shares one.
+	scouts []candidate
 
 	// classOf[v][layer*3+typ] = class of that virtual node, -1 unassigned.
 	classOf [][]int32

@@ -252,19 +252,25 @@ func (p *annNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 // nodes re-announce (class, compID, activity); each type-3 new node w
 // forms its message m_w; each type-2 new node v assembles its neighbor
 // list List_v from active announced components and type-3 messages.
-// List order follows delivery order (sender-major), as in the original
-// map-based version; every collection step in between is set-valued.
+// List order is the first-delivery order of the active announcements
+// (sender-major); every collection step in between is set-valued.
 type scoutNode struct {
 	cls        []int32    // sorted classes with old nodes here
 	comp       []int64    // component ids parallel to cls
 	deact      [][2]int64 // parallel to cls: noValue while active
-	classes    int
 	type3Class int32
 
-	// scratch
-	seenComp []int64     // distinct type-3 component ids heard
-	annHeard []candidate // active components heard (class, compID)
+	seenComp []int64      // distinct type-3 component ids heard
+	annHeard []candidate  // distinct active components heard, in first-delivery order
+	scouts   *[]candidate // the run's scratch for one call's scout (class, id) pairs
 	list     []candidate
+}
+
+// hearActive records an active component announcement, once.
+func (p *scoutNode) hearActive(cand candidate) {
+	if !slices.Contains(p.annHeard, cand) {
+		p.annHeard = append(p.annHeard, cand)
+	}
 }
 
 func (p *scoutNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
@@ -299,7 +305,7 @@ func (p *scoutNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 			}
 			c := int32(d.Msg.F[0])
 			if d.Msg.F[2] == 1 {
-				p.annHeard = append(p.annHeard, candidate{class: c, compID: d.Msg.F[1]})
+				p.hearActive(candidate{class: c, compID: d.Msg.F[1]})
 			}
 			if c == p.type3Class {
 				noteComp(d.Msg.F[1])
@@ -309,7 +315,7 @@ func (p *scoutNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 		// within the same real node).
 		for i, c := range p.cls {
 			if p.deact[i] == noValue {
-				p.annHeard = append(p.annHeard, candidate{class: c, compID: p.comp[i]})
+				p.hearActive(candidate{class: c, compID: p.comp[i]})
 			}
 		}
 		switch {
@@ -323,46 +329,24 @@ func (p *scoutNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 			return sim.Active
 		}
 	case 2:
-		// Type-2 role: build List_v per Appendix B.2. Scout messages are
-		// bucketed per class; each bucket is a small distinct-id set.
-		scouts := make([][]int64, p.classes)
+		// Type-2 role: build List_v per Appendix B.2 from the distinct
+		// scout (class, id) pairs heard.
+		scouts := (*p.scouts)[:0]
 		for d := range inbox.All() {
 			if d.Msg.Kind != kindScout {
 				continue
 			}
-			c := int32(d.Msg.F[0])
-			if c < 0 || int(c) >= p.classes {
-				continue
-			}
-			id := d.Msg.F[1]
-			dup := false
-			for _, have := range scouts[c] {
-				if have == id {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				scouts[c] = append(scouts[c], id)
+			if s := (candidate{class: int32(d.Msg.F[0]), compID: d.Msg.F[1]}); !slices.Contains(scouts, s) {
+				scouts = append(scouts, s)
 			}
 		}
+		*p.scouts = scouts
 		// A component C of class i joins List_v iff v heard an active
 		// announcement of C and some scout message for class i names a
-		// component != C (or the connector symbol). First occurrence
-		// order of annHeard is preserved, as before.
-		for hi, cand := range p.annHeard {
-			dup := false
-			for _, prev := range p.annHeard[:hi] {
-				if prev == cand {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
-			for _, id := range scouts[cand.class] {
-				if id == connectorSymbol || id != cand.compID {
+		// component != C (or the connector symbol).
+		for _, cand := range p.annHeard {
+			for _, s := range scouts {
+				if s.class == cand.class && (s.compID == connectorSymbol || s.compID != cand.compID) {
 					p.list = append(p.list, cand)
 					break
 				}
@@ -404,8 +388,8 @@ func (r *run) buildBridging(layer int, deact [][][2]int64) ([][]candidate, error
 			cls:        r.clsList[v],
 			comp:       r.compList[v],
 			deact:      deact[v],
-			classes:    r.classes,
 			type3Class: r.classOf[v][layer*3+2],
+			scouts:     &r.scouts,
 		}
 		r.procs[v] = &scouts[v]
 	}
