@@ -54,15 +54,20 @@ type Result struct {
 // PackWithGuess runs the Appendix B protocol with a fixed connectivity
 // guess (the paper's 2-approximation assumption; Pack removes it).
 func PackWithGuess(g *graph.Graph, kGuess int, opts cds.Options) (*Result, error) {
-	n := g.N()
-	if n == 0 {
+	if g.N() == 0 {
 		return nil, fmt.Errorf("cdsdist: empty graph")
 	}
+	return packWithGuess(g, kGuess, opts.Normalize(), dist.ApproxD(g))
+}
+
+// packWithGuess is PackWithGuess on a non-empty graph with normalized
+// options and the diameter bound the run charges, dist.ApproxD(g),
+// which Pack computes once for all its guesses.
+func packWithGuess(g *graph.Graph, kGuess int, opts cds.Options, diam int) (*Result, error) {
 	if kGuess < 1 {
 		return nil, fmt.Errorf("cdsdist: connectivity guess %d < 1", kGuess)
 	}
-	opts = opts.Normalize()
-	r := newRun(g, kGuess, opts)
+	r := newRun(g, kGuess, opts, diam)
 	if err := r.execute(); err != nil {
 		return nil, err
 	}
@@ -78,10 +83,12 @@ func Pack(g *graph.Graph, opts cds.Options) (*Result, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("cdsdist: empty graph")
 	}
+	opts = opts.Normalize()
+	diam := dist.ApproxD(g)
 	var best *Result
 	var total sim.Meter
 	for guess := n; guess >= 1; guess /= 2 {
-		res, err := PackWithGuess(g, guess, opts)
+		res, err := packWithGuess(g, guess, opts, diam)
 		if err != nil {
 			return nil, err
 		}
@@ -170,7 +177,7 @@ func insertClass(cls []int32, c int32) []int32 {
 	return cls
 }
 
-func newRun(g *graph.Graph, kGuess int, opts cds.Options) *run {
+func newRun(g *graph.Graph, kGuess int, opts cds.Options, diam int) *run {
 	n := g.N()
 	layers := cds.LayersFor(n)
 	classes := int(opts.ClassFactor * float64(kGuess))
@@ -188,7 +195,7 @@ func newRun(g *graph.Graph, kGuess int, opts cds.Options) *run {
 		classOf: make([][]int32, n),
 		clsList: make([][]int32, n),
 		stats:   cds.Stats{Guess: kGuess, Layers: layers, Classes: classes},
-		diam:    dist.ApproxD(g),
+		diam:    diam,
 	}
 	seedBase := opts.Seed ^ (uint64(kGuess) * 0x9e3779b97f4a7c15)
 	virtual := make([]int32, n*layers*3)

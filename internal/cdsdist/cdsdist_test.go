@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cds"
+	"repro/internal/dist"
 	"repro/internal/graph"
 )
 
@@ -214,7 +215,7 @@ func TestExcessComponentsGolden(t *testing.T) {
 // messages it overhears, and only changed values are sent.
 func TestMinFloodRestrictsToClassComponents(t *testing.T) {
 	g := graph.Path(6)
-	r := newRun(g, 4, cds.Options{}.Normalize())
+	r := newRun(g, 4, cds.Options{}.Normalize(), dist.ApproxD(g))
 	r.clsList = [][]int32{{0}, {0, 1}, {1}, {0, 1}, {0}, {0}}
 	vals := perClass[[2]int64](r)
 	for _, row := range vals {

@@ -195,6 +195,7 @@ func pairFieldBits(g *graph.Graph, values []Pair) int {
 // per-iteration allocation.
 type MSTRunner struct {
 	s        *session
+	diam     int // ApproxD of the graph: the charge of one convergecast
 	inForest []bool
 	idVals   []Pair
 	cids     []Pair
@@ -207,6 +208,7 @@ func NewMSTRunner(g *graph.Graph, model sim.Model) *MSTRunner {
 	n := g.N()
 	return &MSTRunner{
 		s:        &session{g: g, model: model},
+		diam:     ApproxD(g),
 		inForest: make([]bool, g.M()),
 		idVals:   make([]Pair, n),
 		cids:     make([]Pair, n),
@@ -258,7 +260,6 @@ func (r *MSTRunner) MST(weights []int64, maxRounds int) ([]int, sim.Meter, error
 	chosen := make([]int, 0, n-1)
 	uf := ds.NewUnionFind(n)
 	comps := n
-	diam := ApproxD(g)
 
 	// Each phase at least halves the component count.
 	for phase := 0; comps > 1; phase++ {
@@ -293,7 +294,7 @@ func (r *MSTRunner) MST(weights []int64, maxRounds int) ([]int, sim.Meter, error
 		// Driver glue: merge the winners (each component's members learn
 		// the winner via the flood; adding the edge is local). Charged as
 		// one convergecast for termination detection.
-		meter.Charge(diam)
+		meter.Charge(r.diam)
 		progress := false
 		for v := 0; v < n; v++ {
 			b := r.best[v]
