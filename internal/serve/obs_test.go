@@ -183,27 +183,36 @@ func TestMetricsScrapeWhileServing(t *testing.T) {
 // every scrape to satisfy PackRequests == PackComputes + CacheHits +
 // Coalesced + StoreHits exactly, not only at rest. make race runs it
 // under the race detector.
+//
+// The scrape loop paces the writers: before each scrape it hands every
+// writer a token worth opsPerScrape ops, which the writer spends while
+// the scrape runs. Unpaced writers starve the HTTP server on one CPU.
 func TestMetricsScrapeSatisfiesPackAccounting(t *testing.T) {
 	s := New(Config{PackSeed: 1, MaxConcurrent: 4})
 	srv := httptest.NewServer(NewHandler(s))
 	defer srv.Close()
 	id := mustRegister(t, s, testGraph())
 
+	const opsPerScrape = 4
 	stop := make(chan struct{})
+	tokens := make([]chan struct{}, 3)
 	var wg sync.WaitGroup
 	defer func() {
 		close(stop)
 		wg.Wait()
 	}()
-	for w := 0; w < 3; w++ {
+	for w := range tokens {
+		tokens[w] = make(chan struct{}, 1)
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
+				if i%opsPerScrape == 0 {
+					select {
+					case <-stop:
+						return
+					case <-tokens[w]:
+					}
 				}
 				var err error
 				switch {
@@ -225,6 +234,12 @@ func TestMetricsScrapeSatisfiesPackAccounting(t *testing.T) {
 		}(w)
 	}
 	for scrape := 1; scrape <= 300; scrape++ {
+		for _, tok := range tokens {
+			select {
+			case tok <- struct{}{}:
+			default: // the writer is still spending its last token
+			}
+		}
 		vals, _ := scrapeMetrics(t, srv.Client(), srv.URL)
 		req := vals["repro_serve_pack_requests_total"]
 		sum := vals["repro_serve_pack_computes_total"] + vals["repro_serve_cache_hits_total"] +
