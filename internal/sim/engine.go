@@ -158,11 +158,11 @@ func NewEngine(g *graph.Graph, model Model, procs []Process, opts ...Option) (*E
 }
 
 // Reset rebinds the engine to a new protocol run over the same graph
-// and model: fresh processes, a zeroed meter, no deliveries pending and both outboxes of every node
-// emptied — while keeping their buffers. Drivers that execute many
-// phases over one topology reset one engine instead of allocating one
-// per phase. Options are re-applied from the defaults, so pass the same
-// options each time (or none).
+// and model: fresh processes, a zeroed meter, no deliveries pending and
+// both outboxes of every node emptied — while keeping their buffers.
+// Drivers that execute many phases over one topology reset one engine
+// instead of allocating one per phase. Options are re-applied from the
+// defaults, so pass the same options each time (or none).
 func (e *Engine) Reset(procs []Process, opts ...Option) error {
 	if len(procs) != e.g.N() {
 		return fmt.Errorf("sim: %d processes for %d nodes", len(procs), e.g.N())
@@ -250,7 +250,7 @@ func (e *Engine) step() (active bool, err error) {
 			word &= word - 1
 			v := w<<6 | b
 			inbox := e.inbox(v)
-			e.heard[v] = 0
+			e.heard[v] = 0 // this round's metering lists v's next ports afresh
 			c := &e.contexts[v]
 			if e.procs[v].Round(c, inbox) != Done {
 				e.due[w] |= 1 << b

@@ -6,9 +6,15 @@
 // send; E-CONGEST counts it as one message on each incident edge.
 //
 // Protocols are state machines implementing Process; a driver composes
-// phases by calling Engine.RunPhase repeatedly. A node receives in
-// place: its Inbox reads the neighbors' previous-round outboxes, so no
-// delivery is copied. The engine meters rounds the way the paper does:
+// phases by calling Engine.RunPhase repeatedly. Rounds are
+// event-driven: after a phase's first round, which calls every node,
+// a node is called only when it returned Active in the round before or
+// has deliveries, and a Done node that hears nothing keeps its state.
+// A node receives in place: its Inbox lists the ports whose neighbor
+// broadcast and reads those neighbors' previous-round outboxes, so no
+// delivery is copied and no silent neighbor is visited. A round thus
+// costs the calls of its due nodes plus what it delivers; the engine
+// owns no randomness. The engine meters rounds the way the paper does:
 // a round in which some node uses s message slots is charged as s
 // rounds (slots serialize under a globally known schedule), and
 // driver-side glue such as termination-detection convergecasts is
