@@ -118,17 +118,6 @@ func (vg *virtualGraph) row(v int) []uint64 {
 	return vg.repMask[v*vg.words : (v+1)*vg.words]
 }
 
-// rank returns the number of classes below class in row, which is the
-// index of class's representative in the row's repVid list.
-func rank(row []uint64, class int32) int {
-	w := int(class >> 6)
-	r := bits.OnesCount64(row[w] & (1<<(class&63) - 1))
-	for _, word := range row[:w] {
-		r += bits.OnesCount64(word)
-	}
-	return r
-}
-
 // rep returns the representative vid of class at real node v, or -1 when
 // no virtual node of v has joined the class yet.
 func (vg *virtualGraph) rep(v int, class int32) int32 {
@@ -136,7 +125,7 @@ func (vg *virtualGraph) rep(v int, class int32) int32 {
 	if row[class>>6]&(1<<(class&63)) == 0 {
 		return -1
 	}
-	return vg.repVid[v][rank(row, class)]
+	return vg.repVid[v][ds.Rank(row, class)]
 }
 
 // addRep records id as the representative of class at real node v,
@@ -149,7 +138,7 @@ func (vg *virtualGraph) addRep(v int, class, id int32) bool {
 		return false
 	}
 	row[class>>6] |= bit
-	i := rank(row, class)
+	i := ds.Rank(row, class)
 	vids := append(vg.repVid[v], 0)
 	copy(vids[i+1:], vids[i:])
 	vids[i] = id

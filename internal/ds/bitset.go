@@ -1,5 +1,7 @@
 package ds
 
+import "math/bits"
+
 // Bitset is a fixed-size set of small non-negative integers backed by
 // 64-bit words. The zero value is an empty set of size zero; use
 // NewBitset to size it.
@@ -25,3 +27,16 @@ func (b *Bitset) Words() []uint64 { return b.words }
 
 // Reset removes all elements.
 func (b *Bitset) Reset() { clear(b.words) }
+
+// Rank returns the number of bits of row set below bit i. A set kept
+// as a bitmask row beside a list of its members in ascending order
+// finds member i at index Rank(row, i) of that list: the dominating-tree
+// packers index their per-class state this way.
+func Rank(row []uint64, i int32) int {
+	w := int(i >> 6)
+	r := bits.OnesCount64(row[w] & (1<<(i&63) - 1))
+	for _, word := range row[:w] {
+		r += bits.OnesCount64(word)
+	}
+	return r
+}

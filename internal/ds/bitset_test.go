@@ -73,3 +73,29 @@ func TestBitsetReset(t *testing.T) {
 		}
 	}
 }
+
+// TestRankCountsSetBitsBelow checks Rank against a bit-by-bit count on
+// rows of one to three words, at every bit position.
+func TestRankCountsSetBitsBelow(t *testing.T) {
+	property := func(row []uint64) bool {
+		if len(row) == 0 || len(row) > 3 {
+			return true
+		}
+		below := 0
+		for i := int32(0); i < int32(64*len(row)); i++ {
+			if Rank(row, i) != below {
+				return false
+			}
+			if row[i>>6]&(1<<(i&63)) != 0 {
+				below++
+			}
+		}
+		return true
+	}
+	if err := quick.Check(property, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+	if got := Rank([]uint64{^uint64(0), 0b1011}, 67); got != 66 {
+		t.Fatalf("Rank at bit 67 of a full word then 0b1011 = %d, want 66", got)
+	}
+}

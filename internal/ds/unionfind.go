@@ -1,8 +1,8 @@
 // Package ds provides the small data structures shared by the
-// connectivity-decomposition substrates: union-find, bitsets, the
-// load-order maintenance helper behind the spanning-tree MWU engine,
-// deterministic random-number streams, and GrowClear for buffers reused
-// across runs.
+// connectivity-decomposition substrates: union-find, bitsets and the
+// Rank of a bit in a bitmask row, the load-order maintenance helper
+// behind the spanning-tree MWU engine, deterministic random-number
+// streams, and GrowClear for buffers reused across runs.
 package ds
 
 // UnionFind is a disjoint-set forest with union by rank and path halving.
