@@ -189,10 +189,10 @@ func pairFieldBits(g *graph.Graph, values []Pair) int {
 }
 
 // MSTRunner computes minimum spanning forests over a fixed (graph,
-// model) pair, reusing one engine and all per-node protocol state
-// between calls. The MWU loop of the spanning-tree packing calls MST
-// once per iteration, so this reuse is what keeps the hot path free of
-// per-iteration allocation.
+// model) pair, reusing one engine, all per-node protocol state, the
+// union-find and the output buffer between calls. The MWU loop of the
+// spanning-tree packing calls MST once per iteration, so this reuse is
+// what keeps the hot path free of per-iteration allocation.
 type MSTRunner struct {
 	s        *session
 	diam     int // ApproxD of the graph: the charge of one convergecast
@@ -201,6 +201,8 @@ type MSTRunner struct {
 	cids     []Pair
 	cands    []Pair
 	best     []Pair
+	uf       *ds.UnionFind
+	chosen   []int
 }
 
 // NewMSTRunner returns a runner for g under the given model.
@@ -214,6 +216,8 @@ func NewMSTRunner(g *graph.Graph, model sim.Model) *MSTRunner {
 		cids:     make([]Pair, n),
 		cands:    make([]Pair, n),
 		best:     make([]Pair, n),
+		uf:       ds.NewUnionFind(n),
+		chosen:   make([]int, 0, max(n-1, 0)),
 	}
 }
 
@@ -231,7 +235,8 @@ func MST(g *graph.Graph, model sim.Model, weights []int64, maxRounds int) ([]int
 }
 
 // MST runs one minimum-spanning-forest computation; see the package
-// function of the same name.
+// function of the same name. The returned slice is the runner's output
+// buffer, valid until the next call.
 func (r *MSTRunner) MST(weights []int64, maxRounds int) ([]int, sim.Meter, error) {
 	g := r.s.g
 	n, m := g.N(), g.M()
@@ -257,8 +262,9 @@ func (r *MSTRunner) MST(weights []int64, maxRounds int) ([]int, sim.Meter, error
 	for i := range inForest {
 		inForest[i] = false
 	}
-	chosen := make([]int, 0, n-1)
-	uf := ds.NewUnionFind(n)
+	chosen := r.chosen[:0]
+	uf := r.uf
+	uf.Reset()
 	comps := n
 
 	// Each phase at least halves the component count.
@@ -319,6 +325,7 @@ func (r *MSTRunner) MST(weights []int64, maxRounds int) ([]int, sim.Meter, error
 		}
 	}
 	sort.Ints(chosen)
+	r.chosen = chosen
 	return chosen, meter, nil
 }
 
