@@ -248,12 +248,22 @@ func Partition(g *graph.Graph, classOf [][]int32, classes int) (domFailures, con
 // vertex sets contain v, in tree order.
 func ClassesOf(n int, trees []graph.WeightedTree) [][]int32 {
 	classOf := make([][]int32, n)
+	ClassesInto(classOf, trees)
+	return classOf
+}
+
+// ClassesInto is ClassesOf writing into classOf, one row per vertex,
+// whose rows it truncates and refills in place, so a caller that
+// projects packing after packing reuses their storage.
+func ClassesInto(classOf [][]int32, trees []graph.WeightedTree) {
+	for v := range classOf {
+		classOf[v] = classOf[v][:0]
+	}
 	for i, t := range trees {
 		for _, v := range t.Tree.Vertices() {
 			classOf[v] = append(classOf[v], int32(i))
 		}
 	}
-	return classOf
 }
 
 func log2(n int) float64 {

@@ -2,6 +2,7 @@ package check_test
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -187,6 +188,15 @@ func TestClassesOf(t *testing.T) {
 			if classOf[v][i] != want[v][i] {
 				t.Fatalf("vertex %d classes %v, want %v", v, classOf[v], want[v])
 			}
+		}
+	}
+	// ClassesInto refills the same rows: the second packing lists only
+	// sub, so vertices 0 and 3 end with no class.
+	check.ClassesInto(classOf, []graph.WeightedTree{{Tree: sub, Weight: 1}})
+	want = [][]int32{{}, {0}, {0}, {}}
+	for v := range want {
+		if !slices.Equal(classOf[v], want[v]) {
+			t.Fatalf("after ClassesInto, vertex %d classes %v, want %v", v, classOf[v], want[v])
 		}
 	}
 }

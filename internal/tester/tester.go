@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/dist"
+	"repro/internal/ds"
 	"repro/internal/graph"
 	"repro/internal/sim"
 )
@@ -60,48 +61,84 @@ func CheckCentralized(g *graph.Graph, classOf [][]int32, classes int) (Result, e
 // phase and, reset, every class's announcements; one runner floods
 // every class's components. CheckDistributed returns an error if
 // classOf does not have one entry per node or names a class outside
-// [0, classes).
+// [0, classes). It is the one-shot form of a Checker.
 func CheckDistributed(g *graph.Graph, classOf [][]int32, classes int) (Result, error) {
+	return NewChecker(g).Check(classOf, classes)
+}
+
+// Checker runs CheckDistributed's test on one graph call after call,
+// reusing its engine, its flood runner, its node arrays and rows, and
+// the graph's diameter bound. cdsdist.Pack holds one across the guesses
+// of Remark 3.1's loop. Every call returns what CheckDistributed
+// returns on the same input.
+type Checker struct {
+	g     *graph.Graph
+	diam  int // dist.ApproxD(g): the O(D) charge of one failure flood
+	eng   *sim.Engine
+	flood *dist.ComponentMinRunner
+	procs []sim.Process
+
+	doms   []domNode
+	seen   []bool // the domination rows, classes per node
+	conns  []connNode
+	member []bool
+	edgeOK []bool
+	values []dist.Pair
+}
+
+// NewChecker returns a checker for partitions of g's nodes.
+func NewChecker(g *graph.Graph) *Checker {
+	n := g.N()
+	return &Checker{
+		g:      g,
+		diam:   dist.ApproxD(g),
+		flood:  dist.NewComponentMinRunner(g, sim.VCongest),
+		procs:  make([]sim.Process, n),
+		doms:   make([]domNode, n),
+		conns:  make([]connNode, n),
+		member: make([]bool, n),
+		edgeOK: make([]bool, g.M()),
+		values: make([]dist.Pair, n),
+	}
+}
+
+// Check tests the partition classOf of the checker's graph into the
+// given number of classes; see CheckDistributed.
+func (c *Checker) Check(classOf [][]int32, classes int) (Result, error) {
+	g := c.g
 	n := g.N()
 	if len(classOf) != n {
 		return Result{}, fmt.Errorf("tester: classOf has %d entries for %d nodes", len(classOf), n)
 	}
 	for v, mine := range classOf {
-		for _, c := range mine {
-			if c < 0 || int(c) >= classes {
-				return Result{}, fmt.Errorf("tester: node %d's class %d is outside [0, %d)", v, c, classes)
+		for _, cl := range mine {
+			if cl < 0 || int(cl) >= classes {
+				return Result{}, fmt.Errorf("tester: node %d's class %d is outside [0, %d)", v, cl, classes)
 			}
 		}
 	}
 	var res Result
 	res.OK = true
-	diam := dist.ApproxD(g) // the O(D) charge of one failure flood
 
 	// --- Domination phase: every node announces its memberships (one
 	// slot per membership); every node checks it saw all classes.
-	procs := make([]sim.Process, n)
-	doms := make([]domNode, n)
-	seen := make([]bool, n*classes)
-	for v := range doms {
-		doms[v] = domNode{mine: classOf[v], seen: seen[:classes:classes], missing: classes}
+	c.seen = ds.GrowClear(c.seen, n*classes)
+	seen := c.seen
+	for v := range c.doms {
+		c.doms[v] = domNode{mine: classOf[v], seen: seen[:classes:classes], missing: classes}
 		seen = seen[classes:]
-		procs[v] = &doms[v]
+		c.procs[v] = &c.doms[v]
 	}
-	eng, err := sim.NewEngine(g, sim.VCongest, procs)
-	if err != nil {
-		return res, err
-	}
-	if err := eng.RunPhase(4); err != nil {
+	if err := c.phase(&res.Meter); err != nil {
 		return res, fmt.Errorf("tester: domination phase: %w", err)
 	}
-	res.Meter.Add(eng.Meter())
-	for v := range doms {
-		if doms[v].missing > 0 {
+	for v := range c.doms {
+		if c.doms[v].missing > 0 {
 			res.DominationFailures++
 		}
 	}
 	// Failure flooding costs O(D); charge it.
-	res.Meter.Charge(diam)
+	res.Meter.Charge(c.diam)
 	if res.DominationFailures > 0 {
 		res.OK = false
 		return res, nil // the paper aborts after a domination failure
@@ -116,20 +153,16 @@ func CheckDistributed(g *graph.Graph, classOf [][]int32, classes int) (Result, e
 	// announce every class membership rather than sampling; the paper's
 	// Θ(log n) random sampling meets the same bound when nodes carry
 	// O(log n) memberships, which is the regime of Lemma 4.6.)
-	flood := dist.NewComponentMinRunner(g, sim.VCongest)
-	member := make([]bool, n)
-	edgeOK := make([]bool, g.M())
-	values := make([]dist.Pair, n)
-	conns := make([]connNode, n)
-	for v := range conns {
-		procs[v] = &conns[v]
+	member, edgeOK, values := c.member, c.edgeOK, c.values
+	for v := range c.conns {
+		c.procs[v] = &c.conns[v]
 	}
-	for c := 0; c < classes; c++ {
+	for cl := 0; cl < classes; cl++ {
 		any := false
 		for v := 0; v < n; v++ {
 			member[v] = false
 			for _, cc := range classOf[v] {
-				if int(cc) == c {
+				if int(cc) == cl {
 					member[v] = true
 					any = true
 				}
@@ -152,37 +185,53 @@ func CheckDistributed(g *graph.Graph, classOf [][]int32, classes int) (Result, e
 				values[v] = dist.Pair{A: int64(n), B: 0} // inert
 			}
 		}
-		ids, m, err := flood.ComponentMin(edgeOK, values)
+		ids, m, err := c.flood.ComponentMin(edgeOK, values)
 		if err != nil {
 			return res, err
 		}
 		res.Meter.Add(&m)
 		// Announcement round: members broadcast component ids; any node
-		// hearing two distinct ids for class c detects a disconnect.
-		for v := range conns {
+		// hearing two distinct ids for class cl detects a disconnect.
+		for v := range c.conns {
 			cid := int64(-1)
 			if member[v] {
 				cid = ids[v].A
 			}
-			conns[v] = connNode{compID: cid}
+			c.conns[v] = connNode{compID: cid}
 		}
-		if err := eng.Reset(procs); err != nil {
-			return res, err
-		}
-		if err := eng.RunPhase(4); err != nil {
+		if err := c.phase(&res.Meter); err != nil {
 			return res, fmt.Errorf("tester: connectivity phase: %w", err)
 		}
-		res.Meter.Add(eng.Meter())
-		for v := range conns {
-			if conns[v].detected {
+		for v := range c.conns {
+			if c.conns[v].detected {
 				res.ConnectivityFailures++
 				res.OK = false
 				break
 			}
 		}
-		res.Meter.Charge(diam) // failure flooding
+		res.Meter.Charge(c.diam) // failure flooding
 	}
 	return res, nil
+}
+
+// phase runs the processes in c.procs for one phase of at most four
+// rounds on the checker's engine, built at the first phase and reset
+// for every later one, and adds the phase's cost to m.
+func (c *Checker) phase(m *sim.Meter) error {
+	if c.eng == nil {
+		eng, err := sim.NewEngine(c.g, sim.VCongest, c.procs)
+		if err != nil {
+			return err
+		}
+		c.eng = eng
+	} else if err := c.eng.Reset(c.procs); err != nil {
+		return err
+	}
+	if err := c.eng.RunPhase(4); err != nil {
+		return err
+	}
+	m.Add(c.eng.Meter())
+	return nil
 }
 
 // domNode announces this node's class memberships (one slot each) and

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cds"
+	"repro/internal/check"
 	"repro/internal/graph"
 	"repro/internal/sim"
 )
@@ -263,5 +264,59 @@ func TestTesterDetectsSabotagedPacking(t *testing.T) {
 func TestMaxRoundsBudgetPositive(t *testing.T) {
 	if b := MaxRoundsBudget(graph.Hypercube(4)); b <= 0 {
 		t.Fatalf("budget = %d", b)
+	}
+}
+
+// TestCheckerReuseMatchesOneShot runs one Checker over partitions of Q5
+// with class counts that shrink and grow between calls, valid ones and
+// failing ones, and requires every Result to equal CheckDistributed's
+// on the same input: nothing one call leaves in the checker's engine,
+// rows or flood runner reaches the next.
+func TestCheckerReuseMatchesOneShot(t *testing.T) {
+	g := graph.Hypercube(5)
+	var partitions [][][]int32
+	var counts []int
+	for _, guess := range []int{1, 32, 4, 16, 2} {
+		p, err := cds.PackWithGuess(g, guess, cds.Options{Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		classOf := check.ClassesOf(g.N(), p.Trees)
+		partitions = append(partitions, classOf)
+		counts = append(counts, p.Stats.Classes)
+		if guess == 4 {
+			// The same partition with node 0's closed neighbourhood
+			// stripped of class 0: a domination failure.
+			sabotaged := make([][]int32, len(classOf))
+			for v := range classOf {
+				sabotaged[v] = slices.Clone(classOf[v])
+			}
+			for _, v := range append([]int32{0}, g.Neighbors(0)...) {
+				sabotaged[v] = slices.DeleteFunc(sabotaged[v], func(c int32) bool { return c == 0 })
+			}
+			partitions = append(partitions, sabotaged)
+			counts = append(counts, p.Stats.Classes)
+		}
+	}
+	c := NewChecker(g)
+	oks := 0
+	for i, classOf := range partitions {
+		got, err := c.Check(classOf, counts[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := CheckDistributed(g, classOf, counts[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("call %d (%d classes): reused checker %+v, one-shot %+v", i, counts[i], got, want)
+		}
+		if got.OK {
+			oks++
+		}
+	}
+	if oks == 0 || oks == len(partitions) {
+		t.Fatalf("%d of %d partitions passed; the sequence should mix passes and failures", oks, len(partitions))
 	}
 }
