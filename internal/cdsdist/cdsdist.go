@@ -52,22 +52,25 @@ type Result struct {
 }
 
 // PackWithGuess runs the Appendix B protocol with a fixed connectivity
-// guess (the paper's 2-approximation assumption; Pack removes it).
+// guess (the paper's 2-approximation assumption; Pack removes it). It
+// allocates its own arena; Pack runs its whole loop in one, with
+// identical results.
 func PackWithGuess(g *graph.Graph, kGuess int, opts cds.Options) (*Result, error) {
 	if g.N() == 0 {
 		return nil, fmt.Errorf("cdsdist: empty graph")
 	}
-	return packWithGuess(g, kGuess, opts.Normalize(), dist.ApproxD(g))
+	return packWithGuess(g, kGuess, opts.Normalize(), dist.ApproxD(g), new(arena))
 }
 
 // packWithGuess is PackWithGuess on a non-empty graph with normalized
 // options and the diameter bound the run charges, dist.ApproxD(g),
-// which Pack computes once for all its guesses.
-func packWithGuess(g *graph.Graph, kGuess int, opts cds.Options, diam int) (*Result, error) {
+// which Pack computes once for all its guesses, run in the arena a,
+// which holds either nothing yet or an earlier guess's state on g.
+func packWithGuess(g *graph.Graph, kGuess int, opts cds.Options, diam int, a *arena) (*Result, error) {
 	if kGuess < 1 {
 		return nil, fmt.Errorf("cdsdist: connectivity guess %d < 1", kGuess)
 	}
-	r := newRun(g, kGuess, opts, diam)
+	r := newRun(g, kGuess, opts, diam, a)
 	if err := r.execute(); err != nil {
 		return nil, err
 	}
@@ -77,7 +80,9 @@ func packWithGuess(g *graph.Graph, kGuess int, opts cds.Options, diam int) (*Res
 // Pack removes the connectivity-guess assumption with the try-and-error
 // loop of Remark 3.1, testing each guess's outcome with the distributed
 // tester of Appendix E and keeping the passing packing of maximum size.
-// All testing rounds are added to the returned meter.
+// All testing rounds are added to the returned meter. Every guess runs
+// in one arena, allocated at the first and largest guess, and is tested
+// by one tester.Checker.
 func Pack(g *graph.Graph, opts cds.Options) (*Result, error) {
 	n := g.N()
 	if n == 0 {
@@ -85,16 +90,21 @@ func Pack(g *graph.Graph, opts cds.Options) (*Result, error) {
 	}
 	opts = opts.Normalize()
 	diam := dist.ApproxD(g)
-	var best *Result
-	var total sim.Meter
+	var (
+		best    *Result
+		total   sim.Meter
+		a       arena
+		checker = tester.NewChecker(g)
+		classOf = make([][]int32, n)
+	)
 	for guess := n; guess >= 1; guess /= 2 {
-		res, err := packWithGuess(g, guess, opts, diam)
+		res, err := packWithGuess(g, guess, opts, diam, &a)
 		if err != nil {
 			return nil, err
 		}
 		total.Add(&res.Meter)
-		classOf := check.ClassesOf(n, res.Packing.Trees)
-		tr, err := tester.CheckDistributed(g, classOf, res.Packing.Stats.Classes)
+		check.ClassesInto(classOf, res.Packing.Trees)
+		tr, err := checker.Check(classOf, res.Packing.Stats.Classes)
 		if err != nil {
 			return nil, err
 		}
@@ -110,103 +120,227 @@ func Pack(g *graph.Graph, opts cds.Options) (*Result, error) {
 	return best, nil
 }
 
-// run holds the global (driver-visible) protocol state: per-node class
-// memberships and per-layer working state. Only information a node
-// could know locally is read inside processes; the driver moves state
-// between phases and charges barrier costs.
+// run is one guess of the protocol: the driver-visible header of a run
+// over the arena that holds its state. Only information a node could
+// know locally is read inside processes; the driver moves state between
+// phases and charges barrier costs.
 type run struct {
+	*arena
 	g       *graph.Graph
 	n       int
 	layers  int
 	classes int
 	opts    cds.Options
-	rngs    []*rand.Rand // per-node private randomness
 	meter   sim.Meter
 	diam    int
-	eng     *sim.Engine   // reused across all phases of the run
-	procs   []sim.Process // the current phase's processes, one per node
+	stats   cds.Stats
+}
 
-	// propRngs[v] is node v's proposal stream over propPCGs[v], which
-	// proposeStreams reseeds for every propose phase.
+// arena is the memory one guess runs in: the engine with every node's
+// outboxes, the per-node random streams, the class lists with their
+// class rows, the per-class slabs, the phase node arrays and the
+// matching state. Its arrays are sized by n, by n·3L (L depends on n
+// alone), by the class count or by n·min(3L, classes), the most the
+// class lists can hold, so Pack runs every guess of its loop in one
+// arena, allocated at the first and largest guess and reset for each
+// guess after it. Nothing a returned Packing references lives in it.
+type arena struct {
+	eng   *sim.Engine   // reused across every phase of every guess
+	procs []sim.Process // the current phase's processes, one per node
+
+	// rngs[v] is node v's private randomness over pcgs[v], reseeded
+	// per guess; propRngs[v] is its proposal stream over propPCGs[v],
+	// which proposeStreams reseeds for every propose phase.
+	pcgs     []rand.PCG
+	rngs     []*rand.Rand
 	propPCGs []rand.PCG
 	propRngs []*rand.Rand
-	// scouts is the scratch in which a scoutNode collects the scout
-	// pairs of one call; nodes run serially, so the run shares one.
-	scouts []candidate
 
 	// classOf[v][layer*3+typ] = class of that virtual node, -1 unassigned.
 	classOf [][]int32
+	virtual []int32 // classOf's backing
 	// clsList[v] = sorted distinct classes with an assigned virtual node
 	// at v in layers processed so far (the keys of the paper's old-node
-	// sets). The protocols index their per-class state by position in
-	// this list, so their per-message work is a short linear scan
-	// instead of a map probe.
+	// sets). clsRows holds node v's class row, words 64-bit words in
+	// which bit c is set iff c is in clsList[v]. A class's position in
+	// the list is its Rank in the row, so the protocols' per-message
+	// class lookup is a bit test and a popcount.
 	clsList [][]int32
-	// compList[v][i] = min real id in v's component of class clsList[v][i]
-	// (phase A output), parallel to clsList.
-	compList [][]int64
-	// stats
-	stats cds.Stats
-	// parent[v][i] = v's parent in the BFS tree of class clsList[v][i]
-	// (tree extraction output): graph.TreeRoot at the class leader,
-	// graph.TreeAbsent where the BFS never arrived.
-	parent [][]int32
+	words   int
+	clsRows []uint64
+
+	// Per-class state, one row per node parallel to its class list:
+	// the floods' values, the component ids (phase A output), the
+	// floods' dirty flags, the matching's blocked components, and the
+	// BFS trees' parents (graph.TreeRoot at the class leader,
+	// graph.TreeAbsent where the BFS never arrived) and depths.
+	vals     slab[[2]int64]
+	compList slab[int64]
+	dirty    slab[bool]
+	blocked  slab[bool]
+	parent   slab[int32]
+	depth    slab[int32]
+
+	floods []minFloodNode
+	anns   []annNode
+	scouts []scoutNode
+	props  []proposeNode
+	accs   []acceptNode
+	bfs    []bfsClassNode
+	// scoutPairs is the scratch in which a scoutNode collects the
+	// scout pairs of one call; nodes run serially, so they share one.
+	scoutPairs []candidate
+	lists      [][]candidate // each type-2 node's bridging-graph list
+	assigned   []bool        // type-2 nodes matched or assigned this layer
+	hasMember  []bool        // excess's per-class scratch
 }
 
-// classIndex returns the position of c in the sorted class list, or -1.
-// Lists hold O(log n) entries, so a linear scan beats hashing.
-func classIndex(cls []int32, c int32) int {
-	for i, x := range cls {
-		if x == c {
-			return i
-		}
-	}
-	return -1
+// slab is per-class state of every node: rows parallel to the class
+// lists, carved from one backing array.
+type slab[T any] struct {
+	buf  []T
+	rows [][]T
 }
 
-// insertClass adds c to the sorted class list if absent, scanning
-// linearly like classIndex.
-func insertClass(cls []int32, c int32) []int32 {
-	i := 0
-	for i < len(cls) && cls[i] < c {
-		i++
+// reserve sizes s for n rows holding at most size entries together.
+func (s *slab[T]) reserve(n, size int) {
+	if cap(s.buf) < size {
+		s.buf = make([]T, size)
 	}
-	if i == len(cls) || cls[i] != c {
-		cls = slices.Insert(cls, i, c)
+	if s.rows == nil {
+		s.rows = make([][]T, n)
 	}
-	return cls
 }
 
-func newRun(g *graph.Graph, kGuess int, opts cds.Options, diam int) *run {
+// carve re-slices s's rows to the class lists, zeroed.
+func (s *slab[T]) carve(lists [][]int32) {
+	buf := s.buf[:cap(s.buf)]
+	for v, cls := range lists {
+		k := len(cls)
+		s.rows[v], buf = buf[:k:k], buf[k:]
+		clear(s.rows[v])
+	}
+}
+
+// newStreams returns n generators, each over its own PCG; reseed
+// them in place with reseed.
+func newStreams(n int) ([]rand.PCG, []*rand.Rand) {
+	pcgs, rngs := make([]rand.PCG, n), make([]*rand.Rand, n)
+	for v := range rngs {
+		rngs[v] = rand.New(&pcgs[v])
+	}
+	return pcgs, rngs
+}
+
+// reseed reseeds stream v of pcgs from ds.SplitSeed(seed, v): the
+// draws ds.SplitRand(seed, v) would give.
+func reseed(pcgs []rand.PCG, seed uint64) {
+	for v := range pcgs {
+		pcgs[v].Seed(ds.SplitSeed(seed, uint64(v)))
+	}
+}
+
+// newRun readies the arena a for a guess of kGuess on g, allocating
+// it at its first guess.
+func newRun(g *graph.Graph, kGuess int, opts cds.Options, diam int, a *arena) *run {
 	n := g.N()
 	layers := cds.LayersFor(n)
 	classes := int(opts.ClassFactor * float64(kGuess))
 	if classes < 1 {
 		classes = 1
 	}
+	if a.procs == nil {
+		a.alloc(n, layers, min(3*layers, classes))
+	}
 	r := &run{
+		arena:   a,
 		g:       g,
 		n:       n,
 		layers:  layers,
 		classes: classes,
 		opts:    opts,
-		rngs:    make([]*rand.Rand, n),
-		procs:   make([]sim.Process, n),
-		classOf: make([][]int32, n),
-		clsList: make([][]int32, n),
 		stats:   cds.Stats{Guess: kGuess, Layers: layers, Classes: classes},
 		diam:    diam,
 	}
-	seedBase := opts.Seed ^ (uint64(kGuess) * 0x9e3779b97f4a7c15)
-	virtual := make([]int32, n*layers*3)
-	for i := range virtual {
-		virtual[i] = -1
+	reseed(a.pcgs, opts.Seed^(uint64(kGuess)*0x9e3779b97f4a7c15))
+	for i := range a.virtual {
+		a.virtual[i] = -1
 	}
-	for v := 0; v < n; v++ {
-		r.rngs[v] = ds.SplitRand(seedBase, uint64(v))
-		r.classOf[v], virtual = virtual[:layers*3:layers*3], virtual[layers*3:]
+	for v := range a.clsList {
+		a.clsList[v] = a.clsList[v][:0]
 	}
+	a.words = (classes + 63) / 64
+	a.clsRows = ds.GrowClear(a.clsRows, n*a.words)
+	size := n * min(3*layers, classes)
+	a.vals.reserve(n, size)
+	a.compList.reserve(n, size)
+	a.dirty.reserve(n, size)
+	a.blocked.reserve(n, size)
+	a.parent.reserve(n, size)
+	a.depth.reserve(n, size)
 	return r
+}
+
+// alloc allocates the arena for n nodes, L = layers, and class lists of
+// at most maxRow entries.
+func (a *arena) alloc(n, layers, maxRow int) {
+	a.procs = make([]sim.Process, n)
+	a.pcgs, a.rngs = newStreams(n)
+	a.propPCGs, a.propRngs = newStreams(n)
+	a.virtual = make([]int32, n*layers*3)
+	a.classOf = make([][]int32, n)
+	a.clsList = make([][]int32, n)
+	lists := make([]int32, n*maxRow)
+	for v := 0; v < n; v++ {
+		a.classOf[v] = a.virtual[v*layers*3 : (v+1)*layers*3 : (v+1)*layers*3]
+		a.clsList[v] = lists[v*maxRow : v*maxRow : (v+1)*maxRow]
+	}
+	a.floods = make([]minFloodNode, n)
+	a.anns = make([]annNode, n)
+	a.scouts = make([]scoutNode, n)
+	a.props = make([]proposeNode, n)
+	a.accs = make([]acceptNode, n)
+	a.bfs = make([]bfsClassNode, n)
+	a.lists = make([][]candidate, n)
+	a.assigned = make([]bool, n)
+}
+
+// row returns node v's class row.
+func (a *arena) row(v int) []uint64 {
+	return a.clsRows[v*a.words : (v+1)*a.words : (v+1)*a.words]
+}
+
+// addClass adds class c to node v's class list, kept sorted, and sets
+// its bit in v's class row; it does nothing when v already holds c.
+func (a *arena) addClass(v int, c int32) {
+	row := a.row(v)
+	bit := uint64(1) << (c & 63)
+	if row[c>>6]&bit != 0 {
+		return
+	}
+	row[c>>6] |= bit
+	a.clsList[v] = slices.Insert(a.clsList[v], ds.Rank(row, c), c)
+}
+
+// carve re-carves every per-class slab, zeroed, to the class lists. The
+// lists grow only after the jump start and after each layer's fold, so
+// those are the only calls.
+func (a *arena) carve() {
+	a.vals.carve(a.clsList)
+	a.compList.carve(a.clsList)
+	a.dirty.carve(a.clsList)
+	a.blocked.carve(a.clsList)
+	a.parent.carve(a.clsList)
+	a.depth.carve(a.clsList)
+}
+
+// classIndex returns the position of class c in the class list whose
+// class row is row, or -1 when the list does not hold c.
+func classIndex(row []uint64, c int32) int {
+	if row[c>>6]&(1<<(c&63)) == 0 {
+		return -1
+	}
+	return ds.Rank(row, c)
 }
 
 func (r *run) execute() error {
@@ -227,10 +361,11 @@ func (r *run) execute() error {
 			for typ := 0; typ < 3; typ++ {
 				c := int32(r.rngs[v].IntN(r.classes))
 				r.classOf[v][layer*3+typ] = c
-				r.clsList[v] = insertClass(r.clsList[v], c)
+				r.addClass(v, c)
 			}
 		}
 	}
+	r.carve()
 
 	for layer := half; layer < r.layers; layer++ {
 		if err := r.assignLayer(layer); err != nil {
@@ -286,10 +421,11 @@ func (r *run) assignLayer(layer int) error {
 	for v := 0; v < r.n; v++ {
 		for typ := 0; typ < 3; typ++ {
 			if c := r.classOf[v][layer*3+typ]; c >= 0 {
-				r.clsList[v] = insertClass(r.clsList[v], c)
+				r.addClass(v, c)
 			}
 		}
 	}
+	r.carve()
 	return nil
 }
 
@@ -298,15 +434,15 @@ func (r *run) assignLayer(layer int) error {
 // (diagnostic only; no rounds charged). A component's id is its least
 // member, so it has exactly one leader v with compList[v][i] == v.
 func (r *run) excess() int {
-	hasMember := make([]bool, r.classes)
+	r.hasMember = ds.GrowClear(r.hasMember, r.classes)
 	m := 0
 	for v := 0; v < r.n; v++ {
 		for i, c := range r.clsList[v] {
-			if r.compList[v][i] == int64(v) {
+			if r.compList.rows[v][i] == int64(v) {
 				m++
 			}
-			if !hasMember[c] {
-				hasMember[c] = true
+			if !r.hasMember[c] {
+				r.hasMember[c] = true
 				m--
 			}
 		}

@@ -2,12 +2,16 @@ package cdsdist
 
 import (
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 
 	"repro/internal/cds"
+	"repro/internal/check"
 	"repro/internal/dist"
 	"repro/internal/graph"
+	"repro/internal/sim"
+	"repro/internal/tester"
 )
 
 func TestPackWithGuessValidation(t *testing.T) {
@@ -215,9 +219,14 @@ func TestExcessComponentsGolden(t *testing.T) {
 // messages it overhears, and only changed values are sent.
 func TestMinFloodRestrictsToClassComponents(t *testing.T) {
 	g := graph.Path(6)
-	r := newRun(g, 4, cds.Options{}.Normalize(), dist.ApproxD(g))
-	r.clsList = [][]int32{{0}, {0, 1}, {1}, {0, 1}, {0}, {0}}
-	vals := perClass[[2]int64](r)
+	r := newRun(g, 4, cds.Options{}.Normalize(), dist.ApproxD(g), new(arena))
+	for v, cls := range [][]int32{{0}, {0, 1}, {1}, {0, 1}, {0}, {0}} {
+		for _, c := range cls {
+			r.addClass(v, c)
+		}
+	}
+	r.carve()
+	vals := r.vals.rows
 	for _, row := range vals {
 		for i := range row {
 			row[i] = noValue
@@ -244,5 +253,98 @@ func TestMinFloodRestrictsToClassComponents(t *testing.T) {
 	}
 	if r.meter.Messages != 6 {
 		t.Errorf("flood sent %d messages, want 6 (three seeds, three improvements)", r.meter.Messages)
+	}
+}
+
+// foldGuesses is Pack written out of its parts: Remark 3.1's guesses in
+// order, each a PackWithGuess in a fresh arena tested by a one-shot
+// CheckDistributed, folded as Pack folds them.
+func foldGuesses(t *testing.T, g *graph.Graph, opts cds.Options) *Result {
+	t.Helper()
+	var (
+		best  *Result
+		total sim.Meter
+	)
+	for guess := g.N(); guess >= 1; guess /= 2 {
+		res, err := PackWithGuess(g, guess, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total.Add(&res.Meter)
+		tr, err := tester.CheckDistributed(g, check.ClassesOf(g.N(), res.Packing.Trees), res.Packing.Stats.Classes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total.Add(&tr.Meter)
+		if tr.OK && (best == nil || res.Packing.Size() > best.Packing.Size()) {
+			best = res
+		}
+	}
+	if best == nil {
+		t.Fatal("no guess passed the tester")
+	}
+	best.Meter = total
+	return best
+}
+
+// TestPackArenaLeaksNothing checks that Pack's one arena and one
+// tester.Checker carry nothing from a guess into the next: on each
+// graph and seed, Pack returns exactly the packing and meter of
+// foldGuesses, whose guesses share nothing, and a second Pack call on
+// the same input returns the same again.
+func TestPackArenaLeaksNothing(t *testing.T) {
+	must := func(g *graph.Graph, err error) *graph.Graph {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"Q5", graph.Hypercube(5)},
+		{"Q6", graph.Hypercube(6)},
+		{"T8x8", graph.Torus(8, 8)},
+		{"CC(4,8,4)", must(graph.CliqueChain(4, 8, 4))},
+		{"H(5,32)", must(graph.Harary(5, 32))},
+	} {
+		for seed := uint64(0); seed < 3; seed++ {
+			opts := cds.Options{Seed: seed}
+			got, err := Pack(tc.g, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := foldGuesses(t, tc.g, opts)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s seed %d: Pack gave guess %d, size %.4f, meter %+v; the fold of fresh guesses gave guess %d, size %.4f, meter %+v",
+					tc.name, seed, got.Packing.Stats.Guess, got.Packing.Size(), got.Meter,
+					want.Packing.Stats.Guess, want.Packing.Size(), want.Meter)
+			}
+			again, err := Pack(tc.g, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, again) {
+				t.Errorf("%s seed %d: two Pack calls differ: meters %+v and %+v", tc.name, seed, got.Meter, again.Meter)
+			}
+		}
+	}
+}
+
+// TestPackAllocations holds the allocations of one cdsdist.Pack on Q6,
+// all seven guesses with their tester checks, under a ceiling 25% above
+// the 3,652 measured with every guess in one arena (24,751 when each
+// guess built its own engine, node arrays and rows).
+func TestPackAllocations(t *testing.T) {
+	const ceiling = 4565
+	g := graph.Hypercube(6)
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Pack(g, cds.Options{Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > ceiling {
+		t.Fatalf("cdsdist.Pack(Q6) made %.0f allocations, above the ceiling of %d", allocs, ceiling)
 	}
 }

@@ -31,8 +31,9 @@ func proposalRange(n int) int64 {
 }
 
 // runPhase executes one protocol phase on the processes in r.procs,
-// reusing a single engine across all phases of the run (every phase
-// ends quiescent, so there is never message carry-over to preserve).
+// reusing the arena's engine across all phases of every guess (every
+// phase ends quiescent, so there is never message carry-over to
+// preserve).
 func (r *run) runPhase(maxRounds int) error {
 	if r.eng == nil {
 		eng, err := sim.NewEngine(r.g, sim.VCongest, r.procs, sim.WithMaxFieldBits(r.fieldBitsFor()))
@@ -53,22 +54,6 @@ func (r *run) runPhase(maxRounds int) error {
 	return nil
 }
 
-// perClass returns one row per node, parallel to its class list, all
-// carved from a single backing array.
-func perClass[T any](r *run) [][]T {
-	total := 0
-	for _, cls := range r.clsList {
-		total += len(cls)
-	}
-	backing := make([]T, total)
-	rows := make([][]T, r.n)
-	for v, cls := range r.clsList {
-		k := len(cls)
-		rows[v], backing = backing[:k:k], backing[k:]
-	}
-	return rows
-}
-
 // --- Restricted flooding (Theorem B.2) -----------------------------------
 
 // noValue is the flood value of a class that holds nothing yet; every
@@ -87,10 +72,11 @@ func less(a, b [2]int64) bool { return a[0] < b[0] || a[0] == b[0] && a[1] < b[1
 // component ends holding its least seeded value. Min-merging is
 // order-insensitive, so the sorted broadcast order leaves results
 // identical to any other send order. Per-class state is indexed by
-// position in the sorted class list.
+// position in the sorted class list, found through the class row.
 type minFloodNode struct {
 	kind     uint8
 	cls      []int32
+	row      []uint64   // the class row of cls
 	val      [][2]int64 // parallel to cls
 	dirty    []bool
 	hasDirty bool
@@ -111,7 +97,7 @@ func (p *minFloodNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 		if d.Msg.Kind != p.kind {
 			continue
 		}
-		i := classIndex(p.cls, int32(d.Msg.F[0]))
+		i := classIndex(p.row, int32(d.Msg.F[0]))
 		if i < 0 {
 			continue
 		}
@@ -138,11 +124,9 @@ func (p *minFloodNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 // class component: vals, one row per node parallel to its class list,
 // holds the seeds and, once flood returns, each component's least seed.
 func (r *run) flood(kind uint8, vals [][][2]int64) error {
-	dirty := perClass[bool](r)
-	nodes := make([]minFloodNode, r.n)
-	for v := range nodes {
-		nodes[v] = minFloodNode{kind: kind, cls: r.clsList[v], val: vals[v], dirty: dirty[v]}
-		r.procs[v] = &nodes[v]
+	for v := range r.floods {
+		r.floods[v] = minFloodNode{kind: kind, cls: r.clsList[v], row: r.row(v), val: vals[v], dirty: r.dirty.rows[v]}
+		r.procs[v] = &r.floods[v]
 	}
 	return r.runPhase(4*r.n + 8)
 }
@@ -154,7 +138,7 @@ func (r *run) flood(kind uint8, vals [][][2]int64) error {
 // leaves each component's least member id. It returns the flood's value
 // rows for reuse.
 func (r *run) identifyComponents() ([][][2]int64, error) {
-	vals := perClass[[2]int64](r)
+	vals := r.vals.rows
 	for v, row := range vals {
 		for i := range row {
 			row[i] = [2]int64{int64(v), 0}
@@ -163,10 +147,9 @@ func (r *run) identifyComponents() ([][][2]int64, error) {
 	if err := r.flood(kindComp, vals); err != nil {
 		return nil, fmt.Errorf("component identification: %w", err)
 	}
-	r.compList = perClass[int64](r)
 	for v, row := range vals {
 		for i, x := range row {
-			r.compList[v][i] = x[0]
+			r.compList.rows[v][i] = x[0]
 		}
 	}
 	return vals, nil
@@ -190,6 +173,7 @@ type candidate struct {
 // interchangeable with any other.
 type annNode struct {
 	cls        []int32    // sorted classes with old nodes here
+	row        []uint64   // the class row of cls
 	comp       []int64    // component ids parallel to cls
 	deact      [][2]int64 // parallel to cls
 	type1Class int32
@@ -223,7 +207,7 @@ func (p *annNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 			}
 			nseen++
 		}
-		if i := classIndex(p.cls, p.type1Class); i >= 0 {
+		if i := classIndex(p.row, p.type1Class); i >= 0 {
 			note(p.comp[i])
 		}
 		for d := range inbox.All() {
@@ -240,7 +224,7 @@ func (p *annNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 			if d.Msg.Kind != kindDeact {
 				continue
 			}
-			if i := classIndex(p.cls, int32(d.Msg.F[0])); i >= 0 {
+			if i := classIndex(p.row, int32(d.Msg.F[0])); i >= 0 {
 				p.deact[i] = [2]int64{}
 			}
 		}
@@ -253,16 +237,19 @@ func (p *annNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 // forms its message m_w; each type-2 new node v assembles its neighbor
 // list List_v from active announced components and type-3 messages.
 // List order is the first-delivery order of the active announcements
-// (sender-major); every collection step in between is set-valued.
+// (sender-major); every collection step in between is set-valued. The
+// arena keeps each node's scoutNode across layers and guesses, so
+// seenComp, annHeard and list restart at length 0 on their storage.
 type scoutNode struct {
 	cls        []int32    // sorted classes with old nodes here
+	row        []uint64   // the class row of cls
 	comp       []int64    // component ids parallel to cls
 	deact      [][2]int64 // parallel to cls: noValue while active
 	type3Class int32
 
 	seenComp []int64      // distinct type-3 component ids heard
 	annHeard []candidate  // distinct active components heard, in first-delivery order
-	scouts   *[]candidate // the run's scratch for one call's scout (class, id) pairs
+	scouts   *[]candidate // the arena's scratch for one call's scout (class, id) pairs
 	list     []candidate
 }
 
@@ -296,7 +283,7 @@ func (p *scoutNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 			}
 			p.seenComp = append(p.seenComp, id)
 		}
-		if i := classIndex(p.cls, p.type3Class); i >= 0 {
+		if i := classIndex(p.row, p.type3Class); i >= 0 {
 			noteComp(p.comp[i])
 		}
 		for d := range inbox.All() {
@@ -361,15 +348,15 @@ func (p *scoutNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 // its class list, which the announcements overwrite.
 func (r *run) buildBridging(layer int, deact [][][2]int64) ([][]candidate, error) {
 	// B.1: announcements + type-1 connector detection.
-	anns := make([]annNode, r.n)
-	for v := range anns {
-		anns[v] = annNode{
+	for v := range r.anns {
+		r.anns[v] = annNode{
 			cls:        r.clsList[v],
-			comp:       r.compList[v],
+			row:        r.row(v),
+			comp:       r.compList.rows[v],
 			deact:      deact[v],
 			type1Class: r.classOf[v][layer*3+0],
 		}
-		r.procs[v] = &anns[v]
+		r.procs[v] = &r.anns[v]
 	}
 	if err := r.runPhase(8); err != nil {
 		return nil, fmt.Errorf("deactivation detection: %w", err)
@@ -382,25 +369,28 @@ func (r *run) buildBridging(layer int, deact [][][2]int64) ([][]candidate, error
 	}
 
 	// B.3: re-announce with activity; scouts; type-2 lists.
-	scouts := make([]scoutNode, r.n)
-	for v := range scouts {
-		scouts[v] = scoutNode{
+	for v := range r.scouts {
+		sc := &r.scouts[v]
+		*sc = scoutNode{
 			cls:        r.clsList[v],
-			comp:       r.compList[v],
+			row:        r.row(v),
+			comp:       r.compList.rows[v],
 			deact:      deact[v],
 			type3Class: r.classOf[v][layer*3+2],
-			scouts:     &r.scouts,
+			seenComp:   sc.seenComp[:0],
+			annHeard:   sc.annHeard[:0],
+			scouts:     &r.scoutPairs,
+			list:       sc.list[:0],
 		}
-		r.procs[v] = &scouts[v]
+		r.procs[v] = sc
 	}
 	if err := r.runPhase(8); err != nil {
 		return nil, fmt.Errorf("bridging construction: %w", err)
 	}
-	lists := make([][]candidate, r.n)
-	for v := range lists {
-		lists[v] = scouts[v].list
+	for v := range r.lists {
+		r.lists[v] = r.scouts[v].list
 	}
-	return lists, nil
+	return r.lists, nil
 }
 
 // --- Phase C: matching stages ------------------------------------------
@@ -414,7 +404,7 @@ func (r *run) buildBridging(layer int, deact [][][2]int64) ([][]candidate, error
 // position in the sorted class list.
 type proposeNode struct {
 	rng      *rand.Rand // this node's proposal stream for the phase
-	cls      []int32
+	row      []uint64   // the node's class row
 	comp     []int64
 	blocked  []bool      // parallel: component here already matched
 	best     [][2]int64  // parallel: least key heard, noValue if none
@@ -450,7 +440,7 @@ func (p *proposeNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 			if d.Msg.Kind != kindPropose {
 				continue
 			}
-			i := classIndex(p.cls, int32(d.Msg.F[0]))
+			i := classIndex(p.row, int32(d.Msg.F[0]))
 			if i < 0 || p.blocked[i] || p.comp[i] != d.Msg.F[1] {
 				continue // not in this component, or matched earlier
 			}
@@ -520,19 +510,17 @@ func (p *acceptNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 // assigns classes to the type-2 virtual nodes of the layer. Returns the
 // number matched through the bridging graph. best holds a row per node
 // parallel to its class list, which every stage's proposals overwrite;
-// the stages' per-node state is allocated once, when the first runs.
+// the stages' per-node state lives in the arena.
 func (r *run) matchStages(layer int, lists [][]candidate, best [][][2]int64) (int, error) {
 	stages := 1
 	for s := 1; s < r.n; s <<= 1 {
 		stages++
 	}
 	matchedCount := 0
-	assigned := make([]bool, r.n)
-	blocked := perClass[bool](r)
-	var (
-		props []proposeNode
-		accs  []acceptNode
-	)
+	assigned := r.assigned
+	clear(assigned)
+	blocked := r.blocked.rows
+	props, accs := r.props, r.accs
 
 	for stage := 0; stage < stages; stage++ {
 		anyList := false
@@ -545,9 +533,6 @@ func (r *run) matchStages(layer int, lists [][]candidate, best [][][2]int64) (in
 		if !anyList {
 			break
 		}
-		if props == nil {
-			props, accs = make([]proposeNode, r.n), make([]acceptNode, r.n)
-		}
 		// Stage round 1-2: propose and collect.
 		rngs := r.proposeStreams(r.opts.Seed ^ uint64(layer*131+stage)<<10 ^ 0xabcd)
 		for v := range props {
@@ -557,8 +542,8 @@ func (r *run) matchStages(layer int, lists [][]candidate, best [][][2]int64) (in
 			}
 			props[v] = proposeNode{
 				rng:     rngs[v],
-				cls:     r.clsList[v],
-				comp:    r.compList[v],
+				row:     r.row(v),
+				comp:    r.compList.rows[v],
 				blocked: blocked[v],
 				best:    best[v],
 				list:    list,
@@ -579,7 +564,7 @@ func (r *run) matchStages(layer int, lists [][]candidate, best [][][2]int64) (in
 		for v := range accs {
 			accs[v] = acceptNode{
 				cls:      r.clsList[v],
-				comp:     r.compList[v],
+				comp:     r.compList.rows[v],
 				best:     best[v],
 				proposed: props[v].proposed,
 				proposal: props[v].proposal,
@@ -626,19 +611,9 @@ func (r *run) matchStages(layer int, lists [][]candidate, best [][][2]int64) (in
 }
 
 // proposeStreams reseeds each node's proposal stream for one propose
-// phase, node v's from ds.SplitSeed(seed, v), and returns them. The
-// streams are allocated at the run's first propose phase.
+// phase, node v's from ds.SplitSeed(seed, v), and returns them.
 func (r *run) proposeStreams(seed uint64) []*rand.Rand {
-	if r.propRngs == nil {
-		r.propPCGs = make([]rand.PCG, r.n)
-		r.propRngs = make([]*rand.Rand, r.n)
-		for v := range r.propRngs {
-			r.propRngs[v] = rand.New(&r.propPCGs[v])
-		}
-	}
-	for v := range r.propPCGs {
-		r.propPCGs[v].Seed(ds.SplitSeed(seed, uint64(v)))
-	}
+	reseed(r.propPCGs, seed)
 	return r.propRngs
 }
 
@@ -653,7 +628,8 @@ func (r *run) proposeStreams(seed uint64) []*rand.Rand {
 // from the sender, so it is not a min-flood.
 type bfsClassNode struct {
 	cls      []int32
-	comp     []int64 // component ids parallel to cls
+	row      []uint64 // the class row of cls
+	comp     []int64  // component ids parallel to cls
 	parent   []int32 // graph.TreeRoot at the leader, graph.TreeAbsent until reached
 	depth    []int32
 	dirty    []bool
@@ -677,7 +653,7 @@ func (p *bfsClassNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 		if d.Msg.Kind != kindBFS {
 			continue
 		}
-		i := classIndex(p.cls, int32(d.Msg.F[0]))
+		i := classIndex(p.row, int32(d.Msg.F[0]))
 		if i < 0 || p.parent[i] != graph.TreeAbsent {
 			continue
 		}
@@ -704,19 +680,16 @@ func (p *bfsClassNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 // This realizes the paper's 0/1-weight MST step: a BFS forest of the
 // 0-weight (same-class) subgraph is such an MST's 0-weight part.
 func (r *run) extractTrees() error {
-	r.parent = perClass[int32](r)
-	depth := perClass[int32](r)
-	dirty := perClass[bool](r)
-	nodes := make([]bfsClassNode, r.n)
-	for v := range nodes {
-		nodes[v] = bfsClassNode{
+	for v := range r.bfs {
+		r.bfs[v] = bfsClassNode{
 			cls:    r.clsList[v],
-			comp:   r.compList[v],
-			parent: r.parent[v],
-			depth:  depth[v],
-			dirty:  dirty[v],
+			row:    r.row(v),
+			comp:   r.compList.rows[v],
+			parent: r.parent.rows[v],
+			depth:  r.depth.rows[v],
+			dirty:  r.dirty.rows[v],
 		}
-		r.procs[v] = &nodes[v]
+		r.procs[v] = &r.bfs[v]
 	}
 	if err := r.runPhase(4*r.n + 8); err != nil {
 		return fmt.Errorf("tree extraction: %w", err)
@@ -754,7 +727,7 @@ func (r *run) buildPacking() *cds.Packing {
 		root := -1
 		complete := true
 		for _, v := range members {
-			p := r.parent[v][classIndex(r.clsList[v], int32(c))]
+			p := r.parent.rows[v][ds.Rank(r.row(int(v)), int32(c))]
 			if p == graph.TreeAbsent {
 				complete = false // BFS never reached v: class disconnected
 				break
