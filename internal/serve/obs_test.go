@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/graph"
@@ -33,8 +34,16 @@ func scrapeMetrics(t *testing.T, client *http.Client, base string) (map[string]f
 		t.Fatalf("metrics content type %q", ct)
 	}
 	var buf bytes.Buffer
+	vals := parseSamples(t, io.TeeReader(resp.Body, &buf))
+	return vals, buf.String()
+}
+
+// parseSamples parses the single-value samples of an exposition text
+// (histogram buckets and comments skipped) into name → value.
+func parseSamples(t *testing.T, r io.Reader) map[string]float64 {
+	t.Helper()
 	vals := make(map[string]float64)
-	sc := bufio.NewScanner(io.TeeReader(resp.Body, &buf))
+	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		line := sc.Text()
 		if line == "" || strings.HasPrefix(line, "#") || strings.Contains(line, "{") {
@@ -53,7 +62,7 @@ func scrapeMetrics(t *testing.T, client *http.Client, base string) (map[string]f
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	return vals, buf.String()
+	return vals
 }
 
 // TestMetricsEndpoint drives the serving path over HTTP and asserts
@@ -250,6 +259,46 @@ func TestMetricsScrapeSatisfiesPackAccounting(t *testing.T) {
 	}
 	if st := s.Stats(); st.PackComputes < 3 || st.CacheHits == 0 {
 		t.Fatalf("too little traffic ran during the scrapes: %d computes, %d cache hits", st.PackComputes, st.CacheHits)
+	}
+}
+
+// bumpWriter bumps one pack-accounting bucket on every Write, as a
+// request landing in that bucket would between two lines of a scrape.
+type bumpWriter struct {
+	bytes.Buffer
+	bucket *atomic.Uint64
+}
+
+func (w *bumpWriter) Write(p []byte) (int, error) {
+	w.bucket.Add(1)
+	return w.Buffer.Write(p)
+}
+
+// TestScrapeRenderedDuringWritesIsExact renders the exposition into a
+// bumpWriter for each of the four pack buckets in turn, so that bucket
+// moves between every two lines of one scrape on any number of CPUs,
+// and requires the scrape to satisfy PackRequests == PackComputes +
+// CacheHits + Coalesced + StoreHits exactly. The counter group is read
+// once per scrape, so it does; counters registered one at a time are
+// each read as their own line is written, and fail.
+func TestScrapeRenderedDuringWritesIsExact(t *testing.T) {
+	s := New(Config{PackSeed: 1})
+	for i, bucket := range []*atomic.Uint64{&s.packComputes, &s.cacheHits, &s.coalesced, &s.storeHits} {
+		before := bucket.Load()
+		w := &bumpWriter{bucket: bucket}
+		if err := s.Metrics().WritePrometheus(w); err != nil {
+			t.Fatal(err)
+		}
+		if moved := bucket.Load() - before; moved < 10 {
+			t.Fatalf("bucket %d moved %d times during the scrape, want one per written line", i, moved)
+		}
+		vals := parseSamples(t, &w.Buffer)
+		req := vals["repro_serve_pack_requests_total"]
+		sum := vals["repro_serve_pack_computes_total"] + vals["repro_serve_cache_hits_total"] +
+			vals["repro_serve_coalesced_total"] + vals["repro_serve_store_hits_total"]
+		if req != sum {
+			t.Fatalf("bucket %d moving: pack_requests %v, but computes+hits+coalesced+store_hits = %v", i, req, sum)
+		}
 	}
 }
 
