@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci verify vet build test fmt-check lint cover race fuzz-smoke serve-smoke fingerprint-check perfbench-check perfbench-smoke bench-short fingerprint clean
+.PHONY: ci verify vet build test test-1cpu fmt-check lint cover race fuzz-smoke serve-smoke fingerprint-check perfbench-check perfbench-smoke bench-short fingerprint clean
 
-ci: fmt-check lint verify race fuzz-smoke serve-smoke fingerprint-check perfbench-check perfbench-smoke bench-short
+ci: fmt-check lint verify test-1cpu race fuzz-smoke serve-smoke fingerprint-check perfbench-check perfbench-smoke bench-short
 
 verify: vet build test
 
@@ -17,6 +17,13 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Tier-1 on one CPU: the determinism, allocation and concurrency tests
+# must hold on both sides of the serial/parallel split, whatever core
+# count the host has. -count=1 because the test cache does not key on
+# GOMAXPROCS: without it, results cached by `make test` would stand in.
+test-1cpu:
+	GOMAXPROCS=1 $(GO) test -count=1 ./...
 
 # Every tracked Go file must be gofmt-clean.
 fmt-check:
