@@ -15,7 +15,16 @@
 // restricted flooding of a per-class minimum (minFloodNode): component
 // ids, deactivation and the best proposal all flood through it. A
 // node's per-class state lives in rows parallel to its sorted class
-// list, all carved from one array per phase (perClass).
+// list, carved from one slab per kind of state whenever the lists grow.
+// Beside its list each node keeps a class row, a bitmask of its
+// classes, so a message finds its class's position in the list as the
+// ds.Rank of the class's bit: a bit test and a popcount, not a scan.
+//
+// Pack runs every guess of Remark 3.1's loop in one arena: the engine
+// with every node's outboxes, the per-node random streams, the class
+// lists and rows, the slabs, the node arrays of every phase and the
+// matching state are allocated at the first and largest guess and
+// reset for each later one, and one tester.Checker tests every guess.
 package cdsdist
 
 import (
@@ -141,9 +150,10 @@ type run struct {
 // class rows, the per-class slabs, the phase node arrays and the
 // matching state. Its arrays are sized by n, by n·3L (L depends on n
 // alone), by the class count or by n·min(3L, classes), the most the
-// class lists can hold, so Pack runs every guess of its loop in one
-// arena, allocated at the first and largest guess and reset for each
-// guess after it. Nothing a returned Packing references lives in it.
+// class lists can hold; the class count only falls from guess to
+// guess. So Pack runs every guess of its loop in one arena, allocated
+// at the first and largest guess and reset for each guess after it.
+// Nothing a returned Packing references lives in it.
 type arena struct {
 	eng   *sim.Engine   // reused across every phase of every guess
 	procs []sim.Process // the current phase's processes, one per node
@@ -202,19 +212,15 @@ type slab[T any] struct {
 	rows [][]T
 }
 
-// reserve sizes s for n rows holding at most size entries together.
-func (s *slab[T]) reserve(n, size int) {
-	if cap(s.buf) < size {
-		s.buf = make([]T, size)
-	}
-	if s.rows == nil {
-		s.rows = make([][]T, n)
-	}
+// newSlab returns a slab of n rows holding at most size entries
+// together.
+func newSlab[T any](n, size int) slab[T] {
+	return slab[T]{buf: make([]T, size), rows: make([][]T, n)}
 }
 
 // carve re-slices s's rows to the class lists, zeroed.
 func (s *slab[T]) carve(lists [][]int32) {
-	buf := s.buf[:cap(s.buf)]
+	buf := s.buf
 	for v, cls := range lists {
 		k := len(cls)
 		s.rows[v], buf = buf[:k:k], buf[k:]
@@ -271,18 +277,12 @@ func newRun(g *graph.Graph, kGuess int, opts cds.Options, diam int, a *arena) *r
 	}
 	a.words = (classes + 63) / 64
 	a.clsRows = ds.GrowClear(a.clsRows, n*a.words)
-	size := n * min(3*layers, classes)
-	a.vals.reserve(n, size)
-	a.compList.reserve(n, size)
-	a.dirty.reserve(n, size)
-	a.blocked.reserve(n, size)
-	a.parent.reserve(n, size)
-	a.depth.reserve(n, size)
 	return r
 }
 
 // alloc allocates the arena for n nodes, L = layers, and class lists of
-// at most maxRow entries.
+// at most maxRow entries: min(3L, classes) at the guess it is allocated
+// for, which bounds every smaller guess's lists too.
 func (a *arena) alloc(n, layers, maxRow int) {
 	a.procs = make([]sim.Process, n)
 	a.pcgs, a.rngs = newStreams(n)
@@ -295,6 +295,12 @@ func (a *arena) alloc(n, layers, maxRow int) {
 		a.classOf[v] = a.virtual[v*layers*3 : (v+1)*layers*3 : (v+1)*layers*3]
 		a.clsList[v] = lists[v*maxRow : v*maxRow : (v+1)*maxRow]
 	}
+	a.vals = newSlab[[2]int64](n, n*maxRow)
+	a.compList = newSlab[int64](n, n*maxRow)
+	a.dirty = newSlab[bool](n, n*maxRow)
+	a.blocked = newSlab[bool](n, n*maxRow)
+	a.parent = newSlab[int32](n, n*maxRow)
+	a.depth = newSlab[int32](n, n*maxRow)
 	a.floods = make([]minFloodNode, n)
 	a.anns = make([]annNode, n)
 	a.scouts = make([]scoutNode, n)

@@ -630,7 +630,7 @@ type bfsClassNode struct {
 	cls      []int32
 	row      []uint64 // the class row of cls
 	comp     []int64  // component ids parallel to cls
-	parent   []int32 // graph.TreeRoot at the leader, graph.TreeAbsent until reached
+	parent   []int32  // graph.TreeRoot at the leader, graph.TreeAbsent until reached
 	depth    []int32
 	dirty    []bool
 	hasDirty bool
