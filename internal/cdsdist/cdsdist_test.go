@@ -334,8 +334,8 @@ func TestPackArenaLeaksNothing(t *testing.T) {
 
 // TestPackAllocations holds the allocations of one cdsdist.Pack on Q6,
 // all seven guesses with their tester checks, under a ceiling 25% above
-// the 3,652 measured with every guess in one arena (24,751 when each
-// guess built its own engine, node arrays and rows).
+// the 3,652 measured with every guess in one arena: a guess that
+// allocates its own engine, node arrays or rows again breaks it.
 func TestPackAllocations(t *testing.T) {
 	const ceiling = 4565
 	g := graph.Hypercube(6)
