@@ -11,20 +11,22 @@
 // randomized proposal matching (Appendix B.3), followed by per-class
 // distributed BFS tree extraction.
 //
-// Every component-wide aggregate is one process, Theorem B.2's
-// restricted flooding of a per-class minimum (minFloodNode): component
-// ids, deactivation and the best proposal all flood through it. A
-// node's per-class state lives in rows parallel to its sorted class
-// list, carved from one slab per kind of state whenever the lists grow.
-// Beside its list each node keeps a class row, a bitmask of its
-// classes, so a message finds its class's position in the list as the
-// ds.Rank of the class's bit: a bit test and a popcount, not a scan.
+// Every component-wide aggregate is one process, dist.MinFlood,
+// Theorem B.2's restricted flooding of per-class minima, which the
+// Appendix E tester runs too: component ids, deactivation and the best
+// proposal all flood through it. A node's per-class state lives in rows
+// parallel to its sorted class list, carved from one slab per kind of
+// state whenever the lists grow. Beside its list each node keeps a
+// class row, a bitmask of its classes, so a message finds its class's
+// position in the list with ds.Index: a bit test and a popcount, not a
+// scan.
 //
 // Pack runs every guess of Remark 3.1's loop in one arena: the engine
 // with every node's outboxes, the per-node random streams, the class
 // lists and rows, the slabs, the node arrays of every phase and the
 // matching state are allocated at the first and largest guess and
-// reset for each later one, and one tester.Checker tests every guess.
+// reset for each later one, and one tester.Checker tests every guess,
+// all its classes at once.
 package cdsdist
 
 import (
@@ -173,7 +175,7 @@ type arena struct {
 	// at v in layers processed so far (the keys of the paper's old-node
 	// sets). clsRows holds node v's class row, words 64-bit words in
 	// which bit c is set iff c is in clsList[v]. A class's position in
-	// the list is its Rank in the row, so the protocols' per-message
+	// the list is its ds.Index in the row, so the protocols' per-message
 	// class lookup is a bit test and a popcount.
 	clsList [][]int32
 	words   int
@@ -184,14 +186,14 @@ type arena struct {
 	// floods' dirty flags, the matching's blocked components, and the
 	// BFS trees' parents (graph.TreeRoot at the class leader,
 	// graph.TreeAbsent where the BFS never arrived) and depths.
-	vals     slab[[2]int64]
+	vals     slab[dist.Pair]
 	compList slab[int64]
 	dirty    slab[bool]
 	blocked  slab[bool]
 	parent   slab[int32]
 	depth    slab[int32]
 
-	floods []minFloodNode
+	floods []dist.MinFlood
 	anns   []annNode
 	scouts []scoutNode
 	props  []proposeNode
@@ -295,13 +297,13 @@ func (a *arena) alloc(n, layers, maxRow int) {
 		a.classOf[v] = a.virtual[v*layers*3 : (v+1)*layers*3 : (v+1)*layers*3]
 		a.clsList[v] = lists[v*maxRow : v*maxRow : (v+1)*maxRow]
 	}
-	a.vals = newSlab[[2]int64](n, n*maxRow)
+	a.vals = newSlab[dist.Pair](n, n*maxRow)
 	a.compList = newSlab[int64](n, n*maxRow)
 	a.dirty = newSlab[bool](n, n*maxRow)
 	a.blocked = newSlab[bool](n, n*maxRow)
 	a.parent = newSlab[int32](n, n*maxRow)
 	a.depth = newSlab[int32](n, n*maxRow)
-	a.floods = make([]minFloodNode, n)
+	a.floods = make([]dist.MinFlood, n)
 	a.anns = make([]annNode, n)
 	a.scouts = make([]scoutNode, n)
 	a.props = make([]proposeNode, n)
@@ -338,15 +340,6 @@ func (a *arena) carve() {
 	a.blocked.carve(a.clsList)
 	a.parent.carve(a.clsList)
 	a.depth.carve(a.clsList)
-}
-
-// classIndex returns the position of class c in the class list whose
-// class row is row, or -1 when the list does not hold c.
-func classIndex(row []uint64, c int32) int {
-	if row[c>>6]&(1<<(c&63)) == 0 {
-		return -1
-	}
-	return ds.Rank(row, c)
 }
 
 func (r *run) execute() error {

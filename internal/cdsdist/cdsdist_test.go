@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/cds"
 	"repro/internal/check"
-	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/sim"
 	"repro/internal/tester"
@@ -209,50 +208,6 @@ func TestExcessComponentsGolden(t *testing.T) {
 		if got := res.Packing.Stats.ExcessComponents; !slices.Equal(got, tc.want) {
 			t.Errorf("%s guess=%d seed=%d: M_ell trace %v, want %v", tc.name, tc.guess, tc.seed, got, tc.want)
 		}
-	}
-}
-
-// TestMinFloodRestrictsToClassComponents floods proposal keys on a
-// path where class 0 has two components, {0,1} and {3,4,5}, and class
-// 1 holds no value: each component ends with its own least key (the
-// tie on −7 goes to the higher proposer, 4), node 2 ignores the class-0
-// messages it overhears, and only changed values are sent.
-func TestMinFloodRestrictsToClassComponents(t *testing.T) {
-	g := graph.Path(6)
-	r := newRun(g, 4, cds.Options{}.Normalize(), dist.ApproxD(g), new(arena))
-	for v, cls := range [][]int32{{0}, {0, 1}, {1}, {0, 1}, {0}, {0}} {
-		for _, c := range cls {
-			r.addClass(v, c)
-		}
-	}
-	r.carve()
-	vals := r.vals.rows
-	for _, row := range vals {
-		for i := range row {
-			row[i] = noValue
-		}
-	}
-	vals[0][0] = [2]int64{-7, -2}
-	vals[1][0] = [2]int64{-7, -4}
-	vals[4][0] = [2]int64{-3, -1}
-	if err := r.flood(kindPropose, vals); err != nil {
-		t.Fatal(err)
-	}
-	want := [][][2]int64{
-		{{-7, -4}},
-		{{-7, -4}, noValue},
-		{noValue},
-		{{-3, -1}, noValue},
-		{{-3, -1}},
-		{{-3, -1}},
-	}
-	for v := range want {
-		if !slices.Equal(vals[v], want[v]) {
-			t.Errorf("node %d holds %v, want %v", v, vals[v], want[v])
-		}
-	}
-	if r.meter.Messages != 6 {
-		t.Errorf("flood sent %d messages, want 6 (three seeds, three improvements)", r.meter.Messages)
 	}
 }
 

@@ -2,11 +2,11 @@ package cdsdist
 
 import (
 	"fmt"
-	"math"
 	"math/rand/v2"
 	"slices"
 
 	"repro/internal/cds"
+	"repro/internal/dist"
 	"repro/internal/ds"
 	"repro/internal/graph"
 	"repro/internal/sim"
@@ -56,76 +56,12 @@ func (r *run) runPhase(maxRounds int) error {
 
 // --- Restricted flooding (Theorem B.2) -----------------------------------
 
-// noValue is the flood value of a class that holds nothing yet; every
-// value a flood carries is smaller.
-var noValue = [2]int64{math.MaxInt64, math.MaxInt64}
-
-// less orders flood values lexicographically.
-func less(a, b [2]int64) bool { return a[0] < b[0] || a[0] == b[0] && a[1] < b[1] }
-
-// minFloodNode is Theorem B.2's restricted flooding, run for every
-// class of the node at once: per class it keeps the least value
-// (F[1], F[2]) seen, sends every value other than noValue in its first
-// round, and resends a class whenever a strictly smaller value arrives
-// for it. Class-c messages only merge across edges whose both endpoints
-// carry class c, which is exactly class-c component adjacency, so each
-// component ends holding its least seeded value. Min-merging is
-// order-insensitive, so the sorted broadcast order leaves results
-// identical to any other send order. Per-class state is indexed by
-// position in the sorted class list, found through the class row.
-type minFloodNode struct {
-	kind     uint8
-	cls      []int32
-	row      []uint64   // the class row of cls
-	val      [][2]int64 // parallel to cls
-	dirty    []bool
-	hasDirty bool
-	started  bool
-}
-
-func (p *minFloodNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
-	if !p.started {
-		p.started = true
-		for i := range p.val {
-			if p.val[i] != noValue {
-				p.dirty[i] = true
-				p.hasDirty = true
-			}
-		}
-	}
-	for d := range inbox.All() {
-		if d.Msg.Kind != p.kind {
-			continue
-		}
-		i := classIndex(p.row, int32(d.Msg.F[0]))
-		if i < 0 {
-			continue
-		}
-		if x := [2]int64{d.Msg.F[1], d.Msg.F[2]}; less(x, p.val[i]) {
-			p.val[i] = x
-			p.dirty[i] = true
-			p.hasDirty = true
-		}
-	}
-	if !p.hasDirty {
-		return sim.Done
-	}
-	for i, c := range p.cls {
-		if p.dirty[i] {
-			ctx.Broadcast(sim.Msg(p.kind, int64(c), p.val[i][0], p.val[i][1]))
-			p.dirty[i] = false
-		}
-	}
-	p.hasDirty = false
-	return sim.Active
-}
-
-// flood runs one restricted flood of the given message kind over every
+// flood runs dist.MinFlood with the given message kind over every
 // class component: vals, one row per node parallel to its class list,
 // holds the seeds and, once flood returns, each component's least seed.
-func (r *run) flood(kind uint8, vals [][][2]int64) error {
+func (r *run) flood(kind uint8, vals [][]dist.Pair) error {
 	for v := range r.floods {
-		r.floods[v] = minFloodNode{kind: kind, cls: r.clsList[v], row: r.row(v), val: vals[v], dirty: r.dirty.rows[v]}
+		r.floods[v] = dist.MinFlood{Kind: kind, Cls: r.clsList[v], Row: r.row(v), Val: vals[v], Dirty: r.dirty.rows[v]}
 		r.procs[v] = &r.floods[v]
 	}
 	return r.runPhase(4*r.n + 8)
@@ -137,11 +73,11 @@ func (r *run) flood(kind uint8, vals [][][2]int64) error {
 // sets: each node seeds (v, 0) for every class it holds, and the flood
 // leaves each component's least member id. It returns the flood's value
 // rows for reuse.
-func (r *run) identifyComponents() ([][][2]int64, error) {
+func (r *run) identifyComponents() ([][]dist.Pair, error) {
 	vals := r.vals.rows
 	for v, row := range vals {
 		for i := range row {
-			row[i] = [2]int64{int64(v), 0}
+			row[i] = dist.Pair{A: int64(v)}
 		}
 	}
 	if err := r.flood(kindComp, vals); err != nil {
@@ -149,7 +85,7 @@ func (r *run) identifyComponents() ([][][2]int64, error) {
 	}
 	for v, row := range vals {
 		for i, x := range row {
-			r.compList.rows[v][i] = x[0]
+			r.compList.rows[v][i] = x.A
 		}
 	}
 	return vals, nil
@@ -168,14 +104,14 @@ type candidate struct {
 // that see two components of their class reply with a connector message;
 // old nodes hearing a connector for their (class, component) mark it
 // deactivated locally by writing (0, 0) into deact, the seeds of the
-// component-wide deactivation flood (noValue leaves it active). All
+// component-wide deactivation flood (dist.NoValue leaves it active). All
 // collection steps are set-valued, so the sorted announcement order is
 // interchangeable with any other.
 type annNode struct {
-	cls        []int32    // sorted classes with old nodes here
-	row        []uint64   // the class row of cls
-	comp       []int64    // component ids parallel to cls
-	deact      [][2]int64 // parallel to cls
+	cls        []int32     // sorted classes with old nodes here
+	row        []uint64    // the class row of cls
+	comp       []int64     // component ids parallel to cls
+	deact      []dist.Pair // parallel to cls
 	type1Class int32
 	seen       [2]int64
 }
@@ -184,7 +120,7 @@ func (p *annNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 	switch ctx.PhaseRound() {
 	case 0:
 		for i, c := range p.cls {
-			p.deact[i] = noValue
+			p.deact[i] = dist.NoValue
 			ctx.Broadcast(sim.Msg(kindCompAnn, int64(c), p.comp[i], 1))
 		}
 		if len(p.cls) > 0 {
@@ -207,7 +143,7 @@ func (p *annNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 			}
 			nseen++
 		}
-		if i := classIndex(p.row, p.type1Class); i >= 0 {
+		if i := ds.Index(p.row, p.type1Class); i >= 0 {
 			note(p.comp[i])
 		}
 		for d := range inbox.All() {
@@ -224,8 +160,8 @@ func (p *annNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 			if d.Msg.Kind != kindDeact {
 				continue
 			}
-			if i := classIndex(p.row, int32(d.Msg.F[0])); i >= 0 {
-				p.deact[i] = [2]int64{}
+			if i := ds.Index(p.row, int32(d.Msg.F[0])); i >= 0 {
+				p.deact[i] = dist.Pair{}
 			}
 		}
 	}
@@ -241,10 +177,10 @@ func (p *annNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 // arena keeps each node's scoutNode across layers and guesses, so
 // seenComp, annHeard and list restart at length 0 on their storage.
 type scoutNode struct {
-	cls        []int32    // sorted classes with old nodes here
-	row        []uint64   // the class row of cls
-	comp       []int64    // component ids parallel to cls
-	deact      [][2]int64 // parallel to cls: noValue while active
+	cls        []int32     // sorted classes with old nodes here
+	row        []uint64    // the class row of cls
+	comp       []int64     // component ids parallel to cls
+	deact      []dist.Pair // parallel to cls: dist.NoValue while active
 	type3Class int32
 
 	seenComp []int64      // distinct type-3 component ids heard
@@ -265,7 +201,7 @@ func (p *scoutNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 	case 0:
 		for i, c := range p.cls {
 			act := int64(0)
-			if p.deact[i] == noValue {
+			if p.deact[i] == dist.NoValue {
 				act = 1
 			}
 			ctx.Broadcast(sim.Msg(kindCompAnn, int64(c), p.comp[i], act))
@@ -283,7 +219,7 @@ func (p *scoutNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 			}
 			p.seenComp = append(p.seenComp, id)
 		}
-		if i := classIndex(p.row, p.type3Class); i >= 0 {
+		if i := ds.Index(p.row, p.type3Class); i >= 0 {
 			noteComp(p.comp[i])
 		}
 		for d := range inbox.All() {
@@ -301,7 +237,7 @@ func (p *scoutNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 		// Also count own active components as heard (virtual adjacency
 		// within the same real node).
 		for i, c := range p.cls {
-			if p.deact[i] == noValue {
+			if p.deact[i] == dist.NoValue {
 				p.hearActive(candidate{class: c, compID: p.comp[i]})
 			}
 		}
@@ -346,7 +282,7 @@ func (p *scoutNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 // buildBridging runs phases B of a layer and returns each type-2 node's
 // bridging-graph neighbor list. deact holds a row per node parallel to
 // its class list, which the announcements overwrite.
-func (r *run) buildBridging(layer int, deact [][][2]int64) ([][]candidate, error) {
+func (r *run) buildBridging(layer int, deact [][]dist.Pair) ([][]candidate, error) {
 	// B.1: announcements + type-1 connector detection.
 	for v := range r.anns {
 		r.anns[v] = annNode{
@@ -407,7 +343,7 @@ type proposeNode struct {
 	row      []uint64   // the node's class row
 	comp     []int64
 	blocked  []bool      // parallel: component here already matched
-	best     [][2]int64  // parallel: least key heard, noValue if none
+	best     []dist.Pair // parallel: least key heard, dist.NoValue if none
 	list     []candidate // nil when matched or empty
 	proposal candidate   // what this node proposed to
 	propVal  int64
@@ -418,7 +354,7 @@ func (p *proposeNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 	switch ctx.PhaseRound() {
 	case 0:
 		for i := range p.best {
-			p.best[i] = noValue
+			p.best[i] = dist.NoValue
 		}
 		if len(p.list) > 0 {
 			bestIdx, bestVal := 0, int64(-1)
@@ -440,11 +376,11 @@ func (p *proposeNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 			if d.Msg.Kind != kindPropose {
 				continue
 			}
-			i := classIndex(p.row, int32(d.Msg.F[0]))
+			i := ds.Index(p.row, int32(d.Msg.F[0]))
 			if i < 0 || p.blocked[i] || p.comp[i] != d.Msg.F[1] {
 				continue // not in this component, or matched earlier
 			}
-			if key := [2]int64{-d.Msg.F[2], -int64(d.From)}; less(key, p.best[i]) {
+			if key := (dist.Pair{A: -d.Msg.F[2], B: -int64(d.From)}); key.Less(p.best[i]) {
 				p.best[i] = key
 			}
 		}
@@ -459,7 +395,7 @@ func (p *proposeNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 type acceptNode struct {
 	cls      []int32
 	comp     []int64
-	best     [][2]int64 // parallel: the flood's least key, noValue if none
+	best     []dist.Pair // parallel: the flood's least key, dist.NoValue if none
 	proposed bool
 	proposal candidate
 	propVal  int64
@@ -472,11 +408,11 @@ func (p *acceptNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 	case 0:
 		sent := false
 		for i, key := range p.best {
-			if key == noValue {
+			if key == dist.NoValue {
 				continue // no proposal reached this component
 			}
 			c := p.cls[i]
-			val, winner := -key[0], -key[1]
+			val, winner := -key.A, -key.B
 			// Self-acceptance: a proposer that is itself a member of the
 			// winning component never hears its own broadcast.
 			if p.proposed && p.proposal.class == c && p.proposal.compID == p.comp[i] &&
@@ -511,7 +447,7 @@ func (p *acceptNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 // number matched through the bridging graph. best holds a row per node
 // parallel to its class list, which every stage's proposals overwrite;
 // the stages' per-node state lives in the arena.
-func (r *run) matchStages(layer int, lists [][]candidate, best [][][2]int64) (int, error) {
+func (r *run) matchStages(layer int, lists [][]candidate, best [][]dist.Pair) (int, error) {
 	stages := 1
 	for s := 1; s < r.n; s <<= 1 {
 		stages++
@@ -581,7 +517,7 @@ func (r *run) matchStages(layer int, lists [][]candidate, best [][][2]int64) (in
 			// Members of components that accepted a proposal mark them
 			// matched for all later stages.
 			for i, key := range best[v] {
-				if key != noValue {
+				if key != dist.NoValue {
 					blocked[v][i] = true
 				}
 			}
@@ -653,7 +589,7 @@ func (p *bfsClassNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 		if d.Msg.Kind != kindBFS {
 			continue
 		}
-		i := classIndex(p.row, int32(d.Msg.F[0]))
+		i := ds.Index(p.row, int32(d.Msg.F[0]))
 		if i < 0 || p.parent[i] != graph.TreeAbsent {
 			continue
 		}

@@ -1,21 +1,27 @@
 // Package dist implements the distributed primitives the packing
-// protocols compose: Theorem B.2's restricted-flooding component
-// identification (ComponentMinRunner) and a Borůvka-phase minimum
-// spanning tree over the simulator (MST), the stand-in for Kutten–Peleg
-// that docs/ARCHITECTURE.md documents ("Substitutions", item 2).
+// protocols compose over the simulator: MinFlood, Theorem B.2's
+// restricted flooding of per-class minima, and a Borůvka-phase minimum
+// spanning tree (MST), the stand-in for Kutten–Peleg that
+// docs/ARCHITECTURE.md documents ("Substitutions", item 2).
 //
-// Both primitives run real sim.Engine phases so their cost lands on the
-// caller's meter in the paper's units; the driver-side glue (collecting
-// per-component winners, termination detection) is charged explicitly as
-// convergecast rounds, matching the accounting style of the rest of the
-// repo. Callers that run many floods or MSTs over one topology (the
-// distributed tester's per-class floods, the MWU loop of the
-// spanning-tree packing) hold a ComponentMinRunner or an MSTRunner,
-// which reuses one engine and all per-node protocol state across calls.
+// MinFlood is one process, run for every class of every node in one
+// phase on its caller's engine: cdsdist floods component ids,
+// deactivation and the best proposal through it, and the Appendix E
+// tester its classes' component ids. A message names its class, and a
+// node finds the class's state through its class row with ds.Index.
+// MST runs real sim.Engine phases so its cost lands on the caller's
+// meter in the paper's units; the driver-side glue (collecting
+// per-component winners, termination detection) is charged explicitly
+// as convergecast rounds, matching the accounting style of the rest of
+// the repo. Its component identification floods one value per node
+// over an edge mask of the forest so far, a flood private to Borůvka.
+// The MWU loop of the spanning-tree packing holds an MSTRunner, which
+// reuses one engine and all per-node protocol state across calls.
 package dist
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/ds"
@@ -23,8 +29,8 @@ import (
 	"repro/internal/sim"
 )
 
-// Pair is a lexicographically ordered value flooded by ComponentMin:
-// the component minimum of (A, B) with A compared first.
+// Pair is a lexicographically ordered flood value: the minimum of
+// (A, B) with A compared first.
 type Pair struct {
 	A, B int64
 }
@@ -37,119 +43,83 @@ func (p Pair) Less(q Pair) bool {
 	return p.B < q.B
 }
 
+// NoValue is the MinFlood value of a class that holds no seed: every
+// value a flood carries is smaller, and none is sent for it.
+var NoValue = Pair{A: math.MaxInt64, B: math.MaxInt64}
+
 const (
 	kindMin  = 40
 	kindComp = 41
 )
 
-// session reuses one engine and the per-node protocol state across the
-// phases a primitive composes over a fixed (graph, model) pair.
-type session struct {
-	g     *graph.Graph
-	model sim.Model
-	eng   *sim.Engine
+// MinFlood is Theorem B.2's restricted flooding at one node, run for
+// every class the node holds at once. Per class it keeps the least
+// Pair seen, sends every seed other than NoValue in its first round,
+// and resends a class whenever a strictly smaller value arrives for it.
+// A message (Kind; class, A, B) merges only at nodes that hold its
+// class, so class-c values cross exactly the edges of class-c
+// components, and each component ends holding its least seed.
+// Min-merging is order-insensitive, so the ascending send order leaves
+// results identical to any other. A caller sets the exported fields
+// before each phase; the zero value of the rest starts it.
+type MinFlood struct {
+	Kind  uint8    // the kind of the flood's messages
+	Cls   []int32  // the node's classes, ascending
+	Row   []uint64 // the class row of Cls: bit c is set iff c is in Cls
+	Val   []Pair   // parallel to Cls: the seeds, then the least values seen
+	Dirty []bool   // parallel to Cls, all false: the flood's scratch
 
-	minNodes []*minFloodNode
-	minProcs []sim.Process
-	annNodes []*announceNode
-	annProcs []sim.Process
+	hasDirty bool
+	started  bool
 }
 
-// run executes one phase over the given processes, reusing the session
-// engine. Options are re-applied on each run.
-func (s *session) run(procs []sim.Process, maxRounds int, opts ...sim.Option) (sim.Meter, error) {
-	var meter sim.Meter
-	if s.eng == nil {
-		eng, err := sim.NewEngine(s.g, s.model, procs, opts...)
-		if err != nil {
-			return meter, err
-		}
-		s.eng = eng
-	} else if err := s.eng.Reset(procs, opts...); err != nil {
-		return meter, err
-	}
-	if err := s.eng.RunPhase(maxRounds); err != nil {
-		return meter, err
-	}
-	return *s.eng.Meter(), nil
-}
-
-// ComponentMinRunner floods component minima over a fixed (graph,
-// model) pair, reusing one engine, all per-node protocol state and one
-// output buffer between calls.
-type ComponentMinRunner struct {
-	s   *session
-	out []Pair
-}
-
-// NewComponentMinRunner returns a runner for g under the given model.
-func NewComponentMinRunner(g *graph.Graph, model sim.Model) *ComponentMinRunner {
-	return &ComponentMinRunner{s: &session{g: g, model: model}, out: make([]Pair, g.N())}
-}
-
-// ComponentMin computes, for every node, the minimum Pair held by any
-// node in its component of the subgraph formed by the edges with
-// edgeOK[id] true (Theorem B.2 restricted flooding: messages only merge
-// across allowed edges). Nodes in no allowed edge keep their own value.
-// The returned meter covers the flooding phase. The returned slice is
-// the runner's output buffer, overwritten by the next call.
-func (r *ComponentMinRunner) ComponentMin(edgeOK []bool, values []Pair) ([]Pair, sim.Meter, error) {
-	m, err := r.s.componentMin(edgeOK, values, r.out, 2*r.s.g.N()+16)
-	return r.out, m, err
-}
-
-// componentMin floods into out (length n), reusing session state.
-func (s *session) componentMin(edgeOK []bool, values []Pair, out []Pair, maxRounds int) (sim.Meter, error) {
-	g := s.g
-	n := g.N()
-	var meter sim.Meter
-	if len(values) != n {
-		return meter, fmt.Errorf("dist: %d values for %d nodes", len(values), n)
-	}
-	if len(edgeOK) != g.M() {
-		return meter, fmt.Errorf("dist: %d edge flags for %d edges", len(edgeOK), g.M())
-	}
-	if s.minNodes == nil {
-		s.minNodes = make([]*minFloodNode, n)
-		s.minProcs = make([]sim.Process, n)
-		allowedBacking := make([]bool, 2*g.M())
-		pos := 0
-		for v := 0; v < n; v++ {
-			k := g.Degree(v)
-			s.minNodes[v] = &minFloodNode{allowed: allowedBacking[pos : pos+k : pos+k]}
-			s.minProcs[v] = s.minNodes[v]
-			pos += k
+func (p *MinFlood) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
+	if !p.started {
+		p.started = true
+		for i, x := range p.Val {
+			if x != NoValue {
+				p.Dirty[i] = true
+				p.hasDirty = true
+			}
 		}
 	}
-	for v := 0; v < n; v++ {
-		nd := s.minNodes[v]
-		nd.val = values[v]
-		nd.started = false
-		nd.active = false
-		for i, e := range g.IncidentEdges(v) {
-			nd.allowed[i] = edgeOK[e]
-			nd.active = nd.active || nd.allowed[i]
+	for d := range inbox.All() {
+		if d.Msg.Kind != p.Kind {
+			continue
+		}
+		i := ds.Index(p.Row, int32(d.Msg.F[0]))
+		if i < 0 {
+			continue
+		}
+		if x := (Pair{A: d.Msg.F[1], B: d.Msg.F[2]}); x.Less(p.Val[i]) {
+			p.Val[i] = x
+			p.Dirty[i] = true
+			p.hasDirty = true
 		}
 	}
-	meter, err := s.run(s.minProcs, maxRounds, sim.WithMaxFieldBits(pairFieldBits(g, values)))
-	if err != nil {
-		return meter, fmt.Errorf("dist: component flooding: %w", err)
+	if !p.hasDirty {
+		return sim.Done
 	}
-	for v := 0; v < n; v++ {
-		out[v] = s.minNodes[v].val
+	for i, c := range p.Cls {
+		if p.Dirty[i] {
+			ctx.Broadcast(sim.Msg(p.Kind, int64(c), p.Val[i].A, p.Val[i].B))
+			p.Dirty[i] = false
+		}
 	}
-	return meter, nil
+	p.hasDirty = false
+	return sim.Active
 }
 
-// minFloodNode floods the minimum Pair over allowed incident edges.
-type minFloodNode struct {
+// edgeFloodNode floods the minimum Pair over allowed incident edges:
+// Borůvka's component identification over the forest so far.
+type edgeFloodNode struct {
 	val     Pair
 	allowed []bool // indexed by port, parallel to g.Neighbors(v)
 	active  bool   // has at least one allowed edge
 	started bool
 }
 
-func (p *minFloodNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
+func (p *edgeFloodNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 	dirty := false
 	if !p.started {
 		p.started = true
@@ -194,8 +164,13 @@ func pairFieldBits(g *graph.Graph, values []Pair) int {
 // spanning-tree packing calls MST once per iteration, so this reuse is
 // what keeps the hot path free of per-iteration allocation.
 type MSTRunner struct {
-	s        *session
-	diam     int // ApproxD of the graph: the charge of one convergecast
+	g        *graph.Graph
+	model    sim.Model
+	eng      *sim.Engine // built at the first phase, reset for every later one
+	diam     int         // ApproxD of the graph: the charge of one convergecast
+	floods   []edgeFloodNode
+	anns     []announceNode
+	procs    []sim.Process
 	inForest []bool
 	idVals   []Pair
 	cids     []Pair
@@ -208,9 +183,13 @@ type MSTRunner struct {
 // NewMSTRunner returns a runner for g under the given model.
 func NewMSTRunner(g *graph.Graph, model sim.Model) *MSTRunner {
 	n := g.N()
-	return &MSTRunner{
-		s:        &session{g: g, model: model},
+	r := &MSTRunner{
+		g:        g,
+		model:    model,
 		diam:     ApproxD(g),
+		floods:   make([]edgeFloodNode, n),
+		anns:     make([]announceNode, n),
+		procs:    make([]sim.Process, n),
 		inForest: make([]bool, g.M()),
 		idVals:   make([]Pair, n),
 		cids:     make([]Pair, n),
@@ -219,6 +198,13 @@ func NewMSTRunner(g *graph.Graph, model sim.Model) *MSTRunner {
 		uf:       ds.NewUnionFind(n),
 		chosen:   make([]int, 0, max(n-1, 0)),
 	}
+	allowed := make([]bool, 2*g.M())
+	for v := range r.floods {
+		k := g.Degree(v)
+		r.floods[v].allowed, allowed = allowed[:k:k], allowed[k:]
+		r.anns[v].eids = g.IncidentEdges(v)
+	}
+	return r
 }
 
 // MST computes the minimum spanning forest of g under the given integer
@@ -238,7 +224,7 @@ func MST(g *graph.Graph, model sim.Model, weights []int64, maxRounds int) ([]int
 // function of the same name. The returned slice is the runner's output
 // buffer, valid until the next call.
 func (r *MSTRunner) MST(weights []int64, maxRounds int) ([]int, sim.Meter, error) {
-	g := r.s.g
+	g := r.g
 	n, m := g.N(), g.M()
 	var meter sim.Meter
 	if len(weights) != m {
@@ -276,7 +262,7 @@ func (r *MSTRunner) MST(weights []int64, maxRounds int) ([]int, sim.Meter, error
 		for v := range r.idVals {
 			r.idVals[v] = Pair{A: int64(v)}
 		}
-		fm, err := r.s.componentMin(inForest, r.idVals, r.cids, maxRounds)
+		fm, err := r.componentMin(inForest, r.idVals, r.cids, maxRounds)
 		if err != nil {
 			return nil, meter, err
 		}
@@ -284,14 +270,14 @@ func (r *MSTRunner) MST(weights []int64, maxRounds int) ([]int, sim.Meter, error
 
 		// Neighbor announcements: every node learns each neighbor's
 		// component id and picks its lightest outgoing incident edge.
-		am, err := r.s.outgoingCandidates(weights, r.cids, r.cands, sentinel)
+		am, err := r.outgoingCandidates(weights, r.cids, r.cands, sentinel)
 		if err != nil {
 			return nil, meter, err
 		}
 		meter.Add(&am)
 
 		// Component-wide minimum of the candidates.
-		bm, err := r.s.componentMin(inForest, r.cands, r.best, maxRounds)
+		bm, err := r.componentMin(inForest, r.cands, r.best, maxRounds)
 		if err != nil {
 			return nil, meter, err
 		}
@@ -329,39 +315,72 @@ func (r *MSTRunner) MST(weights []int64, maxRounds int) ([]int, sim.Meter, error
 	return chosen, meter, nil
 }
 
+// componentMin computes into out, for every node, the minimum Pair
+// held by any node in its component of the subgraph formed by the
+// edges with edgeOK[id] true (Theorem B.2 restricted flooding: values
+// merge only across allowed edges). A node in no allowed edge keeps its
+// own value. The returned meter covers the flooding phase.
+func (r *MSTRunner) componentMin(edgeOK []bool, values, out []Pair, maxRounds int) (sim.Meter, error) {
+	for v := range r.floods {
+		nd := &r.floods[v]
+		nd.val, nd.started, nd.active = values[v], false, false
+		for i, e := range r.g.IncidentEdges(v) {
+			nd.allowed[i] = edgeOK[e]
+			nd.active = nd.active || nd.allowed[i]
+		}
+		r.procs[v] = nd
+	}
+	meter, err := r.run(maxRounds, sim.WithMaxFieldBits(pairFieldBits(r.g, values)))
+	if err != nil {
+		return meter, fmt.Errorf("dist: component flooding: %w", err)
+	}
+	for v := range out {
+		out[v] = r.floods[v].val
+	}
+	return meter, nil
+}
+
 // outgoingCandidates runs the two-round announcement protocol: every
 // node broadcasts its component id, then selects its minimum-weight
 // incident edge leaving the component (ties by edge id).
-func (s *session) outgoingCandidates(weights []int64, cids, out []Pair, sentinel Pair) (sim.Meter, error) {
-	g := s.g
-	n := g.N()
-	var meter sim.Meter
-	if s.annNodes == nil {
-		s.annNodes = make([]*announceNode, n)
-		s.annProcs = make([]sim.Process, n)
-		for v := 0; v < n; v++ {
-			s.annNodes[v] = &announceNode{eids: g.IncidentEdges(v)}
-			s.annProcs[v] = s.annNodes[v]
-		}
-	}
-	for v := 0; v < n; v++ {
-		nd := s.annNodes[v]
+func (r *MSTRunner) outgoingCandidates(weights []int64, cids, out []Pair, sentinel Pair) (sim.Meter, error) {
+	for v := range r.anns {
+		nd := &r.anns[v]
 		nd.cid = cids[v].A
 		nd.weights = weights
 		nd.best = sentinel
+		r.procs[v] = nd
 	}
-	bits := sim.DefaultMaxFieldBits(n)
+	bits := sim.DefaultMaxFieldBits(r.g.N())
 	if b := sim.FieldBits(sentinel.A); b > bits {
 		bits = b
 	}
-	meter, err := s.run(s.annProcs, 4, sim.WithMaxFieldBits(bits))
+	meter, err := r.run(4, sim.WithMaxFieldBits(bits))
 	if err != nil {
 		return meter, fmt.Errorf("dist: announcement phase: %w", err)
 	}
-	for v := 0; v < n; v++ {
-		out[v] = s.annNodes[v].best
+	for v := range out {
+		out[v] = r.anns[v].best
 	}
 	return meter, nil
+}
+
+// run executes one phase of the processes in r.procs on the runner's
+// engine and returns its meter. Options are re-applied on each run.
+func (r *MSTRunner) run(maxRounds int, opts ...sim.Option) (sim.Meter, error) {
+	if r.eng == nil {
+		eng, err := sim.NewEngine(r.g, r.model, r.procs, opts...)
+		if err != nil {
+			return sim.Meter{}, err
+		}
+		r.eng = eng
+	} else if err := r.eng.Reset(r.procs, opts...); err != nil {
+		return sim.Meter{}, err
+	}
+	if err := r.eng.RunPhase(maxRounds); err != nil {
+		return sim.Meter{}, err
+	}
+	return *r.eng.Meter(), nil
 }
 
 // announceNode broadcasts its component id, then selects the lightest

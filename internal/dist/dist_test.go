@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/ds"
@@ -116,7 +117,8 @@ func TestComponentMinRestrictedFlooding(t *testing.T) {
 		values[v] = Pair{A: int64(10 - v), B: int64(v)}
 	}
 	for _, model := range []sim.Model{sim.VCongest, sim.ECongest} {
-		out, meter, err := NewComponentMinRunner(g, model).ComponentMin(edgeOK, values)
+		out := make([]Pair, g.N())
+		meter, err := NewMSTRunner(g, model).componentMin(edgeOK, values, out, 2*g.N()+16)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +145,8 @@ func TestComponentMinInertNodes(t *testing.T) {
 	g := graph.Complete(5)
 	edgeOK := make([]bool, g.M())
 	values := []Pair{{9, 0}, {3, 1}, {7, 2}, {1, 3}, {5, 4}}
-	out, _, err := NewComponentMinRunner(g, sim.VCongest).ComponentMin(edgeOK, values)
+	out := make([]Pair, g.N())
+	_, err := NewMSTRunner(g, sim.VCongest).componentMin(edgeOK, values, out, 2*g.N()+16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,40 +157,49 @@ func TestComponentMinInertNodes(t *testing.T) {
 	}
 }
 
-// TestComponentMinRunnerReuseIsDeterministic: one runner called in
-// sequence on several (edge mask, values) pairs returns, for
-// each call, what a fresh runner returns, meter included.
-func TestComponentMinRunnerReuseIsDeterministic(t *testing.T) {
-	g := graph.Hypercube(4)
-	rng := ds.NewRand(5)
-	for _, model := range []sim.Model{sim.VCongest, sim.ECongest} {
-		r := NewComponentMinRunner(g, model)
-		for i := 0; i < 4; i++ {
-			edgeOK := make([]bool, g.M())
-			for e := range edgeOK {
-				edgeOK[e] = rng.IntN(3) > 0
-			}
-			values := make([]Pair, g.N())
-			for v := range values {
-				values[v] = Pair{A: rng.Int64N(8), B: int64(v)}
-			}
-			reused, rm, err := r.ComponentMin(edgeOK, values)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fresh, fm, err := NewComponentMinRunner(g, model).ComponentMin(edgeOK, values)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for v := range fresh {
-				if reused[v] != fresh[v] {
-					t.Fatalf("%v call %d: node %d got %+v reused, %+v fresh", model, i, v, reused[v], fresh[v])
-				}
-			}
-			if rm != fm {
-				t.Fatalf("%v call %d: meters differ: reused %+v fresh %+v", model, i, rm, fm)
-			}
+// TestMinFloodRestrictsToClassComponents floods proposal keys on a
+// path where class 0 has two components, {0,1} and {3,4,5}, and class
+// 1 holds no value: each component ends with its own least key (the
+// tie on −7 goes to the higher proposer, 4), node 2 ignores the class-0
+// messages it overhears, and only changed values are sent.
+func TestMinFloodRestrictsToClassComponents(t *testing.T) {
+	g := graph.Path(6)
+	lists := [][]int32{{0}, {0, 1}, {1}, {0, 1}, {0}, {0}}
+	nodes := make([]MinFlood, g.N())
+	procs := make([]sim.Process, g.N())
+	for v, cls := range lists {
+		row := []uint64{0}
+		for _, c := range cls {
+			row[0] |= 1 << c
 		}
+		nodes[v] = MinFlood{Kind: 24, Cls: cls, Row: row, Val: slices.Repeat([]Pair{NoValue}, len(cls)), Dirty: make([]bool, len(cls))}
+		procs[v] = &nodes[v]
+	}
+	nodes[0].Val[0] = Pair{-7, -2}
+	nodes[1].Val[0] = Pair{-7, -4}
+	nodes[4].Val[0] = Pair{-3, -1}
+	eng, err := sim.NewEngine(g, sim.VCongest, procs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.RunPhase(4*g.N() + 8); err != nil {
+		t.Fatal(err)
+	}
+	want := [][]Pair{
+		{{-7, -4}},
+		{{-7, -4}, NoValue},
+		{NoValue},
+		{{-3, -1}, NoValue},
+		{{-3, -1}},
+		{{-3, -1}},
+	}
+	for v := range want {
+		if !slices.Equal(nodes[v].Val, want[v]) {
+			t.Errorf("node %d holds %v, want %v", v, nodes[v].Val, want[v])
+		}
+	}
+	if m := eng.Meter().Messages; m != 6 {
+		t.Errorf("flood sent %d messages, want 6 (three seeds, three improvements)", m)
 	}
 }
 

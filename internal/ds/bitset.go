@@ -40,3 +40,14 @@ func Rank(row []uint64, i int32) int {
 	}
 	return r
 }
+
+// Index returns Rank(row, i) when bit i of row is set and -1 when it is
+// not: the index of member i in the list beside row, or -1 when i is no
+// member. A message that names a class finds the class's per-class
+// state this way.
+func Index(row []uint64, i int32) int {
+	if row[i>>6]&(1<<(i&63)) == 0 {
+		return -1
+	}
+	return Rank(row, i)
+}

@@ -75,7 +75,8 @@ func TestBitsetReset(t *testing.T) {
 }
 
 // TestRankCountsSetBitsBelow checks Rank against a bit-by-bit count on
-// rows of one to three words, at every bit position.
+// rows of one to three words, at every bit position, and Index against
+// Rank at set bits and -1 at clear ones.
 func TestRankCountsSetBitsBelow(t *testing.T) {
 	property := func(row []uint64) bool {
 		if len(row) == 0 || len(row) > 3 {
@@ -83,10 +84,15 @@ func TestRankCountsSetBitsBelow(t *testing.T) {
 		}
 		below := 0
 		for i := int32(0); i < int32(64*len(row)); i++ {
-			if Rank(row, i) != below {
+			set := row[i>>6]&(1<<(i&63)) != 0
+			index := -1
+			if set {
+				index = below
+			}
+			if Rank(row, i) != below || Index(row, i) != index {
 				return false
 			}
-			if row[i>>6]&(1<<(i&63)) != 0 {
+			if set {
 				below++
 			}
 		}

@@ -1,14 +1,33 @@
-// Package tester implements the randomized CDS-packing test of Appendix
-// E (Lemma E.1): given a partition of (virtual) nodes into classes, it
-// checks that every class is a connected dominating set, centrally in
-// O(m log n) steps or distributedly in O~(min{d', D + sqrt(n)}) rounds.
-// The test is one-sided: valid packings always pass; an invalid packing
-// is rejected w.h.p. (the connectivity half is randomized).
+// Package tester implements the CDS-packing test of Appendix E (Lemma
+// E.1): given a partition of (virtual) nodes into classes, it checks
+// that every class is a connected dominating set, centrally in
+// O(m log n) steps or distributedly in the V-CONGEST model.
+//
+// The distributed test runs three phases on one engine, each over every
+// class at once. Domination: every node announces its memberships, one
+// slot each, and checks that its closed neighborhood holds every class.
+// Component identification: dist.MinFlood, Theorem B.2's restricted
+// flooding, leaves each class component's least member id at its
+// members. Witnesses: members announce (class, component id), every
+// node re-announces, per class, the id it heard last, and a node that
+// sees two ids for one class has found a split class — the middle of
+// the paper's length-≤3 detector paths, which domination guarantees
+// exist. A failure flood, O(D) rounds, is charged after domination and
+// after connectivity. Raw rounds are then O(D) plus the class
+// components' diameters, whatever the class count; metered rounds still
+// grow with a node's memberships, since a round in which a node sends s
+// slots is charged as s rounds, and the witness round sends one slot
+// per class. Appendix E announces Θ(log n) random classes instead,
+// which cuts that round but makes the verdict hold only w.h.p.; here
+// every class is announced, so the test is deterministic: a valid
+// partition always passes and an invalid one never does.
 package tester
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"repro/internal/check"
 	"repro/internal/dist"
@@ -21,10 +40,14 @@ import (
 type Result struct {
 	// OK is true when the partition passed both tests.
 	OK bool
-	// DominationFailures counts (node, class) domination violations
-	// found (centralized test only; the distributed test stops at one).
+	// DominationFailures counts domination violations: the (node,
+	// class) pairs in which the node's closed neighborhood misses the
+	// class in the centralized test, and the nodes that miss some class
+	// in the distributed test.
 	DominationFailures int
-	// ConnectivityFailures counts classes detected disconnected.
+	// ConnectivityFailures counts classes that are empty or
+	// disconnected. The distributed test checks connectivity only after
+	// domination passed.
 	ConnectivityFailures int
 	// Meter is the distributed cost (zero for the centralized test).
 	Meter sim.Meter
@@ -49,41 +72,42 @@ func CheckCentralized(g *graph.Graph, classOf [][]int32, classes int) (Result, e
 }
 
 // CheckDistributed is the distributed test of Appendix E run in the
-// V-CONGEST model. Each node knows its own class memberships; the test
-// performs the domination phase (one announcement round plus failure
-// flooding) and the connectivity phase (component identification via
-// Theorem B.2 flooding, then Θ(log n) rounds of random-class component-
-// id announcements to detect split classes, then failure flooding).
-//
-// For simplicity each phase handles one class at a time when a node has
-// multiple memberships; the meter is charged for all slots, matching
-// the paper's meta-round accounting. One engine runs the domination
-// phase and, reset, every class's announcements; one runner floods
-// every class's components. CheckDistributed returns an error if
-// classOf does not have one entry per node or names a class outside
-// [0, classes). It is the one-shot form of a Checker.
+// V-CONGEST model, each of its three phases over every class at once:
+// domination, component identification and witnesses (see the package
+// doc). Each node knows only its own class memberships. It returns an
+// error if classOf does not have one entry per node or names a class
+// outside [0, classes). It is the one-shot form of a Checker.
 func CheckDistributed(g *graph.Graph, classOf [][]int32, classes int) (Result, error) {
 	return NewChecker(g).Check(classOf, classes)
 }
 
 // Checker runs CheckDistributed's test on one graph call after call,
-// reusing its engine, its flood runner, its node arrays and rows, and
-// the graph's diameter bound. cdsdist.Pack holds one across the guesses
-// of Remark 3.1's loop. Every call returns what CheckDistributed
-// returns on the same input.
+// reusing its engine, its node arrays and rows, and the graph's
+// diameter bound. cdsdist.Pack holds one across the guesses of Remark
+// 3.1's loop. Every call returns what CheckDistributed returns on the
+// same input.
 type Checker struct {
 	g     *graph.Graph
 	diam  int // dist.ApproxD(g): the O(D) charge of one failure flood
 	eng   *sim.Engine
-	flood *dist.ComponentMinRunner
 	procs []sim.Process
 
 	doms   []domNode
-	seen   []bool // the domination rows, classes per node
+	floods []dist.MinFlood
 	conns  []connNode
-	member []bool
-	edgeOK []bool
-	values []dist.Pair
+
+	// Per node: seen, classes entries, for domination; the class row,
+	// words entries, and the node's distinct classes, ascending, in
+	// cls with the flood's vals and dirty parallel to them; witness,
+	// classes entries, and split, words entries, for the witnesses.
+	words   int
+	seen    []bool
+	rows    []uint64
+	cls     []int32
+	vals    []dist.Pair
+	dirty   []bool
+	witness []int32
+	split   []uint64
 }
 
 // NewChecker returns a checker for partitions of g's nodes.
@@ -92,36 +116,33 @@ func NewChecker(g *graph.Graph) *Checker {
 	return &Checker{
 		g:      g,
 		diam:   dist.ApproxD(g),
-		flood:  dist.NewComponentMinRunner(g, sim.VCongest),
 		procs:  make([]sim.Process, n),
 		doms:   make([]domNode, n),
+		floods: make([]dist.MinFlood, n),
 		conns:  make([]connNode, n),
-		member: make([]bool, n),
-		edgeOK: make([]bool, g.M()),
-		values: make([]dist.Pair, n),
 	}
 }
 
 // Check tests the partition classOf of the checker's graph into the
 // given number of classes; see CheckDistributed.
 func (c *Checker) Check(classOf [][]int32, classes int) (Result, error) {
-	g := c.g
-	n := g.N()
+	n := c.g.N()
 	if len(classOf) != n {
 		return Result{}, fmt.Errorf("tester: classOf has %d entries for %d nodes", len(classOf), n)
 	}
+	members := 0
 	for v, mine := range classOf {
 		for _, cl := range mine {
 			if cl < 0 || int(cl) >= classes {
 				return Result{}, fmt.Errorf("tester: node %d's class %d is outside [0, %d)", v, cl, classes)
 			}
 		}
+		members += len(mine)
 	}
 	var res Result
-	res.OK = true
 
-	// --- Domination phase: every node announces its memberships (one
-	// slot per membership); every node checks it saw all classes.
+	// --- Domination: every node announces its memberships (one slot
+	// per membership); every node checks it saw all classes.
 	c.seen = ds.GrowClear(c.seen, n*classes)
 	seen := c.seen
 	for v := range c.doms {
@@ -129,7 +150,7 @@ func (c *Checker) Check(classOf [][]int32, classes int) (Result, error) {
 		seen = seen[classes:]
 		c.procs[v] = &c.doms[v]
 	}
-	if err := c.phase(&res.Meter); err != nil {
+	if err := c.phase(4, &res.Meter); err != nil {
 		return res, fmt.Errorf("tester: domination phase: %w", err)
 	}
 	for v := range c.doms {
@@ -137,87 +158,78 @@ func (c *Checker) Check(classOf [][]int32, classes int) (Result, error) {
 			res.DominationFailures++
 		}
 	}
-	// Failure flooding costs O(D); charge it.
-	res.Meter.Charge(c.diam)
+	res.Meter.Charge(c.diam) // failure flooding
 	if res.DominationFailures > 0 {
-		res.OK = false
 		return res, nil // the paper aborts after a domination failure
 	}
 
-	// --- Connectivity phase, per class: identify components of the
-	// class subgraph, then have members exchange component ids; a node
-	// seeing two different component ids of the same class detects a
-	// disconnect. (With domination already verified, every node of the
-	// graph neighbors every class, so a class split into components is
-	// detected by some node w.h.p. — here deterministically, because we
-	// announce every class membership rather than sampling; the paper's
-	// Θ(log n) random sampling meets the same bound when nodes carry
-	// O(log n) memberships, which is the regime of Lemma 4.6.)
-	member, edgeOK, values := c.member, c.edgeOK, c.values
+	// --- Component identification: each member seeds its own id for
+	// every class it holds, and the flood leaves each class component's
+	// least member id at its members.
+	c.words = (classes + 63) / 64
+	c.rows = ds.GrowClear(c.rows, n*c.words)
+	c.cls = slices.Grow(c.cls[:0], members) // so the lists never move
+	c.vals = ds.GrowClear(c.vals, members)
+	c.dirty = ds.GrowClear(c.dirty, members)
+	for v, mine := range classOf {
+		row := c.row(c.rows, v)
+		for _, cl := range mine {
+			row[cl>>6] |= 1 << (cl & 63)
+		}
+		lo := len(c.cls)
+		for w, word := range row {
+			for ; word != 0; word &= word - 1 {
+				c.vals[len(c.cls)] = dist.Pair{A: int64(v)}
+				c.cls = append(c.cls, int32(w<<6|bits.TrailingZeros64(word)))
+			}
+		}
+		hi := len(c.cls)
+		c.floods[v] = dist.MinFlood{Kind: kindFlood, Cls: c.cls[lo:hi:hi], Row: row, Val: c.vals[lo:hi:hi], Dirty: c.dirty[lo:hi:hi]}
+		c.procs[v] = &c.floods[v]
+	}
+	if err := c.phase(2*n+16, &res.Meter); err != nil {
+		return res, fmt.Errorf("tester: component identification: %w", err)
+	}
+
+	// --- Witnesses: a node that hears two component ids of one class
+	// marks the class split in its split row.
+	c.witness = ds.GrowClear(c.witness, n*classes)
+	for i := range c.witness {
+		c.witness[i] = -1
+	}
+	c.split = ds.GrowClear(c.split, n*c.words)
 	for v := range c.conns {
+		f := &c.floods[v]
+		c.conns[v] = connNode{cls: f.Cls, comp: f.Val, witness: c.witness[v*classes : (v+1)*classes], split: c.row(c.split, v)}
 		c.procs[v] = &c.conns[v]
 	}
-	for cl := 0; cl < classes; cl++ {
-		any := false
-		for v := 0; v < n; v++ {
-			member[v] = false
-			for _, cc := range classOf[v] {
-				if int(cc) == cl {
-					member[v] = true
-					any = true
-				}
-			}
-		}
-		if !any {
-			res.ConnectivityFailures++
-			res.OK = false
-			continue
-		}
-		for id := range edgeOK {
-			u, v := g.Endpoints(id)
-			edgeOK[id] = member[u] && member[v]
-		}
-		// Theorem B.2 component identification (restricted flooding).
-		for v := 0; v < n; v++ {
-			if member[v] {
-				values[v] = dist.Pair{A: int64(v), B: 0}
-			} else {
-				values[v] = dist.Pair{A: int64(n), B: 0} // inert
-			}
-		}
-		ids, m, err := c.flood.ComponentMin(edgeOK, values)
-		if err != nil {
-			return res, err
-		}
-		res.Meter.Add(&m)
-		// Announcement round: members broadcast component ids; any node
-		// hearing two distinct ids for class cl detects a disconnect.
-		for v := range c.conns {
-			cid := int64(-1)
-			if member[v] {
-				cid = ids[v].A
-			}
-			c.conns[v] = connNode{compID: cid}
-		}
-		if err := c.phase(&res.Meter); err != nil {
-			return res, fmt.Errorf("tester: connectivity phase: %w", err)
-		}
-		for v := range c.conns {
-			if c.conns[v].detected {
-				res.ConnectivityFailures++
-				res.OK = false
-				break
-			}
-		}
-		res.Meter.Charge(c.diam) // failure flooding
+	if err := c.phase(4, &res.Meter); err != nil {
+		return res, fmt.Errorf("tester: witness phase: %w", err)
 	}
+	// A class fails when no node holds it or some node saw it split.
+	res.ConnectivityFailures = classes
+	for w := 0; w < c.words; w++ {
+		var held, split uint64
+		for v := 0; v < n; v++ {
+			held |= c.rows[v*c.words+w]
+			split |= c.split[v*c.words+w]
+		}
+		res.ConnectivityFailures += bits.OnesCount64(split) - bits.OnesCount64(held)
+	}
+	res.Meter.Charge(c.diam) // failure flooding
+	res.OK = res.ConnectivityFailures == 0
 	return res, nil
 }
 
-// phase runs the processes in c.procs for one phase of at most four
-// rounds on the checker's engine, built at the first phase and reset
-// for every later one, and adds the phase's cost to m.
-func (c *Checker) phase(m *sim.Meter) error {
+// row returns node v's words-long row of rows.
+func (c *Checker) row(rows []uint64, v int) []uint64 {
+	return rows[v*c.words : (v+1)*c.words : (v+1)*c.words]
+}
+
+// phase runs the processes in c.procs for one phase of at most
+// maxRounds rounds on the checker's engine, built at the first phase and
+// reset for every later one, and adds the phase's cost to m.
+func (c *Checker) phase(maxRounds int, m *sim.Meter) error {
 	if c.eng == nil {
 		eng, err := sim.NewEngine(c.g, sim.VCongest, c.procs)
 		if err != nil {
@@ -227,7 +239,7 @@ func (c *Checker) phase(m *sim.Meter) error {
 	} else if err := c.eng.Reset(c.procs); err != nil {
 		return err
 	}
-	if err := c.eng.RunPhase(4); err != nil {
+	if err := c.eng.RunPhase(maxRounds); err != nil {
 		return err
 	}
 	m.Add(c.eng.Meter())
@@ -247,6 +259,7 @@ type domNode struct {
 const (
 	kindMembership = 10
 	kindCompID     = 11
+	kindFlood      = 12
 )
 
 func (p *domNode) see(c int32) {
@@ -276,46 +289,54 @@ func (p *domNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 	return sim.Done
 }
 
-// connNode implements the detector-path scheme: members broadcast their
-// component id; every node records the id it heard (its "witness") and
-// re-broadcasts it; a node that ever sees two distinct ids for the class
-// flags a disconnect. With domination verified, every node has a
-// witness, so a split class always yields an adjacent pair with
-// different witnesses — the middle of the paper's length-<=3 detector
-// paths.
+// connNode is the witness phase at one node, every class at once:
+// members broadcast (class, component id); every node keeps, per class,
+// the id it heard last (its witness) and re-broadcasts it; a node that
+// hears a witness other than its own marks the class split. With
+// domination verified, every node witnesses every class after the
+// second round, and each component's members witness their own, so a
+// split class always yields an adjacent pair with different witnesses
+// — the middle of the paper's length-<=3 detector paths.
 type connNode struct {
-	compID   int64 // -1 for non-members
-	heard    int64
-	detected bool
+	cls     []int32     // the node's classes, ascending
+	comp    []dist.Pair // parallel to cls: the component ids, in A
+	witness []int32     // per class: the id heard last, -1 before any
+	split   []uint64    // bit c: a neighbor witnessed another id of class c
 }
 
 func (p *connNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 	switch ctx.PhaseRound() {
 	case 0:
-		p.heard = p.compID // members witness their own component
-		if p.compID >= 0 {
-			ctx.Broadcast(sim.Msg(kindCompID, p.compID))
+		for i, c := range p.cls {
+			p.witness[c] = int32(p.comp[i].A) // members witness their own component
+			ctx.Broadcast(sim.Msg(kindCompID, int64(c), p.comp[i].A))
+		}
+		if len(p.cls) > 0 {
 			return sim.Active
 		}
 	case 1:
 		for d := range inbox.All() {
-			if d.Msg.Kind != kindCompID {
-				continue
+			if d.Msg.Kind == kindCompID {
+				p.witness[d.Msg.F[0]] = int32(d.Msg.F[1])
 			}
-			id := d.Msg.F[0]
-			if p.heard >= 0 && id != p.heard {
-				p.detected = true
-			}
-			p.heard = id
 		}
-		if p.heard >= 0 {
-			ctx.Broadcast(sim.Msg(kindCompID, p.heard))
+		sent := false
+		for c, id := range p.witness {
+			if id >= 0 {
+				ctx.Broadcast(sim.Msg(kindCompID, int64(c), int64(id)))
+				sent = true
+			}
+		}
+		if sent {
 			return sim.Active
 		}
 	case 2:
 		for d := range inbox.All() {
-			if d.Msg.Kind == kindCompID && p.heard >= 0 && d.Msg.F[0] != p.heard {
-				p.detected = true
+			if d.Msg.Kind != kindCompID {
+				continue
+			}
+			if c, w := d.Msg.F[0], p.witness[d.Msg.F[0]]; w >= 0 && int64(w) != d.Msg.F[1] {
+				p.split[c>>6] |= 1 << (c & 63)
 			}
 		}
 	}

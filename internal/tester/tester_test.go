@@ -1,11 +1,14 @@
 package tester
 
 import (
+	"fmt"
+	"math/rand/v2"
 	"slices"
 	"testing"
 
 	"repro/internal/cds"
 	"repro/internal/check"
+	"repro/internal/ds"
 	"repro/internal/graph"
 	"repro/internal/sim"
 )
@@ -101,7 +104,7 @@ func TestDistributedMatchesCentralizedOnCases(t *testing.T) {
 		classOf func(n int) [][]int32
 		classes int
 		wantOK  bool
-		// want pins CheckDistributed's whole Result at seed 5: the
+		// want pins CheckDistributed's whole Result: the
 		// verdict, the failure counts and every meter field.
 		want Result
 	}{
@@ -118,7 +121,7 @@ func TestDistributedMatchesCentralizedOnCases(t *testing.T) {
 			classes: 2,
 			wantOK:  true,
 			want: Result{OK: true, Meter: sim.Meter{
-				RawRounds: 14, MeteredRounds: 14, ChargedRounds: 6, Messages: 46, Bits: 430, Phases: 5}},
+				RawRounds: 8, MeteredRounds: 9, ChargedRounds: 4, Messages: 46, Bits: 468, Phases: 3}},
 		},
 		{
 			name:    "single-class-cycle",
@@ -158,7 +161,7 @@ func TestDistributedMatchesCentralizedOnCases(t *testing.T) {
 			classes: 1,
 			wantOK:  false,
 			want: Result{ConnectivityFailures: 1, Meter: sim.Meter{
-				RawRounds: 9, MeteredRounds: 9, ChargedRounds: 24, Messages: 40, Bits: 412, Phases: 3}},
+				RawRounds: 9, MeteredRounds: 9, ChargedRounds: 24, Messages: 42, Bits: 437, Phases: 3}},
 		},
 	}
 	for _, tc := range cases {
@@ -211,7 +214,7 @@ func TestTesterAcceptsRealPacking(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := Result{OK: true, Meter: sim.Meter{
-		RawRounds: 161, MeteredRounds: 176, ChargedRounds: 170, Messages: 3000, Bits: 30804, Phases: 33}}
+		RawRounds: 12, MeteredRounds: 142, ChargedRounds: 20, Messages: 3000, Bits: 40953, Phases: 3}}
 	if dis != want {
 		t.Fatalf("distributed result %+v, want %+v", dis, want)
 	}
@@ -318,5 +321,114 @@ func TestCheckerReuseMatchesOneShot(t *testing.T) {
 	}
 	if oks == 0 || oks == len(partitions) {
 		t.Fatalf("%d of %d partitions passed; the sequence should mix passes and failures", oks, len(partitions))
+	}
+}
+
+// splitClasses returns a copy of the partition classOf in which k
+// classes, drawn by rng, are replaced by dominating sets of two or more
+// components: a maximal independent set, grown vertex by vertex while
+// it stays disconnected. A replaced class is appended to its members'
+// lists, which then no longer ascend.
+func splitClasses(g *graph.Graph, classOf [][]int32, classes, k int, rng *rand.Rand) [][]int32 {
+	out := make([][]int32, len(classOf))
+	for v := range classOf {
+		out[v] = slices.Clone(classOf[v])
+	}
+	for split, c := range rng.Perm(classes)[:k] {
+		cl := int32(c)
+		holds := func(v int32) bool { return slices.Contains(out[v], cl) }
+		for v := range out {
+			out[v] = slices.DeleteFunc(out[v], func(x int32) bool { return x == cl })
+		}
+		order := rng.Perm(len(out))
+		for _, v := range order {
+			if !slices.ContainsFunc(g.Neighbors(v), holds) {
+				out[v] = append(out[v], cl)
+			}
+		}
+		for _, v := range order {
+			if holds(int32(v)) {
+				continue
+			}
+			out[v] = append(out[v], cl)
+			if _, conn := check.Partition(g, out, classes); conn <= split {
+				out[v] = out[v][:len(out[v])-1] // it would join the components
+			}
+		}
+	}
+	return out
+}
+
+// TestDistributedVerdictsMatchCentralized sweeps Q5, T6×6, CC(4,8,4) and
+// H(5,32) at four seeds: the valid partitions of cds.PackWithGuess's
+// trees at guesses 8 and 16, each also with two or three classes split
+// at once while every class still dominates (its class lists then no
+// longer ascend), and a zero-vertex graph with two classes, which only
+// the count of empty classes fails.
+// CheckDistributed's verdict must equal CheckCentralized's, and so must
+// its connectivity failures whenever domination passes.
+func TestDistributedVerdictsMatchCentralized(t *testing.T) {
+	compare := func(label string, g *graph.Graph, classOf [][]int32, classes int) Result {
+		t.Helper()
+		cen, err := CheckCentralized(g, classOf, classes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dis, err := CheckDistributed(g, classOf, classes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dis.OK != cen.OK || (dis.DominationFailures == 0) != (cen.DominationFailures == 0) ||
+			cen.DominationFailures == 0 && dis.ConnectivityFailures != cen.ConnectivityFailures {
+			t.Errorf("%s, %d classes %v: distributed %+v, centralized %+v", label, classes, classOf, dis, cen)
+		}
+		return dis
+	}
+	must := func(g *graph.Graph, err error) *graph.Graph {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"Q5", graph.Hypercube(5)},
+		{"T6x6", graph.Torus(6, 6)},
+		{"CC(4,8,4)", must(graph.CliqueChain(4, 8, 4))},
+		{"H(5,32)", must(graph.Harary(5, 32))},
+	} {
+		splits := 0
+		for seed := uint64(0); seed < 4; seed++ {
+			for _, guess := range []int{8, 16} {
+				p, err := cds.PackWithGuess(tc.g, guess, cds.Options{Seed: seed})
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("%s seed %d guess %d", tc.name, seed, guess)
+				classOf, classes := check.ClassesOf(tc.g.N(), p.Trees), len(p.Trees)
+				if res := compare(label, tc.g, classOf, classes); !res.OK {
+					t.Errorf("%s: valid trees failed: %+v", label, res)
+				}
+				if classes < 2 {
+					continue
+				}
+				k := min(2+int(seed%2), classes)
+				broken := splitClasses(tc.g, classOf, classes, k, ds.NewRand(seed))
+				if dom, conn := check.Partition(tc.g, broken, classes); dom != 0 || conn != k {
+					t.Fatalf("%s: splitting %d classes left %d domination and %d connectivity failures", label, k, dom, conn)
+				}
+				compare(fmt.Sprintf("%s, %d classes split", label, k), tc.g, broken, classes)
+				splits++
+			}
+		}
+		if splits == 0 {
+			t.Errorf("%s: no partition with two classes split", tc.name)
+		}
+	}
+	empty := compare("zero-vertex graph", graph.NewBuilder(0).Graph(), [][]int32{}, 2)
+	if empty.OK || empty.ConnectivityFailures != 2 {
+		t.Errorf("zero-vertex graph with 2 classes: %+v, want OK=false with 2 connectivity failures", empty)
 	}
 }
