@@ -15,6 +15,7 @@ import (
 	decomp "repro"
 	"repro/internal/cds"
 	"repro/internal/cdsdist"
+	"repro/internal/check"
 	"repro/internal/ds"
 	"repro/internal/flow"
 	"repro/internal/graph"
@@ -335,19 +336,15 @@ func e8() {
 func e9() {
 	g := graph.Hypercube(6)
 	p, _ := cds.Pack(g, cds.Options{Seed: 59})
-	classOf := make([][]int32, g.N())
-	for i, t := range p.Trees {
-		for _, v := range t.Tree.Vertices() {
-			classOf[v] = append(classOf[v], int32(i))
-		}
-	}
+	classOf := check.ClassesOf(g.N(), p.Trees)
 	res, err := tester.CheckDistributed(g, classOf, len(p.Trees))
 	if err != nil {
 		fmt.Println("  error:", err)
 		return
 	}
-	fmt.Printf("valid packing:    OK=%v rounds=%d (budget O~(min{d',D+√n})=%d)\n",
-		res.OK, res.Meter.TotalRounds(), tester.MaxRoundsBudget(g)*len(p.Trees))
+	budget := tester.MaxRoundsBudget(g)
+	fmt.Printf("valid packing:    OK=%v classes=%d rounds=%d metered=%d (budget O~(min{d',D+√n})=%d, metered/budget %.2f)\n",
+		res.OK, len(p.Trees), res.Meter.TotalRounds(), res.Meter.MeteredRounds, budget, float64(res.Meter.MeteredRounds)/float64(budget))
 	// Sabotage: shrink class 0 to two far-apart vertices — it can no
 	// longer be a connected dominating set.
 	root := p.Trees[0].Tree.Root()
