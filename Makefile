@@ -88,12 +88,14 @@ serve-smoke:
 # (method, path, body) must answer an API status code, keep the pack
 # accounting balanced, and leave the cache able to decompose. Edge
 # connectivity: on any graph of at most 24 vertices the dominating-set
-# flows must equal Stoer–Wagner.
+# flows must equal Stoer–Wagner. Minimizing a newly interesting input
+# gets 1 s, not Go's default 60 s, under which a smoke stalled at
+# 0 execs/s for most of its 10 s.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzBuilder$$' -fuzztime 10s ./internal/graph
-	$(GO) test -run '^$$' -fuzz '^FuzzSnapDecode$$' -fuzztime 10s ./internal/snap
-	$(GO) test -run '^$$' -fuzz '^FuzzHandler$$' -fuzztime 10s ./internal/serve
-	$(GO) test -run '^$$' -fuzz '^FuzzEdgeConnectivity$$' -fuzztime 10s ./internal/flow
+	$(GO) test -run '^$$' -fuzz '^FuzzBuilder$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/graph
+	$(GO) test -run '^$$' -fuzz '^FuzzSnapDecode$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/snap
+	$(GO) test -run '^$$' -fuzz '^FuzzHandler$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzEdgeConnectivity$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/flow
 
 # Determinism gate: the current build's content-level fingerprint must
 # match the committed golden byte for byte (TestFingerprintGolden is the
