@@ -61,7 +61,9 @@ const (
 // components, and each component ends holding its least seed.
 // Min-merging is order-insensitive, so the ascending send order leaves
 // results identical to any other. A caller sets the exported fields
-// before each phase; the zero value of the rest starts it.
+// before each phase; the zero value of the rest starts it. The flood
+// only forwards seeds, so an engine field budget that admits every seed
+// and class id admits the whole phase.
 type MinFlood struct {
 	Kind  uint8    // the kind of the flood's messages
 	Cls   []int32  // the node's classes, ascending

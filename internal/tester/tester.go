@@ -10,17 +10,20 @@
 // flooding, leaves each class component's least member id at its
 // members. Witnesses: members announce (class, component id), every
 // node re-announces, per class, the id it heard last, and a node that
-// sees two ids for one class has found a split class — the middle of
-// the paper's length-≤3 detector paths, which domination guarantees
-// exist. A failure flood, O(D) rounds, is charged after domination and
-// after connectivity. Raw rounds are then O(D) plus the class
-// components' diameters, whatever the class count; metered rounds still
-// grow with a node's memberships, since a round in which a node sends s
-// slots is charged as s rounds, and the witness round sends one slot
-// per class. Appendix E announces Θ(log n) random classes instead,
-// which cuts that round but makes the verdict hold only w.h.p.; here
-// every class is announced, so the test is deterministic: a valid
-// partition always passes and an invalid one never does.
+// hears a neighbor's id differ from its own for a class has found a
+// split class — the middle of the paper's length-≤3 detector paths,
+// which domination guarantees exist. A failure flood, O(D) rounds, is
+// charged after domination and after connectivity. Raw rounds are then
+// O(D) plus the class components' diameters, whatever the class count;
+// metered rounds still grow with a node's memberships, since a round in
+// which a node sends s slots is charged as s rounds, and the witness
+// round sends one slot per class. Appendix E announces Θ(log n) random
+// classes instead, which cuts that round but makes the verdict hold
+// only w.h.p.; here every class is announced, so the test is
+// deterministic: on a connected graph, as the paper's network is, a
+// valid partition always passes and an invalid one never does. On a
+// disconnected graph a class split only along the graph's components
+// goes unseen.
 package tester
 
 import (
@@ -191,8 +194,8 @@ func (c *Checker) Check(classOf [][]int32, classes int) (Result, error) {
 		return res, fmt.Errorf("tester: component identification: %w", err)
 	}
 
-	// --- Witnesses: a node that hears two component ids of one class
-	// marks the class split in its split row.
+	// --- Witnesses: a node that hears a neighbor witness another
+	// component id of a class than its own marks the class split.
 	c.witness = ds.GrowClear(c.witness, n*classes)
 	for i := range c.witness {
 		c.witness[i] = -1
