@@ -274,6 +274,18 @@ func broadcastFingerprints(b *strings.Builder) {
 		}
 		fmt.Fprintf(b, "E seed=%d multi=%+v\n", seed, multi)
 	}
+	// Q6's spanning packing under the packer's defaults holds hundreds
+	// of trees, so its per-tree arc tables and the tree pick are
+	// exercised at a scale K16's 16 trees never reach.
+	q, qp := q6Spanning()
+	qsrcs := decomp.UniformSources(q.N(), 4*q.N(), 7)
+	for seed := uint64(0); seed < 3; seed++ {
+		multi, err := decomp.BroadcastEdges(q, qp, qsrcs, seed)
+		if err != nil {
+			panic(err)
+		}
+		fmt.Fprintf(b, "E Q6 trees=%d seed=%d multi=%+v\n", len(qp.Trees), seed, multi)
+	}
 	gg := decomp.RandomHamCycles(128, 12, 3)
 	gp, err := decomp.PackDominatingTrees(gg, decomp.WithSeed(1))
 	if err != nil {
@@ -384,4 +396,30 @@ func faultFingerprints(b *strings.Builder) {
 	fmt.Fprintf(b, "F V Q6 kille=48 noretry res=%+v\n", res)
 	res = runBoth(es, ksrcs, 1, decomp.FaultPlan{Round: 2, Edges: []int{0, 7, 19, 50}, Vertices: []int{5, 11}})
 	fmt.Fprintf(b, "F E K16 explicit res=%+v\n", res)
+
+	// E-CONGEST over the E Q6 lines' many-tree packing, under the
+	// broadcast service's faulted demand plan: 3 random edge kills at
+	// round 1 with 2 retries.
+	q6, q6p := q6Spanning()
+	q6s, err := decomp.NewEdgeBroadcastScheduler(q6, q6p)
+	if err != nil {
+		panic(err)
+	}
+	q6srcs := decomp.UniformSources(q6.N(), 4*q6.N(), 7)
+	for seed := uint64(0); seed < 2; seed++ {
+		plan := decomp.FaultPlan{Round: 1, RandomEdges: 3, Seed: 100 + seed, MaxRetries: 2}
+		res := runBoth(q6s, q6srcs, seed, plan)
+		fmt.Fprintf(b, "F E Q6 kill=3 seed=%d res=%+v\n", seed, res)
+	}
+}
+
+// q6Spanning returns Q6 and its spanning-tree packing under the
+// packer's default options.
+func q6Spanning() (*graph.Graph, *stp.Packing) {
+	q := graph.Hypercube(6)
+	p, err := stp.Pack(q, stp.Options{})
+	if err != nil {
+		panic(err)
+	}
+	return q, p
 }
