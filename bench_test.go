@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	decomp "repro"
+	"repro/internal/cast"
 	"repro/internal/cds"
 	"repro/internal/cdsdist"
 	"repro/internal/check"
@@ -468,6 +469,82 @@ func BenchmarkE5SteadyBroadcastEdge(b *testing.B) {
 		b.ReportMetric(K, "demands/op")
 		b.ReportMetric(throughput, "msgs/round")
 	})
+}
+
+// BenchmarkBroadcastDeck times warm Scheduler.Run over the eight
+// decompositions perfbench's broadcast workload serves: K16, K32, Q8
+// and RandomHamCycles(256,16), each packed once with default options,
+// dominating (V-CONGEST) and spanning (E-CONGEST). The spanning packings
+// of Q8 and RHC(256,16) hold hundreds to thousands of trees, so their
+// per-tree tables leave the caches that E5's K16 tables never leave.
+// Each decomposition serves 16 demands whose sizes are log-uniform in
+// [16, 2048], one per stratum, with fixed sources and seeds, so every
+// iteration repeats the same pass; each handle runs its demands once
+// before the timer starts. Reports the pass's summed rounds, which two
+// builds that schedule identically share.
+func BenchmarkBroadcastDeck(b *testing.B) {
+	const demandsPer, minMsgs, maxMsgs = 16, 16, 2048
+	graphs := []*graph.Graph{
+		graph.Complete(16), graph.Complete(32), graph.Hypercube(8),
+		graph.RandomHamCycles(256, 16, ds.NewRand(1)),
+	}
+	for _, model := range []sim.Model{sim.VCongest, sim.ECongest} {
+		type served struct {
+			s       *cast.Scheduler
+			demands []cast.Demand
+		}
+		var deck []served
+		rng := ds.NewRand(2)
+		for _, g := range graphs {
+			var trees []graph.WeightedTree
+			if model == sim.VCongest {
+				p, err := cds.Pack(g, cds.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				trees = p.Trees
+			} else {
+				p, err := stp.Pack(g, stp.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				trees = p.Trees
+			}
+			s, err := cast.NewScheduler(g, trees, model)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sv := served{s: s, demands: make([]cast.Demand, demandsPer)}
+			for k := range sv.demands {
+				u := (float64(k) + rng.Float64()) / demandsPer
+				msgs := int(minMsgs * math.Pow(float64(maxMsgs+1)/minMsgs, u))
+				sv.demands[k] = cast.UniformDemand(g.N(), max(minMsgs, min(maxMsgs, msgs)), rng)
+			}
+			deck = append(deck, sv)
+		}
+		pass := func() (rounds int) {
+			for _, sv := range deck {
+				for k, d := range sv.demands {
+					res, err := sv.s.Run(d, uint64(k))
+					if err != nil {
+						b.Fatal(err)
+					}
+					rounds += res.Rounds
+				}
+			}
+			return rounds
+		}
+		b.Run(model.String(), func(b *testing.B) {
+			pass()
+			b.ReportAllocs()
+			b.ResetTimer()
+			var rounds int
+			for i := 0; i < b.N; i++ {
+				rounds = pass()
+			}
+			b.ReportMetric(float64(rounds), "rounds-sum")
+		})
+	}
 }
 
 // E7-faulted: seeded edge failures over the E5 decomposition from 0 up
