@@ -19,6 +19,7 @@ package cast
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand/v2"
 
@@ -139,12 +140,19 @@ type edgeBuffers struct {
 // NewScheduler validates the decomposition against the model and builds
 // the demand-independent scheduler state: in sim.VCongest mode the trees
 // must be dominating trees; in sim.ECongest mode they must be spanning
-// trees.
+// trees. Every tree weight must be positive and finite, and so must
+// their sum.
 func NewScheduler(g *graph.Graph, trees []graph.WeightedTree, model sim.Model) (*Scheduler, error) {
 	if len(trees) == 0 {
 		return nil, fmt.Errorf("cast: no trees")
 	}
 	for i, t := range trees {
+		// The tree pick reads the cumulative weights as a nondecreasing
+		// sequence ending at a finite positive total; NaN, ±Inf, zero or
+		// a negative weight would route every message to one tree.
+		if !(t.Weight > 0 && t.Weight <= math.MaxFloat64) {
+			return nil, fmt.Errorf("cast: tree %d has weight %v; weights must be positive and finite", i, t.Weight)
+		}
 		if model == sim.ECongest && !t.Tree.IsSpanning(g) {
 			return nil, fmt.Errorf("cast: tree %d not spanning (required in E-CONGEST)", i)
 		}
@@ -161,6 +169,9 @@ func NewScheduler(g *graph.Graph, trees []graph.WeightedTree, model sim.Model) (
 	for i, t := range trees {
 		core.total += t.Weight
 		core.cum[i] = core.total
+	}
+	if math.IsInf(core.total, 0) {
+		return nil, fmt.Errorf("cast: tree weights sum past the float64 range")
 	}
 	switch model {
 	case sim.VCongest:

@@ -1,6 +1,8 @@
 package cast
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/ds"
@@ -100,6 +102,43 @@ func TestSchedulerValidation(t *testing.T) {
 	}
 	if _, err := s.Run(Demand{}, 1); err == nil {
 		t.Fatal("empty demand accepted")
+	}
+}
+
+// TestSchedulerRejectsBadWeights: the tree pick needs positive, finite
+// weights with a finite sum. Before NewScheduler checked them, three
+// trees weighted 0.5, w, 0.5 sent all 10,000 messages of a demand to
+// tree 2 at w = NaN, to tree 1 at w = +Inf and to tree 0 at w = -1.
+func TestSchedulerRejectsBadWeights(t *testing.T) {
+	g := graph.Complete(4)
+	tr := graph.TreeFromBFS(g, 0)
+	for _, tc := range []struct {
+		name    string
+		w, last float64
+		wantErr string // "" accepts
+	}{
+		{"NaN", math.NaN(), 0.5, "tree 1 has weight NaN"},
+		{"+Inf", math.Inf(1), 0.5, "tree 1 has weight +Inf"},
+		{"-Inf", math.Inf(-1), 0.5, "tree 1 has weight -Inf"},
+		{"negative", -1, 0.5, "tree 1 has weight -1"},
+		{"zero", 0, 0.5, "tree 1 has weight 0"},
+		{"negative zero", math.Copysign(0, -1), 0.5, "tree 1 has weight -0"},
+		{"last tree", 0.5, -0.25, "tree 2 has weight -0.25"},
+		{"sum overflows", math.MaxFloat64, math.MaxFloat64, "sum past the float64 range"},
+		{"subnormal", math.SmallestNonzeroFloat64, 0.5, ""},
+		{"largest finite", math.MaxFloat64, 0.5, ""},
+		{"valid", 0.25, 0.5, ""},
+	} {
+		trees := []graph.WeightedTree{{Tree: tr, Weight: 0.5}, {Tree: tr, Weight: tc.w}, {Tree: tr, Weight: tc.last}}
+		for _, model := range []sim.Model{sim.VCongest, sim.ECongest} {
+			_, err := NewScheduler(g, trees, model)
+			switch {
+			case tc.wantErr == "" && err != nil:
+				t.Errorf("%s, %v: rejected: %v", tc.name, model, err)
+			case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+				t.Errorf("%s, %v: got error %v, want one containing %q", tc.name, model, err, tc.wantErr)
+			}
+		}
 	}
 }
 
