@@ -1,6 +1,9 @@
 package cast
 
 import (
+	"math"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/cds"
@@ -173,6 +176,124 @@ func TestAssignTreesProportional(t *testing.T) {
 	if count < 8500 || count > 9500 {
 		t.Fatalf("tree 0 got %d/10000 assignments, want ~9000", count)
 	}
+}
+
+// TestAssignDemandMatchesLinearScan: the binary-search tree pick must
+// choose, for every message, the tree a linear scan of the cumulative
+// weights picks: the first j with r <= cum[j]. Weight vectors hold 1 to
+// 4,101 trees; the "sub-ulp" vectors interleave weights below the ulp
+// of the running sum, so runs of consecutive cum entries are equal and
+// only the first tree of each run can be picked.
+func TestAssignDemandMatchesLinearScan(t *testing.T) {
+	g := graph.Complete(3)
+	tr := graph.TreeFromBFS(g, 0)
+	weightings := []struct {
+		name   string
+		weight func(rng *rand.Rand, i int) float64
+	}{
+		{"uniform", func(rng *rand.Rand, _ int) float64 { return 1 - rng.Float64() }},
+		{"log-uniform", func(rng *rand.Rand, _ int) float64 { return math.Pow(10, -12*rng.Float64()) }},
+		{"sub-ulp", func(rng *rand.Rand, i int) float64 {
+			if i%3 == 0 {
+				return 0.5 + rng.Float64()
+			}
+			return 1e-18 * (1 - rng.Float64())
+		}},
+	}
+	for _, nTrees := range []int{1, 2, 3, 64, 4101} {
+		for _, wt := range weightings {
+			for seed := uint64(0); seed < 4; seed++ {
+				wrng := ds.NewRand(1000*uint64(nTrees) + seed)
+				trees := make([]graph.WeightedTree, nTrees)
+				cum := make([]float64, nTrees)
+				total, equal := 0.0, 0
+				for i := range trees {
+					trees[i] = graph.WeightedTree{Tree: tr, Weight: wt.weight(wrng, i)}
+					total += trees[i].Weight
+					cum[i] = total
+					if i > 0 && cum[i] == cum[i-1] {
+						equal++
+					}
+				}
+				if wt.name == "sub-ulp" && nTrees >= 3 && equal == 0 {
+					t.Fatalf("%d trees, %s: no equal consecutive cumulative weights", nTrees, wt.name)
+				}
+				s, err := NewScheduler(g, trees, sim.VCongest)
+				if err != nil {
+					t.Fatal(err)
+				}
+				const nMsgs = 4096
+				ds.Reseed(s.pcg, seed)
+				s.assignDemand(nMsgs)
+				rng := ds.NewRand(seed)
+				perTree := make([]int32, nTrees)
+				for m := 0; m < nMsgs; m++ {
+					r := rng.Float64() * total
+					want := nTrees - 1
+					for j, c := range cum {
+						if r <= c {
+							want = j
+							break
+						}
+					}
+					perTree[want]++
+					if int(s.assign[m]) != want {
+						t.Fatalf("%d trees, %s, seed %d: message %d (r=%v) went to tree %d, linear scan picks %d",
+							nTrees, wt.name, seed, m, r, s.assign[m], want)
+					}
+				}
+				if !slices.Equal(s.msgsPerTree, perTree) {
+					t.Fatalf("%d trees, %s, seed %d: per-tree counts differ from the linear scan's", nTrees, wt.name, seed)
+				}
+			}
+		}
+	}
+}
+
+// TestAssignDemandExactBoundaries drives the tree pick with draws that
+// land exactly on cumulative weights, where a search for the first
+// j with r < cum[j] would disagree with the linear scan: cum is
+// [0.5, 0.5, 0.5, 0.75, 1] (two weights below the ulp of 0.5), so
+// r = 0.5 must pick tree 0, not tree 3, and r = 0.75 tree 3, not 4.
+func TestAssignDemandExactBoundaries(t *testing.T) {
+	g := graph.Complete(3)
+	tr := graph.TreeFromBFS(g, 0)
+	weights := []float64{0.5, 0x1p-60, 0x1p-60, 0.25, 0.25}
+	trees := make([]graph.WeightedTree, len(weights))
+	for i, w := range weights {
+		trees[i] = graph.WeightedTree{Tree: tr, Weight: w}
+	}
+	s, err := NewScheduler(g, trees, sim.VCongest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(s.core.cum, []float64{0.5, 0.5, 0.5, 0.75, 1}) {
+		t.Fatalf("cumulative weights %v, want [0.5 0.5 0.5 0.75 1]", s.core.cum)
+	}
+	draws := []float64{0, 0x1p-53, 0.25, 0.5 - 0x1p-53, 0.5, 0.5 + 0x1p-53, 0.75, 0.75 + 0x1p-53, 1 - 0x1p-53}
+	want := []int32{0, 0, 0, 0, 0, 3, 3, 4, 4}
+	src := &drawSource{draws: draws}
+	if x := rand.New(&drawSource{draws: draws[4:]}).Float64(); x != 0.5 {
+		t.Fatalf("drawSource yields Float64 %v, want 0.5: rand.Float64's mapping changed", x)
+	}
+	s.rng = rand.New(src)
+	s.assignDemand(len(draws))
+	if !slices.Equal(s.assign, want) {
+		t.Fatalf("draws %v picked trees %v, want %v", draws, s.assign, want)
+	}
+}
+
+// drawSource is a rand.Source whose Float64 yields draws in turn; each
+// draw must be a multiple of 2^-53 in [0, 1).
+type drawSource struct {
+	draws []float64
+	i     int
+}
+
+func (d *drawSource) Uint64() uint64 {
+	x := d.draws[d.i%len(d.draws)]
+	d.i++
+	return uint64(x * (1 << 53))
 }
 
 func TestDeterministicForSeed(t *testing.T) {

@@ -22,6 +22,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand/v2"
+	"slices"
 
 	"repro/internal/ds"
 	"repro/internal/graph"
@@ -125,16 +126,23 @@ type edgeCore struct {
 }
 
 // edgeBuffers is the E-CONGEST scheduler's per-handle run state: FIFO
-// layout, cursors, activity masks, and congestion tables recomputed per
-// demand over grown-once storage.
+// layout, cursors, the activity mask, one round's pops, and congestion
+// tables recomputed per demand over grown-once storage.
 type edgeBuffers struct {
 	vcong       []int32  // transmissions per node, counted from FIFO pops
 	econg       []int32  // messages per edge, counted from FIFO pops
 	qoff        []int32  // per-arc FIFO segment offsets into qbuf
 	qht         []uint64 // packed (tail<<32)|head cursor per arc
-	activeWords []uint64 // live-arc bitmask
-	snapWords   []uint64 // per-round snapshot of activeWords
+	activeWords []uint64 // live-arc bitmask: arcs with a queued message
 	qbuf        []int32  // flat FIFO storage, grown to the demand size
+	pops        []pop    // one round's pops; 2m entries, allocated by the first run
+}
+
+// pop is one transmission of an E-CONGEST round: arc dir delivers msg
+// to its head, which relays it on the tree arcs arcBack[lo:hi] (an
+// empty range when the head absorbs the copy).
+type pop struct {
+	dir, msg, lo, hi int32
 }
 
 // NewScheduler validates the decomposition against the model and builds
@@ -210,7 +218,6 @@ func newHandle(core *schedCore) *Scheduler {
 			qoff:        make([]int32, nArcs+1),
 			qht:         make([]uint64, nArcs),
 			activeWords: make([]uint64, (nArcs+63)/64),
-			snapWords:   make([]uint64, (nArcs+63)/64),
 		}
 	}
 	return s
@@ -258,23 +265,20 @@ func (s *Scheduler) run(ctx context.Context, demand Demand, seed uint64, f *faul
 // assignDemand routes each message to a tree with probability
 // proportional to tree weight (the paper's "broadcast each message along
 // a random tree"): r in [0, total] maps to the first tree whose
-// cumulative weight covers it.
+// cumulative weight covers it, found by binary search. NewScheduler
+// admits only positive weights, so cum never decreases and the search
+// returns the first j with r <= cum[j], as a linear scan would.
 func (s *Scheduler) assignDemand(nMsgs int) {
 	if cap(s.assign) < nMsgs {
 		s.assign = make([]int32, nMsgs)
 	}
 	s.assign = s.assign[:nMsgs]
 	clear(s.msgsPerTree)
-	trees, cum := s.core.trees, s.core.cum
+	cum := s.core.cum
 	for i := range s.assign {
 		r := s.rng.Float64() * s.core.total
-		ti := len(trees) - 1
-		for j, c := range cum {
-			if r <= c {
-				ti = j
-				break
-			}
-		}
+		ti, _ := slices.BinarySearch(cum, r)
+		ti = min(ti, len(cum)-1)
 		s.assign[i] = int32(ti)
 		s.msgsPerTree[ti]++
 	}
@@ -503,8 +507,19 @@ func newEdgeCore(g *graph.Graph, trees []graph.WeightedTree) *edgeCore {
 // one transmission by the arc's tail, so countPops reads both meters off
 // the FIFO cursors once the run ends.
 //
-// Under a fault set f, dead arcs are masked out of each round's
-// snapshot from the failure round, and deliveries go through a
+// A round is two-phase, in three passes over eb.pops. The pop pass
+// takes the head of every live arc's FIFO in ascending directed-edge
+// order; it reads activeWords in place, since a pop clears only its own
+// bit. The resolve pass finds, for each pop in order, the tree-arc
+// range of its message's tree at the receiving vertex, so the round's
+// per-tree offset loads are independent and issue back to back. The
+// relay pass then appends each pop's message to those arcs' FIFO tails,
+// in pop order, skipping the arrival edge. A relay revives an arc's bit
+// only after every pop of the round, so no message moves twice in one
+// round.
+//
+// Under a fault set f, dead arcs are masked out of the pop pass from
+// the failure round, and the resolve pass checks deliveries against a
 // (message, node) grid: a reroute may send a message to a node that
 // already holds it, which absorbs the copy without relaying, and dead
 // nodes are no delivery targets. When every live FIFO is empty but
@@ -518,6 +533,9 @@ func (s *Scheduler) runEdge(ctx context.Context, demand Demand, f *faultState) (
 	stride := (n + 63) / 64
 	res := Result{TreeLoad: int(maxOf32(s.msgsPerTree))}
 
+	if eb.pops == nil {
+		eb.pops = make([]pop, 0, 2*s.core.g.M())
+	}
 	clear(eb.vcong)
 	clear(eb.econg)
 	s.layoutFIFOs(s.msgsPerTree)
@@ -533,7 +551,7 @@ func (s *Scheduler) runEdge(ctx context.Context, demand Demand, f *faultState) (
 	// every arc of its tree there. A tree flood visits each vertex exactly
 	// once (arcs of a tree cannot revisit, and the arrival arc is
 	// skipped), so in a healthy run every relay is a fresh delivery and
-	// remaining can decrement unconditionally — no delivery grid needed.
+	// remaining can fall by the round's pops — no delivery grid needed.
 	for msg, src := range demand.Sources {
 		if f != nil {
 			bit := uint64(1) << (uint(src) & 63)
@@ -555,11 +573,12 @@ func (s *Scheduler) runEdge(ctx context.Context, demand Demand, f *faultState) (
 			default:
 			}
 		}
+		var deadArcs []uint64
 		if f != nil && res.Rounds >= f.round {
+			deadArcs = f.deadArcs
 			var live uint64
 			for i, w := range eb.activeWords {
-				eb.snapWords[i] = w &^ f.deadArcs[i]
-				live |= eb.snapWords[i]
+				live |= w &^ deadArcs[i]
 			}
 			if live == 0 {
 				if !s.rerouteEdge(f, nMsgs, res.Rounds) {
@@ -567,8 +586,6 @@ func (s *Scheduler) runEdge(ctx context.Context, demand Demand, f *faultState) (
 				}
 				continue
 			}
-		} else {
-			copy(eb.snapWords, eb.activeWords)
 		}
 		if res.Rounds >= maxRounds {
 			if f != nil {
@@ -577,50 +594,61 @@ func (s *Scheduler) runEdge(ctx context.Context, demand Demand, f *faultState) (
 			return res, fmt.Errorf("cast: edge scheduler stalled after %d rounds (%d deliveries missing)", res.Rounds, remaining)
 		}
 		res.Rounds++
-		// Every arc live at round start transmits its FIFO head, in
-		// ascending directed-edge order. Popping from a snapshot of the
-		// live mask makes the immediate relay equivalent to a two-phase
-		// (pop all, then relay) round: a relay only appends at queue tails
-		// and revives bits outside the snapshot, neither of which a
-		// snapshot pop ever re-reads within the round.
-		for wi, w := range eb.snapWords {
+
+		// Pop: every live arc transmits its FIFO head.
+		pops := eb.pops[:0]
+		for wi, w := range eb.activeWords {
+			if deadArcs != nil {
+				w &^= deadArcs[wi]
+			}
 			for ; w != 0; w &= w - 1 {
 				dir := wi<<6 + bits.TrailingZeros64(w)
 				ht := eb.qht[dir] + 1
 				eb.qht[dir] = ht
-				msg := eb.qbuf[uint32(ht)-1]
 				if uint32(ht) == uint32(ht>>32) {
 					eb.activeWords[wi] &^= 1 << (uint(dir) & 63)
 				}
-				// The relay, open-coded: enqueueTree is not inlined, and
-				// this loop carries every transmission of the run.
-				fromEdge := int32(dir) >> 1
-				v := int(es.headOf[dir])
-				if f != nil {
-					i, bit := int(msg)*stride+v>>6, uint64(1)<<(uint(v)&63)
-					if s.hasM[i]&bit != 0 {
-						continue // already held (reroute overlap): absorb, no relay
-					}
-					s.hasM[i] |= bit
-					if f.liveMask[v>>6]&bit == 0 {
-						remaining++ // doomed vertex: relays until the failure round, but is no target
-					}
+				pops = append(pops, pop{dir: int32(dir), msg: eb.qbuf[uint32(ht)-1]})
+			}
+		}
+
+		// Resolve: each pop's relay arcs at its receiving vertex.
+		delivered := len(pops)
+		for i := range pops {
+			p := &pops[i]
+			v := int(es.headOf[p.dir])
+			if f != nil {
+				at, bit := int(p.msg)*stride+v>>6, uint64(1)<<(uint(v)&63)
+				if s.hasM[at]&bit != 0 {
+					delivered-- // already held (reroute overlap): absorb, no relay
+					continue
 				}
-				remaining--
-				ti := int(s.assign[msg])
-				off := es.offBack[ti*(n+1):]
-				base := es.abase[ti]
-				for _, adir := range es.arcBack[base+off[v] : base+off[v+1]] {
-					if adir>>1 == fromEdge {
-						continue
-					}
-					aht := eb.qht[adir]
-					if uint32(aht) == uint32(aht>>32) {
-						eb.activeWords[adir>>6] |= 1 << (uint(adir) & 63)
-					}
-					eb.qbuf[aht>>32] = msg
-					eb.qht[adir] = aht + 1<<32
+				s.hasM[at] |= bit
+				if f.liveMask[v>>6]&bit == 0 {
+					delivered-- // doomed vertex: relays until the failure round, but is no target
 				}
+			}
+			ti := int(s.assign[p.msg])
+			o := ti*(n+1) + v
+			base := es.abase[ti]
+			p.lo, p.hi = base+es.offBack[o], base+es.offBack[o+1]
+		}
+		remaining -= delivered
+
+		// Relay, open-coded: enqueueTree is not inlined, and this loop
+		// carries every transmission of the run.
+		for _, p := range pops {
+			from := p.dir >> 1
+			for _, adir := range es.arcBack[p.lo:p.hi] {
+				if adir>>1 == from {
+					continue
+				}
+				aht := eb.qht[adir]
+				if uint32(aht) == uint32(aht>>32) {
+					eb.activeWords[adir>>6] |= 1 << (uint(adir) & 63)
+				}
+				eb.qbuf[aht>>32] = p.msg
+				eb.qht[adir] = aht + 1<<32
 			}
 		}
 	}
