@@ -9,6 +9,8 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"strings"
 	"time"
 
@@ -345,27 +347,16 @@ func e9() {
 	budget := tester.MaxRoundsBudget(g)
 	fmt.Printf("valid packing:    OK=%v classes=%d rounds=%d metered=%d (budget O~(min{d',D+√n})=%d, metered/budget %.2f)\n",
 		res.OK, len(p.Trees), res.Meter.TotalRounds(), res.Meter.MeteredRounds, budget, float64(res.Meter.MeteredRounds)/float64(budget))
-	// Sabotage: shrink class 0 to two far-apart vertices — it can no
-	// longer be a connected dominating set.
-	root := p.Trees[0].Tree.Root()
-	dist, _ := graph.BFS(g, root)
-	far := root
-	for _, v := range p.Trees[0].Tree.Vertices() {
-		if dist[v] > dist[far] {
-			far = int(v)
-		}
-	}
+	// Sabotage: replace class 0 with Q6's even-weight vertices. No two
+	// are adjacent, and every odd vertex has an even neighbor, so the
+	// class still dominates but is split: domination passes and the
+	// connectivity check must reject it.
 	for v := 0; v < g.N(); v++ {
-		if v == root || v == far {
-			continue
+		kept := slices.DeleteFunc(classOf[v], func(c int32) bool { return c == 0 })
+		if bits.OnesCount(uint(v))%2 == 0 {
+			kept = slices.Insert(kept, 0, 0)
 		}
-		pruned := classOf[v][:0]
-		for _, c := range classOf[v] {
-			if c != 0 {
-				pruned = append(pruned, c)
-			}
-		}
-		classOf[v] = pruned
+		classOf[v] = kept
 	}
 	res2, err := tester.CheckDistributed(g, classOf, len(p.Trees))
 	if err != nil {
