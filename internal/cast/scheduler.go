@@ -156,8 +156,9 @@ func NewScheduler(g *graph.Graph, trees []graph.WeightedTree, model sim.Model) (
 	}
 	for i, t := range trees {
 		// The tree pick reads the cumulative weights as a nondecreasing
-		// sequence ending at a finite positive total; NaN, ±Inf, zero or
-		// a negative weight would route every message to one tree.
+		// sequence ending at a finite positive total; NaN, ±Inf or a
+		// negative weight would route every message to one tree, and so
+		// would weights that are all zero.
 		if !(t.Weight > 0 && t.Weight <= math.MaxFloat64) {
 			return nil, fmt.Errorf("cast: tree %d has weight %v; weights must be positive and finite", i, t.Weight)
 		}
@@ -267,7 +268,8 @@ func (s *Scheduler) run(ctx context.Context, demand Demand, seed uint64, f *faul
 // a random tree"): r in [0, total] maps to the first tree whose
 // cumulative weight covers it, found by binary search. NewScheduler
 // admits only positive weights, so cum never decreases and the search
-// returns the first j with r <= cum[j], as a linear scan would.
+// returns the first j with r <= cum[j], even where sub-ulp weights make
+// consecutive entries equal.
 func (s *Scheduler) assignDemand(nMsgs int) {
 	if cap(s.assign) < nMsgs {
 		s.assign = make([]int32, nMsgs)
