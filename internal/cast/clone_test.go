@@ -119,13 +119,12 @@ func TestSchedulerCloneOfCloneSharesCore(t *testing.T) {
 // prototype and its clones — taken from a bounded channel, run, and
 // returned must not allocate at all in steady state, in either model.
 func TestSchedulerClonePoolZeroSteadyStateAllocs(t *testing.T) {
-	for _, model := range []sim.Model{sim.VCongest, sim.ECongest} {
-		g, trees := schedulerFixture(t, model)
-		s, err := NewScheduler(g, trees, model)
+	for _, fx := range handleFixtures(t) {
+		s, err := NewScheduler(fx.g, fx.trees, fx.model)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := AllToAll(g.N())
+		d := AllToAll(fx.g.N())
 		// Warm a handful of handles to the demand size.
 		const warm = 4
 		free := make(chan *Scheduler, warm)
@@ -149,7 +148,7 @@ func TestSchedulerClonePoolZeroSteadyStateAllocs(t *testing.T) {
 			free <- c
 		})
 		if allocs != 0 {
-			t.Fatalf("model %v: warm free-list handle made %.1f allocations per run, want 0", model, allocs)
+			t.Fatalf("%s: warm free-list handle made %.1f allocations per run, want 0", fx.name, allocs)
 		}
 	}
 }

@@ -21,14 +21,40 @@ func schedulerFixture(t testing.TB, model sim.Model) (*graph.Graph, []graph.Weig
 	return g, spanTrees(t, g, 5)
 }
 
+// handleFixture is one decomposition the handle tests serve, with a
+// fault plan whose random edge kills stall floods of an all-to-all
+// demand on it, forcing reroutes.
+type handleFixture struct {
+	name  string
+	model sim.Model
+	g     *graph.Graph
+	trees []graph.WeightedTree
+	plan  FaultPlan
+}
+
+// handleFixtures returns both models' schedulerFixture decompositions
+// and K40's spanning packing under stp.Pack's defaults, in which every
+// vertex has degree 39: more ports than one 32-bit word holds.
+func handleFixtures(t testing.TB) []handleFixture {
+	t.Helper()
+	var fs []handleFixture
+	for _, model := range []sim.Model{sim.VCongest, sim.ECongest} {
+		g, trees := schedulerFixture(t, model)
+		fs = append(fs, handleFixture{model.String(), model, g, trees, reroutingPlan(model)})
+	}
+	k40 := graph.Complete(40)
+	return append(fs, handleFixture{"K40 " + sim.ECongest.String(), sim.ECongest, k40, spanTrees(t, k40, 0),
+		FaultPlan{Round: 1, RandomEdges: 3, Seed: 110}})
+}
+
 // TestSchedulerReuseMatchesFreshBroadcast is the reuse determinism gate:
 // one handle serving N demands of varying sizes (growing and shrinking,
 // so buffer reuse across size changes is exercised) must produce results
 // identical to N fresh Broadcast calls, in both congestion models.
 func TestSchedulerReuseMatchesFreshBroadcast(t *testing.T) {
-	for _, model := range []sim.Model{sim.VCongest, sim.ECongest} {
-		g, trees := schedulerFixture(t, model)
-		s, err := NewScheduler(g, trees, model)
+	for _, fx := range handleFixtures(t) {
+		g, trees := fx.g, fx.trees
+		s, err := NewScheduler(g, trees, fx.model)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,14 +70,14 @@ func TestSchedulerReuseMatchesFreshBroadcast(t *testing.T) {
 			seed := uint64(100 + i)
 			got, err := s.Run(d, seed)
 			if err != nil {
-				t.Fatalf("model %v demand %d: %v", model, i, err)
+				t.Fatalf("%s demand %d: %v", fx.name, i, err)
 			}
-			want, err := Broadcast(g, trees, d, model, seed)
+			want, err := Broadcast(g, trees, d, fx.model, seed)
 			if err != nil {
-				t.Fatalf("model %v demand %d: %v", model, i, err)
+				t.Fatalf("%s demand %d: %v", fx.name, i, err)
 			}
 			if got != want {
-				t.Fatalf("model %v demand %d: reused handle %+v != fresh broadcast %+v", model, i, got, want)
+				t.Fatalf("%s demand %d: reused handle %+v != fresh broadcast %+v", fx.name, i, got, want)
 			}
 		}
 	}
@@ -148,16 +174,14 @@ func TestSchedulerRejectsBadWeights(t *testing.T) {
 // healthy runs and for faulted runs whose random edge kills force
 // reroutes.
 func TestSchedulerRunZeroSteadyStateAllocs(t *testing.T) {
-	for _, model := range []sim.Model{sim.VCongest, sim.ECongest} {
-		g, trees := schedulerFixture(t, model)
-		s, err := NewScheduler(g, trees, model)
+	for _, fx := range handleFixtures(t) {
+		s, err := NewScheduler(fx.g, fx.trees, fx.model)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := AllToAll(g.N())
-		plan := reroutingPlan(model)
+		d, plan := AllToAll(fx.g.N()), fx.plan
 		if res, err := s.RunFaulted(d, 0, plan); err != nil || res.Retries == 0 {
-			t.Fatalf("model %v: faulted fixture run never rerouted: %+v, %v", model, res, err)
+			t.Fatalf("%s: faulted fixture run never rerouted: %+v, %v", fx.name, res, err)
 		}
 		for _, tc := range []struct {
 			name string
@@ -180,7 +204,7 @@ func TestSchedulerRunZeroSteadyStateAllocs(t *testing.T) {
 				}
 			})
 			if allocs != 0 {
-				t.Fatalf("model %v: warm Scheduler.%s made %.1f allocations per run, want 0", model, tc.name, allocs)
+				t.Fatalf("%s: warm Scheduler.%s made %.1f allocations per run, want 0", fx.name, tc.name, allocs)
 			}
 		}
 	}

@@ -275,16 +275,23 @@ func broadcastFingerprints(b *strings.Builder) {
 		fmt.Fprintf(b, "E seed=%d multi=%+v\n", seed, multi)
 	}
 	// Q6's spanning packing under the packer's defaults holds hundreds
-	// of trees, so its per-tree arc tables and the tree pick are
-	// exercised at a scale K16's 16 trees never reach.
-	q, qp := q6Spanning()
-	qsrcs := decomp.UniformSources(q.N(), 4*q.N(), 7)
-	for seed := uint64(0); seed < 3; seed++ {
-		multi, err := decomp.BroadcastEdges(q, qp, qsrcs, seed)
-		if err != nil {
-			panic(err)
+	// of trees, so its per-tree tables and the tree pick are exercised
+	// at a scale K16's 16 trees never reach. Every K40 vertex has degree
+	// 39, more ports than one 32-bit word holds.
+	for _, c := range []struct {
+		name    string
+		g       *graph.Graph
+		srcSeed uint64
+	}{{"Q6", graph.Hypercube(6), 7}, {"K40", graph.Complete(40), 11}} {
+		p := defaultSpanning(c.g)
+		srcs := decomp.UniformSources(c.g.N(), 4*c.g.N(), c.srcSeed)
+		for seed := uint64(0); seed < 3; seed++ {
+			multi, err := decomp.BroadcastEdges(c.g, p, srcs, seed)
+			if err != nil {
+				panic(err)
+			}
+			fmt.Fprintf(b, "E %s trees=%d seed=%d multi=%+v\n", c.name, len(p.Trees), seed, multi)
 		}
-		fmt.Fprintf(b, "E Q6 trees=%d seed=%d multi=%+v\n", len(qp.Trees), seed, multi)
 	}
 	gg := decomp.RandomHamCycles(128, 12, 3)
 	gp, err := decomp.PackDominatingTrees(gg, decomp.WithSeed(1))
@@ -397,29 +404,34 @@ func faultFingerprints(b *strings.Builder) {
 	res = runBoth(es, ksrcs, 1, decomp.FaultPlan{Round: 2, Edges: []int{0, 7, 19, 50}, Vertices: []int{5, 11}})
 	fmt.Fprintf(b, "F E K16 explicit res=%+v\n", res)
 
-	// E-CONGEST over the E Q6 lines' many-tree packing, under the
+	// E-CONGEST over the E Q6 and E K40 lines' packings, under the
 	// broadcast service's faulted demand plan: 3 random edge kills at
-	// round 1 with 2 retries.
-	q6, q6p := q6Spanning()
-	q6s, err := decomp.NewEdgeBroadcastScheduler(q6, q6p)
-	if err != nil {
-		panic(err)
-	}
-	q6srcs := decomp.UniformSources(q6.N(), 4*q6.N(), 7)
-	for seed := uint64(0); seed < 2; seed++ {
-		plan := decomp.FaultPlan{Round: 1, RandomEdges: 3, Seed: 100 + seed, MaxRetries: 2}
-		res := runBoth(q6s, q6srcs, seed, plan)
-		fmt.Fprintf(b, "F E Q6 kill=3 seed=%d res=%+v\n", seed, res)
+	// round 1 with 2 retries. On K40 the reroutes re-queue and absorb
+	// copies at vertices of degree 39.
+	for _, c := range []struct {
+		name              string
+		g                 *graph.Graph
+		srcSeed, planSeed uint64
+	}{{"Q6", graph.Hypercube(6), 7, 100}, {"K40", graph.Complete(40), 11, 110}} {
+		s, err := decomp.NewEdgeBroadcastScheduler(c.g, defaultSpanning(c.g))
+		if err != nil {
+			panic(err)
+		}
+		srcs := decomp.UniformSources(c.g.N(), 4*c.g.N(), c.srcSeed)
+		for seed := uint64(0); seed < 2; seed++ {
+			plan := decomp.FaultPlan{Round: 1, RandomEdges: 3, Seed: c.planSeed + seed, MaxRetries: 2}
+			res := runBoth(s, srcs, seed, plan)
+			fmt.Fprintf(b, "F E %s kill=3 seed=%d res=%+v\n", c.name, seed, res)
+		}
 	}
 }
 
-// q6Spanning returns Q6 and its spanning-tree packing under the
-// packer's default options.
-func q6Spanning() (*graph.Graph, *stp.Packing) {
-	q := graph.Hypercube(6)
-	p, err := stp.Pack(q, stp.Options{})
+// defaultSpanning returns g's spanning-tree packing under the packer's
+// default options.
+func defaultSpanning(g *graph.Graph) *stp.Packing {
+	p, err := stp.Pack(g, stp.Options{})
 	if err != nil {
 		panic(err)
 	}
-	return q, p
+	return p
 }
