@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"time"
 
 	decomp "repro"
 	"repro/internal/cast"
@@ -481,21 +482,28 @@ func BenchmarkE5SteadyBroadcastEdge(b *testing.B) {
 // [16, 2048], one per stratum, with fixed sources and seeds, so every
 // iteration repeats the same pass; each handle runs its demands once
 // before the timer starts. Reports the pass's summed rounds, which two
-// builds that schedule identically share.
+// builds that schedule identically share, and each decomposition's
+// share of the pass as its own metric (K16-ms, K32-ms, Q8-ms, RHC-ms),
+// so a change that speeds one graph and slows another shows both.
 func BenchmarkBroadcastDeck(b *testing.B) {
 	const demandsPer, minMsgs, maxMsgs = 16, 16, 2048
-	graphs := []*graph.Graph{
-		graph.Complete(16), graph.Complete(32), graph.Hypercube(8),
-		graph.RandomHamCycles(256, 16, ds.NewRand(1)),
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"K16", graph.Complete(16)}, {"K32", graph.Complete(32)}, {"Q8", graph.Hypercube(8)},
+		{"RHC", graph.RandomHamCycles(256, 16, ds.NewRand(1))},
 	}
 	for _, model := range []sim.Model{sim.VCongest, sim.ECongest} {
 		type served struct {
+			name    string
 			s       *cast.Scheduler
 			demands []cast.Demand
 		}
 		var deck []served
 		rng := ds.NewRand(2)
-		for _, g := range graphs {
+		for _, dg := range graphs {
+			g := dg.g
 			var trees []graph.WeightedTree
 			if model == sim.VCongest {
 				p, err := cds.Pack(g, cds.Options{})
@@ -514,7 +522,7 @@ func BenchmarkBroadcastDeck(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			sv := served{s: s, demands: make([]cast.Demand, demandsPer)}
+			sv := served{name: dg.name, s: s, demands: make([]cast.Demand, demandsPer)}
 			for k := range sv.demands {
 				u := (float64(k) + rng.Float64()) / demandsPer
 				msgs := int(minMsgs * math.Pow(float64(maxMsgs+1)/minMsgs, u))
@@ -522,8 +530,11 @@ func BenchmarkBroadcastDeck(b *testing.B) {
 			}
 			deck = append(deck, sv)
 		}
-		pass := func() (rounds int) {
-			for _, sv := range deck {
+		// pass serves the deck once, adding each decomposition's time
+		// to spent when it is non-nil.
+		pass := func(spent []time.Duration) (rounds int) {
+			for i, sv := range deck {
+				start := time.Now()
 				for k, d := range sv.demands {
 					res, err := sv.s.Run(d, uint64(k))
 					if err != nil {
@@ -531,18 +542,26 @@ func BenchmarkBroadcastDeck(b *testing.B) {
 					}
 					rounds += res.Rounds
 				}
+				if spent != nil {
+					spent[i] += time.Since(start)
+				}
 			}
 			return rounds
 		}
 		b.Run(model.String(), func(b *testing.B) {
-			pass()
+			pass(nil)
+			spent := make([]time.Duration, len(deck))
 			b.ReportAllocs()
 			b.ResetTimer()
 			var rounds int
 			for i := 0; i < b.N; i++ {
-				rounds = pass()
+				rounds = pass(spent)
 			}
+			b.StopTimer() // the metrics below would count as the pass's allocations
 			b.ReportMetric(float64(rounds), "rounds-sum")
+			for i, sv := range deck {
+				b.ReportMetric(spent[i].Seconds()*1e3/float64(b.N), sv.name+"-ms")
+			}
 		})
 	}
 }
