@@ -79,23 +79,28 @@ race:
 serve-smoke:
 	$(GO) run ./cmd/serve -selftest
 
-# 10-second fuzz smokes of the three parsers of untrusted input and of
-# the λ computation that runs on client graphs. The CSR builder: random
-# edge streams with duplicates and self-loops must finalize to sorted,
+# 10-second fuzz smokes of the three parsers of untrusted input, of
+# the λ computation that runs on client graphs, and of the broadcast
+# scheduler's validation and build. The CSR builder: random edge
+# streams with duplicates and self-loops must finalize to sorted,
 # deduped, symmetric adjacency with consistent edge ids. The snapshot
 # decoder: any file body must decode to an error or to a snapshot that
 # re-encodes to exactly its bytes, never panic. The HTTP API: any
 # (method, path, body) must answer an API status code, keep the pack
 # accounting balanced, and leave the cache able to decompose. Edge
 # connectivity: on any graph of at most 24 vertices the dominating-set
-# flows must equal Stoer–Wagner. Minimizing a newly interesting input
-# gets 1 s, not Go's default 60 s, under which a smoke stalled at
-# 0 execs/s for most of its 10 s.
+# flows must equal Stoer–Wagner. The scheduler: on any graph of at most
+# 48 vertices with up to four trees, NewScheduler must accept exactly
+# the valid decompositions, and an accepted one must run a small demand
+# without error, a Clone giving the same result. Minimizing a newly
+# interesting input gets 1 s, not Go's default 60 s, under which a smoke
+# stalled at 0 execs/s for most of its 10 s.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBuilder$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapDecode$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/snap
 	$(GO) test -run '^$$' -fuzz '^FuzzHandler$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzEdgeConnectivity$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/flow
+	$(GO) test -run '^$$' -fuzz '^FuzzScheduler$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/cast
 
 # Determinism gate: the current build's content-level fingerprint must
 # match the committed golden byte for byte (TestFingerprintGolden is the

@@ -148,8 +148,8 @@ type pop struct {
 // NewScheduler validates the decomposition against the model and builds
 // the demand-independent scheduler state: in sim.VCongest mode the trees
 // must be dominating trees; in sim.ECongest mode they must be spanning
-// trees. Every tree weight must be positive and finite, and so must
-// their sum.
+// trees. In both, every tree edge must be an edge of g. Every tree
+// weight must be positive and finite, and so must their sum.
 func NewScheduler(g *graph.Graph, trees []graph.WeightedTree, model sim.Model) (*Scheduler, error) {
 	if len(trees) == 0 {
 		return nil, fmt.Errorf("cast: no trees")
@@ -165,8 +165,13 @@ func NewScheduler(g *graph.Graph, trees []graph.WeightedTree, model sim.Model) (
 		if model == sim.ECongest && !t.Tree.IsSpanning(g) {
 			return nil, fmt.Errorf("cast: tree %d not spanning (required in E-CONGEST)", i)
 		}
-		if model == sim.VCongest && !t.Tree.IsDominatingIn(g) {
-			return nil, fmt.Errorf("cast: tree %d not dominating (required in V-CONGEST)", i)
+		if model == sim.VCongest {
+			if !t.Tree.IsDominatingIn(g) {
+				return nil, fmt.Errorf("cast: tree %d not dominating (required in V-CONGEST)", i)
+			}
+			if err := t.Tree.ValidateIn(g); err != nil {
+				return nil, fmt.Errorf("cast: tree %d: %w", i, err)
+			}
 		}
 	}
 	core := &schedCore{
@@ -186,7 +191,11 @@ func NewScheduler(g *graph.Graph, trees []graph.WeightedTree, model sim.Model) (
 	case sim.VCongest:
 		core.vs = newVertexCore(g, trees)
 	case sim.ECongest:
-		core.es = newEdgeCore(g, trees)
+		es, err := newEdgeCore(g, trees)
+		if err != nil {
+			return nil, err
+		}
+		core.es = es
 	default:
 		return nil, fmt.Errorf("cast: unknown model %v", model)
 	}
@@ -442,7 +451,7 @@ func (s *Scheduler) runVertex(ctx context.Context, demand Demand, f *faultState)
 	return res, nil
 }
 
-func newEdgeCore(g *graph.Graph, trees []graph.WeightedTree) *edgeCore {
+func newEdgeCore(g *graph.Graph, trees []graph.WeightedTree) (*edgeCore, error) {
 	n := g.N()
 	m := g.M()
 	nArcs := 2 * m
@@ -464,9 +473,13 @@ func newEdgeCore(g *graph.Graph, trees []graph.WeightedTree) *edgeCore {
 		off := es.offBack[ti*(n+1) : (ti+1)*(n+1)]
 		erow := es.treeEdges[ti*es.ewords : (ti+1)*es.ewords]
 		tedges = tedges[:0]
+		var missing error
 		t.Tree.ForEachEdge(func(child, parent int) {
 			eid, ok := g.EdgeID(child, parent)
 			if !ok {
+				if missing == nil {
+					missing = fmt.Errorf("cast: tree %d: edge (%d,%d) not in the graph", ti, child, parent)
+				}
 				return
 			}
 			erow[eid>>6] |= 1 << (uint(eid) & 63)
@@ -474,6 +487,9 @@ func newEdgeCore(g *graph.Graph, trees []graph.WeightedTree) *edgeCore {
 			off[parent+1]++
 			tedges = append(tedges, int32(child), int32(parent), int32(eid))
 		})
+		if missing != nil {
+			return nil, missing
+		}
 		for v := 0; v < n; v++ {
 			off[v+1] += off[v]
 		}
@@ -495,7 +511,7 @@ func newEdgeCore(g *graph.Graph, trees []graph.WeightedTree) *edgeCore {
 		es.headOf[2*eid] = e.V
 		es.headOf[2*eid+1] = e.U
 	}
-	return es
+	return es, nil
 }
 
 // runEdge pipelines each message along its spanning tree's edges; one

@@ -168,6 +168,62 @@ func TestSchedulerRejectsBadWeights(t *testing.T) {
 	}
 }
 
+// TestSchedulerRejectsMissingEdges: a tree edge the graph lacks is
+// rejected in both models, naming the tree and the edge. Before
+// NewScheduler checked it, the E-CONGEST build skipped the edge: an
+// all-to-all Run on C6 with the spanning tree through (2,5) failed with
+// "edge scheduler stalled after 144 rounds", and one in V-CONGEST on P6
+// with the tree {1,4} with "vertex scheduler stalled after 144 rounds".
+func TestSchedulerRejectsMissingEdges(t *testing.T) {
+	tree := func(root int, parent ...int32) *graph.Tree {
+		t.Helper()
+		tr, err := graph.TreeFromParents(root, parent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	const x, r = graph.TreeAbsent, graph.TreeRoot
+	c6, p6 := graph.Cycle(6), graph.Path(6)
+	c6path := tree(0, r, 0, 1, 2, 3, 4)
+	c6chord := tree(0, r, 0, 1, 2, 3, 2) // 5's parent is 2
+	p6stub := tree(1, x, r, x, x, 1, x)  // {1,4}, which dominates P6
+	p6star := tree(1, 1, r, 1, 2, x, x)  // {0,1,2,3}: 4 and 5 undominated
+	p6pair := tree(1, x, r, x, x, 5, 1)  // {1,4,5}: 4-5 hangs from 1 by (5,1)
+	for _, tc := range []struct {
+		name    string
+		model   sim.Model
+		g       *graph.Graph
+		trees   []*graph.Tree
+		wantErr string // "" accepts
+	}{
+		{"C6 path", sim.ECongest, c6, []*graph.Tree{c6path}, ""},
+		{"C6 chord", sim.ECongest, c6, []*graph.Tree{c6chord}, "tree 0: edge (5,2) not in the graph"},
+		{"C6 chord second", sim.ECongest, c6, []*graph.Tree{c6path, c6chord}, "tree 1: edge (5,2) not in the graph"},
+		{"C6 path, V", sim.VCongest, c6, []*graph.Tree{c6path}, ""},
+		{"C6 chord, V", sim.VCongest, c6, []*graph.Tree{c6path, c6chord}, "tree 1: graph: tree edge (5,2) not in host graph"},
+		{"P6 stub", sim.VCongest, p6, []*graph.Tree{p6stub}, "tree 0: graph: tree edge (4,1) not in host graph"},
+		{"P6 undominated", sim.VCongest, p6, []*graph.Tree{p6star}, "tree 0 not dominating"},
+		{"P6 pair", sim.VCongest, p6, []*graph.Tree{p6pair}, "tree 0: graph: tree edge (5,1) not in host graph"},
+	} {
+		trees := make([]graph.WeightedTree, len(tc.trees))
+		for i, tr := range tc.trees {
+			trees[i] = graph.WeightedTree{Tree: tr, Weight: 1}
+		}
+		s, err := NewScheduler(tc.g, trees, tc.model)
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("%s: got error %v, want one containing %q", tc.name, err, tc.wantErr)
+		case err == nil:
+			if _, err := s.Run(AllToAll(tc.g.N()), 1); err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+			}
+		}
+	}
+}
+
 // TestSchedulerRunZeroSteadyStateAllocs is the steady-state allocation
 // gate: once a handle has served a demand of a given size, re-serving
 // demands of that size must not allocate at all, in either model — for
