@@ -1,7 +1,7 @@
 // The reusable broadcast Scheduler handle: construction builds every
 // demand-independent artifact of the congestion-model round loops once
-// (per-tree CSR adjacency, membership and neighbor bitmasks, per-tree
-// edge bitmasks), and Run serves an arbitrary sequence of demands with
+// (per-tree port masks, membership and neighbor bitmasks, per-tree edge
+// bitmasks), and Run serves an arbitrary sequence of demands with
 // engine-style buffer reuse — zero allocations per Run once the buffers
 // have grown to the demand size — while producing results identical,
 // transmission for transmission, to a fresh Broadcast call with the same
@@ -107,22 +107,37 @@ type vtx struct {
 	m int32
 }
 
-// edgeCore is the E-CONGEST scheduler's immutable setup. The per-tree
-// CSR arc lists live in shared backing arrays sized for all trees (a
-// fixed 2(n-1) arc stride per tree): tree ti's arcs at vertex v are
-// arcBack[abase[ti]+off[v] : abase[ti]+off[v+1]] with
-// off = offBack[ti*(n+1):]. An arc is stored as its directed-edge index
-// dir = 2*eid + side alone — the edge id is dir>>1 and the receiving
-// endpoint comes from headOf — so arcs are 4 bytes each. treeEdges[ti]
-// is the tree's edge set as a bitmask over edge ids.
+// edgeCore is the E-CONGEST scheduler's immutable setup. A tree is one
+// 32-bit port mask per vertex: bit p of tree ti's word at v is set iff
+// v's p-th CSR neighbor is v's neighbor in the tree. Tree ti's words
+// are masks[ti*stride : (ti+1)*stride], v's word at v; a vertex of
+// degree d > 32 keeps its ports from 32 on in ⌈d/32⌉−1 extension words
+// at n+extOff[v]. slotDir maps a CSR slot (v's row offset plus a port)
+// to the arc from v to that neighbor, stored as its directed-edge index
+// dir = 2*eid + side: the edge id is dir>>1, and heads gives the
+// receiving endpoint and the edge's port there. rowOf[v] is v's CSR row
+// offset, complemented (negative) when v has extension words. Per tree
+// the masks take 4·Σ_v max(1, ⌈deg(v)/32⌉) bytes: 1 KB on Q8 and on
+// RandomHamCycles(256,16), whose degrees stay within one word.
+// treeEdges[ti] is the tree's edge set as a bitmask over edge ids. Only
+// masks and treeEdges grow with the tree count; every other table is
+// the graph's.
 type edgeCore struct {
+	n, stride      int
 	ewords, awords int
 
-	offBack   []int32  // len(trees)*(n+1) CSR offsets
-	arcBack   []int32  // len(trees)*2*(n-1) directed-edge indices
-	abase     []int32  // arcBack base per tree
+	masks     []uint32 // len(trees)*stride port masks
+	rowOf     []int32  // CSR row offset per vertex, ^offset past one word
+	extOff    []int32  // n+1 prefix sums of extension words
+	slotDir   []int32  // slotDir[s] = arc from s's row vertex to its neighbor at s
 	treeEdges []uint64 // per-tree edge bitmask rows
-	headOf    []int32  // headOf[dir] = receiving endpoint of arc dir
+	heads     []head   // heads[dir]: receiving endpoint of arc dir and its port there
+}
+
+// head is the receiving end of an arc: its vertex, and the arc's edge's
+// port in that vertex's row.
+type head struct {
+	v, port int32
 }
 
 // edgeBuffers is the E-CONGEST scheduler's per-handle run state: FIFO
@@ -139,10 +154,15 @@ type edgeBuffers struct {
 }
 
 // pop is one transmission of an E-CONGEST round: arc dir delivers msg
-// to its head, which relays it on the tree arcs arcBack[lo:hi] (an
-// empty range when the head absorbs the copy).
+// to its head, which relays it on the arcs slotDir[row+p] for every set
+// bit p of mask, its tree's port mask there less the arrival edge. A
+// zero mask relays nothing (a leaf, or an absorbed copy); a negative
+// row marks a head with extension words, which relays through
+// enqueueTree.
 type pop struct {
-	dir, msg, lo, hi int32
+	dir, msg int32
+	mask     uint32
+	row      int32
 }
 
 // NewScheduler validates the decomposition against the model and builds
@@ -234,7 +254,7 @@ func newHandle(core *schedCore) *Scheduler {
 }
 
 // Clone returns an independent handle over the same immutable core:
-// setup artifacts (per-tree CSR arc lists and bitmasks) are shared, run
+// setup artifacts (per-tree port masks and bitmasks) are shared, run
 // buffers are fresh. The clone serves Run concurrently with the
 // original and with other clones, keeps the zero-steady-state-
 // allocation property once warm, and produces results byte-identical to
@@ -452,66 +472,94 @@ func (s *Scheduler) runVertex(ctx context.Context, demand Demand, f *faultState)
 }
 
 func newEdgeCore(g *graph.Graph, trees []graph.WeightedTree) (*edgeCore, error) {
-	n := g.N()
-	m := g.M()
-	nArcs := 2 * m
-	arcStride := 2 * max(n-1, 0)
-	edges := g.Edges()
+	n, m := g.N(), g.M()
+	off, nbr := g.AdjOffsets(), g.AdjTargets()
 	es := &edgeCore{
+		n:       n,
 		ewords:  (m + 63) / 64,
-		awords:  (nArcs + 63) / 64,
-		offBack: make([]int32, len(trees)*(n+1)),
-		arcBack: make([]int32, len(trees)*arcStride),
-		abase:   make([]int32, len(trees)),
-		headOf:  make([]int32, nArcs),
+		awords:  (2*m + 63) / 64,
+		rowOf:   make([]int32, n),
+		extOff:  make([]int32, n+1),
+		slotDir: make([]int32, 2*m),
+		heads:   make([]head, 2*m),
 	}
-	es.treeEdges = make([]uint64, len(trees)*es.ewords)
+	// revPort[s] is the port of s's row vertex in its neighbor's row:
+	// rows are sorted, so each neighbor w meets its rows' vertices in
+	// ascending order, and a cursor per w counts them off.
+	revPort := make([]int32, 2*m)
 	cur := make([]int32, n)
-	tedges := make([]int32, 0, 3*max(n-1, 0)) // (child, parent, eid) triples
-	for ti, t := range trees {
-		es.abase[ti] = int32(ti * arcStride)
-		off := es.offBack[ti*(n+1) : (ti+1)*(n+1)]
-		erow := es.treeEdges[ti*es.ewords : (ti+1)*es.ewords]
-		tedges = tedges[:0]
-		var missing error
-		t.Tree.ForEachEdge(func(child, parent int) {
-			eid, ok := g.EdgeID(child, parent)
-			if !ok {
-				if missing == nil {
-					missing = fmt.Errorf("cast: tree %d: edge (%d,%d) not in the graph", ti, child, parent)
-				}
-				return
-			}
-			erow[eid>>6] |= 1 << (uint(eid) & 63)
-			off[child+1]++
-			off[parent+1]++
-			tedges = append(tedges, int32(child), int32(parent), int32(eid))
-		})
-		if missing != nil {
-			return nil, missing
+	for v := 0; v < n; v++ {
+		lo, hi := off[v], off[v+1]
+		es.rowOf[v] = lo
+		es.extOff[v+1] = es.extOff[v]
+		if d := hi - lo; d > 32 {
+			es.rowOf[v] = ^lo
+			es.extOff[v+1] += (d+31)/32 - 1
 		}
-		for v := 0; v < n; v++ {
-			off[v+1] += off[v]
-		}
-		list := es.arcBack[es.abase[ti] : int(es.abase[ti])+int(off[n])]
-		copy(cur, off[:n])
-		for i := 0; i < len(tedges); i += 3 {
-			child, parent, eid := tedges[i], tedges[i+1], tedges[i+2]
-			childDir, parentDir := 2*eid, 2*eid+1
-			if child != edges[eid].U {
-				childDir, parentDir = parentDir, childDir
+		for p, e := range g.IncidentEdges(v) {
+			w := nbr[lo+int32(p)]
+			es.slotDir[lo+int32(p)] = 2 * e
+			if int32(v) > w {
+				es.slotDir[lo+int32(p)]++
 			}
-			list[cur[child]] = childDir
-			cur[child]++
-			list[cur[parent]] = parentDir
-			cur[parent]++
+			revPort[lo+int32(p)] = cur[w]
+			cur[w]++
 		}
 	}
-	for eid, e := range edges {
-		es.headOf[2*eid] = e.V
-		es.headOf[2*eid+1] = e.U
+	for sl, dir := range es.slotDir {
+		es.heads[dir].port = revPort[sl]
+	}
+	es.stride = n + int(es.extOff[n])
+	es.masks = make([]uint32, len(trees)*es.stride)
+	es.treeEdges = make([]uint64, len(trees)*es.ewords)
+	for ti, t := range trees {
+		words := es.masks[ti*es.stride : (ti+1)*es.stride]
+		erow := es.treeEdges[ti*es.ewords : (ti+1)*es.ewords]
+		for _, child := range t.Tree.Vertices() {
+			parent, ok := t.Tree.Parent(int(child))
+			if !ok {
+				continue
+			}
+			lo := off[child]
+			port, ok := portOf(nbr[lo:off[child+1]], int32(parent))
+			if !ok {
+				return nil, fmt.Errorf("cast: tree %d: edge (%d,%d) not in the graph", ti, child, parent)
+			}
+			sl := lo + int32(port)
+			eid := es.slotDir[sl] >> 1
+			erow[eid>>6] |= 1 << (uint(eid) & 63)
+			es.setPort(words, int(child), port)
+			es.setPort(words, parent, int(revPort[sl]))
+		}
+	}
+	for eid, e := range g.Edges() {
+		es.heads[2*eid].v = e.V
+		es.heads[2*eid+1].v = e.U
 	}
 	return es, nil
+}
+
+// portOf returns w's index in the sorted row and whether w is there. Its
+// binary search moves the base without a branch (the sign of w minus
+// the probe masks the step), since the probes a build makes for the
+// edges of many trees are unpredictable.
+func portOf(row []int32, w int32) (int, bool) {
+	base, n := 0, len(row)
+	for n > 1 {
+		half := n >> 1
+		base += half &^ int((int64(w)-int64(row[base+half]))>>63)
+		n -= half
+	}
+	return base, n == 1 && row[base] == w
+}
+
+// setPort sets port p of vertex v in one tree's mask words.
+func (es *edgeCore) setPort(words []uint32, v, p int) {
+	i := v
+	if p >= 32 {
+		i = es.n + int(es.extOff[v]) + p/32 - 1
+	}
+	words[i] |= 1 << (uint(p) & 31)
 }
 
 // runEdge pipelines each message along its spanning tree's edges; one
@@ -528,13 +576,16 @@ func newEdgeCore(g *graph.Graph, trees []graph.WeightedTree) (*edgeCore, error) 
 // A round is two-phase, in three passes over eb.pops. The pop pass
 // takes the head of every live arc's FIFO in ascending directed-edge
 // order; it reads activeWords in place, since a pop clears only its own
-// bit. The resolve pass finds, for each pop in order, the tree-arc
-// range of its message's tree at the receiving vertex, so the round's
-// per-tree offset loads are independent and issue back to back. The
-// relay pass then appends each pop's message to those arcs' FIFO tails,
-// in pop order, skipping the arrival edge. A relay revives an arc's bit
-// only after every pop of the round, so no message moves twice in one
-// round.
+// bit. The resolve pass loads, for each pop in order, its message's
+// tree's port mask at the receiving vertex, less the arrival edge's
+// bit, and the vertex's CSR row offset, so the round's per-tree loads
+// are independent and issue back to back. The relay pass then appends
+// each pop's message, in pop order, to the FIFO tails of the arcs its
+// mask selects, reading only the graph-level slotDir; a head with
+// extension words relays through enqueueTree instead. A pop relays onto
+// distinct arcs, so the order of its arcs changes nothing. A relay
+// revives an arc's bit only after every pop of the round, so no message
+// moves twice in one round.
 //
 // Under a fault set f, dead arcs are masked out of the pop pass from
 // the failure round, and the resolve pass checks deliveries against a
@@ -634,7 +685,8 @@ func (s *Scheduler) runEdge(ctx context.Context, demand Demand, f *faultState) (
 		delivered := len(pops)
 		for i := range pops {
 			p := &pops[i]
-			v := int(es.headOf[p.dir])
+			h := es.heads[p.dir]
+			v := int(h.v)
 			if f != nil {
 				at, bit := int(p.msg)*stride+v>>6, uint64(1)<<(uint(v)&63)
 				if s.hasM[at]&bit != 0 {
@@ -646,21 +698,24 @@ func (s *Scheduler) runEdge(ctx context.Context, demand Demand, f *faultState) (
 					delivered-- // doomed vertex: relays until the failure round, but is no target
 				}
 			}
-			ti := int(s.assign[p.msg])
-			o := ti*(n+1) + v
-			base := es.abase[ti]
-			p.lo, p.hi = base+es.offBack[o], base+es.offBack[o+1]
+			// The arrival edge's bit is cleared here, so the relay pass
+			// queues on every set bit. (A head with extension words
+			// relays through enqueueTree, which skips it by edge id.)
+			p.mask = es.masks[int(s.assign[p.msg])*es.stride+v] &^ (1 << (uint(h.port) & 31))
+			p.row = es.rowOf[v]
 		}
 		remaining -= delivered
 
 		// Relay, open-coded: enqueueTree is not inlined, and this loop
-		// carries every transmission of the run.
+		// carries every transmission of the run. A head with extension
+		// words relays through it.
 		for _, p := range pops {
-			from := p.dir >> 1
-			for _, adir := range es.arcBack[p.lo:p.hi] {
-				if adir>>1 == from {
-					continue
-				}
+			if p.row < 0 {
+				s.enqueueTree(p.msg, int(es.heads[p.dir].v), p.dir>>1)
+				continue
+			}
+			for w := p.mask; w != 0; w &= w - 1 {
+				adir := es.slotDir[p.row+int32(bits.TrailingZeros32(w))]
 				aht := eb.qht[adir]
 				if uint32(aht) == uint32(aht>>32) {
 					eb.activeWords[adir>>6] |= 1 << (uint(adir) & 63)
@@ -717,11 +772,26 @@ func (s *Scheduler) layoutFIFOs(perTree []int32) {
 // enqueueTree queues message msg on every arc of its tree at v, except
 // the arcs of edge skip (the arrival edge; -1 queues on all of them).
 func (s *Scheduler) enqueueTree(msg int32, v int, skip int32) {
+	es := s.core.es
+	words := es.masks[int(s.assign[msg])*es.stride:]
+	row := es.rowOf[v]
+	if row >= 0 {
+		s.enqueueWord(msg, words[v], row, skip)
+		return
+	}
+	row = ^row
+	s.enqueueWord(msg, words[v], row, skip)
+	for k, w := range words[es.n+int(es.extOff[v]) : es.n+int(es.extOff[v+1])] {
+		s.enqueueWord(msg, w, row+32*int32(k+1), skip)
+	}
+}
+
+// enqueueWord queues msg on the arcs slotDir[row+p] for every set bit p
+// of mask, except the arcs of edge skip.
+func (s *Scheduler) enqueueWord(msg int32, mask uint32, row, skip int32) {
 	es, eb := s.core.es, s.eb
-	ti := int(s.assign[msg])
-	off := es.offBack[ti*(s.core.g.N()+1):]
-	base := es.abase[ti]
-	for _, dir := range es.arcBack[base+off[v] : base+off[v+1]] {
+	for ; mask != 0; mask &= mask - 1 {
+		dir := es.slotDir[row+int32(bits.TrailingZeros32(mask))]
 		if dir>>1 == skip {
 			continue
 		}
@@ -744,7 +814,7 @@ func (s *Scheduler) countPops() {
 	es, eb := s.core.es, s.eb
 	for dir, ht := range eb.qht {
 		if pops := int32(uint32(ht)) - eb.qoff[dir]; pops != 0 {
-			eb.vcong[es.headOf[dir^1]] += pops
+			eb.vcong[es.heads[dir^1].v] += pops
 			eb.econg[dir>>1] += pops
 		}
 	}
