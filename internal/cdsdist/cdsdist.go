@@ -202,9 +202,13 @@ type arena struct {
 	// scoutPairs is the scratch in which a scoutNode collects the
 	// scout pairs of one call; nodes run serially, so they share one.
 	scoutPairs []candidate
-	lists      [][]candidate // each type-2 node's bridging-graph list
-	assigned   []bool        // type-2 nodes matched or assigned this layer
-	hasMember  []bool        // excess's per-class scratch
+	// heard marks the active components a scoutNode has heard in one
+	// call, at bit class*n+compID; it shares it like scoutPairs and
+	// clears its own bits before returning.
+	heard     []uint64
+	lists     [][]candidate // each type-2 node's bridging-graph list
+	assigned  []bool        // type-2 nodes matched or assigned this layer
+	hasMember []bool        // excess's per-class scratch
 }
 
 // slab is per-class state of every node: rows parallel to the class
@@ -279,6 +283,7 @@ func newRun(g *graph.Graph, kGuess int, opts cds.Options, diam int, a *arena) *r
 	}
 	a.words = (classes + 63) / 64
 	a.clsRows = ds.GrowClear(a.clsRows, n*a.words)
+	a.heard = ds.GrowClear(a.heard, (classes*n+63)/64)
 	return r
 }
 

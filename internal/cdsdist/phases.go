@@ -186,12 +186,17 @@ type scoutNode struct {
 	seenComp []int64      // distinct type-3 component ids heard
 	annHeard []candidate  // distinct active components heard, in first-delivery order
 	scouts   *[]candidate // the arena's scratch for one call's scout (class, id) pairs
+	heard    []uint64     // the arena's scratch: bit class*n+compID marks annHeard's pairs
+	n        int
 	list     []candidate
 }
 
-// hearActive records an active component announcement, once.
+// hearActive records an active component announcement, once. A
+// component's id is its least member, so class*n+compID is its own bit.
 func (p *scoutNode) hearActive(cand candidate) {
-	if !slices.Contains(p.annHeard, cand) {
+	k := int(cand.class)*p.n + int(cand.compID)
+	if bit := uint64(1) << (k & 63); p.heard[k>>6]&bit == 0 {
+		p.heard[k>>6] |= bit
 		p.annHeard = append(p.annHeard, cand)
 	}
 }
@@ -240,6 +245,10 @@ func (p *scoutNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 			if p.deact[i] == dist.NoValue {
 				p.hearActive(candidate{class: c, compID: p.comp[i]})
 			}
+		}
+		for _, cand := range p.annHeard {
+			k := int(cand.class)*p.n + int(cand.compID)
+			p.heard[k>>6] &^= 1 << (k & 63)
 		}
 		switch {
 		case len(p.seenComp) == 0:
@@ -316,6 +325,8 @@ func (r *run) buildBridging(layer int, deact [][]dist.Pair) ([][]candidate, erro
 			seenComp:   sc.seenComp[:0],
 			annHeard:   sc.annHeard[:0],
 			scouts:     &r.scoutPairs,
+			heard:      r.heard,
+			n:          r.n,
 			list:       sc.list[:0],
 		}
 		r.procs[v] = sc
