@@ -182,6 +182,11 @@ func NewScheduler(g *graph.Graph, trees []graph.WeightedTree, model sim.Model) (
 		if !(t.Weight > 0 && t.Weight <= math.MaxFloat64) {
 			return nil, fmt.Errorf("cast: tree %d has weight %v; weights must be positive and finite", i, t.Weight)
 		}
+		// A tree built over more host vertices than g has may hold a
+		// vertex g lacks; the checks below index g by its vertices.
+		if vs := t.Tree.Vertices(); len(vs) > 0 && int(vs[len(vs)-1]) >= g.N() {
+			return nil, fmt.Errorf("cast: tree %d: vertex %d not in the graph (%d vertices)", i, vs[len(vs)-1], g.N())
+		}
 		if model == sim.ECongest && !t.Tree.IsSpanning(g) {
 			return nil, fmt.Errorf("cast: tree %d not spanning (required in E-CONGEST)", i)
 		}

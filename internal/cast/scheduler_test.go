@@ -174,6 +174,8 @@ func TestSchedulerRejectsBadWeights(t *testing.T) {
 // all-to-all Run on C6 with the spanning tree through (2,5) failed with
 // "edge scheduler stalled after 144 rounds", and one in V-CONGEST on P6
 // with the tree {1,4} with "vertex scheduler stalled after 144 rounds".
+// A tree holding a vertex the graph lacks made NewScheduler panic with
+// an index out of range in both models.
 func TestSchedulerRejectsMissingEdges(t *testing.T) {
 	tree := func(root int, parent ...int32) *graph.Tree {
 		t.Helper()
@@ -190,6 +192,7 @@ func TestSchedulerRejectsMissingEdges(t *testing.T) {
 	p6stub := tree(1, x, r, x, x, 1, x)  // {1,4}, which dominates P6
 	p6star := tree(1, 1, r, 1, 2, x, x)  // {0,1,2,3}: 4 and 5 undominated
 	p6pair := tree(1, x, r, x, x, 5, 1)  // {1,4,5}: 4-5 hangs from 1 by (5,1)
+	p6path := tree(0, r, 0, 1, 2, 3, 4)  // over P5, vertex 5 is not in the graph
 	for _, tc := range []struct {
 		name    string
 		model   sim.Model
@@ -205,6 +208,8 @@ func TestSchedulerRejectsMissingEdges(t *testing.T) {
 		{"P6 stub", sim.VCongest, p6, []*graph.Tree{p6stub}, "tree 0: graph: tree edge (4,1) not in host graph"},
 		{"P6 undominated", sim.VCongest, p6, []*graph.Tree{p6star}, "tree 0 not dominating"},
 		{"P6 pair", sim.VCongest, p6, []*graph.Tree{p6pair}, "tree 0: graph: tree edge (5,1) not in host graph"},
+		{"P5, tree over 6", sim.ECongest, graph.Path(5), []*graph.Tree{p6path}, "tree 0: vertex 5 not in the graph (5 vertices)"},
+		{"P5, tree over 6, V", sim.VCongest, graph.Path(5), []*graph.Tree{p6path}, "tree 0: vertex 5 not in the graph (5 vertices)"},
 	} {
 		trees := make([]graph.WeightedTree, len(tc.trees))
 		for i, tr := range tc.trees {
