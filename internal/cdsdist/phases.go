@@ -191,14 +191,19 @@ type scoutNode struct {
 	list     []candidate
 }
 
-// hearActive records an active component announcement, once. A
-// component's id is its least member, so class*n+compID is its own bit.
+// hearActive records an active component announcement, once.
 func (p *scoutNode) hearActive(cand candidate) {
-	k := int(cand.class)*p.n + int(cand.compID)
-	if bit := uint64(1) << (k & 63); p.heard[k>>6]&bit == 0 {
-		p.heard[k>>6] |= bit
+	if w, bit := p.heardAt(cand); p.heard[w]&bit == 0 {
+		p.heard[w] |= bit
 		p.annHeard = append(p.annHeard, cand)
 	}
+}
+
+// heardAt returns cand's word and bit in heard. A component's id is its
+// least member, so class*n+compID is a bit of its own.
+func (p *scoutNode) heardAt(cand candidate) (int, uint64) {
+	k := int(cand.class)*p.n + int(cand.compID)
+	return k >> 6, 1 << (k & 63)
 }
 
 func (p *scoutNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
@@ -247,8 +252,8 @@ func (p *scoutNode) Round(ctx *sim.Context, inbox sim.Inbox) sim.Status {
 			}
 		}
 		for _, cand := range p.annHeard {
-			k := int(cand.class)*p.n + int(cand.compID)
-			p.heard[k>>6] &^= 1 << (k & 63)
+			w, bit := p.heardAt(cand)
+			p.heard[w] &^= bit
 		}
 		switch {
 		case len(p.seenComp) == 0:
