@@ -775,7 +775,10 @@ func (s *Scheduler) layoutFIFOs(perTree []int32) {
 }
 
 // enqueueTree queues message msg on every arc of its tree at v, except
-// the arcs of edge skip (the arrival edge; -1 queues on all of them).
+// the arcs of edge skip (the arrival edge; -1 queues on all of them),
+// walking v's mask word and then its extension words. Injection and
+// reroute queue through it, and so does the relay pass at a vertex with
+// extension words.
 func (s *Scheduler) enqueueTree(msg int32, v int, skip int32) {
 	es := s.core.es
 	words := es.masks[int(s.assign[msg])*es.stride:]
